@@ -16,7 +16,7 @@ import numpy as np
 
 from .emit import DeploymentBundle
 from .errors import MetricsError
-from .model import MICROS_PER_SECOND, PacketRecord, TwinDescriptor
+from .model import MICROS_PER_SECOND, PacketBatch, PacketRecord, TwinDescriptor
 from .transport import SyncLog
 
 
@@ -55,27 +55,21 @@ def throughput_series(
     """
     if bin_width_micros <= 0:
         raise ValueError("bin_width_micros must be positive")
-    packets = list(packets)
+    batch = PacketBatch.from_records(packets)
+    ts = batch.ts_micros
     if span_micros is None:
-        if packets:
-            span_micros = max(p.ts_micros for p in packets) - origin_ts_micros + 1
-        else:
-            span_micros = 0
+        span_micros = int(ts.max()) - origin_ts_micros + 1 if len(ts) else 0
     n_bins = -(-span_micros // bin_width_micros) if span_micros > 0 else 0
-    byte_bins = [0] * n_bins
-    ignored = 0
-    for p in packets:
-        idx = (p.ts_micros - origin_ts_micros) // bin_width_micros
-        if p.ts_micros < origin_ts_micros or idx >= n_bins:
-            ignored += 1
-            continue
-        byte_bins[idx] += p.original_len
+    index = (ts - origin_ts_micros) // bin_width_micros
+    inside = (ts >= origin_ts_micros) & (index < n_bins)
+    # Float sums of integer byte counts are exact below 2**53 bytes per bin.
+    byte_bins = np.bincount(index[inside], weights=batch.original_len[inside], minlength=n_bins)
     scale = 8 * MICROS_PER_SECOND / bin_width_micros
     return ThroughputSeries(
         origin_ts_micros=origin_ts_micros,
         bin_width_micros=bin_width_micros,
-        bins=tuple(b * scale for b in byte_bins),
-        ignored_packets=ignored,
+        bins=tuple((byte_bins * scale).tolist()),
+        ignored_packets=len(ts) - int(np.count_nonzero(inside)),
     )
 
 

@@ -31,7 +31,7 @@ from .metrics import (
     twin_alignment_ratio,
     update_latency,
 )
-from .model import MICROS_PER_SECOND, TwinDescriptor
+from .model import MICROS_PER_SECOND, PacketBatch, TwinDescriptor
 from .pcap import segment_stream
 from .replay import CollectingSink, PcapDirectorySink, ReplayEngine, ReplayMode, ReplayPlan, TeeSink
 from .scenarios import ScenarioSpec, generate
@@ -142,7 +142,7 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         # replay and series all share one time base.
         wall0 = clock.now_micros()
         shift = wall0 - scenario.origin_ts_micros
-        records = tuple(replace(r, ts_micros=r.ts_micros + shift) for r in trace.records)
+        records = trace.records.shifted(shift)
         origin = wall0
     span_end = origin + scenario.duration_micros
 
@@ -222,9 +222,11 @@ def _evaluate(cfg, log, sink, engine, records, origin, duration_micros,
               window_micros, windows_sent) -> RunResult:
     align_offset = engine.align_offset_micros or 0
 
+    # The series needs times and sizes only; leave the payloads where they are.
+    replayed = PacketBatch.concat_sizes(t.records for t in sink.traces)
     npt_series = throughput_series(records, cfg.bin_width_micros, origin, duration_micros)
     ndt_series = throughput_series(
-        sink.records, cfg.bin_width_micros, origin, duration_micros + max(0, align_offset)
+        replayed, cfg.bin_width_micros, origin, duration_micros + max(0, align_offset)
     )
     try:
         comparison = compare_series(npt_series, ndt_series, cfg.max_lag_bins)
@@ -276,7 +278,7 @@ def _evaluate(cfg, log, sink, engine, records, origin, duration_micros,
         max_lateness_micros=max_lateness,
         windows_sent=windows_sent,
         windows_replayed=len(sink.traces),
-        packets_replayed=len(sink.records),
+        packets_replayed=len(replayed),
     )
 
 

@@ -2,25 +2,28 @@
 
 Two modes:
 
-* virtual-clock: every packet is emitted immediately with its timestamp
-  shifted by the alignment offset. Exact, fast, fully deterministic;
-  this is what CI and fidelity runs use.
+* virtual-clock: a window's packets are emitted at once, as one batch
+  with every timestamp shifted by the alignment offset. Exact, fast,
+  fully deterministic; this is what CI and fidelity runs use.
 * real-time: inter-packet gaps are actually slept (scaled by
   1/speed_factor) against an injected clock, tcpreplay style. Scheduler
   lateness is measured per packet and reported, never folded silently
   into timestamps.
 
-Payload bytes always pass through untouched; replay fidelity is the
-whole point of the loop.
+Either way a sink receives each replayed window once, as a
+ReplayedTrace. Payload bytes always pass through untouched; replay
+fidelity is the whole point of the loop.
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .clocks import Clock
 from .errors import MetricsError
-from .model import PacketRecord
+from .model import PacketBatch, PacketRecord
 from .pcap import CaptureWindow, write_pcap
 from .transport import SyncLog
 
@@ -53,7 +56,7 @@ class ReplayedTrace:
     """Output of one window's replay, timestamps already aligned."""
 
     window_seq: int
-    records: tuple[PacketRecord, ...]
+    records: PacketBatch
     lateness_micros: tuple[int, ...]
     t_replayed_micros: int
 
@@ -80,24 +83,22 @@ def compute_alignment(plan: ReplayPlan, log: SyncLog, window: CaptureWindow) -> 
 
 
 class PacketSink:
-    """Consumer of replayed packets; subclass what the run needs."""
+    """Consumer of replayed windows; subclass what the run needs."""
 
-    def consume(self, record: PacketRecord) -> None:  # pragma: no cover - interface
+    def window_complete(self, trace: ReplayedTrace) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def window_complete(self, trace: ReplayedTrace) -> None:
-        pass
 
 
 class CollectingSink(PacketSink):
     """Accumulates everything in memory, for metrics and tests."""
 
     def __init__(self):
-        self.records: list[PacketRecord] = []
         self.traces: list[ReplayedTrace] = []
 
-    def consume(self, record: PacketRecord) -> None:
-        self.records.append(record)
+    @property
+    def records(self) -> list[PacketRecord]:
+        """Every replayed packet, in replay order."""
+        return [r for t in self.traces for r in t.records]
 
     def window_complete(self, trace: ReplayedTrace) -> None:
         self.traces.append(trace)
@@ -112,9 +113,6 @@ class PcapDirectorySink(PacketSink):
         self.linktype = linktype
         self.paths: list = []
 
-    def consume(self, record: PacketRecord) -> None:
-        pass
-
     def window_complete(self, trace: ReplayedTrace) -> None:
         path = self.directory / f"replayed_{trace.window_seq}.pcap"
         path.write_bytes(write_pcap(self.linktype, trace.records))
@@ -124,10 +122,6 @@ class PcapDirectorySink(PacketSink):
 class TeeSink(PacketSink):
     def __init__(self, *sinks: PacketSink):
         self.sinks = sinks
-
-    def consume(self, record: PacketRecord) -> None:
-        for s in self.sinks:
-            s.consume(record)
 
     def window_complete(self, trace: ReplayedTrace) -> None:
         for s in self.sinks:
@@ -176,13 +170,9 @@ class ReplayEngine:
     def _replay_virtual(self, window: CaptureWindow, t_available: int) -> ReplayedTrace:
         if self._offset is None:
             self._offset = compute_alignment(self.plan, self.log, window)
-        out = []
-        for record in window.packets:
-            shifted = replace(record, ts_micros=record.ts_micros + self._offset)
-            self.sink.consume(shifted)
-            out.append(shifted)
+        packets = window.packets.shifted(self._offset)
         t_done = t_available if self._last_completed is None else max(t_available, self._last_completed)
-        return ReplayedTrace(window.seq, tuple(out), (0,) * len(out), t_done)
+        return ReplayedTrace(window.seq, packets, (0,) * len(packets), t_done)
 
     def _replay_real_time(self, window: CaptureWindow) -> ReplayedTrace:
         assert self.clock is not None
@@ -192,19 +182,16 @@ class ReplayEngine:
             if self._offset is None:
                 self._offset = compute_alignment(self.plan, self.log, window) if self.plan.align_offset_micros is not None \
                     else self._anchor_wall - window.start_ts_micros
-        out = []
+        emitted = []
         lateness = []
-        for record in window.packets:
-            target = self._anchor_wall + int(
-                (record.ts_micros - self._first_window_start) / self.plan.speed_factor
-            )
+        for ts in window.packets.ts_micros.tolist():
+            target = self._anchor_wall + int((ts - self._first_window_start) / self.plan.speed_factor)
             wait = target - self.clock.now_micros()
             if wait > 0:
                 self.clock.sleep_micros(wait)
             emitted_at = max(target, self.clock.now_micros())
-            shifted = replace(record, ts_micros=emitted_at)
-            self.sink.consume(shifted)
-            out.append(shifted)
+            emitted.append(emitted_at)
             lateness.append(max(0, emitted_at - target))
         t_done = self.clock.now_micros()
-        return ReplayedTrace(window.seq, tuple(out), tuple(lateness), t_done)
+        packets = window.packets.with_ts(np.array(emitted, dtype=np.int64))
+        return ReplayedTrace(window.seq, packets, tuple(lateness), t_done)

@@ -96,12 +96,12 @@ def unpack_window(manifest: WindowManifest, payload: bytes) -> CaptureWindow:
     """Verify the digest and rebuild the window from its pcap payload."""
     if len(payload) != manifest.byte_length or _digest(payload) != manifest.content_digest:
         raise DigestMismatchError(manifest.seq)
-    _, records = read_pcap(payload)
+    _, packets = read_pcap(payload)
     return CaptureWindow(
         seq=manifest.seq,
         start_ts_micros=manifest.start_ts_micros,
         end_ts_micros=manifest.end_ts_micros,
-        packets=tuple(records),
+        packets=packets,
         source_interface=manifest.source_interface,
     )
 

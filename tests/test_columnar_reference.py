@@ -1,0 +1,330 @@
+"""The columnar pcap, segmentation and binning code against per-record references.
+
+The reference functions below are the per-record implementations the
+columnar ones replaced, kept as the oracle. They differ from the
+originals in one place: ``ref_read_pcap`` rejects a sub-second field out
+of range, as read_pcap now does. Every property requires identical
+output, or an identical exception (type, message and offset or index).
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twinsync.errors import BadMagicError, PcapError, PcapWriteError, TimestampRegressionError, TruncatedRecordError
+from twinsync.metrics import ThroughputSeries, throughput_series
+from twinsync.model import MICROS_PER_SECOND, Direction, PacketBatch, PacketRecord
+from twinsync.pcap import (
+    DEFAULT_SNAPLEN,
+    LINKTYPE_RAW_IP,
+    PCAP_MAGIC_MICROS,
+    PCAP_MAGIC_NANOS,
+    VECTOR_MIN_PACKETS,
+    CaptureWindow,
+    read_pcap,
+    segment_stream,
+    write_pcap,
+)
+
+SECOND = MICROS_PER_SECOND
+
+
+# --- per-record references -------------------------------------------------
+
+
+def ref_write_pcap(linktype, packets, snaplen=DEFAULT_SNAPLEN) -> bytes:
+    parts = [struct.pack("<IHHiIII", PCAP_MAGIC_MICROS, 2, 4, 0, 0, snaplen, linktype)]
+    for i, p in enumerate(packets):
+        if p.captured_len > snaplen:
+            raise PcapWriteError(i, f"captured_len {p.captured_len} exceeds snaplen {snaplen}")
+        sec, usec = divmod(p.ts_micros, 1_000_000)
+        if sec > 0xFFFFFFFF:
+            raise PcapWriteError(i, "timestamp beyond 32-bit seconds")
+        parts.append(struct.pack("<IIII", sec, usec, p.captured_len, p.original_len))
+        parts.append(p.payload)
+    return b"".join(parts)
+
+
+def ref_read_pcap(data):
+    if len(data) < 24:
+        raise TruncatedRecordError(len(data), "global header")
+    magic_raw = struct.unpack_from("<I", data)[0]
+    if magic_raw == PCAP_MAGIC_MICROS:
+        order, nanos = "<", False
+    elif magic_raw == PCAP_MAGIC_NANOS:
+        order, nanos = "<", True
+    else:
+        magic_be = struct.unpack_from(">I", data)[0]
+        if magic_be == PCAP_MAGIC_MICROS:
+            order, nanos = ">", False
+        elif magic_be == PCAP_MAGIC_NANOS:
+            order, nanos = ">", True
+        else:
+            raise BadMagicError(magic_raw)
+    _, _, _, _, _, linktype = struct.unpack_from(order + "HHiIII", data, 4)
+    records = []
+    offset = 24
+    rec_hdr = struct.Struct(order + "IIII")
+    while offset < len(data):
+        if len(data) - offset < 16:
+            raise TruncatedRecordError(offset)
+        sec, frac, incl_len, orig_len = rec_hdr.unpack_from(data, offset)
+        end = offset + 16 + incl_len
+        if end > len(data):
+            raise TruncatedRecordError(offset)
+        if incl_len > orig_len:
+            raise PcapError(f"incl_len {incl_len} exceeds orig_len {orig_len} at byte offset {offset}")
+        if frac >= (1_000_000_000 if nanos else 1_000_000):
+            raise PcapError(f"sub-second field {frac} out of range at byte offset {offset}")
+        micros = sec * 1_000_000 + (frac // 1000 if nanos else frac)
+        records.append(PacketRecord(micros, incl_len, orig_len, data[offset + 16:end], Direction.UNKNOWN))
+        offset = end
+    return linktype, records
+
+
+def ref_segment_stream(packets, window_micros, origin_ts_micros, span_end_micros=None, source_interface="tun2"):
+    if window_micros <= 0:
+        raise ValueError("window_micros must be positive")
+    if span_end_micros is not None and span_end_micros <= origin_ts_micros:
+        raise ValueError("span_end_micros must lie after the origin")
+    seq = 0
+    cur_start = origin_ts_micros
+    cur_packets = []
+    prev_ts = None
+
+    def close(end_ts):
+        nonlocal seq, cur_start, cur_packets
+        window = (seq, cur_start, end_ts, list(cur_packets), source_interface)
+        seq += 1
+        cur_start = end_ts
+        cur_packets = []
+        return window
+
+    for index, p in enumerate(packets):
+        if prev_ts is not None and p.ts_micros < prev_ts:
+            raise TimestampRegressionError(index)
+        if p.ts_micros < origin_ts_micros:
+            raise TimestampRegressionError(index, "timestamp before stream origin")
+        if span_end_micros is not None and p.ts_micros >= span_end_micros:
+            raise TimestampRegressionError(index, "timestamp beyond span end")
+        prev_ts = p.ts_micros
+        while p.ts_micros >= cur_start + window_micros:
+            yield close(cur_start + window_micros)
+        cur_packets.append(p)
+
+    if span_end_micros is None:
+        if cur_packets:
+            yield close(cur_start + window_micros)
+    else:
+        while cur_start < span_end_micros:
+            yield close(min(cur_start + window_micros, span_end_micros))
+
+
+def ref_throughput_series(packets, bin_width_micros=SECOND, origin_ts_micros=0, span_micros=None):
+    if bin_width_micros <= 0:
+        raise ValueError("bin_width_micros must be positive")
+    packets = list(packets)
+    if span_micros is None:
+        span_micros = max(p.ts_micros for p in packets) - origin_ts_micros + 1 if packets else 0
+    n_bins = -(-span_micros // bin_width_micros) if span_micros > 0 else 0
+    byte_bins = [0] * n_bins
+    ignored = 0
+    for p in packets:
+        idx = (p.ts_micros - origin_ts_micros) // bin_width_micros
+        if p.ts_micros < origin_ts_micros or idx >= n_bins:
+            ignored += 1
+            continue
+        byte_bins[idx] += p.original_len
+    scale = 8 * MICROS_PER_SECOND / bin_width_micros
+    return ThroughputSeries(origin_ts_micros, bin_width_micros, tuple(b * scale for b in byte_bins), ignored)
+
+
+# --- inputs ----------------------------------------------------------------
+
+WINDOW = 250_000
+
+
+@st.composite
+def packet_traces(draw, max_len: int = 3 * VECTOR_MIN_PACKETS, sort: bool = True):
+    """Packet lists on both sides of the array-path threshold.
+
+    Captured lengths are all equal or mixed (zero allowed); timestamps
+    often sit exactly on a window boundary or repeat.
+    """
+    n = draw(st.integers(0, max_len))
+    uniform = draw(st.booleans())
+    size = draw(st.integers(0, 40))
+    ts_strategy = st.one_of(
+        st.integers(0, 8 * WINDOW),
+        st.integers(0, 8).map(lambda k: k * WINDOW),
+        st.integers(0, 8).map(lambda k: k * WINDOW - 1).filter(lambda t: t >= 0),
+    )
+    packets = []
+    for _ in range(n):
+        length = size if uniform else draw(st.integers(0, 40))
+        payload = draw(st.binary(min_size=length, max_size=length))
+        packets.append(PacketRecord(draw(ts_strategy), length, length + draw(st.integers(0, 30)), payload,
+                                    draw(st.sampled_from(list(Direction)))))
+    return sorted(packets, key=lambda p: p.ts_micros) if sort else packets
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or its exception as comparable data."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:
+        return "raised", (type(exc), str(exc), getattr(exc, "offset", None), getattr(exc, "index", None))
+
+
+def _encode(packets, order="<", nanos=False, sub_micro_ns=0, linktype=LINKTYPE_RAW_IP) -> bytes:
+    """pcap bytes in any byte order and either magic."""
+    magic = PCAP_MAGIC_NANOS if nanos else PCAP_MAGIC_MICROS
+    parts = [struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, DEFAULT_SNAPLEN, linktype)]
+    for p in packets:
+        sec, usec = divmod(p.ts_micros, SECOND)
+        frac = usec * 1000 + sub_micro_ns if nanos else usec
+        parts.append(struct.pack(order + "IIII", sec, frac, p.captured_len, p.original_len) + p.payload)
+    return b"".join(parts)
+
+
+def _record_offsets(packets) -> list[int]:
+    offsets, offset = [], 24
+    for p in packets:
+        offsets.append(offset)
+        offset += 16 + p.captured_len
+    return offsets
+
+
+@st.composite
+def pcap_inputs(draw):
+    """Valid pcap bytes in every format, and damaged ones."""
+    packets = draw(packet_traces())
+    order = draw(st.sampled_from("<>"))
+    nanos = draw(st.booleans())
+    data = bytearray(_encode(packets, order, nanos, draw(st.integers(0, 999))))
+    damage = draw(st.sampled_from(["none", "torn", "incl_over_orig", "subsecond", "magic"]))
+    offsets = _record_offsets(packets)
+    if damage == "torn":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif damage == "magic":
+        data[:4] = draw(st.binary(min_size=4, max_size=4))
+    elif damage in ("incl_over_orig", "subsecond") and offsets:
+        for at in draw(st.lists(st.sampled_from(offsets), min_size=1, max_size=3)):
+            if damage == "subsecond":
+                limit = 1_000_000_000 if nanos else 1_000_000
+                value = draw(st.integers(limit, 0xFFFFFFFF))
+                data[at + 4:at + 8] = struct.pack(order + "I", value)
+            else:
+                incl = struct.unpack_from(order + "I", data, at + 8)[0]
+                if incl:
+                    data[at + 12:at + 16] = struct.pack(order + "I", draw(st.integers(0, incl - 1)))
+    return bytes(data)
+
+
+# --- properties ------------------------------------------------------------
+
+
+@settings(deadline=None)
+@given(packet_traces(), st.sampled_from([40, 96, DEFAULT_SNAPLEN]))
+def test_write_pcap_matches_the_reference(packets, snaplen):
+    expected = _outcome(ref_write_pcap, LINKTYPE_RAW_IP, packets, snaplen)
+    assert _outcome(write_pcap, LINKTYPE_RAW_IP, packets, snaplen) == expected
+    assert _outcome(write_pcap, LINKTYPE_RAW_IP, PacketBatch.from_records(packets), snaplen) == expected
+
+
+@settings(deadline=None)
+@given(pcap_inputs())
+def test_read_pcap_matches_the_reference(data):
+    def read(blob):
+        linktype, packets = read_pcap(blob)
+        return linktype, list(packets)
+
+    assert _outcome(read, data) == _outcome(ref_read_pcap, data)
+
+
+@settings(deadline=None)
+@given(pcap_inputs())
+def test_rewriting_what_was_read_matches_the_reference(data):
+    expected = _outcome(lambda: ref_write_pcap(*ref_read_pcap(data)))
+    assert _outcome(lambda: write_pcap(*read_pcap(data))) == expected
+
+
+@settings(deadline=None)
+@given(packet_traces(), st.sampled_from([WINDOW // 3, WINDOW, 3 * WINDOW]), st.sampled_from([0, 1, WINDOW]),
+       st.sampled_from([None, 8 * WINDOW, 8 * WINDOW + 1, 5 * WINDOW]), st.integers(0, 3))
+def test_segment_stream_matches_the_reference(packets, window, origin, span_end, disorder):
+    if disorder and len(packets) > 1:
+        i = disorder % (len(packets) - 1)
+        packets[i], packets[i + 1] = packets[i + 1], packets[i]
+
+    def windows(fn):
+        out = []
+        try:
+            for w in fn(packets, window, origin, span_end_micros=span_end, source_interface="tun0"):
+                out.append(w if isinstance(w, tuple) else
+                           (w.seq, w.start_ts_micros, w.end_ts_micros, list(w.packets), w.source_interface))
+        except Exception as exc:
+            out.append((type(exc), str(exc), getattr(exc, "index", None)))
+        return out
+
+    assert windows(segment_stream) == windows(ref_segment_stream)
+
+
+@settings(deadline=None)
+@given(packet_traces(sort=False), st.sampled_from([997, WINDOW // 3, WINDOW, SECOND]), st.sampled_from([0, 3, WINDOW]),
+       st.sampled_from([None, 0, 1, 4 * WINDOW, 9 * WINDOW]))
+def test_throughput_series_matches_the_reference(packets, bin_width, origin, span):
+    expected = ref_throughput_series(packets, bin_width, origin, span)
+    assert throughput_series(packets, bin_width, origin, span) == expected
+    assert throughput_series(PacketBatch.from_records(packets), bin_width, origin, span) == expected
+
+
+# --- the array paths themselves --------------------------------------------
+
+
+def _uniform_packets(n: int, size: int = 96) -> list[PacketRecord]:
+    return [PacketRecord(k * 1000, size, size + 20, bytes([k % 256]) * size) for k in range(n)]
+
+
+@pytest.mark.parametrize("order", "<>")
+@pytest.mark.parametrize("nanos", [False, True])
+def test_fixed_length_capture_reads_as_a_view_of_the_input(order, nanos):
+    packets = _uniform_packets(4 * VECTOR_MIN_PACKETS)
+    data = _encode(packets, order, nanos, sub_micro_ns=999)
+    _, batch = read_pcap(data)
+    assert list(batch) == packets
+    assert np.shares_memory(batch.payload, np.frombuffer(data, dtype=np.uint8))
+    assert write_pcap(LINKTYPE_RAW_IP, batch) == write_pcap(LINKTYPE_RAW_IP, packets)
+
+
+def test_fixed_length_capture_with_one_odd_record_still_parses():
+    # Same total size as a fixed-stride file, but the lengths differ.
+    packets = _uniform_packets(2 * VECTOR_MIN_PACKETS)
+    packets[5] = PacketRecord(5000, 80, 90, b"a" * 80)
+    packets[6] = PacketRecord(6000, 112, 120, b"b" * 112)
+    data = write_pcap(LINKTYPE_RAW_IP, packets)
+    assert read_pcap(data)[1] == packets
+    assert write_pcap(LINKTYPE_RAW_IP, read_pcap(data)[1]) == data
+
+
+def test_errors_in_a_large_capture_name_the_first_bad_record():
+    packets = _uniform_packets(3 * VECTOR_MIN_PACKETS)
+    data = bytearray(write_pcap(LINKTYPE_RAW_IP, packets))
+    offsets = _record_offsets(packets)
+    data[offsets[40] + 12:offsets[40] + 16] = struct.pack("<I", 10)   # orig_len < incl_len
+    data[offsets[70] + 4:offsets[70] + 8] = struct.pack("<I", 10**6)  # usec out of range
+    with pytest.raises(PcapError, match=f"at byte offset {offsets[40]}$"):
+        read_pcap(bytes(data))
+    with pytest.raises(PcapError, match=f"at byte offset {offsets[40]}$"):
+        read_pcap(bytes(data[:-1]))  # torn last record: the earlier error still wins
+
+
+def test_capture_window_rejects_out_of_window_and_disordered_batches():
+    batch = PacketBatch.from_records(_uniform_packets(3))
+    with pytest.raises(ValueError, match="outside window"):
+        CaptureWindow(0, 1, 10_000, batch)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        CaptureWindow(0, 0, 10_000, batch[::-1])

@@ -88,6 +88,16 @@ class TestRead:
             read_pcap(data[:-10])
         assert err.value.offset == 24
 
+    @pytest.mark.parametrize("order", ["<", ">"], ids=["little-endian", "big-endian"])
+    @pytest.mark.parametrize("magic, limit", [(0xA1B2C3D4, 10**6), (0xA1B23C4D, 10**9)], ids=["usec", "nsec"])
+    def test_sub_second_field_out_of_range_names_the_record(self, order, magic, limit):
+        header = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+        good = struct.pack(order + "IIII", 1, limit - 1, 1, 1) + b"a"
+        bad = struct.pack(order + "IIII", 1, limit, 1, 1) + b"b"
+        assert len(read_pcap(header + good)[1]) == 1
+        with pytest.raises(PcapError, match="sub-second field .* at byte offset 41$"):
+            read_pcap(header + good + bad)
+
     def test_incl_len_exceeding_orig_len_rejected(self):
         header = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
         record = struct.pack("<IIII", 0, 0, 4, 2) + b"abcd"

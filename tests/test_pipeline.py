@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -105,6 +107,26 @@ class TestVirtualRuns:
         with pytest.raises(StageError):
             run_pipeline(cfg)
         assert (tmp_path / "sync_log.csv").exists()
+
+
+# sha256 of build_report_document for the runs below, taken before packets
+# moved to columnar batches. These scenarios draw no random timing, so any
+# change to how packets are built, packed, moved or binned must keep them.
+GOLDEN_REPORT_SHA256 = {
+    "video-streaming": "8ef5ba444af3291749112d6878139e5edac1876dc01dcb7b1971c261abb985e1",
+    "voice-call": "f5c7c20c16918e598eeffca7bd3901d3231ed2ffa18d2650dfd9e7e26a9f4b04",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_REPORT_SHA256))
+def test_report_bytes_match_the_golden_digest(descriptor, kind):
+    # Short windows, a narrow link and loss, so window sizes, transfer
+    # delays and dropped windows all reach the report.
+    channel = ChannelSpec(latency_us=50_000, bandwidth_bps=2_000_000, loss_probability=0.2)
+    cfg = run_config(replace(descriptor, window_seconds=2.0), kind=kind, seconds=40, seed=7, channel=channel)
+    report = build_report_document(cfg, run_pipeline(cfg))
+    assert json.loads(report)["metrics"]["windows_lost"] == 2
+    assert hashlib.sha256(report).hexdigest() == GOLDEN_REPORT_SHA256[kind]
 
 
 class TestRealTimeRuns:

@@ -1,6 +1,5 @@
 import pytest
 
-from twinsync.clocks import ManualClock
 from twinsync.model import Direction
 from twinsync.pcap import LINKTYPE_RAW_IP, write_pcap
 from twinsync.scenarios import (
@@ -8,8 +7,8 @@ from twinsync.scenarios import (
     SCENARIO_KINDS,
     GeneratedTrace,
     ScenarioSpec,
+    _noise_bytes,
     generate,
-    stream_live,
     volume_bytes,
 )
 
@@ -138,26 +137,83 @@ class TestDeterminism:
         assert ts == sorted(ts)
 
 
-class TestStreamLive:
-    def test_live_stream_equals_offline_generation(self):
-        spec = spec_for("voice-call", seconds=2, seed=3)
-        clock = ManualClock()
-        live = list(stream_live(spec, clock))
-        assert live == list(generate(spec).records)
+def reference_timing(spec: ScenarioSpec) -> list[tuple[int, int, Direction]]:
+    """(ts, original_len, direction) per packet from the per-packet loops the
+    video-streaming and voice-call generators used before they built arrays."""
+    origin, end = spec.origin_ts_micros, spec.origin_ts_micros + spec.duration_micros
+    out = []
+    if spec.kind == "video-streaming":
+        period = spec.stream_on_micros + spec.stream_off_micros
+        chunk_bytes = spec.stream_rate_bps * spec.stream_on_micros // (8 * SECOND)
+        n = -(-chunk_bytes // spec.data_packet_bytes)
+        gap = spec.stream_on_micros / n
+        for ue in range(spec.ue_count):
+            chunk = 0
+            while (start := origin + chunk * period) < end:
+                out.append((start, 200, Direction.UPLINK))
+                for i in range(n):
+                    ts = start + 100 + int(i * gap)
+                    if ts >= min(start + spec.stream_on_micros, end):
+                        break
+                    out.append((ts, spec.data_packet_bytes, Direction.DOWNLINK))
+                chunk += 1
+    else:
+        period = SECOND // spec.voice_pps
+        for offset, direction in ((0, Direction.UPLINK), (period // 2, Direction.DOWNLINK)):
+            k = 0
+            while (ts := origin + offset + k * period) < end:
+                out.append((ts, spec.voice_packet_bytes, direction))
+                k += 1
+    return sorted(out, key=lambda p: p[0])
 
-    def test_speed_factor_compresses_wall_time(self):
-        spec = spec_for("voice-call", seconds=2, seed=3)
-        clock = ManualClock()
-        list(stream_live(spec, clock, speed_factor=10))
-        # Last packet sits just under 2 s in; wall time is a tenth of that.
-        assert clock.now_micros() <= 2 * SECOND / 10
 
-    def test_interrupting_yields_a_prefix(self):
-        spec = spec_for("voice-call", seconds=2, seed=3)
-        full = list(generate(spec).records)
-        iterator = stream_live(spec, ManualClock())
-        prefix = [next(iterator) for _ in range(10)]
-        assert prefix == full[:10]
+@pytest.mark.parametrize("spec", [
+    spec_for("video-streaming", seconds=21.3, seed=4),
+    ScenarioSpec(kind="video-streaming", duration_micros=13_000_000, ue_count=3, origin_ts_micros=777,
+                 stream_rate_bps=3_333_333, data_packet_bytes=1000),
+    spec_for("voice-call", seconds=7.01),
+    ScenarioSpec(kind="voice-call", duration_micros=3_000_000, ue_count=2, voice_pps=33, origin_ts_micros=5),
+])
+def test_deterministic_timing_matches_the_per_packet_reference(spec):
+    records = generate(spec).records
+    assert [(r.ts_micros, r.original_len, r.direction) for r in records] == reference_timing(spec)
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@pytest.mark.parametrize("snap", [20, 96])
+def test_payloads_start_with_a_matching_ip_udp_header(kind, snap):
+    records = generate(spec_for(kind, seconds=12, seed=3, snap_bytes=snap)).records
+    assert len(records)
+    for r in records:
+        assert r.captured_len == min(r.original_len, snap) == len(r.payload)
+        header = r.payload.ljust(28, b"\0")
+        version, total_len, proto = header[0], int.from_bytes(header[2:4], "big"), header[9]
+        assert (version, total_len, proto) == (0x45, r.original_len, 17)
+        ue_side, server_side = (header[12:16], header[16:20])
+        if r.direction is Direction.DOWNLINK:
+            ue_side, server_side = server_side, ue_side
+        assert server_side == bytes([203, 0, 113, 1]) and ue_side[:2] == bytes([10, 45])
+        if snap >= 28:
+            assert int.from_bytes(header[24:26], "big") == r.original_len - 20
+
+
+def splitmix64_bytes(seed: int, count: int) -> bytes:
+    """SplitMix64 outputs as little-endian bytes, one 64-bit word at a time."""
+    mask = (1 << 64) - 1
+    out = bytearray()
+    state = seed & mask
+    while len(out) < count:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out += (z ^ (z >> 31)).to_bytes(8, "little")
+    return bytes(out[:count])
+
+
+@pytest.mark.parametrize("seed", [0, 1, -3, 2**70 + 5])
+def test_payload_noise_is_the_splitmix64_sequence(seed):
+    for count in (0, 1, 13, 800):
+        assert _noise_bytes(seed, count).tobytes() == splitmix64_bytes(seed, count)
 
 
 class TestSpecValidation:
