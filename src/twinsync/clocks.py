@@ -33,6 +33,3 @@ class ManualClock:
     def sleep_micros(self, duration_micros: int) -> None:
         if duration_micros > 0:
             self._now += duration_micros
-
-    def advance(self, duration_micros: int) -> None:
-        self._now += duration_micros

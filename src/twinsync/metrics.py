@@ -7,7 +7,6 @@ consistency audit. Bins use half-open intervals with boundary points in
 the later bin, the same convention the capture segmentation uses.
 """
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -17,7 +16,7 @@ import numpy as np
 from .emit import DeploymentBundle
 from .errors import MetricsError
 from .model import MICROS_PER_SECOND, PacketBatch, PacketRecord, TwinDescriptor
-from .transport import SyncLog
+from .transport import SyncLogEntry
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,23 +72,23 @@ def throughput_series(
     )
 
 
-def twin_alignment_ratio(log: SyncLog, planned_period_micros: int, observation: tuple[int, int]) -> float:
+def delivered_in_observation(log: Iterable[SyncLogEntry], observation: tuple[int, int]) -> int:
+    """Delivered windows (of a SyncLog or its entries) whose capture interval
+    ends inside the observation interval: late final windows still count."""
+    start, end = observation
+    return sum(1 for e in log if e.delivered and start < e.t_window_end <= end)
+
+
+def twin_alignment_ratio(delivered: int, planned_period_micros: int, observation: tuple[int, int]) -> float:
     """Achieved over planned twinning frequency, clamped to 1.
 
-    A window counts as achieved when it was delivered and its capture
-    interval ends inside the observation interval, so late arrival of the
-    final windows does not penalize the ratio.
+    ``delivered`` counts the achieved windows: delivered_in_observation.
     """
     start, end = observation
     if end <= start:
         raise MetricsError("observation interval must have positive length")
     if planned_period_micros <= 0:
         raise MetricsError("planned period must be positive")
-    delivered = sum(
-        1
-        for e in log.delivered_entries()
-        if start < e.t_window_end <= end
-    )
     # Single division keeps the ratio exact when the observation length is
     # a whole number of periods: achieved_hz / planned_hz folds to this.
     return min(delivered * planned_period_micros / (end - start), 1.0)
@@ -102,13 +101,9 @@ class LatencyStats:
     max_micros: int
 
 
-def update_latency(log: SyncLog) -> LatencyStats:
-    """Replay completion minus window end, per delivered window."""
-    per_window = {
-        e.seq: e.t_replayed - e.t_window_end
-        for e in log.delivered_entries()
-        if e.t_replayed is not None
-    }
+def update_latency(log: Iterable[SyncLogEntry]) -> LatencyStats:
+    """Replay completion minus window end, per delivered window of a SyncLog or its entries."""
+    per_window = {e.seq: e.t_replayed - e.t_window_end for e in log if e.delivered and e.t_replayed is not None}
     if not per_window:
         raise MetricsError("no replayed windows in the log")
     values = list(per_window.values())
@@ -125,7 +120,7 @@ class AoiStats:
 
 
 def age_of_information(
-    log: SyncLog,
+    log: Iterable[SyncLogEntry],
     eval_times_micros: Sequence[int] | None = None,
     origin_ts_micros: int | None = None,
     horizon_micros: int | None = None,
@@ -136,10 +131,10 @@ def age_of_information(
     t; before the first replay it is measured from the run origin. Mean
     and peak are computed exactly from the piecewise-linear sawtooth over
     [origin, horizon]; ``samples`` holds the instantaneous series at the
-    requested eval times (default: around each replay event).
+    requested eval times (default: around each replay event). ``log`` is
+    a SyncLog or its entries.
     """
-    entries = [e for e in log.delivered_entries() if e.t_replayed is not None]
-    events = sorted((e.t_replayed, e.t_window_end) for e in entries)
+    events = sorted((e.t_replayed, e.t_window_end) for e in log if e.delivered and e.t_replayed is not None)
     # The freshest data at time t is the max window end replayed by t.
     event_times: list[int] = []
     newest_end: list[int] = []
@@ -153,10 +148,9 @@ def age_of_information(
             newest_end.append(running)
 
     if origin_ts_micros is None:
-        all_entries = log.entries()
-        if not all_entries:
+        origin_ts_micros = min((e.t_window_start for e in log), default=None)
+        if origin_ts_micros is None:
             raise MetricsError("empty sync log and no origin given")
-        origin_ts_micros = min(e.t_window_start for e in all_entries)
     if horizon_micros is None:
         if eval_times_micros:
             horizon_micros = max(eval_times_micros)
@@ -368,10 +362,6 @@ class FidelityReport:
             "windows_lost": self.windows_lost,
             "prediction_deviation": self.prediction_deviation,
         }
-
-    def to_json_bytes(self) -> bytes:
-        doc = {"schema_version": 1, **self.as_dict()}
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
     def to_csv_bytes(self) -> bytes:
         fields = self.as_dict()

@@ -30,10 +30,6 @@ def seconds_to_micros(seconds: float) -> int:
     return int(round(seconds * MICROS_PER_SECOND))
 
 
-def micros_to_seconds(micros: int) -> float:
-    return micros / MICROS_PER_SECOND
-
-
 class Direction(enum.Enum):
     """Traffic direction relative to the radio side of the network."""
 

@@ -1,16 +1,14 @@
 """End-to-end orchestration of one capture/transfer/replay run.
 
-Three stages run concurrently, connected by the transfer channel: a
-producer (simulated traffic, segmented into windows and sent), the
-channel itself, and a consumer (in-order receive plus replay into a
-collecting sink). Shutdown is ordered producer -> channel -> consumer;
-the producer always closes the channel, even on failure, so the consumer
-drains and terminates.
-
-Under the virtual clock every timestamp is computed from the data, never
-read from a wall clock, so a run is deterministic down to the report
-bytes. Real-time mode paces windows against a monotonic clock and exists
-for live demonstrations; its timing is measured, not asserted.
+Simulated traffic is cut into windows; each window is packed and sent
+over the transfer channel, received in order, replayed into a collecting
+sink, and the result is scored. Under the virtual clock this runs in the
+calling thread, one window at a time, and every timestamp is computed
+from the data, so a run is deterministic down to the report bytes.
+Real-time mode paces windows against a monotonic clock for live
+demonstrations: a producer thread sends while a consumer thread replays,
+and the producer always closes the channel, even on failure, so the
+consumer drains and terminates. Its timing is measured, not asserted.
 """
 
 import json
@@ -26,6 +24,7 @@ from .metrics import (
     ThroughputSeries,
     age_of_information,
     compare_series,
+    delivered_in_observation,
     state_consistency_index,
     throughput_series,
     twin_alignment_ratio,
@@ -157,26 +156,65 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
     else:
         engine_sink = sink
     engine = ReplayEngine(cfg.plan, engine_sink, log, clock=clock)
+    receiver = WindowReceiver(recv_channel, log, reorder_timeout=cfg.reorder_timeout)
+    windows = segment_stream(
+        records, window_micros, origin, span_end_micros=span_end,
+        source_interface=cfg.descriptor.capture_interface,
+    )
 
+    def send(window, now_micros: int) -> bool:
+        """Pack and send one window; False if the channel dropped it."""
+        return not send_window(window, send_channel, log, now_micros).dropped
+
+    def replay_next(block: bool) -> bool:
+        """Receive and replay the next in-order window; False if there is none."""
+        delivery = receiver.receive(block)
+        if delivery is None:
+            return False
+        window, _manifest = delivery
+        engine.replay_window(window, log.entry(window.seq).t_received)
+        return True
+
+    try:
+        if virtual:
+            # A window sent on the in-process channel is already queued, so
+            # one poll finds it; a dropped one leaves nothing to wait for.
+            stage = "capture"
+            try:
+                for window in windows:
+                    if send(window, window.end_ts_micros):
+                        stage = "replay"
+                        replay_next(block=False)
+                        stage = "capture"
+                send_channel.close_send()
+                stage = "replay"
+                while replay_next(block=False):
+                    pass
+            except Exception as exc:
+                raise StageError(stage, exc) from exc
+        else:
+            _run_threads(windows, send, replay_next, send_channel, clock)
+    finally:
+        if hasattr(recv_channel, "close"):
+            recv_channel.close()
+
+    try:
+        return _evaluate(cfg, log, sink, engine, records, origin, scenario.duration_micros, window_micros)
+    except Exception as exc:
+        raise StageError("metrics", exc) from exc
+
+
+def _run_threads(windows, send, replay_next, send_channel, clock) -> None:
+    """Real time: a producer sends each window once it has closed, a consumer replays."""
     failures: dict[str, BaseException] = {}
-    windows_sent = 0
 
     def producer():
-        nonlocal windows_sent
         try:
-            for window in segment_stream(
-                records, window_micros, origin, span_end_micros=span_end,
-                source_interface=cfg.descriptor.capture_interface,
-            ):
-                if virtual:
-                    now = window.end_ts_micros
-                else:
-                    wait = window.end_ts_micros - clock.now_micros()
-                    if wait > 0:
-                        clock.sleep_micros(wait)
-                    now = clock.now_micros()
-                send_window(window, send_channel, log, now)
-                windows_sent += 1
+            for window in windows:
+                wait = window.end_ts_micros - clock.now_micros()
+                if wait > 0:
+                    clock.sleep_micros(wait)
+                send(window, clock.now_micros())
         except BaseException as exc:
             failures["capture"] = exc
         finally:
@@ -184,42 +222,23 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
 
     def consumer():
         try:
-            receiver = WindowReceiver(recv_channel, log, reorder_timeout=cfg.reorder_timeout)
-            while True:
-                delivery = receiver.receive()
-                if delivery is None:
-                    break
-                window, _manifest = delivery
-                t_available = log.entry(window.seq).t_received
-                engine.replay_window(window, t_available)
+            while replay_next(block=True):
+                pass
         except BaseException as exc:
             failures["replay"] = exc
 
-    producer_thread = threading.Thread(target=producer, name="twinsync-producer")
-    consumer_thread = threading.Thread(target=consumer, name="twinsync-consumer")
-    producer_thread.start()
-    consumer_thread.start()
-    producer_thread.join()
-    consumer_thread.join()
-
-    if hasattr(recv_channel, "close"):
-        recv_channel.close()
-
+    threads = [threading.Thread(target=producer, name="twinsync-producer"),
+               threading.Thread(target=consumer, name="twinsync-consumer")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
     for stage in ("capture", "replay"):
         if stage in failures:
             raise StageError(stage, failures[stage]) from failures[stage]
 
-    try:
-        return _evaluate(cfg, log, sink, engine, records, origin,
-                         scenario.duration_micros, window_micros, windows_sent)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("metrics", exc) from exc
 
-
-def _evaluate(cfg, log, sink, engine, records, origin, duration_micros,
-              window_micros, windows_sent) -> RunResult:
+def _evaluate(cfg, log, sink, engine, records, origin, duration_micros, window_micros) -> RunResult:
     align_offset = engine.align_offset_micros or 0
 
     # The series needs times and sizes only; leave the payloads where they are.
@@ -233,24 +252,22 @@ def _evaluate(cfg, log, sink, engine, records, origin, duration_micros,
     except MetricsError:
         comparison = None
 
+    # The only copy of the sync log this evaluation takes.
+    entries = log.entries()
     n_windows = -(-duration_micros // window_micros)
     observation = (origin, origin + n_windows * window_micros)
-    tar = twin_alignment_ratio(log, window_micros, observation)
-    delivered_in_obs = sum(
-        1 for e in log.delivered_entries() if observation[0] < e.t_window_end <= observation[1]
-    )
+    delivered_in_obs = delivered_in_observation(entries, observation)
+    tar = twin_alignment_ratio(delivered_in_obs, window_micros, observation)
     sync_frequency = delivered_in_obs * MICROS_PER_SECOND / (observation[1] - observation[0])
 
     try:
-        latency = update_latency(log)
+        latency = update_latency(entries)
     except MetricsError:
         latency = None
 
-    last_replayed = max(
-        (e.t_replayed for e in log.entries() if e.t_replayed is not None), default=None
-    )
+    last_replayed = max((e.t_replayed for e in entries if e.t_replayed is not None), default=None)
     horizon = observation[1] if last_replayed is None else max(observation[1], last_replayed)
-    aoi = age_of_information(log, origin_ts_micros=origin, horizon_micros=horizon)
+    aoi = age_of_information(entries, origin_ts_micros=origin, horizon_micros=horizon)
 
     consistency = state_consistency_index(cfg.descriptor, emit_bundle(cfg.descriptor))
 
@@ -266,7 +283,7 @@ def _evaluate(cfg, log, sink, engine, records, origin, duration_micros,
         pearson_r=None if comparison is None else comparison.pearson_r,
         estimated_lag_us=None if comparison is None else comparison.estimated_lag_micros,
         consistency_index=consistency,
-        windows_lost=log.lost_count(),
+        windows_lost=sum(e.lost for e in entries),
     )
     max_lateness = max((t.max_lateness_micros for t in sink.traces), default=0)
     return RunResult(
@@ -276,7 +293,7 @@ def _evaluate(cfg, log, sink, engine, records, origin, duration_micros,
         ndt_series=ndt_series,
         align_offset_micros=align_offset,
         max_lateness_micros=max_lateness,
-        windows_sent=windows_sent,
+        windows_sent=sum(e.t_sent is not None for e in entries),
         windows_replayed=len(sink.traces),
         packets_replayed=len(replayed),
     )

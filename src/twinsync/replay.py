@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .clocks import Clock
-from .errors import MetricsError
 from .model import PacketBatch, PacketRecord
 from .pcap import CaptureWindow, write_pcap
 from .transport import SyncLog
@@ -65,21 +64,18 @@ class ReplayedTrace:
         return max(self.lateness_micros, default=0)
 
 
-def compute_alignment(plan: ReplayPlan, log: SyncLog, window: CaptureWindow) -> int:
+def compute_alignment(plan: ReplayPlan, window: CaptureWindow, replay_start_micros: int) -> int:
     """Offset mapping replayed timestamps onto the physical timeline.
 
-    Virtual-clock replay needs no shift. Real-time replay anchors the
-    window's start to the moment it became available, so the offset is
-    the receive time minus the window start.
+    An explicit offset wins. Virtual-clock replay needs no shift.
+    Real-time replay anchors the first window's start to the moment its
+    replay began, so the offset is that moment minus the window start.
     """
     if plan.align_offset_micros is not None:
         return plan.align_offset_micros
     if plan.mode is ReplayMode.VIRTUAL:
         return 0
-    entry = log.entry(window.seq)
-    if entry.t_received is None:
-        raise MetricsError(f"window {window.seq} was never received")
-    return entry.t_received - window.start_ts_micros
+    return replay_start_micros - window.start_ts_micros
 
 
 class PacketSink:
@@ -169,7 +165,7 @@ class ReplayEngine:
 
     def _replay_virtual(self, window: CaptureWindow, t_available: int) -> ReplayedTrace:
         if self._offset is None:
-            self._offset = compute_alignment(self.plan, self.log, window)
+            self._offset = compute_alignment(self.plan, window, t_available)
         packets = window.packets.shifted(self._offset)
         t_done = t_available if self._last_completed is None else max(t_available, self._last_completed)
         return ReplayedTrace(window.seq, packets, (0,) * len(packets), t_done)
@@ -179,9 +175,7 @@ class ReplayEngine:
         if self._anchor_wall is None:
             self._anchor_wall = self.clock.now_micros()
             self._first_window_start = window.start_ts_micros
-            if self._offset is None:
-                self._offset = compute_alignment(self.plan, self.log, window) if self.plan.align_offset_micros is not None \
-                    else self._anchor_wall - window.start_ts_micros
+            self._offset = compute_alignment(self.plan, window, self._anchor_wall)
         emitted = []
         lateness = []
         for ts in window.packets.ts_micros.tolist():

@@ -173,18 +173,14 @@ class _TraceBuilder:
         header["dport"] = np.where(uplink[:, 0], port, ue_port)
         header["udp_len"] = total - 20
 
-        # Each payload is the header, then random fill, cut at the snap length.
+        # Each row is one payload slot: the header, then random fill. A
+        # packet's bytes are the first captured_len of its row; the rest of
+        # a short packet's row stays as a gap in the buffer.
         rows = noise[2 * n:].reshape(n, row_len)
         rows[:, :_IP_UDP_HEADER_LEN] = header.view(np.uint8).reshape(n, _IP_UDP_HEADER_LEN)
-        rows = rows[:, :width]
-        if (captured == width).all():
-            flat = rows.reshape(-1)
-        else:
-            flat = rows[np.arange(width) < captured[:, None]]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(captured, out=offsets[1:])
+        offsets = np.arange(0, (n + 1) * row_len, row_len, dtype=np.int64)
         return PacketBatch.trusted(ts, captured.astype(np.uint32), total.astype(np.uint32),
-                                   direction.astype(np.int8), flat, offsets, True)
+                                   direction.astype(np.int8), noise[2 * n:], offsets, True)
 
     def _column(self, k: int, counts: list[int]) -> np.ndarray:
         """Field k of every group, one entry per packet."""

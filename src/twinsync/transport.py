@@ -25,6 +25,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .clocks import Clock, MonotonicClock
 from .errors import ChannelClosedError, DigestMismatchError, SchemaError, TwinError
@@ -132,7 +133,6 @@ class SendReceipt:
     seq: int
     t_sent_micros: int
     dropped: bool
-    expected_arrival_micros: int | None
 
 
 @dataclass(slots=True)
@@ -146,6 +146,10 @@ class SyncLogEntry:
     t_received: int | None = None
     t_replayed: int | None = None
     lost: bool = False
+
+    @property
+    def delivered(self) -> bool:
+        return self.t_received is not None and not self.lost
 
 
 class SyncLog:
@@ -203,11 +207,11 @@ class SyncLog:
                 for e in sorted(self._entries.values(), key=lambda e: e.seq)
             ]
 
-    def delivered_entries(self) -> list[SyncLogEntry]:
-        return [e for e in self.entries() if e.t_received is not None and not e.lost]
+    def __iter__(self) -> Iterator[SyncLogEntry]:
+        return iter(self.entries())
 
-    def lost_count(self) -> int:
-        return sum(1 for e in self.entries() if e.lost)
+    def delivered_entries(self) -> list[SyncLogEntry]:
+        return [e for e in self.entries() if e.delivered]
 
     def check_ordering(self) -> list[int]:
         """Seqs whose timestamps violate end <= sent <= received <= replayed."""
@@ -267,7 +271,7 @@ class InProcessChannel:
         if self._send_closed:
             raise ChannelClosedError("send on closed channel")
         if self._rng.random() < self.spec.loss_probability:
-            return SendReceipt(manifest.seq, now_micros, True, None)
+            return SendReceipt(manifest.seq, now_micros, True)
         if self.spec.bandwidth_bps > 0:
             tx = -(-len(payload) * 8 * 1_000_000 // self.spec.bandwidth_bps)
         else:
@@ -276,7 +280,7 @@ class InProcessChannel:
         arrival = start + tx + self.spec.latency_us
         self._link_free_at = start + tx
         self._queue.put((manifest, payload, arrival))
-        return SendReceipt(manifest.seq, now_micros, False, arrival)
+        return SendReceipt(manifest.seq, now_micros, False)
 
     def close_send(self) -> None:
         self._send_closed = True
@@ -322,14 +326,14 @@ class DirectoryExchangeChannel:
         if self._send_closed:
             raise ChannelClosedError("send on closed channel")
         if self._rng.random() < self.spec.loss_probability:
-            return SendReceipt(manifest.seq, now_micros, True, None)
+            return SendReceipt(manifest.seq, now_micros, True)
         pcap_path = self.directory / f"window_{manifest.seq}.pcap"
         manifest_path = self.directory / f"window_{manifest.seq}.manifest.json"
         pcap_path.write_bytes(payload)
         tmp = manifest_path.with_suffix(".json.tmp")
         tmp.write_bytes(manifest.to_json())
         tmp.rename(manifest_path)
-        return SendReceipt(manifest.seq, now_micros, False, None)
+        return SendReceipt(manifest.seq, now_micros, False)
 
     def close_send(self) -> None:
         self._send_closed = True
@@ -392,11 +396,11 @@ class TcpSenderChannel:
         if self._closed:
             raise ChannelClosedError("send on closed channel")
         if self._rng.random() < self.spec.loss_probability:
-            return SendReceipt(manifest.seq, now_micros, True, None)
+            return SendReceipt(manifest.seq, now_micros, True)
         blob = manifest.to_json()
         frame = len(blob).to_bytes(4, "big") + blob + len(payload).to_bytes(4, "big") + payload
         self._sock.sendall(frame)
-        return SendReceipt(manifest.seq, now_micros, False, None)
+        return SendReceipt(manifest.seq, now_micros, False)
 
     def close_send(self) -> None:
         if not self._closed:
@@ -510,8 +514,10 @@ class WindowReceiver:
             return None
         return window, manifest
 
-    def receive(self) -> tuple[CaptureWindow, WindowManifest] | None:
-        """Next in-order window, or None at end of stream."""
+    def receive(self, block: bool = True) -> tuple[CaptureWindow, WindowManifest] | None:
+        """Next in-order window, or None at end of stream. With ``block``
+        false the channel is only polled, None also means that nothing is
+        ready, and holes before a buffered window are declared at once."""
         while True:
             if self._expected in self._buffer:
                 manifest, payload, arrival = self._buffer.pop(self._expected)
@@ -524,10 +530,12 @@ class WindowReceiver:
                     return None
                 self._declare_holes_until(min(self._buffer))
                 continue
-            timeout = self.reorder_timeout if self._buffer else None
+            timeout = (self.reorder_timeout if self._buffer else None) if block else 0
             try:
                 delivery = self.channel.receive(timeout=timeout)
             except TimeoutError:
+                if not self._buffer:
+                    return None  # polled, nothing ready
                 self._declare_holes_until(min(self._buffer))
                 continue
             if delivery is None:

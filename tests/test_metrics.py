@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 
 import numpy as np
@@ -14,13 +15,17 @@ from twinsync.metrics import (
     age_of_information,
     audited_field_count,
     compare_series,
+    delivered_in_observation,
     state_consistency_index,
     throughput_series,
     twin_alignment_ratio,
     update_latency,
 )
 from twinsync.model import TwinDescriptor
-from twinsync.transport import SyncLog
+from twinsync.pipeline import RunConfig, RunResult, build_report_document
+from twinsync.replay import ReplayPlan
+from twinsync.scenarios import ScenarioSpec
+from twinsync.transport import ChannelSpec, SyncLog
 
 from conftest import make_packet
 
@@ -83,11 +88,15 @@ class TestThroughputSeries:
         assert math.isclose(recovered_bytes, sum(p.original_len for p in packets), rel_tol=1e-9, abs_tol=1e-6)
 
 
+def alignment(log: SyncLog, planned_period: int, observation: tuple[int, int]) -> float:
+    return twin_alignment_ratio(delivered_in_observation(log, observation), planned_period, observation)
+
+
 class TestTwinAlignmentRatio:
     def test_full_delivery_is_one(self):
         # 30 windows over 3600 s against a 120 s plan -> exactly 1.0.
         log = periodic_log(30, 120 * SECOND, latency=0)
-        assert twin_alignment_ratio(log, 120 * SECOND, (0, 3600 * SECOND)) == 1.0
+        assert alignment(log, 120 * SECOND, (0, 3600 * SECOND)) == 1.0
 
     def test_every_second_window_lost_is_half(self):
         log = SyncLog()
@@ -98,17 +107,17 @@ class TestTwinAlignmentRatio:
                 log.record_received(k, (k + 1) * T)
             else:
                 log.mark_lost(k)
-        assert twin_alignment_ratio(log, T, (0, 3600 * SECOND)) == 0.5
+        assert alignment(log, T, (0, 3600 * SECOND)) == 0.5
 
     def test_zero_deliveries(self):
         log = SyncLog()
         log.record_sent(0, 0, 120 * SECOND, 120 * SECOND)
         log.mark_lost(0)
-        assert twin_alignment_ratio(log, 120 * SECOND, (0, 3600 * SECOND)) == 0.0
+        assert alignment(log, 120 * SECOND, (0, 3600 * SECOND)) == 0.0
 
     def test_over_delivery_clamps_to_one(self):
         log = periodic_log(10, 60 * SECOND, latency=0)
-        assert twin_alignment_ratio(log, 120 * SECOND, (0, 600 * SECOND)) == 1.0
+        assert alignment(log, 120 * SECOND, (0, 600 * SECOND)) == 1.0
 
     def test_monotone_in_losses(self):
         T = 10 * SECOND
@@ -121,7 +130,7 @@ class TestTwinAlignmentRatio:
                     log.mark_lost(k)
                 else:
                     log.record_received(k, (k + 1) * T)
-            ratios.append(twin_alignment_ratio(log, T, (0, 100 * SECOND)))
+            ratios.append(alignment(log, T, (0, 100 * SECOND)))
         assert ratios == sorted(ratios, reverse=True)
 
 
@@ -294,7 +303,7 @@ class TestStateConsistencyIndex:
         assert state_consistency_index(descriptor, mutated) == (n - 1) / n
 
 
-def test_fidelity_report_serialization_round_trip():
+def test_fidelity_report_serialization_round_trip(descriptor):
     report = FidelityReport(
         twin_alignment_ratio=1.0,
         mean_update_latency_us=900000.0,
@@ -309,12 +318,13 @@ def test_fidelity_report_serialization_round_trip():
         consistency_index=1.0,
         windows_lost=0,
     )
-    import json
-
-    doc = json.loads(report.to_json_bytes())
+    cfg = RunConfig(descriptor, ScenarioSpec("voice-call", 10 * SECOND), ChannelSpec(), ReplayPlan())
+    result = RunResult(report, SyncLog(), series([0]), series([0]), 0, 0, 1, 1, 0)
+    doc = json.loads(build_report_document(cfg, result))
     assert doc["schema_version"] == 1
-    assert doc["twin_alignment_ratio"] == 1.0
-    assert doc["prediction_deviation"] is None
+    assert doc["metrics"] == report.as_dict()
+    assert doc["metrics"]["twin_alignment_ratio"] == 1.0
+    assert doc["metrics"]["prediction_deviation"] is None
     csv = report.to_csv_bytes().decode().strip().split("\n")
     assert len(csv) == 2
     assert csv[0].split(",")[0] == "twin_alignment_ratio"

@@ -1,14 +1,20 @@
 import hashlib
 import json
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
-from twinsync.errors import StageError
+import twinsync.pipeline as pipeline
+import twinsync.transport as transport
+from twinsync.errors import StageError, TimestampRegressionError
+from twinsync.model import PacketBatch
 from twinsync.pipeline import RunConfig, build_report_document, run_pipeline, write_run_artifacts
-from twinsync.replay import ReplayMode, ReplayPlan
-from twinsync.scenarios import ScenarioSpec
-from twinsync.transport import ChannelSpec, twin_lag
+from twinsync.replay import CollectingSink, ReplayEngine, ReplayMode, ReplayPlan
+from twinsync.scenarios import ScenarioSpec, generate
+from twinsync.transport import ChannelSpec, InProcessChannel, WindowReceiver, twin_lag
 
 SECOND = 1_000_000
 
@@ -22,6 +28,25 @@ def run_config(descriptor, kind="attach-and-browse", seconds=60, seed=0, channel
         seed=seed,
         **kw,
     )
+
+
+class DeadlineExpired(BaseException):
+    """Raised by deadline(); a BaseException, so no handler in the loop takes it."""
+
+
+@contextmanager
+def deadline(seconds: int = 30):
+    """Fail the test instead of letting a stuck loop hang."""
+    def expire(signum, frame):
+        raise DeadlineExpired(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestVirtualRuns:
@@ -109,6 +134,86 @@ class TestVirtualRuns:
         assert (tmp_path / "sync_log.csv").exists()
 
 
+class TestVirtualLoop:
+    """The virtual clock runs send -> receive -> replay in the calling thread."""
+
+    def test_virtual_run_starts_no_thread(self, descriptor, monkeypatch):
+        seen = []
+
+        class WatchingSink(CollectingSink):
+            def window_complete(self, trace):
+                seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+                super().window_complete(trace)
+
+        monkeypatch.setattr(pipeline, "CollectingSink", WatchingSink)
+        threads_before = threading.active_count()
+        with deadline():
+            result = run_pipeline(run_config(descriptor, seed=3))
+        assert result.windows_replayed == 6
+        assert seen == [(True, threads_before)] * 6
+
+    def test_replay_failure_names_the_replay_stage(self, descriptor, monkeypatch):
+        replay_window = ReplayEngine.replay_window
+
+        def crash_on_third(engine, window, t_available):
+            if window.seq == 2:
+                raise RuntimeError("twin crashed")
+            return replay_window(engine, window, t_available)
+
+        monkeypatch.setattr(ReplayEngine, "replay_window", crash_on_third)
+        with deadline(), pytest.raises(StageError) as err:
+            run_pipeline(run_config(descriptor, seed=3))
+        assert err.value.stage == "replay"
+        assert str(err.value.cause) == "twin crashed"
+
+    def test_segmentation_failure_names_the_capture_stage(self, descriptor, monkeypatch):
+        def out_of_order(spec):
+            trace = generate(spec)
+            records = list(trace.records)
+            records[3], records[-3] = records[-3], records[3]
+            return replace(trace, records=PacketBatch.from_records(records))
+
+        monkeypatch.setattr(pipeline, "generate", out_of_order)
+        with deadline(), pytest.raises(StageError) as err:
+            run_pipeline(run_config(descriptor, seed=3))
+        assert err.value.stage == "capture"
+        assert isinstance(err.value.cause, TimestampRegressionError)
+
+    @pytest.mark.parametrize("name, stage", [("pack_window", "capture"), ("unpack_window", "replay")])
+    def test_transfer_failures_name_their_side(self, descriptor, monkeypatch, name, stage):
+        def fail(*args):
+            raise RuntimeError(f"{name} failed")
+
+        monkeypatch.setattr(transport, name, fail)
+        with deadline(), pytest.raises(StageError) as err:
+            run_pipeline(run_config(descriptor, seed=3))
+        assert err.value.stage == stage
+
+    def test_corrupted_payload_is_a_digest_failure_and_a_lost_window(self, descriptor, monkeypatch):
+        send = InProcessChannel.send
+        receivers = []
+
+        def corrupt_window_2(channel, manifest, payload, now_micros):
+            if manifest.seq == 2:
+                payload = bytes([payload[0] ^ 0xFF]) + payload[1:]
+            return send(channel, manifest, payload, now_micros)
+
+        class KeptReceiver(WindowReceiver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                receivers.append(self)
+
+        monkeypatch.setattr(InProcessChannel, "send", corrupt_window_2)
+        monkeypatch.setattr(pipeline, "WindowReceiver", KeptReceiver)
+        with deadline():
+            result = run_pipeline(run_config(descriptor, seed=3))
+        assert [r.digest_failures for r in receivers] == [1]
+        assert result.report.windows_lost == 1
+        assert (result.windows_sent, result.windows_replayed) == (6, 5)
+        entry = result.log.entry(2)
+        assert entry.lost and entry.t_received is not None and entry.t_replayed is None
+
+
 # sha256 of build_report_document for the runs below, taken before packets
 # moved to columnar batches. These scenarios draw no random timing, so any
 # change to how packets are built, packed, moved or binned must keep them.
@@ -176,4 +281,4 @@ class TestRealTimeRuns:
         cfg.scenario = ScenarioSpec(kind="voice-call", duration_micros=int(1.2 * SECOND), ue_count=2)
         result = run_pipeline(cfg)
         assert result.report.twin_alignment_ratio == 1.0
-        assert result.packets_replayed == len([None for _ in range(result.packets_replayed)])
+        assert result.packets_replayed == len(generate(replace(cfg.scenario, seed=cfg.seed)).records)

@@ -27,22 +27,20 @@ def received_window(log: SyncLog, seq=0, start=0, T=10 * SECOND, delay=0, packet
 
 class TestComputeAlignment:
     def test_virtual_mode_needs_no_offset(self):
-        log = SyncLog()
-        window = received_window(log)
-        assert compute_alignment(ReplayPlan(), log, window) == 0
+        window = CaptureWindow(0, 0, 10 * SECOND, ())
+        assert compute_alignment(ReplayPlan(), window, replay_start_micros=12 * SECOND) == 0
 
-    def test_real_time_offset_is_receive_minus_window_start(self):
-        # Replay begins when the window arrives, 122 s after its start.
-        log = SyncLog()
-        window = received_window(log, T=120 * SECOND, delay=2 * SECOND)
+    def test_real_time_offset_is_replay_start_minus_window_start(self):
+        # Replay of the first window begins 122 s after its start.
+        window = CaptureWindow(0, 5 * SECOND, 125 * SECOND, ())
         plan = ReplayPlan(mode=ReplayMode.REAL_TIME)
-        assert compute_alignment(plan, log, window) == 122 * SECOND
+        assert compute_alignment(plan, window, replay_start_micros=127 * SECOND) == 122 * SECOND
 
     def test_explicit_offset_wins(self):
-        log = SyncLog()
-        window = received_window(log)
-        plan = ReplayPlan(align_offset_micros=3 * SECOND)
-        assert compute_alignment(plan, log, window) == 3 * SECOND
+        window = CaptureWindow(0, 0, 10 * SECOND, ())
+        for mode in ReplayMode:
+            plan = ReplayPlan(mode=mode, align_offset_micros=3 * SECOND)
+            assert compute_alignment(plan, window, replay_start_micros=12 * SECOND) == 3 * SECOND
 
 
 class TestVirtualReplay:

@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -50,8 +51,7 @@ class TestInProcessChannel:
         spec = ChannelSpec(latency_us=100_000, bandwidth_bps=10_000_000)
         channel = InProcessChannel(spec)
         payload = b"\x00" * 1_000_000
-        receipt = channel.send(manifest_for_payload(0, payload), payload, now_micros=0)
-        assert receipt.expected_arrival_micros == 900_000
+        channel.send(manifest_for_payload(0, payload), payload, now_micros=0)
         _, _, arrival = channel.receive()
         assert arrival == 900_000
 
@@ -60,9 +60,10 @@ class TestInProcessChannel:
         channel = InProcessChannel(spec)
         payload = b"\x00" * 1_000_000  # 0.8 s of serialization each
         channel.send(manifest_for_payload(0, payload), payload, now_micros=0)
-        receipt = channel.send(manifest_for_payload(1, payload), payload, now_micros=0)
+        channel.send(manifest_for_payload(1, payload), payload, now_micros=0)
+        arrivals = [channel.receive()[2] for _ in range(2)]
         # Second transmission starts only when the first leaves the link.
-        assert receipt.expected_arrival_micros == 800_000 + 800_000 + 100_000
+        assert arrivals == [900_000, 800_000 + 800_000 + 100_000]
 
     def test_lossless_channel_delivers_everything_once(self):
         channel = InProcessChannel(ChannelSpec(loss_probability=0.0))
@@ -159,7 +160,7 @@ class TestWindowReceiver:
         while (item := receiver.receive()) is not None:
             seqs.append(item[0].seq)
         assert seqs == [0, 1, 2]
-        assert log.lost_count() == 0
+        assert not any(e.lost for e in log)
         assert log.check_ordering() == []
 
     def test_hole_is_declared_lost_and_delivery_continues(self):
@@ -196,6 +197,22 @@ class TestWindowReceiver:
         assert receiver.receive() is None
         assert receiver.digest_failures == 1
         assert log.entry(0).lost
+
+    def test_poll_never_waits(self):
+        # A blocking receive would wait reorder_timeout for the hole at
+        # seq 1, and forever on the open, empty channel.
+        log = SyncLog()
+        channel = InProcessChannel(ChannelSpec())
+        receiver = WindowReceiver(channel, log, reorder_timeout=60.0)
+        start = time.monotonic()
+        assert receiver.receive(block=False) is None
+        send_window(window_of(0), channel, log, now_micros=10 * SECOND)
+        log.record_sent(1, 10 * SECOND, 20 * SECOND, 20 * SECOND)  # dropped before the channel
+        send_window(window_of(2), channel, log, now_micros=30 * SECOND)
+        assert [receiver.receive(block=False)[1].seq for _ in range(2)] == [0, 2]
+        assert receiver.receive(block=False) is None
+        assert time.monotonic() - start < 5.0
+        assert [e.lost for e in log] == [False, True, False]
 
 
 class TestTwinLag:
