@@ -149,7 +149,6 @@ def cmd_run(args) -> int:
         seed=seed,
         bin_width_micros=seconds_to_micros(args.bin_width),
         max_lag_bins=args.max_lag_bins,
-        reorder_timeout=args.reorder_timeout,
         out_dir=out_dir,
         save_replayed_pcaps=args.save_replayed_pcaps,
         exchange_dir=Path(args.exchange_dir) if args.exchange_dir else None,
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--speed-factor", type=float, default=1.0)
     p_run.add_argument("--align-offset", type=float, default=None,
                        help="explicit replay alignment offset in seconds (default: automatic)")
-    p_run.add_argument("--reorder-timeout", type=float, default=0.0)
     p_run.add_argument("--save-replayed-pcaps", action="store_true")
     p_run.add_argument("--exchange-dir", type=Path, help="directory for the directory-exchange channel")
     p_run.add_argument("--tcp-host", default="127.0.0.1")

@@ -100,9 +100,17 @@ class MetricsError(TwinError):
 
 
 class StageError(TwinError):
-    """Wraps a failure inside one stage of the end-to-end run."""
+    """Wraps the first failure inside one stage of the end-to-end run.
 
-    def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"stage '{stage}' failed: {cause}")
+    ``later`` holds the (stage, exception) pairs of failures that followed
+    it, in the order they happened.
+    """
+
+    def __init__(self, stage: str, cause: BaseException, later: tuple = ()):
+        message = f"stage '{stage}' failed: {cause}"
+        for later_stage, exc in later:
+            message += f"; then stage '{later_stage}' failed: {exc}"
+        super().__init__(message)
         self.stage = stage
         self.cause = cause
+        self.later = later

@@ -112,7 +112,7 @@ def update_latency(log: Iterable[SyncLogEntry]) -> LatencyStats:
 
 @dataclass(frozen=True, slots=True)
 class AoiStats:
-    """Age-of-information sawtooth: samples plus exact mean and peak."""
+    """Age-of-information sawtooth: samples at the requested times plus exact mean and peak."""
 
     samples: tuple[tuple[int, int], ...]
     mean_micros: float
@@ -131,8 +131,8 @@ def age_of_information(
     t; before the first replay it is measured from the run origin. Mean
     and peak are computed exactly from the piecewise-linear sawtooth over
     [origin, horizon]; ``samples`` holds the instantaneous series at the
-    requested eval times (default: around each replay event). ``log`` is
-    a SyncLog or its entries.
+    requested eval times, and is empty without them. ``log`` is a SyncLog
+    or its entries.
     """
     events = sorted((e.t_replayed, e.t_window_end) for e in log if e.delivered and e.t_replayed is not None)
     # The freshest data at time t is the max window end replayed by t.
@@ -165,16 +165,7 @@ def age_of_information(
             return t - origin_ts_micros
         return t - newest_end[i - 1]
 
-    if eval_times_micros is None:
-        sample_points: list[int] = [origin_ts_micros]
-        for t in event_times:
-            if origin_ts_micros < t <= horizon_micros:
-                sample_points.append(t - 1)
-                sample_points.append(t)
-        sample_points.append(horizon_micros)
-    else:
-        sample_points = list(eval_times_micros)
-    samples = tuple((t, aoi_at(t)) for t in sample_points)
+    samples = tuple((t, aoi_at(t)) for t in eval_times_micros or ())
 
     # Exact peak and mean over [origin, horizon]: age grows with slope 1
     # and drops at each replay event.

@@ -1,14 +1,15 @@
 """End-to-end orchestration of one capture/transfer/replay run.
 
 Simulated traffic is cut into windows; each window is packed and sent
-over the transfer channel, received in order, replayed into a collecting
-sink, and the result is scored. Under the virtual clock this runs in the
+over the transfer channel, received in order and replayed, and the
+replayed traces are scored. Under the virtual clock this runs in the
 calling thread, one window at a time, and every timestamp is computed
 from the data, so a run is deterministic down to the report bytes.
 Real-time mode paces windows against a monotonic clock for live
-demonstrations: a producer thread sends while a consumer thread replays,
-and the producer always closes the channel, even on failure, so the
-consumer drains and terminates. Its timing is measured, not asserted.
+demonstrations: a producer thread sends while a consumer thread replays.
+The producer always closes the channel, even on failure, so the consumer
+drains and terminates; a failed consumer stops the producer and closes
+the receive side. Its timing is measured, not asserted.
 """
 
 import json
@@ -31,8 +32,8 @@ from .metrics import (
     update_latency,
 )
 from .model import MICROS_PER_SECOND, PacketBatch, TwinDescriptor
-from .pcap import segment_stream
-from .replay import CollectingSink, PcapDirectorySink, ReplayEngine, ReplayMode, ReplayPlan, TeeSink
+from .pcap import LINKTYPE_RAW_IP, segment_stream, write_pcap
+from .replay import ReplayEngine, ReplayMode, ReplayPlan, ReplayedTrace
 from .scenarios import ScenarioSpec, generate
 from .transport import (
     ChannelSpec,
@@ -61,7 +62,6 @@ class RunConfig:
     seed: int = 0
     bin_width_micros: int = MICROS_PER_SECOND
     max_lag_bins: int = 30
-    reorder_timeout: float = 0.0
     out_dir: Path | None = None
     save_replayed_pcaps: bool = False
     exchange_dir: Path | None = None
@@ -150,13 +150,13 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
     except Exception as exc:
         raise StageError("transport", exc) from exc
 
-    sink = CollectingSink()
+    replayed_dir = None
     if cfg.save_replayed_pcaps and cfg.out_dir is not None:
-        engine_sink = TeeSink(sink, PcapDirectorySink(Path(cfg.out_dir) / "replayed"))
-    else:
-        engine_sink = sink
-    engine = ReplayEngine(cfg.plan, engine_sink, log, clock=clock)
-    receiver = WindowReceiver(recv_channel, log, reorder_timeout=cfg.reorder_timeout)
+        replayed_dir = Path(cfg.out_dir) / "replayed"
+        replayed_dir.mkdir(parents=True, exist_ok=True)
+    traces: list[ReplayedTrace] = []
+    engine = ReplayEngine(cfg.plan, log, clock=clock)
+    receiver = WindowReceiver(recv_channel, log)
     windows = segment_stream(
         records, window_micros, origin, span_end_micros=span_end,
         source_interface=cfg.descriptor.capture_interface,
@@ -172,8 +172,16 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         if delivery is None:
             return False
         window, _manifest = delivery
-        engine.replay_window(window, log.entry(window.seq).t_received)
+        trace = engine.replay_window(window, log.entry(window.seq).t_received)
+        traces.append(trace)
+        if replayed_dir is not None:
+            path = replayed_dir / f"replayed_{trace.window_seq}.pcap"
+            path.write_bytes(write_pcap(LINKTYPE_RAW_IP, trace.records))
         return True
+
+    def close_receive() -> None:
+        if hasattr(recv_channel, "close"):
+            recv_channel.close()
 
     try:
         if virtual:
@@ -193,30 +201,35 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
             except Exception as exc:
                 raise StageError(stage, exc) from exc
         else:
-            _run_threads(windows, send, replay_next, send_channel, clock)
+            _run_threads(windows, send, replay_next, send_channel, close_receive, clock)
     finally:
-        if hasattr(recv_channel, "close"):
-            recv_channel.close()
+        close_receive()
 
     try:
-        return _evaluate(cfg, log, sink, engine, records, origin, scenario.duration_micros, window_micros)
+        return _evaluate(cfg, log, traces, engine, records, origin, scenario.duration_micros, window_micros)
     except Exception as exc:
         raise StageError("metrics", exc) from exc
 
 
-def _run_threads(windows, send, replay_next, send_channel, clock) -> None:
-    """Real time: a producer sends each window once it has closed, a consumer replays."""
-    failures: dict[str, BaseException] = {}
+def _run_threads(windows, send, replay_next, send_channel, close_receive, clock) -> None:
+    """Real time: a producer sends each window once it has closed, a consumer replays.
+
+    Failures are kept in the order they happen and the first one is
+    raised. A failed consumer stops the producer before its next window
+    and closes the receive side, so a producer blocked in a send unblocks.
+    """
+    failures: list[tuple[str, BaseException]] = []
+    stop = threading.Event()
 
     def producer():
         try:
             for window in windows:
                 wait = window.end_ts_micros - clock.now_micros()
-                if wait > 0:
-                    clock.sleep_micros(wait)
+                if stop.wait(max(wait, 0) / MICROS_PER_SECOND):
+                    break
                 send(window, clock.now_micros())
         except BaseException as exc:
-            failures["capture"] = exc
+            failures.append(("capture", exc))
         finally:
             send_channel.close_send()
 
@@ -225,7 +238,9 @@ def _run_threads(windows, send, replay_next, send_channel, clock) -> None:
             while replay_next(block=True):
                 pass
         except BaseException as exc:
-            failures["replay"] = exc
+            failures.append(("replay", exc))
+            stop.set()
+            close_receive()
 
     threads = [threading.Thread(target=producer, name="twinsync-producer"),
                threading.Thread(target=consumer, name="twinsync-consumer")]
@@ -233,16 +248,16 @@ def _run_threads(windows, send, replay_next, send_channel, clock) -> None:
         thread.start()
     for thread in threads:
         thread.join()
-    for stage in ("capture", "replay"):
-        if stage in failures:
-            raise StageError(stage, failures[stage]) from failures[stage]
+    if failures:
+        (stage, exc), *later = failures
+        raise StageError(stage, exc, tuple(later)) from exc
 
 
-def _evaluate(cfg, log, sink, engine, records, origin, duration_micros, window_micros) -> RunResult:
+def _evaluate(cfg, log, traces, engine, records, origin, duration_micros, window_micros) -> RunResult:
     align_offset = engine.align_offset_micros or 0
 
     # The series needs times and sizes only; leave the payloads where they are.
-    replayed = PacketBatch.concat_sizes(t.records for t in sink.traces)
+    replayed = PacketBatch.concat_sizes(t.records for t in traces)
     npt_series = throughput_series(records, cfg.bin_width_micros, origin, duration_micros)
     ndt_series = throughput_series(
         replayed, cfg.bin_width_micros, origin, duration_micros + max(0, align_offset)
@@ -285,7 +300,7 @@ def _evaluate(cfg, log, sink, engine, records, origin, duration_micros, window_m
         consistency_index=consistency,
         windows_lost=sum(e.lost for e in entries),
     )
-    max_lateness = max((t.max_lateness_micros for t in sink.traces), default=0)
+    max_lateness = max((t.max_lateness_micros for t in traces), default=0)
     return RunResult(
         report=report,
         log=log,
@@ -294,7 +309,7 @@ def _evaluate(cfg, log, sink, engine, records, origin, duration_micros, window_m
         align_offset_micros=align_offset,
         max_lateness_micros=max_lateness,
         windows_sent=sum(e.t_sent is not None for e in entries),
-        windows_replayed=len(sink.traces),
+        windows_replayed=len(traces),
         packets_replayed=len(replayed),
     )
 

@@ -1,4 +1,4 @@
-"""Replay of received windows into the twin's measurement sink.
+"""Replay of received windows on the twin side.
 
 Two modes:
 
@@ -7,23 +7,22 @@ Two modes:
   fully deterministic; this is what CI and fidelity runs use.
 * real-time: inter-packet gaps are actually slept (scaled by
   1/speed_factor) against an injected clock, tcpreplay style. Scheduler
-  lateness is measured per packet and reported, never folded silently
-  into timestamps.
+  lateness is measured per packet and its maximum reported, never folded
+  silently into timestamps.
 
-Either way a sink receives each replayed window once, as a
-ReplayedTrace. Payload bytes always pass through untouched; replay
-fidelity is the whole point of the loop.
+Either way replaying a window returns it once, as a ReplayedTrace.
+Payload bytes always pass through untouched; replay fidelity is the
+whole point of the loop.
 """
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .clocks import Clock
-from .model import PacketBatch, PacketRecord
-from .pcap import CaptureWindow, write_pcap
+from .model import PacketBatch
+from .pcap import CaptureWindow
 from .transport import SyncLog
 
 
@@ -56,12 +55,8 @@ class ReplayedTrace:
 
     window_seq: int
     records: PacketBatch
-    lateness_micros: tuple[int, ...]
+    max_lateness_micros: int
     t_replayed_micros: int
-
-    @property
-    def max_lateness_micros(self) -> int:
-        return max(self.lateness_micros, default=0)
 
 
 def compute_alignment(plan: ReplayPlan, window: CaptureWindow, replay_start_micros: int) -> int:
@@ -78,64 +73,17 @@ def compute_alignment(plan: ReplayPlan, window: CaptureWindow, replay_start_micr
     return replay_start_micros - window.start_ts_micros
 
 
-class PacketSink:
-    """Consumer of replayed windows; subclass what the run needs."""
-
-    def window_complete(self, trace: ReplayedTrace) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class CollectingSink(PacketSink):
-    """Accumulates everything in memory, for metrics and tests."""
-
-    def __init__(self):
-        self.traces: list[ReplayedTrace] = []
-
-    @property
-    def records(self) -> list[PacketRecord]:
-        """Every replayed packet, in replay order."""
-        return [r for t in self.traces for r in t.records]
-
-    def window_complete(self, trace: ReplayedTrace) -> None:
-        self.traces.append(trace)
-
-
-class PcapDirectorySink(PacketSink):
-    """Persists each replayed window as replayed_<seq>.pcap."""
-
-    def __init__(self, directory, linktype: int = 101):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.linktype = linktype
-        self.paths: list = []
-
-    def window_complete(self, trace: ReplayedTrace) -> None:
-        path = self.directory / f"replayed_{trace.window_seq}.pcap"
-        path.write_bytes(write_pcap(self.linktype, trace.records))
-        self.paths.append(path)
-
-
-class TeeSink(PacketSink):
-    def __init__(self, *sinks: PacketSink):
-        self.sinks = sinks
-
-    def window_complete(self, trace: ReplayedTrace) -> None:
-        for s in self.sinks:
-            s.window_complete(trace)
-
-
 class ReplayEngine:
-    """Replays windows one at a time, in seq order, into a sink.
+    """Replays windows one at a time, in seq order.
 
     The alignment offset is frozen on the first window so consecutive
     windows replay back-to-back with zero drift.
     """
 
-    def __init__(self, plan: ReplayPlan, sink: PacketSink, log: SyncLog, clock: Clock | None = None):
+    def __init__(self, plan: ReplayPlan, log: SyncLog, clock: Clock | None = None):
         if plan.mode is ReplayMode.REAL_TIME and clock is None:
             raise ValueError("real-time replay needs a clock")
         self.plan = plan
-        self.sink = sink
         self.log = log
         self.clock = clock
         self._offset: int | None = None
@@ -149,7 +97,8 @@ class ReplayEngine:
         return self._offset
 
     def replay_window(self, window: CaptureWindow, t_available_micros: int) -> ReplayedTrace:
-        """Replay one window; records its completion time in the sync log."""
+        """Replay one window and return its trace; records its completion
+        time in the sync log."""
         if self._last_seq is not None and window.seq <= self._last_seq:
             raise ValueError(f"window {window.seq} arrived after window {self._last_seq}")
         self._last_seq = window.seq
@@ -160,7 +109,6 @@ class ReplayEngine:
             trace = self._replay_real_time(window)
         self.log.record_replayed(window.seq, trace.t_replayed_micros)
         self._last_completed = trace.t_replayed_micros
-        self.sink.window_complete(trace)
         return trace
 
     def _replay_virtual(self, window: CaptureWindow, t_available: int) -> ReplayedTrace:
@@ -168,7 +116,7 @@ class ReplayEngine:
             self._offset = compute_alignment(self.plan, window, t_available)
         packets = window.packets.shifted(self._offset)
         t_done = t_available if self._last_completed is None else max(t_available, self._last_completed)
-        return ReplayedTrace(window.seq, packets, (0,) * len(packets), t_done)
+        return ReplayedTrace(window.seq, packets, 0, t_done)
 
     def _replay_real_time(self, window: CaptureWindow) -> ReplayedTrace:
         assert self.clock is not None
@@ -177,7 +125,7 @@ class ReplayEngine:
             self._first_window_start = window.start_ts_micros
             self._offset = compute_alignment(self.plan, window, self._anchor_wall)
         emitted = []
-        lateness = []
+        max_lateness = 0
         for ts in window.packets.ts_micros.tolist():
             target = self._anchor_wall + int((ts - self._first_window_start) / self.plan.speed_factor)
             wait = target - self.clock.now_micros()
@@ -185,7 +133,7 @@ class ReplayEngine:
                 self.clock.sleep_micros(wait)
             emitted_at = max(target, self.clock.now_micros())
             emitted.append(emitted_at)
-            lateness.append(max(0, emitted_at - target))
+            max_lateness = max(max_lateness, emitted_at - target)
         t_done = self.clock.now_micros()
         packets = window.packets.with_ts(np.array(emitted, dtype=np.int64))
-        return ReplayedTrace(window.seq, packets, tuple(lateness), t_done)
+        return ReplayedTrace(window.seq, packets, max_lateness, t_done)

@@ -1,8 +1,8 @@
 """Window transfer between the physical side and the twin side.
 
-The transfer contract is deliberately narrow: ordered-ish delivery of
-(manifest, pcap bytes) pairs with measurable delay and possible loss.
-Three interchangeable channels implement it:
+The transfer contract is deliberately narrow: (manifest, pcap bytes)
+pairs delivered in send order, with measurable delay and possible loss,
+never reordered. Three interchangeable channels implement it:
 
 * InProcessChannel - a queue with simulated latency, serialization delay
   and seeded loss; the deterministic backbone of tests and virtual runs.
@@ -483,72 +483,39 @@ def send_window(window: CaptureWindow, channel, log: SyncLog, now_micros: int,
 class WindowReceiver:
     """Delivers windows in seq order, turning gaps into recorded losses.
 
-    A window arriving ahead of a hole is buffered while the hole is given
-    ``reorder_timeout`` seconds to show up; then the hole is declared
-    lost and delivery resumes. FIFO channels can use a timeout of 0: once
-    a later seq arrives, the earlier one can no longer be in flight.
+    Every channel delivers in send order, so a seq above the expected one
+    means the seqs before it were lost, and a seq below it is a duplicate
+    or arrived too late and is skipped.
     """
 
-    def __init__(self, channel, log: SyncLog, reorder_timeout: float = 0.0):
+    def __init__(self, channel, log: SyncLog):
         self.channel = channel
         self.log = log
-        self.reorder_timeout = reorder_timeout
         self._expected = 0
-        self._buffer: dict[int, tuple[WindowManifest, bytes, int]] = {}
         self._eos = False
         self.digest_failures = 0
 
-    def _declare_holes_until(self, seq: int) -> None:
-        while self._expected < seq:
-            self.log.mark_lost(self._expected)
-            self._expected += 1
-
-    def _take(self, manifest: WindowManifest, payload: bytes, arrival: int) -> tuple[CaptureWindow, WindowManifest] | None:
-        self._expected = manifest.seq + 1
-        self.log.record_received(manifest.seq, arrival, manifest.start_ts_micros, manifest.end_ts_micros)
-        try:
-            window = unpack_window(manifest, payload)
-        except DigestMismatchError:
-            self.digest_failures += 1
-            self.log.mark_lost(manifest.seq, manifest.start_ts_micros, manifest.end_ts_micros)
-            return None
-        return window, manifest
-
     def receive(self, block: bool = True) -> tuple[CaptureWindow, WindowManifest] | None:
-        """Next in-order window, or None at end of stream. With ``block``
-        false the channel is only polled, None also means that nothing is
-        ready, and holes before a buffered window are declared at once."""
-        while True:
-            if self._expected in self._buffer:
-                manifest, payload, arrival = self._buffer.pop(self._expected)
-                taken = self._take(manifest, payload, arrival)
-                if taken is not None:
-                    return taken
-                continue
-            if self._eos:
-                if not self._buffer:
-                    return None
-                self._declare_holes_until(min(self._buffer))
-                continue
-            timeout = (self.reorder_timeout if self._buffer else None) if block else 0
+        """Next window, or None at end of stream. With ``block`` false the
+        channel is only polled, and None also means that nothing is ready."""
+        while not self._eos:
             try:
-                delivery = self.channel.receive(timeout=timeout)
+                delivery = self.channel.receive(timeout=None if block else 0)
             except TimeoutError:
-                if not self._buffer:
-                    return None  # polled, nothing ready
-                self._declare_holes_until(min(self._buffer))
-                continue
+                return None  # polled, nothing ready
             if delivery is None:
                 self._eos = True
-                continue
+                break
             manifest, payload, arrival = delivery
             if manifest.seq < self._expected:
-                continue  # duplicate or already written off
-            if manifest.seq > self._expected:
-                self._buffer[manifest.seq] = (manifest, payload, arrival)
-                if self.reorder_timeout == 0:
-                    self._declare_holes_until(manifest.seq)
-                continue
-            taken = self._take(manifest, payload, arrival)
-            if taken is not None:
-                return taken
+                continue  # a duplicate, or too late
+            for lost in range(self._expected, manifest.seq):
+                self.log.mark_lost(lost)
+            self._expected = manifest.seq + 1
+            self.log.record_received(manifest.seq, arrival, manifest.start_ts_micros, manifest.end_ts_micros)
+            try:
+                return unpack_window(manifest, payload), manifest
+            except DigestMismatchError:
+                self.digest_failures += 1
+                self.log.mark_lost(manifest.seq, manifest.start_ts_micros, manifest.end_ts_micros)
+        return None

@@ -11,10 +11,11 @@ import twinsync.pipeline as pipeline
 import twinsync.transport as transport
 from twinsync.errors import StageError, TimestampRegressionError
 from twinsync.model import PacketBatch
+from twinsync.pcap import read_pcap
 from twinsync.pipeline import RunConfig, build_report_document, run_pipeline, write_run_artifacts
-from twinsync.replay import CollectingSink, ReplayEngine, ReplayMode, ReplayPlan
+from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan
 from twinsync.scenarios import ScenarioSpec, generate
-from twinsync.transport import ChannelSpec, InProcessChannel, WindowReceiver, twin_lag
+from twinsync.transport import ChannelSpec, InProcessChannel, TcpSenderChannel, WindowReceiver, twin_lag
 
 SECOND = 1_000_000
 
@@ -133,19 +134,41 @@ class TestVirtualRuns:
             run_pipeline(cfg)
         assert (tmp_path / "sync_log.csv").exists()
 
+    def test_saved_replayed_pcaps_read_back_to_the_replayed_packets(self, descriptor, tmp_path, monkeypatch):
+        replay_window = ReplayEngine.replay_window
+        traces = []
+
+        def keep(engine, window, t_available):
+            traces.append(replay_window(engine, window, t_available))
+            return traces[-1]
+
+        monkeypatch.setattr(ReplayEngine, "replay_window", keep)
+        channel = ChannelSpec(loss_probability=0.5)
+        plan = ReplayPlan(align_offset_micros=3 * SECOND)
+        cfg = run_config(descriptor, seconds=100, seed=1, channel=channel, plan=plan,
+                         out_dir=tmp_path, save_replayed_pcaps=True)
+        result = run_pipeline(cfg)
+        assert 0 < result.windows_replayed < result.windows_sent
+        saved = sorted((tmp_path / "replayed").iterdir())
+        assert [p.name for p in saved] == sorted(f"replayed_{t.window_seq}.pcap" for t in traces)
+        for trace in traces:
+            linktype, packets = read_pcap((tmp_path / "replayed" / f"replayed_{trace.window_seq}.pcap").read_bytes())
+            assert linktype == 101
+            assert packets == trace.records
+
 
 class TestVirtualLoop:
     """The virtual clock runs send -> receive -> replay in the calling thread."""
 
     def test_virtual_run_starts_no_thread(self, descriptor, monkeypatch):
+        replay_window = ReplayEngine.replay_window
         seen = []
 
-        class WatchingSink(CollectingSink):
-            def window_complete(self, trace):
-                seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
-                super().window_complete(trace)
+        def watch(engine, window, t_available):
+            seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+            return replay_window(engine, window, t_available)
 
-        monkeypatch.setattr(pipeline, "CollectingSink", WatchingSink)
+        monkeypatch.setattr(ReplayEngine, "replay_window", watch)
         threads_before = threading.active_count()
         with deadline():
             result = run_pipeline(run_config(descriptor, seed=3))
@@ -259,7 +282,6 @@ class TestRealTimeRuns:
             channel=ChannelSpec(kind="directory-exchange"),
             plan=ReplayPlan(mode=ReplayMode.REAL_TIME),
             exchange_dir=tmp_path / "exchange",
-            reorder_timeout=0.5,
         )
         cfg.scenario = ScenarioSpec(kind="voice-call", duration_micros=int(1.2 * SECOND), ue_count=2)
         result = run_pipeline(cfg)
@@ -276,9 +298,43 @@ class TestRealTimeRuns:
             kind="voice-call",
             channel=ChannelSpec(kind="tcp"),
             plan=ReplayPlan(mode=ReplayMode.REAL_TIME),
-            reorder_timeout=0.5,
         )
         cfg.scenario = ScenarioSpec(kind="voice-call", duration_micros=int(1.2 * SECOND), ue_count=2)
         result = run_pipeline(cfg)
         assert result.report.twin_alignment_ratio == 1.0
         assert result.packets_replayed == len(generate(replace(cfg.scenario, seed=cfg.seed)).records)
+
+    def test_tcp_replay_failure_is_raised_first_and_unblocks_the_sender(self, descriptor, monkeypatch):
+        # Window 2's send blocks until the receiving side closes, as a send
+        # on full socket buffers does; meanwhile the twin fails on window 1.
+        send, replay_window = TcpSenderChannel.send, ReplayEngine.replay_window
+        blocked = threading.Event()
+
+        def send_blocking_from_2(channel, manifest, payload, now_micros):
+            if manifest.seq >= 2:
+                blocked.set()
+                if not channel._sock.recv(1):
+                    raise ConnectionResetError("receiver closed")
+            return send(channel, manifest, payload, now_micros)
+
+        def crash_on_second(engine, window, t_available):
+            if window.seq == 1:
+                blocked.wait(5)
+                raise RuntimeError("twin crashed")
+            return replay_window(engine, window, t_available)
+
+        monkeypatch.setattr(TcpSenderChannel, "send", send_blocking_from_2)
+        monkeypatch.setattr(ReplayEngine, "replay_window", crash_on_second)
+        cfg = run_config(
+            replace(descriptor, window_seconds=0.4),
+            kind="voice-call",
+            channel=ChannelSpec(kind="tcp"),
+            plan=ReplayPlan(mode=ReplayMode.REAL_TIME),
+        )
+        cfg.scenario = ScenarioSpec(kind="voice-call", duration_micros=int(2.4 * SECOND), ue_count=2)
+        with deadline(6), pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "replay"
+        assert str(err.value.cause) == "twin crashed"
+        assert [stage for stage, _ in err.value.later] == ["capture"]
+        assert isinstance(err.value.later[0][1], ConnectionResetError)

@@ -3,14 +3,7 @@ from hypothesis import given
 
 from twinsync.clocks import ManualClock
 from twinsync.pcap import CaptureWindow
-from twinsync.replay import (
-    CollectingSink,
-    PcapDirectorySink,
-    ReplayEngine,
-    ReplayMode,
-    ReplayPlan,
-    compute_alignment,
-)
+from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan, compute_alignment
 from twinsync.transport import SyncLog
 
 from conftest import make_packet, packet_lists
@@ -48,25 +41,23 @@ class TestVirtualReplay:
         log = SyncLog()
         packets = [make_packet(1 * SECOND), make_packet(1 * SECOND + 10_000), make_packet(1 * SECOND + 30_000)]
         window = received_window(log, packets=packets)
-        sink = CollectingSink()
-        engine = ReplayEngine(ReplayPlan(), sink, log)
-        engine.replay_window(window, log.entry(0).t_received)
-        deltas = [b.ts_micros - a.ts_micros for a, b in zip(sink.records, sink.records[1:])]
+        engine = ReplayEngine(ReplayPlan(), log)
+        records = engine.replay_window(window, log.entry(0).t_received).records
+        deltas = [b.ts_micros - a.ts_micros for a, b in zip(records, records[1:])]
         assert deltas == [10_000, 20_000]
 
     def test_offset_applies_to_every_timestamp(self):
         log = SyncLog()
         window = received_window(log, packets=[make_packet(2 * SECOND), make_packet(3 * SECOND)])
-        sink = CollectingSink()
-        engine = ReplayEngine(ReplayPlan(align_offset_micros=5 * SECOND), sink, log)
-        engine.replay_window(window, log.entry(0).t_received)
-        assert [r.ts_micros for r in sink.records] == [7 * SECOND, 8 * SECOND]
+        engine = ReplayEngine(ReplayPlan(align_offset_micros=5 * SECOND), log)
+        trace = engine.replay_window(window, log.entry(0).t_received)
+        assert [r.ts_micros for r in trace.records] == [7 * SECOND, 8 * SECOND]
 
     def test_consecutive_windows_share_one_offset(self):
         log = SyncLog()
         w0 = received_window(log, seq=0, start=0)
         w1 = received_window(log, seq=1, start=10 * SECOND)
-        engine = ReplayEngine(ReplayPlan(), CollectingSink(), log)
+        engine = ReplayEngine(ReplayPlan(), log)
         engine.replay_window(w0, log.entry(0).t_received)
         first_offset = engine.align_offset_micros
         engine.replay_window(w1, log.entry(1).t_received)
@@ -75,8 +66,7 @@ class TestVirtualReplay:
     def test_empty_window_still_records_replay_time(self):
         log = SyncLog()
         window = received_window(log, delay=900_000)
-        sink = CollectingSink()
-        engine = ReplayEngine(ReplayPlan(), sink, log)
+        engine = ReplayEngine(ReplayPlan(), log)
         trace = engine.replay_window(window, log.entry(0).t_received)
         assert trace.records == ()
         assert log.entry(0).t_replayed == window.end_ts_micros + 900_000
@@ -85,7 +75,7 @@ class TestVirtualReplay:
         log = SyncLog()
         w0 = received_window(log, seq=0)
         received_window(log, seq=1, start=10 * SECOND)
-        engine = ReplayEngine(ReplayPlan(), CollectingSink(), log)
+        engine = ReplayEngine(ReplayPlan(), log)
         engine.replay_window(w0, log.entry(0).t_received)
         with pytest.raises(ValueError):
             engine.replay_window(w0, log.entry(0).t_received)
@@ -96,7 +86,7 @@ class TestVirtualReplay:
         log = SyncLog()
         w0 = received_window(log, seq=0, delay=5 * SECOND)
         w1 = received_window(log, seq=1, start=10 * SECOND, delay=0)
-        engine = ReplayEngine(ReplayPlan(), CollectingSink(), log)
+        engine = ReplayEngine(ReplayPlan(), log)
         engine.replay_window(w0, log.entry(0).t_received)
         engine.replay_window(w1, log.entry(1).t_received)
         assert log.entry(1).t_replayed >= log.entry(0).t_replayed
@@ -107,10 +97,9 @@ class TestVirtualReplay:
         window = CaptureWindow(0, 0, 5 * SECOND, tuple(packets))
         log.record_sent(0, 0, 5 * SECOND, 5 * SECOND)
         log.record_received(0, 5 * SECOND)
-        sink = CollectingSink()
-        ReplayEngine(ReplayPlan(), sink, log).replay_window(window, 5 * SECOND)
-        assert [r.payload for r in sink.records] == [p.payload for p in packets]
-        assert [r.original_len for r in sink.records] == [p.original_len for p in packets]
+        trace = ReplayEngine(ReplayPlan(), log).replay_window(window, 5 * SECOND)
+        assert [r.payload for r in trace.records] == [p.payload for p in packets]
+        assert [r.original_len for r in trace.records] == [p.original_len for p in packets]
 
 
 class TestRealTimeReplay:
@@ -122,16 +111,28 @@ class TestRealTimeReplay:
         log.record_sent(0, 0, SECOND, SECOND)
         log.record_received(0, SECOND)
         clock = ManualClock(start_micros=7 * SECOND)
-        sink = CollectingSink()
-        engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=2.0), sink, log, clock=clock)
+        engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=2.0), log, clock=clock)
         trace = engine.replay_window(window, SECOND)
-        deltas = [b.ts_micros - a.ts_micros for a, b in zip(sink.records, sink.records[1:])]
+        deltas = [b.ts_micros - a.ts_micros for a, b in zip(trace.records, trace.records[1:])]
         assert deltas == [5_000, 10_000]
         assert trace.max_lateness_micros == 0  # manual clock sleeps exactly
 
+    def test_max_lateness_is_the_largest_oversleep(self):
+        overshoots = iter([700, 300])
+
+        class OversleepingClock(ManualClock):
+            def sleep_micros(self, duration_micros):
+                super().sleep_micros(duration_micros + next(overshoots))
+
+        # The second and third packets are emitted 700 and 300 us late.
+        log = SyncLog()
+        window = CaptureWindow(0, 0, SECOND, (make_packet(0), make_packet(10_000), make_packet(30_000)))
+        engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), log, clock=OversleepingClock())
+        assert engine.replay_window(window, SECOND).max_lateness_micros == 700
+
     def test_real_time_needs_a_clock(self):
         with pytest.raises(ValueError):
-            ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), CollectingSink(), SyncLog())
+            ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), SyncLog())
 
     def test_emission_times_follow_the_wall_clock(self):
         log = SyncLog()
@@ -139,16 +140,6 @@ class TestRealTimeReplay:
         log.record_sent(0, 0, SECOND, SECOND)
         log.record_received(0, SECOND)
         clock = ManualClock(start_micros=42 * SECOND)
-        sink = CollectingSink()
-        engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), sink, log, clock=clock)
-        engine.replay_window(window, SECOND)
-        assert [r.ts_micros for r in sink.records] == [42 * SECOND, 42 * SECOND + 250_000]
-
-
-def test_pcap_directory_sink_writes_one_file_per_window(tmp_path):
-    log = SyncLog()
-    window = received_window(log, packets=[make_packet(SECOND, 30)])
-    sink = PcapDirectorySink(tmp_path)
-    engine = ReplayEngine(ReplayPlan(), sink, log)
-    engine.replay_window(window, log.entry(0).t_received)
-    assert (tmp_path / "replayed_0.pcap").exists()
+        engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), log, clock=clock)
+        trace = engine.replay_window(window, SECOND)
+        assert [r.ts_micros for r in trace.records] == [42 * SECOND, 42 * SECOND + 250_000]

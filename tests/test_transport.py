@@ -5,6 +5,7 @@ import time
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from twinsync.errors import ChannelClosedError, DigestMismatchError
 from twinsync.pcap import CaptureWindow, read_pcap
@@ -199,11 +200,10 @@ class TestWindowReceiver:
         assert log.entry(0).lost
 
     def test_poll_never_waits(self):
-        # A blocking receive would wait reorder_timeout for the hole at
-        # seq 1, and forever on the open, empty channel.
+        # A blocking receive would wait forever on the open, empty channel.
         log = SyncLog()
         channel = InProcessChannel(ChannelSpec())
-        receiver = WindowReceiver(channel, log, reorder_timeout=60.0)
+        receiver = WindowReceiver(channel, log)
         start = time.monotonic()
         assert receiver.receive(block=False) is None
         send_window(window_of(0), channel, log, now_micros=10 * SECOND)
@@ -213,6 +213,50 @@ class TestWindowReceiver:
         assert receiver.receive(block=False) is None
         assert time.monotonic() - start < 5.0
         assert [e.lost for e in log] == [False, True, False]
+
+    @given(
+        st.lists(st.one_of(st.integers(0, 7), st.none()), max_size=24),
+        st.booleans(),
+    )
+    def test_any_drop_duplicate_or_permutation_is_delivered_or_lost_once(self, script, block):
+        # `script` lists what the channel hands over, in order: a packed
+        # window by seq (any drop, duplicate or permutation of 0..7), or
+        # None for a poll that finds nothing ready. Then end of stream.
+        packed = [pack_window(window_of(seq)) for seq in range(8)]
+
+        class ScriptedChannel:
+            def __init__(self):
+                self.items = list(script)
+                self.ended = False
+
+            def receive(self, timeout=None):
+                assert not self.ended, "receive after end of stream"
+                while self.items:
+                    seq = self.items.pop(0)
+                    if seq is not None:
+                        return (*packed[seq], 0)
+                    if timeout is not None:
+                        raise TimeoutError("nothing ready")
+                self.ended = True
+                return None
+
+        log = SyncLog()
+        channel = ScriptedChannel()
+        receiver = WindowReceiver(channel, log)
+        delivered = []
+        while not channel.ended:
+            if (item := receiver.receive(block)) is not None:
+                delivered.append(item[1].seq)
+        assert receiver.receive(block) is None
+        assert receiver.receive(False) is None
+
+        # A seq is delivered when it tops everything handed over before it.
+        seqs = [seq for seq in script if seq is not None]
+        assert delivered == [s for i, s in enumerate(seqs) if s > max(seqs[:i], default=-1)]
+        assert all(a < b for a, b in zip(delivered, delivered[1:]))
+        lost = {e.seq for e in log if e.lost}
+        assert not lost & set(delivered)
+        assert set(range(delivered[-1] if delivered else 0)) <= lost | set(delivered)
 
 
 class TestTwinLag:
@@ -271,7 +315,7 @@ class TestDirectoryExchange:
         assert (tmp_path / "window_0.pcap").exists()
         assert (tmp_path / "window_2.manifest.json").exists()
 
-        receiver = WindowReceiver(receiver_channel, log, reorder_timeout=0.5)
+        receiver = WindowReceiver(receiver_channel, log)
         got = []
         while (item := receiver.receive()) is not None:
             got.append(item[0])
@@ -304,7 +348,7 @@ class TestTcpChannel:
 
         thread = threading.Thread(target=send_all)
         thread.start()
-        receiver = WindowReceiver(receiver_channel, log, reorder_timeout=0.5)
+        receiver = WindowReceiver(receiver_channel, log)
         got = []
         while (item := receiver.receive()) is not None:
             got.append(item[0])
@@ -328,7 +372,7 @@ class TestTcpChannel:
 
         thread = threading.Thread(target=send_with_gap)
         thread.start()
-        receiver = WindowReceiver(receiver_channel, log, reorder_timeout=0.2)
+        receiver = WindowReceiver(receiver_channel, log)
         got = []
         while (item := receiver.receive()) is not None:
             got.append(item[0].seq)
