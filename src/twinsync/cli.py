@@ -157,10 +157,9 @@ def cmd_run(args) -> int:
     )
     try:
         result = run_pipeline(cfg)
+        written = write_run_artifacts(cfg, result, report_path)
     except StageError as exc:
         return _fail(EXIT_RUNTIME, str(exc))
-    try:
-        written = write_run_artifacts(cfg, result, report_path)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write run artifacts: {exc}")
     for path in written:

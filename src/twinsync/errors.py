@@ -95,6 +95,14 @@ class DigestMismatchError(TwinError):
         self.seq = seq
 
 
+class ForeignWindowError(TwinError):
+    """A window this run never sent, or sent with other bounds."""
+
+    def __init__(self, seq: int, message: str = "was never sent in this run"):
+        super().__init__(f"window {seq}: {message}")
+        self.seq = seq
+
+
 class MetricsError(TwinError):
     """A metric was asked for inputs it is undefined on."""
 

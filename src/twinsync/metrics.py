@@ -8,7 +8,7 @@ the later bin, the same convention the capture segmentation uses.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -335,27 +335,13 @@ class FidelityReport:
     estimated_lag_us: int | None
     consistency_index: float
     windows_lost: int
-    prediction_deviation: float | None = None  # needs a predictor plugin
 
     def as_dict(self) -> dict:
-        return {
-            "twin_alignment_ratio": self.twin_alignment_ratio,
-            "mean_update_latency_us": self.mean_update_latency_us,
-            "max_update_latency_us": self.max_update_latency_us,
-            "mean_age_of_information_us": self.mean_age_of_information_us,
-            "peak_age_of_information_us": self.peak_age_of_information_us,
-            "sync_frequency_hz": self.sync_frequency_hz,
-            "rmse_bps": self.rmse_bps,
-            "nrmse": self.nrmse,
-            "pearson_r": self.pearson_r,
-            "estimated_lag_us": self.estimated_lag_us,
-            "consistency_index": self.consistency_index,
-            "windows_lost": self.windows_lost,
-            "prediction_deviation": self.prediction_deviation,
-        }
+        """The metrics by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_csv_bytes(self) -> bytes:
-        fields = self.as_dict()
-        header = ",".join(fields)
-        row = ",".join("" if v is None else str(v) for v in fields.values())
+        metrics = self.as_dict()
+        header = ",".join(metrics)
+        row = ",".join("" if v is None else str(v) for v in metrics.values())
         return (header + "\n" + row + "\n").encode("utf-8")

@@ -461,12 +461,10 @@ def _require(obj: Mapping[str, Any], key: str, kind, path: str):
     return value
 
 
-def descriptor_from_json(data: bytes | str) -> TwinDescriptor:
-    """Parse descriptor JSON back into a TwinDescriptor.
-
-    Raises JsonParseError with line/column on malformed JSON and
-    SchemaError naming the missing or ill-typed field otherwise.
-    """
+def parse_json_object(data: bytes | str) -> dict:
+    """A JSON object from UTF-8 bytes or text. Raises JsonParseError with
+    line/column on bytes that are not UTF-8 or text that is not JSON, and
+    SchemaError when the document is not an object."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -483,7 +481,16 @@ def descriptor_from_json(data: bytes | str) -> TwinDescriptor:
         raise JsonParseError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected a JSON object")
+    return doc
 
+
+def descriptor_from_json(data: bytes | str) -> TwinDescriptor:
+    """Parse descriptor JSON back into a TwinDescriptor.
+
+    Raises JsonParseError with line/column on malformed JSON and
+    SchemaError naming the missing or ill-typed field otherwise.
+    """
+    doc = parse_json_object(data)
     lp_doc = _require(doc, "link_profile", dict, "")
     link_profile = LinkProfile(
         bandwidth_bps=_require(lp_doc, "bandwidth_bps", int, "link_profile."),

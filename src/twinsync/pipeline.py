@@ -50,7 +50,7 @@ from .transport import (
 # still deriving everything from the single run seed.
 _CHANNEL_SEED_SALT = 0x7F4A7C15
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass(slots=True)
@@ -105,7 +105,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     """Run the full loop and evaluate twin fidelity.
 
     Raises StageError naming the failed stage; the sync log collected so
-    far is flushed to out_dir before re-raising.
+    far is flushed to out_dir, when that can be written, before re-raising.
     """
     virtual = cfg.plan.mode is ReplayMode.VIRTUAL
     log = SyncLog()
@@ -118,8 +118,11 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     except Exception:
         if cfg.out_dir is not None:
             out = Path(cfg.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "sync_log.csv").write_bytes(log.to_csv_bytes())
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+                (out / "sync_log.csv").write_bytes(log.to_csv_bytes())
+            except OSError:
+                pass  # the failure being raised says more than a failed flush
         raise
 
 
@@ -171,8 +174,8 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         delivery = receiver.receive(block)
         if delivery is None:
             return False
-        window, _manifest = delivery
-        trace = engine.replay_window(window, log.entry(window.seq).t_received)
+        window, _manifest, t_received = delivery
+        trace = engine.replay_window(window, t_received)
         traces.append(trace)
         if replayed_dir is not None:
             path = replayed_dir / f"replayed_{trace.window_seq}.pcap"

@@ -23,12 +23,13 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
 from .clocks import Clock, MonotonicClock
-from .errors import ChannelClosedError, DigestMismatchError, SchemaError, TwinError
+from .errors import ChannelClosedError, DigestMismatchError, ForeignWindowError, SchemaError, TwinError
+from .model import _require, first_index, parse_json_object
 from .pcap import LINKTYPE_RAW_IP, CaptureWindow, read_pcap, write_pcap
 
 DIGEST_ALGORITHM = "sha256"
@@ -51,32 +52,22 @@ class WindowManifest:
     source_interface: str = "tun2"
 
     def to_json(self) -> bytes:
-        doc = {
-            "seq": self.seq,
-            "start_ts_micros": self.start_ts_micros,
-            "end_ts_micros": self.end_ts_micros,
-            "byte_length": self.byte_length,
-            "content_digest": self.content_digest,
-            "digest_algorithm": self.digest_algorithm,
-            "source_interface": self.source_interface,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
     @classmethod
     def from_json(cls, data: bytes) -> "WindowManifest":
-        doc = json.loads(data.decode("utf-8"))
-        try:
-            return cls(
-                seq=doc["seq"],
-                start_ts_micros=doc["start_ts_micros"],
-                end_ts_micros=doc["end_ts_micros"],
-                byte_length=doc["byte_length"],
-                content_digest=doc["content_digest"],
-                digest_algorithm=doc["digest_algorithm"],
-                source_interface=doc["source_interface"],
-            )
-        except KeyError as exc:
-            raise SchemaError(str(exc.args[0]), "missing in window manifest") from exc
+        """Parse a manifest as it arrives over a channel. Raises JsonParseError
+        for input that is not UTF-8 JSON, and SchemaError naming a field that
+        is missing, of the wrong type or out of range."""
+        doc = parse_json_object(data)
+        values = {f.name: _require(doc, f.name, f.type, "") for f in fields(cls)}
+        for key in ("seq", "byte_length"):
+            if values[key] < 0:
+                raise SchemaError(key, f"must be non-negative, got {values[key]}")
+        if values["digest_algorithm"] != DIGEST_ALGORITHM:
+            raise SchemaError("digest_algorithm", f"expected {DIGEST_ALGORITHM!r}, got {values['digest_algorithm']!r}")
+        return cls(**values)
 
 
 def pack_window(window: CaptureWindow, linktype: int = LINKTYPE_RAW_IP) -> tuple[WindowManifest, bytes]:
@@ -94,17 +85,27 @@ def pack_window(window: CaptureWindow, linktype: int = LINKTYPE_RAW_IP) -> tuple
 
 
 def unpack_window(manifest: WindowManifest, payload: bytes) -> CaptureWindow:
-    """Verify the digest and rebuild the window from its pcap payload."""
+    """Verify the digest, rebuild the window and check it, the one place a
+    window is checked: seq non-negative, positive duration, packets inside
+    [start, end) with non-decreasing timestamps (else ValueError)."""
     if len(payload) != manifest.byte_length or _digest(payload) != manifest.content_digest:
         raise DigestMismatchError(manifest.seq)
+    start, end = manifest.start_ts_micros, manifest.end_ts_micros
+    if manifest.seq < 0:
+        raise ValueError("seq must be non-negative")
+    if end <= start:
+        raise ValueError("window must have positive duration")
     _, packets = read_pcap(payload)
-    return CaptureWindow(
-        seq=manifest.seq,
-        start_ts_micros=manifest.start_ts_micros,
-        end_ts_micros=manifest.end_ts_micros,
-        packets=packets,
-        source_interface=manifest.source_interface,
-    )
+    ts = packets.ts_micros
+    regression = packets.first_regression()
+    # Ordered packets are all inside when the first and the last are.
+    if len(ts) and not (regression is None and ts[0] >= start and ts[-1] < end):
+        head = ts if regression is None else ts[:regression + 1]
+        outside = first_index((head < start) | (head >= end))
+        if outside is not None:
+            raise ValueError(f"packet ts {int(ts[outside])} outside window [{start}, {end})")
+        raise ValueError("packet timestamps must be non-decreasing")
+    return CaptureWindow(manifest.seq, start, end, packets, manifest.source_interface)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,45 +154,45 @@ class SyncLogEntry:
 
 
 class SyncLog:
-    """Per-window timeline, appended by sender and receiver.
+    """Per-window timeline: the sender opens each entry, the twin side fills it in.
 
-    A single lock serializes writers; reads return copies, so the metrics
-    can run while a live pipeline keeps appending.
+    ``record_sent`` is the only call that creates an entry. Receiving,
+    replaying or losing a window this run never sent raises
+    ForeignWindowError, and so does receiving one whose bounds differ
+    from those sent. A single lock serializes writers; reads return
+    copies, so the metrics can run while a live pipeline keeps appending.
     """
 
     def __init__(self):
         self._entries: dict[int, SyncLogEntry] = {}
         self._lock = threading.Lock()
 
-    def _entry(self, seq: int, start: int | None = None, end: int | None = None) -> SyncLogEntry:
+    def _sent(self, seq: int) -> SyncLogEntry:
+        """The entry record_sent opened for ``seq``; call with the lock held."""
         entry = self._entries.get(seq)
         if entry is None:
-            entry = SyncLogEntry(seq, start if start is not None else 0, end if end is not None else 0)
-            self._entries[seq] = entry
-        elif start is not None and entry.t_window_start == 0 and entry.t_window_end == 0:
-            entry.t_window_start = start
-            entry.t_window_end = end if end is not None else 0
+            raise ForeignWindowError(seq)
         return entry
 
     def record_sent(self, seq: int, t_window_start: int, t_window_end: int, t_sent: int) -> None:
         with self._lock:
-            entry = self._entry(seq, t_window_start, t_window_end)
-            entry.t_window_start = t_window_start
-            entry.t_window_end = t_window_end
-            entry.t_sent = t_sent
+            self._entries[seq] = SyncLogEntry(seq, t_window_start, t_window_end, t_sent)
 
-    def record_received(self, seq: int, t_received: int, t_window_start: int | None = None,
-                        t_window_end: int | None = None) -> None:
+    def record_received(self, seq: int, t_received: int, t_window_start: int, t_window_end: int) -> None:
         with self._lock:
-            self._entry(seq, t_window_start, t_window_end).t_received = t_received
+            entry = self._sent(seq)
+            if (entry.t_window_start, entry.t_window_end) != (t_window_start, t_window_end):
+                raise ForeignWindowError(seq, f"arrived as [{t_window_start}, {t_window_end}), "
+                                              f"sent as [{entry.t_window_start}, {entry.t_window_end})")
+            entry.t_received = t_received
 
     def record_replayed(self, seq: int, t_replayed: int) -> None:
         with self._lock:
-            self._entry(seq).t_replayed = t_replayed
+            self._sent(seq).t_replayed = t_replayed
 
-    def mark_lost(self, seq: int, t_window_start: int | None = None, t_window_end: int | None = None) -> None:
+    def mark_lost(self, seq: int) -> None:
         with self._lock:
-            self._entry(seq, t_window_start, t_window_end).lost = True
+            self._sent(seq).lost = True
 
     def entry(self, seq: int) -> SyncLogEntry:
         with self._lock:
@@ -246,10 +247,30 @@ def twin_lag(log: SyncLog, seq: int) -> int:
     return entry.t_replayed - entry.t_window_start
 
 
+class _SendingChannel:
+    """The send side every channel shares: ``send`` refuses after
+    ``close_send``, draws the seeded loss (one draw per send, so a run
+    drops the same windows on every channel) and returns the receipt; a
+    window that survives the draw goes to the subclass's ``_deliver``."""
+
+    def __init__(self, spec: ChannelSpec):
+        self.spec = spec
+        self._rng = random.Random(spec.seed)
+        self._send_closed = False
+
+    def send(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> SendReceipt:
+        if self._send_closed:
+            raise ChannelClosedError("send on closed channel")
+        dropped = self._rng.random() < self.spec.loss_probability
+        if not dropped:
+            self._deliver(manifest, payload, now_micros)
+        return SendReceipt(manifest.seq, now_micros, dropped)
+
+
 _END_OF_STREAM = object()
 
 
-class InProcessChannel:
+class InProcessChannel(_SendingChannel):
     """Single-producer/single-consumer queue with a simulated link.
 
     Delivery time models a serialized pipe: transmission starts once the
@@ -260,18 +281,12 @@ class InProcessChannel:
     """
 
     def __init__(self, spec: ChannelSpec, clock: Clock | None = None):
-        self.spec = spec
+        super().__init__(spec)
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._rng = random.Random(spec.seed)
         self._clock = clock
         self._link_free_at: int | None = None
-        self._send_closed = False
 
-    def send(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> SendReceipt:
-        if self._send_closed:
-            raise ChannelClosedError("send on closed channel")
-        if self._rng.random() < self.spec.loss_probability:
-            return SendReceipt(manifest.seq, now_micros, True)
+    def _deliver(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> None:
         if self.spec.bandwidth_bps > 0:
             tx = -(-len(payload) * 8 * 1_000_000 // self.spec.bandwidth_bps)
         else:
@@ -280,7 +295,6 @@ class InProcessChannel:
         arrival = start + tx + self.spec.latency_us
         self._link_free_at = start + tx
         self._queue.put((manifest, payload, arrival))
-        return SendReceipt(manifest.seq, now_micros, False)
 
     def close_send(self) -> None:
         self._send_closed = True
@@ -302,38 +316,38 @@ class InProcessChannel:
         return manifest, payload, arrival
 
 
-class DirectoryExchangeChannel:
+class DirectoryExchangeChannel(_SendingChannel):
     """Windows exchanged as pcap+manifest file pairs in one directory.
 
     The manifest is written last via rename, so its presence marks a
     fully published window. ``end.marker`` closes the stream. Loss is
     simulated on the sending side; latency/bandwidth shaping is not
-    (real file systems provide their own delays).
+    (real file systems provide their own delays). A directory that
+    already holds window files or an end marker is refused, not cleared:
+    the receiver would take an earlier run's windows for this one's.
     """
 
     POLL_SECONDS = 0.02
 
     def __init__(self, spec: ChannelSpec, directory: Path, clock: Clock | None = None):
-        self.spec = spec
+        super().__init__(spec)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._rng = random.Random(spec.seed)
+        for pattern in ("end.marker", "window_*"):
+            stale = next(self.directory.glob(pattern), None)
+            if stale is not None:
+                raise TwinError(f"exchange directory {self.directory} is not empty: it holds {stale.name} "
+                                "from an earlier run")
         self._clock = clock or MonotonicClock()
-        self._send_closed = False
         self._picked: set[int] = set()
 
-    def send(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> SendReceipt:
-        if self._send_closed:
-            raise ChannelClosedError("send on closed channel")
-        if self._rng.random() < self.spec.loss_probability:
-            return SendReceipt(manifest.seq, now_micros, True)
+    def _deliver(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> None:
         pcap_path = self.directory / f"window_{manifest.seq}.pcap"
         manifest_path = self.directory / f"window_{manifest.seq}.manifest.json"
         pcap_path.write_bytes(payload)
         tmp = manifest_path.with_suffix(".json.tmp")
         tmp.write_bytes(manifest.to_json())
         tmp.rename(manifest_path)
-        return SendReceipt(manifest.seq, now_micros, False)
 
     def close_send(self) -> None:
         self._send_closed = True
@@ -379,7 +393,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-class TcpSenderChannel:
+class TcpSenderChannel(_SendingChannel):
     """Sending half of the TCP transport.
 
     Frame layout: 4-byte big-endian manifest length, manifest JSON,
@@ -387,24 +401,17 @@ class TcpSenderChannel:
     """
 
     def __init__(self, spec: ChannelSpec, host: str, port: int):
-        self.spec = spec
-        self._rng = random.Random(spec.seed)
+        super().__init__(spec)
         self._sock = socket.create_connection((host, port), timeout=10)
-        self._closed = False
 
-    def send(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> SendReceipt:
-        if self._closed:
-            raise ChannelClosedError("send on closed channel")
-        if self._rng.random() < self.spec.loss_probability:
-            return SendReceipt(manifest.seq, now_micros, True)
+    def _deliver(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> None:
         blob = manifest.to_json()
         frame = len(blob).to_bytes(4, "big") + blob + len(payload).to_bytes(4, "big") + payload
         self._sock.sendall(frame)
-        return SendReceipt(manifest.seq, now_micros, False)
 
     def close_send(self) -> None:
-        if not self._closed:
-            self._closed = True
+        if not self._send_closed:
+            self._send_closed = True
             try:
                 self._sock.shutdown(socket.SHUT_WR)
             except OSError:
@@ -471,12 +478,13 @@ class TcpReceiverChannel:
 
 def send_window(window: CaptureWindow, channel, log: SyncLog, now_micros: int,
                 linktype: int = LINKTYPE_RAW_IP) -> SendReceipt:
-    """Pack and send one window, recording its send time in the log."""
+    """Pack and send one window: open its sync-log entry, send, and mark it
+    lost if the channel dropped it."""
     manifest, payload = pack_window(window, linktype)
     log.record_sent(window.seq, window.start_ts_micros, window.end_ts_micros, now_micros)
     receipt = channel.send(manifest, payload, now_micros)
     if receipt.dropped:
-        log.mark_lost(window.seq, window.start_ts_micros, window.end_ts_micros)
+        log.mark_lost(window.seq)
     return receipt
 
 
@@ -485,7 +493,9 @@ class WindowReceiver:
 
     Every channel delivers in send order, so a seq above the expected one
     means the seqs before it were lost, and a seq below it is a duplicate
-    or arrived too late and is skipped.
+    or arrived too late and is skipped. A window this run did not send,
+    or sent with other bounds, raises ForeignWindowError before any hole
+    is declared.
     """
 
     def __init__(self, channel, log: SyncLog):
@@ -495,9 +505,10 @@ class WindowReceiver:
         self._eos = False
         self.digest_failures = 0
 
-    def receive(self, block: bool = True) -> tuple[CaptureWindow, WindowManifest] | None:
-        """Next window, or None at end of stream. With ``block`` false the
-        channel is only polled, and None also means that nothing is ready."""
+    def receive(self, block: bool = True) -> tuple[CaptureWindow, WindowManifest, int] | None:
+        """Next (window, manifest, arrival time), or None at end of stream.
+        With ``block`` false the channel is only polled, and None also
+        means that nothing is ready."""
         while not self._eos:
             try:
                 delivery = self.channel.receive(timeout=None if block else 0)
@@ -507,15 +518,16 @@ class WindowReceiver:
                 self._eos = True
                 break
             manifest, payload, arrival = delivery
-            if manifest.seq < self._expected:
+            seq = manifest.seq
+            if seq < self._expected:
                 continue  # a duplicate, or too late
-            for lost in range(self._expected, manifest.seq):
+            self.log.record_received(seq, arrival, manifest.start_ts_micros, manifest.end_ts_micros)
+            for lost in range(self._expected, seq):
                 self.log.mark_lost(lost)
-            self._expected = manifest.seq + 1
-            self.log.record_received(manifest.seq, arrival, manifest.start_ts_micros, manifest.end_ts_micros)
+            self._expected = seq + 1
             try:
-                return unpack_window(manifest, payload), manifest
+                return unpack_window(manifest, payload), manifest, arrival
             except DigestMismatchError:
                 self.digest_failures += 1
-                self.log.mark_lost(manifest.seq, manifest.start_ts_micros, manifest.end_ts_micros)
+                self.log.mark_lost(seq)
         return None

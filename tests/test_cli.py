@@ -103,6 +103,15 @@ class TestRunCommand:
         assert (tmp_path / "ndt_throughput.csv").exists()
         assert (tmp_path / "sync_log.csv").exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--save-replayed-pcaps"]], ids=["plain", "save-replayed-pcaps"])
+    def test_out_dir_under_a_file_exits_4_with_one_line(self, tmp_path, descriptor_file, capsys, extra):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file where a directory should go")
+        code = cli.main(self.run_args(descriptor_file, tmp_path, out_dir=blocker / "out") + extra)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "blocked" in err
+
     def test_window_override_controls_segmentation(self, tmp_path, descriptor_file):
         code = cli.main(self.run_args(descriptor_file, tmp_path, window_seconds=5))
         assert code == 0

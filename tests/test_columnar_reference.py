@@ -28,6 +28,7 @@ from twinsync.pcap import (
     segment_stream,
     write_pcap,
 )
+from twinsync.transport import pack_window, unpack_window
 
 SECOND = MICROS_PER_SECOND
 
@@ -322,9 +323,9 @@ def test_errors_in_a_large_capture_name_the_first_bad_record():
         read_pcap(bytes(data[:-1]))  # torn last record: the earlier error still wins
 
 
-def test_capture_window_rejects_out_of_window_and_disordered_batches():
+def test_unpack_window_rejects_out_of_window_and_disordered_batches():
     batch = PacketBatch.from_records(_uniform_packets(3))
     with pytest.raises(ValueError, match="outside window"):
-        CaptureWindow(0, 1, 10_000, batch)
+        unpack_window(*pack_window(CaptureWindow(0, 1, 10_000, batch)))
     with pytest.raises(ValueError, match="non-decreasing"):
-        CaptureWindow(0, 0, 10_000, batch[::-1])
+        unpack_window(*pack_window(CaptureWindow(0, 0, 10_000, batch[::-1])))

@@ -43,7 +43,7 @@ def periodic_log(n_windows: int, T: int, latency: int, origin: int = 0) -> SyncL
         start = origin + k * T
         end = start + T
         log.record_sent(k, start, end, end)
-        log.record_received(k, end + latency)
+        log.record_received(k, end + latency, start, end)
         log.record_replayed(k, end + latency)
     return log
 
@@ -104,7 +104,7 @@ class TestTwinAlignmentRatio:
         for k in range(30):
             log.record_sent(k, k * T, (k + 1) * T, (k + 1) * T)
             if k % 2 == 0:
-                log.record_received(k, (k + 1) * T)
+                log.record_received(k, (k + 1) * T, k * T, (k + 1) * T)
             else:
                 log.mark_lost(k)
         assert alignment(log, T, (0, 3600 * SECOND)) == 0.5
@@ -129,7 +129,7 @@ class TestTwinAlignmentRatio:
                 if k < lost:
                     log.mark_lost(k)
                 else:
-                    log.record_received(k, (k + 1) * T)
+                    log.record_received(k, (k + 1) * T, k * T, (k + 1) * T)
             ratios.append(alignment(log, T, (0, 100 * SECOND)))
         assert ratios == sorted(ratios, reverse=True)
 
@@ -321,10 +321,10 @@ def test_fidelity_report_serialization_round_trip(descriptor):
     cfg = RunConfig(descriptor, ScenarioSpec("voice-call", 10 * SECOND), ChannelSpec(), ReplayPlan())
     result = RunResult(report, SyncLog(), series([0]), series([0]), 0, 0, 1, 1, 0)
     doc = json.loads(build_report_document(cfg, result))
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["metrics"] == report.as_dict()
     assert doc["metrics"]["twin_alignment_ratio"] == 1.0
-    assert doc["metrics"]["prediction_deviation"] is None
+    assert "prediction_deviation" not in doc["metrics"]
     csv = report.to_csv_bytes().decode().strip().split("\n")
     assert len(csv) == 2
     assert csv[0].split(",")[0] == "twin_alignment_ratio"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from twinsync.errors import BadMagicError, PcapError, PcapWriteError, TimestampRegressionError, TruncatedRecordError
 from twinsync.pcap import (
     LINKTYPE_RAW_IP,
-    CaptureWindow,
     read_pcap,
     segment_stream,
     write_pcap,
@@ -169,12 +168,3 @@ class TestSegmentation:
         for w in windows:
             for p in w.packets:
                 assert w.start_ts_micros <= p.ts_micros < w.end_ts_micros
-
-
-def test_capture_window_invariants():
-    with pytest.raises(ValueError):
-        CaptureWindow(0, 0, 0, ())
-    with pytest.raises(ValueError):
-        CaptureWindow(0, 0, 10, (make_packet(10),))
-    window = CaptureWindow(0, 0, 10, (make_packet(3),))
-    assert window.duration_micros == 10

@@ -124,7 +124,7 @@ class TestVirtualRuns:
         names = {p.name for p in written}
         assert names == {"report.json", "npt_throughput.csv", "ndt_throughput.csv", "sync_log.csv", "report.csv"}
         doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["metrics"]["twin_alignment_ratio"] == 1.0
         assert doc["config"]["seed"] == 0
 
@@ -133,6 +133,14 @@ class TestVirtualRuns:
         with pytest.raises(StageError):
             run_pipeline(cfg)
         assert (tmp_path / "sync_log.csv").exists()
+
+    def test_stage_failure_outlives_an_unwritable_out_dir(self, descriptor, tmp_path):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file where a directory should go")
+        cfg = run_config(descriptor, out_dir=blocker / "out", channel=ChannelSpec(kind="directory-exchange"))
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "transport"
 
     def test_saved_replayed_pcaps_read_back_to_the_replayed_packets(self, descriptor, tmp_path, monkeypatch):
         replay_window = ReplayEngine.replay_window
@@ -237,12 +245,14 @@ class TestVirtualLoop:
         assert entry.lost and entry.t_received is not None and entry.t_replayed is None
 
 
-# sha256 of build_report_document for the runs below, taken before packets
-# moved to columnar batches. These scenarios draw no random timing, so any
+# sha256 of build_report_document for the runs below: the schema 1
+# documents taken before packets moved to columnar batches (8ef5ba44...,
+# f5c7c20c...) with prediction_deviation dropped and schema_version 2,
+# serialized the same way. These scenarios draw no random timing, so any
 # change to how packets are built, packed, moved or binned must keep them.
 GOLDEN_REPORT_SHA256 = {
-    "video-streaming": "8ef5ba444af3291749112d6878139e5edac1876dc01dcb7b1971c261abb985e1",
-    "voice-call": "f5c7c20c16918e598eeffca7bd3901d3231ed2ffa18d2650dfd9e7e26a9f4b04",
+    "video-streaming": "25d85f70713a8a35a59af09166c92bec1d5aaa8e169501c342c7bb25eb1aa6f2",
+    "voice-call": "845a7d6f29221e406549c2cc926e21a1e689b60cbf16735290411f148115dda6",
 }
 
 
@@ -288,6 +298,27 @@ class TestRealTimeRuns:
         assert result.report.twin_alignment_ratio == 1.0
         assert (tmp_path / "exchange" / "window_0.pcap").exists()
         assert (tmp_path / "exchange" / "window_0.manifest.json").exists()
+
+    def test_second_run_refuses_a_used_exchange_directory(self, descriptor, tmp_path):
+        exchange = tmp_path / "exchange"
+        cfg = run_config(
+            replace(descriptor, window_seconds=0.4),
+            kind="voice-call",
+            channel=ChannelSpec(kind="directory-exchange"),
+            plan=ReplayPlan(mode=ReplayMode.REAL_TIME),
+            exchange_dir=exchange,
+        )
+        cfg.scenario = ScenarioSpec(kind="voice-call", duration_micros=int(1.2 * SECOND), ue_count=2)
+        with deadline(10):
+            run_pipeline(cfg)
+            first_run_files = sorted(exchange.iterdir())
+            cfg.scenario = replace(cfg.scenario, kind="video-streaming")
+            with pytest.raises(StageError) as err:
+                run_pipeline(cfg)
+        assert err.value.stage == "transport"
+        assert str(exchange) in str(err.value)
+        assert any(path.name in str(err.value) for path in first_run_files)
+        assert sorted(exchange.iterdir()) == first_run_files
 
     def test_tcp_real_time_smoke(self, descriptor):
         from dataclasses import replace

@@ -14,7 +14,7 @@ SECOND = 1_000_000
 def received_window(log: SyncLog, seq=0, start=0, T=10 * SECOND, delay=0, packets=()):
     window = CaptureWindow(seq, start, start + T, tuple(packets))
     log.record_sent(seq, window.start_ts_micros, window.end_ts_micros, window.end_ts_micros)
-    log.record_received(seq, window.end_ts_micros + delay)
+    log.record_received(seq, window.end_ts_micros + delay, window.start_ts_micros, window.end_ts_micros)
     return window
 
 
@@ -96,7 +96,7 @@ class TestVirtualReplay:
         log = SyncLog()
         window = CaptureWindow(0, 0, 5 * SECOND, tuple(packets))
         log.record_sent(0, 0, 5 * SECOND, 5 * SECOND)
-        log.record_received(0, 5 * SECOND)
+        log.record_received(0, 5 * SECOND, 0, 5 * SECOND)
         trace = ReplayEngine(ReplayPlan(), log).replay_window(window, 5 * SECOND)
         assert [r.payload for r in trace.records] == [p.payload for p in packets]
         assert [r.original_len for r in trace.records] == [p.original_len for p in packets]
@@ -109,7 +109,7 @@ class TestRealTimeReplay:
         packets = [make_packet(0), make_packet(10_000), make_packet(30_000)]
         window = CaptureWindow(0, 0, SECOND, tuple(packets))
         log.record_sent(0, 0, SECOND, SECOND)
-        log.record_received(0, SECOND)
+        log.record_received(0, SECOND, 0, SECOND)
         clock = ManualClock(start_micros=7 * SECOND)
         engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=2.0), log, clock=clock)
         trace = engine.replay_window(window, SECOND)
@@ -127,6 +127,7 @@ class TestRealTimeReplay:
         # The second and third packets are emitted 700 and 300 us late.
         log = SyncLog()
         window = CaptureWindow(0, 0, SECOND, (make_packet(0), make_packet(10_000), make_packet(30_000)))
+        log.record_sent(0, 0, SECOND, SECOND)
         engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), log, clock=OversleepingClock())
         assert engine.replay_window(window, SECOND).max_lateness_micros == 700
 
@@ -138,7 +139,7 @@ class TestRealTimeReplay:
         log = SyncLog()
         window = CaptureWindow(0, 0, SECOND, (make_packet(0), make_packet(250_000)))
         log.record_sent(0, 0, SECOND, SECOND)
-        log.record_received(0, SECOND)
+        log.record_received(0, SECOND, 0, SECOND)
         clock = ManualClock(start_micros=42 * SECOND)
         engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), log, clock=clock)
         trace = engine.replay_window(window, SECOND)

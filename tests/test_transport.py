@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twinsync.errors import ChannelClosedError, DigestMismatchError
+from twinsync.errors import ChannelClosedError, DigestMismatchError, ForeignWindowError, JsonParseError, SchemaError
 from twinsync.pcap import CaptureWindow, read_pcap
 from twinsync.transport import (
     ChannelSpec,
@@ -126,6 +126,40 @@ class TestPackUnpack:
         }
         assert WindowManifest.from_json(manifest.to_json()) == manifest
 
+    def test_unpack_window_invariants(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            unpack_window(*pack_window(CaptureWindow(-1, 0, 10, ())))
+        with pytest.raises(ValueError, match="positive duration"):
+            unpack_window(*pack_window(CaptureWindow(0, 0, 0, ())))
+        with pytest.raises(ValueError, match="outside window"):
+            unpack_window(*pack_window(CaptureWindow(0, 0, 10, (make_packet(10),))))
+        window = unpack_window(*pack_window(CaptureWindow(0, 0, 10, (make_packet(3),))))
+        assert window.duration_micros == 10
+
+    @pytest.mark.parametrize("field, value", [
+        ("seq", "7"),
+        ("seq", True),
+        ("seq", -1),
+        ("start_ts_micros", 1.5),
+        ("end_ts_micros", None),
+        ("byte_length", "10"),
+        ("byte_length", -1),
+        ("content_digest", 123),
+        ("digest_algorithm", "md5"),
+        ("source_interface", None),
+    ])
+    def test_manifest_field_of_the_wrong_type_or_range_is_named(self, field, value):
+        doc = json.loads(pack_window(window_of(0))[0].to_json())
+        doc[field] = value
+        with pytest.raises(SchemaError) as err:
+            WindowManifest.from_json(json.dumps(doc).encode())
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("data", [b"\xff{}", b"{\"seq\": 0,"], ids=["not-utf8", "not-json"])
+    def test_manifest_that_is_not_utf8_json_is_a_parse_error(self, data):
+        with pytest.raises(JsonParseError):
+            WindowManifest.from_json(data)
+
     def test_corrupted_payload_fails_the_digest(self):
         window = window_of(1, [make_packet(10 * SECOND, 10)])
         manifest, payload = pack_window(window)
@@ -214,6 +248,22 @@ class TestWindowReceiver:
         assert time.monotonic() - start < 5.0
         assert [e.lost for e in log] == [False, True, False]
 
+    @pytest.mark.parametrize("foreign", [window_of(7), CaptureWindow(1, 5 * SECOND, 15 * SECOND, ())],
+                             ids=["unsent-seq", "sent-seq-other-bounds"])
+    def test_foreign_window_raises_and_adds_no_entry(self, foreign):
+        log = SyncLog()
+        channel = InProcessChannel(ChannelSpec())
+        send_window(window_of(0), channel, log, now_micros=10 * SECOND)
+        log.record_sent(1, 10 * SECOND, 20 * SECOND, 20 * SECOND)  # dropped before the channel
+        channel.send(*pack_window(foreign), now_micros=20 * SECOND)
+        receiver = WindowReceiver(channel, log)
+        assert receiver.receive()[1].seq == 0
+        before = log.entries()
+        with pytest.raises(ForeignWindowError) as err:
+            receiver.receive()
+        assert err.value.seq == foreign.seq
+        assert log.entries() == before
+
     @given(
         st.lists(st.one_of(st.integers(0, 7), st.none()), max_size=24),
         st.booleans(),
@@ -222,7 +272,8 @@ class TestWindowReceiver:
         # `script` lists what the channel hands over, in order: a packed
         # window by seq (any drop, duplicate or permutation of 0..7), or
         # None for a poll that finds nothing ready. Then end of stream.
-        packed = [pack_window(window_of(seq)) for seq in range(8)]
+        windows = [window_of(seq) for seq in range(8)]
+        packed = [pack_window(window) for window in windows]
 
         class ScriptedChannel:
             def __init__(self):
@@ -241,6 +292,8 @@ class TestWindowReceiver:
                 return None
 
         log = SyncLog()
+        for window in windows:
+            log.record_sent(window.seq, window.start_ts_micros, window.end_ts_micros, window.end_ts_micros)
         channel = ScriptedChannel()
         receiver = WindowReceiver(channel, log)
         delivered = []
@@ -263,7 +316,7 @@ class TestTwinLag:
     def _log_with(self, T: int, replay_delay: int) -> SyncLog:
         log = SyncLog()
         log.record_sent(0, 0, T, T)
-        log.record_received(0, T + replay_delay // 2)
+        log.record_received(0, T + replay_delay // 2, 0, T)
         log.record_replayed(0, T + replay_delay)
         return log
 
@@ -291,10 +344,22 @@ class TestTwinLag:
             twin_lag(log, 0)
 
 
+class TestSyncLog:
+    def test_only_record_sent_opens_an_entry(self):
+        log = SyncLog()
+        for fill_in in (lambda: log.record_received(0, SECOND, 0, SECOND),
+                        lambda: log.record_replayed(0, SECOND),
+                        lambda: log.mark_lost(0)):
+            with pytest.raises(ForeignWindowError):
+                fill_in()
+        assert log.entries() == []
+
+
 class TestSyncLogCsv:
     def test_csv_has_header_and_one_row_per_window(self):
         log = SyncLog()
         log.record_sent(0, 0, SECOND, SECOND)
+        log.record_sent(1, SECOND, 2 * SECOND, 2 * SECOND)
         log.mark_lost(1)
         text = log.to_csv_bytes().decode()
         lines = text.strip().split("\n")
