@@ -227,7 +227,8 @@ class PacketBatch(Sequence):
 
         Times, original lengths and directions are kept; every captured
         length is 0, as if captured with a snap length of 0, so nothing is
-        copied from the payload buffers.
+        copied from the payload buffers. Only those three columns are read,
+        so anything that has them will do in place of a batch.
         """
         batches = list(batches)
         if not batches:

@@ -6,11 +6,16 @@ reader additionally accepts the opposite byte order and the
 nanosecond-resolution magic 0xa1b23c4d, truncating nanoseconds to
 microseconds (truncation is monotone, so packet order is preserved).
 
-Packets move as PacketBatch columns. Reading, writing and segmenting
-work on whole arrays; below VECTOR_MIN_PACKETS packets a plain loop
-over the records is faster than the fixed cost of the array calls, so
-small windows take that path. The two paths produce the same bytes,
-packets and errors.
+Packets move as PacketBatch columns. Segmenting works on whole arrays.
+Reading and writing work on runs: consecutive records with one captured
+length (for the writer, also in payload slots of one size). A run of at
+least VECTOR_MIN_PACKETS records is one array operation, a strided view
+of its headers when reading and one copy into rows of header + payload
+when writing; the records between long runs go one by one. A capture of
+one length is the one-run case. Windows of fewer than VECTOR_MIN_PACKETS
+packets take a plain loop over the records and no array call before it,
+since the fixed cost of each numpy call dominates there. Every path
+produces the same bytes, packets and errors.
 """
 
 import struct
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadMagicError, PcapError, PcapWriteError, TimestampRegressionError, TruncatedRecordError
 from .model import MICROS_PER_SECOND, PacketBatch, PacketRecord, first_index
@@ -31,13 +37,13 @@ _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _GLOBAL_HEADER_LEN = 24
 _RECORD_HEADER = struct.Struct("<IIII")
 _RECORD_HEADERS = {order: struct.Struct(order + "IIII") for order in "<>"}
-_INCL_LEN = {order: struct.Struct(order + "I") for order in "<>"}
 _RECORD_HEADER_LEN = 16
 _MAX_SECONDS = 0xFFFFFFFF
 _NANOS_PER_MICRO = 1000
 
 # Packet count from which whole-array code beats a loop over the records:
-# below it, the fixed cost of each numpy call dominates.
+# below it, the fixed cost of each numpy call dominates. Also the length
+# from which a run of records is read or written as one array.
 VECTOR_MIN_PACKETS = 32
 
 
@@ -93,22 +99,35 @@ def write_pcap(linktype: int, packets: Sequence[PacketRecord], snaplen: int = DE
     headers[:, 2] = cap
     headers[:, 3] = batch.original_len
     header_bytes = headers.view(np.uint8)
-    out = np.empty(_GLOBAL_HEADER_LEN + _RECORD_HEADER_LEN * n + int(cap.sum(dtype=np.int64)), dtype=np.uint8)
+    record_at = np.empty(n + 1, dtype=np.int64)
+    record_at[0] = _GLOBAL_HEADER_LEN
+    np.cumsum(cap + np.int64(_RECORD_HEADER_LEN), out=record_at[1:])
+    record_at[1:] += _GLOBAL_HEADER_LEN
+    out = np.empty(int(record_at[-1]), dtype=np.uint8)
     out[:_GLOBAL_HEADER_LEN] = np.frombuffer(header, dtype=np.uint8)
-    body = out[_GLOBAL_HEADER_LEN:]
-    length = int(cap[0])
-    if np.all(cap == length):
-        rows = body.reshape(n, _RECORD_HEADER_LEN + length)
-        rows[:, :_RECORD_HEADER_LEN] = header_bytes
-        rows[:, _RECORD_HEADER_LEN:] = batch.packed_payload().reshape(n, length)
-    else:
-        record_start = np.zeros(n, dtype=np.int64)
-        np.cumsum(cap[:-1] + _RECORD_HEADER_LEN, out=record_start[1:])
-        header_index = record_start[:, None] + np.arange(_RECORD_HEADER_LEN)
-        body[header_index] = header_bytes
-        is_payload = np.ones(len(body), dtype=bool)
-        is_payload[header_index] = False
-        body[is_payload] = batch.packed_payload()
+
+    # A run: consecutive packets with one captured length in equal payload
+    # slots. A long run is one copy into rows of header + payload.
+    offsets = batch.offsets
+    slot = offsets[1:] - offsets[:-1]
+    bounds = np.flatnonzero((cap[1:] != cap[:-1]) | (slot[1:] != slot[:-1])) + 1
+    bounds = np.concatenate(([0], bounds, [n]))
+    is_long = bounds[1:] - bounds[:-1] >= VECTOR_MIN_PACKETS
+    for first, stop in zip(bounds[:-1][is_long].tolist(), bounds[1:][is_long].tolist()):
+        k, length = stop - first, int(cap[first])
+        start, end = int(offsets[first]), int(offsets[stop])
+        rows = out[int(record_at[first]):int(record_at[stop])].reshape(k, _RECORD_HEADER_LEN + length)
+        rows[:, :_RECORD_HEADER_LEN] = header_bytes[first:stop]
+        rows[:, _RECORD_HEADER_LEN:] = batch.payload[start:end].reshape(k, (end - start) // k)[:, :length]
+
+    # The other packets: all their headers in one copy, then each payload.
+    rest = np.flatnonzero(np.repeat(~is_long, bounds[1:] - bounds[:-1]))
+    if len(rest):
+        at = record_at[rest]
+        sliding_window_view(out, _RECORD_HEADER_LEN, writeable=True)[at] = header_bytes[rest]
+        dest, payload = memoryview(out), memoryview(batch.payload)
+        for to, start, length in zip((at + _RECORD_HEADER_LEN).tolist(), offsets[rest].tolist(), cap[rest].tolist()):
+            dest[to:to + length] = payload[start:start + length]
     return out.tobytes()
 
 
@@ -153,110 +172,100 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
             raise BadMagicError(magic_raw)
     _, _, _, _, _, linktype = struct.unpack_from(order + "HHiIII", data, 4)
     frac_limit = 1_000_000_000 if nanos else MICROS_PER_SECOND
+
+    # Records are stepped one by one and checked as they come, so the first
+    # bad record raises. After VECTOR_MIN_PACKETS records in a row of one
+    # captured length, the rest of that run is read as one strided view.
+    unpack = _RECORD_HEADERS[order].unpack_from
+    ts, incls, origs, starts = [], [], [], []
+    add_ts, add_incl, add_orig, add_start = ts.append, incls.append, origs.append, starts.append
+    runs = []  # (records stepped before the run, the run's columns), in file order
+    offset = _GLOBAL_HEADER_LEN
+    same, last = 0, -1
+    while size - offset >= _RECORD_HEADER_LEN:
+        sec, frac, incl, orig = unpack(data, offset)
+        start = offset + _RECORD_HEADER_LEN
+        if start + incl > size or incl > orig or frac >= frac_limit:
+            if start + incl > size:
+                raise TruncatedRecordError(offset)
+            if incl > orig:
+                raise PcapError(f"incl_len {incl} exceeds orig_len {orig} at byte offset {offset}")
+            raise PcapError(f"sub-second field {frac} out of range at byte offset {offset}")
+        add_ts(sec * MICROS_PER_SECOND + (frac // _NANOS_PER_MICRO if nanos else frac))
+        add_incl(incl)
+        add_orig(orig)
+        add_start(start)
+        offset = start + incl
+        if incl != last:
+            same, last = 1, incl
+            continue
+        same += 1
+        if same == VECTOR_MIN_PACKETS:
+            same = 0
+            k = _run_length(data, order, offset, incl)
+            if k:
+                runs.append((len(ts), _run_columns(data, order, offset, k, incl, nanos, frac_limit)))
+                offset += k * (_RECORD_HEADER_LEN + incl)
+    if offset < size:
+        raise TruncatedRecordError(offset)
+
     buf = np.frombuffer(data, dtype=np.uint8)
+    add_start(size)
+    stepped = (np.array(ts, dtype=np.int64), np.array(incls, dtype=np.uint32), np.array(origs, dtype=np.uint32),
+               np.array(starts, dtype=np.int64))
+    if not runs:
+        return linktype, PacketBatch.trusted(*stepped[:3], np.zeros(len(ts), dtype=np.int8), buf, stepped[3],
+                                             ts == sorted(ts))
+    pieces, done = [], 0
+    for at, run in runs:
+        pieces += ([column[done:at] for column in stepped], run)
+        done = at
+    pieces.append([column[done:] for column in stepped])
+    ts, incl, orig, offsets = (np.concatenate(column) for column in zip(*pieces))
+    return linktype, PacketBatch.trusted(ts, incl, orig, np.zeros(len(ts), dtype=np.int8), buf, offsets)
 
-    headers = _fixed_stride_headers(data, order)
-    if headers is not None:
-        n, stride = len(headers), int(headers[0, 2]) + _RECORD_HEADER_LEN
-        record_offsets = _GLOBAL_HEADER_LEN + stride * np.arange(n + 1, dtype=np.int64)
-        truncated_at = None
-    else:
-        record_offsets, truncated_at = _walk_records(data, order)
-        if len(record_offsets) <= VECTOR_MIN_PACKETS:
-            return linktype, _read_records(data, buf, record_offsets, truncated_at, order, nanos, frac_limit)
-        record_offsets = np.array(record_offsets, dtype=np.int64)
-        starts = record_offsets[:-1, None] + np.arange(_RECORD_HEADER_LEN)
-        headers = buf[starts].view(order + "u4")
 
-    sec, frac, incl, orig = (headers[:, k] for k in range(4))
-    bad_len = incl > orig
+def _run_length(data: bytes, order: str, offset: int, incl: int) -> int:
+    """How many whole records from ``offset`` on have captured length ``incl``.
+
+    Looks ahead in chunks that start at VECTOR_MIN_PACKETS records and
+    double, so a run of k records costs O(k) and a short one O(1) array
+    calls: input that changes length often stays linear.
+    """
+    stride = _RECORD_HEADER_LEN + incl
+    fit = (len(data) - offset) // stride
+    count, chunk = 0, VECTOR_MIN_PACKETS
+    while count < fit:
+        k = min(chunk, fit - count)
+        lengths = np.ndarray((k,), dtype=order + "u4", buffer=data, offset=offset + count * stride + 8,
+                             strides=(stride,))
+        bad = first_index(lengths != incl)
+        if bad is not None:
+            return count + bad
+        count += k
+        chunk *= 2
+    return count
+
+
+def _run_columns(data: bytes, order: str, offset: int, k: int, incl: int, nanos: bool,
+                 frac_limit: int) -> tuple[np.ndarray, ...]:
+    """Columns of k records of captured length ``incl`` from ``offset`` on,
+    checked as the stepped ones are."""
+    stride = _RECORD_HEADER_LEN + incl
+    headers = np.ndarray((k, 4), dtype=order + "u4", buffer=data, offset=offset, strides=(stride, 4))
+    sec, frac, _, orig = (headers[:, j] for j in range(4))
+    bad_len = orig < incl
     bad = first_index(bad_len | (frac >= frac_limit))
     if bad is not None:
-        offset = int(record_offsets[bad])
+        at = offset + bad * stride
         if bad_len[bad]:
-            raise PcapError(f"incl_len {int(incl[bad])} exceeds orig_len {int(orig[bad])} at byte offset {offset}")
-        raise PcapError(f"sub-second field {int(frac[bad])} out of range at byte offset {offset}")
-    if truncated_at is not None:
-        raise TruncatedRecordError(truncated_at)
+            raise PcapError(f"incl_len {incl} exceeds orig_len {int(orig[bad])} at byte offset {at}")
+        raise PcapError(f"sub-second field {int(frac[bad])} out of range at byte offset {at}")
     if nanos:
         frac = frac // _NANOS_PER_MICRO
     ts = sec.astype(np.int64) * MICROS_PER_SECOND + frac
-    offsets = record_offsets + _RECORD_HEADER_LEN
-    offsets[-1] = size
-    n = len(headers)
-    return linktype, PacketBatch.trusted(
-        ts, incl.astype(np.uint32), orig.astype(np.uint32), np.zeros(n, dtype=np.int8), buf, offsets,
-    )
-
-
-def _fixed_stride_headers(data: bytes, order: str) -> np.ndarray | None:
-    """Record headers as an (n, 4) view when every record has the same captured length.
-
-    Taken from the first record's incl_len and checked on every header:
-    when all n of them agree, record k starts at 24 + k * (16 + incl_len)
-    and the last ends exactly at the end of the data. None otherwise, or
-    when there are too few records for the array path to pay off.
-    """
-    body = len(data) - _GLOBAL_HEADER_LEN
-    if body < _RECORD_HEADER_LEN:
-        return None
-    stride = struct.unpack_from(order + "I", data, _GLOBAL_HEADER_LEN + 8)[0] + _RECORD_HEADER_LEN
-    n, rest = divmod(body, stride)
-    if rest or n < VECTOR_MIN_PACKETS:
-        return None
-    headers = np.ndarray((n, 4), dtype=order + "u4", buffer=data, offset=_GLOBAL_HEADER_LEN, strides=(stride, 4))
-    if not np.all(headers[:, 2] == stride - _RECORD_HEADER_LEN):
-        return None
-    return headers
-
-
-def _walk_records(data: bytes, order: str) -> tuple[list[int], int | None]:
-    """Byte offsets of the complete records, plus the end of the last one.
-
-    Reads only each record's incl_len. Also returns the offset of a
-    record cut short by the end of the data, or None.
-    """
-    size = len(data)
-    unpack_incl = _INCL_LEN[order].unpack_from
-    offsets = []
-    offset = _GLOBAL_HEADER_LEN
-    truncated_at = None
-    while offset < size:
-        if size - offset < _RECORD_HEADER_LEN:
-            truncated_at = offset
-            break
-        end = offset + _RECORD_HEADER_LEN + unpack_incl(data, offset + 8)[0]
-        if end > size:
-            truncated_at = offset
-            break
-        offsets.append(offset)
-        offset = end
-    offsets.append(offset)
-    return offsets, truncated_at
-
-
-def _read_records(data: bytes, buf: np.ndarray, record_offsets: list[int], truncated_at: int | None,
-                  order: str, nanos: bool, frac_limit: int) -> PacketBatch:
-    """read_pcap's loop over a few records found by _walk_records."""
-    unpack = _RECORD_HEADERS[order].unpack_from
-    ts, incls, origs = [], [], []
-    for offset in record_offsets[:-1]:
-        sec, frac, incl, orig = unpack(data, offset)
-        if incl > orig:
-            raise PcapError(f"incl_len {incl} exceeds orig_len {orig} at byte offset {offset}")
-        if frac >= frac_limit:
-            raise PcapError(f"sub-second field {frac} out of range at byte offset {offset}")
-        ts.append(sec * MICROS_PER_SECOND + (frac // _NANOS_PER_MICRO if nanos else frac))
-        incls.append(incl)
-        origs.append(orig)
-    if truncated_at is not None:
-        raise TruncatedRecordError(truncated_at)
-    offsets = np.array(record_offsets, dtype=np.int64) + _RECORD_HEADER_LEN
-    offsets[-1] = len(buf)
-    return PacketBatch.trusted(
-        np.array(ts, dtype=np.int64), np.array(incls, dtype=np.uint32), np.array(origs, dtype=np.uint32),
-        np.zeros(len(ts), dtype=np.int8), buf, offsets, ts == sorted(ts),
-    )
+    starts = offset + _RECORD_HEADER_LEN + stride * np.arange(k, dtype=np.int64)
+    return ts, np.full(k, incl, dtype=np.uint32), orig.astype(np.uint32), starts
 
 
 def segment_stream(

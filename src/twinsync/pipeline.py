@@ -16,6 +16,9 @@ import json
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .clocks import MonotonicClock
 from .emit import emit_bundle
@@ -33,7 +36,7 @@ from .metrics import (
 )
 from .model import MICROS_PER_SECOND, PacketBatch, TwinDescriptor
 from .pcap import LINKTYPE_RAW_IP, segment_stream, write_pcap
-from .replay import ReplayEngine, ReplayMode, ReplayPlan, ReplayedTrace
+from .replay import ReplayEngine, ReplayMode, ReplayPlan
 from .scenarios import ScenarioSpec, generate
 from .transport import (
     ChannelSpec,
@@ -80,6 +83,14 @@ class RunResult:
     windows_sent: int
     windows_replayed: int
     packets_replayed: int
+
+
+class _ReplayedSizes(NamedTuple):
+    """What the evaluation reads of one replayed window: no payload bytes."""
+
+    ts_micros: np.ndarray
+    original_len: np.ndarray
+    direction: np.ndarray
 
 
 def _make_channels(cfg: RunConfig, clock) -> tuple[object, object]:
@@ -157,7 +168,8 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
     if cfg.save_replayed_pcaps and cfg.out_dir is not None:
         replayed_dir = Path(cfg.out_dir) / "replayed"
         replayed_dir.mkdir(parents=True, exist_ok=True)
-    traces: list[ReplayedTrace] = []
+    replayed: list[_ReplayedSizes] = []
+    max_lateness = 0
     engine = ReplayEngine(cfg.plan, log, clock=clock)
     receiver = WindowReceiver(recv_channel, log)
     windows = segment_stream(
@@ -170,16 +182,20 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         return not send_window(window, send_channel, log, now_micros).dropped
 
     def replay_next(block: bool) -> bool:
-        """Receive and replay the next in-order window; False if there is none."""
+        """Receive and replay the next in-order window; False if there is none.
+        The window's payload bytes are released once it is replayed."""
+        nonlocal max_lateness
         delivery = receiver.receive(block)
         if delivery is None:
             return False
         window, _manifest, t_received = delivery
         trace = engine.replay_window(window, t_received)
-        traces.append(trace)
+        packets = trace.records
         if replayed_dir is not None:
             path = replayed_dir / f"replayed_{trace.window_seq}.pcap"
-            path.write_bytes(write_pcap(LINKTYPE_RAW_IP, trace.records))
+            path.write_bytes(write_pcap(LINKTYPE_RAW_IP, packets))
+        replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len, packets.direction))
+        max_lateness = max(max_lateness, trace.max_lateness_micros)
         return True
 
     def close_receive() -> None:
@@ -209,7 +225,8 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         close_receive()
 
     try:
-        return _evaluate(cfg, log, traces, engine, records, origin, scenario.duration_micros, window_micros)
+        return _evaluate(cfg, log, replayed, max_lateness, engine, records, origin, scenario.duration_micros,
+                         window_micros)
     except Exception as exc:
         raise StageError("metrics", exc) from exc
 
@@ -256,11 +273,10 @@ def _run_threads(windows, send, replay_next, send_channel, close_receive, clock)
         raise StageError(stage, exc, tuple(later)) from exc
 
 
-def _evaluate(cfg, log, traces, engine, records, origin, duration_micros, window_micros) -> RunResult:
+def _evaluate(cfg, log, replayed_windows, max_lateness, engine, records, origin, duration_micros,
+              window_micros) -> RunResult:
     align_offset = engine.align_offset_micros or 0
-
-    # The series needs times and sizes only; leave the payloads where they are.
-    replayed = PacketBatch.concat_sizes(t.records for t in traces)
+    replayed = PacketBatch.concat_sizes(replayed_windows)
     npt_series = throughput_series(records, cfg.bin_width_micros, origin, duration_micros)
     ndt_series = throughput_series(
         replayed, cfg.bin_width_micros, origin, duration_micros + max(0, align_offset)
@@ -303,7 +319,6 @@ def _evaluate(cfg, log, traces, engine, records, origin, duration_micros, window
         consistency_index=consistency,
         windows_lost=sum(e.lost for e in entries),
     )
-    max_lateness = max((t.max_lateness_micros for t in traces), default=0)
     return RunResult(
         report=report,
         log=log,
@@ -312,7 +327,7 @@ def _evaluate(cfg, log, traces, engine, records, origin, duration_micros, window
         align_offset_micros=align_offset,
         max_lateness_micros=max_lateness,
         windows_sent=sum(e.t_sent is not None for e in entries),
-        windows_replayed=len(traces),
+        windows_replayed=len(replayed_windows),
         packets_replayed=len(replayed),
     )
 

@@ -97,24 +97,34 @@ _UPLINK = DIRECTION_CODES[Direction.UPLINK]
 _DOWNLINK = DIRECTION_CODES[Direction.DOWNLINK]
 
 
+# Words of SplitMix64 output computed per pass: small enough that a block
+# and its scratch stay in cache while the rounds run over it.
+_NOISE_BLOCK_WORDS = 1 << 15
+
+
 def _noise_bytes(seed: int, count: int) -> np.ndarray:
     """``count`` pseudo-random bytes: the SplitMix64 sequence started at ``seed``.
 
-    A counter hash, so it takes one pass of array arithmetic: faster than
-    drawing the bytes from Python's or numpy's generators.
+    A counter hash, so it takes array arithmetic only: faster than drawing
+    the bytes from Python's or numpy's generators. It runs block by block
+    in its output array, with one block of scratch.
     """
-    z = np.arange(1, -(-count // 8) + 1, dtype=np.uint64)
-    z *= np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(seed % (1 << 64))
-    # One scratch array for the shifted values: a fresh temporary per step
-    # leaves the heap larger once freed (7 MiB more resident memory for a
-    # trace of 250k packets).
-    scratch = np.empty_like(z)
-    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= np.right_shift(z, np.uint64(shift), out=scratch)
-        z *= np.uint64(factor)
-    z ^= np.right_shift(z, np.uint64(31), out=scratch)
-    return z.astype("<u8", copy=False).view(np.uint8)[:count]
+    words = -(-count // 8)
+    out = np.empty(words, dtype=np.uint64)
+    counter = np.arange(1, min(words, _NOISE_BLOCK_WORDS) + 1, dtype=np.uint64)
+    scratch = np.empty_like(counter)
+    offset = np.uint64(seed % (1 << 64))
+    for first in range(0, words, _NOISE_BLOCK_WORDS):
+        z = out[first:first + _NOISE_BLOCK_WORDS]
+        shifted = scratch[:len(z)]
+        np.add(counter[:len(z)], np.uint64(first), out=z)
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += offset
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+            z *= np.uint64(factor)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return out.astype("<u8", copy=False).view(np.uint8)[:count]
 
 
 def _offsets(count: int, gap: float) -> np.ndarray:
@@ -183,12 +193,17 @@ class _TraceBuilder:
                                    direction.astype(np.int8), noise[2 * n:], offsets, True)
 
     def _column(self, k: int, counts: list[int]) -> np.ndarray:
-        """Field k of every group, one entry per packet."""
+        """Field k of every group, one entry per packet: the scalars in one
+        repeat, then the array-valued groups copied into place."""
         values = [group[k] for group in self._groups]
-        if all(np.ndim(v) == 0 for v in values):
-            return np.repeat(np.array(values, dtype=np.int64), counts)
-        return np.concatenate([np.full(count, v, dtype=np.int64) if np.ndim(v) == 0 else np.asarray(v, dtype=np.int64)
-                               for v, count in zip(values, counts)])
+        arrays = [isinstance(v, np.ndarray) for v in values]
+        column = np.repeat(np.array([0 if a else v for v, a in zip(values, arrays)], dtype=np.int64), counts)
+        if any(arrays):
+            ends = np.cumsum(counts).tolist()
+            for v, is_array, end, count in zip(values, arrays, ends, counts):
+                if is_array:
+                    column[end - count:end] = v
+        return column
 
 
 def _gen_attach_and_browse(spec: ScenarioSpec, rng: random.Random, out: _TraceBuilder) -> None:

@@ -23,6 +23,7 @@ import random
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
@@ -339,7 +340,8 @@ class DirectoryExchangeChannel(_SendingChannel):
                 raise TwinError(f"exchange directory {self.directory} is not empty: it holds {stale.name} "
                                 "from an earlier run")
         self._clock = clock or MonotonicClock()
-        self._picked: set[int] = set()
+        self._expected = 0  # the seq after the last one received
+        self._listed: deque[int] = deque()  # seqs from the last listing, not yet passed
 
     def _deliver(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> None:
         pcap_path = self.directory / f"window_{manifest.seq}.pcap"
@@ -353,28 +355,44 @@ class DirectoryExchangeChannel(_SendingChannel):
         self._send_closed = True
         (self.directory / "end.marker").write_bytes(b"")
 
-    def _pending(self) -> list[int]:
-        seqs = []
+    def _next_published(self) -> int | None:
+        """The lowest published seq at or after the expected one, or None.
+
+        The expected window is looked up directly. Only when it is missing
+        is the directory listed, to find out whether the sender dropped it
+        and published later ones; the seqs a listing finds serve the next
+        misses too, so receiving n published windows lists it at most once
+        per hole, not once per window.
+        """
+        expected = self._expected
+        if (self.directory / f"window_{expected}.manifest.json").exists():
+            return expected
+        listed = self._listed
+        while listed and listed[0] < expected:
+            listed.popleft()
+        if not listed:
+            listed.extend(sorted(seq for seq in self._published() if seq >= expected))
+        return listed[0] if listed else None
+
+    def _published(self) -> Iterator[int]:
         for path in self.directory.glob("window_*.manifest.json"):
             try:
-                seq = int(path.name.split("_")[1].split(".")[0])
+                yield int(path.name.split("_")[1].split(".")[0])
             except ValueError:
                 continue
-            if seq not in self._picked:
-                seqs.append(seq)
-        return sorted(seqs)
 
     def receive(self, timeout: float | None = None) -> tuple[WindowManifest, bytes, int] | None:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            pending = self._pending()
-            if pending:
-                seq = pending[0]
+            # Look for the marker first: once it is there, so is every window.
+            ended = (self.directory / "end.marker").exists()
+            seq = self._next_published()
+            if seq is not None:
                 manifest = WindowManifest.from_json((self.directory / f"window_{seq}.manifest.json").read_bytes())
                 payload = (self.directory / f"window_{seq}.pcap").read_bytes()
-                self._picked.add(seq)
+                self._expected = seq + 1
                 return manifest, payload, self._clock.now_micros()
-            if (self.directory / "end.marker").exists():
+            if ended:
                 return None
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError("no window within timeout")

@@ -7,7 +7,9 @@ of range, as read_pcap now does. Every property requires identical
 output, or an identical exception (type, message and offset or index).
 """
 
+import random
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from twinsync.errors import BadMagicError, PcapError, PcapWriteError, TimestampRegressionError, TruncatedRecordError
 from twinsync.metrics import ThroughputSeries, throughput_series
-from twinsync.model import MICROS_PER_SECOND, Direction, PacketBatch, PacketRecord
+from twinsync.model import DIRECTION_CODES, MICROS_PER_SECOND, Direction, PacketBatch, PacketRecord
 from twinsync.pcap import (
     DEFAULT_SNAPLEN,
     LINKTYPE_RAW_IP,
@@ -172,6 +174,52 @@ def packet_traces(draw, max_len: int = 3 * VECTOR_MIN_PACKETS, sort: bool = True
     return sorted(packets, key=lambda p: p.ts_micros) if sort else packets
 
 
+@st.composite
+def run_traces(draw, max_segment: int = 2 * VECTOR_MIN_PACKETS + 2):
+    """Long runs of one captured length broken by a few odd records.
+
+    Up to three runs, each on either side of VECTOR_MIN_PACKETS (a run of
+    more than twice its length takes the reader's look-ahead through a
+    second, doubled chunk), then up to three records changed to another
+    length. Payloads and times come from one drawn seed, which keeps long
+    traces cheap to draw.
+    """
+    lengths = []
+    for _ in range(draw(st.integers(1, 3))):
+        lengths += [draw(st.integers(0, 40))] * draw(st.integers(0, max_segment))
+    if lengths:
+        for at in draw(st.lists(st.integers(0, len(lengths) - 1), max_size=3)):
+            lengths[at] = draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    times = sorted(rng.randrange(8 * WINDOW) for _ in lengths)
+    return [PacketRecord(ts, length, length + rng.randrange(30), rng.randbytes(length), rng.choice(list(Direction)))
+            for ts, length in zip(times, lengths)]
+
+
+def any_traces():
+    return st.one_of(packet_traces(), run_traces())
+
+
+@st.composite
+def gapped_batches(draw):
+    """Packets whose payload slots are longer than their captured bytes, as
+    generate builds them: one slot size for all, or a gap of its own each.
+    The gaps hold junk that must never reach the output."""
+    packets = draw(any_traces())
+    if draw(st.booleans()):
+        size = max((p.captured_len for p in packets), default=0) + draw(st.integers(0, 4))
+        slots = [size] * len(packets)
+    else:
+        slots = [p.captured_len + draw(st.integers(0, 4)) for p in packets]
+    payload = b"".join(p.payload + b"\xee" * (slot - p.captured_len) for p, slot in zip(packets, slots))
+    offsets = np.zeros(len(packets) + 1, dtype=np.int64)
+    np.cumsum(slots, out=offsets[1:])
+    batch = PacketBatch([p.ts_micros for p in packets], [p.captured_len for p in packets],
+                        [p.original_len for p in packets], [DIRECTION_CODES[p.direction] for p in packets],
+                        np.frombuffer(payload, dtype=np.uint8), offsets)
+    return packets, batch
+
+
 def _outcome(fn, *args, **kwargs):
     """A call's result, or its exception as comparable data."""
     try:
@@ -202,7 +250,7 @@ def _record_offsets(packets) -> list[int]:
 @st.composite
 def pcap_inputs(draw):
     """Valid pcap bytes in every format, and damaged ones."""
-    packets = draw(packet_traces())
+    packets = draw(any_traces())
     order = draw(st.sampled_from("<>"))
     nanos = draw(st.booleans())
     data = bytearray(_encode(packets, order, nanos, draw(st.integers(0, 999))))
@@ -229,11 +277,20 @@ def pcap_inputs(draw):
 
 
 @settings(deadline=None)
-@given(packet_traces(), st.sampled_from([40, 96, DEFAULT_SNAPLEN]))
+@given(any_traces(), st.sampled_from([40, 96, DEFAULT_SNAPLEN]))
 def test_write_pcap_matches_the_reference(packets, snaplen):
     expected = _outcome(ref_write_pcap, LINKTYPE_RAW_IP, packets, snaplen)
     assert _outcome(write_pcap, LINKTYPE_RAW_IP, packets, snaplen) == expected
     assert _outcome(write_pcap, LINKTYPE_RAW_IP, PacketBatch.from_records(packets), snaplen) == expected
+
+
+@settings(deadline=None)
+@given(gapped_batches(), st.sampled_from([40, DEFAULT_SNAPLEN]))
+def test_write_pcap_of_gapped_slots_matches_the_reference(packets_and_batch, snaplen):
+    packets, batch = packets_and_batch
+    assert batch == packets
+    assert _outcome(write_pcap, LINKTYPE_RAW_IP, batch, snaplen) == _outcome(ref_write_pcap, LINKTYPE_RAW_IP,
+                                                                             packets, snaplen)
 
 
 @settings(deadline=None)
@@ -329,3 +386,53 @@ def test_unpack_window_rejects_out_of_window_and_disordered_batches():
         unpack_window(*pack_window(CaptureWindow(0, 1, 10_000, batch)))
     with pytest.raises(ValueError, match="non-decreasing"):
         unpack_window(*pack_window(CaptureWindow(0, 0, 10_000, batch[::-1])))
+
+
+def _alternating_batch(n: int, run: int) -> PacketBatch:
+    """n packets whose captured length switches between 60 and 61 bytes
+    after every ``run`` packets."""
+    cap = np.where(np.arange(n) // run % 2 == 0, 60, 61)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(cap, out=offsets[1:])
+    payload = np.random.default_rng(n).integers(0, 256, int(offsets[-1]), dtype=np.uint8)
+    return PacketBatch(np.arange(n) * 1000, cap, cap + 10, np.zeros(n, dtype=np.int8), payload, offsets)
+
+
+@pytest.mark.parametrize("run", [1, VECTOR_MIN_PACKETS], ids=["every-record", "every-run-threshold"])
+def test_lengths_that_keep_changing_cost_the_same_per_record_at_any_count(run):
+    """Input that breaks every run, or gives each a look-ahead that finds
+    nothing, stays linear in reading and writing."""
+    def seconds_per_record(fn, arg, n: int) -> float:
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            fn(arg)
+            best = min(best, time.perf_counter() - start)
+        return best / n
+
+    costs = {}
+    for n in (2_000, 32_000):
+        batch = _alternating_batch(n, run)
+        data = write_pcap(LINKTYPE_RAW_IP, batch)
+        assert read_pcap(data)[1] == batch
+        costs[n] = (seconds_per_record(lambda b: write_pcap(LINKTYPE_RAW_IP, b), batch, n),
+                    seconds_per_record(read_pcap, data, n))
+    for small, large in zip(costs[2_000], costs[32_000]):
+        assert large <= 2 * small
+
+
+@pytest.mark.parametrize("damage", ["torn", "incl_over_orig", "subsecond"])
+def test_damage_inside_a_long_run_names_the_first_bad_record(damage):
+    packets = _uniform_packets(5 * VECTOR_MIN_PACKETS, size=40)
+    packets[3] = PacketRecord(3000, 12, 20, b"c" * 12)
+    data = bytearray(write_pcap(LINKTYPE_RAW_IP, packets))
+    at = _record_offsets(packets)[4 * VECTOR_MIN_PACKETS]  # inside the run, past its first chunk
+    if damage == "torn":
+        del data[at + 30:]
+    elif damage == "incl_over_orig":
+        data[at + 12:at + 16] = struct.pack("<I", 39)
+    else:
+        data[at + 4:at + 8] = struct.pack("<I", SECOND)
+    outcome = _outcome(read_pcap, bytes(data))
+    assert outcome == _outcome(ref_read_pcap, bytes(data))
+    assert outcome[0] == "raised" and outcome[1][1].endswith(f"at byte offset {at}")

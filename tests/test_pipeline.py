@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import signal
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -51,6 +53,28 @@ def deadline(seconds: int = 30):
 
 
 class TestVirtualRuns:
+    def test_replayed_windows_keep_no_payload(self, descriptor, monkeypatch):
+        """Once a window is replayed its pcap bytes are released: by the
+        time the run is scored, it keeps only times, sizes and directions."""
+        payloads, alive_when_scored = [], []  # weak references; how many are alive when scoring starts
+        unpack, evaluate = transport.unpack_window, pipeline._evaluate
+
+        def watched_unpack(manifest, payload):
+            window = unpack(manifest, payload)
+            payloads.append(weakref.ref(window.packets.payload))
+            return window
+
+        def watched_evaluate(*args, **kwargs):
+            gc.collect()
+            alive_when_scored.append(sum(ref() is not None for ref in payloads))
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "unpack_window", watched_unpack)
+        monkeypatch.setattr(pipeline, "_evaluate", watched_evaluate)
+        result = run_pipeline(run_config(descriptor, seconds=30))
+        assert len(payloads) == result.windows_replayed > 0
+        assert alive_when_scored == [0]
+
     def test_lossless_run_reproduces_the_series_exactly(self, descriptor):
         result = run_pipeline(run_config(descriptor, seed=3))
         r = result.report

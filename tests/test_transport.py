@@ -2,6 +2,7 @@ import json
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -397,6 +398,45 @@ class TestDirectoryExchange:
 
         assert doc["content_digest"] == hashlib.sha256(payload).hexdigest()
         assert doc["byte_length"] == len(payload)
+
+
+    def test_holes_are_skipped_in_order(self, tmp_path):
+        sender = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path)
+        receiver = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path)
+        for seq in (0, 3, 4, 9):
+            sender.send(*pack_window(window_of(seq)), now_micros=0)
+        got = [receiver.receive(timeout=0)[0].seq for _ in range(4)]
+        with pytest.raises(TimeoutError):
+            receiver.receive(timeout=0)
+        sender.send(*pack_window(window_of(12)), now_micros=0)
+        sender.close_send()
+        got.append(receiver.receive(timeout=0)[0].seq)
+        assert got == [0, 3, 4, 9, 12]
+        assert receiver.receive(timeout=0) is None
+
+    def test_receiving_a_run_costs_the_same_per_window_at_any_length(self, tmp_path):
+        """Every fifth window is dropped, so holes are skipped throughout."""
+        manifest, payload = pack_window(window_of(0, [make_packet(5, 40)]))
+
+        def seconds_per_window(n: int, attempt: int = 0) -> float:
+            directory = tmp_path / f"{n}_{attempt}"
+            spec = ChannelSpec(kind="directory-exchange")
+            sender = DirectoryExchangeChannel(spec, directory)
+            receiver = DirectoryExchangeChannel(spec, directory)
+            for seq in range(n):
+                if seq % 5 != 2:
+                    sender.send(replace(manifest, seq=seq), payload, now_micros=0)
+            sender.close_send()
+            start = time.perf_counter()
+            received = 0
+            while receiver.receive(timeout=0) is not None:
+                received += 1
+            elapsed = time.perf_counter() - start
+            assert received == n - n // 5
+            return elapsed / n
+
+        small = min(seconds_per_window(200, attempt) for attempt in range(3))
+        assert min(seconds_per_window(2000, attempt) for attempt in range(2)) <= 2 * small
 
 
 class TestTcpChannel:
