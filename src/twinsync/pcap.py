@@ -13,14 +13,24 @@ least VECTOR_MIN_PACKETS records is one array operation, a strided view
 of its headers when reading and one copy into rows of header + payload
 when writing; the records between long runs go one by one. A capture of
 one length is the one-run case. Windows of fewer than VECTOR_MIN_PACKETS
-packets take a plain loop over the records and no array call before it,
-since the fixed cost of each numpy call dominates there. Every path
-produces the same bytes, packets and errors.
+packets avoid array calls, since the fixed cost of each numpy call
+dominates there:
+
+* segment_stream groups runs of them into PackBlocks of about
+  PACK_BLOCK_BYTES, which the sender writes with one write_pcap call
+  and slices into windows (transport.pack_window);
+* read_pcap reads one whose records all share one captured length with
+  one struct unpack through a layout cached per (byte order, count,
+  length), whose offsets, captured-length and direction columns are
+  shared read-only; any other falls back to a plain loop over the
+  records, which also raises the precise error for a bad record.
+
+Every path produces the same bytes, packets and errors.
 """
 
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,31 +56,86 @@ _NANOS_PER_MICRO = 1000
 # from which a run of records is read or written as one array.
 VECTOR_MIN_PACKETS = 32
 
+# pcap bytes of the records in one PackBlock, plus at most one window:
+# large enough that the fixed cost of write_pcap is shared by hundreds of
+# small windows, small enough that no more than this is ever held at once.
+PACK_BLOCK_BYTES = 256 * 1024
 
-@dataclass(frozen=True, slots=True)
-class CaptureWindow:
-    """One T-second segment of the capture stream, the unit of sync.
 
-    Windows abut without gaps; ``seq`` counts from 0 with no holes on the
-    sending side (holes appear downstream only through loss). ``packets``
-    accepts any sequence of PacketRecord and is stored as a PacketBatch.
-    A window is not checked here: segment_stream cuts only windows whose
-    packets lie in order inside their bounds, and transport.unpack_window
-    checks every window where its bytes arrive.
-    """
-
+class _WindowFields(NamedTuple):
     seq: int
     start_ts_micros: int
     end_ts_micros: int
     packets: PacketBatch
     source_interface: str = "tun2"
 
-    def __post_init__(self):
-        object.__setattr__(self, "packets", PacketBatch.from_records(self.packets))
+
+class CaptureWindow(_WindowFields):
+    """One T-second segment of the capture stream, the unit of sync.
+
+    Windows abut without gaps; ``seq`` counts from 0 with no holes on the
+    sending side (holes appear downstream only through loss). ``packets``
+    accepts any sequence of PacketRecord and is stored as a PacketBatch.
+    A window is an immutable tuple, safe to hand between threads. It is
+    not checked here: segment_stream cuts only windows whose packets lie
+    in order inside their bounds, and transport.unpack_window checks every
+    window where its bytes arrive. Code that already holds a PacketBatch
+    builds a window with ``CaptureWindow._make``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, seq: int, start_ts_micros: int, end_ts_micros: int, packets: Sequence[PacketRecord],
+                source_interface: str = "tun2"):
+        return tuple.__new__(cls, (seq, start_ts_micros, end_ts_micros, PacketBatch.from_records(packets),
+                                   source_interface))
 
     @property
     def duration_micros(self) -> int:
         return self.end_ts_micros - self.start_ts_micros
+
+
+class PackBlock:
+    """Consecutive windows of one segmentation whose pcap records are
+    written with one write_pcap call.
+
+    segment_stream groups windows of fewer than VECTOR_MIN_PACKETS packets
+    into blocks of about PACK_BLOCK_BYTES: ``packets`` holds the packets
+    of all of them and ``cuts`` the block-local index where each window
+    starts, plus the block's end. Each window's packets are a BlockSlice
+    naming its block. The sender writes the block on its first window (see
+    transport.pack_window) and hands the pcap to ``set_pcap``; each window's
+    pcap is then the global header plus its range of the block's records.
+    """
+
+    __slots__ = ("packets", "cuts", "linktype", "pcap", "_record_at")
+
+    def __init__(self, packets: PacketBatch, cuts: list[int]):
+        self.packets = packets
+        self.cuts = cuts
+        self.linktype = None
+        self.pcap = None
+        self._record_at = None
+
+    def set_pcap(self, linktype: int, pcap: bytes | None) -> None:
+        """Keep the pcap of the block's packets written with ``linktype``;
+        None when writing it failed."""
+        self.linktype, self.pcap = linktype, pcap
+        if pcap is not None and self._record_at is None:
+            cuts = np.array(self.cuts, dtype=np.int64)
+            captured_before = np.concatenate(([0], np.cumsum(self.packets.captured_len, dtype=np.int64)))
+            self._record_at = (_GLOBAL_HEADER_LEN + _RECORD_HEADER_LEN * cuts + captured_before[cuts]).tolist()
+
+    def window_pcap(self, index: int) -> bytes:
+        """The pcap of the block's ``index``-th window."""
+        pcap, record_at = self.pcap, self._record_at
+        return pcap[:_GLOBAL_HEADER_LEN] + pcap[record_at[index]:record_at[index + 1]]
+
+
+class BlockSlice(PacketBatch):
+    """The packets of the ``index``-th window of a PackBlock."""
+
+    __slots__ = ("block", "index")
 
 
 def write_pcap(linktype: int, packets: Sequence[PacketRecord], snaplen: int = DEFAULT_SNAPLEN) -> bytes:
@@ -172,6 +237,23 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
             raise BadMagicError(magic_raw)
     _, _, _, _, _, linktype = struct.unpack_from(order + "HHiIII", data, 4)
     frac_limit = 1_000_000_000 if nanos else MICROS_PER_SECOND
+    if size > _FIRST_INCL_END:
+        # A small window whose records all share the first one's captured
+        # length reads through one cached layout; anything else, and any
+        # record that fails a check, takes the stepped loop below.
+        incl = _INCL_FIELD[order].unpack_from(data, _FIRST_INCL_AT)[0]
+        count, rest = divmod(size - _GLOBAL_HEADER_LEN, _RECORD_HEADER_LEN + incl)
+        if not rest and count < VECTOR_MIN_PACKETS:
+            layout = _layout(order, count, incl)
+            fields = layout.headers.unpack_from(data, _GLOBAL_HEADER_LEN)
+            fracs, origs = fields[1::4], fields[3::4]
+            if fields[2::4] == layout.captured and min(origs) >= incl and max(fracs) < frac_limit:
+                if nanos:
+                    fracs = [frac // _NANOS_PER_MICRO for frac in fracs]
+                ts = [sec * MICROS_PER_SECOND + frac for sec, frac in zip(fields[0::4], fracs)]
+                return linktype, PacketBatch.trusted(
+                    np.array(ts, dtype=np.int64), layout.captured_len, np.array(origs, dtype=np.uint32),
+                    layout.direction, np.frombuffer(data, dtype=np.uint8), layout.offsets, ts == sorted(ts))
 
     # Records are stepped one by one and checked as they come, so the first
     # bad record raises. After VECTOR_MIN_PACKETS records in a row of one
@@ -223,6 +305,36 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
     pieces.append([column[done:] for column in stepped])
     ts, incl, orig, offsets = (np.concatenate(column) for column in zip(*pieces))
     return linktype, PacketBatch.trusted(ts, incl, orig, np.zeros(len(ts), dtype=np.int8), buf, offsets)
+
+
+class _Layout(NamedTuple):
+    """How to read ``count`` records of one captured length: their headers
+    in one unpack, and the batch columns that depend on nothing else,
+    read-only because every window of that shape shares them."""
+
+    headers: struct.Struct
+    captured: tuple[int, ...]
+    captured_len: np.ndarray
+    direction: np.ndarray
+    offsets: np.ndarray
+
+
+_FIRST_INCL_AT = _GLOBAL_HEADER_LEN + 8
+_FIRST_INCL_END = _FIRST_INCL_AT + 4
+_INCL_FIELD = {order: struct.Struct(order + "I") for order in "<>"}
+
+
+@lru_cache(maxsize=256)
+def _layout(order: str, count: int, incl: int) -> _Layout:
+    stride = _RECORD_HEADER_LEN + incl
+    offsets = _GLOBAL_HEADER_LEN + _RECORD_HEADER_LEN + stride * np.arange(count + 1, dtype=np.int64)
+    offsets[count] = _GLOBAL_HEADER_LEN + stride * count
+    captured_len = np.full(count, incl, dtype=np.uint32)
+    direction = np.zeros(count, dtype=np.int8)
+    for column in (offsets, captured_len, direction):
+        column.flags.writeable = False
+    return _Layout(struct.Struct(order + f"IIII{incl}x" * count), (incl,) * count, captured_len, direction,
+                   offsets)
 
 
 def _run_length(data: bytes, order: str, offset: int, incl: int) -> int:
@@ -287,7 +399,10 @@ def segment_stream(
     A packet out of order, before the origin or past the span end raises
     TimestampRegressionError naming its index, once the windows closed
     before it have been yielded. The windows are views of the packets'
-    batch; nothing is copied.
+    batch; nothing is copied. Runs of windows of fewer than
+    VECTOR_MIN_PACKETS packets are grouped into PackBlocks of about
+    PACK_BLOCK_BYTES, so the sender writes each run with one write_pcap
+    call; a block never holds more than that budget plus one window.
     """
     if window_micros <= 0:
         raise ValueError("window_micros must be positive")
@@ -317,11 +432,42 @@ def segment_stream(
             n_windows = int(ts[-1] - origin_ts_micros) // window_micros + 1 if good else 0
 
     bounds = origin_ts_micros + window_micros * np.arange(1, n_windows + 1, dtype=np.int64)
-    cuts = [0, *np.searchsorted(ts[:good], bounds, side="left").tolist()]
+    cuts = np.concatenate(([0], np.searchsorted(ts[:good], bounds, side="left")))
     span_end = span_end_micros if span_end_micros is not None else origin_ts_micros + n_windows * window_micros
-    for k in range(n_windows):
+    cap, orig, codes, offs = batch.captured_len, batch.original_len, batch.direction, batch.offsets
+    payload = batch.payload
+    # At least the pcap record bytes before each window: a payload slot
+    # holds its packet's captured bytes and maybe a gap.
+    bytes_before = (offs[cuts] + _RECORD_HEADER_LEN * cuts).tolist()
+    cuts = cuts.tolist()
+    make = CaptureWindow._make
+
+    def view(first: int, stop: int, kind=PacketBatch) -> PacketBatch:
+        # Packets before the first bad one are in order.
+        return kind.trusted(ts[first:stop], cap[first:stop], orig[first:stop], codes[first:stop], payload,
+                            offs[first:stop + 1], True)
+
+    def window(k: int, packets: PacketBatch) -> CaptureWindow:
         start = origin_ts_micros + k * window_micros
-        yield CaptureWindow(k, start, min(start + window_micros, span_end), batch[cuts[k]:cuts[k + 1]],
-                            source_interface)
+        return make((k, start, min(start + window_micros, span_end), packets, source_interface))
+
+    k = 0
+    while k < n_windows:
+        first = k
+        k += 1
+        if cuts[k] - cuts[first] < VECTOR_MIN_PACKETS:
+            # A block: the small windows that follow, until it holds its budget.
+            limit = bytes_before[first] + PACK_BLOCK_BYTES
+            while k < n_windows and cuts[k + 1] - cuts[k] < VECTOR_MIN_PACKETS and bytes_before[k] < limit:
+                k += 1
+        if k - first == 1:
+            yield window(first, view(cuts[first], cuts[k]))
+            continue
+        base = cuts[first]
+        block = PackBlock(view(base, cuts[k]), [cut - base for cut in cuts[first:k + 1]])
+        for index, seq in enumerate(range(first, k)):
+            packets = view(cuts[seq], cuts[seq + 1], BlockSlice)
+            packets.block, packets.index = block, index
+            yield window(seq, packets)
     if error is not None:
         raise TimestampRegressionError(error[0], error[2])

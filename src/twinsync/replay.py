@@ -17,6 +17,7 @@ whole point of the loop.
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +50,7 @@ class ReplayPlan:
             raise ValueError("speed_factor must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class ReplayedTrace:
+class ReplayedTrace(NamedTuple):
     """Output of one window's replay, timestamps already aligned."""
 
     window_seq: int

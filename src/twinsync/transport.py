@@ -7,13 +7,20 @@ never reordered. Three interchangeable channels implement it:
 * InProcessChannel - a queue with simulated latency, serialization delay
   and seeded loss; the deterministic backbone of tests and virtual runs.
 * DirectoryExchangeChannel - windows published as files in a shared
-  directory (``window_<seq>.pcap`` + ``window_<seq>.manifest.json``),
-  mirroring a fetch-the-latest-capture-folder deployment.
+  directory (``window_<seq>.pcap`` + ``window_<seq>.manifest.json``,
+  and ``latest.seq``), mirroring a fetch-the-latest-capture-folder
+  deployment.
 * TCP sender/receiver - length-prefixed frames over a socket for
   two-process runs.
 
 Lost windows are never retransmitted: the twin always wants the most
 recent trace, and the gap stays visible to the metrics.
+
+pack_window serializes each window; windows that segment_stream cut
+into a pcap.PackBlock share one write_pcap call per block, so the
+per-window cost of a short T is a slice, a digest and a manifest.
+Manifests, receipts and windows are immutable named tuples, built at
+the cost of a tuple and safe to pass between the real-time threads.
 """
 
 import hashlib
@@ -24,14 +31,21 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .clocks import Clock, MonotonicClock
-from .errors import ChannelClosedError, DigestMismatchError, ForeignWindowError, SchemaError, TwinError
+from .errors import (
+    ChannelClosedError,
+    DigestMismatchError,
+    ForeignWindowError,
+    PcapWriteError,
+    SchemaError,
+    TwinError,
+)
 from .model import _require, first_index, parse_json_object
-from .pcap import LINKTYPE_RAW_IP, CaptureWindow, read_pcap, write_pcap
+from .pcap import LINKTYPE_RAW_IP, BlockSlice, CaptureWindow, read_pcap, write_pcap
 
 DIGEST_ALGORITHM = "sha256"
 
@@ -40,8 +54,7 @@ def _digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
-class WindowManifest:
+class WindowManifest(NamedTuple):
     """Integrity envelope shipped alongside each window's pcap bytes."""
 
     seq: int
@@ -53,8 +66,7 @@ class WindowManifest:
     source_interface: str = "tun2"
 
     def to_json(self) -> bytes:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        return (json.dumps(self._asdict(), indent=2) + "\n").encode("utf-8")
 
     @classmethod
     def from_json(cls, data: bytes) -> "WindowManifest":
@@ -62,7 +74,7 @@ class WindowManifest:
         for input that is not UTF-8 JSON, and SchemaError naming a field that
         is missing, of the wrong type or out of range."""
         doc = parse_json_object(data)
-        values = {f.name: _require(doc, f.name, f.type, "") for f in fields(cls)}
+        values = {name: _require(doc, name, kind, "") for name, kind in cls.__annotations__.items()}
         for key in ("seq", "byte_length"):
             if values[key] < 0:
                 raise SchemaError(key, f"must be non-negative, got {values[key]}")
@@ -72,16 +84,29 @@ class WindowManifest:
 
 
 def pack_window(window: CaptureWindow, linktype: int = LINKTYPE_RAW_IP) -> tuple[WindowManifest, bytes]:
-    """Serialize a window for transfer: pcap payload plus its manifest."""
-    payload = write_pcap(linktype, window.packets)
-    manifest = WindowManifest(
-        seq=window.seq,
-        start_ts_micros=window.start_ts_micros,
-        end_ts_micros=window.end_ts_micros,
-        byte_length=len(payload),
-        content_digest=_digest(payload),
-        source_interface=window.source_interface,
-    )
+    """Serialize a window for transfer: pcap payload plus its manifest.
+
+    A window segment_stream cut into a PackBlock is a range of the block's
+    records behind the global header: the block's first window writes the
+    whole block with one write_pcap call, and the others slice it. If that
+    write fails, each window of the block is written alone, so the error
+    surfaces at its own window, with its index in that window, after the
+    windows before it have gone out.
+    """
+    packets = window.packets
+    block = packets.block if isinstance(packets, BlockSlice) else None
+    if block is not None and block.linktype != linktype:
+        try:
+            pcap = write_pcap(linktype, block.packets)
+        except PcapWriteError:
+            pcap = None
+        block.set_pcap(linktype, pcap)
+    if block is None or block.pcap is None:
+        payload = write_pcap(linktype, packets)
+    else:
+        payload = block.window_pcap(packets.index)
+    manifest = WindowManifest(window.seq, window.start_ts_micros, window.end_ts_micros, len(payload),
+                              _digest(payload), DIGEST_ALGORITHM, window.source_interface)
     return manifest, payload
 
 
@@ -106,7 +131,7 @@ def unpack_window(manifest: WindowManifest, payload: bytes) -> CaptureWindow:
         if outside is not None:
             raise ValueError(f"packet ts {int(ts[outside])} outside window [{start}, {end})")
         raise ValueError("packet timestamps must be non-decreasing")
-    return CaptureWindow(manifest.seq, start, end, packets, manifest.source_interface)
+    return CaptureWindow._make((manifest.seq, start, end, packets, manifest.source_interface))
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,8 +155,7 @@ class ChannelSpec:
             raise ValueError("latency and bandwidth must be non-negative")
 
 
-@dataclass(frozen=True, slots=True)
-class SendReceipt:
+class SendReceipt(NamedTuple):
     seq: int
     t_sent_micros: int
     dropped: bool
@@ -321,20 +345,24 @@ class DirectoryExchangeChannel(_SendingChannel):
     """Windows exchanged as pcap+manifest file pairs in one directory.
 
     The manifest is written last via rename, so its presence marks a
-    fully published window. ``end.marker`` closes the stream. Loss is
-    simulated on the sending side; latency/bandwidth shaping is not
-    (real file systems provide their own delays). A directory that
-    already holds window files or an end marker is refused, not cleared:
-    the receiver would take an earlier run's windows for this one's.
+    fully published window. After each window the sender rewrites
+    ``latest.seq``, by rename too, with the highest seq it has published,
+    so a receiver that has caught up finds out that nothing is new from
+    that one file. ``end.marker`` closes the stream. Loss is simulated on
+    the sending side; latency/bandwidth shaping is not (real file systems
+    provide their own delays). A directory that already holds window
+    files, a latest seq or an end marker is refused, not cleared: the
+    receiver would take an earlier run's windows for this one's.
     """
 
     POLL_SECONDS = 0.02
+    LATEST = "latest.seq"
 
     def __init__(self, spec: ChannelSpec, directory: Path, clock: Clock | None = None):
         super().__init__(spec)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        for pattern in ("end.marker", "window_*"):
+        for pattern in ("end.marker", self.LATEST + "*", "window_*"):
             stale = next(self.directory.glob(pattern), None)
             if stale is not None:
                 raise TwinError(f"exchange directory {self.directory} is not empty: it holds {stale.name} "
@@ -347,22 +375,41 @@ class DirectoryExchangeChannel(_SendingChannel):
         pcap_path = self.directory / f"window_{manifest.seq}.pcap"
         manifest_path = self.directory / f"window_{manifest.seq}.manifest.json"
         pcap_path.write_bytes(payload)
-        tmp = manifest_path.with_suffix(".json.tmp")
-        tmp.write_bytes(manifest.to_json())
-        tmp.rename(manifest_path)
+        self._publish(manifest_path, manifest.to_json())
+        self._publish(self.directory / self.LATEST, str(manifest.seq).encode("ascii"))
+
+    @staticmethod
+    def _publish(path: Path, data: bytes) -> None:
+        """Write ``path`` so that a reader sees all of it or none of it."""
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_bytes(data)
+        tmp.replace(path)
 
     def close_send(self) -> None:
         self._send_closed = True
         (self.directory / "end.marker").write_bytes(b"")
 
+    def _latest(self) -> int:
+        """The highest seq the sender has published, -1 before the first."""
+        path = self.directory / self.LATEST
+        try:
+            text = path.read_bytes()
+        except FileNotFoundError:
+            return -1
+        if not text.isdigit():
+            raise TwinError(f"{path} holds {text[:20]!r}, not a window seq")
+        return int(text)
+
     def _next_published(self) -> int | None:
         """The lowest published seq at or after the expected one, or None.
 
-        The expected window is looked up directly. Only when it is missing
-        is the directory listed, to find out whether the sender dropped it
-        and published later ones; the seqs a listing finds serve the next
+        The expected window is looked up directly. When it is missing,
+        ``latest.seq`` tells whether the sender has published anything
+        after it; only then is the directory listed, to find the later
+        windows past the hole. The seqs a listing finds serve the next
         misses too, so receiving n published windows lists it at most once
-        per hole, not once per window.
+        per hole, and a poll that finds nothing new costs two lookups and
+        one small read, however many windows were published before.
         """
         expected = self._expected
         if (self.directory / f"window_{expected}.manifest.json").exists():
@@ -370,7 +417,7 @@ class DirectoryExchangeChannel(_SendingChannel):
         listed = self._listed
         while listed and listed[0] < expected:
             listed.popleft()
-        if not listed:
+        if not listed and self._latest() > expected:
             listed.extend(sorted(seq for seq in self._published() if seq >= expected))
         return listed[0] if listed else None
 

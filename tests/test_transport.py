@@ -1,15 +1,35 @@
 import json
+import random
 import socket
 import threading
 import time
-from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinsync.errors import ChannelClosedError, DigestMismatchError, ForeignWindowError, JsonParseError, SchemaError
-from twinsync.pcap import CaptureWindow, read_pcap
+import twinsync.pcap as pcap_module
+from twinsync.errors import (
+    ChannelClosedError,
+    DigestMismatchError,
+    ForeignWindowError,
+    JsonParseError,
+    PcapWriteError,
+    SchemaError,
+    TwinError,
+)
+from twinsync.model import PacketBatch
+from twinsync.pcap import (
+    LINKTYPE_RAW_IP,
+    PACK_BLOCK_BYTES,
+    VECTOR_MIN_PACKETS,
+    CaptureWindow,
+    read_pcap,
+    segment_stream,
+    write_pcap,
+)
+from twinsync.replay import ReplayEngine, ReplayPlan
 from twinsync.transport import (
     ChannelSpec,
     DirectoryExchangeChannel,
@@ -176,6 +196,99 @@ class TestPackUnpack:
         assert [(p.ts_micros, p.captured_len, p.original_len, p.payload) for p in restored.packets] == [
             (p.ts_micros, p.captured_len, p.original_len, p.payload) for p in packets
         ]
+
+
+WINDOW = 250_000
+
+
+@st.composite
+def block_traces(draw):
+    """(batch, packets per window): windows on both sides of
+    VECTOR_MIN_PACKETS, empty ones included, with captured lengths of 0 to
+    40 bytes in payload slots that may be longer than that."""
+    counts = draw(st.lists(st.sampled_from([0, 1, 2, 5, VECTOR_MIN_PACKETS - 1, VECTOR_MIN_PACKETS, 40]),
+                           min_size=1, max_size=12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    times = [ts for k, count in enumerate(counts) for ts in sorted(k * WINDOW + rng.randrange(WINDOW)
+                                                                    for _ in range(count))]
+    records = [make_packet(ts, rng.randrange(41), fill=bytes([rng.randrange(256)])) for ts in times]
+    slots = [r.captured_len + draw(st.sampled_from([0, 3])) for r in records]
+    payload = b"".join(r.payload + b"\xee" * (slot - r.captured_len) for r, slot in zip(records, slots))
+    offsets = np.concatenate(([0], np.cumsum(slots, dtype=np.int64)))
+    batch = PacketBatch([r.ts_micros for r in records], [r.captured_len for r in records],
+                        [r.original_len for r in records], [0] * len(records),
+                        np.frombuffer(payload, dtype=np.uint8), offsets)
+    return batch, counts
+
+
+class TestBlockPacking:
+    @settings(deadline=None)
+    @given(block_traces(), st.sampled_from([0, 1, 300, 2_000, PACK_BLOCK_BYTES]))
+    def test_every_payload_is_the_windows_own_pcap(self, trace, budget):
+        batch, counts = trace
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pcap_module, "PACK_BLOCK_BYTES", budget)
+            windows = list(segment_stream(batch, WINDOW, 0, span_end_micros=len(counts) * WINDOW))
+        assert [len(w.packets) for w in windows] == counts
+        for window in windows:
+            manifest, payload = pack_window(window)
+            assert payload == write_pcap(LINKTYPE_RAW_IP, window.packets)
+            assert manifest.byte_length == len(payload)
+        blocks = {}
+        for window in windows:
+            block = getattr(window.packets, "block", None)
+            if block is None:
+                continue
+            assert len(window.packets) < VECTOR_MIN_PACKETS
+            blocks.setdefault(id(block), (block, []))[1].append(window)
+        for block, members in blocks.values():
+            assert len(members) >= 2
+            # The block was below its budget before its last window joined.
+            assert len(block.pcap) - len(pack_window(members[-1])[1]) < budget
+
+    @pytest.mark.parametrize("fault, index, message", [
+        ("timestamp", 0, "timestamp beyond 32-bit seconds"),
+        ("snaplen", 1, "captured_len 70000 exceeds snaplen 65535"),
+    ])
+    def test_a_write_error_in_a_block_surfaces_at_its_window(self, fault, index, message):
+        """Window 2 of a block cannot be written: windows 0 and 1 go out
+        and are replayed, then window 2 raises with its own index."""
+        origin = (2**32 - 2) * SECOND if fault == "timestamp" else 0
+        packets = [make_packet(origin + k * SECOND + i, 70_000 if (k, i) == (2, 1) and fault == "snaplen" else 40)
+                   for k in range(4) for i in range(3)]
+        log, channel = SyncLog(), InProcessChannel(ChannelSpec())
+        receiver, engine = WindowReceiver(channel, log), ReplayEngine(ReplayPlan(), log)
+        windows = segment_stream(packets, SECOND, origin)
+        replayed = []
+        with pytest.raises(PcapWriteError) as err:
+            for window in windows:
+                assert window.packets.block is not None
+                send_window(window, channel, log, now_micros=window.end_ts_micros)
+                delivered, _, t_received = receiver.receive(block=False)
+                replayed.append(engine.replay_window(delivered, t_received).window_seq)
+        assert replayed == [0, 1]
+        assert (err.value.index, str(err.value)) == (index, str(PcapWriteError(index, message)))
+        assert [e.seq for e in log.entries()] == [0, 1]
+
+
+def test_window_objects_are_immutable_tuples():
+    window = CaptureWindow(0, 0, 10, (make_packet(3),))
+    assert isinstance(window.packets, PacketBatch) and window.packets == [make_packet(3)]
+    manifest, payload = pack_window(window)
+    receipt = InProcessChannel(ChannelSpec()).send(manifest, payload, now_micros=10)
+    trace = ReplayEngine(ReplayPlan(), _sent_log(window)).replay_window(window, 10)
+    for value, field in ((window, "seq"), (manifest, "content_digest"), (receipt, "dropped"),
+                         (trace, "records")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
+def _sent_log(window: CaptureWindow) -> SyncLog:
+    log = SyncLog()
+    log.record_sent(window.seq, window.start_ts_micros, window.end_ts_micros, window.end_ts_micros)
+    return log
 
 
 class TestWindowReceiver:
@@ -425,7 +538,7 @@ class TestDirectoryExchange:
             receiver = DirectoryExchangeChannel(spec, directory)
             for seq in range(n):
                 if seq % 5 != 2:
-                    sender.send(replace(manifest, seq=seq), payload, now_micros=0)
+                    sender.send(manifest._replace(seq=seq), payload, now_micros=0)
             sender.close_send()
             start = time.perf_counter()
             received = 0
@@ -437,6 +550,46 @@ class TestDirectoryExchange:
 
         small = min(seconds_per_window(200, attempt) for attempt in range(3))
         assert min(seconds_per_window(2000, attempt) for attempt in range(2)) <= 2 * small
+
+
+    @pytest.mark.parametrize("name", ["end.marker", "latest.seq", "window_3.pcap"])
+    def test_a_directory_holding_an_earlier_runs_file_is_refused(self, tmp_path, name):
+        (tmp_path / name).write_bytes(b"3")
+        with pytest.raises(TwinError, match=f"holds {name} from an earlier run"):
+            DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path)
+
+    def test_a_latest_seq_that_is_not_a_seq_is_named(self, tmp_path):
+        spec = ChannelSpec(kind="directory-exchange")
+        receiver = DirectoryExchangeChannel(spec, tmp_path)
+        (tmp_path / "latest.seq").write_bytes(b"junk")
+        with pytest.raises(TwinError, match="latest.seq holds b'junk', not a window seq"):
+            receiver.receive(timeout=0)
+
+    def test_an_idle_poll_costs_the_same_at_any_length(self, tmp_path):
+        """A receiver that has caught up learns that nothing is new without
+        listing the windows published before."""
+        manifest, payload = pack_window(window_of(0, [make_packet(5, 40)]))
+
+        def seconds_per_idle_poll(n: int, attempt: int) -> float:
+            spec, directory = ChannelSpec(kind="directory-exchange"), tmp_path / f"{n}_{attempt}"
+            sender = DirectoryExchangeChannel(spec, directory)
+            receiver = DirectoryExchangeChannel(spec, directory)
+            for seq in range(n):
+                sender.send(manifest._replace(seq=seq), payload, now_micros=0)
+                receiver.receive(timeout=0)
+            polls, idle = 200, 0
+            start = time.perf_counter()
+            for _ in range(polls):
+                try:
+                    receiver.receive(timeout=0)
+                except TimeoutError:
+                    idle += 1
+            elapsed = time.perf_counter() - start
+            assert idle == polls
+            return elapsed / polls
+
+        small = min(seconds_per_idle_poll(200, attempt) for attempt in range(3))
+        assert min(seconds_per_idle_poll(2000, attempt) for attempt in range(2)) <= 2 * small
 
 
 class TestTcpChannel:
