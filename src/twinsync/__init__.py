@@ -3,9 +3,8 @@ the real one by shipping fixed-length traffic windows across a measured
 channel, replaying them, and scoring how faithful the replica is."""
 
 from .model import (
-    Direction,
     LinkProfile,
-    PacketRecord,
+    PacketBatch,
     SliceSpec,
     TwinDescriptor,
     descriptor_from_json,
@@ -13,7 +12,7 @@ from .model import (
     validate_descriptor,
 )
 from .pcap import CaptureWindow, read_pcap, segment_stream, write_pcap
-from .transport import ChannelSpec, SyncLog, WindowManifest, twin_lag
+from .transport import ChannelSpec, SyncLog, WindowManifest
 from .replay import ReplayMode, ReplayPlan
 from .metrics import FidelityReport, ThroughputSeries, compare_series, throughput_series
 from .scenarios import ScenarioSpec, generate
@@ -23,10 +22,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CaptureWindow",
     "ChannelSpec",
-    "Direction",
     "FidelityReport",
     "LinkProfile",
-    "PacketRecord",
+    "PacketBatch",
     "ReplayMode",
     "ReplayPlan",
     "ScenarioSpec",
@@ -42,7 +40,6 @@ __all__ = [
     "read_pcap",
     "segment_stream",
     "throughput_series",
-    "twin_lag",
     "validate_descriptor",
     "write_pcap",
     "__version__",

@@ -7,6 +7,7 @@ unreadable input files), 3 validation error, 4 output I/O error,
 """
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,6 +34,9 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 EXIT_RUNTIME = 5
+
+# The run command's float flags: each must be a finite number.
+_FLOAT_FLAGS = ("duration", "window_seconds", "channel_latency", "bin_width", "speed_factor", "align_offset")
 
 
 def _fail(code: int, message: str) -> int:
@@ -100,6 +104,10 @@ def cmd_run(args) -> int:
         descriptor = _load_descriptor(args.descriptor)
     except (JsonParseError, SchemaError) as exc:
         return _fail(EXIT_PARSE, str(exc))
+    for flag in _FLOAT_FLAGS:
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            return _fail(EXIT_VALIDATION, f"--{flag.replace('_', '-')} must be a finite number, got {value}")
     if args.window_seconds is not None:
         from dataclasses import replace
 
@@ -116,45 +124,43 @@ def cmd_run(args) -> int:
         except ValueError:
             return _fail(EXIT_PARSE, f"TWINSYNC_SEED must be an integer, got {env_seed!r}")
 
-    scenario = ScenarioSpec(
-        kind=CLI_SCENARIO_NAMES[args.scenario],
-        duration_micros=seconds_to_micros(args.duration),
-        seed=seed,
-        ue_count=max(descriptor.ue_count, 1),
-    )
+    report_path = Path(args.report)
     try:
+        scenario = ScenarioSpec(
+            kind=CLI_SCENARIO_NAMES[args.scenario],
+            duration_micros=seconds_to_micros(args.duration),
+            seed=seed,
+            ue_count=max(descriptor.ue_count, 1),
+        )
         scenario.validate()
+        channel = ChannelSpec(
+            kind=args.channel,
+            latency_us=seconds_to_micros(args.channel_latency),
+            bandwidth_bps=args.channel_bandwidth,
+            loss_probability=args.loss_probability,
+            seed=seed,
+        )
+        plan = ReplayPlan(
+            mode=ReplayMode(args.mode),
+            speed_factor=args.speed_factor,
+            align_offset_micros=None if args.align_offset is None else seconds_to_micros(args.align_offset),
+        )
+        cfg = RunConfig(
+            descriptor=descriptor,
+            scenario=scenario,
+            channel=channel,
+            plan=plan,
+            seed=seed,
+            bin_width_micros=seconds_to_micros(args.bin_width),
+            max_lag_bins=args.max_lag_bins,
+            out_dir=Path(args.out_dir) if args.out_dir else report_path.parent,
+            save_replayed_pcaps=args.save_replayed_pcaps,
+            exchange_dir=Path(args.exchange_dir) if args.exchange_dir else None,
+            tcp_host=args.tcp_host,
+            tcp_port=args.tcp_port,
+        )
     except ValueError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
-
-    channel = ChannelSpec(
-        kind=args.channel,
-        latency_us=seconds_to_micros(args.channel_latency),
-        bandwidth_bps=args.channel_bandwidth,
-        loss_probability=args.loss_probability,
-        seed=seed,
-    )
-    plan = ReplayPlan(
-        mode=ReplayMode(args.mode),
-        speed_factor=args.speed_factor,
-        align_offset_micros=None if args.align_offset is None else seconds_to_micros(args.align_offset),
-    )
-    report_path = Path(args.report)
-    out_dir = Path(args.out_dir) if args.out_dir else report_path.parent
-    cfg = RunConfig(
-        descriptor=descriptor,
-        scenario=scenario,
-        channel=channel,
-        plan=plan,
-        seed=seed,
-        bin_width_micros=seconds_to_micros(args.bin_width),
-        max_lag_bins=args.max_lag_bins,
-        out_dir=out_dir,
-        save_replayed_pcaps=args.save_replayed_pcaps,
-        exchange_dir=Path(args.exchange_dir) if args.exchange_dir else None,
-        tcp_host=args.tcp_host,
-        tcp_port=args.tcp_port,
-    )
     try:
         result = run_pipeline(cfg)
         written = write_run_artifacts(cfg, result, report_path)

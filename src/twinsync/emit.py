@@ -10,13 +10,10 @@ slice order, which is what the state-consistency audit relies on.
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import yaml
 
 from .model import LinkProfile, TwinDescriptor
-
-HOST_ROLES = ("ran", "mec", "cloud-upf", "cloud-cp")
 
 _HOSTS = (
     ("ran", "ran"),
@@ -49,24 +46,6 @@ class TopologyBlueprint:
     hosts: tuple[TopologyHost, ...]
     switches: tuple[str, ...]
     links: tuple[TopologyLink, ...]
-
-    def is_connected(self) -> bool:
-        nodes = {h.name for h in self.hosts} | set(self.switches)
-        if not nodes:
-            return True
-        adjacency: dict[str, set[str]] = {n: set() for n in nodes}
-        for link in self.links:
-            adjacency.setdefault(link.endpoint_a, set()).add(link.endpoint_b)
-            adjacency.setdefault(link.endpoint_b, set()).add(link.endpoint_a)
-        seen = set()
-        stack = [next(iter(nodes))]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adjacency.get(node, ()))
-        return nodes <= seen
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,30 +114,8 @@ def _topology_to_tree(t: TopologyBlueprint) -> dict:
     }
 
 
-def _topology_from_tree(tree: dict) -> TopologyBlueprint:
-    return TopologyBlueprint(
-        hosts=tuple(TopologyHost(h["name"], h["role"]) for h in tree["hosts"]),
-        switches=tuple(tree["switches"]),
-        links=tuple(
-            TopologyLink(
-                l["endpoint_a"],
-                l["endpoint_b"],
-                LinkProfile(
-                    bandwidth_bps=l["profile"]["bandwidth_bps"],
-                    latency_us=l["profile"]["latency_us"],
-                    jitter_us=l["profile"]["jitter_us"],
-                ),
-            )
-            for l in tree["links"]
-        ),
-    )
-
-
 def render_bundle(bundle: DeploymentBundle, directory: Path) -> list[Path]:
-    """Write the bundle into a directory; returns the written paths.
-
-    Files re-parse (load_bundle) to a bundle equal to the input.
-    """
+    """Write the bundle into a directory; returns the written paths."""
     directory = Path(directory)
     written = []
     for name, doc in ((SMF_FILE, bundle.smf_doc), (NSSF_FILE, bundle.nssf_doc), (AMF_FILE, bundle.amf_doc)):
@@ -169,13 +126,3 @@ def render_bundle(bundle: DeploymentBundle, directory: Path) -> list[Path]:
     topo_path.write_text(json.dumps(_topology_to_tree(bundle.topology), indent=2) + "\n", encoding="utf-8")
     written.append(topo_path)
     return written
-
-
-def load_bundle(directory: Path) -> DeploymentBundle:
-    """Re-parse a rendered bundle from disk."""
-    directory = Path(directory)
-    docs: dict[str, Any] = {}
-    for name in (SMF_FILE, NSSF_FILE, AMF_FILE):
-        docs[name] = yaml.safe_load((directory / name).read_text(encoding="utf-8"))
-    topology = _topology_from_tree(json.loads((directory / TOPOLOGY_FILE).read_text(encoding="utf-8")))
-    return DeploymentBundle(docs[SMF_FILE], docs[NSSF_FILE], docs[AMF_FILE], topology)

@@ -3,19 +3,21 @@
 Everything here is a pure function over immutable inputs: throughput
 binning, the alignment ratio, update latency, age-of-information, the
 series comparison (lag search + error measures) and the configuration
-consistency audit. Bins use half-open intervals with boundary points in
-the later bin, the same convention the capture segmentation uses.
+consistency audit. Packets come as a PacketBatch and the sync log as
+the entries SyncLog.entries() returns. Bins use half-open intervals with
+boundary points in the later bin, the same convention the capture
+segmentation uses.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .emit import DeploymentBundle
 from .errors import MetricsError
-from .model import MICROS_PER_SECOND, PacketBatch, PacketRecord, TwinDescriptor
+from .model import MICROS_PER_SECOND, PacketBatch, TwinDescriptor
 from .transport import SyncLogEntry
 
 
@@ -26,11 +28,6 @@ class ThroughputSeries:
     origin_ts_micros: int
     bin_width_micros: int
     bins: tuple[float, ...]
-    ignored_packets: int = 0
-
-    @property
-    def span_micros(self) -> int:
-        return self.bin_width_micros * len(self.bins)
 
     def to_csv_bytes(self) -> bytes:
         lines = ["t_seconds,bits_per_second"]
@@ -41,7 +38,7 @@ class ThroughputSeries:
 
 
 def throughput_series(
-    packets: Iterable[PacketRecord],
+    batch: PacketBatch,
     bin_width_micros: int = MICROS_PER_SECOND,
     origin_ts_micros: int = 0,
     span_micros: int | None = None,
@@ -50,11 +47,10 @@ def throughput_series(
 
     Bin k collects original_len bytes of packets with ts in
     [origin + k*w, origin + (k+1)*w). Packets outside the span are not an
-    error; they are skipped and counted in ``ignored_packets``.
+    error; they are skipped.
     """
     if bin_width_micros <= 0:
         raise ValueError("bin_width_micros must be positive")
-    batch = PacketBatch.from_records(packets)
     ts = batch.ts_micros
     if span_micros is None:
         span_micros = int(ts.max()) - origin_ts_micros + 1 if len(ts) else 0
@@ -68,15 +64,14 @@ def throughput_series(
         origin_ts_micros=origin_ts_micros,
         bin_width_micros=bin_width_micros,
         bins=tuple((byte_bins * scale).tolist()),
-        ignored_packets=len(ts) - int(np.count_nonzero(inside)),
     )
 
 
-def delivered_in_observation(log: Iterable[SyncLogEntry], observation: tuple[int, int]) -> int:
-    """Delivered windows (of a SyncLog or its entries) whose capture interval
-    ends inside the observation interval: late final windows still count."""
+def delivered_in_observation(entries: Sequence[SyncLogEntry], observation: tuple[int, int]) -> int:
+    """Delivered windows whose capture interval ends inside the observation
+    interval: late final windows still count."""
     start, end = observation
-    return sum(1 for e in log if e.delivered and start < e.t_window_end <= end)
+    return sum(1 for e in entries if e.delivered and start < e.t_window_end <= end)
 
 
 def twin_alignment_ratio(delivered: int, planned_period_micros: int, observation: tuple[int, int]) -> float:
@@ -96,18 +91,16 @@ def twin_alignment_ratio(delivered: int, planned_period_micros: int, observation
 
 @dataclass(frozen=True, slots=True)
 class LatencyStats:
-    per_window: Mapping[int, int]
     mean_micros: float
     max_micros: int
 
 
-def update_latency(log: Iterable[SyncLogEntry]) -> LatencyStats:
-    """Replay completion minus window end, per delivered window of a SyncLog or its entries."""
-    per_window = {e.seq: e.t_replayed - e.t_window_end for e in log if e.delivered and e.t_replayed is not None}
-    if not per_window:
+def update_latency(entries: Sequence[SyncLogEntry]) -> LatencyStats:
+    """Replay completion minus window end, over the delivered windows."""
+    values = [e.t_replayed - e.t_window_end for e in entries if e.delivered and e.t_replayed is not None]
+    if not values:
         raise MetricsError("no replayed windows in the log")
-    values = list(per_window.values())
-    return LatencyStats(per_window, sum(values) / len(values), max(values))
+    return LatencyStats(sum(values) / len(values), max(values))
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +113,7 @@ class AoiStats:
 
 
 def age_of_information(
-    log: Iterable[SyncLogEntry],
+    entries: Sequence[SyncLogEntry],
     eval_times_micros: Sequence[int] | None = None,
     origin_ts_micros: int | None = None,
     horizon_micros: int | None = None,
@@ -131,10 +124,9 @@ def age_of_information(
     t; before the first replay it is measured from the run origin. Mean
     and peak are computed exactly from the piecewise-linear sawtooth over
     [origin, horizon]; ``samples`` holds the instantaneous series at the
-    requested eval times, and is empty without them. ``log`` is a SyncLog
-    or its entries.
+    requested eval times, and is empty without them.
     """
-    events = sorted((e.t_replayed, e.t_window_end) for e in log if e.delivered and e.t_replayed is not None)
+    events = sorted((e.t_replayed, e.t_window_end) for e in entries if e.delivered and e.t_replayed is not None)
     # The freshest data at time t is the max window end replayed by t.
     event_times: list[int] = []
     newest_end: list[int] = []
@@ -148,7 +140,7 @@ def age_of_information(
             newest_end.append(running)
 
     if origin_ts_micros is None:
-        origin_ts_micros = min((e.t_window_start for e in log), default=None)
+        origin_ts_micros = min((e.t_window_start for e in entries), default=None)
         if origin_ts_micros is None:
             raise MetricsError("empty sync log and no origin given")
     if horizon_micros is None:
@@ -203,25 +195,22 @@ class SeriesComparison:
     pearson_r: float
     estimated_lag_bins: int
     estimated_lag_micros: int
-    flat_reference: bool = False
-    degenerate_correlation: bool = False
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
-    """Pearson r plus a degenerate flag.
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson r.
 
     Identical arrays short-circuit to exactly 1.0 (no float noise). A
-    zero-variance side otherwise makes r undefined and is reported as
-    0.0 with the degenerate flag set.
+    zero-variance side otherwise makes r undefined and is reported as 0.0.
     """
     if np.array_equal(x, y):
-        return 1.0, bool(np.std(x) == 0.0)
+        return 1.0
     sx = float(np.std(x))
     sy = float(np.std(y))
     if sx == 0.0 or sy == 0.0:
-        return 0.0, True
+        return 0.0
     r = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
-    return max(-1.0, min(1.0, r)), False
+    return max(-1.0, min(1.0, r))
 
 
 def compare_series(npt: ThroughputSeries, ndt: ThroughputSeries, max_lag_bins: int) -> SeriesComparison:
@@ -251,8 +240,7 @@ def compare_series(npt: ThroughputSeries, ndt: ThroughputSeries, max_lag_bins: i
             if np.array_equal(xs, ys):
                 scored.append((1.0, s))
             continue
-        r, _ = _pearson(xs, ys)
-        scored.append((r, s))
+        scored.append((_pearson(xs, ys), s))
     if not scored:
         raise MetricsError("series overlap is under 2 bins at every candidate lag")
 
@@ -264,18 +252,13 @@ def compare_series(npt: ThroughputSeries, ndt: ThroughputSeries, max_lag_bins: i
     xs = x[i0:i1]
     ys = y[i0 + lag:i1 + lag]
     rmse = float(np.sqrt(np.mean((xs - ys) ** 2)))
-    pearson_r, degenerate = _pearson(xs, ys)
     spread = float(x.max() - x.min()) if len(x) else 0.0
-    flat = spread == 0.0
-    nrmse = None if flat else rmse / spread
     return SeriesComparison(
         rmse_bps=rmse,
-        nrmse=nrmse,
-        pearson_r=pearson_r,
+        nrmse=None if spread == 0.0 else rmse / spread,
+        pearson_r=_pearson(xs, ys),
         estimated_lag_bins=lag,
         estimated_lag_micros=lag * npt.bin_width_micros,
-        flat_reference=flat,
-        degenerate_correlation=degenerate,
     )
 
 

@@ -2,16 +2,15 @@
 
 The descriptor is the single artifact exchanged between the physical side
 and its digital replica: the ingest stage produces it, every downstream
-stage consumes it. All types here are immutable value objects, safe to
-share between concurrent pipeline stages. Durations are integer
+stage consumes it. PacketBatch is the one form packets take from
+generation to binning. All types here are immutable value objects, safe
+to share between concurrent pipeline stages. Durations are integer
 microseconds everywhere except the descriptor's ``window_seconds``, which
 is the operator-facing sync period in seconds.
 """
 
-import enum
 import ipaddress
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -28,14 +27,6 @@ DEFAULT_WINDOW_SECONDS = 120.0
 
 def seconds_to_micros(seconds: float) -> int:
     return int(round(seconds * MICROS_PER_SECOND))
-
-
-class Direction(enum.Enum):
-    """Traffic direction relative to the radio side of the network."""
-
-    UPLINK = "uplink"
-    DOWNLINK = "downlink"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,33 +75,6 @@ class TwinDescriptor:
         return seconds_to_micros(self.window_seconds)
 
 
-@dataclass(frozen=True, slots=True)
-class PacketRecord:
-    """One captured packet, the in-memory form of a pcap record."""
-
-    ts_micros: int
-    captured_len: int
-    original_len: int
-    payload: bytes
-    direction: Direction = Direction.UNKNOWN
-
-    def __post_init__(self):
-        if self.ts_micros < 0:
-            raise ValueError("ts_micros must be non-negative")
-        if not 0 <= self.captured_len <= 0xFFFFFFFF:
-            raise ValueError("captured_len out of 32-bit range")
-        if not 0 <= self.original_len <= 0xFFFFFFFF:
-            raise ValueError("original_len out of 32-bit range")
-        if self.captured_len > self.original_len:
-            raise ValueError("captured_len exceeds original_len")
-        if len(self.payload) != self.captured_len:
-            raise ValueError("payload length differs from captured_len")
-
-
-# Direction codes of PacketBatch.direction: the position in this tuple.
-DIRECTIONS = (Direction.UNKNOWN, Direction.UPLINK, Direction.DOWNLINK)
-DIRECTION_CODES = {d: code for code, d in enumerate(DIRECTIONS)}
-
 _U32_MAX = 0xFFFFFFFF
 
 
@@ -121,40 +85,37 @@ def first_index(mask: np.ndarray) -> int | None:
     return int(mask.argmax())
 
 
-class PacketBatch(Sequence):
-    """Many captured packets as columns: the packet form of the hot path.
+class PacketBatch:
+    """Many captured packets as columns: the one packet form of twinsync.
 
     ``ts_micros`` (int64), ``captured_len`` and ``original_len`` (uint32)
-    and ``direction`` (int8 codes into DIRECTIONS) hold one entry per
-    packet. Payloads live in one uint8 buffer: packet i owns the slot
+    hold one entry per packet, the fields of a pcap record header.
+    Payloads live in one uint8 buffer: packet i owns the slot
     ``payload[offsets[i]:offsets[i + 1]]`` and its captured bytes are the
-    first ``captured_len[i]`` bytes of that slot. A batch built from
-    records packs the payloads back to back; a batch read from pcap bytes
-    keeps them where they lie, record headers in between, without a copy.
+    first ``captured_len[i]`` bytes of that slot. A batch read from pcap
+    bytes keeps them where they lie, record headers in between, without a
+    copy.
 
-    As a Sequence of PacketRecord: an int index builds one record, a
-    slice is a batch sharing this one's arrays and buffer, and ``==``
-    compares packet by packet with any sequence of records. Batches are
-    never modified in place.
+    ``PacketBatch(...)`` checks columns that come from outside;
+    ``trusted`` takes them as they are. A step-1 slice is a batch sharing
+    this one's arrays and buffer. Batches are never modified in place.
     """
 
-    __slots__ = ("ts_micros", "captured_len", "original_len", "direction", "payload", "offsets", "_ordered")
+    __slots__ = ("ts_micros", "captured_len", "original_len", "payload", "offsets", "_ordered")
 
-    def __init__(self, ts_micros, captured_len, original_len, direction, payload, offsets):
+    def __init__(self, ts_micros, captured_len, original_len, payload, offsets):
         ts = np.asarray(ts_micros)
         cap = np.asarray(captured_len)
         orig = np.asarray(original_len)
-        codes = np.asarray(direction)
         offs = np.asarray(offsets)
         buf = payload if isinstance(payload, np.ndarray) else np.frombuffer(payload, dtype=np.uint8)
         if buf.dtype != np.uint8 or buf.ndim != 1:
             raise ValueError("payload must be a 1-D buffer of bytes")
         n = len(ts)
-        for name, col, size in (("captured_len", cap, n), ("original_len", orig, n),
-                                ("direction", codes, n), ("offsets", offs, n + 1)):
+        for name, col, size in (("captured_len", cap, n), ("original_len", orig, n), ("offsets", offs, n + 1)):
             if col.ndim != 1 or len(col) != size:
                 raise ValueError(f"{name} must be a 1-D array of {size} entries")
-        for col in (ts, cap, orig, codes, offs):
+        for col in (ts, cap, orig, offs):
             if n and col.dtype.kind not in "iu":
                 raise ValueError("packet columns must hold integers")
         checks = (
@@ -162,7 +123,6 @@ class PacketBatch(Sequence):
             ((cap < 0) | (cap > _U32_MAX), "captured_len out of 32-bit range"),
             ((orig < 0) | (orig > _U32_MAX), "original_len out of 32-bit range"),
             (cap > orig, "captured_len exceeds original_len"),
-            ((codes < 0) | (codes >= len(DIRECTIONS)), "unknown direction code"),
             (offs[1:] - offs[:-1] < cap, "payload slot shorter than captured_len"),
         )
         for mask, message in checks:
@@ -172,63 +132,41 @@ class PacketBatch(Sequence):
         if offs[0] < 0 or offs[-1] > len(buf):
             raise ValueError("payload offsets outside the payload buffer")
         self._set(ts.astype(np.int64, copy=False), cap.astype(np.uint32, copy=False),
-                  orig.astype(np.uint32, copy=False), codes.astype(np.int8, copy=False),
-                  buf, offs.astype(np.int64, copy=False), None)
+                  orig.astype(np.uint32, copy=False), buf, offs.astype(np.int64, copy=False), None)
 
-    def _set(self, ts, cap, orig, codes, buf, offs, ordered):
+    def _set(self, ts, cap, orig, buf, offs, ordered):
         self.ts_micros = ts
         self.captured_len = cap
         self.original_len = orig
-        self.direction = codes
         self.payload = buf
         self.offsets = offs
         self._ordered = ordered
 
     @classmethod
-    def trusted(cls, ts_micros, captured_len, original_len, direction, payload, offsets,
+    def trusted(cls, ts_micros, captured_len, original_len, payload, offsets,
                 ordered: bool | None = None) -> "PacketBatch":
         """A batch from columns that already have the right dtypes and obey
         every rule __init__ checks; for producers that guarantee them by
         construction. ``ordered`` is whether timestamps are non-decreasing,
         None when not known."""
         batch = cls.__new__(cls)
-        batch._set(ts_micros, captured_len, original_len, direction, payload, offsets, ordered)
+        batch._set(ts_micros, captured_len, original_len, payload, offsets, ordered)
         return batch
 
     @classmethod
     def empty(cls) -> "PacketBatch":
         zero = np.zeros(0, dtype=np.int64)
-        return cls.trusted(zero, zero.astype(np.uint32), zero.astype(np.uint32), zero.astype(np.int8),
-                           zero.astype(np.uint8), np.zeros(1, dtype=np.int64), True)
-
-    @classmethod
-    def from_records(cls, records: Iterable[PacketRecord]) -> "PacketBatch":
-        """The batch of a sequence of records; a batch is returned as is."""
-        if isinstance(records, PacketBatch):
-            return records
-        records = list(records)
-        if not records:
-            return cls.empty()
-        cap = np.array([r.captured_len for r in records], dtype=np.uint32)
-        offsets = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum(cap, out=offsets[1:])
-        return cls.trusted(
-            np.array([r.ts_micros for r in records], dtype=np.int64),
-            cap,
-            np.array([r.original_len for r in records], dtype=np.uint32),
-            np.array([DIRECTION_CODES[r.direction] for r in records], dtype=np.int8),
-            np.frombuffer(b"".join(r.payload for r in records), dtype=np.uint8),
-            offsets,
-        )
+        return cls.trusted(zero, zero.astype(np.uint32), zero.astype(np.uint32), zero.astype(np.uint8),
+                           np.zeros(1, dtype=np.int64), True)
 
     @staticmethod
     def concat_sizes(batches: Iterable["PacketBatch"]) -> "PacketBatch":
         """The packets of all given batches, in order, without their payloads.
 
-        Times, original lengths and directions are kept; every captured
-        length is 0, as if captured with a snap length of 0, so nothing is
-        copied from the payload buffers. Only those three columns are read,
-        so anything that has them will do in place of a batch.
+        Times and original lengths are kept; every captured length is 0,
+        as if captured with a snap length of 0, so nothing is copied from
+        the payload buffers. Only those two columns are read, so anything
+        that has them will do in place of a batch.
         """
         batches = list(batches)
         if not batches:
@@ -237,71 +175,24 @@ class PacketBatch(Sequence):
         return PacketBatch.trusted(
             ts, np.zeros(len(ts), dtype=np.uint32),
             np.concatenate([b.original_len for b in batches], dtype=np.uint32),
-            np.concatenate([b.direction for b in batches], dtype=np.int8),
             np.zeros(0, dtype=np.uint8), np.zeros(len(ts) + 1, dtype=np.int64),
         )
 
     def __len__(self) -> int:
         return len(self.ts_micros)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step != 1:
-                return PacketBatch.from_records([self[i] for i in range(start, stop, step)])
-            stop = max(start, stop)
-            view = PacketBatch.__new__(PacketBatch)
-            view._set(self.ts_micros[start:stop], self.captured_len[start:stop], self.original_len[start:stop],
-                      self.direction[start:stop], self.payload, self.offsets[start:stop + 1], self._ordered or None)
-            return view
-        n = len(self)
-        i = index + n if index < 0 else index
-        if not 0 <= i < n:
-            raise IndexError("packet index out of range")
-        start = int(self.offsets[i])
-        cap = int(self.captured_len[i])
-        return PacketRecord(int(self.ts_micros[i]), cap, int(self.original_len[i]),
-                            self.payload[start:start + cap].tobytes(), DIRECTIONS[self.direction[i]])
-
-    def __iter__(self):
-        starts = self.offsets.tolist()
-        payload = self.payload
-        for ts, cap, orig, code, start in zip(self.ts_micros.tolist(), self.captured_len.tolist(),
-                                              self.original_len.tolist(), self.direction.tolist(), starts):
-            yield PacketRecord(ts, cap, orig, payload[start:start + cap].tobytes(), DIRECTIONS[code])
-
-    def __eq__(self, other):
-        if isinstance(other, PacketBatch):
-            return (
-                len(self) == len(other)
-                and np.array_equal(self.ts_micros, other.ts_micros)
-                and np.array_equal(self.captured_len, other.captured_len)
-                and np.array_equal(self.original_len, other.original_len)
-                and np.array_equal(self.direction, other.direction)
-                and np.array_equal(self.packed_payload(), other.packed_payload())
-            )
-        if isinstance(other, Sequence) and not isinstance(other, (str, bytes, bytearray)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    __hash__ = None
+    def __getitem__(self, index: slice) -> "PacketBatch":
+        """The packets of a step-1 slice, sharing this batch's arrays and buffer."""
+        start, stop, step = index.indices(len(self))
+        if step != 1:
+            raise ValueError("a packet batch slices with step 1 only")
+        stop = max(start, stop)
+        return PacketBatch.trusted(self.ts_micros[start:stop], self.captured_len[start:stop],
+                                   self.original_len[start:stop], self.payload, self.offsets[start:stop + 1],
+                                   self._ordered or None)
 
     def __repr__(self) -> str:
         return f"PacketBatch(<{len(self)} packets>)"
-
-    def packed_payload(self) -> np.ndarray:
-        """All captured bytes back to back, in packet order."""
-        start, end = int(self.offsets[0]), int(self.offsets[-1])
-        slots = self.payload[start:end]
-        gaps = self.offsets[1:] - self.offsets[:-1] - self.captured_len
-        if not gaps.any():
-            return slots
-        # Each slot is its payload followed by a gap: keep the one, drop the other.
-        runs = np.empty(2 * len(self), dtype=np.int64)
-        runs[0::2] = self.captured_len
-        runs[1::2] = gaps
-        keep = np.repeat(np.tile(np.array([True, False]), len(self)), runs)
-        return slots[keep]
 
     def first_regression(self) -> int | None:
         """Index of the first packet whose timestamp is below its predecessor's,
@@ -319,8 +210,8 @@ class PacketBatch(Sequence):
         index = first_index(ts_micros < 0)
         if index is not None:
             raise ValueError(f"packet {index}: ts_micros must be non-negative")
-        return PacketBatch.trusted(ts_micros, self.captured_len, self.original_len, self.direction,
-                                   self.payload, self.offsets, ordered)
+        return PacketBatch.trusted(ts_micros, self.captured_len, self.original_len, self.payload, self.offsets,
+                                   ordered)
 
     def shifted(self, offset_micros: int) -> "PacketBatch":
         """The same packets, every timestamp moved by ``offset_micros``."""

@@ -21,22 +21,22 @@ dominates there:
   and slices into windows (transport.pack_window);
 * read_pcap reads one whose records all share one captured length with
   one struct unpack through a layout cached per (byte order, count,
-  length), whose offsets, captured-length and direction columns are
-  shared read-only; any other falls back to a plain loop over the
-  records, which also raises the precise error for a bad record.
+  length), whose offsets and captured-length columns are shared
+  read-only; any other falls back to a plain loop over the records,
+  which also raises the precise error for a bad record.
 
 Every path produces the same bytes, packets and errors.
 """
 
 import struct
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadMagicError, PcapError, PcapWriteError, TimestampRegressionError, TruncatedRecordError
-from .model import MICROS_PER_SECOND, PacketBatch, PacketRecord, first_index
+from .model import MICROS_PER_SECOND, PacketBatch, first_index
 
 PCAP_MAGIC_MICROS = 0xA1B2C3D4
 PCAP_MAGIC_NANOS = 0xA1B23C4D
@@ -62,37 +62,22 @@ VECTOR_MIN_PACKETS = 32
 PACK_BLOCK_BYTES = 256 * 1024
 
 
-class _WindowFields(NamedTuple):
+class CaptureWindow(NamedTuple):
+    """One T-second segment of the capture stream, the unit of sync.
+
+    Windows abut without gaps; ``seq`` counts from 0 with no holes on the
+    sending side (holes appear downstream only through loss). A window is
+    an immutable tuple, safe to hand between threads. It is not checked
+    here: segment_stream cuts only windows whose packets lie in order
+    inside their bounds, and transport.unpack_window checks every window
+    where its bytes arrive.
+    """
+
     seq: int
     start_ts_micros: int
     end_ts_micros: int
     packets: PacketBatch
     source_interface: str = "tun2"
-
-
-class CaptureWindow(_WindowFields):
-    """One T-second segment of the capture stream, the unit of sync.
-
-    Windows abut without gaps; ``seq`` counts from 0 with no holes on the
-    sending side (holes appear downstream only through loss). ``packets``
-    accepts any sequence of PacketRecord and is stored as a PacketBatch.
-    A window is an immutable tuple, safe to hand between threads. It is
-    not checked here: segment_stream cuts only windows whose packets lie
-    in order inside their bounds, and transport.unpack_window checks every
-    window where its bytes arrive. Code that already holds a PacketBatch
-    builds a window with ``CaptureWindow._make``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, seq: int, start_ts_micros: int, end_ts_micros: int, packets: Sequence[PacketRecord],
-                source_interface: str = "tun2"):
-        return tuple.__new__(cls, (seq, start_ts_micros, end_ts_micros, PacketBatch.from_records(packets),
-                                   source_interface))
-
-    @property
-    def duration_micros(self) -> int:
-        return self.end_ts_micros - self.start_ts_micros
 
 
 class PackBlock:
@@ -138,12 +123,11 @@ class BlockSlice(PacketBatch):
     __slots__ = ("block", "index")
 
 
-def write_pcap(linktype: int, packets: Sequence[PacketRecord], snaplen: int = DEFAULT_SNAPLEN) -> bytes:
+def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN) -> bytes:
     """Serialize packets into a classic pcap byte string.
 
     Output is deterministic: same packets, same bytes.
     """
-    batch = PacketBatch.from_records(packets)
     header = _GLOBAL_HEADER.pack(PCAP_MAGIC_MICROS, 2, 4, 0, 0, snaplen, linktype)
     n = len(batch)
     if n < VECTOR_MIN_PACKETS:
@@ -216,8 +200,7 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
     """Parse a classic pcap byte string into (linktype, packets).
 
     Accepts both byte orders and both the microsecond and nanosecond
-    magics. Direction is Unknown: the file format does not carry it. The
-    packets' payload buffer is ``data`` itself, not a copy.
+    magics. The packets' payload buffer is ``data`` itself, not a copy.
     """
     size = len(data)
     if size < _GLOBAL_HEADER_LEN:
@@ -253,7 +236,7 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
                 ts = [sec * MICROS_PER_SECOND + frac for sec, frac in zip(fields[0::4], fracs)]
                 return linktype, PacketBatch.trusted(
                     np.array(ts, dtype=np.int64), layout.captured_len, np.array(origs, dtype=np.uint32),
-                    layout.direction, np.frombuffer(data, dtype=np.uint8), layout.offsets, ts == sorted(ts))
+                    np.frombuffer(data, dtype=np.uint8), layout.offsets, ts == sorted(ts))
 
     # Records are stepped one by one and checked as they come, so the first
     # bad record raises. After VECTOR_MIN_PACKETS records in a row of one
@@ -296,15 +279,14 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
     stepped = (np.array(ts, dtype=np.int64), np.array(incls, dtype=np.uint32), np.array(origs, dtype=np.uint32),
                np.array(starts, dtype=np.int64))
     if not runs:
-        return linktype, PacketBatch.trusted(*stepped[:3], np.zeros(len(ts), dtype=np.int8), buf, stepped[3],
-                                             ts == sorted(ts))
+        return linktype, PacketBatch.trusted(*stepped[:3], buf, stepped[3], ts == sorted(ts))
     pieces, done = [], 0
     for at, run in runs:
         pieces += ([column[done:at] for column in stepped], run)
         done = at
     pieces.append([column[done:] for column in stepped])
     ts, incl, orig, offsets = (np.concatenate(column) for column in zip(*pieces))
-    return linktype, PacketBatch.trusted(ts, incl, orig, np.zeros(len(ts), dtype=np.int8), buf, offsets)
+    return linktype, PacketBatch.trusted(ts, incl, orig, buf, offsets)
 
 
 class _Layout(NamedTuple):
@@ -315,7 +297,6 @@ class _Layout(NamedTuple):
     headers: struct.Struct
     captured: tuple[int, ...]
     captured_len: np.ndarray
-    direction: np.ndarray
     offsets: np.ndarray
 
 
@@ -330,11 +311,9 @@ def _layout(order: str, count: int, incl: int) -> _Layout:
     offsets = _GLOBAL_HEADER_LEN + _RECORD_HEADER_LEN + stride * np.arange(count + 1, dtype=np.int64)
     offsets[count] = _GLOBAL_HEADER_LEN + stride * count
     captured_len = np.full(count, incl, dtype=np.uint32)
-    direction = np.zeros(count, dtype=np.int8)
-    for column in (offsets, captured_len, direction):
+    for column in (offsets, captured_len):
         column.flags.writeable = False
-    return _Layout(struct.Struct(order + f"IIII{incl}x" * count), (incl,) * count, captured_len, direction,
-                   offsets)
+    return _Layout(struct.Struct(order + f"IIII{incl}x" * count), (incl,) * count, captured_len, offsets)
 
 
 def _run_length(data: bytes, order: str, offset: int, incl: int) -> int:
@@ -381,7 +360,7 @@ def _run_columns(data: bytes, order: str, offset: int, k: int, incl: int, nanos:
 
 
 def segment_stream(
-    packets: Iterable[PacketRecord],
+    batch: PacketBatch,
     window_micros: int,
     origin_ts_micros: int,
     span_end_micros: int | None = None,
@@ -409,7 +388,6 @@ def segment_stream(
     if span_end_micros is not None and span_end_micros <= origin_ts_micros:
         raise ValueError("span_end_micros must lie after the origin")
 
-    batch = PacketBatch.from_records(packets)
     ts = batch.ts_micros
     # The first bad packet wins; for one packet, the checks rank in this order.
     errors = [
@@ -434,22 +412,20 @@ def segment_stream(
     bounds = origin_ts_micros + window_micros * np.arange(1, n_windows + 1, dtype=np.int64)
     cuts = np.concatenate(([0], np.searchsorted(ts[:good], bounds, side="left")))
     span_end = span_end_micros if span_end_micros is not None else origin_ts_micros + n_windows * window_micros
-    cap, orig, codes, offs = batch.captured_len, batch.original_len, batch.direction, batch.offsets
+    cap, orig, offs = batch.captured_len, batch.original_len, batch.offsets
     payload = batch.payload
     # At least the pcap record bytes before each window: a payload slot
     # holds its packet's captured bytes and maybe a gap.
     bytes_before = (offs[cuts] + _RECORD_HEADER_LEN * cuts).tolist()
     cuts = cuts.tolist()
-    make = CaptureWindow._make
 
     def view(first: int, stop: int, kind=PacketBatch) -> PacketBatch:
         # Packets before the first bad one are in order.
-        return kind.trusted(ts[first:stop], cap[first:stop], orig[first:stop], codes[first:stop], payload,
-                            offs[first:stop + 1], True)
+        return kind.trusted(ts[first:stop], cap[first:stop], orig[first:stop], payload, offs[first:stop + 1], True)
 
     def window(k: int, packets: PacketBatch) -> CaptureWindow:
         start = origin_ts_micros + k * window_micros
-        return make((k, start, min(start + window_micros, span_end), packets, source_interface))
+        return CaptureWindow(k, start, min(start + window_micros, span_end), packets, source_interface)
 
     k = 0
     while k < n_windows:

@@ -71,6 +71,12 @@ class RunConfig:
     tcp_host: str = "127.0.0.1"
     tcp_port: int | None = None
 
+    def __post_init__(self):
+        if self.bin_width_micros <= 0:
+            raise ValueError(f"bin width must be positive, got {self.bin_width_micros} us")
+        if self.max_lag_bins < 0:
+            raise ValueError(f"max_lag_bins must be non-negative, got {self.max_lag_bins}")
+
 
 @dataclass(slots=True)
 class RunResult:
@@ -90,7 +96,6 @@ class _ReplayedSizes(NamedTuple):
 
     ts_micros: np.ndarray
     original_len: np.ndarray
-    direction: np.ndarray
 
 
 def _make_channels(cfg: RunConfig, clock) -> tuple[object, object]:
@@ -194,7 +199,7 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         if replayed_dir is not None:
             path = replayed_dir / f"replayed_{trace.window_seq}.pcap"
             path.write_bytes(write_pcap(LINKTYPE_RAW_IP, packets))
-        replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len, packets.direction))
+        replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len))
         max_lateness = max(max_lateness, trace.max_lateness_micros)
         return True
 

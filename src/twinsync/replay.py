@@ -16,6 +16,7 @@ whole point of the loop.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,8 +47,8 @@ class ReplayPlan:
     align_offset_micros: int | None = None
 
     def __post_init__(self):
-        if self.speed_factor <= 0:
-            raise ValueError("speed_factor must be positive")
+        if not 0 < self.speed_factor < math.inf:
+            raise ValueError(f"speed_factor must be positive and finite, got {self.speed_factor}")
 
 
 class ReplayedTrace(NamedTuple):

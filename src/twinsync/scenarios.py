@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DIRECTION_CODES, MICROS_PER_SECOND, Direction, PacketBatch
+from .model import MICROS_PER_SECOND, PacketBatch
 
 SCENARIO_KINDS = ("attach-and-browse", "video-streaming", "voice-call", "live-upload")
 
@@ -93,8 +93,9 @@ _HEADER = np.dtype([
     ("sport", ">u2"), ("dport", ">u2"), ("udp_len", ">u2"), ("udp_checksum", ">u2"),
 ])
 
-_UPLINK = DIRECTION_CODES[Direction.UPLINK]
-_DOWNLINK = DIRECTION_CODES[Direction.DOWNLINK]
+# Which way a group of packets goes: it decides which end of the IP/UDP
+# header is the phone and which the server.
+_UPLINK, _DOWNLINK = 0, 1
 
 
 # Words of SplitMix64 output computed per pass: small enough that a block
@@ -189,8 +190,8 @@ class _TraceBuilder:
         rows = noise[2 * n:].reshape(n, row_len)
         rows[:, :_IP_UDP_HEADER_LEN] = header.view(np.uint8).reshape(n, _IP_UDP_HEADER_LEN)
         offsets = np.arange(0, (n + 1) * row_len, row_len, dtype=np.int64)
-        return PacketBatch.trusted(ts, captured.astype(np.uint32), total.astype(np.uint32),
-                                   direction.astype(np.int8), noise[2 * n:], offsets, True)
+        return PacketBatch.trusted(ts, captured.astype(np.uint32), total.astype(np.uint32), noise[2 * n:],
+                                   offsets, True)
 
     def _column(self, k: int, counts: list[int]) -> np.ndarray:
         """Field k of every group, one entry per packet: the scalars in one
@@ -294,12 +295,3 @@ def generate(spec: ScenarioSpec) -> GeneratedTrace:
     _GENERATORS[spec.kind](spec, random.Random(spec.seed), out)
     records = out.build(spec.snap_bytes, spec.seed)
     return GeneratedTrace(scenario=spec, seed=spec.seed, records=records)
-
-
-def volume_bytes(records, direction: Direction | None = None) -> int:
-    """Total original bytes, optionally filtered by direction."""
-    batch = PacketBatch.from_records(records)
-    lengths = batch.original_len
-    if direction is not None:
-        lengths = lengths[batch.direction == DIRECTION_CODES[direction]]
-    return int(lengths.sum(dtype=np.int64))

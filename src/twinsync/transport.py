@@ -11,7 +11,9 @@ never reordered. Three interchangeable channels implement it:
   and ``latest.seq``), mirroring a fetch-the-latest-capture-folder
   deployment.
 * TCP sender/receiver - length-prefixed frames over a socket for
-  two-process runs.
+  two-process runs. The receiver refuses a manifest longer than
+  MAX_MANIFEST_BYTES and reads in chunks of at most 1 MiB, so a garbled
+  length prefix costs only the bytes that actually arrive.
 
 Lost windows are never retransmitted: the twin always wants the most
 recent trace, and the gap stays visible to the metrics.
@@ -131,7 +133,7 @@ def unpack_window(manifest: WindowManifest, payload: bytes) -> CaptureWindow:
         if outside is not None:
             raise ValueError(f"packet ts {int(ts[outside])} outside window [{start}, {end})")
         raise ValueError("packet timestamps must be non-decreasing")
-    return CaptureWindow._make((manifest.seq, start, end, packets, manifest.source_interface))
+    return CaptureWindow(manifest.seq, start, end, packets, manifest.source_interface)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,35 +221,12 @@ class SyncLog:
         with self._lock:
             self._sent(seq).lost = True
 
-    def entry(self, seq: int) -> SyncLogEntry:
-        with self._lock:
-            if seq not in self._entries:
-                raise KeyError(f"no sync-log entry for window {seq}")
-            e = self._entries[seq]
-            return SyncLogEntry(e.seq, e.t_window_start, e.t_window_end, e.t_sent, e.t_received, e.t_replayed, e.lost)
-
     def entries(self) -> list[SyncLogEntry]:
         with self._lock:
             return [
                 SyncLogEntry(e.seq, e.t_window_start, e.t_window_end, e.t_sent, e.t_received, e.t_replayed, e.lost)
                 for e in sorted(self._entries.values(), key=lambda e: e.seq)
             ]
-
-    def __iter__(self) -> Iterator[SyncLogEntry]:
-        return iter(self.entries())
-
-    def delivered_entries(self) -> list[SyncLogEntry]:
-        return [e for e in self.entries() if e.delivered]
-
-    def check_ordering(self) -> list[int]:
-        """Seqs whose timestamps violate end <= sent <= received <= replayed."""
-        bad = []
-        for e in self.entries():
-            stamps = [e.t_window_end, e.t_sent, e.t_received, e.t_replayed]
-            present = [s for s in stamps if s is not None]
-            if any(b < a for a, b in zip(present, present[1:])):
-                bad.append(e.seq)
-        return bad
 
     def to_csv_bytes(self) -> bytes:
         lines = ["seq,t_window_start,t_window_end,t_sent,t_received,t_replayed,lost"]
@@ -258,18 +237,6 @@ class SyncLog:
                 f"{e.seq},{e.t_window_start},{e.t_window_end},{cell(e.t_sent)},{cell(e.t_received)},{cell(e.t_replayed)},{int(e.lost)}"
             )
         return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def twin_lag(log: SyncLog, seq: int) -> int:
-    """Total age of a replayed window: replay completion minus window start.
-
-    Equals the window length T plus all transfer and replay delay past
-    the window's end.
-    """
-    entry = log.entry(seq)
-    if entry.t_replayed is None:
-        raise ValueError(f"window {seq} has not been replayed")
-    return entry.t_replayed - entry.t_window_start
 
 
 class _SendingChannel:
@@ -446,16 +413,32 @@ class DirectoryExchangeChannel(_SendingChannel):
             time.sleep(self.POLL_SECONDS)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+# A manifest is a few hundred bytes of JSON; a longer length prefix is
+# garbage, and reading it would allocate whatever it claims.
+MAX_MANIFEST_BYTES = 64 * 1024
+_RECV_CHUNK_BYTES = 1 << 20
+
+
+def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    """``n`` bytes from ``sock``, fewer only if it closes first. Reads at
+    most _RECV_CHUNK_BYTES at a time, so memory grows only with what arrives."""
     chunks = []
     remaining = n
     while remaining:
-        chunk = sock.recv(remaining)
+        chunk = sock.recv(min(remaining, _RECV_CHUNK_BYTES))
         if not chunk:
-            return None
+            break
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+def _recv_frame_part(sock: socket.socket, n: int) -> bytes:
+    """``n`` bytes of a frame that has begun; a close before them tears it."""
+    data = _recv_exact(sock, n)
+    if len(data) < n:
+        raise TwinError("connection closed mid-frame")
+    return data
 
 
 class TcpSenderChannel(_SendingChannel):
@@ -520,17 +503,13 @@ class TcpReceiverChannel:
         self._conn.settimeout(self._sock_timeout(timeout))
         try:
             header = _recv_exact(self._conn, 4)
-            if header is None:
-                return None
-            manifest_blob = _recv_exact(self._conn, int.from_bytes(header, "big"))
-            if manifest_blob is None:
-                raise TwinError("connection closed mid-frame")
-            length = _recv_exact(self._conn, 4)
-            if length is None:
-                raise TwinError("connection closed mid-frame")
-            payload = _recv_exact(self._conn, int.from_bytes(length, "big"))
-            if payload is None:
-                raise TwinError("connection closed mid-frame")
+            if not header:
+                return None  # closed between two frames: the end of the stream
+            manifest_length = int.from_bytes(header + _recv_frame_part(self._conn, 4 - len(header)), "big")
+            if manifest_length > MAX_MANIFEST_BYTES:
+                raise TwinError(f"manifest length {manifest_length} exceeds the {MAX_MANIFEST_BYTES}-byte bound")
+            manifest_blob = _recv_frame_part(self._conn, manifest_length)
+            payload = _recv_frame_part(self._conn, int.from_bytes(_recv_frame_part(self._conn, 4), "big"))
         except socket.timeout:
             raise TimeoutError("no window within timeout")
         return WindowManifest.from_json(manifest_blob), payload, self._clock.now_micros()

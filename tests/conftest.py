@@ -1,10 +1,11 @@
-import random
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from twinsync.model import Direction, LinkProfile, PacketRecord, SliceSpec, TwinDescriptor
+from twinsync.model import LinkProfile, SliceSpec, TwinDescriptor
+
+from reference import PacketRecord
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -24,26 +25,8 @@ def descriptor() -> TwinDescriptor:
     )
 
 
-def make_packet(ts_micros: int, size: int = 60, direction: Direction = Direction.UNKNOWN,
-                fill: bytes = b"\x00") -> PacketRecord:
-    return PacketRecord(ts_micros, size, size, fill * size, direction)
-
-
-def random_packets(rng: random.Random, count: int, max_ts: int = 10_000_000,
-                   max_size: int = 200) -> list[PacketRecord]:
-    times = sorted(rng.randrange(max_ts) for _ in range(count))
-    out = []
-    for t in times:
-        size = rng.randrange(1, max_size)
-        out.append(
-            PacketRecord(
-                ts_micros=t,
-                captured_len=size,
-                original_len=size + rng.randrange(0, 40),
-                payload=rng.randbytes(size),
-            )
-        )
-    return out
+def make_packet(ts_micros: int, size: int = 60, fill: bytes = b"\x00") -> PacketRecord:
+    return PacketRecord(ts_micros, size, size, fill * size)
 
 
 # hypothesis strategies shared between modules

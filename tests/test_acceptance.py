@@ -18,15 +18,15 @@ from twinsync.metrics import (
     audited_field_count,
     state_consistency_index,
 )
-from twinsync.model import PacketRecord, SliceSpec, TwinDescriptor, descriptor_to_json
+from twinsync.model import SliceSpec, TwinDescriptor, descriptor_to_json
 from twinsync.pcap import LINKTYPE_RAW_IP, read_pcap, segment_stream, write_pcap
 from twinsync.pipeline import RunConfig, run_pipeline
 from twinsync.replay import ReplayPlan
-from twinsync.scenarios import SCENARIO_KINDS, ScenarioSpec, generate, volume_bytes
-from twinsync.transport import ChannelSpec, twin_lag
-from twinsync.model import Direction
+from twinsync.scenarios import SCENARIO_KINDS, ScenarioSpec, generate
+from twinsync.transport import ChannelSpec
 
 from conftest import FIXTURES
+from reference import PacketRecord, batch_of, downlink_mask, records_of, volume_bytes
 
 SECOND = 1_000_000
 
@@ -85,7 +85,7 @@ def test_criterion_2_lag_model_and_shift_recovery():
     """Twin lag is T plus the transfer delay; integer shifts are recovered."""
     channel = ChannelSpec(latency_us=900_000, bandwidth_bps=1_000_000_000)
     result = fidelity_run("voice-call", channel=channel, seed=1)
-    lags = [twin_lag(result.log, e.seq) for e in result.log.delivered_entries()]
+    lags = [e.t_replayed - e.t_window_start for e in result.log.entries() if e.delivered]
     lags_ok = bool(lags) and all(abs(lag - 10_900_000) <= 1 * SECOND for lag in lags)
 
     shifts_ok = True
@@ -107,7 +107,7 @@ def test_criterion_3_tar_degrades_with_loss():
     """TAR equals the delivered fraction and falls monotonically with loss."""
     seed = 5
     result = fidelity_run("voice-call", seconds=400, seed=seed, channel=ChannelSpec(loss_probability=0.5))
-    delivered = len(result.log.delivered_entries())
+    delivered = sum(e.delivered for e in result.log.entries())
     exact = result.windows_sent == 40 and result.report.twin_alignment_ratio == delivered / 40
 
     ratios = []
@@ -126,10 +126,10 @@ def test_criterion_4_aoi_sawtooth():
     latency = result.report.max_update_latency_us
     peak_ok = abs(result.report.peak_age_of_information_us - (T + latency)) <= 1
 
-    entries = result.log.delivered_entries()
-    t0 = entries[2].t_replayed + 1000
+    entries = result.log.entries()
+    t0 = [e for e in entries if e.delivered][2].t_replayed + 1000
     step = 123_456
-    aoi = age_of_information(result.log, eval_times_micros=[t0, t0 + step, t0 + 2 * step])
+    aoi = age_of_information(entries, eval_times_micros=[t0, t0 + step, t0 + 2 * step])
     values = [v for _, v in aoi.samples]
     slope_ok = (values[1] - values[0] == step) and (values[2] - values[1] == step)
     verdict(4, peak_ok and slope_ok,
@@ -147,20 +147,20 @@ def test_criterion_5_pcap_bit_exactness():
             ts += rng.randrange(0, 50_000)
             size = rng.randrange(0, 120)
             packets.append(PacketRecord(ts, size, size + rng.randrange(0, 30), rng.randbytes(size)))
-        first = write_pcap(LINKTYPE_RAW_IP, packets)
-        _, records = read_pcap(first)
-        if write_pcap(LINKTYPE_RAW_IP, records) != first:
+        first = write_pcap(LINKTYPE_RAW_IP, batch_of(packets))
+        _, batch = read_pcap(first)
+        if write_pcap(LINKTYPE_RAW_IP, batch) != first:
             ok = False
             break
 
     big_endian = struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)
     big_endian += struct.pack(">IIII", 7, 42, 3, 3) + b"abc"
-    _, be_records = read_pcap(big_endian)
+    be_records = records_of(read_pcap(big_endian)[1])
     foreign_ok = be_records[0].ts_micros == 7 * SECOND + 42 and be_records[0].payload == b"abc"
 
     nanos = struct.pack("<IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 1)
     nanos += struct.pack("<IIII", 1, 999_999_999, 1, 1) + b"z"
-    _, ns_records = read_pcap(nanos)
+    ns_records = records_of(read_pcap(nanos)[1])
     nanos_ok = ns_records[0].ts_micros == 1 * SECOND + 999_999
     verdict(5, ok and foreign_ok and nanos_ok, "1000 round trips, both endians, nanosecond magic")
 
@@ -203,7 +203,7 @@ def test_criterion_7_segmentation_conservation():
         count = rng.randrange(0, 400)
         times = sorted(rng.randrange(0, 60 * SECOND) for _ in range(count))
         packets = [PacketRecord(t, 1, 1, b"x") for t in times]
-        windows = list(segment_stream(packets, T, 0, span_end_micros=60 * SECOND))
+        windows = list(segment_stream(batch_of(packets), T, 0, span_end_micros=60 * SECOND))
         if sum(len(w.packets) for w in windows) != len(packets):
             ok = False
             break
@@ -211,14 +211,14 @@ def test_criterion_7_segmentation_conservation():
             ok = False
             break
         for w in windows:
-            if any(not (w.start_ts_micros <= p.ts_micros < w.end_ts_micros) for p in w.packets):
+            if any(not (w.start_ts_micros <= ts < w.end_ts_micros) for ts in w.packets.ts_micros.tolist()):
                 ok = False
 
     # Boundary packets land in the later window.
     T = 2 * SECOND
     boundary = [PacketRecord(k * T, 1, 1, b"x") for k in range(4)]
-    windows = list(segment_stream(boundary, T, 0))
-    boundary_ok = all(w.packets[0].ts_micros == w.seq * T and len(w.packets) == 1 for w in windows)
+    windows = list(segment_stream(batch_of(boundary), T, 0))
+    boundary_ok = all(w.packets.ts_micros.tolist() == [w.seq * T] for w in windows)
     verdict(7, ok and boundary_ok, "50 random traces + boundary rule")
 
 
@@ -227,18 +227,19 @@ def test_criterion_8_scenario_shapes_across_seeds():
     voice_ok = upload_ok = stream_ok = browse_ok = True
     for seed in range(20):
         voice = generate(ScenarioSpec(kind="voice-call", duration_micros=10 * SECOND, seed=seed, ue_count=2))
-        up = volume_bytes(voice.records, Direction.UPLINK)
-        down = volume_bytes(voice.records, Direction.DOWNLINK)
+        # A packet's direction is read from its IP header: downlink comes from the server.
+        up = volume_bytes(voice.records, downlink=False)
+        down = volume_bytes(voice.records, downlink=True)
         voice_ok &= abs(up - down) <= 0.01 * max(up, down)
 
         upload = generate(ScenarioSpec(kind="live-upload", duration_micros=20 * SECOND, seed=seed, ue_count=1))
-        upload_ok &= volume_bytes(upload.records, Direction.UPLINK) > 5 * volume_bytes(upload.records, Direction.DOWNLINK)
+        upload_ok &= volume_bytes(upload.records, downlink=False) > 5 * volume_bytes(upload.records, downlink=True)
 
         spec = ScenarioSpec(kind="video-streaming", duration_micros=32 * SECOND, seed=seed, ue_count=2)
         stream = generate(spec)
         bins = np.zeros(32)
-        for r in stream.records:
-            if r.direction is Direction.DOWNLINK:
+        for r, downlink in zip(records_of(stream.records), downlink_mask(stream.records)):
+            if downlink:
                 bins[r.ts_micros // SECOND] += r.original_len
         x = bins - bins.mean()
         period = (spec.stream_on_micros + spec.stream_off_micros) // SECOND
@@ -247,8 +248,9 @@ def test_criterion_8_scenario_shapes_across_seeds():
 
         browse_spec = ScenarioSpec(kind="attach-and-browse", duration_micros=30 * SECOND, seed=seed, ue_count=2)
         browse = generate(browse_spec)
-        control = [r.ts_micros for r in browse.records if r.original_len == browse_spec.attach_packet_bytes]
-        data = [r.ts_micros for r in browse.records if r.original_len != browse_spec.attach_packet_bytes]
+        browse_records = records_of(browse.records)
+        control = [r.ts_micros for r in browse_records if r.original_len == browse_spec.attach_packet_bytes]
+        data = [r.ts_micros for r in browse_records if r.original_len != browse_spec.attach_packet_bytes]
         browse_ok &= bool(control) and bool(data) and max(control) < min(data)
     verdict(8, voice_ok and upload_ok and stream_ok and browse_ok,
             f"voice={voice_ok} upload={upload_ok} stream={stream_ok} browse={browse_ok}")

@@ -3,11 +3,11 @@ import json
 import pytest
 
 from twinsync import cli
-from twinsync.emit import load_bundle
 from twinsync.metrics import state_consistency_index
 from twinsync.model import descriptor_from_json, descriptor_to_json
 
 from conftest import FIXTURES
+from reference import load_bundle
 
 
 @pytest.fixture
@@ -147,6 +147,29 @@ class TestRunCommand:
             "--duration", "5", "--report", str(tmp_path / "r.json"),
         ]
         assert cli.main(args) == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("loss-probability", "2"),
+        ("loss-probability", "nan"),
+        ("channel-latency", "-1"),
+        ("channel-latency", "nan"),
+        ("channel-bandwidth", "-3"),
+        ("speed-factor", "0"),
+        ("speed-factor", "nan"),
+        ("speed-factor", "inf"),
+        ("duration", "nan"),
+        ("bin-width", "nan"),
+        ("bin-width", "0"),
+        ("max-lag-bins", "-1"),
+    ])
+    def test_out_of_range_flag_exits_3_with_one_line_and_no_report(self, tmp_path, descriptor_file, capsys,
+                                                                    flag, value):
+        args = ["run", "--descriptor", str(descriptor_file), "--scenario", "voice", "--duration", "2",
+                "--window-seconds", "1", "--report", str(tmp_path / "report.json"), f"--{flag}", value]
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("twinsync: ")
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_scenario_is_an_argparse_error(self, tmp_path, descriptor_file):
         with pytest.raises(SystemExit) as err:

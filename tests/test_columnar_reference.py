@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import twinsync.pcap as pcap_module
 from twinsync.errors import BadMagicError, PcapError, PcapWriteError, TimestampRegressionError, TruncatedRecordError
 from twinsync.metrics import ThroughputSeries, throughput_series
-from twinsync.model import DIRECTION_CODES, MICROS_PER_SECOND, Direction, PacketBatch, PacketRecord
+from twinsync.model import MICROS_PER_SECOND, PacketBatch
 from twinsync.pcap import (
     DEFAULT_SNAPLEN,
     LINKTYPE_RAW_IP,
@@ -32,6 +32,8 @@ from twinsync.pcap import (
     write_pcap,
 )
 from twinsync.transport import pack_window, unpack_window
+
+from reference import PacketRecord, batch_of, records_of
 
 SECOND = MICROS_PER_SECOND
 
@@ -84,7 +86,7 @@ def ref_read_pcap(data):
         if frac >= (1_000_000_000 if nanos else 1_000_000):
             raise PcapError(f"sub-second field {frac} out of range at byte offset {offset}")
         micros = sec * 1_000_000 + (frac // 1000 if nanos else frac)
-        records.append(PacketRecord(micros, incl_len, orig_len, data[offset + 16:end], Direction.UNKNOWN))
+        records.append(PacketRecord(micros, incl_len, orig_len, data[offset + 16:end]))
         offset = end
     return linktype, records
 
@@ -135,15 +137,13 @@ def ref_throughput_series(packets, bin_width_micros=SECOND, origin_ts_micros=0, 
         span_micros = max(p.ts_micros for p in packets) - origin_ts_micros + 1 if packets else 0
     n_bins = -(-span_micros // bin_width_micros) if span_micros > 0 else 0
     byte_bins = [0] * n_bins
-    ignored = 0
     for p in packets:
         idx = (p.ts_micros - origin_ts_micros) // bin_width_micros
         if p.ts_micros < origin_ts_micros or idx >= n_bins:
-            ignored += 1
             continue
         byte_bins[idx] += p.original_len
     scale = 8 * MICROS_PER_SECOND / bin_width_micros
-    return ThroughputSeries(origin_ts_micros, bin_width_micros, tuple(b * scale for b in byte_bins), ignored)
+    return ThroughputSeries(origin_ts_micros, bin_width_micros, tuple(b * scale for b in byte_bins))
 
 
 # --- inputs ----------------------------------------------------------------
@@ -170,8 +170,7 @@ def packet_traces(draw, max_len: int = 3 * VECTOR_MIN_PACKETS, sort: bool = True
     for _ in range(n):
         length = size if uniform else draw(st.integers(0, 40))
         payload = draw(st.binary(min_size=length, max_size=length))
-        packets.append(PacketRecord(draw(ts_strategy), length, length + draw(st.integers(0, 30)), payload,
-                                    draw(st.sampled_from(list(Direction)))))
+        packets.append(PacketRecord(draw(ts_strategy), length, length + draw(st.integers(0, 30)), payload))
     return sorted(packets, key=lambda p: p.ts_micros) if sort else packets
 
 
@@ -193,7 +192,7 @@ def run_traces(draw, max_segment: int = 2 * VECTOR_MIN_PACKETS + 2):
             lengths[at] = draw(st.integers(0, 40))
     rng = random.Random(draw(st.integers(0, 2**32)))
     times = sorted(rng.randrange(8 * WINDOW) for _ in lengths)
-    return [PacketRecord(ts, length, length + rng.randrange(30), rng.randbytes(length), rng.choice(list(Direction)))
+    return [PacketRecord(ts, length, length + rng.randrange(30), rng.randbytes(length))
             for ts, length in zip(times, lengths)]
 
 
@@ -216,9 +215,14 @@ def gapped_batches(draw):
     offsets = np.zeros(len(packets) + 1, dtype=np.int64)
     np.cumsum(slots, out=offsets[1:])
     batch = PacketBatch([p.ts_micros for p in packets], [p.captured_len for p in packets],
-                        [p.original_len for p in packets], [DIRECTION_CODES[p.direction] for p in packets],
-                        np.frombuffer(payload, dtype=np.uint8), offsets)
+                        [p.original_len for p in packets], np.frombuffer(payload, dtype=np.uint8), offsets)
     return packets, batch
+
+
+def read_records(data):
+    """read_pcap with its packets as records, to compare with ref_read_pcap."""
+    linktype, batch = read_pcap(data)
+    return linktype, records_of(batch)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -300,15 +304,14 @@ def pcap_inputs(draw, traces=None):
 @given(any_traces(), st.sampled_from([40, 96, DEFAULT_SNAPLEN]))
 def test_write_pcap_matches_the_reference(packets, snaplen):
     expected = _outcome(ref_write_pcap, LINKTYPE_RAW_IP, packets, snaplen)
-    assert _outcome(write_pcap, LINKTYPE_RAW_IP, packets, snaplen) == expected
-    assert _outcome(write_pcap, LINKTYPE_RAW_IP, PacketBatch.from_records(packets), snaplen) == expected
+    assert _outcome(write_pcap, LINKTYPE_RAW_IP, batch_of(packets), snaplen) == expected
 
 
 @settings(deadline=None)
 @given(gapped_batches(), st.sampled_from([40, DEFAULT_SNAPLEN]))
 def test_write_pcap_of_gapped_slots_matches_the_reference(packets_and_batch, snaplen):
     packets, batch = packets_and_batch
-    assert batch == packets
+    assert records_of(batch) == packets
     assert _outcome(write_pcap, LINKTYPE_RAW_IP, batch, snaplen) == _outcome(ref_write_pcap, LINKTYPE_RAW_IP,
                                                                              packets, snaplen)
 
@@ -316,11 +319,7 @@ def test_write_pcap_of_gapped_slots_matches_the_reference(packets_and_batch, sna
 @settings(deadline=None)
 @given(pcap_inputs())
 def test_read_pcap_matches_the_reference(data):
-    def read(blob):
-        linktype, packets = read_pcap(blob)
-        return linktype, list(packets)
-
-    assert _outcome(read, data) == _outcome(ref_read_pcap, data)
+    assert _outcome(read_records, data) == _outcome(ref_read_pcap, data)
 
 
 @settings(deadline=None)
@@ -333,20 +332,16 @@ def test_rewriting_what_was_read_matches_the_reference(data):
 @settings(deadline=None)
 @given(pcap_inputs(one_length_traces()))
 def test_small_windows_of_one_length_read_and_rewrite_as_the_reference(data):
-    def read(blob):
-        linktype, packets = read_pcap(blob)
-        return linktype, list(packets)
-
-    assert _outcome(read, data) == _outcome(ref_read_pcap, data)
+    assert _outcome(read_records, data) == _outcome(ref_read_pcap, data)
     expected = _outcome(lambda: ref_write_pcap(*ref_read_pcap(data)))
     assert _outcome(lambda: write_pcap(*read_pcap(data))) == expected
 
 
 def test_columns_shared_by_windows_of_one_shape_are_read_only():
-    data = write_pcap(LINKTYPE_RAW_IP, _uniform_packets(5))
+    data = write_pcap(LINKTYPE_RAW_IP, batch_of(_uniform_packets(5)))
     _, batch = read_pcap(data)
     assert read_pcap(data)[1].offsets is batch.offsets
-    for column in (batch.offsets, batch.captured_len, batch.direction):
+    for column in (batch.offsets, batch.captured_len):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1
 
@@ -354,7 +349,7 @@ def test_columns_shared_by_windows_of_one_shape_are_read_only():
 def test_the_layout_cache_stays_at_its_bound():
     bound = pcap_module._layout.cache_info().maxsize
     for length in range(10_000):
-        _, batch = read_pcap(write_pcap(LINKTYPE_RAW_IP, [PacketRecord(7, length, length, bytes(length))]))
+        _, batch = read_pcap(write_pcap(LINKTYPE_RAW_IP, batch_of([PacketRecord(7, length, length, bytes(length))])))
         assert batch.captured_len.tolist() == [length]
     assert pcap_module._layout.cache_info().currsize == bound
 
@@ -367,26 +362,26 @@ def test_segment_stream_matches_the_reference(packets, window, origin, span_end,
         i = disorder % (len(packets) - 1)
         packets[i], packets[i + 1] = packets[i + 1], packets[i]
 
-    def windows(fn):
+    def windows(fn, packets):
         out = []
         try:
             for w in fn(packets, window, origin, span_end_micros=span_end, source_interface="tun0"):
-                out.append(w if isinstance(w, tuple) else
-                           (w.seq, w.start_ts_micros, w.end_ts_micros, list(w.packets), w.source_interface))
+                if isinstance(w, CaptureWindow):
+                    w = (w.seq, w.start_ts_micros, w.end_ts_micros, records_of(w.packets), w.source_interface)
+                out.append(w)
         except Exception as exc:
             out.append((type(exc), str(exc), getattr(exc, "index", None)))
         return out
 
-    assert windows(segment_stream) == windows(ref_segment_stream)
+    assert windows(segment_stream, batch_of(packets)) == windows(ref_segment_stream, packets)
 
 
 @settings(deadline=None)
 @given(packet_traces(sort=False), st.sampled_from([997, WINDOW // 3, WINDOW, SECOND]), st.sampled_from([0, 3, WINDOW]),
        st.sampled_from([None, 0, 1, 4 * WINDOW, 9 * WINDOW]))
 def test_throughput_series_matches_the_reference(packets, bin_width, origin, span):
-    expected = ref_throughput_series(packets, bin_width, origin, span)
-    assert throughput_series(packets, bin_width, origin, span) == expected
-    assert throughput_series(PacketBatch.from_records(packets), bin_width, origin, span) == expected
+    assert throughput_series(batch_of(packets), bin_width, origin, span) == \
+        ref_throughput_series(packets, bin_width, origin, span)
 
 
 # --- the array paths themselves --------------------------------------------
@@ -402,9 +397,9 @@ def test_fixed_length_capture_reads_as_a_view_of_the_input(order, nanos):
     packets = _uniform_packets(4 * VECTOR_MIN_PACKETS)
     data = _encode(packets, order, nanos, sub_micro_ns=999)
     _, batch = read_pcap(data)
-    assert list(batch) == packets
+    assert records_of(batch) == packets
     assert np.shares_memory(batch.payload, np.frombuffer(data, dtype=np.uint8))
-    assert write_pcap(LINKTYPE_RAW_IP, batch) == write_pcap(LINKTYPE_RAW_IP, packets)
+    assert write_pcap(LINKTYPE_RAW_IP, batch) == write_pcap(LINKTYPE_RAW_IP, batch_of(packets))
 
 
 def test_fixed_length_capture_with_one_odd_record_still_parses():
@@ -412,14 +407,14 @@ def test_fixed_length_capture_with_one_odd_record_still_parses():
     packets = _uniform_packets(2 * VECTOR_MIN_PACKETS)
     packets[5] = PacketRecord(5000, 80, 90, b"a" * 80)
     packets[6] = PacketRecord(6000, 112, 120, b"b" * 112)
-    data = write_pcap(LINKTYPE_RAW_IP, packets)
-    assert read_pcap(data)[1] == packets
+    data = write_pcap(LINKTYPE_RAW_IP, batch_of(packets))
+    assert records_of(read_pcap(data)[1]) == packets
     assert write_pcap(LINKTYPE_RAW_IP, read_pcap(data)[1]) == data
 
 
 def test_errors_in_a_large_capture_name_the_first_bad_record():
     packets = _uniform_packets(3 * VECTOR_MIN_PACKETS)
-    data = bytearray(write_pcap(LINKTYPE_RAW_IP, packets))
+    data = bytearray(write_pcap(LINKTYPE_RAW_IP, batch_of(packets)))
     offsets = _record_offsets(packets)
     data[offsets[40] + 12:offsets[40] + 16] = struct.pack("<I", 10)   # orig_len < incl_len
     data[offsets[70] + 4:offsets[70] + 8] = struct.pack("<I", 10**6)  # usec out of range
@@ -430,11 +425,11 @@ def test_errors_in_a_large_capture_name_the_first_bad_record():
 
 
 def test_unpack_window_rejects_out_of_window_and_disordered_batches():
-    batch = PacketBatch.from_records(_uniform_packets(3))
+    packets = _uniform_packets(3)
     with pytest.raises(ValueError, match="outside window"):
-        unpack_window(*pack_window(CaptureWindow(0, 1, 10_000, batch)))
+        unpack_window(*pack_window(CaptureWindow(0, 1, 10_000, batch_of(packets))))
     with pytest.raises(ValueError, match="non-decreasing"):
-        unpack_window(*pack_window(CaptureWindow(0, 0, 10_000, batch[::-1])))
+        unpack_window(*pack_window(CaptureWindow(0, 0, 10_000, batch_of(packets[::-1]))))
 
 
 def _alternating_batch(n: int, run: int) -> PacketBatch:
@@ -444,7 +439,7 @@ def _alternating_batch(n: int, run: int) -> PacketBatch:
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(cap, out=offsets[1:])
     payload = np.random.default_rng(n).integers(0, 256, int(offsets[-1]), dtype=np.uint8)
-    return PacketBatch(np.arange(n) * 1000, cap, cap + 10, np.zeros(n, dtype=np.int8), payload, offsets)
+    return PacketBatch(np.arange(n) * 1000, cap, cap + 10, payload, offsets)
 
 
 @pytest.mark.parametrize("run", [1, VECTOR_MIN_PACKETS], ids=["every-record", "every-run-threshold"])
@@ -463,7 +458,7 @@ def test_lengths_that_keep_changing_cost_the_same_per_record_at_any_count(run):
     for n in (2_000, 32_000):
         batch = _alternating_batch(n, run)
         data = write_pcap(LINKTYPE_RAW_IP, batch)
-        assert read_pcap(data)[1] == batch
+        assert records_of(read_pcap(data)[1]) == records_of(batch)
         costs[n] = (seconds_per_record(lambda b: write_pcap(LINKTYPE_RAW_IP, b), batch, n),
                     seconds_per_record(read_pcap, data, n))
     for small, large in zip(costs[2_000], costs[32_000]):
@@ -474,7 +469,7 @@ def test_lengths_that_keep_changing_cost_the_same_per_record_at_any_count(run):
 def test_damage_inside_a_long_run_names_the_first_bad_record(damage):
     packets = _uniform_packets(5 * VECTOR_MIN_PACKETS, size=40)
     packets[3] = PacketRecord(3000, 12, 20, b"c" * 12)
-    data = bytearray(write_pcap(LINKTYPE_RAW_IP, packets))
+    data = bytearray(write_pcap(LINKTYPE_RAW_IP, batch_of(packets)))
     at = _record_offsets(packets)[4 * VECTOR_MIN_PACKETS]  # inside the run, past its first chunk
     if damage == "torn":
         del data[at + 30:]

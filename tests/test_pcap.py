@@ -13,64 +13,65 @@ from twinsync.pcap import (
 )
 
 from conftest import make_packet, packet_lists
+from reference import batch_of, records_of
 
 SECOND = 1_000_000
 
 
 class TestWrite:
     def test_empty_capture_is_24_bytes_with_linktype(self):
-        data = write_pcap(LINKTYPE_RAW_IP, [])
+        data = write_pcap(LINKTYPE_RAW_IP, batch_of([]))
         assert len(data) == 24
         assert data[20:24] == struct.pack("<I", 101)
 
     def test_single_packet_record_header(self):
         packet = make_packet(1 * SECOND, size=60)
-        data = write_pcap(LINKTYPE_RAW_IP, [packet])
+        data = write_pcap(LINKTYPE_RAW_IP, batch_of([packet]))
         assert struct.unpack_from("<IIII", data, 24) == (1, 0, 60, 60)
         assert data[40:100] == packet.payload
 
     def test_snaplen_violation_names_the_packet(self):
         packets = [make_packet(0, size=10), make_packet(1, size=300)]
         with pytest.raises(PcapWriteError) as err:
-            write_pcap(LINKTYPE_RAW_IP, packets, snaplen=100)
+            write_pcap(LINKTYPE_RAW_IP, batch_of(packets), snaplen=100)
         assert err.value.index == 1
 
     def test_writer_is_deterministic(self):
-        packets = [make_packet(5, size=9), make_packet(11, size=44)]
+        packets = batch_of([make_packet(5, size=9), make_packet(11, size=44)])
         assert write_pcap(1, packets) == write_pcap(1, packets)
 
 
 class TestRead:
     def test_empty_file_round_trip(self):
-        linktype, records = read_pcap(write_pcap(LINKTYPE_RAW_IP, []))
+        linktype, batch = read_pcap(write_pcap(LINKTYPE_RAW_IP, batch_of([])))
         assert linktype == LINKTYPE_RAW_IP
-        assert records == []
+        assert records_of(batch) == []
 
     def test_three_packet_round_trip_field_for_field(self):
         packets = [make_packet(10, 30), make_packet(2_000_000, 40), make_packet(2_000_001, 50)]
-        linktype, records = read_pcap(write_pcap(1, packets))
+        linktype, batch = read_pcap(write_pcap(1, batch_of(packets)))
         assert linktype == 1
-        assert records == packets
+        assert records_of(batch) == packets
 
     def test_big_endian_file_parses(self):
         header = struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)
         record = struct.pack(">IIII", 3, 250, 4, 4) + b"abcd"
-        linktype, records = read_pcap(header + record)
+        linktype, batch = read_pcap(header + record)
         assert linktype == 101
-        assert records[0].ts_micros == 3 * SECOND + 250
-        assert records[0].payload == b"abcd"
+        assert records_of(batch)[0].ts_micros == 3 * SECOND + 250
+        assert records_of(batch)[0].payload == b"abcd"
 
     def test_nanosecond_magic_truncates_to_micros(self):
         header = struct.pack("<IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 1)
         record = struct.pack("<IIII", 1, 1_999, 2, 2) + b"xy"
-        _, records = read_pcap(header + record)
-        assert records[0].ts_micros == 1 * SECOND + 1  # 1999 ns -> 1 us
+        _, batch = read_pcap(header + record)
+        assert batch.ts_micros.tolist() == [1 * SECOND + 1]  # 1999 ns -> 1 us
 
     def test_big_endian_nanosecond_file(self):
         header = struct.pack(">IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 1)
         record = struct.pack(">IIII", 0, 123_456, 1, 1) + b"z"
-        _, records = read_pcap(header + record)
-        assert records[0].ts_micros == 123
+        _, batch = read_pcap(header + record)
+        assert batch.ts_micros.tolist() == [123]
 
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
@@ -82,7 +83,7 @@ class TestRead:
         assert err.value.offset == 4
 
     def test_cut_mid_record_reports_offset(self):
-        data = write_pcap(1, [make_packet(0, 50)])
+        data = write_pcap(1, batch_of([make_packet(0, 50)]))
         with pytest.raises(TruncatedRecordError) as err:
             read_pcap(data[:-10])
         assert err.value.offset == 24
@@ -106,15 +107,15 @@ class TestRead:
 
 @given(packet_lists())
 def test_read_write_round_trip_is_identity(packets):
-    linktype, records = read_pcap(write_pcap(LINKTYPE_RAW_IP, packets))
-    assert records == packets
+    linktype, batch = read_pcap(write_pcap(LINKTYPE_RAW_IP, batch_of(packets)))
+    assert records_of(batch) == packets
 
 
 @given(packet_lists())
 def test_write_read_write_is_byte_exact(packets):
-    first = write_pcap(LINKTYPE_RAW_IP, packets)
-    _, records = read_pcap(first)
-    assert write_pcap(LINKTYPE_RAW_IP, records) == first
+    first = write_pcap(LINKTYPE_RAW_IP, batch_of(packets))
+    _, batch = read_pcap(first)
+    assert write_pcap(LINKTYPE_RAW_IP, batch) == first
 
 
 class TestSegmentation:
@@ -124,47 +125,47 @@ class TestSegmentation:
         T = 120 * SECOND
         for p in packets:
             assert p.ts_micros // T in (0, 1)
-        windows = list(segment_stream(packets, T, 0))
+        windows = list(segment_stream(batch_of(packets), T, 0))
         assert [w.seq for w in windows] == [0, 1]
-        assert [p.ts_micros for p in windows[0].packets] == [1 * SECOND, 119 * SECOND]
-        assert [p.ts_micros for p in windows[1].packets] == [121 * SECOND]
+        assert windows[0].packets.ts_micros.tolist() == [1 * SECOND, 119 * SECOND]
+        assert windows[1].packets.ts_micros.tolist() == [121 * SECOND]
 
     def test_silent_span_emits_empty_windows(self):
-        windows = list(segment_stream([], 120 * SECOND, 0, span_end_micros=240 * SECOND))
+        windows = list(segment_stream(batch_of([]), 120 * SECOND, 0, span_end_micros=240 * SECOND))
         assert [w.seq for w in windows] == [0, 1]
-        assert all(w.packets == () for w in windows)
-        assert all(w.duration_micros == 120 * SECOND for w in windows)
+        assert all(len(w.packets) == 0 for w in windows)
+        assert all(w.end_ts_micros - w.start_ts_micros == 120 * SECOND for w in windows)
 
     def test_boundary_packet_goes_to_the_later_window(self):
         packets = [make_packet(0), make_packet(2 * SECOND)]
-        windows = list(segment_stream(packets, 2 * SECOND, 0))
+        windows = list(segment_stream(batch_of(packets), 2 * SECOND, 0))
         assert len(windows[0].packets) == 1
         assert len(windows[1].packets) == 1
-        assert windows[1].packets[0].ts_micros == 2 * SECOND
+        assert windows[1].packets.ts_micros.tolist() == [2 * SECOND]
 
     def test_timestamp_regression_reports_index(self):
         packets = [make_packet(10), make_packet(5)]
         with pytest.raises(TimestampRegressionError) as err:
-            list(segment_stream(packets, SECOND, 0))
+            list(segment_stream(batch_of(packets), SECOND, 0))
         assert err.value.index == 1
 
     def test_packet_before_origin_rejected(self):
         with pytest.raises(TimestampRegressionError):
-            list(segment_stream([make_packet(1)], SECOND, 10))
+            list(segment_stream(batch_of([make_packet(1)]), SECOND, 10))
 
     def test_final_window_may_be_short(self):
-        windows = list(segment_stream([make_packet(0)], 2 * SECOND, 0, span_end_micros=3 * SECOND))
-        assert [w.duration_micros for w in windows] == [2 * SECOND, 1 * SECOND]
+        windows = list(segment_stream(batch_of([make_packet(0)]), 2 * SECOND, 0, span_end_micros=3 * SECOND))
+        assert [w.end_ts_micros - w.start_ts_micros for w in windows] == [2 * SECOND, 1 * SECOND]
 
     def test_packet_beyond_span_rejected(self):
         with pytest.raises(TimestampRegressionError):
-            list(segment_stream([make_packet(5 * SECOND)], SECOND, 0, span_end_micros=2 * SECOND))
+            list(segment_stream(batch_of([make_packet(5 * SECOND)]), SECOND, 0, span_end_micros=2 * SECOND))
 
     @given(packet_lists(), st.integers(min_value=SECOND // 20, max_value=3 * SECOND))
     def test_conservation_and_gapless_seqs(self, packets, window):
-        windows = list(segment_stream(packets, window, 0))
+        windows = list(segment_stream(batch_of(packets), window, 0))
         assert sum(len(w.packets) for w in windows) == len(packets)
         assert [w.seq for w in windows] == list(range(len(windows)))
         for w in windows:
-            for p in w.packets:
-                assert w.start_ts_micros <= p.ts_micros < w.end_ts_micros
+            for ts in w.packets.ts_micros.tolist():
+                assert w.start_ts_micros <= ts < w.end_ts_micros

@@ -12,12 +12,13 @@ import pytest
 import twinsync.pipeline as pipeline
 import twinsync.transport as transport
 from twinsync.errors import StageError, TimestampRegressionError
-from twinsync.model import PacketBatch
 from twinsync.pcap import read_pcap
 from twinsync.pipeline import RunConfig, build_report_document, run_pipeline, write_run_artifacts
 from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan
 from twinsync.scenarios import ScenarioSpec, generate
-from twinsync.transport import ChannelSpec, InProcessChannel, TcpSenderChannel, WindowReceiver, twin_lag
+from twinsync.transport import ChannelSpec, InProcessChannel, TcpSenderChannel, WindowReceiver
+
+from reference import batch_of, out_of_order_seqs, records_of
 
 SECOND = 1_000_000
 
@@ -55,7 +56,7 @@ def deadline(seconds: int = 30):
 class TestVirtualRuns:
     def test_replayed_windows_keep_no_payload(self, descriptor, monkeypatch):
         """Once a window is replayed its pcap bytes are released: by the
-        time the run is scored, it keeps only times, sizes and directions."""
+        time the run is scored, it keeps only times and sizes."""
         payloads, alive_when_scored = [], []  # weak references; how many are alive when scoring starts
         unpack, evaluate = transport.unpack_window, pipeline._evaluate
 
@@ -85,23 +86,24 @@ class TestVirtualRuns:
         assert r.windows_lost == 0
         assert r.consistency_index == 1.0
         assert result.windows_sent == 6  # 60 s at T = 10 s
-        assert result.log.check_ordering() == []
+        assert out_of_order_seqs(result.log.entries()) == []
 
     def test_channel_latency_shows_up_as_update_latency_and_lag(self, descriptor):
         channel = ChannelSpec(latency_us=900_000, bandwidth_bps=1_000_000_000)
         result = run_pipeline(run_config(descriptor, kind="voice-call", channel=channel, seed=1))
         r = result.report
         assert r.mean_update_latency_us == pytest.approx(900_000, rel=0.01)
-        for entry in result.log.delivered_entries():
-            lag = twin_lag(result.log, entry.seq)
-            assert abs(lag - 10_900_000) < 1 * SECOND
+        for entry in result.log.entries():
+            if entry.delivered:
+                lag = entry.t_replayed - entry.t_window_start
+                assert abs(lag - 10_900_000) < 1 * SECOND
         # Peak age = window length + update latency, sawtooth oracle.
         assert r.peak_age_of_information_us == pytest.approx(10_900_000, rel=0.01)
 
     def test_seeded_loss_yields_exact_delivered_fraction(self, descriptor):
         channel = ChannelSpec(loss_probability=0.5)
         result = run_pipeline(run_config(descriptor, kind="voice-call", seconds=400, channel=channel, seed=5))
-        delivered = len(result.log.delivered_entries())
+        delivered = sum(e.delivered for e in result.log.entries())
         assert result.windows_sent == 40
         assert result.report.twin_alignment_ratio == delivered / 40
         assert result.report.windows_lost == 40 - delivered
@@ -186,7 +188,7 @@ class TestVirtualRuns:
         for trace in traces:
             linktype, packets = read_pcap((tmp_path / "replayed" / f"replayed_{trace.window_seq}.pcap").read_bytes())
             assert linktype == 101
-            assert packets == trace.records
+            assert records_of(packets) == records_of(trace.records)
 
 
 class TestVirtualLoop:
@@ -224,9 +226,9 @@ class TestVirtualLoop:
     def test_segmentation_failure_names_the_capture_stage(self, descriptor, monkeypatch):
         def out_of_order(spec):
             trace = generate(spec)
-            records = list(trace.records)
+            records = records_of(trace.records)
             records[3], records[-3] = records[-3], records[3]
-            return replace(trace, records=PacketBatch.from_records(records))
+            return replace(trace, records=batch_of(records))
 
         monkeypatch.setattr(pipeline, "generate", out_of_order)
         with deadline(), pytest.raises(StageError) as err:
@@ -265,7 +267,7 @@ class TestVirtualLoop:
         assert [r.digest_failures for r in receivers] == [1]
         assert result.report.windows_lost == 1
         assert (result.windows_sent, result.windows_replayed) == (6, 5)
-        entry = result.log.entry(2)
+        entry = result.log.entries()[2]
         assert entry.lost and entry.t_received is not None and entry.t_replayed is None
 
 
@@ -302,9 +304,10 @@ class TestRealTimeRuns:
         assert result.windows_sent == 3
         assert result.report.twin_alignment_ratio == 1.0
         # Real-time lag includes the wall wait for each window to close.
-        for entry in result.log.delivered_entries():
-            assert twin_lag(result.log, entry.seq) >= 400_000
-        assert result.log.check_ordering() == []
+        for entry in result.log.entries():
+            if entry.delivered:
+                assert entry.t_replayed - entry.t_window_start >= 400_000
+        assert out_of_order_seqs(result.log.entries()) == []
 
     def test_directory_exchange_real_time_smoke(self, descriptor, tmp_path):
         from dataclasses import replace

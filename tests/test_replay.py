@@ -1,18 +1,18 @@
 import pytest
 from hypothesis import given
 
-from twinsync.clocks import ManualClock
 from twinsync.pcap import CaptureWindow
 from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan, compute_alignment
 from twinsync.transport import SyncLog
 
 from conftest import make_packet, packet_lists
+from reference import ManualClock, batch_of, records_of
 
 SECOND = 1_000_000
 
 
 def received_window(log: SyncLog, seq=0, start=0, T=10 * SECOND, delay=0, packets=()):
-    window = CaptureWindow(seq, start, start + T, tuple(packets))
+    window = CaptureWindow(seq, start, start + T, batch_of(packets))
     log.record_sent(seq, window.start_ts_micros, window.end_ts_micros, window.end_ts_micros)
     log.record_received(seq, window.end_ts_micros + delay, window.start_ts_micros, window.end_ts_micros)
     return window
@@ -20,17 +20,17 @@ def received_window(log: SyncLog, seq=0, start=0, T=10 * SECOND, delay=0, packet
 
 class TestComputeAlignment:
     def test_virtual_mode_needs_no_offset(self):
-        window = CaptureWindow(0, 0, 10 * SECOND, ())
+        window = CaptureWindow(0, 0, 10 * SECOND, batch_of([]))
         assert compute_alignment(ReplayPlan(), window, replay_start_micros=12 * SECOND) == 0
 
     def test_real_time_offset_is_replay_start_minus_window_start(self):
         # Replay of the first window begins 122 s after its start.
-        window = CaptureWindow(0, 5 * SECOND, 125 * SECOND, ())
+        window = CaptureWindow(0, 5 * SECOND, 125 * SECOND, batch_of([]))
         plan = ReplayPlan(mode=ReplayMode.REAL_TIME)
         assert compute_alignment(plan, window, replay_start_micros=127 * SECOND) == 122 * SECOND
 
     def test_explicit_offset_wins(self):
-        window = CaptureWindow(0, 0, 10 * SECOND, ())
+        window = CaptureWindow(0, 0, 10 * SECOND, batch_of([]))
         for mode in ReplayMode:
             plan = ReplayPlan(mode=mode, align_offset_micros=3 * SECOND)
             assert compute_alignment(plan, window, replay_start_micros=12 * SECOND) == 3 * SECOND
@@ -42,43 +42,43 @@ class TestVirtualReplay:
         packets = [make_packet(1 * SECOND), make_packet(1 * SECOND + 10_000), make_packet(1 * SECOND + 30_000)]
         window = received_window(log, packets=packets)
         engine = ReplayEngine(ReplayPlan(), log)
-        records = engine.replay_window(window, log.entry(0).t_received).records
-        deltas = [b.ts_micros - a.ts_micros for a, b in zip(records, records[1:])]
+        ts = engine.replay_window(window, log.entries()[0].t_received).records.ts_micros.tolist()
+        deltas = [b - a for a, b in zip(ts, ts[1:])]
         assert deltas == [10_000, 20_000]
 
     def test_offset_applies_to_every_timestamp(self):
         log = SyncLog()
         window = received_window(log, packets=[make_packet(2 * SECOND), make_packet(3 * SECOND)])
         engine = ReplayEngine(ReplayPlan(align_offset_micros=5 * SECOND), log)
-        trace = engine.replay_window(window, log.entry(0).t_received)
-        assert [r.ts_micros for r in trace.records] == [7 * SECOND, 8 * SECOND]
+        trace = engine.replay_window(window, log.entries()[0].t_received)
+        assert trace.records.ts_micros.tolist() == [7 * SECOND, 8 * SECOND]
 
     def test_consecutive_windows_share_one_offset(self):
         log = SyncLog()
         w0 = received_window(log, seq=0, start=0)
         w1 = received_window(log, seq=1, start=10 * SECOND)
         engine = ReplayEngine(ReplayPlan(), log)
-        engine.replay_window(w0, log.entry(0).t_received)
+        engine.replay_window(w0, log.entries()[0].t_received)
         first_offset = engine.align_offset_micros
-        engine.replay_window(w1, log.entry(1).t_received)
+        engine.replay_window(w1, log.entries()[1].t_received)
         assert engine.align_offset_micros == first_offset
 
     def test_empty_window_still_records_replay_time(self):
         log = SyncLog()
         window = received_window(log, delay=900_000)
         engine = ReplayEngine(ReplayPlan(), log)
-        trace = engine.replay_window(window, log.entry(0).t_received)
-        assert trace.records == ()
-        assert log.entry(0).t_replayed == window.end_ts_micros + 900_000
+        trace = engine.replay_window(window, log.entries()[0].t_received)
+        assert len(trace.records) == 0
+        assert log.entries()[0].t_replayed == window.end_ts_micros + 900_000
 
     def test_windows_never_replay_out_of_order(self):
         log = SyncLog()
         w0 = received_window(log, seq=0)
         received_window(log, seq=1, start=10 * SECOND)
         engine = ReplayEngine(ReplayPlan(), log)
-        engine.replay_window(w0, log.entry(0).t_received)
+        engine.replay_window(w0, log.entries()[0].t_received)
         with pytest.raises(ValueError):
-            engine.replay_window(w0, log.entry(0).t_received)
+            engine.replay_window(w0, log.entries()[0].t_received)
 
     def test_completion_time_is_monotone_across_windows(self):
         # Window 1 arrives before window 0 finished; replay must not
@@ -87,19 +87,20 @@ class TestVirtualReplay:
         w0 = received_window(log, seq=0, delay=5 * SECOND)
         w1 = received_window(log, seq=1, start=10 * SECOND, delay=0)
         engine = ReplayEngine(ReplayPlan(), log)
-        engine.replay_window(w0, log.entry(0).t_received)
-        engine.replay_window(w1, log.entry(1).t_received)
-        assert log.entry(1).t_replayed >= log.entry(0).t_replayed
+        engine.replay_window(w0, log.entries()[0].t_received)
+        engine.replay_window(w1, log.entries()[1].t_received)
+        first, second = log.entries()
+        assert second.t_replayed >= first.t_replayed
 
     @given(packet_lists(max_len=10))
     def test_payload_fidelity(self, packets):
         log = SyncLog()
-        window = CaptureWindow(0, 0, 5 * SECOND, tuple(packets))
+        window = CaptureWindow(0, 0, 5 * SECOND, batch_of(packets))
         log.record_sent(0, 0, 5 * SECOND, 5 * SECOND)
         log.record_received(0, 5 * SECOND, 0, 5 * SECOND)
-        trace = ReplayEngine(ReplayPlan(), log).replay_window(window, 5 * SECOND)
-        assert [r.payload for r in trace.records] == [p.payload for p in packets]
-        assert [r.original_len for r in trace.records] == [p.original_len for p in packets]
+        replayed = records_of(ReplayEngine(ReplayPlan(), log).replay_window(window, 5 * SECOND).records)
+        assert [r.payload for r in replayed] == [p.payload for p in packets]
+        assert [r.original_len for r in replayed] == [p.original_len for p in packets]
 
 
 class TestRealTimeReplay:
@@ -107,14 +108,14 @@ class TestRealTimeReplay:
         # Gaps 10 ms and 20 ms at speed 2 -> wall deltas 5 ms and 10 ms.
         log = SyncLog()
         packets = [make_packet(0), make_packet(10_000), make_packet(30_000)]
-        window = CaptureWindow(0, 0, SECOND, tuple(packets))
+        window = CaptureWindow(0, 0, SECOND, batch_of(packets))
         log.record_sent(0, 0, SECOND, SECOND)
         log.record_received(0, SECOND, 0, SECOND)
         clock = ManualClock(start_micros=7 * SECOND)
         engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=2.0), log, clock=clock)
         trace = engine.replay_window(window, SECOND)
-        deltas = [b.ts_micros - a.ts_micros for a, b in zip(trace.records, trace.records[1:])]
-        assert deltas == [5_000, 10_000]
+        ts = trace.records.ts_micros.tolist()
+        assert [b - a for a, b in zip(ts, ts[1:])] == [5_000, 10_000]
         assert trace.max_lateness_micros == 0  # manual clock sleeps exactly
 
     def test_max_lateness_is_the_largest_oversleep(self):
@@ -126,10 +127,15 @@ class TestRealTimeReplay:
 
         # The second and third packets are emitted 700 and 300 us late.
         log = SyncLog()
-        window = CaptureWindow(0, 0, SECOND, (make_packet(0), make_packet(10_000), make_packet(30_000)))
+        window = CaptureWindow(0, 0, SECOND, batch_of([make_packet(0), make_packet(10_000), make_packet(30_000)]))
         log.record_sent(0, 0, SECOND, SECOND)
         engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), log, clock=OversleepingClock())
         assert engine.replay_window(window, SECOND).max_lateness_micros == 700
+
+    @pytest.mark.parametrize("speed", [0.0, -1.0, float("nan"), float("inf")])
+    def test_speed_factor_must_be_positive_and_finite(self, speed):
+        with pytest.raises(ValueError, match="speed_factor must be positive and finite"):
+            ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=speed)
 
     def test_real_time_needs_a_clock(self):
         with pytest.raises(ValueError):
@@ -137,10 +143,10 @@ class TestRealTimeReplay:
 
     def test_emission_times_follow_the_wall_clock(self):
         log = SyncLog()
-        window = CaptureWindow(0, 0, SECOND, (make_packet(0), make_packet(250_000)))
+        window = CaptureWindow(0, 0, SECOND, batch_of([make_packet(0), make_packet(250_000)]))
         log.record_sent(0, 0, SECOND, SECOND)
         log.record_received(0, SECOND, 0, SECOND)
         clock = ManualClock(start_micros=42 * SECOND)
         engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), log, clock=clock)
         trace = engine.replay_window(window, SECOND)
-        assert [r.ts_micros for r in trace.records] == [42 * SECOND, 42 * SECOND + 250_000]
+        assert trace.records.ts_micros.tolist() == [42 * SECOND, 42 * SECOND + 250_000]

@@ -1,6 +1,6 @@
+import numpy as np
 import pytest
 
-from twinsync.model import Direction
 from twinsync.pcap import LINKTYPE_RAW_IP, write_pcap
 from twinsync.scenarios import (
     CLI_SCENARIO_NAMES,
@@ -9,8 +9,13 @@ from twinsync.scenarios import (
     ScenarioSpec,
     _noise_bytes,
     generate,
-    volume_bytes,
 )
+
+from reference import SERVER_IP, downlink_mask, records_of, volume_bytes
+
+# Which way each packet goes is read from its IP header: a downlink
+# packet comes from the server, an uplink one goes to it.
+UPLINK, DOWNLINK = False, True
 
 SECOND = 1_000_000
 
@@ -23,22 +28,21 @@ class TestVoiceCall:
     def test_packet_count_follows_the_period(self):
         # Count oracle: duration / period per direction = 10 s / 20 ms = 500.
         trace = generate(spec_for("voice-call"))
-        ul = [r for r in trace.records if r.direction is Direction.UPLINK]
-        dl = [r for r in trace.records if r.direction is Direction.DOWNLINK]
-        assert len(ul) == 500
-        assert len(dl) == 500
-        assert all(r.original_len == 172 for r in trace.records)
+        downlink = downlink_mask(trace.records)
+        assert int(np.count_nonzero(~downlink)) == 500
+        assert int(np.count_nonzero(downlink)) == 500
+        assert set(trace.records.original_len.tolist()) == {172}
 
     def test_constant_twenty_ms_spacing_per_direction(self):
         trace = generate(spec_for("voice-call"))
-        ul_ts = [r.ts_micros for r in trace.records if r.direction is Direction.UPLINK]
+        ul_ts = trace.records.ts_micros[~downlink_mask(trace.records)].tolist()
         gaps = {b - a for a, b in zip(ul_ts, ul_ts[1:])}
         assert gaps == {20_000}
 
     def test_byte_symmetry_is_exact(self):
         trace = generate(spec_for("voice-call", seconds=30, seed=9))
-        up = volume_bytes(trace.records, Direction.UPLINK)
-        down = volume_bytes(trace.records, Direction.DOWNLINK)
+        up = volume_bytes(trace.records, UPLINK)
+        down = volume_bytes(trace.records, DOWNLINK)
         assert abs(up - down) <= 0.01 * max(up, down)
 
     def test_needs_two_phones(self):
@@ -50,14 +54,14 @@ class TestLiveUpload:
     @pytest.mark.parametrize("seed", range(5))
     def test_uplink_dominates_by_more_than_five_to_one(self, seed):
         trace = generate(spec_for("live-upload", seconds=20, seed=seed))
-        up = volume_bytes(trace.records, Direction.UPLINK)
-        down = volume_bytes(trace.records, Direction.DOWNLINK)
+        up = volume_bytes(trace.records, UPLINK)
+        down = volume_bytes(trace.records, DOWNLINK)
         assert up > 5 * down
 
     def test_rate_stays_near_the_configured_mean(self):
         spec = spec_for("live-upload", seconds=30, seed=3)
         trace = generate(spec)
-        up_bits = volume_bytes(trace.records, Direction.UPLINK) * 8
+        up_bits = volume_bytes(trace.records, UPLINK) * 8
         mean_rate = up_bits / 30
         assert 0.7 * spec.upload_rate_bps < mean_rate < 1.1 * spec.upload_rate_bps
 
@@ -67,21 +71,21 @@ class TestAttachAndBrowse:
         # Duration inside the attach phase: control packets only.
         spec = spec_for("attach-and-browse", seconds=1.5)
         trace = generate(spec)
-        assert trace.records
-        assert all(r.original_len == spec.attach_packet_bytes for r in trace.records)
+        assert len(trace.records)
+        assert set(trace.records.original_len.tolist()) == {spec.attach_packet_bytes}
 
     def test_control_burst_precedes_all_page_traffic(self):
         spec = spec_for("attach-and-browse", seconds=30, seed=5)
         trace = generate(spec)
-        control = [r.ts_micros for r in trace.records if r.original_len == spec.attach_packet_bytes]
-        data = [r.ts_micros for r in trace.records if r.original_len != spec.attach_packet_bytes]
+        control = [r.ts_micros for r in records_of(trace.records) if r.original_len == spec.attach_packet_bytes]
+        data = [r.ts_micros for r in records_of(trace.records) if r.original_len != spec.attach_packet_bytes]
         assert control and data
         assert max(control) < min(data)
 
     def test_browsing_is_downlink_dominant(self):
         trace = generate(spec_for("attach-and-browse", seconds=60, seed=2))
-        down = volume_bytes(trace.records, Direction.DOWNLINK)
-        up = volume_bytes(trace.records, Direction.UPLINK)
+        down = volume_bytes(trace.records, DOWNLINK)
+        up = volume_bytes(trace.records, UPLINK)
         assert down > 10 * up
 
 
@@ -90,13 +94,11 @@ class TestVideoStreaming:
         # Autocorrelation oracle over 1 s downlink-rate bins: a 2 s on /
         # 2 s off square wave correlates positively at its 4 s period and
         # negatively at the half period.
-        import numpy as np
-
         spec = spec_for("video-streaming", seconds=32, seed=1)
         trace = generate(spec)
         bins = np.zeros(32)
-        for r in trace.records:
-            if r.direction is Direction.DOWNLINK:
+        for r, downlink in zip(records_of(trace.records), downlink_mask(trace.records)):
+            if downlink:
                 bins[r.ts_micros // SECOND] += r.original_len
         x = bins - bins.mean()
 
@@ -110,7 +112,7 @@ class TestVideoStreaming:
     def test_mean_on_phase_rate_tracks_the_configured_rate(self):
         spec = spec_for("video-streaming", seconds=32, seed=2)
         trace = generate(spec)
-        down_bits = volume_bytes(trace.records, Direction.DOWNLINK) * 8
+        down_bits = volume_bytes(trace.records, DOWNLINK) * 8
         duty_cycle = spec.stream_on_micros / (spec.stream_on_micros + spec.stream_off_micros)
         mean_rate = down_bits / 32 / spec.ue_count
         assert abs(mean_rate - spec.stream_rate_bps * duty_cycle) < 0.05 * spec.stream_rate_bps
@@ -132,13 +134,13 @@ class TestDeterminism:
     def test_timestamps_stay_inside_the_duration(self, kind):
         spec = spec_for(kind, seconds=7, seed=4)
         trace = generate(spec)
-        assert all(0 <= r.ts_micros < spec.duration_micros for r in trace.records)
-        ts = [r.ts_micros for r in trace.records]
+        ts = trace.records.ts_micros.tolist()
+        assert all(0 <= t < spec.duration_micros for t in ts)
         assert ts == sorted(ts)
 
 
-def reference_timing(spec: ScenarioSpec) -> list[tuple[int, int, Direction]]:
-    """(ts, original_len, direction) per packet from the per-packet loops the
+def reference_timing(spec: ScenarioSpec) -> list[tuple[int, int, bool]]:
+    """(ts, original_len, downlink) per packet from the per-packet loops the
     video-streaming and voice-call generators used before they built arrays."""
     origin, end = spec.origin_ts_micros, spec.origin_ts_micros + spec.duration_micros
     out = []
@@ -150,16 +152,16 @@ def reference_timing(spec: ScenarioSpec) -> list[tuple[int, int, Direction]]:
         for ue in range(spec.ue_count):
             chunk = 0
             while (start := origin + chunk * period) < end:
-                out.append((start, 200, Direction.UPLINK))
+                out.append((start, 200, UPLINK))
                 for i in range(n):
                     ts = start + 100 + int(i * gap)
                     if ts >= min(start + spec.stream_on_micros, end):
                         break
-                    out.append((ts, spec.data_packet_bytes, Direction.DOWNLINK))
+                    out.append((ts, spec.data_packet_bytes, DOWNLINK))
                 chunk += 1
     else:
         period = SECOND // spec.voice_pps
-        for offset, direction in ((0, Direction.UPLINK), (period // 2, Direction.DOWNLINK)):
+        for offset, direction in ((0, UPLINK), (period // 2, DOWNLINK)):
             k = 0
             while (ts := origin + offset + k * period) < end:
                 out.append((ts, spec.voice_packet_bytes, direction))
@@ -175,24 +177,25 @@ def reference_timing(spec: ScenarioSpec) -> list[tuple[int, int, Direction]]:
     ScenarioSpec(kind="voice-call", duration_micros=3_000_000, ue_count=2, voice_pps=33, origin_ts_micros=5),
 ])
 def test_deterministic_timing_matches_the_per_packet_reference(spec):
-    records = generate(spec).records
-    assert [(r.ts_micros, r.original_len, r.direction) for r in records] == reference_timing(spec)
+    batch = generate(spec).records
+    assert list(zip(batch.ts_micros.tolist(), batch.original_len.tolist(), downlink_mask(batch).tolist())) == \
+        reference_timing(spec)
 
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 @pytest.mark.parametrize("snap", [20, 96])
 def test_payloads_start_with_a_matching_ip_udp_header(kind, snap):
-    records = generate(spec_for(kind, seconds=12, seed=3, snap_bytes=snap)).records
-    assert len(records)
-    for r in records:
+    batch = generate(spec_for(kind, seconds=12, seed=3, snap_bytes=snap)).records
+    assert len(batch)
+    for r, downlink in zip(records_of(batch), downlink_mask(batch)):
         assert r.captured_len == min(r.original_len, snap) == len(r.payload)
         header = r.payload.ljust(28, b"\0")
         version, total_len, proto = header[0], int.from_bytes(header[2:4], "big"), header[9]
         assert (version, total_len, proto) == (0x45, r.original_len, 17)
         ue_side, server_side = (header[12:16], header[16:20])
-        if r.direction is Direction.DOWNLINK:
+        if downlink:
             ue_side, server_side = server_side, ue_side
-        assert server_side == bytes([203, 0, 113, 1]) and ue_side[:2] == bytes([10, 45])
+        assert server_side == SERVER_IP and ue_side[:2] == bytes([10, 45])
         if snap >= 28:
             assert int.from_bytes(header[24:26], "big") == r.original_len - 20
 

@@ -39,19 +39,20 @@ from twinsync.transport import (
     TcpSenderChannel,
     WindowManifest,
     WindowReceiver,
+    MAX_MANIFEST_BYTES,
     pack_window,
     send_window,
-    twin_lag,
     unpack_window,
 )
 
 from conftest import make_packet, packet_lists
+from reference import batch_of, out_of_order_seqs, records_of
 
 SECOND = 1_000_000
 
 
 def window_of(seq: int, packets=(), T: int = 10 * SECOND) -> CaptureWindow:
-    return CaptureWindow(seq, seq * T, (seq + 1) * T, tuple(packets))
+    return CaptureWindow(seq, seq * T, (seq + 1) * T, batch_of(packets))
 
 
 def manifest_for_payload(seq: int, payload: bytes) -> WindowManifest:
@@ -149,13 +150,13 @@ class TestPackUnpack:
 
     def test_unpack_window_invariants(self):
         with pytest.raises(ValueError, match="non-negative"):
-            unpack_window(*pack_window(CaptureWindow(-1, 0, 10, ())))
+            unpack_window(*pack_window(CaptureWindow(-1, 0, 10, batch_of([]))))
         with pytest.raises(ValueError, match="positive duration"):
-            unpack_window(*pack_window(CaptureWindow(0, 0, 0, ())))
+            unpack_window(*pack_window(CaptureWindow(0, 0, 0, batch_of([]))))
         with pytest.raises(ValueError, match="outside window"):
-            unpack_window(*pack_window(CaptureWindow(0, 0, 10, (make_packet(10),))))
-        window = unpack_window(*pack_window(CaptureWindow(0, 0, 10, (make_packet(3),))))
-        assert window.duration_micros == 10
+            unpack_window(*pack_window(CaptureWindow(0, 0, 10, batch_of([make_packet(10)]))))
+        window = unpack_window(*pack_window(CaptureWindow(0, 0, 10, batch_of([make_packet(3)]))))
+        assert (window.start_ts_micros, window.end_ts_micros) == (0, 10)
 
     @pytest.mark.parametrize("field, value", [
         ("seq", "7"),
@@ -190,12 +191,9 @@ class TestPackUnpack:
 
     @given(packet_lists(max_len=8))
     def test_transferred_packets_are_byte_identical(self, packets):
-        window = CaptureWindow(0, 0, 5 * SECOND, tuple(packets))
+        window = CaptureWindow(0, 0, 5 * SECOND, batch_of(packets))
         manifest, payload = pack_window(window)
-        restored = unpack_window(manifest, payload)
-        assert [(p.ts_micros, p.captured_len, p.original_len, p.payload) for p in restored.packets] == [
-            (p.ts_micros, p.captured_len, p.original_len, p.payload) for p in packets
-        ]
+        assert records_of(unpack_window(manifest, payload).packets) == packets
 
 
 WINDOW = 250_000
@@ -216,8 +214,7 @@ def block_traces(draw):
     payload = b"".join(r.payload + b"\xee" * (slot - r.captured_len) for r, slot in zip(records, slots))
     offsets = np.concatenate(([0], np.cumsum(slots, dtype=np.int64)))
     batch = PacketBatch([r.ts_micros for r in records], [r.captured_len for r in records],
-                        [r.original_len for r in records], [0] * len(records),
-                        np.frombuffer(payload, dtype=np.uint8), offsets)
+                        [r.original_len for r in records], np.frombuffer(payload, dtype=np.uint8), offsets)
     return batch, counts
 
 
@@ -258,7 +255,7 @@ class TestBlockPacking:
                    for k in range(4) for i in range(3)]
         log, channel = SyncLog(), InProcessChannel(ChannelSpec())
         receiver, engine = WindowReceiver(channel, log), ReplayEngine(ReplayPlan(), log)
-        windows = segment_stream(packets, SECOND, origin)
+        windows = segment_stream(batch_of(packets), SECOND, origin)
         replayed = []
         with pytest.raises(PcapWriteError) as err:
             for window in windows:
@@ -272,8 +269,7 @@ class TestBlockPacking:
 
 
 def test_window_objects_are_immutable_tuples():
-    window = CaptureWindow(0, 0, 10, (make_packet(3),))
-    assert isinstance(window.packets, PacketBatch) and window.packets == [make_packet(3)]
+    window = CaptureWindow(0, 0, 10, batch_of([make_packet(3)]))
     manifest, payload = pack_window(window)
     receipt = InProcessChannel(ChannelSpec()).send(manifest, payload, now_micros=10)
     trace = ReplayEngine(ReplayPlan(), _sent_log(window)).replay_window(window, 10)
@@ -309,8 +305,8 @@ class TestWindowReceiver:
         while (item := receiver.receive()) is not None:
             seqs.append(item[0].seq)
         assert seqs == [0, 1, 2]
-        assert not any(e.lost for e in log)
-        assert log.check_ordering() == []
+        assert not any(e.lost for e in log.entries())
+        assert out_of_order_seqs(log.entries()) == []
 
     def test_hole_is_declared_lost_and_delivery_continues(self):
         log = SyncLog()
@@ -321,8 +317,8 @@ class TestWindowReceiver:
         while (item := receiver.receive()) is not None:
             seqs.append(item[0].seq)
         assert seqs == [0, 2]
-        assert log.entry(1).lost
-        assert log.entry(1).t_received is None
+        assert log.entries()[1].lost
+        assert log.entries()[1].t_received is None
 
     def test_trailing_hole_not_seen_by_receiver(self):
         log = SyncLog()
@@ -345,7 +341,7 @@ class TestWindowReceiver:
         receiver = WindowReceiver(channel, log)
         assert receiver.receive() is None
         assert receiver.digest_failures == 1
-        assert log.entry(0).lost
+        assert log.entries()[0].lost
 
     def test_poll_never_waits(self):
         # A blocking receive would wait forever on the open, empty channel.
@@ -360,9 +356,9 @@ class TestWindowReceiver:
         assert [receiver.receive(block=False)[1].seq for _ in range(2)] == [0, 2]
         assert receiver.receive(block=False) is None
         assert time.monotonic() - start < 5.0
-        assert [e.lost for e in log] == [False, True, False]
+        assert [e.lost for e in log.entries()] == [False, True, False]
 
-    @pytest.mark.parametrize("foreign", [window_of(7), CaptureWindow(1, 5 * SECOND, 15 * SECOND, ())],
+    @pytest.mark.parametrize("foreign", [window_of(7), CaptureWindow(1, 5 * SECOND, 15 * SECOND, batch_of([]))],
                              ids=["unsent-seq", "sent-seq-other-bounds"])
     def test_foreign_window_raises_and_adds_no_entry(self, foreign):
         log = SyncLog()
@@ -421,41 +417,33 @@ class TestWindowReceiver:
         seqs = [seq for seq in script if seq is not None]
         assert delivered == [s for i, s in enumerate(seqs) if s > max(seqs[:i], default=-1)]
         assert all(a < b for a, b in zip(delivered, delivered[1:]))
-        lost = {e.seq for e in log if e.lost}
+        lost = {e.seq for e in log.entries() if e.lost}
         assert not lost & set(delivered)
         assert set(range(delivered[-1] if delivered else 0)) <= lost | set(delivered)
 
 
 class TestTwinLag:
-    def _log_with(self, T: int, replay_delay: int) -> SyncLog:
-        log = SyncLog()
-        log.record_sent(0, 0, T, T)
-        log.record_received(0, T + replay_delay // 2, 0, T)
-        log.record_replayed(0, T + replay_delay)
-        return log
+    """A window's twin lag, replay completion minus window start, is the
+    window length T plus the delay past its end."""
+
+    def _lag(self, T: int, latency: int) -> int:
+        log, channel = SyncLog(), InProcessChannel(ChannelSpec(latency_us=latency))
+        window = window_of(0, [make_packet(T // 2)], T=T)
+        send_window(window, channel, log, now_micros=window.end_ts_micros)
+        delivered, _, t_received = WindowReceiver(channel, log).receive(block=False)
+        ReplayEngine(ReplayPlan(), log).replay_window(delivered, t_received)
+        (entry,) = log.entries()
+        return entry.t_replayed - entry.t_window_start
 
     def test_lag_is_window_length_plus_delay(self):
         # T = 120 s, replayed 2 s after the window end -> 122 s.
-        log = self._log_with(120 * SECOND, 2 * SECOND)
-        assert twin_lag(log, 0) == 122 * SECOND
+        assert self._lag(120 * SECOND, 2 * SECOND) == 122 * SECOND
 
     def test_zero_delay_lag_is_exactly_t(self):
-        log = self._log_with(120 * SECOND, 0)
-        assert twin_lag(log, 0) == 120 * SECOND
+        assert self._lag(120 * SECOND, 0) == 120 * SECOND
 
     def test_fractional_delay(self):
-        log = self._log_with(10 * SECOND, 900_000)
-        assert twin_lag(log, 0) == 10_900_000
-
-    def test_unknown_seq(self):
-        with pytest.raises(KeyError):
-            twin_lag(SyncLog(), 5)
-
-    def test_unreplayed_window(self):
-        log = SyncLog()
-        log.record_sent(0, 0, SECOND, SECOND)
-        with pytest.raises(ValueError):
-            twin_lag(log, 0)
+        assert self._lag(10 * SECOND, 900_000) == 10_900_000
 
 
 class TestSyncLog:
@@ -499,7 +487,7 @@ class TestDirectoryExchange:
         while (item := receiver.receive()) is not None:
             got.append(item[0])
         assert [w.seq for w in got] == [0, 1, 2]
-        assert got[0].packets[0].payload == windows[0].packets[0].payload
+        assert records_of(got[0].packets) == records_of(windows[0].packets)
 
     def test_manifest_file_is_valid_json_with_digest(self, tmp_path):
         log = SyncLog()
@@ -637,7 +625,44 @@ class TestTcpChannel:
         thread.join()
         receiver_channel.close()
         assert got == [0, 2]
-        assert log.entry(1).lost
+        assert log.entries()[1].lost
+
+    @staticmethod
+    def _receive_after_sending(data: bytes) -> TwinError:
+        """The error a receiver raises on a peer that sends ``data`` and
+        closes; a receive that waits 5 s for more fails the test instead."""
+        receiver = TcpReceiverChannel("127.0.0.1", 0)
+        try:
+            with socket.create_connection(("127.0.0.1", receiver.port), timeout=5) as sock:
+                sock.sendall(data)
+            start = time.monotonic()
+            with pytest.raises(TwinError) as err:
+                receiver.receive(timeout=5)
+            assert time.monotonic() - start < 5
+        finally:
+            receiver.close()
+        return err.value
+
+    @pytest.mark.parametrize("cut", ["inside-header", "after-header", "inside-manifest", "inside-payload",
+                                     "inside-4-GiB-payload"])
+    def test_a_torn_frame_is_named(self, cut):
+        manifest, payload = pack_window(window_of(0, [make_packet(2, 40)]))
+        blob = manifest.to_json()
+        head = len(blob).to_bytes(4, "big") + blob
+        frame = {
+            "inside-header": head[:2],
+            "after-header": head[:4],
+            "inside-manifest": head[:4 + len(blob) // 2],
+            "inside-payload": head + len(payload).to_bytes(4, "big") + payload[:len(payload) // 2],
+            # Read in bounded chunks, a garbled length costs only what arrives.
+            "inside-4-GiB-payload": head + (2**32 - 1).to_bytes(4, "big") + payload,
+        }[cut]
+        assert str(self._receive_after_sending(frame)) == "connection closed mid-frame"
+
+    @pytest.mark.parametrize("length", [MAX_MANIFEST_BYTES + 1, 2**32 - 1])
+    def test_a_manifest_length_over_the_bound_is_refused(self, length):
+        error = self._receive_after_sending(length.to_bytes(4, "big") + b"{")
+        assert str(error) == f"manifest length {length} exceeds the {MAX_MANIFEST_BYTES}-byte bound"
 
     def test_wire_framing_is_length_prefixed(self):
         # Decode the raw frames with a bare socket to pin the wire format:
@@ -671,4 +696,4 @@ class TestTcpChannel:
         plen = int.from_bytes(raw[4 + mlen:8 + mlen], "big")
         wire_payload = raw[8 + mlen:8 + mlen + plen]
         assert wire_payload == payload
-        assert read_pcap(wire_payload)[1][0].payload == window.packets[0].payload
+        assert records_of(read_pcap(wire_payload)[1]) == records_of(window.packets)
