@@ -1,19 +1,19 @@
 """Turns a descriptor into twin-side deployment documents.
 
 One slice-config trio (session management, slice selection, access
-management) plus a four-host topology blueprint. Documents are plain
-YAML 1.1 trees (mappings, sequences, scalars only, no anchors or tags);
-the topology goes out as JSON. The emitter is deterministic and keeps
-slice order, which is what the state-consistency audit relies on.
+management) plus a four-host topology. Each document is a plain tree
+(mappings, sequences, scalars only); the trio is written as YAML 1.1 with
+no anchors or tags, the topology as JSON. The emitter is deterministic and
+keeps slice order, which is what the state-consistency audit relies on.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
 
-from .model import LinkProfile, TwinDescriptor
+from .model import TwinDescriptor
 
 _HOSTS = (
     ("ran", "ran"),
@@ -29,38 +29,20 @@ TOPOLOGY_FILE = "topology.json"
 
 
 @dataclass(frozen=True, slots=True)
-class TopologyHost:
-    name: str
-    role: str
-
-
-@dataclass(frozen=True, slots=True)
-class TopologyLink:
-    endpoint_a: str
-    endpoint_b: str
-    profile: LinkProfile
-
-
-@dataclass(frozen=True, slots=True)
-class TopologyBlueprint:
-    hosts: tuple[TopologyHost, ...]
-    switches: tuple[str, ...]
-    links: tuple[TopologyLink, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class DeploymentBundle:
     smf_doc: dict
     nssf_doc: dict
     amf_doc: dict
-    topology: TopologyBlueprint
+    topology_doc: dict
 
 
 def emit_bundle(d: TwinDescriptor) -> DeploymentBundle:
     """Build the deployment documents for a descriptor.
 
     Session entries keep the descriptor's slice order; slice-selection
-    entries get sequential SST values starting at 1.
+    entries get sequential SST values starting at 1. The topology joins
+    every host to the one switch by a link shaped by the descriptor's
+    link profile.
     """
     smf_doc = {
         "smf": {
@@ -89,29 +71,15 @@ def emit_bundle(d: TwinDescriptor) -> DeploymentBundle:
             "ue_count": d.ue_count,
         }
     }
-    hosts = tuple(TopologyHost(name, role) for name, role in _HOSTS)
-    links = tuple(TopologyLink(h.name, "s1", d.link_profile) for h in hosts)
-    topology = TopologyBlueprint(hosts=hosts, switches=("s1",), links=links)
-    return DeploymentBundle(smf_doc, nssf_doc, amf_doc, topology)
-
-
-def _topology_to_tree(t: TopologyBlueprint) -> dict:
-    return {
-        "hosts": [{"name": h.name, "role": h.role} for h in t.hosts],
-        "switches": list(t.switches),
+    topology_doc = {
+        "hosts": [{"name": name, "role": role} for name, role in _HOSTS],
+        "switches": ["s1"],
         "links": [
-            {
-                "endpoint_a": l.endpoint_a,
-                "endpoint_b": l.endpoint_b,
-                "profile": {
-                    "bandwidth_bps": l.profile.bandwidth_bps,
-                    "latency_us": l.profile.latency_us,
-                    "jitter_us": l.profile.jitter_us,
-                },
-            }
-            for l in t.links
+            {"endpoint_a": name, "endpoint_b": "s1", "profile": asdict(d.link_profile)}
+            for name, _ in _HOSTS
         ],
     }
+    return DeploymentBundle(smf_doc, nssf_doc, amf_doc, topology_doc)
 
 
 def render_bundle(bundle: DeploymentBundle, directory: Path) -> list[Path]:
@@ -123,6 +91,6 @@ def render_bundle(bundle: DeploymentBundle, directory: Path) -> list[Path]:
         path.write_text(yaml.safe_dump(doc, sort_keys=False, default_flow_style=False), encoding="utf-8")
         written.append(path)
     topo_path = directory / TOPOLOGY_FILE
-    topo_path.write_text(json.dumps(_topology_to_tree(bundle.topology), indent=2) + "\n", encoding="utf-8")
+    topo_path.write_text(json.dumps(bundle.topology_doc, indent=2) + "\n", encoding="utf-8")
     written.append(topo_path)
     return written

@@ -6,9 +6,10 @@ objects in ``{}``, arrays in ``[]``, ``//`` and ``/* */`` comments, and
 scalars that are double-quoted strings, decimal integers, booleans,
 dotted-quad IPv4 addresses, or ``a.b.c.d/n`` CIDR blocks.
 
-``parse_phys_config`` turns the text into a plain tree (dicts, lists,
-scalars); ``extract_descriptor`` maps that tree onto a TwinDescriptor.
-Both are pure functions.
+``parse_phys_config`` tokenizes the text with one regular expression and
+parses the tokens into a plain tree: the root dict, holding dicts, lists
+and scalars. ``extract_descriptor`` maps that tree onto a TwinDescriptor
+and checks the type of every field it reads. Both are pure functions.
 """
 
 import ipaddress
@@ -17,15 +18,8 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import ConfigSyntaxError, DescriptorValidationError, ExtractionError
-from .model import LinkProfile, SliceSpec, TwinDescriptor, validate_descriptor
+from .model import SliceSpec, TwinDescriptor, validate_descriptor
 from .model import DEFAULT_CAPTURE_INTERFACE, DEFAULT_WINDOW_SECONDS
-
-
-@dataclass(frozen=True, slots=True)
-class PhysConfigDocument:
-    """Parse tree of one configuration file. Treat as read-only."""
-
-    root: Mapping[str, Any]
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,144 +31,92 @@ class _Token:
     nl_before: bool
 
 
-_IDENT_START = re.compile(r"[A-Za-z_]")
-_IDENT_BODY = re.compile(r"[A-Za-z0-9_]")
-_INT_RE = re.compile(r"^-?[0-9]+$")
-_IP_RE = re.compile(r"^[0-9]+\.[0-9]+\.[0-9]+\.[0-9]+$")
-_CIDR_RE = re.compile(r"^[0-9]+\.[0-9]+\.[0-9]+\.[0-9]+/[0-9]+$")
+# One alternative per token class, tried in order at each position. A
+# string's body admits any escape and may stop short of its closing quote:
+# an unknown escape is reported before a missing quote, as a scan from the
+# left meets them.
+_TOKEN_RE = re.compile(
+    r"""(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)
+      | (?P<punct>[{}\[\]:,])
+      | "(?P<body>(?:[^"\\\n]|\\.)*)(?P<string>"?)
+      | (?P<literal>[-0-9][0-9.]*(?:/[0-9]+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)""",
+    re.VERBOSE | re.DOTALL,
+)
+_LITERAL_RE = re.compile(
+    r"(?P<int>-?[0-9]+)|(?P<ip>[0-9]+(?:\.[0-9]+){3})|(?P<cidr>[0-9]+(?:\.[0-9]+){3}/[0-9]+)"
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _string_value(body: str, line: int, col: int) -> str:
+    """The text a string token's body spells; ``col`` is the body's first column."""
+    def escape(m: re.Match) -> str:
+        if m[1] not in _ESCAPES:
+            raise ConfigSyntaxError(f"unknown escape '\\{m[1]}'", line, col + m.start(1))
+        return _ESCAPES[m[1]]
 
-    def _bump(self, ch: str):
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
+    return _ESCAPE_RE.sub(escape, body) if "\\" in body else body
+
+
+def _literal(word: str, line: int, col: int) -> tuple[str, Any]:
+    """The kind and value of a numeric or address literal."""
+    m = _LITERAL_RE.fullmatch(word)
+    kind = m.lastgroup if m else None
+    if kind == "int":
+        return kind, int(word)
+    if kind == "ip":
+        try:
+            return kind, ipaddress.ip_address(word)
+        except ValueError:
+            raise ConfigSyntaxError(f"invalid IP address {word!r}", line, col)
+    if kind == "cidr":
+        try:
+            return kind, ipaddress.ip_network(word, strict=True)
+        except ValueError as exc:
+            raise ConfigSyntaxError(f"invalid CIDR {word!r}: {exc}", line, col)
+    raise ConfigSyntaxError(f"malformed numeric or address literal {word!r}", line, col)
+
+
+def _tokens(text: str) -> list[_Token]:
+    """Every token of ``text``, then an end-of-input token. Raises
+    ConfigSyntaxError at the first position where no token can start, or
+    at the first string or literal that is malformed."""
+    out: list[_Token] = []
+    pos, line, line_start, nl_before = 0, 1, 0, False
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            if text.startswith("/*", pos):
+                raise ConfigSyntaxError("unterminated block comment", line, col, "'*/'")
+            raise ConfigSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        kind, word = m.lastgroup, m[0]
+        pos = m.end()
+        if kind == "skip":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = m.start() + word.rindex("\n") + 1
+                nl_before = True
+            continue
+        if kind == "punct":
+            value = kind = word
+        elif kind == "string":
+            value = _string_value(m["body"], line, col + 1)
+            if not m["string"]:
+                raise ConfigSyntaxError("unterminated string", line, col, "closing '\"'")
+        elif kind == "literal":
+            kind, value = _literal(word, line, col)
+        elif word in ("true", "false"):
+            kind, value = "bool", word == "true"
         else:
-            self.col += 1
-        self.pos += 1
-
-    def _error(self, message: str, line: int | None = None, col: int | None = None, expected: str = ""):
-        raise ConfigSyntaxError(message, line if line is not None else self.line,
-                                col if col is not None else self.col, expected)
-
-    def tokens(self) -> list[_Token]:
-        out: list[_Token] = []
-        nl_pending = False
-        text = self.text
-        while True:
-            # Skip whitespace and comments, remembering crossed newlines.
-            while self.pos < len(text):
-                ch = text[self.pos]
-                if ch == "\n":
-                    nl_pending = True
-                    self._bump(ch)
-                elif ch in " \t\r":
-                    self._bump(ch)
-                elif ch == "/" and text.startswith("//", self.pos):
-                    while self.pos < len(text) and text[self.pos] != "\n":
-                        self._bump(text[self.pos])
-                elif ch == "/" and text.startswith("/*", self.pos):
-                    start_line, start_col = self.line, self.col
-                    self._bump("/")
-                    self._bump("*")
-                    while self.pos < len(text) and not text.startswith("*/", self.pos):
-                        if text[self.pos] == "\n":
-                            nl_pending = True
-                        self._bump(text[self.pos])
-                    if self.pos >= len(text):
-                        self._error("unterminated block comment", start_line, start_col, "'*/'")
-                    self._bump("*")
-                    self._bump("/")
-                else:
-                    break
-            if self.pos >= len(text):
-                out.append(_Token("eof", None, self.line, self.col, nl_pending))
-                return out
-            line, col = self.line, self.col
-            ch = text[self.pos]
-            if ch in "{}[]:,":
-                self._bump(ch)
-                out.append(_Token(ch, ch, line, col, nl_pending))
-            elif ch == '"':
-                out.append(self._string(line, col, nl_pending))
-            elif ch.isdigit() or ch == "-":
-                out.append(self._number_like(line, col, nl_pending))
-            elif _IDENT_START.match(ch):
-                out.append(self._ident(line, col, nl_pending))
-            else:
-                self._error(f"unexpected character {ch!r}", line, col)
-            nl_pending = False
-
-    def _string(self, line: int, col: int, nl: bool) -> _Token:
-        text = self.text
-        self._bump('"')
-        chars: list[str] = []
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == '"':
-                self._bump(ch)
-                return _Token("string", "".join(chars), line, col, nl)
-            if ch == "\n":
-                break
-            if ch == "\\":
-                self._bump(ch)
-                if self.pos >= len(text):
-                    break
-                esc = text[self.pos]
-                if esc not in _ESCAPES:
-                    self._error(f"unknown escape '\\{esc}'")
-                chars.append(_ESCAPES[esc])
-                self._bump(esc)
-            else:
-                chars.append(ch)
-                self._bump(ch)
-        self._error("unterminated string", line, col, "closing '\"'")
-
-    def _number_like(self, line: int, col: int, nl: bool) -> _Token:
-        text = self.text
-        start = self.pos
-        if text[self.pos] == "-":
-            self._bump("-")
-        while self.pos < len(text) and (text[self.pos].isdigit() or text[self.pos] == "."):
-            self._bump(text[self.pos])
-        if self.pos < len(text) and text[self.pos] == "/" and self.pos + 1 < len(text) and text[self.pos + 1].isdigit():
-            self._bump("/")
-            while self.pos < len(text) and text[self.pos].isdigit():
-                self._bump(text[self.pos])
-        token = text[start:self.pos]
-        if _INT_RE.match(token):
-            return _Token("int", int(token), line, col, nl)
-        if _IP_RE.match(token):
-            try:
-                value = ipaddress.ip_address(token)
-            except ValueError:
-                self._error(f"invalid IP address {token!r}", line, col)
-            return _Token("ip", value, line, col, nl)
-        if _CIDR_RE.match(token):
-            try:
-                value = ipaddress.ip_network(token, strict=True)
-            except ValueError as exc:
-                self._error(f"invalid CIDR {token!r}: {exc}", line, col)
-            return _Token("cidr", value, line, col, nl)
-        self._error(f"malformed numeric or address literal {token!r}", line, col)
-
-    def _ident(self, line: int, col: int, nl: bool) -> _Token:
-        text = self.text
-        start = self.pos
-        while self.pos < len(text) and _IDENT_BODY.match(text[self.pos]):
-            self._bump(text[self.pos])
-        word = text[start:self.pos]
-        if word in ("true", "false"):
-            return _Token("bool", word == "true", line, col, nl)
-        return _Token("ident", word, line, col, nl)
+            value = word
+        out.append(_Token(kind, value, line, col, nl_before))
+        nl_before = False
+    out.append(_Token("eof", None, line, len(text) - line_start + 1, nl_before))
+    return out
 
 
 _SCALAR_KINDS = ("string", "int", "bool", "ip", "cidr")
@@ -257,15 +199,15 @@ class _Parser:
             sep_ok = self._eat_comma()
 
 
-def parse_phys_config(text: str) -> PhysConfigDocument:
-    """Parse configuration text, consuming every byte of input.
+def parse_phys_config(text: str) -> dict[str, Any]:
+    """Parse configuration text into its root object, consuming every byte
+    of input. The whole text is tokenized first, so a lexical error is
+    reported before any parse error.
 
     Raises ConfigSyntaxError with line/column and an expected-token hint
     on any malformed input; never raises anything else.
     """
-    tokens = _Lexer(text).tokens()
-    root = _Parser(tokens).document()
-    return PhysConfigDocument(root=root)
+    return _Parser(_tokens(text)).document()
 
 
 # --- descriptor extraction --------------------------------------------------
@@ -284,37 +226,36 @@ _ADDRESS_TYPES = (ipaddress.IPv4Address, ipaddress.IPv6Address)
 _NETWORK_TYPES = (ipaddress.IPv4Network, ipaddress.IPv6Network)
 
 
-def _typed(ap: Mapping[str, Any], key: str, kinds, path: str, type_name: str):
-    if key not in ap:
-        raise ExtractionError(f"{path}.{key}")
-    value = ap[key]
-    ok = isinstance(value, kinds) and not (kinds is int and isinstance(value, bool))
-    if not ok:
-        raise ExtractionError(f"{path}.{key}", f"expected {type_name}")
+_REQUIRED = object()
+
+
+def _typed(tree: Mapping[str, Any], key: str, kinds, path: str, type_name: str, default: Any = _REQUIRED):
+    """``tree[key]`` if it is of ``kinds`` (an int is never a bool), else an
+    ExtractionError naming its path; ``default`` when the key is absent,
+    which without one is an error too."""
+    where = f"{path}.{key}" if path else key
+    if key not in tree:
+        if default is _REQUIRED:
+            raise ExtractionError(where)
+        return default
+    value = tree[key]
+    if not isinstance(value, kinds) or (kinds is int and isinstance(value, bool)):
+        raise ExtractionError(where, f"expected {type_name}")
     return value
 
 
-def extract_descriptor(
-    doc: PhysConfigDocument,
-    defaults: Mapping[str, Any] | None = None,
-) -> tuple[TwinDescriptor, list[str]]:
+def extract_descriptor(root: Mapping[str, Any]) -> tuple[TwinDescriptor, list[str]]:
     """Map a parsed physical configuration onto a TwinDescriptor.
 
-    One slice is produced per access-point entry; scalar fields absent
-    from the document are filled from ``defaults`` and then from built-in
-    fallbacks. Returns the descriptor plus warnings for ignored unknown
-    keys. Raises ExtractionError when required data is missing and
-    DescriptorValidationError when the assembled descriptor is invalid.
+    One slice is produced per access-point entry; optional fields absent
+    from the tree take built-in fallbacks. Every field read is checked for
+    its type. Returns the descriptor plus warnings for ignored unknown
+    keys. Raises ExtractionError naming the path of a missing or ill-typed
+    field, and DescriptorValidationError when the assembled descriptor is
+    invalid.
     """
-    defaults = dict(defaults or {})
-    root = doc.root
     warnings = [f"ignored unknown key '{k}'" for k in root if k not in _KNOWN_TOP]
-
-    if "access_point_list" not in root:
-        raise ExtractionError("access_point_list")
-    aps = root["access_point_list"]
-    if not isinstance(aps, list):
-        raise ExtractionError("access_point_list", "expected an array of access points")
+    aps = _typed(root, "access_point_list", list, "", "an array of access points")
 
     slices: list[SliceSpec] = []
     for i, ap in enumerate(aps):
@@ -322,50 +263,26 @@ def extract_descriptor(
         if not isinstance(ap, dict):
             raise ExtractionError(path, "expected an object")
         warnings += [f"ignored unknown key '{path}.{k}'" for k in ap if k not in _KNOWN_AP]
-        apn = _typed(ap, "apn", str, path, "string")
-        gateway = _typed(ap, "ip", _ADDRESS_TYPES, path, "IP address")
-        subnet = _typed(ap, "cidr", _NETWORK_TYPES, path, "CIDR block")
+        apn = _typed(ap, "apn", str, path, "a string")
+        gateway = _typed(ap, "ip", _ADDRESS_TYPES, path, "an IP address")
+        subnet = _typed(ap, "cidr", _NETWORK_TYPES, path, "a CIDR block")
         # The vendor format carries one tunnel bandwidth; distinct
         # tun_bw_dl / tun_bw_ul keys override per direction when present.
-        dl = ap.get("tun_bw_dl", ap.get("tun_bw"))
-        ul = ap.get("tun_bw_ul", ap.get("tun_bw"))
+        bw = _typed(ap, "tun_bw", int, path, "an integer bandwidth", None)
+        dl = _typed(ap, "tun_bw_dl", int, path, "an integer bandwidth", bw)
+        ul = _typed(ap, "tun_bw_ul", int, path, "an integer bandwidth", bw)
         if dl is None or ul is None:
             raise ExtractionError(f"{path}.tun_bw")
-        if not isinstance(dl, int) or not isinstance(ul, int) or isinstance(dl, bool) or isinstance(ul, bool):
-            raise ExtractionError(f"{path}.tun_bw", "expected an integer bandwidth")
-        qci = ap.get("qci", defaults.get("qci", 9))
-        slices.append(
-            SliceSpec(
-                dnn=apn,
-                subnet=str(subnet),
-                gateway_ip=str(gateway),
-                dl_bandwidth_bps=dl,
-                ul_bandwidth_bps=ul,
-                qci=qci,
-            )
-        )
+        qci = _typed(ap, "qci", int, path, "an integer", 9)
+        slices.append(SliceSpec(apn, str(subnet), str(gateway), dl, ul, qci))
 
-    if "ue_count" in root:
-        ue_count = root["ue_count"]
-    elif "ue_count" in defaults:
-        ue_count = defaults["ue_count"]
-    else:
-        raise ExtractionError("ue_count")
-    if not isinstance(ue_count, int) or isinstance(ue_count, bool):
-        raise ExtractionError("ue_count", "expected an integer")
-
-    def pick(key: str, builtin):
-        return root.get(key, defaults.get(key, builtin))
-
-    link_profile = defaults.get("link_profile", LinkProfile())
     descriptor = TwinDescriptor(
-        network_name=pick("network_name", "private-5g"),
-        plmn=pick("plmn", "00101"),
-        ue_count=ue_count,
+        network_name=_typed(root, "network_name", str, "", "a string", "private-5g"),
+        plmn=_typed(root, "plmn", str, "", "a string", "00101"),
+        ue_count=_typed(root, "ue_count", int, "", "an integer"),
         slices=tuple(slices),
-        window_seconds=float(pick("window_seconds", DEFAULT_WINDOW_SECONDS)),
-        capture_interface=pick("capture_interface", DEFAULT_CAPTURE_INTERFACE),
-        link_profile=link_profile,
+        window_seconds=_typed(root, "window_seconds", int, "", "an integer", DEFAULT_WINDOW_SECONDS),
+        capture_interface=_typed(root, "capture_interface", str, "", "a string", DEFAULT_CAPTURE_INTERFACE),
     )
     violations = validate_descriptor(descriptor)
     if violations:

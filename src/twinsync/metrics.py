@@ -9,7 +9,6 @@ boundary points in the later bin, the same convention the capture
 segmentation uses.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -105,26 +104,18 @@ def update_latency(entries: Sequence[SyncLogEntry]) -> LatencyStats:
 
 @dataclass(frozen=True, slots=True)
 class AoiStats:
-    """Age-of-information sawtooth: samples at the requested times plus exact mean and peak."""
+    """Age-of-information sawtooth: exact mean and peak."""
 
-    samples: tuple[tuple[int, int], ...]
     mean_micros: float
     peak_micros: int
 
 
-def age_of_information(
-    entries: Sequence[SyncLogEntry],
-    eval_times_micros: Sequence[int] | None = None,
-    origin_ts_micros: int | None = None,
-    horizon_micros: int | None = None,
-) -> AoiStats:
-    """Age of the freshest replayed data, over time.
+def age_of_information(entries: Sequence[SyncLogEntry], origin_ts_micros: int, horizon_micros: int) -> AoiStats:
+    """Age of the freshest replayed data, over [origin, horizon].
 
     AoI(t) is t minus the end timestamp of the newest window replayed by
     t; before the first replay it is measured from the run origin. Mean
-    and peak are computed exactly from the piecewise-linear sawtooth over
-    [origin, horizon]; ``samples`` holds the instantaneous series at the
-    requested eval times, and is empty without them.
+    and peak are computed exactly from the piecewise-linear sawtooth.
     """
     events = sorted((e.t_replayed, e.t_window_end) for e in entries if e.delivered and e.t_replayed is not None)
     # The freshest data at time t is the max window end replayed by t.
@@ -138,26 +129,6 @@ def age_of_information(
         else:
             event_times.append(t_replayed)
             newest_end.append(running)
-
-    if origin_ts_micros is None:
-        origin_ts_micros = min((e.t_window_start for e in entries), default=None)
-        if origin_ts_micros is None:
-            raise MetricsError("empty sync log and no origin given")
-    if horizon_micros is None:
-        if eval_times_micros:
-            horizon_micros = max(eval_times_micros)
-        elif event_times:
-            horizon_micros = event_times[-1]
-        else:
-            raise MetricsError("no replays and no horizon given")
-
-    def aoi_at(t: int) -> int:
-        i = bisect_right(event_times, t)
-        if i == 0:
-            return t - origin_ts_micros
-        return t - newest_end[i - 1]
-
-    samples = tuple((t, aoi_at(t)) for t in eval_times_micros or ())
 
     # Exact peak and mean over [origin, horizon]: age grows with slope 1
     # and drops at each replay event.
@@ -185,7 +156,7 @@ def age_of_information(
         total_area += (aoi_prev + top) / 2 * length
     span = horizon_micros - origin_ts_micros
     mean = total_area / span if span > 0 else float(aoi_prev)
-    return AoiStats(samples, mean, peak)
+    return AoiStats(mean, peak)
 
 
 @dataclass(frozen=True, slots=True)

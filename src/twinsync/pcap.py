@@ -93,19 +93,18 @@ class PackBlock:
     pcap is then the global header plus its range of the block's records.
     """
 
-    __slots__ = ("packets", "cuts", "linktype", "pcap", "_record_at")
+    __slots__ = ("packets", "cuts", "written", "pcap", "_record_at")
 
     def __init__(self, packets: PacketBatch, cuts: list[int]):
         self.packets = packets
         self.cuts = cuts
-        self.linktype = None
+        self.written = False
         self.pcap = None
         self._record_at = None
 
-    def set_pcap(self, linktype: int, pcap: bytes | None) -> None:
-        """Keep the pcap of the block's packets written with ``linktype``;
-        None when writing it failed."""
-        self.linktype, self.pcap = linktype, pcap
+    def set_pcap(self, pcap: bytes | None) -> None:
+        """Keep the pcap of the block's packets; None when writing it failed."""
+        self.written, self.pcap = True, pcap
         if pcap is not None and self._record_at is None:
             cuts = np.array(self.cuts, dtype=np.int64)
             captured_before = np.concatenate(([0], np.cumsum(self.packets.captured_len, dtype=np.int64)))

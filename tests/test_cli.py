@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,24 @@ def descriptor_file(tmp_path, descriptor):
     return path
 
 
+# sha256 of what `twinsync ingest` writes from tests/fixtures/mme.cfg and of
+# the four files `twinsync emit` writes from that descriptor.
+CONFIG_GOLDEN = {
+    "descriptor.json": "3d24b81ab3a3dde6221b58042cfe54f3b57a770684c20ec74b363f9a9d36e6d6",
+    "deploy/smf.yaml": "8ffe184ce574485a1c73c9a7e520611c3cdc04f439b9e7661d031bae6dbebb12",
+    "deploy/nssf.yaml": "6d61034e942b6fa24c9697481b7f29b5b77e80f791e507f8674a74114dc2e850",
+    "deploy/amf.yaml": "4cbb31a95dccfbc710450bb1189ed416da8473ee1a1718af0ca51ef73fd7e758",
+    "deploy/topology.json": "31735e46a79408fe51f5cf915bf4a3cb99e5db95a3b3ffe407370c637895813f",
+}
+
+
+def test_config_side_writes_the_golden_bytes(tmp_path):
+    assert cli.main(["ingest", "--phys-config", str(FIXTURES / "mme.cfg"), "--out", str(tmp_path / "descriptor.json")]) == 0
+    assert cli.main(["emit", "--descriptor", str(tmp_path / "descriptor.json"), "--out-dir", str(tmp_path / "deploy")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in CONFIG_GOLDEN}
+    assert digests == CONFIG_GOLDEN
+
+
 class TestIngestCommand:
     def test_happy_path(self, tmp_path, capsys):
         out = tmp_path / "descriptor.json"
@@ -33,6 +52,14 @@ class TestIngestCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_ill_typed_field_exits_2_with_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text('ue_count: 1, access_point_list: [{ apn: "a", ip: 10.45.0.1, cidr: 10.45.0.0/16, '
+                       'tun_bw: 1000, qci: "x" }]')
+        code = cli.main(["ingest", "--phys-config", str(bad), "--out", str(tmp_path / "d.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "twinsync: access_point_list[0].qci: expected an integer\n"
 
     def test_missing_input_exits_2(self, tmp_path):
         code = cli.main(["ingest", "--phys-config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "d.json")])

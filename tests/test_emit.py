@@ -46,24 +46,25 @@ class TestEmitBundle:
         assert bundle.amf_doc["amf"]["ue_count"] == descriptor.ue_count
 
     def test_topology_has_four_hosts_with_fixed_roles(self, descriptor):
-        topology = emit_bundle(descriptor).topology
-        assert len(topology.hosts) == 4
-        assert {h.role for h in topology.hosts} == {"ran", "mec", "cloud-upf", "cloud-cp"}
+        topology = emit_bundle(descriptor).topology_doc
+        assert len(topology["hosts"]) == 4
+        assert {h["role"] for h in topology["hosts"]} == {"ran", "mec", "cloud-upf", "cloud-cp"}
         # Connected: every host has its link to the one switch.
-        assert topology.switches == ("s1",)
-        assert {(link.endpoint_a, link.endpoint_b) for link in topology.links} == {(h.name, "s1") for h in topology.hosts}
+        assert topology["switches"] == ["s1"]
+        assert {(link["endpoint_a"], link["endpoint_b"]) for link in topology["links"]} == {
+            (h["name"], "s1") for h in topology["hosts"]}
 
     def test_default_links_run_at_ten_megabits(self, descriptor):
-        topology = emit_bundle(descriptor).topology
-        assert all(link.profile.bandwidth_bps == 10_000_000 for link in topology.links)
+        topology = emit_bundle(descriptor).topology_doc
+        assert all(link["profile"]["bandwidth_bps"] == 10_000_000 for link in topology["links"])
 
     def test_link_profile_propagates(self):
         d = one_slice_descriptor()
         from dataclasses import replace
 
         d = replace(d, link_profile=LinkProfile(bandwidth_bps=50_000_000, latency_us=2000))
-        topology = emit_bundle(d).topology
-        assert all(link.profile.latency_us == 2000 for link in topology.links)
+        topology = emit_bundle(d).topology_doc
+        assert all(link["profile"]["latency_us"] == 2000 for link in topology["links"])
 
     def test_emit_is_deterministic_and_order_preserving(self, descriptor):
         first = emit_bundle(descriptor)

@@ -659,6 +659,24 @@ class TestTcpChannel:
         }[cut]
         assert str(self._receive_after_sending(frame)) == "connection closed mid-frame"
 
+    def test_a_timeout_mid_frame_keeps_the_bytes_received(self):
+        frames = []
+        for seq in (0, 1):
+            manifest, payload = pack_window(window_of(seq, [make_packet(seq * 10 * SECOND + 2, 40)]))
+            blob = manifest.to_json()
+            frames.append(len(blob).to_bytes(4, "big") + blob + len(payload).to_bytes(4, "big") + payload)
+        receiver = TcpReceiverChannel("127.0.0.1", 0)
+        try:
+            with socket.create_connection(("127.0.0.1", receiver.port), timeout=5) as sock:
+                sock.sendall(frames[0][:10])
+                with pytest.raises(TimeoutError):
+                    receiver.receive(timeout=0.2)
+                sock.sendall(frames[0][10:] + frames[1])
+                got = [receiver.receive(timeout=5)[0].seq for _ in frames]
+        finally:
+            receiver.close()
+        assert got == [0, 1]
+
     @pytest.mark.parametrize("length", [MAX_MANIFEST_BYTES + 1, 2**32 - 1])
     def test_a_manifest_length_over_the_bound_is_refused(self, length):
         error = self._receive_after_sending(length.to_bytes(4, "big") + b"{")
