@@ -24,16 +24,24 @@ from .errors import (
 )
 from .emit import emit_bundle, render_bundle
 from .model import seconds_to_micros
-from .pipeline import RunConfig, run_pipeline, write_run_artifacts
-from .replay import ReplayMode, ReplayPlan
-from .scenarios import CLI_SCENARIO_NAMES, ScenarioSpec
-from .transport import ChannelSpec
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 EXIT_RUNTIME = 5
+
+# Operator-facing aliases of scenarios.SCENARIO_KINDS.
+CLI_SCENARIO_NAMES = {
+    "browse": "attach-and-browse",
+    "stream": "video-streaming",
+    "voice": "voice-call",
+    "live-upload": "live-upload",
+}
+
+# The values of replay.ReplayMode, spelled out so that ingest, emit and
+# --help never import the run loop (and numpy with it).
+REPLAY_MODES = ("virtual-clock", "real-time")
 
 # The run command's float flags: each must be a finite number.
 _FLOAT_FLAGS = ("duration", "window_seconds", "channel_latency", "bin_width", "speed_factor", "align_offset")
@@ -100,6 +108,11 @@ def cmd_emit(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .pipeline import RunConfig, run_pipeline, write_run_artifacts
+    from .replay import ReplayMode, ReplayPlan
+    from .scenarios import ScenarioSpec
+    from .transport import ChannelSpec
+
     try:
         descriptor = _load_descriptor(args.descriptor)
     except (JsonParseError, SchemaError) as exc:
@@ -206,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True, choices=sorted(CLI_SCENARIO_NAMES))
     p_run.add_argument("--duration", type=float, default=60.0, help="scenario length in seconds")
     p_run.add_argument("--channel", choices=["in-process", "directory-exchange", "tcp"], default="in-process")
-    p_run.add_argument("--mode", choices=[m.value for m in ReplayMode], default=ReplayMode.VIRTUAL.value)
+    p_run.add_argument("--mode", choices=REPLAY_MODES, default=REPLAY_MODES[0])
     p_run.add_argument("--report", required=True, type=Path, help="where to write the report JSON")
     p_run.add_argument("--out-dir", type=Path, help="directory for CSV artifacts (default: report directory)")
     p_run.add_argument("--seed", type=int, default=0)

@@ -14,6 +14,7 @@ and checks the type of every field it reads. Both are pure functions.
 
 import ipaddress
 import re
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -66,7 +67,12 @@ def _literal(word: str, line: int, col: int) -> tuple[str, Any]:
     m = _LITERAL_RE.fullmatch(word)
     kind = m.lastgroup if m else None
     if kind == "int":
-        return kind, int(word)
+        try:
+            return kind, int(word)
+        except ValueError:  # more digits than the interpreter converts
+            digits = len(word.lstrip("-"))
+            raise ConfigSyntaxError(
+                f"integer literal of {digits} digits exceeds the {sys.get_int_max_str_digits()}-digit limit", line, col)
     if kind == "ip":
         try:
             return kind, ipaddress.ip_address(word)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .emit import DeploymentBundle
 from .errors import MetricsError
-from .model import MICROS_PER_SECOND, PacketBatch, TwinDescriptor
+from .model import MICROS_PER_SECOND, TwinDescriptor
+from .pcap import PacketBatch
 from .transport import SyncLogEntry
 
 

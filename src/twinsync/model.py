@@ -1,10 +1,11 @@
-"""Canonical descriptor of the twinned network plus shared value types.
+"""Canonical descriptor of the twinned network: types, validation, JSON.
 
 The descriptor is the single artifact exchanged between the physical side
 and its digital replica: the ingest stage produces it, every downstream
-stage consumes it. PacketBatch is the one form packets take from
-generation to binning. All types here are immutable value objects, safe
-to share between concurrent pipeline stages. Durations are integer
+stage consumes it. This module needs only the standard library, so the
+config side (ingest, emit) starts without numpy; packets are
+pcap.PacketBatch. All types here are immutable value objects, safe to
+share between concurrent pipeline stages. Durations are integer
 microseconds everywhere except the descriptor's ``window_seconds``, which
 is the operator-facing sync period in seconds.
 """
@@ -12,9 +13,7 @@ is the operator-facing sync period in seconds.
 import ipaddress
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
-
-import numpy as np
+from typing import Any, Mapping
 
 from .errors import DescriptorValidationError, JsonParseError, SchemaError
 
@@ -73,151 +72,6 @@ class TwinDescriptor:
     @property
     def window_micros(self) -> int:
         return seconds_to_micros(self.window_seconds)
-
-
-_U32_MAX = 0xFFFFFFFF
-
-
-def first_index(mask: np.ndarray) -> int | None:
-    """Index of the first True in a boolean array, or None."""
-    if not mask.any():
-        return None
-    return int(mask.argmax())
-
-
-class PacketBatch:
-    """Many captured packets as columns: the one packet form of twinsync.
-
-    ``ts_micros`` (int64), ``captured_len`` and ``original_len`` (uint32)
-    hold one entry per packet, the fields of a pcap record header.
-    Payloads live in one uint8 buffer: packet i owns the slot
-    ``payload[offsets[i]:offsets[i + 1]]`` and its captured bytes are the
-    first ``captured_len[i]`` bytes of that slot. A batch read from pcap
-    bytes keeps them where they lie, record headers in between, without a
-    copy.
-
-    ``PacketBatch(...)`` checks columns that come from outside;
-    ``trusted`` takes them as they are. A step-1 slice is a batch sharing
-    this one's arrays and buffer. Batches are never modified in place.
-    """
-
-    __slots__ = ("ts_micros", "captured_len", "original_len", "payload", "offsets", "_ordered")
-
-    def __init__(self, ts_micros, captured_len, original_len, payload, offsets):
-        ts = np.asarray(ts_micros)
-        cap = np.asarray(captured_len)
-        orig = np.asarray(original_len)
-        offs = np.asarray(offsets)
-        buf = payload if isinstance(payload, np.ndarray) else np.frombuffer(payload, dtype=np.uint8)
-        if buf.dtype != np.uint8 or buf.ndim != 1:
-            raise ValueError("payload must be a 1-D buffer of bytes")
-        n = len(ts)
-        for name, col, size in (("captured_len", cap, n), ("original_len", orig, n), ("offsets", offs, n + 1)):
-            if col.ndim != 1 or len(col) != size:
-                raise ValueError(f"{name} must be a 1-D array of {size} entries")
-        for col in (ts, cap, orig, offs):
-            if n and col.dtype.kind not in "iu":
-                raise ValueError("packet columns must hold integers")
-        checks = (
-            (ts < 0, "ts_micros must be non-negative"),
-            ((cap < 0) | (cap > _U32_MAX), "captured_len out of 32-bit range"),
-            ((orig < 0) | (orig > _U32_MAX), "original_len out of 32-bit range"),
-            (cap > orig, "captured_len exceeds original_len"),
-            (offs[1:] - offs[:-1] < cap, "payload slot shorter than captured_len"),
-        )
-        for mask, message in checks:
-            index = first_index(mask)
-            if index is not None:
-                raise ValueError(f"packet {index}: {message}")
-        if offs[0] < 0 or offs[-1] > len(buf):
-            raise ValueError("payload offsets outside the payload buffer")
-        self._set(ts.astype(np.int64, copy=False), cap.astype(np.uint32, copy=False),
-                  orig.astype(np.uint32, copy=False), buf, offs.astype(np.int64, copy=False), None)
-
-    def _set(self, ts, cap, orig, buf, offs, ordered):
-        self.ts_micros = ts
-        self.captured_len = cap
-        self.original_len = orig
-        self.payload = buf
-        self.offsets = offs
-        self._ordered = ordered
-
-    @classmethod
-    def trusted(cls, ts_micros, captured_len, original_len, payload, offsets,
-                ordered: bool | None = None) -> "PacketBatch":
-        """A batch from columns that already have the right dtypes and obey
-        every rule __init__ checks; for producers that guarantee them by
-        construction. ``ordered`` is whether timestamps are non-decreasing,
-        None when not known."""
-        batch = cls.__new__(cls)
-        batch._set(ts_micros, captured_len, original_len, payload, offsets, ordered)
-        return batch
-
-    @classmethod
-    def empty(cls) -> "PacketBatch":
-        zero = np.zeros(0, dtype=np.int64)
-        return cls.trusted(zero, zero.astype(np.uint32), zero.astype(np.uint32), zero.astype(np.uint8),
-                           np.zeros(1, dtype=np.int64), True)
-
-    @staticmethod
-    def concat_sizes(batches: Iterable["PacketBatch"]) -> "PacketBatch":
-        """The packets of all given batches, in order, without their payloads.
-
-        Times and original lengths are kept; every captured length is 0,
-        as if captured with a snap length of 0, so nothing is copied from
-        the payload buffers. Only those two columns are read, so anything
-        that has them will do in place of a batch.
-        """
-        batches = list(batches)
-        if not batches:
-            return PacketBatch.empty()
-        ts = np.concatenate([b.ts_micros for b in batches], dtype=np.int64)
-        return PacketBatch.trusted(
-            ts, np.zeros(len(ts), dtype=np.uint32),
-            np.concatenate([b.original_len for b in batches], dtype=np.uint32),
-            np.zeros(0, dtype=np.uint8), np.zeros(len(ts) + 1, dtype=np.int64),
-        )
-
-    def __len__(self) -> int:
-        return len(self.ts_micros)
-
-    def __getitem__(self, index: slice) -> "PacketBatch":
-        """The packets of a step-1 slice, sharing this batch's arrays and buffer."""
-        start, stop, step = index.indices(len(self))
-        if step != 1:
-            raise ValueError("a packet batch slices with step 1 only")
-        stop = max(start, stop)
-        return PacketBatch.trusted(self.ts_micros[start:stop], self.captured_len[start:stop],
-                                   self.original_len[start:stop], self.payload, self.offsets[start:stop + 1],
-                                   self._ordered or None)
-
-    def __repr__(self) -> str:
-        return f"PacketBatch(<{len(self)} packets>)"
-
-    def first_regression(self) -> int | None:
-        """Index of the first packet whose timestamp is below its predecessor's,
-        or None when timestamps never decrease. Whether they do is cached,
-        and slices of an ordered batch inherit it."""
-        ts = self.ts_micros
-        if self._ordered is None:
-            self._ordered = bool((ts[1:] >= ts[:-1]).all())
-        if self._ordered:
-            return None
-        return int((ts[1:] < ts[:-1]).argmax()) + 1
-
-    def with_ts(self, ts_micros: np.ndarray, ordered: bool | None = None) -> "PacketBatch":
-        """The same packets with new timestamps (int64, one per packet)."""
-        index = first_index(ts_micros < 0)
-        if index is not None:
-            raise ValueError(f"packet {index}: ts_micros must be non-negative")
-        return PacketBatch.trusted(ts_micros, self.captured_len, self.original_len, self.payload, self.offsets,
-                                   ordered)
-
-    def shifted(self, offset_micros: int) -> "PacketBatch":
-        """The same packets, every timestamp moved by ``offset_micros``."""
-        if offset_micros == 0:
-            return self
-        return self.with_ts(self.ts_micros + offset_micros, self._ordered)
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,8 +34,8 @@ from .metrics import (
     twin_alignment_ratio,
     update_latency,
 )
-from .model import MICROS_PER_SECOND, PacketBatch, TwinDescriptor
-from .pcap import LINKTYPE_RAW_IP, segment_stream, write_pcap
+from .model import MICROS_PER_SECOND, TwinDescriptor
+from .pcap import LINKTYPE_RAW_IP, PacketBatch, segment_stream, write_pcap
 from .replay import ReplayEngine, ReplayMode, ReplayPlan
 from .scenarios import ScenarioSpec, generate
 from .transport import (
@@ -76,6 +76,8 @@ class RunConfig:
             raise ValueError(f"bin width must be positive, got {self.bin_width_micros} us")
         if self.max_lag_bins < 0:
             raise ValueError(f"max_lag_bins must be non-negative, got {self.max_lag_bins}")
+        if self.tcp_port is not None and not 0 <= self.tcp_port <= 65535:
+            raise ValueError(f"tcp port must be within 0-65535, got {self.tcp_port}")
 
 
 @dataclass(slots=True)

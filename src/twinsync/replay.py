@@ -23,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clocks import Clock
-from .model import PacketBatch
-from .pcap import CaptureWindow
+from .pcap import CaptureWindow, PacketBatch
 from .transport import SyncLog
 
 

@@ -19,17 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MICROS_PER_SECOND, PacketBatch
+from .model import MICROS_PER_SECOND
+from .pcap import PacketBatch
 
 SCENARIO_KINDS = ("attach-and-browse", "video-streaming", "voice-call", "live-upload")
-
-# Operator-facing aliases used on the command line.
-CLI_SCENARIO_NAMES = {
-    "browse": "attach-and-browse",
-    "stream": "video-streaming",
-    "voice": "voice-call",
-    "live-upload": "live-upload",
-}
 
 _SERVER_IP = bytes([203, 0, 113, 1])
 _IP_UDP_HEADER_LEN = 28

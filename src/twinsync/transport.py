@@ -46,8 +46,8 @@ from .errors import (
     SchemaError,
     TwinError,
 )
-from .model import _require, first_index, parse_json_object
-from .pcap import LINKTYPE_RAW_IP, BlockSlice, CaptureWindow, read_pcap, write_pcap
+from .model import _require, parse_json_object
+from .pcap import LINKTYPE_RAW_IP, BlockSlice, CaptureWindow, first_index, read_pcap, write_pcap
 
 DIGEST_ALGORITHM = "sha256"
 

@@ -24,7 +24,7 @@ from twinsync.emit import (
     TOPOLOGY_FILE,
     DeploymentBundle,
 )
-from twinsync.model import PacketBatch
+from twinsync.pcap import PacketBatch
 from twinsync.transport import SyncLogEntry
 
 SERVER_IP = bytes([203, 0, 113, 1])

@@ -1,11 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twinsync
 from twinsync import cli
 from twinsync.metrics import state_consistency_index
 from twinsync.model import descriptor_from_json, descriptor_to_json
+from twinsync.replay import ReplayMode
+from twinsync.scenarios import SCENARIO_KINDS
 
 from conftest import FIXTURES
 from reference import load_bundle
@@ -36,6 +43,36 @@ def test_config_side_writes_the_golden_bytes(tmp_path):
     assert digests == CONFIG_GOLDEN
 
 
+# Imports the config side, checks that numpy is not loaded, then blocks it
+# and runs ingest and emit: argv is the config file and an output directory.
+_NO_NUMPY_CONFIG_SIDE = '''
+import sys
+
+import twinsync, twinsync.model, twinsync.ingest, twinsync.emit, twinsync.cli
+
+assert "numpy" not in sys.modules, "the config side imported numpy"
+sys.modules["numpy"] = None  # any later `import numpy` raises ImportError
+config, out = sys.argv[1:]
+assert twinsync.cli.main(["ingest", "--phys-config", config, "--out", out + "/descriptor.json"]) == 0
+assert twinsync.cli.main(["emit", "--descriptor", out + "/descriptor.json", "--out-dir", out + "/deploy"]) == 0
+'''
+
+
+def test_config_side_loads_no_numpy(tmp_path):
+    src = str(Path(twinsync.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_CONFIG_SIDE, str(FIXTURES / "mme.cfg"), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "deploy").iterdir()) == [
+        "amf.yaml", "nssf.yaml", "smf.yaml", "topology.json"]
+
+
+def test_cli_spells_out_the_scenario_kinds_and_replay_modes():
+    assert set(cli.CLI_SCENARIO_NAMES.values()) == set(SCENARIO_KINDS)
+    assert list(cli.REPLAY_MODES) == [m.value for m in ReplayMode]
+
+
 class TestIngestCommand:
     def test_happy_path(self, tmp_path, capsys):
         out = tmp_path / "descriptor.json"
@@ -60,6 +97,16 @@ class TestIngestCommand:
         code = cli.main(["ingest", "--phys-config", str(bad), "--out", str(tmp_path / "d.json")])
         assert code == 2
         assert capsys.readouterr().err == "twinsync: access_point_list[0].qci: expected an integer\n"
+
+    def test_overlong_integer_literal_exits_2_with_its_position(self, tmp_path, capsys):
+        bad = tmp_path / "long.cfg"
+        bad.write_text("ue_count: " + "1" * 5000)
+        code = cli.main(["ingest", "--phys-config", str(bad), "--out", str(tmp_path / "d.json")])
+        assert code == 2
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == (
+            f"twinsync: integer literal of 5000 digits exceeds the {limit}-digit limit (line 1, column 11)\n")
+        assert not (tmp_path / "d.json").exists()
 
     def test_missing_input_exits_2(self, tmp_path):
         code = cli.main(["ingest", "--phys-config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "d.json")])
@@ -188,6 +235,8 @@ class TestRunCommand:
         ("bin-width", "nan"),
         ("bin-width", "0"),
         ("max-lag-bins", "-1"),
+        ("tcp-port", "70000"),
+        ("tcp-port", "-1"),
     ])
     def test_out_of_range_flag_exits_3_with_one_line_and_no_report(self, tmp_path, descriptor_file, capsys,
                                                                     flag, value):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import twinsync.pcap as pcap_module
 from twinsync.errors import BadMagicError, PcapError, PcapWriteError, TimestampRegressionError, TruncatedRecordError
 from twinsync.metrics import ThroughputSeries, throughput_series
-from twinsync.model import MICROS_PER_SECOND, PacketBatch
+from twinsync.model import MICROS_PER_SECOND
 from twinsync.pcap import (
     DEFAULT_SNAPLEN,
     LINKTYPE_RAW_IP,
@@ -27,6 +27,7 @@ from twinsync.pcap import (
     PCAP_MAGIC_NANOS,
     VECTOR_MIN_PACKETS,
     CaptureWindow,
+    PacketBatch,
     read_pcap,
     segment_stream,
     write_pcap,

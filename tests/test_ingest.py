@@ -1,4 +1,5 @@
 import ipaddress
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,10 @@ class TestParse:
         ("a: 1.2", "malformed numeric or address literal '1.2'", 1, 4, ""),
         ("a: -", "malformed numeric or address literal '-'", 1, 4, ""),
         ("a: 1.2.3.4.5", "malformed numeric or address literal '1.2.3.4.5'", 1, 4, ""),
+        # More digits than int() converts (sys.get_int_max_str_digits(), 4,300 by default).
+        pytest.param("a: 1\nue_count: -" + "1" * 5000,
+                     f"integer literal of 5000 digits exceeds the {sys.get_int_max_str_digits()}-digit limit",
+                     2, 11, "", id="int-of-5000-digits"),
         # The whole input is tokenized first: the '@' wins over the missing ':'.
         ("a b: @", "unexpected character '@'", 1, 6, ""),
     ])

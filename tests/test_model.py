@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from twinsync.errors import DescriptorValidationError, JsonParseError, SchemaError
 from twinsync.model import (
     LinkProfile,
-    PacketBatch,
     SliceSpec,
     TwinDescriptor,
     descriptor_from_json,
     descriptor_to_json,
     validate_descriptor,
 )
+from twinsync.pcap import PacketBatch
 
 from reference import PacketRecord, batch_of, records_of
 

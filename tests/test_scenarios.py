@@ -3,7 +3,6 @@ import pytest
 
 from twinsync.pcap import LINKTYPE_RAW_IP, write_pcap
 from twinsync.scenarios import (
-    CLI_SCENARIO_NAMES,
     SCENARIO_KINDS,
     GeneratedTrace,
     ScenarioSpec,
@@ -227,9 +226,6 @@ class TestSpecValidation:
     def test_zero_duration(self):
         with pytest.raises(ValueError):
             generate(ScenarioSpec(kind="voice-call", duration_micros=0))
-
-    def test_cli_names_cover_all_kinds(self):
-        assert set(CLI_SCENARIO_NAMES.values()) == set(SCENARIO_KINDS)
 
     def test_trace_echoes_spec_and_seed(self):
         spec = spec_for("live-upload", seconds=1, seed=42)

@@ -19,12 +19,12 @@ from twinsync.errors import (
     SchemaError,
     TwinError,
 )
-from twinsync.model import PacketBatch
 from twinsync.pcap import (
     LINKTYPE_RAW_IP,
     PACK_BLOCK_BYTES,
     VECTOR_MIN_PACKETS,
     CaptureWindow,
+    PacketBatch,
     read_pcap,
     segment_stream,
     write_pcap,
