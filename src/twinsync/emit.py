@@ -11,8 +11,6 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import yaml
-
 from .model import TwinDescriptor
 
 _HOSTS = (
@@ -84,6 +82,8 @@ def emit_bundle(d: TwinDescriptor) -> DeploymentBundle:
 
 def render_bundle(bundle: DeploymentBundle, directory: Path) -> list[Path]:
     """Write the bundle into a directory; returns the written paths."""
+    import yaml  # only writing needs it, so `twinsync ingest` does not load it
+
     directory = Path(directory)
     written = []
     for name, doc in ((SMF_FILE, bundle.smf_doc), (NSSF_FILE, bundle.nssf_doc), (AMF_FILE, bundle.amf_doc)):

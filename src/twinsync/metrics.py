@@ -4,13 +4,12 @@ Everything here is a pure function over immutable inputs: throughput
 binning, the alignment ratio, update latency, age-of-information, the
 series comparison (lag search + error measures) and the configuration
 consistency audit. Packets come as a PacketBatch and the sync log as
-the entries SyncLog.entries() returns. Bins use half-open intervals with
-boundary points in the later bin, the same convention the capture
-segmentation uses.
+the columns SyncLog.columns() returns, so each metric is a few array
+passes. Bins use half-open intervals with boundary points in the later
+bin, the same convention the capture segmentation uses.
 """
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .emit import DeploymentBundle
 from .errors import MetricsError
 from .model import MICROS_PER_SECOND, TwinDescriptor
 from .pcap import PacketBatch
-from .transport import SyncLogEntry
+from .transport import SyncLogColumns
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,11 +66,12 @@ def throughput_series(
     )
 
 
-def delivered_in_observation(entries: Sequence[SyncLogEntry], observation: tuple[int, int]) -> int:
+def delivered_in_observation(log: SyncLogColumns, observation: tuple[int, int]) -> int:
     """Delivered windows whose capture interval ends inside the observation
     interval: late final windows still count."""
     start, end = observation
-    return sum(1 for e in entries if e.delivered and start < e.t_window_end <= end)
+    ends = log.t_window_end
+    return int(np.count_nonzero(log.delivered & (ends > start) & (ends <= end)))
 
 
 def twin_alignment_ratio(delivered: int, planned_period_micros: int, observation: tuple[int, int]) -> float:
@@ -95,12 +95,13 @@ class LatencyStats:
     max_micros: int
 
 
-def update_latency(entries: Sequence[SyncLogEntry]) -> LatencyStats:
+def update_latency(log: SyncLogColumns) -> LatencyStats:
     """Replay completion minus window end, over the delivered windows."""
-    values = [e.t_replayed - e.t_window_end for e in entries if e.delivered and e.t_replayed is not None]
-    if not values:
+    done = log.delivered & log.replayed
+    values = log.t_replayed[done] - log.t_window_end[done]
+    if not len(values):
         raise MetricsError("no replayed windows in the log")
-    return LatencyStats(sum(values) / len(values), max(values))
+    return LatencyStats(int(values.sum()) / len(values), int(values.max()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,52 +112,46 @@ class AoiStats:
     peak_micros: int
 
 
-def age_of_information(entries: Sequence[SyncLogEntry], origin_ts_micros: int, horizon_micros: int) -> AoiStats:
+def age_of_information(log: SyncLogColumns, origin_ts_micros: int, horizon_micros: int) -> AoiStats:
     """Age of the freshest replayed data, over [origin, horizon].
 
     AoI(t) is t minus the end timestamp of the newest window replayed by
     t; before the first replay it is measured from the run origin. Mean
-    and peak are computed exactly from the piecewise-linear sawtooth.
+    and peak are computed exactly from the piecewise-linear sawtooth: the
+    area is the sequential float sum of one trapezoid per replay instant,
+    in time order.
     """
-    events = sorted((e.t_replayed, e.t_window_end) for e in entries if e.delivered and e.t_replayed is not None)
-    # The freshest data at time t is the max window end replayed by t.
-    event_times: list[int] = []
-    newest_end: list[int] = []
-    running = None
-    for t_replayed, end_ts in events:
-        running = end_ts if running is None else max(running, end_ts)
-        if event_times and event_times[-1] == t_replayed:
-            newest_end[-1] = running
-        else:
-            event_times.append(t_replayed)
-            newest_end.append(running)
+    done = log.delivered & log.replayed
+    t_replayed, window_end = log.t_replayed[done], log.t_window_end[done]
+    order = np.lexsort((window_end, t_replayed))
+    t_replayed = t_replayed[order]
+    # The freshest data at time t is the max window end replayed by t; of
+    # the windows replayed at one instant, the last in this order holds it.
+    newest_end = np.maximum.accumulate(window_end[order])
+    last = np.ones(len(t_replayed), dtype=bool)
+    last[:-1] = t_replayed[1:] != t_replayed[:-1]
+    times, newest_end = t_replayed[last], newest_end[last]
 
-    # Exact peak and mean over [origin, horizon]: age grows with slope 1
-    # and drops at each replay event.
-    peak = 0
-    total_area = 0.0
-    t_prev = origin_ts_micros
-    aoi_prev = 0
-    for t, end in zip(event_times, newest_end):
-        if t <= origin_ts_micros:
-            aoi_prev = origin_ts_micros - end
-            continue
-        if t > horizon_micros:
-            break
-        length = t - t_prev
-        top = aoi_prev + length
-        peak = max(peak, top)
-        total_area += (aoi_prev + top) / 2 * length
-        t_prev = t
-        aoi_prev = t - end
-        peak = max(peak, aoi_prev)
-    length = horizon_micros - t_prev
-    if length > 0:
-        top = aoi_prev + length
-        peak = max(peak, top)
-        total_area += (aoi_prev + top) / 2 * length
+    # Instants up to the origin only set the age at the origin; those past
+    # the horizon do not count. Between instants, age grows with slope 1.
+    first, stop = np.searchsorted(times, [origin_ts_micros, horizon_micros], side="right")
+    age_at_origin = origin_ts_micros - int(newest_end[first - 1]) if first else 0
+    times, newest_end = times[first:stop], newest_end[first:stop]
+    age_after = times - newest_end  # the age right after each instant
+    times = np.append(times, horizon_micros)
+    t_prev = np.concatenate(([origin_ts_micros], times[:-1]))
+    age_prev = np.concatenate(([age_at_origin], age_after))
+    length = times - t_prev
+    if length[-1] <= 0:  # nothing left after the last instant
+        length, age_prev = length[:-1], age_prev[:-1]
+    top = age_prev + length
+    peak = max(0, int(top.max(initial=0)), int(age_after.max(initial=0)))
+    # cumsum adds in order, one float64 addition per trapezoid.
+    areas = (age_prev + top) / 2 * length
+    total_area = float(np.cumsum(areas)[-1]) if len(areas) else 0.0
     span = horizon_micros - origin_ts_micros
-    mean = total_area / span if span > 0 else float(aoi_prev)
+    # An empty span holds no instant after the origin.
+    mean = total_area / span if span > 0 else float(age_at_origin)
     return AoiStats(mean, peak)
 
 

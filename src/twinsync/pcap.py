@@ -14,23 +14,18 @@ payload slots of one size). A run of at least VECTOR_MIN_PACKETS records
 is one array operation, a strided view of its headers when reading and
 one copy into rows of header + payload when writing; the records between
 long runs go one by one. A capture of one length is the one-run case.
-Windows of fewer than VECTOR_MIN_PACKETS packets avoid array calls,
-since the fixed cost of each numpy call dominates there:
-
-* segment_stream groups runs of them into PackBlocks of about
-  PACK_BLOCK_BYTES, which the sender writes with one write_pcap call
-  and slices into windows (transport.pack_window);
-* read_pcap reads one whose records all share one captured length with
-  one struct unpack through a layout cached per (byte order, count,
-  length), whose offsets and captured-length columns are shared
-  read-only; any other falls back to a plain loop over the records,
-  which also raises the precise error for a bad record.
+Windows of fewer than VECTOR_MIN_PACKETS packets would pay the fixed
+cost of each numpy call on a handful of records, so segment_stream
+groups runs of them into PackBlocks of about PACK_BLOCK_BYTES. The
+sender writes a block with one write_pcap call and slices it into
+windows (transport.pack_window); the virtual-clock receiver reads the
+windows it receives of a block back with one read_pcap call
+(transport.WindowReceiver.receive_block).
 
 Every path produces the same bytes, packets and errors.
 """
 
 import struct
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -267,6 +262,11 @@ class BlockSlice(PacketBatch):
 
     __slots__ = ("block", "index")
 
+    @property
+    def closes_block(self) -> bool:
+        """Whether this is the block's last window."""
+        return self.index == len(self.block.cuts) - 2
+
 
 def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN) -> bytes:
     """Serialize packets into a classic pcap byte string.
@@ -365,24 +365,6 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
             raise BadMagicError(magic_raw)
     _, _, _, _, _, linktype = struct.unpack_from(order + "HHiIII", data, 4)
     frac_limit = 1_000_000_000 if nanos else MICROS_PER_SECOND
-    if size > _FIRST_INCL_END:
-        # A small window whose records all share the first one's captured
-        # length reads through one cached layout; anything else, and any
-        # record that fails a check, takes the stepped loop below.
-        incl = _INCL_FIELD[order].unpack_from(data, _FIRST_INCL_AT)[0]
-        count, rest = divmod(size - _GLOBAL_HEADER_LEN, _RECORD_HEADER_LEN + incl)
-        if not rest and count < VECTOR_MIN_PACKETS:
-            layout = _layout(order, count, incl)
-            fields = layout.headers.unpack_from(data, _GLOBAL_HEADER_LEN)
-            fracs, origs = fields[1::4], fields[3::4]
-            if fields[2::4] == layout.captured and min(origs) >= incl and max(fracs) < frac_limit:
-                if nanos:
-                    fracs = [frac // _NANOS_PER_MICRO for frac in fracs]
-                ts = [sec * MICROS_PER_SECOND + frac for sec, frac in zip(fields[0::4], fracs)]
-                return linktype, PacketBatch.trusted(
-                    np.array(ts, dtype=np.int64), layout.captured_len, np.array(origs, dtype=np.uint32),
-                    np.frombuffer(data, dtype=np.uint8), layout.offsets, ts == sorted(ts))
-
     # Records are stepped one by one and checked as they come, so the first
     # bad record raises. After VECTOR_MIN_PACKETS records in a row of one
     # captured length, the rest of that run is read as one strided view.
@@ -432,33 +414,6 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
     pieces.append([column[done:] for column in stepped])
     ts, incl, orig, offsets = (np.concatenate(column) for column in zip(*pieces))
     return linktype, PacketBatch.trusted(ts, incl, orig, buf, offsets)
-
-
-class _Layout(NamedTuple):
-    """How to read ``count`` records of one captured length: their headers
-    in one unpack, and the batch columns that depend on nothing else,
-    read-only because every window of that shape shares them."""
-
-    headers: struct.Struct
-    captured: tuple[int, ...]
-    captured_len: np.ndarray
-    offsets: np.ndarray
-
-
-_FIRST_INCL_AT = _GLOBAL_HEADER_LEN + 8
-_FIRST_INCL_END = _FIRST_INCL_AT + 4
-_INCL_FIELD = {order: struct.Struct(order + "I") for order in "<>"}
-
-
-@lru_cache(maxsize=256)
-def _layout(order: str, count: int, incl: int) -> _Layout:
-    stride = _RECORD_HEADER_LEN + incl
-    offsets = _GLOBAL_HEADER_LEN + _RECORD_HEADER_LEN + stride * np.arange(count + 1, dtype=np.int64)
-    offsets[count] = _GLOBAL_HEADER_LEN + stride * count
-    captured_len = np.full(count, incl, dtype=np.uint32)
-    for column in (offsets, captured_len):
-        column.flags.writeable = False
-    return _Layout(struct.Struct(order + f"IIII{incl}x" * count), (incl,) * count, captured_len, offsets)
 
 
 def _run_length(data: bytes, order: str, offset: int, incl: int) -> int:

@@ -3,8 +3,13 @@
 Simulated traffic is cut into windows; each window is packed and sent
 over the transfer channel, received in order and replayed, and the
 replayed traces are scored. Under the virtual clock this runs in the
-calling thread, one window at a time, and every timestamp is computed
-from the data, so a run is deterministic down to the report bytes.
+calling thread and every timestamp is computed from the data, so a run
+is deterministic down to the report bytes. Windows are sent one at a
+time; a window alone is received and replayed right after its send,
+and the windows of a pcap.PackBlock once its last window is sent, as
+one batch when the receiver accepts them as one block
+(transport.WindowReceiver.receive_block) and window by window when any
+of them is irregular.
 Real-time mode paces windows against a monotonic clock for live
 demonstrations: a producer thread sends while a consumer thread replays.
 The producer always closes the channel, even on failure, so the consumer
@@ -35,7 +40,7 @@ from .metrics import (
     update_latency,
 )
 from .model import MICROS_PER_SECOND, TwinDescriptor
-from .pcap import LINKTYPE_RAW_IP, PacketBatch, segment_stream, write_pcap
+from .pcap import LINKTYPE_RAW_IP, BlockSlice, PacketBatch, segment_stream, write_pcap
 from .replay import ReplayEngine, ReplayMode, ReplayPlan
 from .scenarios import ScenarioSpec, generate
 from .transport import (
@@ -188,6 +193,10 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         """Pack and send one window; False if the channel dropped it."""
         return not send_window(window, send_channel, log, now_micros).dropped
 
+    def save_replayed(seq: int, packets: PacketBatch) -> None:
+        if replayed_dir is not None:
+            (replayed_dir / f"replayed_{seq}.pcap").write_bytes(write_pcap(LINKTYPE_RAW_IP, packets))
+
     def replay_next(block: bool) -> bool:
         """Receive and replay the next in-order window; False if there is none.
         The window's payload bytes are released once it is replayed."""
@@ -198,12 +207,24 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         window, _manifest, t_received = delivery
         trace = engine.replay_window(window, t_received)
         packets = trace.records
-        if replayed_dir is not None:
-            path = replayed_dir / f"replayed_{trace.window_seq}.pcap"
-            path.write_bytes(write_pcap(LINKTYPE_RAW_IP, packets))
+        save_replayed(trace.window_seq, packets)
         replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len))
         max_lateness = max(max_lateness, trace.max_lateness_micros)
         return True
+
+    def replay_ready() -> None:
+        """Virtual clock: receive what the channel holds and replay it, as
+        one block when the receiver accepts it as one, else window by window."""
+        block = receiver.receive_block()
+        if block is None:
+            while replay_next(block=False):
+                pass
+            return
+        packets = engine.replay_block(block)
+        if replayed_dir is not None:
+            for seq, first, stop in zip(block.seqs.tolist(), block.cuts[:-1].tolist(), block.cuts[1:].tolist()):
+                save_replayed(seq, packets[first:stop])
+        replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len))
 
     def close_receive() -> None:
         if hasattr(recv_channel, "close"):
@@ -213,13 +234,32 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         if virtual:
             # A window sent on the in-process channel is already queued, so
             # one poll finds it; a dropped one leaves nothing to wait for.
+            # The windows of a PackBlock are received together once its
+            # last one is sent.
             stage = "capture"
             try:
-                for window in windows:
-                    if send(window, window.end_ts_micros):
+                try:
+                    for window in windows:
+                        packets = window.packets
+                        if isinstance(packets, BlockSlice):
+                            send(window, window.end_ts_micros)
+                            if packets.closes_block:
+                                stage = "replay"
+                                replay_ready()
+                                stage = "capture"
+                        elif send(window, window.end_ts_micros):
+                            stage = "replay"
+                            replay_next(block=False)
+                            stage = "capture"
+                except Exception:
+                    # The block's windows sent before a capture failure are
+                    # replayed first, as one window at a time would have
+                    # been, so a replay failure among them wins.
+                    if stage == "capture":
                         stage = "replay"
-                        replay_next(block=False)
+                        replay_ready()
                         stage = "capture"
+                    raise
                 send_channel.close_send()
                 stage = "replay"
                 while replay_next(block=False):
@@ -280,10 +320,10 @@ def _run_threads(windows, send, replay_next, send_channel, close_receive, clock)
         raise StageError(stage, exc, tuple(later)) from exc
 
 
-def _evaluate(cfg, log, replayed_windows, max_lateness, engine, records, origin, duration_micros,
+def _evaluate(cfg, log, replayed_sizes, max_lateness, engine, records, origin, duration_micros,
               window_micros) -> RunResult:
     align_offset = engine.align_offset_micros or 0
-    replayed = PacketBatch.concat_sizes(replayed_windows)
+    replayed = PacketBatch.concat_sizes(replayed_sizes)
     npt_series = throughput_series(records, cfg.bin_width_micros, origin, duration_micros)
     ndt_series = throughput_series(
         replayed, cfg.bin_width_micros, origin, duration_micros + max(0, align_offset)
@@ -294,21 +334,21 @@ def _evaluate(cfg, log, replayed_windows, max_lateness, engine, records, origin,
         comparison = None
 
     # The only copy of the sync log this evaluation takes.
-    entries = log.entries()
+    sync = log.columns()
     n_windows = -(-duration_micros // window_micros)
     observation = (origin, origin + n_windows * window_micros)
-    delivered_in_obs = delivered_in_observation(entries, observation)
+    delivered_in_obs = delivered_in_observation(sync, observation)
     tar = twin_alignment_ratio(delivered_in_obs, window_micros, observation)
     sync_frequency = delivered_in_obs * MICROS_PER_SECOND / (observation[1] - observation[0])
 
     try:
-        latency = update_latency(entries)
+        latency = update_latency(sync)
     except MetricsError:
         latency = None
 
-    last_replayed = max((e.t_replayed for e in entries if e.t_replayed is not None), default=None)
-    horizon = observation[1] if last_replayed is None else max(observation[1], last_replayed)
-    aoi = age_of_information(entries, origin_ts_micros=origin, horizon_micros=horizon)
+    replayed_at = sync.t_replayed[sync.replayed]
+    horizon = observation[1] if not len(replayed_at) else max(observation[1], int(replayed_at.max()))
+    aoi = age_of_information(sync, origin_ts_micros=origin, horizon_micros=horizon)
 
     consistency = state_consistency_index(cfg.descriptor, emit_bundle(cfg.descriptor))
 
@@ -324,7 +364,7 @@ def _evaluate(cfg, log, replayed_windows, max_lateness, engine, records, origin,
         pearson_r=None if comparison is None else comparison.pearson_r,
         estimated_lag_us=None if comparison is None else comparison.estimated_lag_micros,
         consistency_index=consistency,
-        windows_lost=sum(e.lost for e in entries),
+        windows_lost=int(sync.lost.sum()),
     )
     return RunResult(
         report=report,
@@ -333,8 +373,8 @@ def _evaluate(cfg, log, replayed_windows, max_lateness, engine, records, origin,
         ndt_series=ndt_series,
         align_offset_micros=align_offset,
         max_lateness_micros=max_lateness,
-        windows_sent=sum(e.t_sent is not None for e in entries),
-        windows_replayed=len(replayed_windows),
+        windows_sent=len(sync.seq),
+        windows_replayed=len(replayed_at),
         packets_replayed=len(replayed),
     )
 

@@ -4,15 +4,17 @@ Two modes:
 
 * virtual-clock: a window's packets are emitted at once, as one batch
   with every timestamp shifted by the alignment offset. Exact, fast,
-  fully deterministic; this is what CI and fidelity runs use.
+  fully deterministic; this is what CI and fidelity runs use. The
+  windows a receiver accepted together (transport.ReceivedBlock) replay
+  as one batch too, with the completion times one at a time would give.
 * real-time: inter-packet gaps are actually slept (scaled by
   1/speed_factor) against an injected clock, tcpreplay style. Scheduler
   lateness is measured per packet and its maximum reported, never folded
   silently into timestamps.
 
-Either way replaying a window returns it once, as a ReplayedTrace.
-Payload bytes always pass through untouched; replay fidelity is the
-whole point of the loop.
+Either way replaying a window returns it once, as a ReplayedTrace (a
+block returns its packets once). Payload bytes always pass through
+untouched; replay fidelity is the whole point of the loop.
 """
 
 import enum
@@ -24,7 +26,7 @@ import numpy as np
 
 from .clocks import Clock
 from .pcap import CaptureWindow, PacketBatch
-from .transport import SyncLog
+from .transport import ReceivedBlock, SyncLog
 
 
 class ReplayMode(enum.Enum):
@@ -59,12 +61,13 @@ class ReplayedTrace(NamedTuple):
     t_replayed_micros: int
 
 
-def compute_alignment(plan: ReplayPlan, window: CaptureWindow, replay_start_micros: int) -> int:
+def compute_alignment(plan: ReplayPlan, window: CaptureWindow | None, replay_start_micros: int) -> int:
     """Offset mapping replayed timestamps onto the physical timeline.
 
     An explicit offset wins. Virtual-clock replay needs no shift.
     Real-time replay anchors the first window's start to the moment its
-    replay began, so the offset is that moment minus the window start.
+    replay began, so the offset is that moment minus the window start;
+    only this case reads ``window``.
     """
     if plan.align_offset_micros is not None:
         return plan.align_offset_micros
@@ -110,6 +113,27 @@ class ReplayEngine:
         self.log.record_replayed(window.seq, trace.t_replayed_micros)
         self._last_completed = trace.t_replayed_micros
         return trace
+
+    def replay_block(self, block: ReceivedBlock) -> PacketBatch:
+        """Virtual clock: replay the windows of a ReceivedBlock as one batch,
+        as replay_window would one at a time, each completing when it is
+        available or when the one before it completed, whichever is later.
+        Records the completion times in the sync log and returns the
+        aligned packets."""
+        if self.plan.mode is not ReplayMode.VIRTUAL:
+            raise ValueError("only virtual-clock replay takes a block of windows at once")
+        first = int(block.seqs[0])
+        if self._last_seq is not None and first <= self._last_seq:
+            raise ValueError(f"window {first} arrived after window {self._last_seq}")
+        if self._offset is None:
+            self._offset = compute_alignment(self.plan, None, int(block.t_received[0]))
+        t_done = block.t_received
+        if self._last_completed is not None:
+            t_done = np.maximum(t_done, self._last_completed)
+        t_done = np.maximum.accumulate(t_done)
+        self.log.record_replayed_block(block.seqs, t_done)
+        self._last_seq, self._last_completed = int(block.seqs[-1]), int(t_done[-1])
+        return block.packets.shifted(self._offset)
 
     def _replay_virtual(self, window: CaptureWindow, t_available: int) -> ReplayedTrace:
         if self._offset is None:

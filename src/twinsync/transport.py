@@ -20,9 +20,21 @@ recent trace, and the gap stays visible to the metrics.
 
 pack_window serializes each window; windows that segment_stream cut
 into a pcap.PackBlock share one write_pcap call per block, so the
-per-window cost of a short T is a slice, a digest and a manifest.
-Manifests, receipts and windows are immutable named tuples, built at
-the cost of a tuple and safe to pass between the real-time threads.
+per-window cost of a short T is a slice, a digest and a manifest. On
+the other side, WindowReceiver.receive_block accepts the windows of a
+block that are ready together: it checks each one's length and digest,
+reads their records joined with one read_pcap call and checks bounds
+and order on the joined columns, the rules unpack_window applies to a
+window alone. A group with anything irregular is handed to
+WindowReceiver.receive, window by window, so unpack_window raises the
+precise error. Manifests, receipts and windows are immutable named
+tuples, built at the cost of a tuple and safe to pass between the
+real-time threads.
+
+The SyncLog is columnar: int64 time columns and a lost mask indexed by
+seq. Its block forms record a whole ReceivedBlock at once, the metrics
+read it as SyncLogColumns, and SyncLog.entries() builds one
+SyncLogEntry per window only when asked.
 """
 
 import hashlib
@@ -37,17 +49,30 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from .clocks import Clock, MonotonicClock
 from .errors import (
     ChannelClosedError,
     DigestMismatchError,
     ForeignWindowError,
+    PcapError,
     PcapWriteError,
     SchemaError,
     TwinError,
 )
 from .model import _require, parse_json_object
-from .pcap import LINKTYPE_RAW_IP, BlockSlice, CaptureWindow, first_index, read_pcap, write_pcap
+from .pcap import (
+    _GLOBAL_HEADER_LEN,
+    _RECORD_HEADER_LEN,
+    LINKTYPE_RAW_IP,
+    BlockSlice,
+    CaptureWindow,
+    PacketBatch,
+    first_index,
+    read_pcap,
+    write_pcap,
+)
 
 DIGEST_ALGORITHM = "sha256"
 
@@ -162,9 +187,14 @@ class SendReceipt(NamedTuple):
     dropped: bool
 
 
+# The time column value of a step a window has not reached (not received,
+# not replayed); below any timestamp the loop records.
+NOT_RECORDED = np.iinfo(np.int64).min
+
+
 @dataclass(slots=True)
 class SyncLogEntry:
-    """Timeline of one window through the loop; fields fill in as it moves."""
+    """Timeline of one window through the loop, as SyncLog.entries() shows it."""
 
     seq: int
     t_window_start: int
@@ -179,63 +209,155 @@ class SyncLogEntry:
         return self.t_received is not None and not self.lost
 
 
+class SyncLogColumns(NamedTuple):
+    """A copy of the sync log as columns, one row per sent window in seq
+    order. ``t_received`` and ``t_replayed`` hold NOT_RECORDED where the
+    window has not reached that step."""
+
+    seq: np.ndarray
+    t_window_start: np.ndarray
+    t_window_end: np.ndarray
+    t_sent: np.ndarray
+    t_received: np.ndarray
+    t_replayed: np.ndarray
+    lost: np.ndarray
+
+    @property
+    def delivered(self) -> np.ndarray:
+        """Per window, whether it was received and not lost."""
+        return (self.t_received != NOT_RECORDED) & ~self.lost
+
+    @property
+    def replayed(self) -> np.ndarray:
+        """Per window, whether it was replayed."""
+        return self.t_replayed != NOT_RECORDED
+
+
+_TIME_COLUMNS = ("t_window_start", "t_window_end", "t_sent", "t_received", "t_replayed")
+
+
 class SyncLog:
     """Per-window timeline: the sender opens each entry, the twin side fills it in.
 
-    ``record_sent`` is the only call that creates an entry. Receiving,
+    The log is columnar: int64 time columns and a lost mask indexed by
+    seq, grown by doubling (the sender's seqs are dense from 0).
+    ``record_sent`` is the only call that opens an entry. Receiving,
     replaying or losing a window this run never sent raises
     ForeignWindowError, and so does receiving one whose bounds differ
-    from those sent. A single lock serializes writers; reads return
-    copies, so the metrics can run while a live pipeline keeps appending.
+    from those sent; the block forms check every window before they
+    record any. A single lock serializes writers; reads return copies, so
+    the metrics can run while a live pipeline keeps appending.
     """
 
     def __init__(self):
-        self._entries: dict[int, SyncLogEntry] = {}
+        self._times = {name: np.zeros(0, dtype=np.int64) for name in _TIME_COLUMNS}
+        self._opened = np.zeros(0, dtype=bool)
+        self._lost = np.zeros(0, dtype=bool)
         self._lock = threading.Lock()
 
-    def _sent(self, seq: int) -> SyncLogEntry:
-        """The entry record_sent opened for ``seq``; call with the lock held."""
-        entry = self._entries.get(seq)
-        if entry is None:
+    def _grow(self, size: int) -> None:
+        """Make room for seqs below ``size``; call with the lock held."""
+        old = len(self._opened)
+        size = max(size, 2 * old, 64)
+        for name, column in self._times.items():
+            self._times[name] = np.concatenate((column, np.full(size - old, NOT_RECORDED, dtype=np.int64)))
+        self._opened = np.concatenate((self._opened, np.zeros(size - old, dtype=bool)))
+        self._lost = np.concatenate((self._lost, np.zeros(size - old, dtype=bool)))
+
+    def _check_sent(self, seq: int, bounds: tuple[int, int] | None = None) -> None:
+        """Raise ForeignWindowError unless ``seq`` was sent, with ``bounds``
+        when given; call with the lock held."""
+        if not (0 <= seq < len(self._opened) and self._opened[seq]):
             raise ForeignWindowError(seq)
-        return entry
+        sent = (int(self._times["t_window_start"][seq]), int(self._times["t_window_end"][seq]))
+        if bounds is not None and bounds != sent:
+            raise ForeignWindowError(seq, f"arrived as [{bounds[0]}, {bounds[1]}), sent as [{sent[0]}, {sent[1]})")
+
+    def _check_sent_block(self, seqs: np.ndarray, starts=None, ends=None) -> None:
+        """_check_sent for many windows: raises for the first foreign one."""
+        inside = (seqs >= 0) & (seqs < len(self._opened))
+        rows = np.where(inside, seqs, 0)
+        foreign = ~inside | ~self._opened[rows]
+        if starts is not None:
+            foreign |= (self._times["t_window_start"][rows] != starts) | (self._times["t_window_end"][rows] != ends)
+        bad = first_index(foreign)
+        if bad is not None:
+            self._check_sent(int(seqs[bad]), None if starts is None else (int(starts[bad]), int(ends[bad])))
 
     def record_sent(self, seq: int, t_window_start: int, t_window_end: int, t_sent: int) -> None:
+        if seq < 0:
+            raise ValueError(f"seq must be non-negative, got {seq}")
         with self._lock:
-            self._entries[seq] = SyncLogEntry(seq, t_window_start, t_window_end, t_sent)
+            if seq >= len(self._opened):
+                self._grow(seq + 1)
+            times = self._times
+            if self._opened[seq]:  # sent again: the entry starts over
+                times["t_received"][seq] = times["t_replayed"][seq] = NOT_RECORDED
+                self._lost[seq] = False
+            times["t_window_start"][seq] = t_window_start
+            times["t_window_end"][seq] = t_window_end
+            times["t_sent"][seq] = t_sent
+            self._opened[seq] = True
 
     def record_received(self, seq: int, t_received: int, t_window_start: int, t_window_end: int) -> None:
         with self._lock:
-            entry = self._sent(seq)
-            if (entry.t_window_start, entry.t_window_end) != (t_window_start, t_window_end):
-                raise ForeignWindowError(seq, f"arrived as [{t_window_start}, {t_window_end}), "
-                                              f"sent as [{entry.t_window_start}, {entry.t_window_end})")
-            entry.t_received = t_received
+            self._check_sent(seq, (t_window_start, t_window_end))
+            self._times["t_received"][seq] = t_received
+
+    def record_received_block(self, seqs: np.ndarray, t_received: np.ndarray, t_window_start: np.ndarray,
+                              t_window_end: np.ndarray, holes_from: int) -> None:
+        """record_received for windows received in seq order, and mark_lost
+        for the seqs from ``holes_from`` on that they skip; all or none."""
+        with self._lock:
+            self._check_sent_block(seqs, t_window_start, t_window_end)
+            # Bounded by the log's size: every seq in ``seqs`` was sent.
+            holes = np.setdiff1d(np.arange(holes_from, seqs[-1], dtype=np.int64), seqs)
+            self._check_sent_block(holes)
+            self._times["t_received"][seqs] = t_received
+            self._lost[holes] = True
 
     def record_replayed(self, seq: int, t_replayed: int) -> None:
         with self._lock:
-            self._sent(seq).t_replayed = t_replayed
+            self._check_sent(seq)
+            self._times["t_replayed"][seq] = t_replayed
+
+    def record_replayed_block(self, seqs: np.ndarray, t_replayed: np.ndarray) -> None:
+        """record_replayed for many windows, all or none."""
+        with self._lock:
+            self._check_sent_block(seqs)
+            self._times["t_replayed"][seqs] = t_replayed
 
     def mark_lost(self, seq: int) -> None:
         with self._lock:
-            self._sent(seq).lost = True
+            self._check_sent(seq)
+            self._lost[seq] = True
+
+    def columns(self) -> SyncLogColumns:
+        with self._lock:
+            seq = np.flatnonzero(self._opened)
+            return SyncLogColumns(seq, *(self._times[name][seq] for name in _TIME_COLUMNS), self._lost[seq])
 
     def entries(self) -> list[SyncLogEntry]:
-        with self._lock:
-            return [
-                SyncLogEntry(e.seq, e.t_window_start, e.t_window_end, e.t_sent, e.t_received, e.t_replayed, e.lost)
-                for e in sorted(self._entries.values(), key=lambda e: e.seq)
-            ]
+        """The log one entry per sent window, in seq order; built on demand."""
+        columns = self.columns()
+        return [
+            SyncLogEntry(seq, start, end, sent, _optional(received), _optional(replayed), lost)
+            for seq, start, end, sent, received, replayed, lost in zip(*(column.tolist() for column in columns))
+        ]
 
     def to_csv_bytes(self) -> bytes:
+        log = self.columns()
+        columns = [column.tolist() for column in (*log[:-1], log.lost.astype(np.int8))]
+        for i in (4, 5):  # t_received and t_replayed, empty where not recorded
+            if NOT_RECORDED in columns[i]:
+                columns[i] = ["" if t == NOT_RECORDED else t for t in columns[i]]
         lines = ["seq,t_window_start,t_window_end,t_sent,t_received,t_replayed,lost"]
-        for e in self.entries():
-            def cell(v):
-                return "" if v is None else str(v)
-            lines.append(
-                f"{e.seq},{e.t_window_start},{e.t_window_end},{cell(e.t_sent)},{cell(e.t_received)},{cell(e.t_replayed)},{int(e.lost)}"
-            )
+        lines += map("{},{},{},{},{},{},{}".format, *columns)
         return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _optional(t: int) -> int | None:
+    return None if t == NOT_RECORDED else t
 
 
 class _SendingChannel:
@@ -533,6 +655,58 @@ def send_window(window: CaptureWindow, channel, log: SyncLog, now_micros: int) -
     return receipt
 
 
+class ReceivedBlock(NamedTuple):
+    """Windows a WindowReceiver accepted together, read as one batch:
+    window i (seq ``seqs[i]``, arrived at ``t_received[i]``) holds packets
+    ``cuts[i]`` to ``cuts[i + 1]`` of ``packets``."""
+
+    seqs: np.ndarray
+    t_received: np.ndarray
+    cuts: np.ndarray
+    packets: PacketBatch
+
+
+def _unpack_joined(manifests: list[WindowManifest], payloads: list[bytes], starts: np.ndarray,
+                   ends: np.ndarray) -> tuple[PacketBatch, np.ndarray] | None:
+    """The packets of windows in seq order, bounded by ``starts`` and
+    ``ends``, read with one read_pcap call from their records joined
+    behind their common global header, and the index where each window's
+    packets start, plus the end.
+
+    None unless every window passes what unpack_window checks (digest,
+    positive duration, packets in order inside their bounds) and reading
+    them joined reads each the way it would be read alone: the global
+    headers are identical, and each window's bytes start on a record
+    boundary. The bounds must also follow one another, so that in-order
+    windows make an in-order batch.
+    """
+    header = payloads[0][:_GLOBAL_HEADER_LEN]
+    if len(header) < _GLOBAL_HEADER_LEN:
+        return None
+    for manifest, payload in zip(manifests, payloads):
+        if (len(payload) != manifest.byte_length or not payload.startswith(header)
+                or _digest(payload) != manifest.content_digest):
+            return None
+    if not ((ends > starts).all() and (starts[1:] >= ends[:-1]).all()):
+        return None
+    joined = header + b"".join([memoryview(payload)[_GLOBAL_HEADER_LEN:] for payload in payloads])
+    try:
+        _, packets = read_pcap(joined)
+    except PcapError:
+        return None
+    window_at = np.cumsum([_GLOBAL_HEADER_LEN] + [len(payload) - _GLOBAL_HEADER_LEN for payload in payloads])
+    record_at = packets.offsets - _RECORD_HEADER_LEN
+    record_at[-1] = len(joined)
+    cuts = np.searchsorted(record_at, window_at)
+    if not (record_at[cuts] == window_at).all():
+        return None
+    ts, counts = packets.ts_micros, np.diff(cuts)
+    if len(ts) and not ((ts >= np.repeat(starts, counts)).all() and (ts < np.repeat(ends, counts)).all()
+                        and packets.first_regression() is None):
+        return None
+    return packets, cuts
+
+
 class WindowReceiver:
     """Delivers windows in seq order, turning gaps into recorded losses.
 
@@ -541,6 +715,12 @@ class WindowReceiver:
     or arrived too late and is skipped. A window this run did not send,
     or sent with other bounds, raises ForeignWindowError before any hole
     is declared.
+
+    ``receive`` delivers one window at a time. ``receive_block`` takes
+    every delivery that is ready and accepts them together when they pass
+    every check at once; otherwise it holds them, and ``receive`` delivers
+    them one at a time first, where the failing window raises its own
+    error or counts as lost.
     """
 
     def __init__(self, channel, log: SyncLog):
@@ -548,20 +728,24 @@ class WindowReceiver:
         self.log = log
         self._expected = 0
         self._eos = False
+        self._held: deque = deque()  # deliveries taken from the channel, not yet accepted
         self.digest_failures = 0
 
     def receive(self, block: bool = True) -> tuple[CaptureWindow, WindowManifest, int] | None:
         """Next (window, manifest, arrival time), or None at end of stream.
         With ``block`` false the channel is only polled, and None also
         means that nothing is ready."""
-        while not self._eos:
-            try:
-                delivery = self.channel.receive(timeout=None if block else 0)
-            except TimeoutError:
-                return None  # polled, nothing ready
-            if delivery is None:
-                self._eos = True
-                break
+        while self._held or not self._eos:
+            if self._held:
+                delivery = self._held.popleft()
+            else:
+                try:
+                    delivery = self.channel.receive(timeout=None if block else 0)
+                except TimeoutError:
+                    return None  # polled, nothing ready
+                if delivery is None:
+                    self._eos = True
+                    break
             manifest, payload, arrival = delivery
             seq = manifest.seq
             if seq < self._expected:
@@ -576,3 +760,50 @@ class WindowReceiver:
                 self.digest_failures += 1
                 self.log.mark_lost(seq)
         return None
+
+    def receive_block(self) -> ReceivedBlock | None:
+        """Accept every delivery ready now as one ReceivedBlock, recording
+        their arrivals and the holes before them as ``receive`` would.
+
+        None when nothing new is ready, or when any delivery would not be
+        accepted as it is by ``receive``: a digest mismatch, a window out
+        of order or out of its bounds, a foreign window, or bytes that do
+        not read joined (see _unpack_joined). Then nothing is recorded and
+        the deliveries wait for ``receive``.
+        """
+        ready = list(self._held)
+        self._held.clear()
+        while not self._eos:
+            try:
+                delivery = self.channel.receive(timeout=0)
+            except TimeoutError:
+                break
+            if delivery is None:
+                self._eos = True
+                break
+            ready.append(delivery)
+        accepted, expected = [], self._expected
+        for delivery in ready:
+            if delivery[0].seq >= expected:
+                accepted.append(delivery)
+                expected = delivery[0].seq + 1
+        if not accepted:
+            self._held.extend(ready)
+            return None
+        manifests, payloads, arrivals = zip(*accepted)
+        seqs = np.array([m.seq for m in manifests], dtype=np.int64)
+        starts = np.array([m.start_ts_micros for m in manifests], dtype=np.int64)
+        ends = np.array([m.end_ts_micros for m in manifests], dtype=np.int64)
+        arrivals = np.array(arrivals, dtype=np.int64)
+        unpacked = _unpack_joined(manifests, payloads, starts, ends)
+        if unpacked is not None:
+            try:
+                self.log.record_received_block(seqs, arrivals, starts, ends, holes_from=self._expected)
+            except ForeignWindowError:
+                unpacked = None
+        if unpacked is None:
+            self._held.extend(ready)
+            return None
+        self._expected = expected
+        packets, cuts = unpacked
+        return ReceivedBlock(seqs, arrivals, cuts, packets)

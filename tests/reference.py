@@ -7,11 +7,16 @@ with the same checks the batch constructor makes, lives here, together
 with the conversions to and from batches, a manual clock, a bundle
 loader, an age-of-information sampler, a check of the sync log's time
 order and a classifier of packet direction read from the generated IP
-headers.
+headers. Last come the loop references the array code is held to: the
+report of a whole virtual-clock run (reference_report) and the
+sequential age-of-information sum.
 """
 
 import json
-from dataclasses import dataclass
+import math
+import random
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -128,3 +133,200 @@ def downlink_mask(batch: PacketBatch) -> np.ndarray:
 def volume_bytes(batch: PacketBatch, downlink: bool) -> int:
     """Total original bytes going one way."""
     return int(batch.original_len[downlink_mask(batch) == downlink].sum(dtype=np.int64))
+
+
+# An end-to-end reference for the report of a virtual-clock run over the
+# in-process channel: every step written out per record or per window,
+# sharing no code with the pipeline past traffic generation (SyncLogEntry
+# serves only as a record for aoi_at).
+
+_CHANNEL_SEED_SALT = 0x7F4A7C15
+
+
+def _reference_windows(records: list[PacketRecord], origin: int, span_end: int, T: int) -> list[tuple]:
+    """(start, end, packets) of each window over [origin, span_end)."""
+    windows = []
+    start = origin
+    i = 0
+    while start < span_end:
+        end = min(start + T, span_end)
+        packets = []
+        while i < len(records) and records[i].ts_micros < end:
+            assert records[i].ts_micros >= start
+            packets.append(records[i])
+            i += 1
+        windows.append((start, end, packets))
+        start += T
+    assert i == len(records)
+    return windows
+
+
+def _reference_bins(points: list[tuple[int, int]], origin: int, width: int, span: int) -> list[float]:
+    """Bits/s per bin from (ts, original_len) points, skipping those outside."""
+    n = -(-span // width) if span > 0 else 0
+    volume = [0] * n
+    for ts, size in points:
+        k = (ts - origin) // width
+        if ts >= origin and k < n:
+            volume[k] += size
+    scale = 8 * 1_000_000 / width
+    return [v * scale for v in volume]
+
+
+def _mean(values: list[float]) -> float:
+    return math.fsum(values) / len(values)
+
+
+def _std(values: list[float]) -> float:
+    m = _mean(values)
+    return math.sqrt(math.fsum((v - m) ** 2 for v in values) / len(values))
+
+
+def _pearson(x: list[float], y: list[float]) -> float:
+    if x == y:
+        return 1.0
+    sx, sy = _std(x), _std(y)
+    if sx == 0.0 or sy == 0.0:
+        return 0.0
+    mx, my = _mean(x), _mean(y)
+    r = math.fsum((a - mx) * (b - my) for a, b in zip(x, y)) / len(x) / (sx * sy)
+    return max(-1.0, min(1.0, r))
+
+
+def reference_lag_scores(x: list[float], y: list[float], max_lag: int) -> dict[int, float]:
+    """The correlation score of every candidate lag, as the lag search
+    ranks them: constant overlaps score 1 when equal and are skipped
+    otherwise, as are overlaps under two bins."""
+    scores = {}
+    for s in range(-max_lag, max_lag + 1):
+        i0, i1 = max(0, -s), min(len(x), len(y) - s)
+        if i1 - i0 < 2:
+            continue
+        xs, ys = x[i0:i1], y[i0 + s:i1 + s]
+        if _std(xs) == 0.0 or _std(ys) == 0.0:
+            if xs == ys:
+                scores[s] = 1.0
+            continue
+        scores[s] = _pearson(xs, ys)
+    return scores
+
+
+def reference_report(cfg, lag_bins: int | None = None) -> dict:
+    """The "metrics" and "replay" sections of the report of ``cfg``, a
+    virtual-clock run over the in-process channel, from per-record code.
+
+    The lag search picks the best-scoring lag, the smallest in magnitude
+    and then the lowest among equal scores; ``lag_bins`` overrides it (to
+    score a lag whose correlation ties the best within float error).
+    """
+    from twinsync.scenarios import generate
+
+    scenario = replace(cfg.scenario, seed=cfg.seed)
+    origin, duration = scenario.origin_ts_micros, scenario.duration_micros
+    T = cfg.descriptor.window_micros
+    records = records_of(generate(scenario).records)
+    windows = _reference_windows(records, origin, origin + duration, T)
+
+    # The channel: one loss draw per window in seq order; a window that
+    # survives is serialized after the one before it and then propagates.
+    rng = random.Random(cfg.seed ^ _CHANNEL_SEED_SALT)
+    spec = cfg.channel
+    offset = cfg.plan.align_offset_micros or 0
+    rows, replayed_points, link_free, last_done = [], [], None, None
+    for seq, (start, end, packets) in enumerate(windows):
+        if rng.random() < spec.loss_probability:
+            rows.append(SyncLogEntry(seq, start, end, end, None, None, True))
+            continue
+        size = 24 + sum(16 + p.captured_len for p in packets)
+        tx = -(-size * 8 * 1_000_000 // spec.bandwidth_bps) if spec.bandwidth_bps else 0
+        begin = end if link_free is None else max(end, link_free)
+        link_free = begin + tx
+        arrival = begin + tx + spec.latency_us
+        last_done = arrival if last_done is None else max(arrival, last_done)
+        rows.append(SyncLogEntry(seq, start, end, end, arrival, last_done, False))
+        replayed_points += [(p.ts_micros + offset, p.original_len) for p in packets]
+
+    delivered = [e for e in rows if e.delivered]
+    obs_start, obs_end = origin, origin + -(-duration // T) * T
+    in_obs = sum(1 for e in delivered if obs_start < e.t_window_end <= obs_end)
+    latencies = [e.t_replayed - e.t_window_end for e in delivered]
+
+    # Age of information, sampled at its breakpoints: between two of them
+    # it climbs with slope 1, so each piece is a trapezoid.
+    horizon = max([obs_end] + [e.t_replayed for e in delivered])
+    breaks = sorted({origin, horizon, *(e.t_replayed for e in delivered if origin < e.t_replayed < horizon)})
+    area, peak = Fraction(0), 0
+    for a, b in zip(breaks, breaks[1:]):
+        age = aoi_at(rows, origin, a)
+        area += Fraction((2 * age + (b - a)) * (b - a), 2)
+        peak = max(peak, age, age + b - a)
+
+    npt = _reference_bins([(p.ts_micros, p.original_len) for p in records], origin, cfg.bin_width_micros, duration)
+    ndt = _reference_bins(replayed_points, origin, cfg.bin_width_micros, duration + max(0, offset))
+    scores = reference_lag_scores(npt, ndt, cfg.max_lag_bins)
+    rmse = nrmse = pearson = lag = None
+    if scores:
+        lag = min(scores, key=lambda s: (-scores[s], abs(s), s)) if lag_bins is None else lag_bins
+        i0, i1 = max(0, -lag), min(len(npt), len(ndt) - lag)
+        xs, ys = npt[i0:i1], ndt[i0 + lag:i1 + lag]
+        rmse = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(xs, ys)) / len(xs))
+        spread = max(npt) - min(npt)
+        nrmse = None if spread == 0.0 else rmse / spread
+        pearson = _pearson(xs, ys)
+        lag *= cfg.bin_width_micros
+
+    metrics = {
+        "twin_alignment_ratio": min(in_obs * T / (obs_end - obs_start), 1.0),
+        "mean_update_latency_us": sum(latencies) / len(latencies) if latencies else None,
+        "max_update_latency_us": max(latencies, default=None),
+        "mean_age_of_information_us": float(area / (horizon - origin)),
+        "peak_age_of_information_us": peak,
+        "sync_frequency_hz": in_obs * 1_000_000 / (obs_end - obs_start),
+        "rmse_bps": rmse,
+        "nrmse": nrmse,
+        "pearson_r": pearson,
+        "estimated_lag_us": lag,
+        # The audit compares the descriptor with the bundle built from it.
+        "consistency_index": 1.0,
+        "windows_lost": sum(e.lost for e in rows),
+    }
+    replay = {
+        "align_offset_us": offset if delivered else 0,
+        "max_lateness_us": 0,
+        "windows_sent": len(rows),
+        "windows_replayed": len(delivered),
+        "packets_replayed": len(replayed_points),
+    }
+    return {"metrics": metrics, "replay": replay, "lag_scores": scores, "bins_max": max(npt + ndt, default=0.0)}
+
+
+def sequential_age_of_information(entries: list[SyncLogEntry], origin: int, horizon: int) -> tuple[float, int]:
+    """(mean, peak) of age of information as a loop over the replay
+    instants in time order, adding one trapezoid at a time to a float."""
+    events = sorted((e.t_replayed, e.t_window_end) for e in entries if e.delivered and e.t_replayed is not None)
+    instants: list[list[int]] = []  # [time, newest window end replayed by then]
+    running = None
+    for t, end in events:
+        running = end if running is None else max(running, end)
+        if instants and instants[-1][0] == t:
+            instants[-1][1] = running
+        else:
+            instants.append([t, running])
+    peak, area, t_prev, age_prev = 0, 0.0, origin, 0
+    for t, end in instants:
+        if t <= origin:
+            age_prev = origin - end
+            continue
+        if t > horizon:
+            break
+        top = age_prev + t - t_prev
+        peak = max(peak, top)
+        area += (age_prev + top) / 2 * (t - t_prev)
+        t_prev, age_prev = t, t - end
+        peak = max(peak, age_prev)
+    if horizon > t_prev:
+        top = age_prev + horizon - t_prev
+        peak = max(peak, top)
+        area += (age_prev + top) / 2 * (horizon - t_prev)
+    span = horizon - origin
+    return (area / span if span > 0 else float(age_prev)), peak

@@ -45,6 +45,7 @@ def test_config_side_writes_the_golden_bytes(tmp_path):
 
 # Imports the config side, checks that numpy is not loaded, then blocks it
 # and runs ingest and emit: argv is the config file and an output directory.
+# Only writing the bundle may load yaml; ingest and building the bundle do not.
 _NO_NUMPY_CONFIG_SIDE = '''
 import sys
 
@@ -54,6 +55,9 @@ assert "numpy" not in sys.modules, "the config side imported numpy"
 sys.modules["numpy"] = None  # any later `import numpy` raises ImportError
 config, out = sys.argv[1:]
 assert twinsync.cli.main(["ingest", "--phys-config", config, "--out", out + "/descriptor.json"]) == 0
+with open(out + "/descriptor.json", "rb") as f:
+    twinsync.emit.emit_bundle(twinsync.model.descriptor_from_json(f.read()))
+assert "yaml" not in sys.modules, "ingest or emit_bundle imported yaml"
 assert twinsync.cli.main(["emit", "--descriptor", out + "/descriptor.json", "--out-dir", out + "/deploy"]) == 0
 '''
 

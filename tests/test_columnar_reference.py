@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import twinsync.pcap as pcap_module
 from twinsync.errors import BadMagicError, PcapError, PcapWriteError, TimestampRegressionError, TruncatedRecordError
 from twinsync.metrics import ThroughputSeries, throughput_series
 from twinsync.model import MICROS_PER_SECOND
@@ -256,7 +255,7 @@ def _record_offsets(packets) -> list[int]:
 @st.composite
 def one_length_traces(draw):
     """Windows of 1 to VECTOR_MIN_PACKETS - 1 records of one captured
-    length, the shape the reader takes through a cached layout; sometimes
+    length, the shape of a small window that is not in a PackBlock; sometimes
     two records trade a byte, which keeps the size of the file but breaks
     the one length. Zero payloads and times make a header read one byte
     off look plausible."""
@@ -336,23 +335,6 @@ def test_small_windows_of_one_length_read_and_rewrite_as_the_reference(data):
     assert _outcome(read_records, data) == _outcome(ref_read_pcap, data)
     expected = _outcome(lambda: ref_write_pcap(*ref_read_pcap(data)))
     assert _outcome(lambda: write_pcap(*read_pcap(data))) == expected
-
-
-def test_columns_shared_by_windows_of_one_shape_are_read_only():
-    data = write_pcap(LINKTYPE_RAW_IP, batch_of(_uniform_packets(5)))
-    _, batch = read_pcap(data)
-    assert read_pcap(data)[1].offsets is batch.offsets
-    for column in (batch.offsets, batch.captured_len):
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = 1
-
-
-def test_the_layout_cache_stays_at_its_bound():
-    bound = pcap_module._layout.cache_info().maxsize
-    for length in range(10_000):
-        _, batch = read_pcap(write_pcap(LINKTYPE_RAW_IP, batch_of([PacketRecord(7, length, length, bytes(length))])))
-        assert batch.captured_len.tolist() == [length]
-    assert pcap_module._layout.cache_info().currsize == bound
 
 
 @settings(deadline=None)

@@ -28,7 +28,7 @@ from twinsync.scenarios import ScenarioSpec
 from twinsync.transport import ChannelSpec, SyncLog
 
 from conftest import make_packet
-from reference import aoi_at, batch_of
+from reference import aoi_at, batch_of, sequential_age_of_information
 
 SECOND = 1_000_000
 
@@ -91,7 +91,7 @@ class TestThroughputSeries:
 
 
 def alignment(log: SyncLog, planned_period: int, observation: tuple[int, int]) -> float:
-    return twin_alignment_ratio(delivered_in_observation(log.entries(), observation), planned_period, observation)
+    return twin_alignment_ratio(delivered_in_observation(log.columns(), observation), planned_period, observation)
 
 
 class TestTwinAlignmentRatio:
@@ -139,21 +139,21 @@ class TestTwinAlignmentRatio:
 class TestUpdateLatency:
     def test_constant_latency(self):
         log = periodic_log(5, 10 * SECOND, latency=900_000)
-        stats = update_latency(log.entries())
+        stats = update_latency(log.columns())
         assert stats.mean_micros == 900_000
         assert stats.max_micros == 900_000
 
     def test_straggler_moves_max_and_mean(self):
         log = periodic_log(4, 10 * SECOND, latency=900_000)
         log.record_replayed(3, 40 * SECOND + 5 * SECOND)  # one 5 s straggler
-        stats = update_latency(log.entries())
+        stats = update_latency(log.columns())
         assert stats.max_micros == 5 * SECOND
         expected_mean = (3 * 900_000 + 5 * SECOND) / 4
         assert stats.mean_micros == expected_mean
 
     def test_empty_log_is_an_error(self):
         with pytest.raises(MetricsError):
-            update_latency(SyncLog().entries())
+            update_latency(SyncLog().columns())
 
 
 class TestAgeOfInformation:
@@ -162,7 +162,7 @@ class TestAgeOfInformation:
         # at each one, so the peak is exactly T + L.
         T, L = 10 * SECOND, 900_000
         log = periodic_log(6, T, latency=L)
-        aoi = age_of_information(log.entries(), 0, 6 * T + L)
+        aoi = age_of_information(log.columns(), 0, 6 * T + L)
         assert aoi.peak_micros == T + L
 
     def test_age_drops_to_update_latency_at_each_replay(self):
@@ -184,17 +184,74 @@ class TestAgeOfInformation:
         log = SyncLog()
         log.record_sent(0, 0, 10 * SECOND, 10 * SECOND)
         assert [aoi_at(log.entries(), 0, t) for t in (SECOND, 4 * SECOND)] == [SECOND, 4 * SECOND]
-        assert age_of_information(log.entries(), 0, 5 * SECOND).peak_micros == 5 * SECOND
+        assert age_of_information(log.columns(), 0, 5 * SECOND).peak_micros == 5 * SECOND
 
     def test_mean_matches_trapezoid_oracle(self):
         # Two replays; integrate the sawtooth by hand.
         T, L = 10 * SECOND, SECOND
         log = periodic_log(2, T, latency=L)
         horizon = 2 * T + L
-        aoi = age_of_information(log.entries(), 0, horizon)
+        aoi = age_of_information(log.columns(), 0, horizon)
         # Segments: [0, T+L) rising 0 -> T+L; [T+L, 2T+L) rising L -> T+L.
         area = (0 + T + L) / 2 * (T + L) + (L + T + L) / 2 * T
         assert aoi.mean_micros == pytest.approx(area / horizon)
+
+
+@st.composite
+def sync_logs(draw):
+    """Windows of up to 1,000 s, some lost, some received but not
+    replayed; replay times in any order, ties included, some before the
+    origin and some past the horizon the test picks. Long windows make
+    areas past 2**53, where every float addition rounds."""
+    log = SyncLog()
+    n = draw(st.integers(0, 40))
+    T = draw(st.integers(1, 1000 * SECOND))
+    for k in range(n):
+        log.record_sent(k, k * T, (k + 1) * T, (k + 1) * T)
+        fate = draw(st.sampled_from(["replayed", "replayed", "received", "lost", "sent"]))
+        if fate in ("replayed", "received"):
+            log.record_received(k, (k + 1) * T, k * T, (k + 1) * T)
+        if fate == "replayed":
+            log.record_replayed(k, draw(st.sampled_from([(k + 1) * T, 0]) | st.integers(0, 50 * T)))
+        if fate == "lost":
+            log.mark_lost(k)
+    return log
+
+
+@settings(max_examples=150)
+@given(sync_logs(), st.integers(-SECOND, 5 * SECOND), st.integers(0, 50_000 * SECOND))
+def test_age_of_information_is_the_sequential_float_sum(log, origin, horizon):
+    """The array pass adds the same trapezoids in the same order as a loop
+    over the replay instants, so mean and peak match it bit for bit."""
+    aoi = age_of_information(log.columns(), origin, horizon)
+    assert (aoi.mean_micros, aoi.peak_micros) == sequential_age_of_information(log.entries(), origin, horizon)
+
+
+def test_age_of_information_adds_in_time_order():
+    """One 5e17 trapezoid, then fifteen of 60: each of those rounds on its
+    own when added in time order (a float there steps by 64), but not
+    when summed together first."""
+    log = SyncLog()
+    ends = [10**9] + [10**9 + 10 * k for k in range(1, 16)]
+    for k, (start, end) in enumerate(zip([0] + ends, ends)):
+        log.record_sent(k, start, end, end)
+        log.record_received(k, end + 1, start, end)
+        log.record_replayed(k, end + 1)
+    aoi = age_of_information(log.columns(), 0, ends[-1] + 1)
+    assert (aoi.mean_micros, aoi.peak_micros) == sequential_age_of_information(log.entries(), 0, ends[-1] + 1)
+
+
+@settings(max_examples=50)
+@given(sync_logs(), st.integers(0, 5 * SECOND), st.integers(0, 100 * SECOND))
+def test_log_metrics_match_a_loop_over_the_entries(log, start, length):
+    entries = log.entries()
+    observation = (start, start + length)
+    assert delivered_in_observation(log.columns(), observation) == sum(
+        1 for e in entries if e.delivered and start < e.t_window_end <= start + length)
+    latencies = [e.t_replayed - e.t_window_end for e in entries if e.delivered and e.t_replayed is not None]
+    if latencies:
+        stats = update_latency(log.columns())
+        assert (stats.mean_micros, stats.max_micros) == (sum(latencies) / len(latencies), max(latencies))
 
 
 class TestCompareSeries:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import signal
+import struct
 import threading
 import weakref
 from contextlib import contextmanager
@@ -12,11 +13,11 @@ import pytest
 import twinsync.pipeline as pipeline
 import twinsync.transport as transport
 from twinsync.errors import StageError, TimestampRegressionError
-from twinsync.pcap import read_pcap
+from twinsync.pcap import LINKTYPE_RAW_IP, read_pcap, write_pcap
 from twinsync.pipeline import RunConfig, build_report_document, run_pipeline, write_run_artifacts
 from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan
 from twinsync.scenarios import ScenarioSpec, generate
-from twinsync.transport import ChannelSpec, InProcessChannel, TcpSenderChannel, WindowReceiver
+from twinsync.transport import ChannelSpec, InProcessChannel, SyncLog, TcpSenderChannel, WindowReceiver
 
 from reference import batch_of, out_of_order_seqs, records_of
 
@@ -32,6 +33,12 @@ def run_config(descriptor, kind="attach-and-browse", seconds=60, seed=0, channel
         seed=seed,
         **kw,
     )
+
+
+def block_config(descriptor, **kw):
+    """1,200 windows of 5 packets, in three PackBlocks: seqs 0-468, 469-937
+    and 938-1199."""
+    return run_config(replace(descriptor, window_seconds=0.05), kind="voice-call", **kw)
 
 
 class DeadlineExpired(BaseException):
@@ -54,26 +61,34 @@ def deadline(seconds: int = 30):
 
 
 class TestVirtualRuns:
-    def test_replayed_windows_keep_no_payload(self, descriptor, monkeypatch):
+    @pytest.mark.parametrize("block", [False, True], ids=["per-window", "block"])
+    def test_replayed_windows_keep_no_payload(self, descriptor, monkeypatch, block):
         """Once a window is replayed its pcap bytes are released: by the
-        time the run is scored, it keeps only times and sizes."""
+        time the run is scored, it keeps only times and sizes. Every
+        replayed packet was read from transfer bytes, a window's alone or
+        a block's joined."""
         payloads, alive_when_scored = [], []  # weak references; how many are alive when scoring starts
-        unpack, evaluate = transport.unpack_window, pipeline._evaluate
+        read, evaluate = transport.read_pcap, pipeline._evaluate
+        packets_read = []
 
-        def watched_unpack(manifest, payload):
-            window = unpack(manifest, payload)
-            payloads.append(weakref.ref(window.packets.payload))
-            return window
+        def watched_read(data):
+            linktype, packets = read(data)
+            payloads.append(weakref.ref(packets.payload))
+            packets_read.append(len(packets))
+            return linktype, packets
 
         def watched_evaluate(*args, **kwargs):
             gc.collect()
             alive_when_scored.append(sum(ref() is not None for ref in payloads))
             return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(transport, "unpack_window", watched_unpack)
+        monkeypatch.setattr(transport, "read_pcap", watched_read)
         monkeypatch.setattr(pipeline, "_evaluate", watched_evaluate)
-        result = run_pipeline(run_config(descriptor, seconds=30))
-        assert len(payloads) == result.windows_replayed > 0
+        cfg = block_config(descriptor) if block else run_config(descriptor, seconds=30)
+        result = run_pipeline(cfg)
+        assert result.windows_replayed == result.windows_sent > 0
+        assert len(payloads) == (3 if block else result.windows_replayed)
+        assert sum(packets_read) == result.packets_replayed
         assert alive_when_scored == [0]
 
     def test_lossless_run_reproduces_the_series_exactly(self, descriptor):
@@ -236,15 +251,21 @@ class TestVirtualLoop:
         assert err.value.stage == "capture"
         assert isinstance(err.value.cause, TimestampRegressionError)
 
-    @pytest.mark.parametrize("name, stage", [("pack_window", "capture"), ("unpack_window", "replay")])
-    def test_transfer_failures_name_their_side(self, descriptor, monkeypatch, name, stage):
+    # A window alone is unpacked by unpack_window, a block's windows by
+    # one read_pcap of their joined bytes.
+    @pytest.mark.parametrize("name, stage, block", [
+        ("pack_window", "capture", False), ("unpack_window", "replay", False),
+        ("pack_window", "capture", True), ("read_pcap", "replay", True)])
+    def test_transfer_failures_name_their_side(self, descriptor, monkeypatch, name, stage, block):
         def fail(*args):
             raise RuntimeError(f"{name} failed")
 
         monkeypatch.setattr(transport, name, fail)
+        cfg = block_config(descriptor) if block else run_config(descriptor, seed=3)
         with deadline(), pytest.raises(StageError) as err:
-            run_pipeline(run_config(descriptor, seed=3))
+            run_pipeline(cfg)
         assert err.value.stage == stage
+        assert str(err.value.cause) == f"{name} failed"
 
     def test_corrupted_payload_is_a_digest_failure_and_a_lost_window(self, descriptor, monkeypatch):
         send = InProcessChannel.send
@@ -269,6 +290,206 @@ class TestVirtualLoop:
         assert (result.windows_sent, result.windows_replayed) == (6, 5)
         entry = result.log.entries()[2]
         assert entry.lost and entry.t_received is not None and entry.t_replayed is None
+
+
+def _vouched(manifest, payload):
+    """``payload`` with a manifest whose length and digest vouch for it."""
+    return manifest._replace(byte_length=len(payload), content_digest=hashlib.sha256(payload).hexdigest()), payload
+
+
+def _rewritten(manifest, payload, change):
+    """Window bytes with their packets changed by ``change``, a function
+    of the packets' timestamps."""
+    _, packets = read_pcap(payload)
+    return _vouched(manifest, write_pcap(LINKTYPE_RAW_IP, packets.with_ts(change(packets.ts_micros.copy()))))
+
+
+def _reencoded(manifest, payload, order, nanos):
+    """The same window written in another byte order or time resolution."""
+    magic = 0xA1B23C4D if nanos else 0xA1B2C3D4
+    out = [struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, LINKTYPE_RAW_IP)]
+    at = 24
+    while at < len(payload):
+        sec, usec, incl, orig = struct.unpack_from("<IIII", payload, at)
+        out.append(struct.pack(order + "IIII", sec, usec * 1000 + 999 if nanos else usec, incl, orig))
+        out.append(payload[at + 16:at + 16 + incl])
+        at += 16 + incl
+    return _vouched(manifest, b"".join(out))
+
+
+def _at_end(manifest, payload):
+    """Window k's last packet moved onto its end bound, outside it; the
+    packets stay in order across windows."""
+    def change(ts):
+        ts[-1] = manifest.end_ts_micros
+        return ts
+    return _rewritten(manifest, payload, change)
+
+
+def _disordered(manifest, payload):
+    def change(ts):
+        ts[0], ts[1] = ts[1], ts[0] + 1
+        return ts
+    return _rewritten(manifest, payload, change)
+
+
+def _torn(tail: int = 10):
+    """Window k ends ``tail`` bytes into its last record, and window k + 1
+    starts with them: joined, the bytes are those of the untouched windows."""
+    moved = []
+
+    def tear(manifest, payload):
+        if manifest.seq == TestBlockFaults.K:
+            moved.append(payload[-tail:])
+            return _vouched(manifest, payload[:-tail])
+        return _vouched(manifest, payload[:24] + moved[-1] + payload[24:])
+    return tear
+
+
+_UNPATCHED_SEND = InProcessChannel.send
+
+
+class TestBlockFaults:
+    """A fault at window k of a block's group: the group goes window by
+    window, so k fails or is lost as it would alone."""
+
+    K = 600  # in the second block, seqs 469-937
+
+    def _replace_window_k(self, monkeypatch, tamper, windows=1):
+        """Send ``windows`` windows from k on through ``tamper``."""
+        send = InProcessChannel.send
+
+        def tampered(channel, manifest, payload, now_micros):
+            if self.K <= manifest.seq < self.K + windows:
+                manifest, payload = tamper(manifest, payload)
+            return send(channel, manifest, payload, now_micros)
+
+        monkeypatch.setattr(InProcessChannel, "send", tampered)
+
+    def _receivers(self, monkeypatch):
+        receivers = []
+
+        class KeptReceiver(WindowReceiver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                receivers.append(self)
+
+        monkeypatch.setattr(pipeline, "WindowReceiver", KeptReceiver)
+        return receivers
+
+    def test_a_digest_mismatch_loses_only_its_window(self, descriptor, monkeypatch):
+        self._replace_window_k(monkeypatch, lambda m, p: (m, p[:-1] + bytes([p[-1] ^ 0xFF])))
+        receivers = self._receivers(monkeypatch)
+        with deadline():
+            result = run_pipeline(block_config(descriptor))
+        assert [r.digest_failures for r in receivers] == [1]
+        assert (result.windows_sent, result.windows_replayed, result.report.windows_lost) == (1200, 1199, 1)
+        entries = result.log.entries()
+        lost = entries[self.K]
+        assert lost.lost and lost.t_received is not None and lost.t_replayed is None
+        assert all(e.t_replayed is not None for e in entries if e.seq != self.K)
+
+    @staticmethod
+    def _error_alone(manifest, payload):
+        """What the per-window receiver raises for this delivery of window k."""
+        log, channel = SyncLog(), InProcessChannel(ChannelSpec())
+        for seq in range(TestBlockFaults.K + 1):
+            log.record_sent(seq, seq * 50_000, (seq + 1) * 50_000, (seq + 1) * 50_000)
+        _UNPATCHED_SEND(channel, manifest, payload, 0)
+        with pytest.raises(Exception) as err:
+            WindowReceiver(channel, log).receive()
+        return err.value
+
+    @pytest.mark.parametrize("tamper, windows", [
+        (_at_end, 1),
+        (_disordered, 1),
+        (lambda m, p: (m._replace(start_ts_micros=m.start_ts_micros + 1), p), 1),
+        (_torn(), 2),
+    ], ids=["out-of-bounds", "disordered", "foreign", "torn"])
+    def test_a_bad_window_fails_as_it_would_alone(self, descriptor, monkeypatch, tmp_path, tamper, windows):
+        delivered = []
+
+        def kept(manifest, payload):
+            delivered.append(tamper(manifest, payload))
+            return delivered[-1]
+
+        self._replace_window_k(monkeypatch, kept, windows)
+        with deadline(), pytest.raises(StageError) as err:
+            run_pipeline(block_config(descriptor, out_dir=tmp_path / "block"))
+        alone = self._error_alone(*delivered[0])
+        assert err.value.stage == "replay"
+        assert (type(err.value.cause), str(err.value.cause)) == (type(alone), str(alone))
+
+        # The per-window loop over the same deliveries leaves the same log
+        # of the windows before k: all of them replayed.
+        delivered.clear()
+        monkeypatch.setattr(WindowReceiver, "receive_block", lambda receiver: None)
+        with deadline(), pytest.raises(StageError):
+            run_pipeline(block_config(descriptor, out_dir=tmp_path / "per-window"))
+        logs = [(tmp_path / run / "sync_log.csv").read_text().splitlines()[1:] for run in ("block", "per-window")]
+        rows = [row.split(",") for row in logs[0]]
+        assert all(row[5] != "" for row in rows[:self.K])
+        assert all(row[5] == "" for row in rows[self.K:])
+        assert logs[0][:self.K] == logs[1][:self.K]
+
+    @pytest.mark.parametrize("bad_before", [False, True], ids=["clean-before", "bad-window-before"])
+    def test_a_capture_failure_in_a_block_comes_after_the_windows_before_it(self, descriptor, monkeypatch,
+                                                                             tmp_path, bad_before):
+        """Window k + 5 cannot be packed. Windows k to k + 4 of its block are
+        replayed first, as one window at a time would have done: so when
+        window k is bad, its replay failure is the one raised."""
+        pack = transport.pack_window
+
+        def failing_pack(window):
+            if window.seq == self.K + 5:
+                raise RuntimeError("pack failed")
+            return pack(window)
+
+        monkeypatch.setattr(transport, "pack_window", failing_pack)
+        if bad_before:
+            self._replace_window_k(monkeypatch, _at_end)
+        with deadline(), pytest.raises(StageError) as err:
+            run_pipeline(block_config(descriptor, out_dir=tmp_path))
+        rows = [row.split(",") for row in (tmp_path / "sync_log.csv").read_text().splitlines()[1:]]
+        assert len(rows) == self.K + 5
+        if bad_before:
+            assert (err.value.stage, type(err.value.cause)) == ("replay", ValueError)
+            assert all(row[5] != "" for row in rows[:self.K]) and all(row[5] == "" for row in rows[self.K:])
+        else:
+            assert (err.value.stage, str(err.value.cause)) == ("capture", "pack failed")
+            assert all(row[5] != "" for row in rows)
+
+    def test_saved_replayed_pcaps_of_a_block_are_those_of_its_windows(self, descriptor, monkeypatch, tmp_path):
+        def saved(run):
+            cfg = block_config(descriptor, channel=ChannelSpec(loss_probability=0.3), seed=2,
+                               out_dir=tmp_path / run, save_replayed_pcaps=True)
+            result = run_pipeline(cfg)
+            return result, {p.name: p.read_bytes() for p in (tmp_path / run / "replayed").iterdir()}
+
+        result, blocks = saved("block")
+        monkeypatch.setattr(WindowReceiver, "receive_block", lambda receiver: None)
+        _, alone = saved("per-window")
+        assert 0 < result.windows_replayed == len(blocks) < result.windows_sent
+        assert blocks == alone
+
+    @pytest.mark.parametrize("order, nanos", [(">", False), ("<", True), (">", True)],
+                             ids=["big-endian", "nanoseconds", "big-endian-nanoseconds"])
+    def test_a_window_in_another_pcap_format_is_read_alone(self, descriptor, monkeypatch, order, nanos):
+        clean = build_report_document(block_config(descriptor), run_pipeline(block_config(descriptor)))
+        self._replace_window_k(monkeypatch, lambda m, p: _reencoded(m, p, order, nanos))
+        unpacked = []
+        unpack = transport.unpack_window
+
+        def watched_unpack(manifest, payload):
+            unpacked.append(manifest.seq)
+            return unpack(manifest, payload)
+
+        monkeypatch.setattr(transport, "unpack_window", watched_unpack)
+        with deadline():
+            cfg = block_config(descriptor)
+            result = run_pipeline(cfg)
+        assert unpacked == list(range(469, 938))
+        assert build_report_document(cfg, result) == clean
 
 
 # sha256 of build_report_document for the runs below: the schema 1

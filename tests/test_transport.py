@@ -422,6 +422,58 @@ class TestWindowReceiver:
         assert set(range(delivered[-1] if delivered else 0)) <= lost | set(delivered)
 
 
+class TestReceiveBlock:
+    @settings(deadline=None, max_examples=50)
+    @given(block_traces(), st.sets(st.integers(0, 11)))
+    def test_a_block_is_received_as_its_windows_would_be_one_at_a_time(self, trace, dropped):
+        batch, counts = trace
+        windows = list(segment_stream(batch, WINDOW, 0, span_end_micros=len(counts) * WINDOW))
+
+        def delivered(log):
+            channel = InProcessChannel(ChannelSpec(latency_us=7))
+            for w in windows:
+                if w.seq in dropped:
+                    log.record_sent(w.seq, w.start_ts_micros, w.end_ts_micros, w.end_ts_micros)
+                else:
+                    send_window(w, channel, log, now_micros=w.end_ts_micros)
+            return channel
+
+        log = SyncLog()
+        block = WindowReceiver(delivered(log), log).receive_block()
+        log_alone = SyncLog()
+        receiver = WindowReceiver(delivered(log_alone), log_alone)
+        alone = []
+        while (item := receiver.receive(block=False)) is not None:
+            alone.append(item)
+
+        assert log.entries() == log_alone.entries()
+        if block is None:
+            assert alone == []
+            return
+        assert block.seqs.tolist() == [window.seq for window, _, _ in alone]
+        assert block.t_received.tolist() == [t for _, _, t in alone]
+        assert block.cuts[-1] == len(block.packets)
+        for (window, _, _), first, stop in zip(alone, block.cuts[:-1].tolist(), block.cuts[1:].tolist()):
+            assert records_of(block.packets[first:stop]) == records_of(window.packets)
+
+    def test_an_irregular_group_is_held_for_receive(self):
+        log, channel = SyncLog(), InProcessChannel(ChannelSpec())
+        windows = [window_of(seq, [make_packet(seq * 10 * SECOND + 5, 40)]) for seq in range(3)]
+        for window in windows:
+            manifest, payload = pack_window(window)
+            if window.seq == 1:
+                payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
+            log.record_sent(window.seq, window.start_ts_micros, window.end_ts_micros, window.end_ts_micros)
+            channel.send(manifest, payload, window.end_ts_micros)
+        receiver = WindowReceiver(channel, log)
+        assert receiver.receive_block() is None
+        assert all(e.t_received is None for e in log.entries())
+        assert [receiver.receive(block=False)[1].seq for _ in range(2)] == [0, 2]
+        assert receiver.receive(block=False) is None
+        assert receiver.digest_failures == 1
+        assert [e.lost for e in log.entries()] == [False, True, False]
+
+
 class TestTwinLag:
     """A window's twin lag, replay completion minus window start, is the
     window length T plus the delay past its end."""
@@ -457,7 +509,73 @@ class TestSyncLog:
         assert log.entries() == []
 
 
+class TestSyncLogBlockForms:
+    def _log(self):
+        log = SyncLog()
+        for seq in range(4):
+            log.record_sent(seq, seq * SECOND, (seq + 1) * SECOND, (seq + 1) * SECOND)
+        return log
+
+    @pytest.mark.parametrize("seqs, starts, message", [
+        ([0, 1, 7], [0, SECOND, 7 * SECOND], "window 7: was never sent in this run"),
+        ([0, 2], [0, 2 * SECOND + 1], "window 2: arrived as [2000001, 3000001), sent as [2000000, 3000000)"),
+    ], ids=["unsent", "other-bounds"])
+    def test_a_foreign_window_records_nothing_of_its_block(self, seqs, starts, message):
+        log = self._log()
+        before = log.entries()
+        seqs, starts = np.array(seqs), np.array(starts)
+        with pytest.raises(ForeignWindowError) as err:
+            log.record_received_block(seqs, starts + 2 * SECOND, starts, starts + SECOND, holes_from=0)
+        assert str(err.value) == message
+        with pytest.raises(ForeignWindowError):
+            log.record_replayed_block(np.array([0, 9]), np.array([5, 6]))
+        assert log.entries() == before
+
+    def test_a_hole_never_sent_records_nothing_of_its_block(self):
+        log = SyncLog()
+        for seq in (0, 2):
+            log.record_sent(seq, seq * SECOND, (seq + 1) * SECOND, (seq + 1) * SECOND)
+        with pytest.raises(ForeignWindowError) as err:
+            log.record_received_block(np.array([0, 2]), np.array([5, 6]), np.array([0, 2 * SECOND]),
+                                      np.array([SECOND, 3 * SECOND]), holes_from=0)
+        assert err.value.seq == 1
+        assert all(e.t_received is None and not e.lost for e in log.entries())
+
+    def test_block_forms_record_what_one_call_per_window_records(self):
+        blocks, alone = self._log(), self._log()
+        seqs = np.array([1, 3])
+        blocks.record_received_block(seqs, np.array([5 * SECOND, 6 * SECOND]), seqs * SECOND, (seqs + 1) * SECOND,
+                                     holes_from=0)
+        blocks.record_replayed_block(seqs, np.array([7 * SECOND, 8 * SECOND]))
+        for seq, received, replayed in ((1, 5, 7), (3, 6, 8)):
+            alone.record_received(seq, received * SECOND, seq * SECOND, (seq + 1) * SECOND)
+            alone.record_replayed(seq, replayed * SECOND)
+        alone.mark_lost(0)
+        alone.mark_lost(2)
+        assert blocks.entries() == alone.entries()
+        assert blocks.to_csv_bytes() == alone.to_csv_bytes()
+
+
 class TestSyncLogCsv:
+    def test_csv_is_the_entries_row_by_row(self):
+        log = SyncLog()
+        for seq in range(4):
+            log.record_sent(seq, seq * SECOND, (seq + 1) * SECOND, (seq + 1) * SECOND)
+        log.record_received(0, 2 * SECOND, 0, SECOND)
+        log.record_replayed(0, 3 * SECOND)
+        log.record_received(1, 3 * SECOND, SECOND, 2 * SECOND)
+        log.mark_lost(1)
+        log.mark_lost(2)
+
+        def cell(value):
+            return "" if value is None else str(value)
+
+        rows = [",".join([str(e.seq), str(e.t_window_start), str(e.t_window_end), cell(e.t_sent),
+                          cell(e.t_received), cell(e.t_replayed), str(int(e.lost))]) for e in log.entries()]
+        header = "seq,t_window_start,t_window_end,t_sent,t_received,t_replayed,lost"
+        assert log.to_csv_bytes().decode() == "\n".join([header, *rows]) + "\n"
+        assert rows[3] == "3,3000000,4000000,4000000,,,0"
+
     def test_csv_has_header_and_one_row_per_window(self):
         log = SyncLog()
         log.record_sent(0, 0, SECOND, SECOND)
