@@ -12,6 +12,7 @@ is the operator-facing sync period in seconds.
 
 import ipaddress
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -105,8 +106,9 @@ def validate_descriptor(d: TwinDescriptor) -> list[Violation]:
         add("plmn", "plmn-format", f"expected 5-6 decimal digits, got {d.plmn!r}")
     if not isinstance(d.ue_count, int) or isinstance(d.ue_count, bool) or d.ue_count < 0:
         add("ue_count", "ue-count-negative", f"must be a non-negative integer, got {d.ue_count!r}")
-    if not d.window_seconds > 0:
-        add("window_seconds", "window-not-positive", f"must be > 0, got {d.window_seconds!r}")
+    # The loop counts time in whole microseconds: a shorter window rounds to 0.
+    if not (0 < d.window_seconds < math.inf and d.window_micros >= 1):
+        add("window_seconds", "window-not-positive", f"must be at least 1 us, got {d.window_seconds!r}")
     if d.link_profile.bandwidth_bps <= 0:
         add("link_profile.bandwidth_bps", "bandwidth-not-positive", "must be > 0")
     if d.link_profile.latency_us < 0:

@@ -16,11 +16,13 @@ one copy into rows of header + payload when writing; the records between
 long runs go one by one. A capture of one length is the one-run case.
 Windows of fewer than VECTOR_MIN_PACKETS packets would pay the fixed
 cost of each numpy call on a handful of records, so segment_stream
-groups runs of them into PackBlocks of about PACK_BLOCK_BYTES. The
-sender writes a block with one write_pcap call and slices it into
-windows (transport.pack_window); the virtual-clock receiver reads the
-windows it receives of a block back with one read_pcap call
-(transport.WindowReceiver.receive_block).
+groups runs of them into PackBlocks of about PACK_BLOCK_BYTES; any
+other window is a block of one. The sender writes a block with one
+write_pcap call and slices it into windows (transport.pack_window); the
+virtual-clock receiver reads the windows it receives together back with
+one read_pcap call (transport.WindowReceiver.receive_block). A window
+holding a packet write_pcap refuses is always a block of one, so a
+block of several windows cannot fail to write.
 
 Every path produces the same bytes, packets and errors.
 """
@@ -44,7 +46,8 @@ _GLOBAL_HEADER_LEN = 24
 _RECORD_HEADER = struct.Struct("<IIII")
 _RECORD_HEADERS = {order: struct.Struct(order + "IIII") for order in "<>"}
 _RECORD_HEADER_LEN = 16
-_MAX_SECONDS = 0xFFFFFFFF
+# The first timestamp whose seconds do not fit a record header.
+_TS_LIMIT_MICROS = 2**32 * MICROS_PER_SECOND
 _NANOS_PER_MICRO = 1000
 
 # Packet count from which whole-array code beats a loop over the records:
@@ -225,28 +228,27 @@ class PackBlock:
     """Consecutive windows of one segmentation whose pcap records are
     written with one write_pcap call.
 
-    segment_stream groups windows of fewer than VECTOR_MIN_PACKETS packets
-    into blocks of about PACK_BLOCK_BYTES: ``packets`` holds the packets
-    of all of them and ``cuts`` the block-local index where each window
-    starts, plus the block's end. Each window's packets are a BlockSlice
-    naming its block. The sender writes the block on its first window (see
-    transport.pack_window) and hands the pcap to ``set_pcap``; each window's
-    pcap is then the global header plus its range of the block's records.
+    ``packets`` holds the packets of all of them and ``cuts`` the
+    block-local index where each window starts, plus the block's end.
+    Each window's packets are a BlockSlice naming its block. The sender
+    writes the block on its first window (see transport.pack_window) and
+    hands the pcap to ``set_pcap``; each window's pcap is then the global
+    header plus its range of the block's records, and the pcap of a block
+    of one window is the block's pcap itself.
     """
 
-    __slots__ = ("packets", "cuts", "written", "pcap", "_record_at")
+    __slots__ = ("packets", "cuts", "pcap", "_record_at")
 
     def __init__(self, packets: PacketBatch, cuts: list[int]):
         self.packets = packets
         self.cuts = cuts
-        self.written = False
         self.pcap = None
         self._record_at = None
 
-    def set_pcap(self, pcap: bytes | None) -> None:
-        """Keep the pcap of the block's packets; None when writing it failed."""
-        self.written, self.pcap = True, pcap
-        if pcap is not None and self._record_at is None:
+    def set_pcap(self, pcap: bytes) -> None:
+        """Keep the pcap of the block's packets."""
+        self.pcap = pcap
+        if len(self.cuts) > 2:
             cuts = np.array(self.cuts, dtype=np.int64)
             captured_before = np.concatenate(([0], np.cumsum(self.packets.captured_len, dtype=np.int64)))
             self._record_at = (_GLOBAL_HEADER_LEN + _RECORD_HEADER_LEN * cuts + captured_before[cuts]).tolist()
@@ -254,6 +256,8 @@ class PackBlock:
     def window_pcap(self, index: int) -> bytes:
         """The pcap of the block's ``index``-th window."""
         pcap, record_at = self.pcap, self._record_at
+        if record_at is None:
+            return pcap
         return pcap[:_GLOBAL_HEADER_LEN] + pcap[record_at[index]:record_at[index + 1]]
 
 
@@ -268,25 +272,35 @@ class BlockSlice(PacketBatch):
         return self.index == len(self.block.cuts) - 2
 
 
+def _unwritable(batch: PacketBatch, snaplen: int) -> np.ndarray | None:
+    """Which packets write_pcap refuses, those captured past ``snaplen`` or
+    stamped past 32-bit seconds; None when it takes them all. Ordered
+    timestamps peak at the last one, so a batch known to be ordered that
+    write_pcap takes costs one max()."""
+    ts, cap = batch.ts_micros, batch.captured_len
+    if not len(ts) or (cap.max() <= snaplen and (ts[-1] if batch._ordered else ts.max()) < _TS_LIMIT_MICROS):
+        return None
+    return (cap > snaplen) | (ts >= _TS_LIMIT_MICROS)
+
+
 def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN) -> bytes:
     """Serialize packets into a classic pcap byte string.
 
     Output is deterministic: same packets, same bytes.
     """
+    cap = batch.captured_len
+    unwritable = _unwritable(batch, snaplen)
+    if unwritable is not None:
+        bad = first_index(unwritable)
+        if cap[bad] > snaplen:
+            raise PcapWriteError(bad, f"captured_len {int(cap[bad])} exceeds snaplen {snaplen}")
+        raise PcapWriteError(bad, "timestamp beyond 32-bit seconds")
     header = _GLOBAL_HEADER.pack(PCAP_MAGIC_MICROS, 2, 4, 0, 0, snaplen, linktype)
     n = len(batch)
     if n < VECTOR_MIN_PACKETS:
-        return _write_records(header, batch, snaplen)
+        return _write_records(header, batch)
 
-    cap = batch.captured_len
     sec, usec = np.divmod(batch.ts_micros, MICROS_PER_SECOND)
-    over_snaplen = cap > snaplen
-    bad = first_index(over_snaplen | (sec > _MAX_SECONDS))
-    if bad is not None:
-        if over_snaplen[bad]:
-            raise PcapWriteError(bad, f"captured_len {int(cap[bad])} exceeds snaplen {snaplen}")
-        raise PcapWriteError(bad, "timestamp beyond 32-bit seconds")
-
     headers = np.empty((n, 4), dtype="<u4")
     headers[:, 0] = sec
     headers[:, 1] = usec
@@ -325,18 +339,13 @@ def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN
     return out.tobytes()
 
 
-def _write_records(header: bytes, batch: PacketBatch, snaplen: int) -> bytes:
+def _write_records(header: bytes, batch: PacketBatch) -> bytes:
     parts = [header]
     pack = _RECORD_HEADER.pack
     payload = batch.payload
-    for i, (ts, cap, orig, start) in enumerate(zip(batch.ts_micros.tolist(), batch.captured_len.tolist(),
-                                                   batch.original_len.tolist(), batch.offsets.tolist())):
-        if cap > snaplen:
-            raise PcapWriteError(i, f"captured_len {cap} exceeds snaplen {snaplen}")
-        sec, usec = divmod(ts, MICROS_PER_SECOND)
-        if sec > _MAX_SECONDS:
-            raise PcapWriteError(i, "timestamp beyond 32-bit seconds")
-        parts.append(pack(sec, usec, cap, orig))
+    for ts, cap, orig, start in zip(batch.ts_micros.tolist(), batch.captured_len.tolist(),
+                                    batch.original_len.tolist(), batch.offsets.tolist()):
+        parts.append(pack(*divmod(ts, MICROS_PER_SECOND), cap, orig))
         parts.append(payload[start:start + cap])
     return b"".join(parts)
 
@@ -478,10 +487,12 @@ def segment_stream(
     A packet out of order, before the origin or past the span end raises
     TimestampRegressionError naming its index, once the windows closed
     before it have been yielded. The windows are views of the packets'
-    batch; nothing is copied. Runs of windows of fewer than
-    VECTOR_MIN_PACKETS packets are grouped into PackBlocks of about
-    PACK_BLOCK_BYTES, so the sender writes each run with one write_pcap
-    call; a block never holds more than that budget plus one window.
+    batch; nothing is copied. Each window's packets are a BlockSlice of a
+    PackBlock. Runs of windows of fewer than VECTOR_MIN_PACKETS packets
+    are grouped into blocks of about PACK_BLOCK_BYTES, so the sender
+    writes each run with one write_pcap call; a block never holds more
+    than that budget plus one window. Any other window, and every window
+    holding a packet write_pcap refuses, is a block of one.
     """
     if window_micros <= 0:
         raise ValueError("window_micros must be positive")
@@ -514,10 +525,6 @@ def segment_stream(
     span_end = span_end_micros if span_end_micros is not None else origin_ts_micros + n_windows * window_micros
     cap, orig, offs = batch.captured_len, batch.original_len, batch.offsets
     payload = batch.payload
-    # At least the pcap record bytes before each window: a payload slot
-    # holds its packet's captured bytes and maybe a gap.
-    bytes_before = (offs[cuts] + _RECORD_HEADER_LEN * cuts).tolist()
-    cuts = cuts.tolist()
 
     def view(first: int, stop: int, kind=PacketBatch) -> PacketBatch:
         # Packets before the first bad one are in order.
@@ -527,18 +534,25 @@ def segment_stream(
         start = origin_ts_micros + k * window_micros
         return CaptureWindow(k, start, min(start + window_micros, span_end), packets, source_interface)
 
+    # At least the pcap record bytes before each window: a payload slot
+    # holds its packet's captured bytes and maybe a gap.
+    bytes_before = (offs[cuts] + _RECORD_HEADER_LEN * cuts).tolist()
+    # The windows holding a packet write_pcap refuses: each is a block of one.
+    unwritable = _unwritable(view(0, cuts[-1]), DEFAULT_SNAPLEN)
+    alone = set() if unwritable is None else set(
+        (np.searchsorted(cuts, np.flatnonzero(unwritable), side="right") - 1).tolist())
+    cuts = cuts.tolist()
+
     k = 0
     while k < n_windows:
         first = k
         k += 1
-        if cuts[k] - cuts[first] < VECTOR_MIN_PACKETS:
-            # A block: the small windows that follow, until it holds its budget.
+        if cuts[k] - cuts[first] < VECTOR_MIN_PACKETS and first not in alone:
+            # The small windows that follow, until the block holds its budget.
             limit = bytes_before[first] + PACK_BLOCK_BYTES
-            while k < n_windows and cuts[k + 1] - cuts[k] < VECTOR_MIN_PACKETS and bytes_before[k] < limit:
+            while (k < n_windows and cuts[k + 1] - cuts[k] < VECTOR_MIN_PACKETS and k not in alone
+                   and bytes_before[k] < limit):
                 k += 1
-        if k - first == 1:
-            yield window(first, view(cuts[first], cuts[k]))
-            continue
         base = cuts[first]
         block = PackBlock(view(base, cuts[k]), [cut - base for cut in cuts[first:k + 1]])
         for index, seq in enumerate(range(first, k)):

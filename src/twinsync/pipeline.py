@@ -5,11 +5,9 @@ over the transfer channel, received in order and replayed, and the
 replayed traces are scored. Under the virtual clock this runs in the
 calling thread and every timestamp is computed from the data, so a run
 is deterministic down to the report bytes. Windows are sent one at a
-time; a window alone is received and replayed right after its send,
-and the windows of a pcap.PackBlock once its last window is sent, as
-one batch when the receiver accepts them as one block
-(transport.WindowReceiver.receive_block) and window by window when any
-of them is irregular.
+time, and once the last window of a pcap.PackBlock is sent, what the
+receiver has ready is received and replayed a block at a time
+(transport.WindowReceiver.receive_block, ReplayEngine.replay_block).
 Real-time mode paces windows against a monotonic clock for live
 demonstrations: a producer thread sends while a consumer thread replays.
 The producer always closes the channel, even on failure, so the consumer
@@ -40,7 +38,7 @@ from .metrics import (
     update_latency,
 )
 from .model import MICROS_PER_SECOND, TwinDescriptor
-from .pcap import LINKTYPE_RAW_IP, BlockSlice, PacketBatch, segment_stream, write_pcap
+from .pcap import LINKTYPE_RAW_IP, PacketBatch, segment_stream, write_pcap
 from .replay import ReplayEngine, ReplayMode, ReplayPlan
 from .scenarios import ScenarioSpec, generate
 from .transport import (
@@ -189,23 +187,22 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         source_interface=cfg.descriptor.capture_interface,
     )
 
-    def send(window, now_micros: int) -> bool:
-        """Pack and send one window; False if the channel dropped it."""
-        return not send_window(window, send_channel, log, now_micros).dropped
+    def send(window, now_micros: int) -> None:
+        send_window(window, send_channel, log, now_micros)
 
     def save_replayed(seq: int, packets: PacketBatch) -> None:
         if replayed_dir is not None:
             (replayed_dir / f"replayed_{seq}.pcap").write_bytes(write_pcap(LINKTYPE_RAW_IP, packets))
 
-    def replay_next(block: bool) -> bool:
-        """Receive and replay the next in-order window; False if there is none.
-        The window's payload bytes are released once it is replayed."""
+    def replay_next() -> bool:
+        """Real time: receive and replay the next in-order window; False at
+        the end of the stream. The window's payload bytes are released once
+        it is replayed."""
         nonlocal max_lateness
-        delivery = receiver.receive(block)
+        delivery = receiver.receive()
         if delivery is None:
             return False
-        window, _manifest, t_received = delivery
-        trace = engine.replay_window(window, t_received)
+        trace = engine.replay_window(delivery[0])
         packets = trace.records
         save_replayed(trace.window_seq, packets)
         replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len))
@@ -213,18 +210,13 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         return True
 
     def replay_ready() -> None:
-        """Virtual clock: receive what the channel holds and replay it, as
-        one block when the receiver accepts it as one, else window by window."""
-        block = receiver.receive_block()
-        if block is None:
-            while replay_next(block=False):
-                pass
-            return
-        packets = engine.replay_block(block)
-        if replayed_dir is not None:
-            for seq, first, stop in zip(block.seqs.tolist(), block.cuts[:-1].tolist(), block.cuts[1:].tolist()):
-                save_replayed(seq, packets[first:stop])
-        replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len))
+        """Virtual clock: replay every block the receiver has ready."""
+        while (block := receiver.receive_block()) is not None:
+            packets = engine.replay_block(block)
+            if replayed_dir is not None:
+                for seq, first, stop in zip(block.seqs.tolist(), block.cuts[:-1].tolist(), block.cuts[1:].tolist()):
+                    save_replayed(seq, packets[first:stop])
+            replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len))
 
     def close_receive() -> None:
         if hasattr(recv_channel, "close"):
@@ -232,38 +224,18 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
 
     try:
         if virtual:
-            # A window sent on the in-process channel is already queued, so
-            # one poll finds it; a dropped one leaves nothing to wait for.
-            # The windows of a PackBlock are received together once its
-            # last one is sent.
+            # Every window is in a PackBlock. A window sent on the in-process
+            # channel is already queued, so once a block's last window is
+            # sent, one poll finds every window of it that was not dropped.
             stage = "capture"
             try:
-                try:
-                    for window in windows:
-                        packets = window.packets
-                        if isinstance(packets, BlockSlice):
-                            send(window, window.end_ts_micros)
-                            if packets.closes_block:
-                                stage = "replay"
-                                replay_ready()
-                                stage = "capture"
-                        elif send(window, window.end_ts_micros):
-                            stage = "replay"
-                            replay_next(block=False)
-                            stage = "capture"
-                except Exception:
-                    # The block's windows sent before a capture failure are
-                    # replayed first, as one window at a time would have
-                    # been, so a replay failure among them wins.
-                    if stage == "capture":
+                for window in windows:
+                    send(window, window.end_ts_micros)
+                    if window.packets.closes_block:
                         stage = "replay"
                         replay_ready()
                         stage = "capture"
-                    raise
                 send_channel.close_send()
-                stage = "replay"
-                while replay_next(block=False):
-                    pass
             except Exception as exc:
                 raise StageError(stage, exc) from exc
         else:
@@ -302,7 +274,7 @@ def _run_threads(windows, send, replay_next, send_channel, close_receive, clock)
 
     def consumer():
         try:
-            while replay_next(block=True):
+            while replay_next():
                 pass
         except BaseException as exc:
             failures.append(("replay", exc))

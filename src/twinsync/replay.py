@@ -2,19 +2,20 @@
 
 Two modes:
 
-* virtual-clock: a window's packets are emitted at once, as one batch
-  with every timestamp shifted by the alignment offset. Exact, fast,
-  fully deterministic; this is what CI and fidelity runs use. The
-  windows a receiver accepted together (transport.ReceivedBlock) replay
-  as one batch too, with the completion times one at a time would give.
-* real-time: inter-packet gaps are actually slept (scaled by
+* virtual-clock: the windows a receiver delivered together
+  (transport.ReceivedBlock, often a single window) are emitted at once,
+  as one batch with every timestamp shifted by the alignment offset,
+  each window completing when it is available or when the one before it
+  completed. Exact, fast, fully deterministic; this is what CI and
+  fidelity runs use (replay_block).
+* real-time: a window's inter-packet gaps are actually slept (scaled by
   1/speed_factor) against an injected clock, tcpreplay style. Scheduler
   lateness is measured per packet and its maximum reported, never folded
-  silently into timestamps.
+  silently into timestamps (replay_window, which returns a
+  ReplayedTrace).
 
-Either way replaying a window returns it once, as a ReplayedTrace (a
-block returns its packets once). Payload bytes always pass through
-untouched; replay fidelity is the whole point of the loop.
+Payload bytes always pass through untouched; replay fidelity is the
+whole point of the loop.
 """
 
 import enum
@@ -53,12 +54,11 @@ class ReplayPlan:
 
 
 class ReplayedTrace(NamedTuple):
-    """Output of one window's replay, timestamps already aligned."""
+    """Output of one window's real-time replay, timestamps already aligned."""
 
     window_seq: int
     records: PacketBatch
     max_lateness_micros: int
-    t_replayed_micros: int
 
 
 def compute_alignment(plan: ReplayPlan, window: CaptureWindow | None, replay_start_micros: int) -> int:
@@ -77,7 +77,9 @@ def compute_alignment(plan: ReplayPlan, window: CaptureWindow | None, replay_sta
 
 
 class ReplayEngine:
-    """Replays windows one at a time, in seq order.
+    """Replays windows in seq order: a ReceivedBlock at a time on the
+    virtual clock (replay_block), one window at a time in real time
+    (replay_window).
 
     The alignment offset is frozen on the first window so consecutive
     windows replay back-to-back with zero drift.
@@ -99,32 +101,18 @@ class ReplayEngine:
     def align_offset_micros(self) -> int | None:
         return self._offset
 
-    def replay_window(self, window: CaptureWindow, t_available_micros: int) -> ReplayedTrace:
-        """Replay one window and return its trace; records its completion
-        time in the sync log."""
-        if self._last_seq is not None and window.seq <= self._last_seq:
-            raise ValueError(f"window {window.seq} arrived after window {self._last_seq}")
-        self._last_seq = window.seq
-
-        if self.plan.mode is ReplayMode.VIRTUAL:
-            trace = self._replay_virtual(window, t_available_micros)
-        else:
-            trace = self._replay_real_time(window)
-        self.log.record_replayed(window.seq, trace.t_replayed_micros)
-        self._last_completed = trace.t_replayed_micros
-        return trace
+    def _check_order(self, seq: int) -> None:
+        if self._last_seq is not None and seq <= self._last_seq:
+            raise ValueError(f"window {seq} arrived after window {self._last_seq}")
 
     def replay_block(self, block: ReceivedBlock) -> PacketBatch:
         """Virtual clock: replay the windows of a ReceivedBlock as one batch,
-        as replay_window would one at a time, each completing when it is
-        available or when the one before it completed, whichever is later.
-        Records the completion times in the sync log and returns the
-        aligned packets."""
+        each completing when it is available or when the one before it
+        completed, whichever is later. Records the completion times in the
+        sync log and returns the aligned packets."""
         if self.plan.mode is not ReplayMode.VIRTUAL:
             raise ValueError("only virtual-clock replay takes a block of windows at once")
-        first = int(block.seqs[0])
-        if self._last_seq is not None and first <= self._last_seq:
-            raise ValueError(f"window {first} arrived after window {self._last_seq}")
+        self._check_order(int(block.seqs[0]))
         if self._offset is None:
             self._offset = compute_alignment(self.plan, None, int(block.t_received[0]))
         t_done = block.t_received
@@ -135,15 +123,13 @@ class ReplayEngine:
         self._last_seq, self._last_completed = int(block.seqs[-1]), int(t_done[-1])
         return block.packets.shifted(self._offset)
 
-    def _replay_virtual(self, window: CaptureWindow, t_available: int) -> ReplayedTrace:
-        if self._offset is None:
-            self._offset = compute_alignment(self.plan, window, t_available)
-        packets = window.packets.shifted(self._offset)
-        t_done = t_available if self._last_completed is None else max(t_available, self._last_completed)
-        return ReplayedTrace(window.seq, packets, 0, t_done)
-
-    def _replay_real_time(self, window: CaptureWindow) -> ReplayedTrace:
-        assert self.clock is not None
+    def replay_window(self, window: CaptureWindow) -> ReplayedTrace:
+        """Real time: replay one window against the clock and return its
+        trace; records its completion time in the sync log."""
+        if self.plan.mode is not ReplayMode.REAL_TIME:
+            raise ValueError("virtual-clock replay takes a block of windows (replay_block)")
+        self._check_order(window.seq)
+        self._last_seq = window.seq
         if self._anchor_wall is None:
             self._anchor_wall = self.clock.now_micros()
             self._first_window_start = window.start_ts_micros
@@ -160,4 +146,5 @@ class ReplayEngine:
             max_lateness = max(max_lateness, emitted_at - target)
         t_done = self.clock.now_micros()
         packets = window.packets.with_ts(np.array(emitted, dtype=np.int64))
-        return ReplayedTrace(window.seq, packets, max_lateness, t_done)
+        self.log.record_replayed(window.seq, t_done)
+        return ReplayedTrace(window.seq, packets, max_lateness)

@@ -18,17 +18,17 @@ never reordered. Three interchangeable channels implement it:
 Lost windows are never retransmitted: the twin always wants the most
 recent trace, and the gap stays visible to the metrics.
 
-pack_window serializes each window; windows that segment_stream cut
-into a pcap.PackBlock share one write_pcap call per block, so the
-per-window cost of a short T is a slice, a digest and a manifest. On
-the other side, WindowReceiver.receive_block accepts the windows of a
-block that are ready together: it checks each one's length and digest,
-reads their records joined with one read_pcap call and checks bounds
-and order on the joined columns, the rules unpack_window applies to a
-window alone. A group with anything irregular is handed to
-WindowReceiver.receive, window by window, so unpack_window raises the
-precise error. Manifests, receipts and windows are immutable named
-tuples, built at the cost of a tuple and safe to pass between the
+pack_window serializes each window; the windows of a pcap.PackBlock
+share one write_pcap call, so the per-window cost of a short T is a
+slice, a digest and a manifest. On the other side,
+WindowReceiver.receive_block accepts two or more windows that are ready
+together as one block: it checks each one's length and digest, reads
+their records joined with one read_pcap call and checks bounds and
+order on the joined columns, the rules unpack_window applies to a
+window alone. A lone window, and each window of a group with anything
+irregular, goes through WindowReceiver.receive and unpack_window, which
+raises the precise error. Manifests, receipts and windows are immutable
+named tuples, built at the cost of a tuple and safe to pass between the
 real-time threads.
 
 The SyncLog is columnar: int64 time columns and a lost mask indexed by
@@ -57,7 +57,6 @@ from .errors import (
     DigestMismatchError,
     ForeignWindowError,
     PcapError,
-    PcapWriteError,
     SchemaError,
     TwinError,
 )
@@ -113,25 +112,19 @@ class WindowManifest(NamedTuple):
 def pack_window(window: CaptureWindow) -> tuple[WindowManifest, bytes]:
     """Serialize a window for transfer: raw-IP pcap payload plus its manifest.
 
-    A window segment_stream cut into a PackBlock is a range of the block's
-    records behind the global header: the block's first window writes the
-    whole block with one write_pcap call, and the others slice it. If that
-    write fails, each window of the block is written alone, so the error
-    surfaces at its own window, with its index in that window, after the
-    windows before it have gone out.
+    A window segment_stream cut is a range of its PackBlock's records
+    behind the global header: the block's first window writes the whole
+    block with one write_pcap call, and the others slice it. A window
+    built by hand around a plain batch is written alone.
     """
     packets = window.packets
-    block = packets.block if isinstance(packets, BlockSlice) else None
-    if block is not None and not block.written:
-        try:
-            pcap = write_pcap(LINKTYPE_RAW_IP, block.packets)
-        except PcapWriteError:
-            pcap = None
-        block.set_pcap(pcap)
-    if block is None or block.pcap is None:
-        payload = write_pcap(LINKTYPE_RAW_IP, packets)
-    else:
+    if isinstance(packets, BlockSlice):
+        block = packets.block
+        if block.pcap is None:
+            block.set_pcap(write_pcap(LINKTYPE_RAW_IP, block.packets))
         payload = block.window_pcap(packets.index)
+    else:
+        payload = write_pcap(LINKTYPE_RAW_IP, packets)
     manifest = WindowManifest(window.seq, window.start_ts_micros, window.end_ts_micros, len(payload),
                               _digest(payload), DIGEST_ALGORITHM, window.source_interface)
     return manifest, payload
@@ -656,9 +649,9 @@ def send_window(window: CaptureWindow, channel, log: SyncLog, now_micros: int) -
 
 
 class ReceivedBlock(NamedTuple):
-    """Windows a WindowReceiver accepted together, read as one batch:
-    window i (seq ``seqs[i]``, arrived at ``t_received[i]``) holds packets
-    ``cuts[i]`` to ``cuts[i + 1]`` of ``packets``."""
+    """Windows a WindowReceiver delivered together, often just one, as one
+    batch: window i (seq ``seqs[i]``, arrived at ``t_received[i]``) holds
+    packets ``cuts[i]`` to ``cuts[i + 1]`` of ``packets``."""
 
     seqs: np.ndarray
     t_received: np.ndarray
@@ -716,11 +709,9 @@ class WindowReceiver:
     or sent with other bounds, raises ForeignWindowError before any hole
     is declared.
 
-    ``receive`` delivers one window at a time. ``receive_block`` takes
-    every delivery that is ready and accepts them together when they pass
-    every check at once; otherwise it holds them, and ``receive`` delivers
-    them one at a time first, where the failing window raises its own
-    error or counts as lost.
+    ``receive`` delivers one window at a time; ``receive_block`` delivers
+    what is ready as ReceivedBlocks, taking two or more new deliveries at
+    once when they pass every check together.
     """
 
     def __init__(self, channel, log: SyncLog):
@@ -762,17 +753,32 @@ class WindowReceiver:
         return None
 
     def receive_block(self) -> ReceivedBlock | None:
-        """Accept every delivery ready now as one ReceivedBlock, recording
-        their arrivals and the holes before them as ``receive`` would.
+        """The next windows in seq order as a ReceivedBlock, recording their
+        arrivals and the holes before them as ``receive`` does; None when
+        nothing is ready or the stream has ended. The channel is only polled.
 
-        None when nothing new is ready, or when any delivery would not be
-        accepted as it is by ``receive``: a digest mismatch, a window out
-        of order or out of its bounds, a foreign window, or bytes that do
-        not read joined (see _unpack_joined). Then nothing is recorded and
-        the deliveries wait for ``receive``.
+        With nothing held, every delivery ready now is taken, and two or
+        more new ones are accepted as one block when they all pass at once
+        (see _unpack_joined). Otherwise the deliveries are held and go
+        through ``receive`` one at a time, each coming back as a block of
+        one window, so a failing one raises its own error or counts as
+        lost. A group that failed is not tried joined again.
         """
-        ready = list(self._held)
-        self._held.clear()
+        if not self._held:
+            joined = self._receive_joined()
+            if joined is not None:
+                return joined
+        delivery = self.receive(block=False)
+        if delivery is None:
+            return None
+        window, manifest, arrival = delivery
+        return ReceivedBlock(np.array([manifest.seq], dtype=np.int64), np.array([arrival], dtype=np.int64),
+                             np.array([0, len(window.packets)], dtype=np.int64), window.packets)
+
+    def _receive_joined(self) -> ReceivedBlock | None:
+        """Hold every delivery ready now, and accept the new ones as one
+        block when there are two or more and they pass every check at once."""
+        held = self._held
         while not self._eos:
             try:
                 delivery = self.channel.receive(timeout=0)
@@ -781,14 +787,13 @@ class WindowReceiver:
             if delivery is None:
                 self._eos = True
                 break
-            ready.append(delivery)
+            held.append(delivery)
         accepted, expected = [], self._expected
-        for delivery in ready:
+        for delivery in held:
             if delivery[0].seq >= expected:
                 accepted.append(delivery)
                 expected = delivery[0].seq + 1
-        if not accepted:
-            self._held.extend(ready)
+        if len(accepted) < 2:
             return None
         manifests, payloads, arrivals = zip(*accepted)
         seqs = np.array([m.seq for m in manifests], dtype=np.int64)
@@ -796,14 +801,13 @@ class WindowReceiver:
         ends = np.array([m.end_ts_micros for m in manifests], dtype=np.int64)
         arrivals = np.array(arrivals, dtype=np.int64)
         unpacked = _unpack_joined(manifests, payloads, starts, ends)
-        if unpacked is not None:
-            try:
-                self.log.record_received_block(seqs, arrivals, starts, ends, holes_from=self._expected)
-            except ForeignWindowError:
-                unpacked = None
         if unpacked is None:
-            self._held.extend(ready)
             return None
+        try:
+            self.log.record_received_block(seqs, arrivals, starts, ends, holes_from=self._expected)
+        except ForeignWindowError:
+            return None
+        held.clear()
         self._expected = expected
         packets, cuts = unpacked
         return ReceivedBlock(seqs, arrivals, cuts, packets)

@@ -241,6 +241,7 @@ class TestRunCommand:
         ("max-lag-bins", "-1"),
         ("tcp-port", "70000"),
         ("tcp-port", "-1"),
+        ("window-seconds", "0.0000004"),
     ])
     def test_out_of_range_flag_exits_3_with_one_line_and_no_report(self, tmp_path, descriptor_file, capsys,
                                                                     flag, value):
@@ -250,6 +251,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("twinsync: ")
         assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "sync_log.csv").exists()
 
     def test_unknown_scenario_is_an_argparse_error(self, tmp_path, descriptor_file):
         with pytest.raises(SystemExit) as err:

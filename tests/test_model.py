@@ -73,6 +73,17 @@ class TestValidateDescriptor:
         rules = {v.rule for v in validate_descriptor(d)}
         assert {"plmn-format", "window-not-positive"} <= rules
 
+    @pytest.mark.parametrize("seconds", [4e-7, 0.0, float("nan"), float("inf")])
+    def test_a_window_the_loop_cannot_count_is_refused(self, seconds):
+        """A window shorter than half a microsecond rounds to 0 us."""
+        doc = json.loads(descriptor_to_json(make_descriptor([slice_spec()])))
+        doc["window_seconds"] = seconds
+        d = descriptor_from_json(json.dumps(doc))
+        assert [v.rule for v in validate_descriptor(d)] == ["window-not-positive"]
+
+    def test_a_one_microsecond_window_is_valid(self):
+        assert validate_descriptor(make_descriptor([slice_spec()], window_seconds=1e-6)) == []
+
     def test_overlap_detection_is_order_independent(self):
         slices = [
             slice_spec("a", "10.45.0.0/16", "10.45.0.1"),

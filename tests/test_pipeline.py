@@ -1,19 +1,25 @@
+import functools
 import gc
 import hashlib
 import json
 import signal
 import struct
+import tempfile
 import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import twinsync.pipeline as pipeline
 import twinsync.transport as transport
-from twinsync.errors import StageError, TimestampRegressionError
-from twinsync.pcap import LINKTYPE_RAW_IP, read_pcap, write_pcap
+from twinsync.errors import PcapWriteError, StageError, TimestampRegressionError
+from twinsync.pcap import LINKTYPE_RAW_IP, PacketBatch, read_pcap, segment_stream, write_pcap
 from twinsync.pipeline import RunConfig, build_report_document, run_pipeline, write_run_artifacts
 from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan
 from twinsync.scenarios import ScenarioSpec, generate
@@ -184,14 +190,16 @@ class TestVirtualRuns:
         assert err.value.stage == "transport"
 
     def test_saved_replayed_pcaps_read_back_to_the_replayed_packets(self, descriptor, tmp_path, monkeypatch):
-        replay_window = ReplayEngine.replay_window
-        traces = []
+        replay_block = ReplayEngine.replay_block
+        traces = []  # (seq, replayed packets) per window
 
-        def keep(engine, window, t_available):
-            traces.append(replay_window(engine, window, t_available))
-            return traces[-1]
+        def keep(engine, block):
+            packets = replay_block(engine, block)
+            for seq, first, stop in zip(block.seqs.tolist(), block.cuts[:-1].tolist(), block.cuts[1:].tolist()):
+                traces.append((seq, packets[first:stop]))
+            return packets
 
-        monkeypatch.setattr(ReplayEngine, "replay_window", keep)
+        monkeypatch.setattr(ReplayEngine, "replay_block", keep)
         channel = ChannelSpec(loss_probability=0.5)
         plan = ReplayPlan(align_offset_micros=3 * SECOND)
         cfg = run_config(descriptor, seconds=100, seed=1, channel=channel, plan=plan,
@@ -199,25 +207,25 @@ class TestVirtualRuns:
         result = run_pipeline(cfg)
         assert 0 < result.windows_replayed < result.windows_sent
         saved = sorted((tmp_path / "replayed").iterdir())
-        assert [p.name for p in saved] == sorted(f"replayed_{t.window_seq}.pcap" for t in traces)
-        for trace in traces:
-            linktype, packets = read_pcap((tmp_path / "replayed" / f"replayed_{trace.window_seq}.pcap").read_bytes())
+        assert [p.name for p in saved] == sorted(f"replayed_{seq}.pcap" for seq, _ in traces)
+        for seq, replayed in traces:
+            linktype, packets = read_pcap((tmp_path / "replayed" / f"replayed_{seq}.pcap").read_bytes())
             assert linktype == 101
-            assert records_of(packets) == records_of(trace.records)
+            assert records_of(packets) == records_of(replayed)
 
 
 class TestVirtualLoop:
     """The virtual clock runs send -> receive -> replay in the calling thread."""
 
     def test_virtual_run_starts_no_thread(self, descriptor, monkeypatch):
-        replay_window = ReplayEngine.replay_window
+        replay_block = ReplayEngine.replay_block
         seen = []
 
-        def watch(engine, window, t_available):
+        def watch(engine, block):
             seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
-            return replay_window(engine, window, t_available)
+            return replay_block(engine, block)
 
-        monkeypatch.setattr(ReplayEngine, "replay_window", watch)
+        monkeypatch.setattr(ReplayEngine, "replay_block", watch)
         threads_before = threading.active_count()
         with deadline():
             result = run_pipeline(run_config(descriptor, seed=3))
@@ -225,14 +233,14 @@ class TestVirtualLoop:
         assert seen == [(True, threads_before)] * 6
 
     def test_replay_failure_names_the_replay_stage(self, descriptor, monkeypatch):
-        replay_window = ReplayEngine.replay_window
+        replay_block = ReplayEngine.replay_block
 
-        def crash_on_third(engine, window, t_available):
-            if window.seq == 2:
+        def crash_on_third(engine, block):
+            if 2 in block.seqs:
                 raise RuntimeError("twin crashed")
-            return replay_window(engine, window, t_available)
+            return replay_block(engine, block)
 
-        monkeypatch.setattr(ReplayEngine, "replay_window", crash_on_third)
+        monkeypatch.setattr(ReplayEngine, "replay_block", crash_on_third)
         with deadline(), pytest.raises(StageError) as err:
             run_pipeline(run_config(descriptor, seed=3))
         assert err.value.stage == "replay"
@@ -290,6 +298,25 @@ class TestVirtualLoop:
         assert (result.windows_sent, result.windows_replayed) == (6, 5)
         entry = result.log.entries()[2]
         assert entry.lost and entry.t_received is not None and entry.t_replayed is None
+
+
+@functools.lru_cache(maxsize=2)
+def _voice_trace(scenario):
+    return generate(scenario)
+
+
+def _with_unwritable_packet(records, index):
+    """``records`` with packet ``index`` captured at 70,000 bytes, in a
+    70,000-byte payload slot: past the snap length write_pcap keeps to."""
+    offsets = records.offsets.copy()
+    start, stop = int(offsets[index]), int(offsets[index + 1])
+    payload = np.concatenate((records.payload[:start], np.full(70_000, 0xAB, dtype=np.uint8),
+                              records.payload[stop:]))
+    offsets[index + 1:] += 70_000 - (stop - start)
+    captured_len, original_len = records.captured_len.copy(), records.original_len.copy()
+    captured_len[index] = 70_000
+    original_len[index] = max(int(original_len[index]), 70_000)
+    return PacketBatch(records.ts_micros, captured_len, original_len, payload, offsets)
 
 
 def _vouched(manifest, payload):
@@ -423,7 +450,7 @@ class TestBlockFaults:
         # The per-window loop over the same deliveries leaves the same log
         # of the windows before k: all of them replayed.
         delivered.clear()
-        monkeypatch.setattr(WindowReceiver, "receive_block", lambda receiver: None)
+        monkeypatch.setattr(transport, "_unpack_joined", lambda *args: None)
         with deadline(), pytest.raises(StageError):
             run_pipeline(block_config(descriptor, out_dir=tmp_path / "per-window"))
         logs = [(tmp_path / run / "sync_log.csv").read_text().splitlines()[1:] for run in ("block", "per-window")]
@@ -432,32 +459,59 @@ class TestBlockFaults:
         assert all(row[5] == "" for row in rows[self.K:])
         assert logs[0][:self.K] == logs[1][:self.K]
 
-    @pytest.mark.parametrize("bad_before", [False, True], ids=["clean-before", "bad-window-before"])
-    def test_a_capture_failure_in_a_block_comes_after_the_windows_before_it(self, descriptor, monkeypatch,
-                                                                             tmp_path, bad_before):
-        """Window k + 5 cannot be packed. Windows k to k + 4 of its block are
-        replayed first, as one window at a time would have done: so when
-        window k is bad, its replay failure is the one raised."""
-        pack = transport.pack_window
+    @settings(deadline=None, max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_an_unwritable_packet_fails_capture_after_the_windows_before_it(self, descriptor, data):
+        """A packet write_pcap refuses, anywhere in a trace of small windows:
+        its window fails to pack with the error it raises written alone,
+        after every window before it has been replayed, as one window at a
+        time would have done."""
+        cfg = block_config(descriptor, seconds=30)
+        trace = _voice_trace(cfg.scenario)
+        index = data.draw(st.integers(0, len(trace.records) - 1), label="index")
+        records = _with_unwritable_packet(trace.records, index)
+        windows = list(segment_stream(records, cfg.descriptor.window_micros, cfg.scenario.origin_ts_micros,
+                                      cfg.scenario.origin_ts_micros + cfg.scenario.duration_micros))
+        first_packet = np.cumsum([0] + [len(window.packets) for window in windows])
+        k = int(np.searchsorted(first_packet, index, side="right")) - 1
+        with pytest.raises(PcapWriteError) as alone:
+            write_pcap(LINKTYPE_RAW_IP, windows[k].packets)
+        assert alone.value.index == index - first_packet[k]
 
-        def failing_pack(window):
-            if window.seq == self.K + 5:
-                raise RuntimeError("pack failed")
-            return pack(window)
+        logs = []
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "generate", lambda spec: replace(trace, records=records))
+            for run in ("block", "per-window"):
+                if run == "per-window":
+                    patch.setattr(transport, "_unpack_joined", lambda *args: None)
+                with deadline(), pytest.raises(StageError) as err:
+                    run_pipeline(replace(cfg, out_dir=Path(tmp) / run))
+                assert err.value.stage == "capture"
+                assert (type(err.value.cause), str(err.value.cause)) == (PcapWriteError, str(alone.value))
+                assert err.value.cause.index == alone.value.index
+                logs.append((Path(tmp) / run / "sync_log.csv").read_text().splitlines()[1:])
+        rows = [row.split(",") for row in logs[0]]
+        assert len(rows) == k and all(row[5] != "" for row in rows)
+        assert logs[0] == logs[1]
 
-        monkeypatch.setattr(transport, "pack_window", failing_pack)
-        if bad_before:
-            self._replace_window_k(monkeypatch, _at_end)
+    def test_a_replay_failure_before_an_unwritable_window_wins(self, descriptor, monkeypatch, tmp_path):
+        """Window k is bad and window k + 5 cannot be packed: windows k to
+        k + 4 are received and replayed first, as one window at a time
+        would have done, so window k's replay failure is the one raised."""
+        cfg = block_config(descriptor, out_dir=tmp_path)
+        trace = _voice_trace(cfg.scenario)
+        window_start = cfg.scenario.origin_ts_micros + (self.K + 5) * cfg.descriptor.window_micros
+        index = int(np.searchsorted(trace.records.ts_micros, window_start))
+        assert trace.records.ts_micros[index] < window_start + cfg.descriptor.window_micros
+        monkeypatch.setattr(pipeline, "generate",
+                            lambda spec: replace(trace, records=_with_unwritable_packet(trace.records, index)))
+        self._replace_window_k(monkeypatch, _at_end)
         with deadline(), pytest.raises(StageError) as err:
-            run_pipeline(block_config(descriptor, out_dir=tmp_path))
+            run_pipeline(cfg)
         rows = [row.split(",") for row in (tmp_path / "sync_log.csv").read_text().splitlines()[1:]]
         assert len(rows) == self.K + 5
-        if bad_before:
-            assert (err.value.stage, type(err.value.cause)) == ("replay", ValueError)
-            assert all(row[5] != "" for row in rows[:self.K]) and all(row[5] == "" for row in rows[self.K:])
-        else:
-            assert (err.value.stage, str(err.value.cause)) == ("capture", "pack failed")
-            assert all(row[5] != "" for row in rows)
+        assert (err.value.stage, type(err.value.cause)) == ("replay", ValueError)
+        assert all(row[5] != "" for row in rows[:self.K]) and all(row[5] == "" for row in rows[self.K:])
 
     def test_saved_replayed_pcaps_of_a_block_are_those_of_its_windows(self, descriptor, monkeypatch, tmp_path):
         def saved(run):
@@ -467,7 +521,7 @@ class TestBlockFaults:
             return result, {p.name: p.read_bytes() for p in (tmp_path / run / "replayed").iterdir()}
 
         result, blocks = saved("block")
-        monkeypatch.setattr(WindowReceiver, "receive_block", lambda receiver: None)
+        monkeypatch.setattr(transport, "_unpack_joined", lambda *args: None)
         _, alone = saved("per-window")
         assert 0 < result.windows_replayed == len(blocks) < result.windows_sent
         assert blocks == alone
@@ -596,11 +650,11 @@ class TestRealTimeRuns:
                     raise ConnectionResetError("receiver closed")
             return send(channel, manifest, payload, now_micros)
 
-        def crash_on_second(engine, window, t_available):
+        def crash_on_second(engine, window):
             if window.seq == 1:
                 blocked.wait(5)
                 raise RuntimeError("twin crashed")
-            return replay_window(engine, window, t_available)
+            return replay_window(engine, window)
 
         monkeypatch.setattr(TcpSenderChannel, "send", send_blocking_from_2)
         monkeypatch.setattr(ReplayEngine, "replay_window", crash_on_second)

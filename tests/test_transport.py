@@ -3,6 +3,7 @@ import random
 import socket
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinsync.pcap as pcap_module
+import twinsync.transport as transport_module
 from twinsync.errors import (
     ChannelClosedError,
     DigestMismatchError,
@@ -29,7 +31,7 @@ from twinsync.pcap import (
     segment_stream,
     write_pcap,
 )
-from twinsync.replay import ReplayEngine, ReplayPlan
+from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan
 from twinsync.transport import (
     ChannelSpec,
     DirectoryExchangeChannel,
@@ -46,7 +48,7 @@ from twinsync.transport import (
 )
 
 from conftest import make_packet, packet_lists
-from reference import batch_of, out_of_order_seqs, records_of
+from reference import ManualClock, batch_of, out_of_order_seqs, records_of
 
 SECOND = 1_000_000
 
@@ -233,23 +235,31 @@ class TestBlockPacking:
             assert manifest.byte_length == len(payload)
         blocks = {}
         for window in windows:
-            block = getattr(window.packets, "block", None)
-            if block is None:
-                continue
-            assert len(window.packets) < VECTOR_MIN_PACKETS
+            block = window.packets.block
             blocks.setdefault(id(block), (block, []))[1].append(window)
         for block, members in blocks.values():
-            assert len(members) >= 2
+            if len(members) == 1:
+                # A window alone is its block, and its payload is the block's pcap.
+                assert pack_window(members[0])[1] is block.pcap
+                continue
+            assert all(len(window.packets) < VECTOR_MIN_PACKETS for window in members)
             # The block was below its budget before its last window joined.
             assert len(block.pcap) - len(pack_window(members[-1])[1]) < budget
+        # Only a block's budget, or a window of VECTOR_MIN_PACKETS or more, ends a block.
+        for (before, _), (after, _) in zip(list(blocks.values()), list(blocks.values())[1:]):
+            if len(before.cuts) - 1 == 1 == len(after.cuts) - 1:
+                continue
+            assert (len(after.packets) >= VECTOR_MIN_PACKETS or len(before.packets) >= VECTOR_MIN_PACKETS
+                    or len(write_pcap(LINKTYPE_RAW_IP, before.packets)) - 24 >= budget - 100_000_000)
 
     @pytest.mark.parametrize("fault, index, message", [
         ("timestamp", 0, "timestamp beyond 32-bit seconds"),
         ("snaplen", 1, "captured_len 70000 exceeds snaplen 65535"),
     ])
     def test_a_write_error_in_a_block_surfaces_at_its_window(self, fault, index, message):
-        """Window 2 of a block cannot be written: windows 0 and 1 go out
-        and are replayed, then window 2 raises with its own index."""
+        """Window 2 of a run of small windows cannot be written: it is a
+        block of its own, so windows 0 and 1 go out and are replayed, then
+        window 2 raises with its own index."""
         origin = (2**32 - 2) * SECOND if fault == "timestamp" else 0
         packets = [make_packet(origin + k * SECOND + i, 70_000 if (k, i) == (2, 1) and fault == "snaplen" else 40)
                    for k in range(4) for i in range(3)]
@@ -259,20 +269,31 @@ class TestBlockPacking:
         replayed = []
         with pytest.raises(PcapWriteError) as err:
             for window in windows:
-                assert window.packets.block is not None
                 send_window(window, channel, log, now_micros=window.end_ts_micros)
-                delivered, _, t_received = receiver.receive(block=False)
-                replayed.append(engine.replay_window(delivered, t_received).window_seq)
+                if window.packets.closes_block:
+                    while (block := receiver.receive_block()) is not None:
+                        engine.replay_block(block)
+                        replayed += block.seqs.tolist()
         assert replayed == [0, 1]
         assert (err.value.index, str(err.value)) == (index, str(PcapWriteError(index, message)))
         assert [e.seq for e in log.entries()] == [0, 1]
+
+    def test_a_window_write_pcap_refuses_is_a_block_of_its_own(self):
+        """Whichever small window holds an unwritable packet, it is alone in
+        its block, and the windows around it still group."""
+        packets = [make_packet(k * SECOND + i, 70_000 if k in (3, 7) and i == 2 else 40)
+                   for k in range(10) for i in range(3)]
+        windows = list(segment_stream(batch_of(packets), SECOND, 0))
+        sizes = [len(w.packets.block.cuts) - 1 for w in windows if w.packets.closes_block]
+        assert sizes == [3, 1, 3, 1, 2]
 
 
 def test_window_objects_are_immutable_tuples():
     window = CaptureWindow(0, 0, 10, batch_of([make_packet(3)]))
     manifest, payload = pack_window(window)
     receipt = InProcessChannel(ChannelSpec()).send(manifest, payload, now_micros=10)
-    trace = ReplayEngine(ReplayPlan(), _sent_log(window)).replay_window(window, 10)
+    engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), _sent_log(window), clock=ManualClock())
+    trace = engine.replay_window(window)
     for value, field in ((window, "seq"), (manifest, "content_digest"), (receipt, "dropped"),
                          (trace, "records")):
         with pytest.raises(AttributeError):
@@ -439,39 +460,55 @@ class TestReceiveBlock:
             return channel
 
         log = SyncLog()
-        block = WindowReceiver(delivered(log), log).receive_block()
+        receiver = WindowReceiver(delivered(log), log)
+        blocks = list(iter(receiver.receive_block, None))
         log_alone = SyncLog()
         receiver = WindowReceiver(delivered(log_alone), log_alone)
-        alone = []
-        while (item := receiver.receive(block=False)) is not None:
-            alone.append(item)
+        alone = list(iter(lambda: receiver.receive(block=False), None))
 
         assert log.entries() == log_alone.entries()
-        if block is None:
-            assert alone == []
-            return
-        assert block.seqs.tolist() == [window.seq for window, _, _ in alone]
-        assert block.t_received.tolist() == [t for _, _, t in alone]
-        assert block.cuts[-1] == len(block.packets)
-        for (window, _, _), first, stop in zip(alone, block.cuts[:-1].tolist(), block.cuts[1:].tolist()):
-            assert records_of(block.packets[first:stop]) == records_of(window.packets)
+        # Every delivery was ready at once: two or more make one block.
+        assert len(blocks) == min(len(alone), 1)
+        assert [seq for block in blocks for seq in block.seqs.tolist()] == [window.seq for window, _, _ in alone]
+        assert [t for block in blocks for t in block.t_received.tolist()] == [t for _, _, t in alone]
+        assert all(block.cuts[-1] == len(block.packets) for block in blocks)
+        parts = [block.packets[first:stop] for block in blocks
+                 for first, stop in zip(block.cuts[:-1].tolist(), block.cuts[1:].tolist())]
+        assert [records_of(part) for part in parts] == [records_of(window.packets) for window, _, _ in alone]
 
-    def test_an_irregular_group_is_held_for_receive(self):
+    def test_an_irregular_group_is_held_for_receive(self, monkeypatch):
         log, channel = SyncLog(), InProcessChannel(ChannelSpec())
-        windows = [window_of(seq, [make_packet(seq * 10 * SECOND + 5, 40)]) for seq in range(3)]
+        windows = [window_of(seq, [make_packet(seq * 10 * SECOND + 5, 40)]) for seq in range(4)]
         for window in windows:
             manifest, payload = pack_window(window)
             if window.seq == 1:
                 payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
             log.record_sent(window.seq, window.start_ts_micros, window.end_ts_micros, window.end_ts_micros)
             channel.send(manifest, payload, window.end_ts_micros)
+        joined_tries = []
+        unpack_joined = transport_module._unpack_joined
+
+        def counted(manifests, *args):
+            joined_tries.append(len(manifests))
+            return unpack_joined(manifests, *args)
+
+        monkeypatch.setattr(transport_module, "_unpack_joined", counted)
         receiver = WindowReceiver(channel, log)
-        assert receiver.receive_block() is None
-        assert all(e.t_received is None for e in log.entries())
-        assert [receiver.receive(block=False)[1].seq for _ in range(2)] == [0, 2]
-        assert receiver.receive(block=False) is None
+        assert [block.seqs.tolist() for block in iter(receiver.receive_block, None)] == [[0], [2], [3]]
+        # The group was tried joined once, never again for the windows left.
+        assert joined_tries == [4]
         assert receiver.digest_failures == 1
-        assert [e.lost for e in log.entries()] == [False, True, False]
+        assert [e.lost for e in log.entries()] == [False, True, False, False]
+
+    def test_a_lone_delivery_goes_through_receive(self, monkeypatch):
+        log, channel = SyncLog(), InProcessChannel(ChannelSpec())
+        window = window_of(0, [make_packet(5, 40)])
+        send_window(window, channel, log, now_micros=window.end_ts_micros)
+        monkeypatch.setattr(transport_module, "_unpack_joined", None)  # a call would fail
+        receiver = WindowReceiver(channel, log)
+        (block,) = iter(receiver.receive_block, None)
+        assert (block.seqs.tolist(), block.t_received.tolist(), block.cuts.tolist()) == ([0], [10 * SECOND], [0, 1])
+        assert records_of(block.packets) == records_of(window.packets)
 
 
 class TestTwinLag:
@@ -482,8 +519,7 @@ class TestTwinLag:
         log, channel = SyncLog(), InProcessChannel(ChannelSpec(latency_us=latency))
         window = window_of(0, [make_packet(T // 2)], T=T)
         send_window(window, channel, log, now_micros=window.end_ts_micros)
-        delivered, _, t_received = WindowReceiver(channel, log).receive(block=False)
-        ReplayEngine(ReplayPlan(), log).replay_window(delivered, t_received)
+        ReplayEngine(ReplayPlan(), log).replay_block(WindowReceiver(channel, log).receive_block())
         (entry,) = log.entries()
         return entry.t_replayed - entry.t_window_start
 
@@ -633,30 +669,51 @@ class TestDirectoryExchange:
         assert got == [0, 3, 4, 9, 12]
         assert receiver.receive(timeout=0) is None
 
-    def test_receiving_a_run_costs_the_same_per_window_at_any_length(self, tmp_path):
-        """Every fifth window is dropped, so holes are skipped throughout."""
-        manifest, payload = pack_window(window_of(0, [make_packet(5, 40)]))
+    @staticmethod
+    def _counted(monkeypatch) -> dict:
+        """Counts of directory listings (DirectoryExchangeChannel._published)
+        and of file lookups (Path.exists and Path.read_bytes) from now on."""
+        calls = {"listings": 0, "lookups": 0}
+        published = DirectoryExchangeChannel._published
 
-        def seconds_per_window(n: int, attempt: int = 0) -> float:
-            directory = tmp_path / f"{n}_{attempt}"
-            spec = ChannelSpec(kind="directory-exchange")
+        def counted_published(channel):
+            calls["listings"] += 1
+            return published(channel)
+
+        monkeypatch.setattr(DirectoryExchangeChannel, "_published", counted_published)
+        for name in ("exists", "read_bytes"):
+            def counted(path, *args, _method=getattr(Path, name), **kwargs):
+                calls["lookups"] += 1
+                return _method(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, counted)
+        return calls
+
+    def test_receiving_a_run_costs_the_same_per_window_at_any_length(self, tmp_path, monkeypatch):
+        """Every fifth window is dropped, so holes are skipped throughout:
+        the directory is listed at most once per hole, and the lookups per
+        window do not grow with the run."""
+        manifest, payload = pack_window(window_of(0, [make_packet(5, 40)]))
+        calls = self._counted(monkeypatch)
+
+        def receive_calls(n: int) -> dict:
+            spec, directory = ChannelSpec(kind="directory-exchange"), tmp_path / str(n)
             sender = DirectoryExchangeChannel(spec, directory)
             receiver = DirectoryExchangeChannel(spec, directory)
             for seq in range(n):
                 if seq % 5 != 2:
                     sender.send(manifest._replace(seq=seq), payload, now_micros=0)
             sender.close_send()
-            start = time.perf_counter()
+            before = dict(calls)
             received = 0
             while receiver.receive(timeout=0) is not None:
                 received += 1
-            elapsed = time.perf_counter() - start
             assert received == n - n // 5
-            return elapsed / n
+            return {key: calls[key] - before[key] for key in calls}
 
-        small = min(seconds_per_window(200, attempt) for attempt in range(3))
-        assert min(seconds_per_window(2000, attempt) for attempt in range(2)) <= 2 * small
-
+        short, long = receive_calls(40), receive_calls(400)
+        assert short["listings"] <= 40 // 5 and long["listings"] <= 400 // 5
+        assert 0 < long["lookups"] <= 10 * short["lookups"]
 
     @pytest.mark.parametrize("name", ["end.marker", "latest.seq", "window_3.pcap"])
     def test_a_directory_holding_an_earlier_runs_file_is_refused(self, tmp_path, name):
@@ -671,31 +728,26 @@ class TestDirectoryExchange:
         with pytest.raises(TwinError, match="latest.seq holds b'junk', not a window seq"):
             receiver.receive(timeout=0)
 
-    def test_an_idle_poll_costs_the_same_at_any_length(self, tmp_path):
+    def test_an_idle_poll_costs_the_same_at_any_length(self, tmp_path, monkeypatch):
         """A receiver that has caught up learns that nothing is new without
         listing the windows published before."""
         manifest, payload = pack_window(window_of(0, [make_packet(5, 40)]))
+        calls = self._counted(monkeypatch)
 
-        def seconds_per_idle_poll(n: int, attempt: int) -> float:
-            spec, directory = ChannelSpec(kind="directory-exchange"), tmp_path / f"{n}_{attempt}"
+        def idle_poll_calls(n: int) -> dict:
+            spec, directory = ChannelSpec(kind="directory-exchange"), tmp_path / str(n)
             sender = DirectoryExchangeChannel(spec, directory)
             receiver = DirectoryExchangeChannel(spec, directory)
             for seq in range(n):
                 sender.send(manifest._replace(seq=seq), payload, now_micros=0)
                 receiver.receive(timeout=0)
-            polls, idle = 200, 0
-            start = time.perf_counter()
-            for _ in range(polls):
-                try:
-                    receiver.receive(timeout=0)
-                except TimeoutError:
-                    idle += 1
-            elapsed = time.perf_counter() - start
-            assert idle == polls
-            return elapsed / polls
+            before = dict(calls)
+            with pytest.raises(TimeoutError):
+                receiver.receive(timeout=0)
+            return {key: calls[key] - before[key] for key in calls}
 
-        small = min(seconds_per_idle_poll(200, attempt) for attempt in range(3))
-        assert min(seconds_per_idle_poll(2000, attempt) for attempt in range(2)) <= 2 * small
+        short, long = idle_poll_calls(40), idle_poll_calls(400)
+        assert long == short and long["listings"] == 0
 
 
 class TestTcpChannel:
