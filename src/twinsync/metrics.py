@@ -3,13 +3,16 @@
 Everything here is a pure function over immutable inputs: throughput
 binning, the alignment ratio, update latency, age-of-information, the
 series comparison (lag search + error measures) and the configuration
-consistency audit. Packets come as a PacketBatch and the sync log as
-the columns SyncLog.columns() returns, so each metric is a few array
-passes. Bins use half-open intervals with boundary points in the later
-bin, the same convention the capture segmentation uses.
+consistency audit. Packets come as a PacketBatch, or as the parts of
+one, and the sync log as the columns SyncLog.columns() returns, so each
+metric is a few array passes. Throughput is binned a slice of packets at
+a time into one accumulator, so its temporaries stay small whatever the
+trace length. Bins use half-open intervals with boundary points in the
+later bin, the same convention the capture segmentation uses.
 """
 
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -36,28 +39,47 @@ class ThroughputSeries:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+# Packets binned per pass: the index and mask of a slice stay small
+# whatever the length of the input.
+_BIN_SLICE_PACKETS = 1 << 16
+
+
 def throughput_series(
-    batch: PacketBatch,
+    packets: PacketBatch | Sequence,
     bin_width_micros: int = MICROS_PER_SECOND,
     origin_ts_micros: int = 0,
     span_micros: int | None = None,
 ) -> ThroughputSeries:
     """Bin packet volume into a bits/s series.
 
-    Bin k collects original_len bytes of packets with ts in
-    [origin + k*w, origin + (k+1)*w). Packets outside the span are not an
-    error; they are skipped.
+    ``packets`` is one PacketBatch, or a sequence of parts that each have
+    ``ts_micros`` and ``original_len`` columns, binned as their
+    concatenation would be. Bin k collects original_len bytes of packets
+    with ts in [origin + k*w, origin + (k+1)*w). Packets outside the span
+    are not an error; they are skipped.
     """
     if bin_width_micros <= 0:
         raise ValueError("bin_width_micros must be positive")
-    ts = batch.ts_micros
+    parts = [packets] if isinstance(packets, PacketBatch) else list(packets)
     if span_micros is None:
-        span_micros = int(ts.max()) - origin_ts_micros + 1 if len(ts) else 0
+        last = max((int(part.ts_micros.max()) for part in parts if len(part.ts_micros)), default=None)
+        span_micros = 0 if last is None else last - origin_ts_micros + 1
     n_bins = -(-span_micros // bin_width_micros) if span_micros > 0 else 0
-    index = (ts - origin_ts_micros) // bin_width_micros
-    inside = (ts >= origin_ts_micros) & (index < n_bins)
-    # Float sums of integer byte counts are exact below 2**53 bytes per bin.
-    byte_bins = np.bincount(index[inside], weights=batch.original_len[inside], minlength=n_bins)
+    # Float sums of integer byte counts are exact below 2**53 bytes per bin,
+    # so adding the slices' sums in any order gives the same bits.
+    byte_bins = np.zeros(n_bins)
+    for part in parts:
+        for first in range(0, len(part.ts_micros), _BIN_SLICE_PACKETS):
+            ts = part.ts_micros[first:first + _BIN_SLICE_PACKETS]
+            index = (ts - origin_ts_micros) // bin_width_micros
+            inside = (ts >= origin_ts_micros) & (index < n_bins)
+            index = index[inside]
+            if not len(index):
+                continue
+            low = int(index.min())
+            index -= low
+            sums = np.bincount(index, weights=part.original_len[first:first + _BIN_SLICE_PACKETS][inside])
+            byte_bins[low:low + len(sums)] += sums
     scale = 8 * MICROS_PER_SECOND / bin_width_micros
     return ThroughputSeries(
         origin_ts_micros=origin_ts_micros,

@@ -28,7 +28,7 @@ Every path produces the same bytes, packets and errors.
 """
 
 import struct
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -144,25 +144,6 @@ class PacketBatch:
         zero = np.zeros(0, dtype=np.int64)
         return cls.trusted(zero, zero.astype(np.uint32), zero.astype(np.uint32), zero.astype(np.uint8),
                            np.zeros(1, dtype=np.int64), True)
-
-    @staticmethod
-    def concat_sizes(batches: Iterable["PacketBatch"]) -> "PacketBatch":
-        """The packets of all given batches, in order, without their payloads.
-
-        Times and original lengths are kept; every captured length is 0,
-        as if captured with a snap length of 0, so nothing is copied from
-        the payload buffers. Only those two columns are read, so anything
-        that has them will do in place of a batch.
-        """
-        batches = list(batches)
-        if not batches:
-            return PacketBatch.empty()
-        ts = np.concatenate([b.ts_micros for b in batches], dtype=np.int64)
-        return PacketBatch.trusted(
-            ts, np.zeros(len(ts), dtype=np.uint32),
-            np.concatenate([b.original_len for b in batches], dtype=np.uint32),
-            np.zeros(0, dtype=np.uint8), np.zeros(len(ts) + 1, dtype=np.int64),
-        )
 
     def __len__(self) -> int:
         return len(self.ts_micros)

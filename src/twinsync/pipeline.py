@@ -295,10 +295,9 @@ def _run_threads(windows, send, replay_next, send_channel, close_receive, clock)
 def _evaluate(cfg, log, replayed_sizes, max_lateness, engine, records, origin, duration_micros,
               window_micros) -> RunResult:
     align_offset = engine.align_offset_micros or 0
-    replayed = PacketBatch.concat_sizes(replayed_sizes)
     npt_series = throughput_series(records, cfg.bin_width_micros, origin, duration_micros)
     ndt_series = throughput_series(
-        replayed, cfg.bin_width_micros, origin, duration_micros + max(0, align_offset)
+        replayed_sizes, cfg.bin_width_micros, origin, duration_micros + max(0, align_offset)
     )
     try:
         comparison = compare_series(npt_series, ndt_series, cfg.max_lag_bins)
@@ -347,7 +346,7 @@ def _evaluate(cfg, log, replayed_sizes, max_lateness, engine, records, origin, d
         max_lateness_micros=max_lateness,
         windows_sent=len(sync.seq),
         windows_replayed=len(replayed_at),
-        packets_replayed=len(replayed),
+        packets_replayed=sum(len(part.ts_micros) for part in replayed_sizes),
     )
 
 

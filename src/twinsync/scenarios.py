@@ -11,6 +11,12 @@ Packets carry synthetic IPv4/UDP headers with correct length fields and
 pseudo-random fill; there is no protocol stack behind them. Throughput
 and fidelity metrics depend only on sizes and times, which are exact.
 Identical (spec, seed) pairs generate byte-identical traces.
+
+A trace is built in one pass over its columns: the generators add groups
+of packets, the builder sorts them by time, fills the payload rows with
+SplitMix64 noise and then writes the headers into the rows a block of
+packets at a time. Beyond the trace it returns, it holds only the sort
+order, three narrow header columns and block-sized scratch.
 """
 
 import math
@@ -27,6 +33,9 @@ SCENARIO_KINDS = ("attach-and-browse", "video-streaming", "voice-call", "live-up
 _SERVER_IP = bytes([203, 0, 113, 1])
 _IP_UDP_HEADER_LEN = 28
 _MAX_IPV4_LEN = 65535
+# Phone k sends from UDP port _UE_PORT_BASE + k and from 10.45.(1 + k // 250).(2 + k % 250).
+_UE_PORT_BASE = 40_000
+_MAX_UES = 65535 - _UE_PORT_BASE
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +79,26 @@ class ScenarioSpec:
         minimum = 2 if self.kind == "voice-call" else 1
         if self.ue_count < minimum:
             raise ValueError(f"{self.kind} needs at least {minimum} UEs, got {self.ue_count}")
+        if self.ue_count > _MAX_UES:
+            raise ValueError(f"ue_count must be at most {_MAX_UES}, got {self.ue_count}")
+        for name in _POSITIVE_FIELDS:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in _NON_NEGATIVE_FIELDS:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.voice_pps > MICROS_PER_SECOND:
+            raise ValueError(f"voice_pps must be at most {MICROS_PER_SECOND}, got {self.voice_pps}")
+
+
+# Sizes, rates, intervals and counts the generators divide by or take the
+# logarithm of; and the fields that may be zero but not negative.
+_POSITIVE_FIELDS = (
+    "attach_packets", "attach_packet_bytes", "page_mean_interval_micros", "page_mean_bytes",
+    "browse_pacing_bps", "stream_on_micros", "stream_rate_bps", "voice_packet_bytes", "voice_pps",
+    "upload_rate_bps", "ack_interval_micros", "ack_bytes", "data_packet_bytes",
+)
+_NON_NEGATIVE_FIELDS = ("origin_ts_micros", "attach_span_micros", "stream_off_micros", "snap_bytes")
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,6 +123,10 @@ _UPLINK, _DOWNLINK = 0, 1
 # Words of SplitMix64 output computed per pass: small enough that a block
 # and its scratch stay in cache while the rounds run over it.
 _NOISE_BLOCK_WORDS = 1 << 15
+
+# Packets whose IP/UDP headers are filled per pass: the fields of a block
+# and its header scratch stay small next to the payload rows they go into.
+_HEADER_BLOCK_ROWS = 1 << 14
 
 
 def _noise_bytes(seed: int, count: int) -> np.ndarray:
@@ -147,51 +180,62 @@ class _TraceBuilder:
             return PacketBatch.empty()
         counts = [len(group[0]) for group in self._groups]
         ts = np.concatenate([group[0] for group in self._groups])
-        total, direction, ue, port = (self._column(k, counts) for k in range(1, 5))
-        total = np.maximum(total, _IP_UDP_HEADER_LEN)
+        total = self._column(1, counts, np.int64)
+        np.maximum(total, _IP_UDP_HEADER_LEN, out=total)
         too_long = np.flatnonzero(total > _MAX_IPV4_LEN)
         if len(too_long):
             raise ValueError(f"packet of {int(total[too_long[0]])} bytes exceeds the IPv4 limit")
+        total = total.astype(np.uint32)
+        # The header fields stay in build order, narrow; each header block
+        # gathers its own rows of them through ``order``.
+        direction, ue, port = (self._column(k, counts, np.int32) for k in range(2, 5))
+        self._groups = []
         order = np.argsort(ts, kind="stable")
-        ts, total, direction, ue, port = ts[order], total[order], direction[order], ue[order], port[order]
+        ts, total = ts[order], total[order]
         n = len(ts)
-        captured = np.minimum(total, snap)
-        width = int(captured.max())
-        row_len = max(width, _IP_UDP_HEADER_LEN)
+        captured = np.minimum(total, min(snap, _MAX_IPV4_LEN))
+        row_len = max(int(captured.max()), _IP_UDP_HEADER_LEN)
         noise = _noise_bytes(seed, n * (2 + row_len))
-
-        header = np.zeros(n, dtype=_HEADER)
-        header["version_ihl"] = 0x45
-        header["total_len"] = total
-        header["ip_id"] = noise[:2 * n].view(">u2")
-        header["ttl"] = 64
-        header["protocol"] = 17
-        ue_ip = np.empty((n, 4), dtype=np.uint8)
-        ue_ip[:, 0], ue_ip[:, 1], ue_ip[:, 2], ue_ip[:, 3] = 10, 45, 1 + ue // 250, 2 + ue % 250
-        server_ip = np.frombuffer(_SERVER_IP, dtype=np.uint8)
-        uplink = (direction == _UPLINK)[:, None]
-        header["src"] = np.where(uplink, ue_ip, server_ip)
-        header["dst"] = np.where(uplink, server_ip, ue_ip)
-        ue_port = 40_000 + ue
-        header["sport"] = np.where(uplink[:, 0], ue_port, port)
-        header["dport"] = np.where(uplink[:, 0], port, ue_port)
-        header["udp_len"] = total - 20
 
         # Each row is one payload slot: the header, then random fill. A
         # packet's bytes are the first captured_len of its row; the rest of
         # a short packet's row stays as a gap in the buffer.
         rows = noise[2 * n:].reshape(n, row_len)
-        rows[:, :_IP_UDP_HEADER_LEN] = header.view(np.uint8).reshape(n, _IP_UDP_HEADER_LEN)
+        ip_id = noise[:2 * n].view(">u2")
+        scratch = np.zeros(min(n, _HEADER_BLOCK_ROWS), dtype=_HEADER)
+        scratch["version_ihl"] = 0x45
+        scratch["ttl"] = 64
+        scratch["protocol"] = 17
+        server_ip = np.frombuffer(_SERVER_IP, dtype=np.uint8)
+        for first in range(0, n, _HEADER_BLOCK_ROWS):
+            stop = min(first + _HEADER_BLOCK_ROWS, n)
+            header = scratch[:stop - first]
+            picked = order[first:stop]
+            block_ue = ue[picked]
+            uplink = direction[picked] == _UPLINK
+            header["total_len"] = total[first:stop]
+            header["ip_id"] = ip_id[first:stop]
+            ue_ip = np.empty((len(header), 4), dtype=np.uint8)
+            ue_ip[:, 0], ue_ip[:, 1], ue_ip[:, 2], ue_ip[:, 3] = 10, 45, 1 + block_ue // 250, 2 + block_ue % 250
+            header["src"] = np.where(uplink[:, None], ue_ip, server_ip)
+            header["dst"] = np.where(uplink[:, None], server_ip, ue_ip)
+            ue_port = _UE_PORT_BASE + block_ue
+            block_port = port[picked]
+            header["sport"] = np.where(uplink, ue_port, block_port)
+            header["dport"] = np.where(uplink, block_port, ue_port)
+            header["udp_len"] = total[first:stop] - 20
+            rows[first:stop, :_IP_UDP_HEADER_LEN] = header.view(np.uint8).reshape(-1, _IP_UDP_HEADER_LEN)
+        # Freed before the offsets exist, so they never add to the peak.
+        del order, direction, ue, port
         offsets = np.arange(0, (n + 1) * row_len, row_len, dtype=np.int64)
-        return PacketBatch.trusted(ts, captured.astype(np.uint32), total.astype(np.uint32), noise[2 * n:],
-                                   offsets, True)
+        return PacketBatch.trusted(ts, captured, total, noise[2 * n:], offsets, True)
 
-    def _column(self, k: int, counts: list[int]) -> np.ndarray:
-        """Field k of every group, one entry per packet: the scalars in one
-        repeat, then the array-valued groups copied into place."""
+    def _column(self, k: int, counts: list[int], dtype) -> np.ndarray:
+        """Field k of every group as ``dtype``, one entry per packet: the
+        scalars in one repeat, then the array-valued groups copied into place."""
         values = [group[k] for group in self._groups]
         arrays = [isinstance(v, np.ndarray) for v in values]
-        column = np.repeat(np.array([0 if a else v for v, a in zip(values, arrays)], dtype=np.int64), counts)
+        column = np.repeat(np.array([0 if a else v for v, a in zip(values, arrays)], dtype=dtype), counts)
         if any(arrays):
             ends = np.cumsum(counts).tolist()
             for v, is_array, end, count in zip(values, arrays, ends, counts):

@@ -8,8 +8,9 @@ with the conversions to and from batches, a manual clock, a bundle
 loader, an age-of-information sampler, a check of the sync log's time
 order and a classifier of packet direction read from the generated IP
 headers. Last come the loop references the array code is held to: the
-report of a whole virtual-clock run (reference_report) and the
-sequential age-of-information sum.
+bytes of a generated trace (reference_trace), the report of a whole
+virtual-clock run (reference_report) and the sequential
+age-of-information sum.
 """
 
 import json
@@ -133,6 +134,53 @@ def downlink_mask(batch: PacketBatch) -> np.ndarray:
 def volume_bytes(batch: PacketBatch, downlink: bool) -> int:
     """Total original bytes going one way."""
     return int(batch.original_len[downlink_mask(batch) == downlink].sum(dtype=np.int64))
+
+
+def splitmix64_bytes(seed: int, count: int) -> bytes:
+    """SplitMix64 outputs as little-endian bytes, one 64-bit word at a time."""
+    mask = (1 << 64) - 1
+    out = bytearray()
+    state = seed & mask
+    while len(out) < count:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out += (z ^ (z >> 31)).to_bytes(8, "little")
+    return bytes(out[:count])
+
+
+def reference_trace(groups: list[tuple], snap: int, seed: int) -> tuple[list[tuple[int, int, int]], int, bytes]:
+    """What the trace builder makes of ``groups``, one packet at a time.
+
+    Each group is (timestamps, length, direction, ue, port) as given to
+    ``_TraceBuilder.add``; every field but the timestamps is a scalar or a
+    sequence with one entry per packet, and direction 0 is uplink. Returns
+    (ts, captured_len, original_len) per packet in time order (ties in
+    build order), the slot length, and the payload buffer: slot i is the
+    packet's IPv4/UDP header, then SplitMix64 fill.
+    """
+    packets = []
+    for ts, *fields in groups:
+        for i, t in enumerate(ts):
+            length, direction, ue, port = (f if np.isscalar(f) else f[i] for f in fields)
+            packets.append((int(t), max(int(length), 28), int(direction), int(ue), int(port)))
+    packets.sort(key=lambda p: p[0])  # stable: ties keep build order
+    n = len(packets)
+    slot = max([28] + [min(p[1], snap) for p in packets])
+    noise = splitmix64_bytes(seed, n * (2 + slot))
+    payload = bytearray(noise[2 * n:])
+    columns = []
+    for i, (t, total, direction, ue, port) in enumerate(packets):
+        phone = bytes([10, 45, 1 + ue // 250, 2 + ue % 250])
+        src, dst, sport, dport = phone, SERVER_IP, 40_000 + ue, port
+        if direction == 1:
+            src, dst, sport, dport = dst, src, dport, sport
+        header = (bytes([0x45, 0]) + total.to_bytes(2, "big") + noise[2 * i:2 * i + 2] + bytes([0, 0, 64, 17, 0, 0])
+                  + src + dst + sport.to_bytes(2, "big") + dport.to_bytes(2, "big")
+                  + (total - 20).to_bytes(2, "big") + bytes(2))
+        payload[i * slot:i * slot + 28] = header
+        columns.append((t, min(total, snap), total))
+    return columns, slot, bytes(payload)
 
 
 # An end-to-end reference for the report of a virtual-clock run over the

@@ -226,6 +226,18 @@ class TestRunCommand:
         ]
         assert cli.main(args) == 3
 
+    def test_more_phones_than_ports_exits_3_before_anything_is_written(self, tmp_path, descriptor, capsys):
+        from dataclasses import replace
+
+        crowd = tmp_path / "crowd.json"
+        crowd.write_bytes(descriptor_to_json(replace(descriptor, ue_count=30_000)))
+        out = tmp_path / "run"
+        args = ["run", "--descriptor", str(crowd), "--scenario", "browse", "--duration", "5",
+                "--report", str(out / "report.json"), "--out-dir", str(out)]
+        assert cli.main(args) == 3
+        assert capsys.readouterr().err == "twinsync: ue_count must be at most 25535, got 30000\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("loss-probability", "2"),
         ("loss-probability", "nan"),

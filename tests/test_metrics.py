@@ -1,12 +1,14 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twinsync import metrics
 from twinsync.emit import emit_bundle
 from twinsync.errors import MetricsError
 from twinsync.metrics import (
@@ -22,6 +24,7 @@ from twinsync.metrics import (
     update_latency,
 )
 from twinsync.model import TwinDescriptor
+from twinsync.pcap import PacketBatch
 from twinsync.pipeline import RunConfig, RunResult, build_report_document
 from twinsync.replay import ReplayPlan
 from twinsync.scenarios import ScenarioSpec
@@ -88,6 +91,62 @@ class TestThroughputSeries:
         s = throughput_series(batch_of(packets), bin_width, 0, 10 * SECOND)
         recovered_bytes = sum(s.bins) * (bin_width / SECOND) / 8
         assert math.isclose(recovered_bytes, sum(p.original_len for p in packets), rel_tol=1e-9, abs_tol=1e-6)
+
+
+    def test_binning_a_long_batch_holds_only_slice_sized_temporaries(self):
+        # numpy reports its buffers to tracemalloc, so the peak is exact:
+        # binned at once, 10^6 packets take about 28 MiB of index and mask.
+        n = 1_000_000
+        ts = np.arange(n, dtype=np.int64) * 997
+        batch = PacketBatch.trusted(ts, np.zeros(n, dtype=np.uint32), np.full(n, 1200, dtype=np.uint32),
+                                    np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64), True)
+        tracemalloc.start()
+        try:
+            s = throughput_series(batch, SECOND, 0, 1000 * SECOND)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(s.bins) == n * 1200 * 8
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("cuts", [
+        [0, 0, 1 << 16, (1 << 16) + 1, 70_000, 70_000, 200_000],
+        [0, (1 << 16) - 1, 1 << 16, 1 << 17, 200_000],
+        [0, 200_000],
+    ])
+    def test_parts_bin_as_their_concatenation(self, cuts):
+        # Packets before the origin and past the span, empty parts, parts
+        # ending on both sides of a slice boundary, and times out of order.
+        rng = np.random.default_rng(len(cuts))
+        ts = np.sort(rng.integers(0, 120 * SECOND, cuts[-1]))
+        ts[::9] = rng.integers(0, 120 * SECOND, len(ts[::9]))
+        lengths = rng.integers(28, 1500, cuts[-1])
+        whole = sized_batch(ts, lengths)
+        parts = [sized_batch(ts[a:b], lengths[a:b]) for a, b in zip(cuts, cuts[1:])]
+        for origin, span in ((10 * SECOND, 100 * SECOND), (0, None), (5 * SECOND, None)):
+            assert throughput_series(parts, SECOND, origin, span) == throughput_series(whole, SECOND, origin, span)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 20 * SECOND), st.integers(0, 5000)), max_size=12),
+                    max_size=6),
+           st.integers(1, 5), st.integers(0, 3 * SECOND), st.none() | st.integers(0, 25 * SECOND))
+    def test_any_slicing_bins_the_same_bits(self, parts, slice_packets, origin, span):
+        whole = [p for part in parts for p in part]
+        expected = throughput_series(sized_batch(*zip(*whole)) if whole else sized_batch([], []),
+                                     SECOND // 3, origin, span)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_BIN_SLICE_PACKETS", slice_packets)
+            got = throughput_series([sized_batch(*zip(*part)) if part else sized_batch([], []) for part in parts],
+                                    SECOND // 3, origin, span)
+        assert got == expected
+
+
+def sized_batch(ts, lengths) -> PacketBatch:
+    """Times and original lengths only, as the pipeline keeps of replayed windows."""
+    ts = np.asarray(ts, dtype=np.int64)
+    n = len(ts)
+    return PacketBatch.trusted(ts, np.zeros(n, dtype=np.uint32), np.asarray(lengths, dtype=np.uint32),
+                               np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64))
 
 
 def alignment(log: SyncLog, planned_period: int, observation: tuple[int, int]) -> float:

@@ -228,9 +228,6 @@ class TestPacketBatch:
         with pytest.raises(ValueError, match="packet 0"):
             batch.shifted(-6)
 
-    def test_concat_sizes_and_empty(self):
-        batch = batch_of(self.RECORDS)
-        sizes_only = PacketBatch.concat_sizes([batch[:1], PacketBatch.empty(), batch[1:]])
-        assert records_of(sizes_only) == [PacketRecord(r.ts_micros, 0, r.original_len, b"") for r in self.RECORDS]
-        assert records_of(PacketBatch.concat_sizes([])) == [] == records_of(PacketBatch.empty())
+    def test_empty(self):
+        assert records_of(PacketBatch.empty()) == []
         assert len(PacketBatch.empty()) == 0

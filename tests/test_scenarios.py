@@ -1,16 +1,22 @@
+import hashlib
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from twinsync import scenarios
 from twinsync.pcap import LINKTYPE_RAW_IP, write_pcap
 from twinsync.scenarios import (
     SCENARIO_KINDS,
     GeneratedTrace,
     ScenarioSpec,
     _noise_bytes,
+    _TraceBuilder,
     generate,
 )
 
-from reference import SERVER_IP, downlink_mask, records_of, volume_bytes
+from reference import SERVER_IP, downlink_mask, records_of, reference_trace, splitmix64_bytes, volume_bytes
 
 # Which way each packet goes is read from its IP header: a downlink
 # packet comes from the server, an uplink one goes to it.
@@ -199,19 +205,6 @@ def test_payloads_start_with_a_matching_ip_udp_header(kind, snap):
             assert int.from_bytes(header[24:26], "big") == r.original_len - 20
 
 
-def splitmix64_bytes(seed: int, count: int) -> bytes:
-    """SplitMix64 outputs as little-endian bytes, one 64-bit word at a time."""
-    mask = (1 << 64) - 1
-    out = bytearray()
-    state = seed & mask
-    while len(out) < count:
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out += (z ^ (z >> 31)).to_bytes(8, "little")
-    return bytes(out[:count])
-
-
 @pytest.mark.parametrize("seed", [0, 1, -3, 2**70 + 5])
 def test_payload_noise_is_the_splitmix64_sequence(seed):
     for count in (0, 1, 13, 800):
@@ -227,9 +220,143 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             generate(ScenarioSpec(kind="voice-call", duration_micros=0))
 
+    def test_every_phone_has_a_port_of_its_own(self):
+        # Phone k sends from port 40000 + k: the last phone a spec may have
+        # gets port 65534, the next one would wrap to 0.
+        spec = ScenarioSpec(kind="attach-and-browse", duration_micros=SECOND, ue_count=25_535, attach_packets=2)
+        batch = generate(spec).records
+        source_ports = batch.payload.reshape(len(batch), -1)[:, 20:22].copy().view(">u2")
+        assert int(source_ports.max()) == 65_534
+        with pytest.raises(ValueError, match="^ue_count must be at most 25535, got 25536$"):
+            generate(replace(spec, ue_count=25_536))
+        with pytest.raises(ValueError, match="^ue_count must be at most 25535, got 63750$"):
+            generate(replace(spec, ue_count=63_750))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("data_packet_bytes", 0, "must be positive"),
+        ("attach_packet_bytes", -1, "must be positive"),
+        ("attach_packets", 0, "must be positive"),
+        ("page_mean_bytes", 0, "must be positive"),
+        ("page_mean_interval_micros", 0, "must be positive"),
+        ("browse_pacing_bps", 0, "must be positive"),
+        ("stream_on_micros", 0, "must be positive"),
+        ("stream_rate_bps", -5, "must be positive"),
+        ("voice_packet_bytes", 0, "must be positive"),
+        ("voice_pps", 0, "must be positive"),
+        ("voice_pps", 2_000_000, "must be at most 1000000"),
+        ("upload_rate_bps", 0, "must be positive"),
+        ("ack_interval_micros", 0, "must be positive"),
+        ("ack_bytes", 0, "must be positive"),
+        ("snap_bytes", -1, "must not be negative"),
+        ("stream_off_micros", -1, "must not be negative"),
+        ("attach_span_micros", -1, "must not be negative"),
+        ("origin_ts_micros", -1, "must not be negative"),
+    ])
+    def test_a_field_out_of_range_is_named(self, field, value, message):
+        # Refused whatever the kind, before any packet is made: each of
+        # these used to divide by zero, take log(0) or wrap a length.
+        with pytest.raises(ValueError, match=f"^{field} {message}, got {value}$"):
+            generate(ScenarioSpec(kind="live-upload", duration_micros=SECOND, **{field: value}))
+
+    def test_the_smallest_values_still_generate(self):
+        # One packet per microsecond, zero-length captures and no off phase.
+        for kind in SCENARIO_KINDS:
+            batch = generate(ScenarioSpec(kind=kind, duration_micros=3000, ue_count=2, voice_pps=1_000_000,
+                                          snap_bytes=0, stream_off_micros=0, attach_span_micros=0)).records
+            assert len(batch) and int(batch.captured_len.max()) == 0
+
     def test_trace_echoes_spec_and_seed(self):
         spec = spec_for("live-upload", seconds=1, seed=42)
         trace = generate(spec)
         assert isinstance(trace, GeneratedTrace)
         assert trace.seed == 42
         assert trace.scenario == spec
+
+
+# (timestamps, length, direction, ue, port) per group, each field a scalar
+# or one entry per packet. Timestamp 3 is in every group, and unsorted in
+# the first, so the stable sort shows; lengths run from below the header
+# to the IPv4 limit, and phones from 0 to the last one a spec may have.
+HAND_BUILT_GROUPS = [
+    ([5, 3, 3, 9], 120, np.array([0, 1, 0, 1]), 251, 3868),
+    ([3, 5, 7], np.array([10, 1500, 65_535]), 1, 0, 443),
+    ([], 50, 0, 7, 7),
+    ([3, 3, 8], 400, 0, np.array([249, 500, 25_534]), np.array([1, 65_535, 0])),
+    ([9, 3], np.array([28, 27]), np.array([1, 1]), 250, 5060),
+]
+
+
+def built(groups, snap: int, seed: int):
+    builder = _TraceBuilder()
+    for group in groups:
+        builder.add(*group)
+    return builder.build(snap, seed)
+
+
+def assert_matches_the_reference(groups, snap: int, seed: int) -> None:
+    batch = built(groups, snap, seed)
+    columns, slot, payload = reference_trace(groups, snap, seed)
+    assert (batch.ts_micros.dtype, batch.captured_len.dtype, batch.original_len.dtype, batch.offsets.dtype) == \
+        (np.int64, np.uint32, np.uint32, np.int64)
+    assert list(zip(batch.ts_micros.tolist(), batch.captured_len.tolist(), batch.original_len.tolist())) == columns
+    assert batch.offsets.tolist() == list(range(0, (len(columns) + 1) * slot, slot))
+    # Every byte of every slot: header fields, addresses and ports by
+    # direction, then the fill, also past a short packet's captured bytes.
+    assert batch.payload.tobytes() == payload
+
+
+@pytest.mark.parametrize("snap", [20, 96])
+@pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
+def test_trace_bytes_match_the_per_packet_reference(monkeypatch, snap, block_rows):
+    monkeypatch.setattr(scenarios, "_HEADER_BLOCK_ROWS", block_rows)
+    assert_matches_the_reference(HAND_BUILT_GROUPS, snap, seed=7)
+
+
+def test_a_trace_longer_than_one_header_block_matches_the_reference():
+    n = scenarios._HEADER_BLOCK_ROWS + 37
+    rng = np.random.default_rng(5)
+    groups = [
+        (rng.integers(0, 1000, n), rng.integers(1, 1600, n), rng.integers(0, 2, n), 300, 443),
+        (np.arange(0, 1000, 7), 172, 1, rng.integers(0, 600, 143), 5060),
+    ]
+    assert_matches_the_reference(groups, 96, seed=2**64 - 1)
+
+
+def test_a_packet_past_the_ipv4_limit_is_refused():
+    with pytest.raises(ValueError, match="^packet of 65536 bytes exceeds the IPv4 limit$"):
+        built([([1, 2], np.array([65_535, 65_536]), 0, 0, 443)], 96, 0)
+
+
+# sha256 of write_pcap(LINKTYPE_RAW_IP, trace) for a 6 s run of each kind
+# with three phones and seed 3, recorded before the header writer was
+# rebuilt block by block.
+GOLDEN_TRACE_SHA256 = {
+    "attach-and-browse": "95fc8e547899af47742327e0b68e72fa4da97aeebe9bd23475c71cc47eefe0ea",
+    "video-streaming": "2f441fdbbd9056d437c957f07adfbc0ddb47580669fcc001b65eed51a1728547",
+    "voice-call": "e14393667a4cfa9eb476864b429a67892d597ce5ed2b9ab5a445b9ef0723aa80",
+    "live-upload": "ab3be142833791728b4e12308f57ec55116e12e1a22114f97f12f0ea0f5b7e82",
+}
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_generated_trace_bytes_are_the_golden_ones(kind):
+    batch = generate(ScenarioSpec(kind=kind, duration_micros=6 * SECOND, seed=3, ue_count=3)).records
+    assert hashlib.sha256(write_pcap(LINKTYPE_RAW_IP, batch)).hexdigest() == GOLDEN_TRACE_SHA256[kind]
+
+
+def test_generation_holds_little_beyond_the_trace():
+    # numpy reports its buffers to tracemalloc, so the peak is exact. The
+    # trace is its columns and payload buffer; anything above it is a
+    # temporary, which generation keeps narrow and block sized.
+    spec = ScenarioSpec(kind="attach-and-browse", duration_micros=60 * SECOND, ue_count=12,
+                        page_mean_interval_micros=2 * SECOND, page_mean_bytes=375_000)
+    tracemalloc.start()
+    try:
+        batch = generate(spec).records
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trace_bytes = sum(column.nbytes for column in
+                      (batch.ts_micros, batch.captured_len, batch.original_len, batch.offsets, batch.payload))
+    assert len(batch) > 100_000
+    assert peak <= 1.3 * trace_bytes
