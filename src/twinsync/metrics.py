@@ -218,7 +218,9 @@ def compare_series(npt: ThroughputSeries, ndt: ThroughputSeries, max_lag_bins: i
     y = np.asarray(ndt.bins, dtype=float)
 
     scored: list[tuple[float, int]] = []
-    for s in range(-max_lag_bins, max_lag_bins + 1):
+    # Lags past these bounds overlap by under 2 bins, so a huge bound costs
+    # no more than the series' own lengths.
+    for s in range(max(-max_lag_bins, 2 - len(x)), min(max_lag_bins, len(y) - 2) + 1):
         i0 = max(0, -s)
         i1 = min(len(x), len(y) - s)
         if i1 - i0 < 2:

@@ -119,7 +119,7 @@ class ReplayEngine:
         if self._last_completed is not None:
             t_done = np.maximum(t_done, self._last_completed)
         t_done = np.maximum.accumulate(t_done)
-        self.log.record_replayed_block(block.seqs, t_done)
+        self.log.record_replayed(block.seqs, t_done)
         self._last_seq, self._last_completed = int(block.seqs[-1]), int(t_done[-1])
         return block.packets.shifted(self._offset)
 

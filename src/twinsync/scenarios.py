@@ -89,6 +89,11 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
         if self.voice_pps > MICROS_PER_SECOND:
             raise ValueError(f"voice_pps must be at most {MICROS_PER_SECOND}, got {self.voice_pps}")
+        # Written so that NaN fails too.
+        if not 0.0 <= self.upload_jitter <= 1.0:
+            raise ValueError(f"upload_jitter must lie in [0, 1], got {self.upload_jitter}")
+        if not 0.0 <= self.page_sigma < math.inf:
+            raise ValueError(f"page_sigma must be finite and non-negative, got {self.page_sigma}")
 
 
 # Sizes, rates, intervals and counts the generators divide by or take the

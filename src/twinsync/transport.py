@@ -20,21 +20,19 @@ recent trace, and the gap stays visible to the metrics.
 
 pack_window serializes each window; the windows of a pcap.PackBlock
 share one write_pcap call, so the per-window cost of a short T is a
-slice, a digest and a manifest. On the other side,
-WindowReceiver.receive_block accepts two or more windows that are ready
-together as one block: it checks each one's length and digest, reads
-their records joined with one read_pcap call and checks bounds and
-order on the joined columns, the rules unpack_window applies to a
-window alone. A lone window, and each window of a group with anything
-irregular, goes through WindowReceiver.receive and unpack_window, which
-raises the precise error. Manifests, receipts and windows are immutable
-named tuples, built at the cost of a tuple and safe to pass between the
-real-time threads.
+slice, a digest and a manifest. On the other side, unpack_windows holds
+the rules every received window must pass, whether it arrives alone
+(unpack_window, through WindowReceiver.receive) or in a group of two or
+more that WindowReceiver.receive_block reads with one read_pcap call. A
+group that fails any check goes through receive one window at a time,
+which raises the precise error. Manifests, receipts and windows are
+immutable named tuples, built at the cost of a tuple and safe to pass
+between the real-time threads.
 
 The SyncLog is columnar: int64 time columns and a lost mask indexed by
-seq. Its block forms record a whole ReceivedBlock at once, the metrics
-read it as SyncLogColumns, and SyncLog.entries() builds one
-SyncLogEntry per window only when asked.
+seq. Each receive-side event is one call that takes one seq or an
+array of them, the metrics read the log as SyncLogColumns, and
+SyncLog.entries() builds one SyncLogEntry per window only when asked.
 """
 
 import hashlib
@@ -47,7 +45,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,7 +54,6 @@ from .errors import (
     ChannelClosedError,
     DigestMismatchError,
     ForeignWindowError,
-    PcapError,
     SchemaError,
     TwinError,
 )
@@ -130,28 +127,68 @@ def pack_window(window: CaptureWindow) -> tuple[WindowManifest, bytes]:
     return manifest, payload
 
 
-def unpack_window(manifest: WindowManifest, payload: bytes) -> CaptureWindow:
-    """Verify the digest, rebuild the window and check it, the one place a
-    window is checked: seq non-negative, positive duration, packets inside
-    [start, end) with non-decreasing timestamps (else ValueError)."""
-    if len(payload) != manifest.byte_length or _digest(payload) != manifest.content_digest:
-        raise DigestMismatchError(manifest.seq)
-    start, end = manifest.start_ts_micros, manifest.end_ts_micros
-    if manifest.seq < 0:
-        raise ValueError("seq must be non-negative")
-    if end <= start:
-        raise ValueError("window must have positive duration")
-    _, packets = read_pcap(payload)
+def unpack_windows(manifests: Sequence[WindowManifest],
+                   payloads: Sequence[bytes]) -> tuple[PacketBatch, np.ndarray]:
+    """Check windows received in seq order and read their packets, the one
+    place a received window is checked. Returns the packets of them all as
+    one batch and the index where each window's packets start, plus the end.
+
+    In this order, each window must match its manifest's length and digest
+    (else DigestMismatchError), have a non-negative seq and a positive
+    duration (ValueError), read as pcap (PcapError), and hold packets
+    inside [start, end) in time order (ValueError). A lone window is read
+    from its own bytes. Two or more are read with one read_pcap call, their
+    records joined behind their common global header, which reads each as
+    it would be read alone only when the global headers are identical, the
+    bounds follow one another and each window's bytes start on a record
+    boundary (else ValueError).
+    """
+    for manifest, payload in zip(manifests, payloads):
+        if len(payload) != manifest.byte_length or _digest(payload) != manifest.content_digest:
+            raise DigestMismatchError(manifest.seq)
+        if manifest.seq < 0:
+            raise ValueError("seq must be non-negative")
+        if manifest.end_ts_micros <= manifest.start_ts_micros:
+            raise ValueError("window must have positive duration")
+    if len(payloads) == 1:
+        _, packets = read_pcap(payloads[0])
+        cuts = np.array([0, len(packets)])
+        low, high = manifests[0].start_ts_micros, manifests[0].end_ts_micros
+    else:
+        header = payloads[0][:_GLOBAL_HEADER_LEN]
+        if len(header) < _GLOBAL_HEADER_LEN or not all(payload.startswith(header) for payload in payloads):
+            raise ValueError("windows with different global headers are not read joined")
+        starts = np.array([manifest.start_ts_micros for manifest in manifests], dtype=np.int64)
+        ends = np.array([manifest.end_ts_micros for manifest in manifests], dtype=np.int64)
+        if (starts[1:] < ends[:-1]).any():
+            raise ValueError("windows whose bounds overlap are not read joined")
+        joined = header + b"".join([memoryview(payload)[_GLOBAL_HEADER_LEN:] for payload in payloads])
+        _, packets = read_pcap(joined)
+        window_at = np.cumsum([_GLOBAL_HEADER_LEN] + [len(payload) - _GLOBAL_HEADER_LEN for payload in payloads])
+        record_at = packets.offsets - _RECORD_HEADER_LEN
+        record_at[-1] = len(joined)
+        cuts = np.searchsorted(record_at, window_at)
+        if not (record_at[cuts] == window_at).all():
+            raise ValueError("a window's bytes do not start on a record boundary of the joined windows")
+        counts = np.diff(cuts)
+        low, high = np.repeat(starts, counts), np.repeat(ends, counts)
     ts = packets.ts_micros
+    outside = first_index((ts < low) | (ts >= high))
     regression = packets.first_regression()
-    # Ordered packets are all inside when the first and the last are.
-    if len(ts) and not (regression is None and ts[0] >= start and ts[-1] < end):
-        head = ts if regression is None else ts[:regression + 1]
-        outside = first_index((head < start) | (head >= end))
-        if outside is not None:
-            raise ValueError(f"packet ts {int(ts[outside])} outside window [{start}, {end})")
+    if regression is not None and (outside is None or outside > regression):
         raise ValueError("packet timestamps must be non-decreasing")
-    return CaptureWindow(manifest.seq, start, end, packets, manifest.source_interface)
+    if outside is not None:
+        manifest = manifests[int(np.searchsorted(cuts, outside, side="right")) - 1]
+        raise ValueError(f"packet ts {int(ts[outside])} outside window "
+                         f"[{manifest.start_ts_micros}, {manifest.end_ts_micros})")
+    return packets, cuts
+
+
+def unpack_window(manifest: WindowManifest, payload: bytes) -> CaptureWindow:
+    """Check one received window (see unpack_windows) and rebuild it."""
+    packets, _ = unpack_windows([manifest], [payload])
+    return CaptureWindow(manifest.seq, manifest.start_ts_micros, manifest.end_ts_micros, packets,
+                         manifest.source_interface)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,45 +274,49 @@ class SyncLog:
     ``record_sent`` is the only call that opens an entry. Receiving,
     replaying or losing a window this run never sent raises
     ForeignWindowError, and so does receiving one whose bounds differ
-    from those sent; the block forms check every window before they
-    record any. A single lock serializes writers; reads return copies, so
-    the metrics can run while a live pipeline keeps appending.
+    from those sent. ``record_received`` and ``record_replayed`` take one
+    seq or an array of them and record all of a call or none of it. A
+    single lock serializes writers; reads return copies, so the metrics
+    can run while a live pipeline keeps appending.
     """
 
     def __init__(self):
-        self._times = {name: np.zeros(0, dtype=np.int64) for name in _TIME_COLUMNS}
-        self._opened = np.zeros(0, dtype=bool)
-        self._lost = np.zeros(0, dtype=bool)
+        # Never empty, so that row 0 can stand in for a seq outside the log.
+        self._times = {name: np.full(64, NOT_RECORDED, dtype=np.int64) for name in _TIME_COLUMNS}
+        self._opened = np.zeros(64, dtype=bool)
+        self._lost = np.zeros(64, dtype=bool)
         self._lock = threading.Lock()
 
     def _grow(self, size: int) -> None:
         """Make room for seqs below ``size``; call with the lock held."""
         old = len(self._opened)
-        size = max(size, 2 * old, 64)
+        size = max(size, 2 * old)
         for name, column in self._times.items():
             self._times[name] = np.concatenate((column, np.full(size - old, NOT_RECORDED, dtype=np.int64)))
         self._opened = np.concatenate((self._opened, np.zeros(size - old, dtype=bool)))
         self._lost = np.concatenate((self._lost, np.zeros(size - old, dtype=bool)))
 
-    def _check_sent(self, seq: int, bounds: tuple[int, int] | None = None) -> None:
-        """Raise ForeignWindowError unless ``seq`` was sent, with ``bounds``
-        when given; call with the lock held."""
-        if not (0 <= seq < len(self._opened) and self._opened[seq]):
-            raise ForeignWindowError(seq)
-        sent = (int(self._times["t_window_start"][seq]), int(self._times["t_window_end"][seq]))
-        if bounds is not None and bounds != sent:
-            raise ForeignWindowError(seq, f"arrived as [{bounds[0]}, {bounds[1]}), sent as [{sent[0]}, {sent[1]})")
-
-    def _check_sent_block(self, seqs: np.ndarray, starts=None, ends=None) -> None:
-        """_check_sent for many windows: raises for the first foreign one."""
+    def _check_sent(self, seqs, starts=None, ends=None) -> None:
+        """Raise ForeignWindowError for the first of ``seqs`` (one seq or an
+        array) that was not sent, or was sent with bounds other than
+        ``starts`` and ``ends`` when those are given; call with the lock held."""
+        seqs = np.atleast_1d(seqs)
         inside = (seqs >= 0) & (seqs < len(self._opened))
         rows = np.where(inside, seqs, 0)
-        foreign = ~inside | ~self._opened[rows]
+        sent = inside & self._opened[rows]
+        foreign = ~sent
         if starts is not None:
-            foreign |= (self._times["t_window_start"][rows] != starts) | (self._times["t_window_end"][rows] != ends)
+            sent_starts, sent_ends = self._times["t_window_start"][rows], self._times["t_window_end"][rows]
+            foreign |= (sent_starts != starts) | (sent_ends != ends)
         bad = first_index(foreign)
-        if bad is not None:
-            self._check_sent(int(seqs[bad]), None if starts is None else (int(starts[bad]), int(ends[bad])))
+        if bad is None:
+            return
+        seq = int(seqs[bad])
+        if not sent[bad]:
+            raise ForeignWindowError(seq)
+        arrived = np.atleast_1d(starts)[bad], np.atleast_1d(ends)[bad]
+        raise ForeignWindowError(seq, f"arrived as [{arrived[0]}, {arrived[1]}), "
+                                      f"sent as [{sent_starts[bad]}, {sent_ends[bad]})")
 
     def record_sent(self, seq: int, t_window_start: int, t_window_end: int, t_sent: int) -> None:
         if seq < 0:
@@ -292,32 +333,26 @@ class SyncLog:
             times["t_sent"][seq] = t_sent
             self._opened[seq] = True
 
-    def record_received(self, seq: int, t_received: int, t_window_start: int, t_window_end: int) -> None:
+    def record_received(self, seqs, t_received, t_window_start, t_window_end, holes_from: int | None = None) -> None:
+        """Record windows received, one seq or an array in seq order, with
+        the bounds they arrived with. With ``holes_from``, also mark lost
+        the seqs from ``holes_from`` on that they skip."""
+        seqs = np.atleast_1d(seqs)
         with self._lock:
-            self._check_sent(seq, (t_window_start, t_window_end))
-            self._times["t_received"][seq] = t_received
-
-    def record_received_block(self, seqs: np.ndarray, t_received: np.ndarray, t_window_start: np.ndarray,
-                              t_window_end: np.ndarray, holes_from: int) -> None:
-        """record_received for windows received in seq order, and mark_lost
-        for the seqs from ``holes_from`` on that they skip; all or none."""
-        with self._lock:
-            self._check_sent_block(seqs, t_window_start, t_window_end)
-            # Bounded by the log's size: every seq in ``seqs`` was sent.
-            holes = np.setdiff1d(np.arange(holes_from, seqs[-1], dtype=np.int64), seqs)
-            self._check_sent_block(holes)
+            self._check_sent(seqs, t_window_start, t_window_end)
+            if holes_from is not None and holes_from < seqs[-1]:
+                # seqs[-1] was sent, so the span is bounded by the log's size;
+                # each of its seqs is below seqs[-1], so searchsorted stays in seqs.
+                span = np.arange(holes_from, seqs[-1], dtype=np.int64)
+                holes = span[seqs[np.searchsorted(seqs, span)] != span]
+                self._check_sent(holes)
+                self._lost[holes] = True
             self._times["t_received"][seqs] = t_received
-            self._lost[holes] = True
 
-    def record_replayed(self, seq: int, t_replayed: int) -> None:
+    def record_replayed(self, seqs, t_replayed) -> None:
+        """Record windows replayed, one seq or an array."""
         with self._lock:
-            self._check_sent(seq)
-            self._times["t_replayed"][seq] = t_replayed
-
-    def record_replayed_block(self, seqs: np.ndarray, t_replayed: np.ndarray) -> None:
-        """record_replayed for many windows, all or none."""
-        with self._lock:
-            self._check_sent_block(seqs)
+            self._check_sent(seqs)
             self._times["t_replayed"][seqs] = t_replayed
 
     def mark_lost(self, seq: int) -> None:
@@ -659,47 +694,6 @@ class ReceivedBlock(NamedTuple):
     packets: PacketBatch
 
 
-def _unpack_joined(manifests: list[WindowManifest], payloads: list[bytes], starts: np.ndarray,
-                   ends: np.ndarray) -> tuple[PacketBatch, np.ndarray] | None:
-    """The packets of windows in seq order, bounded by ``starts`` and
-    ``ends``, read with one read_pcap call from their records joined
-    behind their common global header, and the index where each window's
-    packets start, plus the end.
-
-    None unless every window passes what unpack_window checks (digest,
-    positive duration, packets in order inside their bounds) and reading
-    them joined reads each the way it would be read alone: the global
-    headers are identical, and each window's bytes start on a record
-    boundary. The bounds must also follow one another, so that in-order
-    windows make an in-order batch.
-    """
-    header = payloads[0][:_GLOBAL_HEADER_LEN]
-    if len(header) < _GLOBAL_HEADER_LEN:
-        return None
-    for manifest, payload in zip(manifests, payloads):
-        if (len(payload) != manifest.byte_length or not payload.startswith(header)
-                or _digest(payload) != manifest.content_digest):
-            return None
-    if not ((ends > starts).all() and (starts[1:] >= ends[:-1]).all()):
-        return None
-    joined = header + b"".join([memoryview(payload)[_GLOBAL_HEADER_LEN:] for payload in payloads])
-    try:
-        _, packets = read_pcap(joined)
-    except PcapError:
-        return None
-    window_at = np.cumsum([_GLOBAL_HEADER_LEN] + [len(payload) - _GLOBAL_HEADER_LEN for payload in payloads])
-    record_at = packets.offsets - _RECORD_HEADER_LEN
-    record_at[-1] = len(joined)
-    cuts = np.searchsorted(record_at, window_at)
-    if not (record_at[cuts] == window_at).all():
-        return None
-    ts, counts = packets.ts_micros, np.diff(cuts)
-    if len(ts) and not ((ts >= np.repeat(starts, counts)).all() and (ts < np.repeat(ends, counts)).all()
-                        and packets.first_regression() is None):
-        return None
-    return packets, cuts
-
-
 class WindowReceiver:
     """Delivers windows in seq order, turning gaps into recorded losses.
 
@@ -709,9 +703,11 @@ class WindowReceiver:
     or sent with other bounds, raises ForeignWindowError before any hole
     is declared.
 
-    ``receive`` delivers one window at a time; ``receive_block`` delivers
-    what is ready as ReceivedBlocks, taking two or more new deliveries at
-    once when they pass every check together.
+    ``receive`` delivers one window at a time, checked by unpack_window;
+    ``receive_block`` delivers what is ready as ReceivedBlocks, taking two
+    or more new deliveries at once when they pass every check together.
+    Either way, the windows taken and the holes before them are recorded
+    with one SyncLog.record_received call.
     """
 
     def __init__(self, channel, log: SyncLog):
@@ -741,9 +737,8 @@ class WindowReceiver:
             seq = manifest.seq
             if seq < self._expected:
                 continue  # a duplicate, or too late
-            self.log.record_received(seq, arrival, manifest.start_ts_micros, manifest.end_ts_micros)
-            for lost in range(self._expected, seq):
-                self.log.mark_lost(lost)
+            self.log.record_received(seq, arrival, manifest.start_ts_micros, manifest.end_ts_micros,
+                                     holes_from=self._expected)
             self._expected = seq + 1
             try:
                 return unpack_window(manifest, payload), manifest, arrival
@@ -758,11 +753,11 @@ class WindowReceiver:
         nothing is ready or the stream has ended. The channel is only polled.
 
         With nothing held, every delivery ready now is taken, and two or
-        more new ones are accepted as one block when they all pass at once
-        (see _unpack_joined). Otherwise the deliveries are held and go
-        through ``receive`` one at a time, each coming back as a block of
-        one window, so a failing one raises its own error or counts as
-        lost. A group that failed is not tried joined again.
+        more new ones are accepted as one block when unpack_windows and the
+        sync log accept them together. Otherwise the deliveries are held
+        and go through ``receive`` one at a time, each coming back as a
+        block of one window, so a failing one raises its own error or
+        counts as lost. A group that failed is not tried joined again.
         """
         if not self._held:
             joined = self._receive_joined()
@@ -777,7 +772,9 @@ class WindowReceiver:
 
     def _receive_joined(self) -> ReceivedBlock | None:
         """Hold every delivery ready now, and accept the new ones as one
-        block when there are two or more and they pass every check at once."""
+        block when there are two or more and they pass every check at once.
+        A check that fails raises TwinError or ValueError, and then the
+        group stays held for ``receive``; any other error propagates."""
         held = self._held
         while not self._eos:
             try:
@@ -800,14 +797,11 @@ class WindowReceiver:
         starts = np.array([m.start_ts_micros for m in manifests], dtype=np.int64)
         ends = np.array([m.end_ts_micros for m in manifests], dtype=np.int64)
         arrivals = np.array(arrivals, dtype=np.int64)
-        unpacked = _unpack_joined(manifests, payloads, starts, ends)
-        if unpacked is None:
-            return None
         try:
-            self.log.record_received_block(seqs, arrivals, starts, ends, holes_from=self._expected)
-        except ForeignWindowError:
+            packets, cuts = unpack_windows(manifests, payloads)
+            self.log.record_received(seqs, arrivals, starts, ends, holes_from=self._expected)
+        except (TwinError, ValueError):
             return None
         held.clear()
         self._expected = expected
-        packets, cuts = unpacked
         return ReceivedBlock(seqs, arrivals, cuts, packets)

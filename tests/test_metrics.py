@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -350,6 +351,27 @@ class TestCompareSeries:
     def test_insufficient_overlap(self):
         with pytest.raises(MetricsError):
             compare_series(series([1]), series([2]), max_lag_bins=0)
+
+    @pytest.mark.parametrize("npt, ndt", [
+        ([1, 9, 4, 6, 2, 8, 5], [0, 0, 1, 9, 4, 6, 2, 8, 5]),
+        ([1, 9, 4, 6, 2, 8, 5, 7, 3], [4, 6, 2]),
+    ])
+    def test_a_huge_lag_bound_scores_the_same_lags(self, npt, ndt):
+        """Only lags with 2 bins of overlap are scored, so a bound past the
+        series' lengths finishes at once and changes nothing."""
+        npt, ndt = series(npt), series(ndt)
+
+        def expire(signum, frame):
+            raise TimeoutError("compare_series still running after 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            result = compare_series(npt, ndt, 10**12)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert result == compare_series(npt, ndt, max(len(npt.bins), len(ndt.bins)))
 
     @settings(max_examples=60)
     @given(

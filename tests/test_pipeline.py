@@ -376,6 +376,19 @@ def _torn(tail: int = 10):
 _UNPATCHED_SEND = InProcessChannel.send
 
 
+def _refuse_groups(monkeypatch):
+    """Make the receiver take every window alone: the checker refuses any
+    group of two or more windows, as it does a group with a bad window."""
+    unpack = transport.unpack_windows
+
+    def lone_only(manifests, payloads):
+        if len(manifests) > 1:
+            raise ValueError("group refused")
+        return unpack(manifests, payloads)
+
+    monkeypatch.setattr(transport, "unpack_windows", lone_only)
+
+
 class TestBlockFaults:
     """A fault at window k of a block's group: the group goes window by
     window, so k fails or is lost as it would alone."""
@@ -450,7 +463,7 @@ class TestBlockFaults:
         # The per-window loop over the same deliveries leaves the same log
         # of the windows before k: all of them replayed.
         delivered.clear()
-        monkeypatch.setattr(transport, "_unpack_joined", lambda *args: None)
+        _refuse_groups(monkeypatch)
         with deadline(), pytest.raises(StageError):
             run_pipeline(block_config(descriptor, out_dir=tmp_path / "per-window"))
         logs = [(tmp_path / run / "sync_log.csv").read_text().splitlines()[1:] for run in ("block", "per-window")]
@@ -483,7 +496,7 @@ class TestBlockFaults:
             patch.setattr(pipeline, "generate", lambda spec: replace(trace, records=records))
             for run in ("block", "per-window"):
                 if run == "per-window":
-                    patch.setattr(transport, "_unpack_joined", lambda *args: None)
+                    _refuse_groups(patch)
                 with deadline(), pytest.raises(StageError) as err:
                     run_pipeline(replace(cfg, out_dir=Path(tmp) / run))
                 assert err.value.stage == "capture"
@@ -521,7 +534,7 @@ class TestBlockFaults:
             return result, {p.name: p.read_bytes() for p in (tmp_path / run / "replayed").iterdir()}
 
         result, blocks = saved("block")
-        monkeypatch.setattr(transport, "_unpack_joined", lambda *args: None)
+        _refuse_groups(monkeypatch)
         _, alone = saved("per-window")
         assert 0 < result.windows_replayed == len(blocks) < result.windows_sent
         assert blocks == alone

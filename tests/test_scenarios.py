@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -257,6 +259,25 @@ class TestSpecValidation:
         # these used to divide by zero, take log(0) or wrap a length.
         with pytest.raises(ValueError, match=f"^{field} {message}, got {value}$"):
             generate(ScenarioSpec(kind="live-upload", duration_micros=SECOND, **{field: value}))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("upload_jitter", 3.0, "must lie in [0, 1]"),
+        ("upload_jitter", -0.1, "must lie in [0, 1]"),
+        ("upload_jitter", math.inf, "must lie in [0, 1]"),
+        ("upload_jitter", math.nan, "must lie in [0, 1]"),
+        ("page_sigma", -0.5, "must be finite and non-negative"),
+        ("page_sigma", math.inf, "must be finite and non-negative"),
+        ("page_sigma", math.nan, "must be finite and non-negative"),
+    ])
+    def test_a_float_knob_out_of_range_is_named(self, field, value, message):
+        for kind in ("live-upload", "attach-and-browse"):
+            with pytest.raises(ValueError, match=f"^{field} {re.escape(message)}, got {value}$"):
+                generate(ScenarioSpec(kind=kind, duration_micros=SECOND, **{field: value}))
+
+    def test_the_float_knobs_at_their_bounds_still_generate(self):
+        for field, value in (("upload_jitter", 0.0), ("upload_jitter", 1.0), ("page_sigma", 0.0)):
+            for kind in ("live-upload", "attach-and-browse"):
+                assert len(generate(ScenarioSpec(kind=kind, duration_micros=5 * SECOND, **{field: value})).records)
 
     def test_the_smallest_values_still_generate(self):
         # One packet per microsecond, zero-length captures and no off phase.

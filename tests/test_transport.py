@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import socket
@@ -19,6 +20,7 @@ from twinsync.errors import (
     JsonParseError,
     PcapWriteError,
     SchemaError,
+    TruncatedRecordError,
     TwinError,
 )
 from twinsync.pcap import (
@@ -45,6 +47,7 @@ from twinsync.transport import (
     pack_window,
     send_window,
     unpack_window,
+    unpack_windows,
 )
 
 from conftest import make_packet, packet_lists
@@ -58,8 +61,6 @@ def window_of(seq: int, packets=(), T: int = 10 * SECOND) -> CaptureWindow:
 
 
 def manifest_for_payload(seq: int, payload: bytes) -> WindowManifest:
-    import hashlib
-
     return WindowManifest(
         seq=seq,
         start_ts_micros=seq * SECOND,
@@ -67,6 +68,59 @@ def manifest_for_payload(seq: int, payload: bytes) -> WindowManifest:
         byte_length=len(payload),
         content_digest=hashlib.sha256(payload).hexdigest(),
     )
+
+
+def _vouched(manifest: WindowManifest, payload: bytes) -> tuple[WindowManifest, bytes]:
+    """``payload`` with a manifest whose length and digest match it."""
+    return manifest._replace(byte_length=len(payload), content_digest=hashlib.sha256(payload).hexdigest()), payload
+
+
+def _packed(seq: int, offsets=(1, 2, 3), T: int = 10 * SECOND) -> tuple[WindowManifest, bytes]:
+    """Window ``seq`` of length T with 40-byte packets at these offsets from its start."""
+    return pack_window(window_of(seq, [make_packet(seq * T + offset, 40) for offset in offsets], T))
+
+
+def _flipped(seq: int):
+    manifest, payload = _packed(seq)
+    return manifest, payload[:-1] + bytes([payload[-1] ^ 0xFF])
+
+
+def _torn(seq: int):
+    manifest, payload = _packed(seq)
+    return _vouched(manifest, payload[:-10])
+
+
+def _zero_duration(seq: int):
+    return pack_window(CaptureWindow(seq, seq * 10 * SECOND, seq * 10 * SECOND, batch_of([])))
+
+
+# Per rule a received window must pass: window seq's bad form, and the
+# exception and message unpack_window raises for it.
+BAD_WINDOWS = {
+    "digest": (_flipped, DigestMismatchError, "window {seq}: content digest mismatch"),
+    "zero-duration": (_zero_duration, ValueError, "window must have positive duration"),
+    # The last of three 56-byte records starts at byte 24 + 2 * 56.
+    "torn": (_torn, TruncatedRecordError, "truncated record at byte offset 136"),
+    "outside": (lambda seq: _packed(seq, (1, 2, 10 * SECOND)), ValueError,
+                "packet ts {end} outside window [{start}, {end})"),
+    "disordered": (lambda seq: _packed(seq, (2, 1, 3)), ValueError, "packet timestamps must be non-decreasing"),
+}
+
+
+class TestUnpackWindows:
+    @pytest.mark.parametrize("rule", list(BAD_WINDOWS))
+    def test_a_bad_window_is_refused_alone_and_anywhere_in_a_group(self, rule):
+        bad, error, message = BAD_WINDOWS[rule]
+        for at in range(3):
+            manifest, payload = bad(at)
+            with pytest.raises(error) as alone:
+                unpack_window(manifest, payload)
+            assert str(alone.value) == message.format(seq=at, start=at * 10 * SECOND, end=(at + 1) * 10 * SECOND)
+            manifests, payloads = zip(*[bad(seq) if seq == at else _packed(seq) for seq in range(3)])
+            with pytest.raises((TwinError, ValueError)) as in_group:
+                unpack_windows(manifests, payloads)
+            if rule != "torn":  # joined, a torn window's tail runs into the next window's bytes
+                assert (type(in_group.value), str(in_group.value)) == (error, str(alone.value))
 
 
 class TestInProcessChannel:
@@ -486,13 +540,14 @@ class TestReceiveBlock:
             log.record_sent(window.seq, window.start_ts_micros, window.end_ts_micros, window.end_ts_micros)
             channel.send(manifest, payload, window.end_ts_micros)
         joined_tries = []
-        unpack_joined = transport_module._unpack_joined
+        unpack = transport_module.unpack_windows
 
-        def counted(manifests, *args):
-            joined_tries.append(len(manifests))
-            return unpack_joined(manifests, *args)
+        def counted(manifests, payloads):
+            if len(manifests) > 1:
+                joined_tries.append(len(manifests))
+            return unpack(manifests, payloads)
 
-        monkeypatch.setattr(transport_module, "_unpack_joined", counted)
+        monkeypatch.setattr(transport_module, "unpack_windows", counted)
         receiver = WindowReceiver(channel, log)
         assert [block.seqs.tolist() for block in iter(receiver.receive_block, None)] == [[0], [2], [3]]
         # The group was tried joined once, never again for the windows left.
@@ -504,7 +559,13 @@ class TestReceiveBlock:
         log, channel = SyncLog(), InProcessChannel(ChannelSpec())
         window = window_of(0, [make_packet(5, 40)])
         send_window(window, channel, log, now_micros=window.end_ts_micros)
-        monkeypatch.setattr(transport_module, "_unpack_joined", None)  # a call would fail
+        unpack = transport_module.unpack_windows
+
+        def lone_only(manifests, payloads):
+            assert len(manifests) == 1  # a group would fail the test
+            return unpack(manifests, payloads)
+
+        monkeypatch.setattr(transport_module, "unpack_windows", lone_only)
         receiver = WindowReceiver(channel, log)
         (block,) = iter(receiver.receive_block, None)
         assert (block.seqs.tolist(), block.t_received.tolist(), block.cuts.tolist()) == ([0], [10 * SECOND], [0, 1])
@@ -538,14 +599,17 @@ class TestSyncLog:
     def test_only_record_sent_opens_an_entry(self):
         log = SyncLog()
         for fill_in in (lambda: log.record_received(0, SECOND, 0, SECOND),
+                        lambda: log.record_received(np.array([0]), np.array([SECOND]), np.array([0]),
+                                                    np.array([SECOND])),
                         lambda: log.record_replayed(0, SECOND),
+                        lambda: log.record_replayed(np.array([0]), np.array([SECOND])),
                         lambda: log.mark_lost(0)):
             with pytest.raises(ForeignWindowError):
                 fill_in()
         assert log.entries() == []
 
 
-class TestSyncLogBlockForms:
+class TestSyncLogArrayForms:
     def _log(self):
         log = SyncLog()
         for seq in range(4):
@@ -556,40 +620,41 @@ class TestSyncLogBlockForms:
         ([0, 1, 7], [0, SECOND, 7 * SECOND], "window 7: was never sent in this run"),
         ([0, 2], [0, 2 * SECOND + 1], "window 2: arrived as [2000001, 3000001), sent as [2000000, 3000000)"),
     ], ids=["unsent", "other-bounds"])
-    def test_a_foreign_window_records_nothing_of_its_block(self, seqs, starts, message):
+    def test_a_foreign_window_records_nothing_of_its_call(self, seqs, starts, message):
         log = self._log()
         before = log.entries()
         seqs, starts = np.array(seqs), np.array(starts)
         with pytest.raises(ForeignWindowError) as err:
-            log.record_received_block(seqs, starts + 2 * SECOND, starts, starts + SECOND, holes_from=0)
+            log.record_received(seqs, starts + 2 * SECOND, starts, starts + SECOND, holes_from=0)
         assert str(err.value) == message
         with pytest.raises(ForeignWindowError):
-            log.record_replayed_block(np.array([0, 9]), np.array([5, 6]))
+            log.record_replayed(np.array([0, 9]), np.array([5, 6]))
         assert log.entries() == before
 
-    def test_a_hole_never_sent_records_nothing_of_its_block(self):
+    def test_a_hole_never_sent_records_nothing_of_its_call(self):
         log = SyncLog()
         for seq in (0, 2):
             log.record_sent(seq, seq * SECOND, (seq + 1) * SECOND, (seq + 1) * SECOND)
         with pytest.raises(ForeignWindowError) as err:
-            log.record_received_block(np.array([0, 2]), np.array([5, 6]), np.array([0, 2 * SECOND]),
-                                      np.array([SECOND, 3 * SECOND]), holes_from=0)
+            log.record_received(np.array([0, 2]), np.array([5, 6]), np.array([0, 2 * SECOND]),
+                                np.array([SECOND, 3 * SECOND]), holes_from=0)
         assert err.value.seq == 1
         assert all(e.t_received is None and not e.lost for e in log.entries())
 
-    def test_block_forms_record_what_one_call_per_window_records(self):
-        blocks, alone = self._log(), self._log()
+    def test_one_array_call_records_what_one_call_per_seq_records(self):
+        arrays, alone = self._log(), self._log()
         seqs = np.array([1, 3])
-        blocks.record_received_block(seqs, np.array([5 * SECOND, 6 * SECOND]), seqs * SECOND, (seqs + 1) * SECOND,
-                                     holes_from=0)
-        blocks.record_replayed_block(seqs, np.array([7 * SECOND, 8 * SECOND]))
+        arrays.record_received(seqs, np.array([5 * SECOND, 6 * SECOND]), seqs * SECOND, (seqs + 1) * SECOND,
+                               holes_from=0)
+        arrays.record_replayed(seqs, np.array([7 * SECOND, 8 * SECOND]))
+        holes_from = 0
         for seq, received, replayed in ((1, 5, 7), (3, 6, 8)):
-            alone.record_received(seq, received * SECOND, seq * SECOND, (seq + 1) * SECOND)
+            alone.record_received(seq, received * SECOND, seq * SECOND, (seq + 1) * SECOND, holes_from=holes_from)
             alone.record_replayed(seq, replayed * SECOND)
-        alone.mark_lost(0)
-        alone.mark_lost(2)
-        assert blocks.entries() == alone.entries()
-        assert blocks.to_csv_bytes() == alone.to_csv_bytes()
+            holes_from = seq + 1
+        assert [e.lost for e in alone.entries()] == [True, False, True, False]
+        assert arrays.entries() == alone.entries()
+        assert arrays.to_csv_bytes() == alone.to_csv_bytes()
 
 
 class TestSyncLogCsv:
