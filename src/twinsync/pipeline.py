@@ -2,17 +2,19 @@
 
 Simulated traffic is cut into windows; each window is packed and sent
 over the transfer channel, received in order and replayed, and the
-replayed traces are scored. Under the virtual clock this runs in the
+replayed traces are scored. Either mode replays what the receiver
+delivers (transport.WindowReceiver.receive_block) with
+ReplayEngine.replay_block. Under the virtual clock this runs in the
 calling thread and every timestamp is computed from the data, so a run
 is deterministic down to the report bytes. Windows are sent one at a
 time, and once the last window of a pcap.PackBlock is sent, what the
-receiver has ready is received and replayed a block at a time
-(transport.WindowReceiver.receive_block, ReplayEngine.replay_block).
+receiver has ready is received and replayed a block at a time.
 Real-time mode paces windows against a monotonic clock for live
-demonstrations: a producer thread sends while a consumer thread replays.
-The producer always closes the channel, even on failure, so the consumer
-drains and terminates; a failed consumer stops the producer and closes
-the receive side. Its timing is measured, not asserted.
+demonstrations: a producer thread sends while a consumer thread waits
+for each window and replays it. The producer always closes the channel,
+even on failure, so the consumer drains and terminates; a failed
+consumer stops the producer and closes the receive side. Its timing is
+measured, not asserted.
 """
 
 import json
@@ -38,7 +40,7 @@ from .metrics import (
     update_latency,
 )
 from .model import MICROS_PER_SECOND, TwinDescriptor
-from .pcap import LINKTYPE_RAW_IP, PacketBatch, segment_stream, write_pcap
+from .pcap import LINKTYPE_RAW_IP, segment_stream, write_pcap
 from .replay import ReplayEngine, ReplayMode, ReplayPlan
 from .scenarios import ScenarioSpec, generate
 from .transport import (
@@ -97,7 +99,7 @@ class RunResult:
 
 
 class _ReplayedSizes(NamedTuple):
-    """What the evaluation reads of one replayed window: no payload bytes."""
+    """What the evaluation reads of one replayed block: no payload bytes."""
 
     ts_micros: np.ndarray
     original_len: np.ndarray
@@ -179,7 +181,6 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         replayed_dir = Path(cfg.out_dir) / "replayed"
         replayed_dir.mkdir(parents=True, exist_ok=True)
     replayed: list[_ReplayedSizes] = []
-    max_lateness = 0
     engine = ReplayEngine(cfg.plan, log, clock=clock)
     receiver = WindowReceiver(recv_channel, log)
     windows = segment_stream(
@@ -190,32 +191,16 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
     def send(window, now_micros: int) -> None:
         send_window(window, send_channel, log, now_micros)
 
-    def save_replayed(seq: int, packets: PacketBatch) -> None:
-        if replayed_dir is not None:
-            (replayed_dir / f"replayed_{seq}.pcap").write_bytes(write_pcap(LINKTYPE_RAW_IP, packets))
-
-    def replay_next() -> bool:
-        """Real time: receive and replay the next in-order window; False at
-        the end of the stream. The window's payload bytes are released once
-        it is replayed."""
-        nonlocal max_lateness
-        delivery = receiver.receive()
-        if delivery is None:
-            return False
-        trace = engine.replay_window(delivery[0])
-        packets = trace.records
-        save_replayed(trace.window_seq, packets)
-        replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len))
-        max_lateness = max(max_lateness, trace.max_lateness_micros)
-        return True
-
-    def replay_ready() -> None:
-        """Virtual clock: replay every block the receiver has ready."""
-        while (block := receiver.receive_block()) is not None:
+    def replay(wait: bool) -> None:
+        """Replay every block the receiver delivers: polling, what is ready
+        now; waiting (real time), each window until the end of the stream.
+        A block's payload bytes are released once it is replayed."""
+        while (block := receiver.receive_block(wait)) is not None:
             packets = engine.replay_block(block)
             if replayed_dir is not None:
                 for seq, first, stop in zip(block.seqs.tolist(), block.cuts[:-1].tolist(), block.cuts[1:].tolist()):
-                    save_replayed(seq, packets[first:stop])
+                    pcap = write_pcap(LINKTYPE_RAW_IP, packets[first:stop])
+                    (replayed_dir / f"replayed_{seq}.pcap").write_bytes(pcap)
             replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len))
 
     def close_receive() -> None:
@@ -233,24 +218,23 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
                     send(window, window.end_ts_micros)
                     if window.packets.closes_block:
                         stage = "replay"
-                        replay_ready()
+                        replay(wait=False)
                         stage = "capture"
                 send_channel.close_send()
             except Exception as exc:
                 raise StageError(stage, exc) from exc
         else:
-            _run_threads(windows, send, replay_next, send_channel, close_receive, clock)
+            _run_threads(windows, send, lambda: replay(wait=True), send_channel, close_receive, clock)
     finally:
         close_receive()
 
     try:
-        return _evaluate(cfg, log, replayed, max_lateness, engine, records, origin, scenario.duration_micros,
-                         window_micros)
+        return _evaluate(cfg, log, replayed, engine, records, origin, scenario.duration_micros, window_micros)
     except Exception as exc:
         raise StageError("metrics", exc) from exc
 
 
-def _run_threads(windows, send, replay_next, send_channel, close_receive, clock) -> None:
+def _run_threads(windows, send, replay, send_channel, close_receive, clock) -> None:
     """Real time: a producer sends each window once it has closed, a consumer replays.
 
     Failures are kept in the order they happen and the first one is
@@ -274,8 +258,7 @@ def _run_threads(windows, send, replay_next, send_channel, close_receive, clock)
 
     def consumer():
         try:
-            while replay_next():
-                pass
+            replay()
         except BaseException as exc:
             failures.append(("replay", exc))
             stop.set()
@@ -292,13 +275,15 @@ def _run_threads(windows, send, replay_next, send_channel, close_receive, clock)
         raise StageError(stage, exc, tuple(later)) from exc
 
 
-def _evaluate(cfg, log, replayed_sizes, max_lateness, engine, records, origin, duration_micros,
-              window_micros) -> RunResult:
+def _evaluate(cfg, log, replayed_sizes, engine, records, origin, duration_micros, window_micros) -> RunResult:
     align_offset = engine.align_offset_micros or 0
     npt_series = throughput_series(records, cfg.bin_width_micros, origin, duration_micros)
-    ndt_series = throughput_series(
-        replayed_sizes, cfg.bin_width_micros, origin, duration_micros + max(0, align_offset)
-    )
+    # The twin's span reaches its last replayed packet: real-time packets
+    # carry their emission times, which trail capture by the actual delay.
+    last_replayed = max((int(part.ts_micros.max()) for part in replayed_sizes if len(part.ts_micros)),
+                        default=origin)
+    ndt_span = max(duration_micros + max(0, align_offset), last_replayed - origin + 1)
+    ndt_series = throughput_series(replayed_sizes, cfg.bin_width_micros, origin, ndt_span)
     try:
         comparison = compare_series(npt_series, ndt_series, cfg.max_lag_bins)
     except MetricsError:
@@ -343,7 +328,7 @@ def _evaluate(cfg, log, replayed_sizes, max_lateness, engine, records, origin, d
         npt_series=npt_series,
         ndt_series=ndt_series,
         align_offset_micros=align_offset,
-        max_lateness_micros=max_lateness,
+        max_lateness_micros=engine.max_lateness_micros,
         windows_sent=len(sync.seq),
         windows_replayed=len(replayed_at),
         packets_replayed=sum(len(part.ts_micros) for part in replayed_sizes),

@@ -1,33 +1,39 @@
 """Replay of received windows on the twin side.
 
-Two modes:
+ReplayEngine.replay_block replays the windows a receiver delivered
+together (a transport.ReceivedBlock, often a single window) in either
+mode:
 
-* virtual-clock: the windows a receiver delivered together
-  (transport.ReceivedBlock, often a single window) are emitted at once,
-  as one batch with every timestamp shifted by the alignment offset,
-  each window completing when it is available or when the one before it
-  completed. Exact, fast, fully deterministic; this is what CI and
-  fidelity runs use (replay_block).
-* real-time: a window's inter-packet gaps are actually slept (scaled by
-  1/speed_factor) against an injected clock, tcpreplay style. Scheduler
-  lateness is measured per packet and its maximum reported, never folded
-  silently into timestamps (replay_window, which returns a
-  ReplayedTrace).
+* virtual-clock: the packets are emitted at once, every timestamp
+  shifted by the alignment offset. Exact, fast, fully deterministic;
+  this is what CI and fidelity runs use.
+* real-time: each packet's target wall time is its capture time scaled
+  by 1/speed_factor from the anchor, tcpreplay style. The engine sleeps
+  against an injected clock once per REPLAY_RESOLUTION_MICROS slot of
+  targets, not once per packet, and a packet counts as emitted at its
+  target or at the clock reading when its slot began, whichever is
+  later. The largest lateness is kept, never folded silently into
+  timestamps.
 
-Payload bytes always pass through untouched; replay fidelity is the
-whole point of the loop.
+Either way a window completes when it is ready (received, and in real
+time its last packet emitted) or when the one before it completed,
+whichever is later. Payload bytes always pass through untouched; replay
+fidelity is the whole point of the loop.
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .clocks import Clock
 from .pcap import CaptureWindow, PacketBatch
 from .transport import ReceivedBlock, SyncLog
+
+# Real time sleeps at most once per slot of this many microseconds of
+# targets, so the interpreter's cost per packet never paces the replay.
+REPLAY_RESOLUTION_MICROS = 1000
 
 
 class ReplayMode(enum.Enum):
@@ -53,36 +59,27 @@ class ReplayPlan:
             raise ValueError(f"speed_factor must be positive and finite, got {self.speed_factor}")
 
 
-class ReplayedTrace(NamedTuple):
-    """Output of one window's real-time replay, timestamps already aligned."""
-
-    window_seq: int
-    records: PacketBatch
-    max_lateness_micros: int
-
-
-def compute_alignment(plan: ReplayPlan, window: CaptureWindow | None, replay_start_micros: int) -> int:
+def compute_alignment(plan: ReplayPlan, window_start_micros: int, replay_start_micros: int) -> int:
     """Offset mapping replayed timestamps onto the physical timeline.
 
     An explicit offset wins. Virtual-clock replay needs no shift.
     Real-time replay anchors the first window's start to the moment its
-    replay began, so the offset is that moment minus the window start;
-    only this case reads ``window``.
+    replay began, so the offset is that moment minus the window start.
     """
     if plan.align_offset_micros is not None:
         return plan.align_offset_micros
     if plan.mode is ReplayMode.VIRTUAL:
         return 0
-    return replay_start_micros - window.start_ts_micros
+    return replay_start_micros - window_start_micros
 
 
 class ReplayEngine:
-    """Replays windows in seq order: a ReceivedBlock at a time on the
-    virtual clock (replay_block), one window at a time in real time
-    (replay_window).
+    """Replays ReceivedBlocks in seq order (replay_block).
 
-    The alignment offset is frozen on the first window so consecutive
-    windows replay back-to-back with zero drift.
+    The first block sets the anchor: the replay start (the clock in real
+    time, the first arrival on the virtual clock) and the first window's
+    start. The alignment offset is frozen there, so consecutive windows
+    replay back-to-back with zero drift.
     """
 
     def __init__(self, plan: ReplayPlan, log: SyncLog, clock: Clock | None = None):
@@ -91,60 +88,64 @@ class ReplayEngine:
         self.plan = plan
         self.log = log
         self.clock = clock
+        self.max_lateness_micros = 0
+        self._anchor: tuple[int, int] | None = None
         self._offset: int | None = None
         self._last_completed: int | None = None
         self._last_seq: int | None = None
-        self._first_window_start: int | None = None
-        self._anchor_wall: int | None = None
 
     @property
     def align_offset_micros(self) -> int | None:
         return self._offset
 
-    def _check_order(self, seq: int) -> None:
+    def replay_block(self, block: ReceivedBlock) -> PacketBatch:
+        """Replay the windows of a block, record their completion times in
+        the sync log and return the replayed packets: shifted by the offset
+        on the virtual clock, stamped with their emission times in real time."""
+        seq = int(block.seqs[0])
         if self._last_seq is not None and seq <= self._last_seq:
             raise ValueError(f"window {seq} arrived after window {self._last_seq}")
-
-    def replay_block(self, block: ReceivedBlock) -> PacketBatch:
-        """Virtual clock: replay the windows of a ReceivedBlock as one batch,
-        each completing when it is available or when the one before it
-        completed, whichever is later. Records the completion times in the
-        sync log and returns the aligned packets."""
-        if self.plan.mode is not ReplayMode.VIRTUAL:
-            raise ValueError("only virtual-clock replay takes a block of windows at once")
-        self._check_order(int(block.seqs[0]))
-        if self._offset is None:
-            self._offset = compute_alignment(self.plan, None, int(block.t_received[0]))
-        t_done = block.t_received
-        if self._last_completed is not None:
-            t_done = np.maximum(t_done, self._last_completed)
-        t_done = np.maximum.accumulate(t_done)
+        real_time = self.plan.mode is ReplayMode.REAL_TIME
+        if self._anchor is None:
+            wall = self.clock.now_micros() if real_time else int(block.t_received[0])
+            self._anchor = wall, int(block.starts[0])
+            self._offset = compute_alignment(self.plan, int(block.starts[0]), wall)
+            self._last_completed = wall
+        if real_time:
+            packets, ready = self._pace(block)
+        else:
+            packets, ready = block.packets.shifted(self._offset), block.t_received
+        t_done = np.maximum.accumulate(np.maximum(ready, self._last_completed))
         self.log.record_replayed(block.seqs, t_done)
         self._last_seq, self._last_completed = int(block.seqs[-1]), int(t_done[-1])
-        return block.packets.shifted(self._offset)
+        return packets
 
-    def replay_window(self, window: CaptureWindow) -> ReplayedTrace:
-        """Real time: replay one window against the clock and return its
-        trace; records its completion time in the sync log."""
-        if self.plan.mode is not ReplayMode.REAL_TIME:
-            raise ValueError("virtual-clock replay takes a block of windows (replay_block)")
-        self._check_order(window.seq)
-        self._last_seq = window.seq
-        if self._anchor_wall is None:
-            self._anchor_wall = self.clock.now_micros()
-            self._first_window_start = window.start_ts_micros
-            self._offset = compute_alignment(self.plan, window, self._anchor_wall)
-        emitted = []
-        max_lateness = 0
-        for ts in window.packets.ts_micros.tolist():
-            target = self._anchor_wall + int((ts - self._first_window_start) / self.plan.speed_factor)
+    def _pace(self, block: ReceivedBlock) -> tuple[PacketBatch, np.ndarray]:
+        """Real time: emit the block's packets against the clock. Returns
+        them stamped with their emission times, and when each window is
+        ready: its arrival, or its last packet's emission if later."""
+        wall, start = self._anchor
+        targets = wall + ((block.packets.ts_micros - start) / self.plan.speed_factor).astype(np.int64)
+        slots = (targets - wall) // REPLAY_RESOLUTION_MICROS
+        firsts = np.flatnonzero(np.diff(slots, prepend=slots[:1] - 1))
+        began = np.empty(len(firsts), dtype=np.int64)
+        for slot, target in enumerate(targets[firsts].tolist()):
             wait = target - self.clock.now_micros()
             if wait > 0:
                 self.clock.sleep_micros(wait)
-            emitted_at = max(target, self.clock.now_micros())
-            emitted.append(emitted_at)
-            max_lateness = max(max_lateness, emitted_at - target)
-        t_done = self.clock.now_micros()
-        packets = window.packets.with_ts(np.array(emitted, dtype=np.int64))
-        self.log.record_replayed(window.seq, t_done)
-        return ReplayedTrace(window.seq, packets, max_lateness)
+            began[slot] = self.clock.now_micros()
+        emitted = np.maximum(targets, np.repeat(began, np.diff(firsts, append=len(targets))))
+        if len(emitted):
+            self.max_lateness_micros = max(self.max_lateness_micros, int((emitted - targets).max()))
+        ready = block.t_received.copy()
+        ends = block.cuts[1:]
+        filled = ends > block.cuts[:-1]
+        ready[filled] = np.maximum(ready[filled], emitted[ends[filled] - 1])
+        return block.packets.with_ts(emitted), ready
+
+    def replay_window(self, window: CaptureWindow, t_received: int) -> PacketBatch:
+        """One window, received at ``t_received``, replayed as a block of one.
+        Nothing in the loop calls it; bench/tracing.py wraps this name."""
+        return self.replay_block(ReceivedBlock(
+            np.array([window.seq]), np.array([window.start_ts_micros]), np.array([t_received], dtype=np.int64),
+            np.array([0, len(window.packets)]), window.packets))

@@ -25,9 +25,10 @@ the rules every received window must pass, whether it arrives alone
 (unpack_window, through WindowReceiver.receive) or in a group of two or
 more that WindowReceiver.receive_block reads with one read_pcap call. A
 group that fails any check goes through receive one window at a time,
-which raises the precise error. Manifests, receipts and windows are
-immutable named tuples, built at the cost of a tuple and safe to pass
-between the real-time threads.
+which raises the precise error. Either way the replay gets a
+ReceivedBlock. Manifests, receipts and received blocks are immutable
+named tuples, built at the cost of a tuple and safe to pass between the
+real-time threads.
 
 The SyncLog is columnar: int64 time columns and a lost mask indexed by
 seq. Each receive-side event is one call that takes one seq or an
@@ -184,11 +185,9 @@ def unpack_windows(manifests: Sequence[WindowManifest],
     return packets, cuts
 
 
-def unpack_window(manifest: WindowManifest, payload: bytes) -> CaptureWindow:
-    """Check one received window (see unpack_windows) and rebuild it."""
-    packets, _ = unpack_windows([manifest], [payload])
-    return CaptureWindow(manifest.seq, manifest.start_ts_micros, manifest.end_ts_micros, packets,
-                         manifest.source_interface)
+def unpack_window(manifest: WindowManifest, payload: bytes) -> PacketBatch:
+    """Check one received window (see unpack_windows) and read its packets."""
+    return unpack_windows([manifest], [payload])[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -685,10 +684,12 @@ def send_window(window: CaptureWindow, channel, log: SyncLog, now_micros: int) -
 
 class ReceivedBlock(NamedTuple):
     """Windows a WindowReceiver delivered together, often just one, as one
-    batch: window i (seq ``seqs[i]``, arrived at ``t_received[i]``) holds
-    packets ``cuts[i]`` to ``cuts[i + 1]`` of ``packets``."""
+    batch: window i (seq ``seqs[i]``, starting at ``starts[i]``, arrived at
+    ``t_received[i]``) holds packets ``cuts[i]`` to ``cuts[i + 1]`` of
+    ``packets``."""
 
     seqs: np.ndarray
+    starts: np.ndarray
     t_received: np.ndarray
     cuts: np.ndarray
     packets: PacketBatch
@@ -704,10 +705,11 @@ class WindowReceiver:
     is declared.
 
     ``receive`` delivers one window at a time, checked by unpack_window;
-    ``receive_block`` delivers what is ready as ReceivedBlocks, taking two
-    or more new deliveries at once when they pass every check together.
-    Either way, the windows taken and the holes before them are recorded
-    with one SyncLog.record_received call.
+    ``receive_block`` delivers ReceivedBlocks: what is ready when it polls,
+    taking two or more new deliveries at once when they pass every check
+    together, or the next window alone when it waits. Either way, the
+    windows taken and the holes before them are recorded with one
+    SyncLog.record_received call.
     """
 
     def __init__(self, channel, log: SyncLog):
@@ -718,8 +720,8 @@ class WindowReceiver:
         self._held: deque = deque()  # deliveries taken from the channel, not yet accepted
         self.digest_failures = 0
 
-    def receive(self, block: bool = True) -> tuple[CaptureWindow, WindowManifest, int] | None:
-        """Next (window, manifest, arrival time), or None at end of stream.
+    def receive(self, block: bool = True) -> tuple[PacketBatch, WindowManifest, int] | None:
+        """Next (packets, manifest, arrival time), or None at end of stream.
         With ``block`` false the channel is only polled, and None also
         means that nothing is ready."""
         while self._held or not self._eos:
@@ -747,28 +749,32 @@ class WindowReceiver:
                 self.log.mark_lost(seq)
         return None
 
-    def receive_block(self) -> ReceivedBlock | None:
+    def receive_block(self, block: bool = False) -> ReceivedBlock | None:
         """The next windows in seq order as a ReceivedBlock, recording their
-        arrivals and the holes before them as ``receive`` does; None when
-        nothing is ready or the stream has ended. The channel is only polled.
+        arrivals and the holes before them as ``receive`` does; None at the
+        end of the stream, or, when polling, when nothing is ready.
 
-        With nothing held, every delivery ready now is taken, and two or
-        more new ones are accepted as one block when unpack_windows and the
-        sync log accept them together. Otherwise the deliveries are held
-        and go through ``receive`` one at a time, each coming back as a
-        block of one window, so a failing one raises its own error or
+        Waiting (``block`` true), it delivers the next window alone through
+        ``receive``: with a clock, a channel hands a window over only once
+        it has arrived. Polling with nothing held, it takes every delivery
+        ready now and accepts two or more new ones as one block when
+        unpack_windows and the sync log accept them together. Otherwise the
+        deliveries are held and go through ``receive`` one at a time, as
+        blocks of one window, so a failing one raises its own error or
         counts as lost. A group that failed is not tried joined again.
         """
-        if not self._held:
+        if not block and not self._held:
             joined = self._receive_joined()
             if joined is not None:
                 return joined
-        delivery = self.receive(block=False)
+        delivery = self.receive(block)
         if delivery is None:
             return None
-        window, manifest, arrival = delivery
-        return ReceivedBlock(np.array([manifest.seq], dtype=np.int64), np.array([arrival], dtype=np.int64),
-                             np.array([0, len(window.packets)], dtype=np.int64), window.packets)
+        packets, manifest, arrival = delivery
+        return ReceivedBlock(np.array([manifest.seq], dtype=np.int64),
+                             np.array([manifest.start_ts_micros], dtype=np.int64),
+                             np.array([arrival], dtype=np.int64), np.array([0, len(packets)], dtype=np.int64),
+                             packets)
 
     def _receive_joined(self) -> ReceivedBlock | None:
         """Hold every delivery ready now, and accept the new ones as one
@@ -804,4 +810,4 @@ class WindowReceiver:
             return None
         held.clear()
         self._expected = expected
-        return ReceivedBlock(seqs, arrivals, cuts, packets)
+        return ReceivedBlock(seqs, starts, arrivals, cuts, packets)

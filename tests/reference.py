@@ -9,8 +9,9 @@ loader, an age-of-information sampler, a check of the sync log's time
 order and a classifier of packet direction read from the generated IP
 headers. Last come the loop references the array code is held to: the
 bytes of a generated trace (reference_trace), the report of a whole
-virtual-clock run (reference_report) and the sequential
-age-of-information sum.
+virtual-clock run (reference_report), the sequential
+age-of-information sum and real-time pacing one packet at a time
+(paced_per_packet).
 """
 
 import json
@@ -378,3 +379,29 @@ def sequential_age_of_information(entries: list[SyncLogEntry], origin: int, hori
         area += (age_prev + top) / 2 * (horizon - t_prev)
     span = horizon - origin
     return (area / span if span > 0 else float(age_prev)), peak
+
+
+def paced_per_packet(windows: list[tuple[int, list[int]]], speed_factor: float,
+                     clock) -> tuple[list[list[int]], int, list[int]]:
+    """Real-time replay paced one packet at a time, as ReplayEngine did
+    before it slept once per slot of targets. ``windows`` holds each
+    window's (start, packet timestamps) in seq order. The first window's
+    start is anchored to the clock when replay begins; each packet sleeps
+    until its target and counts as emitted at its target or at the clock
+    after that sleep, whichever is later, and a window completes at the
+    clock after its last packet. Returns the emitted times per window, the
+    largest lateness and each window's completion time."""
+    anchor_wall, first_start = clock.now_micros(), windows[0][0]
+    emitted, max_lateness, completed = [], 0, []
+    for _, timestamps in windows:
+        times = []
+        for ts in timestamps:
+            target = anchor_wall + int((ts - first_start) / speed_factor)
+            wait = target - clock.now_micros()
+            if wait > 0:
+                clock.sleep_micros(wait)
+            times.append(max(target, clock.now_micros()))
+            max_lateness = max(max_lateness, times[-1] - target)
+        emitted.append(times)
+        completed.append(clock.now_micros())
+    return emitted, max_lateness, completed

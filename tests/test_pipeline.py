@@ -597,6 +597,17 @@ class TestRealTimeRuns:
                 assert entry.t_replayed - entry.t_window_start >= 400_000
         assert out_of_order_seqs(result.log.entries()) == []
 
+    def test_twin_series_keeps_every_replayed_packet(self, descriptor):
+        # Replayed packets carry their wall-clock emission times, which trail
+        # capture by the actual delay, so an explicit offset of 0 must not
+        # cut the twin's series short.
+        cfg = run_config(replace(descriptor, window_seconds=0.5), kind="voice-call", seconds=1,
+                         plan=ReplayPlan(mode=ReplayMode.REAL_TIME, align_offset_micros=0))
+        with deadline(10):
+            result = run_pipeline(cfg)
+        assert result.report.windows_lost == 0
+        assert sum(result.ndt_series.bins) == sum(result.npt_series.bins) > 0
+
     def test_directory_exchange_real_time_smoke(self, descriptor, tmp_path):
         from dataclasses import replace
 
@@ -653,7 +664,7 @@ class TestRealTimeRuns:
     def test_tcp_replay_failure_is_raised_first_and_unblocks_the_sender(self, descriptor, monkeypatch):
         # Window 2's send blocks until the receiving side closes, as a send
         # on full socket buffers does; meanwhile the twin fails on window 1.
-        send, replay_window = TcpSenderChannel.send, ReplayEngine.replay_window
+        send, replay_block = TcpSenderChannel.send, ReplayEngine.replay_block
         blocked = threading.Event()
 
         def send_blocking_from_2(channel, manifest, payload, now_micros):
@@ -663,14 +674,14 @@ class TestRealTimeRuns:
                     raise ConnectionResetError("receiver closed")
             return send(channel, manifest, payload, now_micros)
 
-        def crash_on_second(engine, window):
-            if window.seq == 1:
+        def crash_on_second(engine, block):
+            if block.seqs[0] == 1:
                 blocked.wait(5)
                 raise RuntimeError("twin crashed")
-            return replay_window(engine, window)
+            return replay_block(engine, block)
 
         monkeypatch.setattr(TcpSenderChannel, "send", send_blocking_from_2)
-        monkeypatch.setattr(ReplayEngine, "replay_window", crash_on_second)
+        monkeypatch.setattr(ReplayEngine, "replay_block", crash_on_second)
         cfg = run_config(
             replace(descriptor, window_seconds=0.4),
             kind="voice-call",

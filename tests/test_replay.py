@@ -1,48 +1,41 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twinsync.pcap import CaptureWindow
 from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan, compute_alignment
 from twinsync.transport import ReceivedBlock, SyncLog
 
 from conftest import make_packet, packet_lists
-from reference import ManualClock, batch_of, records_of
+from reference import ManualClock, batch_of, paced_per_packet, records_of
 
 SECOND = 1_000_000
-
-
-def received_window(log: SyncLog, seq=0, start=0, T=10 * SECOND, delay=0, packets=()):
-    window = CaptureWindow(seq, start, start + T, batch_of(packets))
-    log.record_sent(seq, window.start_ts_micros, window.end_ts_micros, window.end_ts_micros)
-    log.record_received(seq, window.end_ts_micros + delay, window.start_ts_micros, window.end_ts_micros)
-    return window
-
-
-class TestComputeAlignment:
-    def test_virtual_mode_needs_no_offset(self):
-        window = CaptureWindow(0, 0, 10 * SECOND, batch_of([]))
-        assert compute_alignment(ReplayPlan(), window, replay_start_micros=12 * SECOND) == 0
-
-    def test_real_time_offset_is_replay_start_minus_window_start(self):
-        # Replay of the first window begins 122 s after its start.
-        window = CaptureWindow(0, 5 * SECOND, 125 * SECOND, batch_of([]))
-        plan = ReplayPlan(mode=ReplayMode.REAL_TIME)
-        assert compute_alignment(plan, window, replay_start_micros=127 * SECOND) == 122 * SECOND
-
-    def test_explicit_offset_wins(self):
-        window = CaptureWindow(0, 0, 10 * SECOND, batch_of([]))
-        for mode in ReplayMode:
-            plan = ReplayPlan(mode=mode, align_offset_micros=3 * SECOND)
-            assert compute_alignment(plan, window, replay_start_micros=12 * SECOND) == 3 * SECOND
 
 
 def received_block(log: SyncLog, seq=0, start=0, T=10 * SECOND, delay=0, packets=()) -> ReceivedBlock:
     """Window ``seq`` sent and received alone, as the block receive_block
     delivers for it."""
-    window = received_window(log, seq, start, T, delay, packets)
-    return ReceivedBlock(np.array([seq]), np.array([window.end_ts_micros + delay]),
-                         np.array([0, len(window.packets)]), window.packets)
+    end = start + T
+    log.record_sent(seq, start, end, end)
+    log.record_received(seq, end + delay, start, end)
+    batch = batch_of(packets)
+    return ReceivedBlock(np.array([seq]), np.array([start]), np.array([end + delay]), np.array([0, len(batch)]),
+                         batch)
+
+
+class TestComputeAlignment:
+    def test_virtual_mode_needs_no_offset(self):
+        assert compute_alignment(ReplayPlan(), 0, replay_start_micros=12 * SECOND) == 0
+
+    def test_real_time_offset_is_replay_start_minus_window_start(self):
+        # Replay of the first window begins 122 s after its start.
+        plan = ReplayPlan(mode=ReplayMode.REAL_TIME)
+        assert compute_alignment(plan, 5 * SECOND, replay_start_micros=127 * SECOND) == 122 * SECOND
+
+    def test_explicit_offset_wins(self):
+        for mode in ReplayMode:
+            plan = ReplayPlan(mode=mode, align_offset_micros=3 * SECOND)
+            assert compute_alignment(plan, 0, replay_start_micros=12 * SECOND) == 3 * SECOND
 
 
 class TestVirtualReplay:
@@ -107,42 +100,25 @@ class TestVirtualReplay:
         assert [r.payload for r in replayed] == [p.payload for p in packets]
         assert [r.original_len for r in replayed] == [p.original_len for p in packets]
 
-    def test_a_window_alone_replays_only_in_real_time(self):
-        log = SyncLog()
-        window = received_window(log)
-        with pytest.raises(ValueError, match="replay_block"):
-            ReplayEngine(ReplayPlan(), log).replay_window(window)
-        assert log.entries()[0].t_replayed is None
-
 
 class TestRealTimeReplay:
     def test_speed_factor_halves_the_gaps(self):
         # Gaps 10 ms and 20 ms at speed 2 -> wall deltas 5 ms and 10 ms.
         log = SyncLog()
-        packets = [make_packet(0), make_packet(10_000), make_packet(30_000)]
-        window = CaptureWindow(0, 0, SECOND, batch_of(packets))
-        log.record_sent(0, 0, SECOND, SECOND)
-        log.record_received(0, SECOND, 0, SECOND)
+        block = received_block(log, T=SECOND, packets=[make_packet(0), make_packet(10_000), make_packet(30_000)])
         clock = ManualClock(start_micros=7 * SECOND)
         engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=2.0), log, clock=clock)
-        trace = engine.replay_window(window)
-        ts = trace.records.ts_micros.tolist()
+        ts = engine.replay_block(block).ts_micros.tolist()
         assert [b - a for a, b in zip(ts, ts[1:])] == [5_000, 10_000]
-        assert trace.max_lateness_micros == 0  # manual clock sleeps exactly
+        assert engine.max_lateness_micros == 0  # manual clock sleeps exactly
 
     def test_max_lateness_is_the_largest_oversleep(self):
-        overshoots = iter([700, 300])
-
-        class OversleepingClock(ManualClock):
-            def sleep_micros(self, duration_micros):
-                super().sleep_micros(duration_micros + next(overshoots))
-
         # The second and third packets are emitted 700 and 300 us late.
         log = SyncLog()
-        window = CaptureWindow(0, 0, SECOND, batch_of([make_packet(0), make_packet(10_000), make_packet(30_000)]))
-        log.record_sent(0, 0, SECOND, SECOND)
-        engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), log, clock=OversleepingClock())
-        assert engine.replay_window(window).max_lateness_micros == 700
+        block = received_block(log, T=SECOND, packets=[make_packet(0), make_packet(10_000), make_packet(30_000)])
+        engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), log, clock=OversleepingClock([700, 300]))
+        engine.replay_block(block)
+        assert engine.max_lateness_micros == 700
 
     @pytest.mark.parametrize("speed", [0.0, -1.0, float("nan"), float("inf")])
     def test_speed_factor_must_be_positive_and_finite(self, speed):
@@ -155,10 +131,87 @@ class TestRealTimeReplay:
 
     def test_emission_times_follow_the_wall_clock(self):
         log = SyncLog()
-        window = CaptureWindow(0, 0, SECOND, batch_of([make_packet(0), make_packet(250_000)]))
-        log.record_sent(0, 0, SECOND, SECOND)
-        log.record_received(0, SECOND, 0, SECOND)
+        block = received_block(log, T=SECOND, packets=[make_packet(0), make_packet(250_000)])
         clock = ManualClock(start_micros=42 * SECOND)
         engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), log, clock=clock)
-        trace = engine.replay_window(window)
-        assert trace.records.ts_micros.tolist() == [42 * SECOND, 42 * SECOND + 250_000]
+        assert engine.replay_block(block).ts_micros.tolist() == [42 * SECOND, 42 * SECOND + 250_000]
+
+    def test_a_block_of_windows_replays_as_its_windows_one_at_a_time(self):
+        windows = [(0, [100_000, 600_000]), (SECOND, []), (2 * SECOND, [2 * SECOND + 300, 2_500_000])]
+
+        def replayed(blocks):
+            log = SyncLog()
+            engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), log, clock=ManualClock(5 * SECOND))
+            ts = [t for block in blocks(log) for t in engine.replay_block(block).ts_micros.tolist()]
+            return ts, log.columns().t_replayed.tolist(), engine.max_lateness_micros
+
+        together = replayed(lambda log: [block_of_windows(log, windows)])
+        alone = replayed(lambda log: [block_of_windows(log, [window], first_seq=seq)
+                                      for seq, window in enumerate(windows)])
+        ts, completed, _ = together
+        assert together == alone
+        assert completed == sorted(completed)
+        assert completed[1] == completed[0] == ts[1]
+
+    @settings(deadline=None)
+    @given(st.lists(st.lists(st.integers(1000, 4000), max_size=6), min_size=1, max_size=3),
+           st.lists(st.integers(0, 999)))
+    def test_targets_a_slot_apart_pace_as_packet_by_packet(self, gaps, overshoots):
+        emitted, lateness, completed = paced_both_ways(gaps, 1.0, overshoots)
+        assert emitted[0] == emitted[1]
+        assert lateness[0] == lateness[1]
+        assert completed[0] == completed[1]
+
+    @settings(deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 4000), max_size=8), min_size=1, max_size=3),
+           st.sampled_from([0.3, 1.0, 2.5, 7.0]), st.lists(st.integers(0, 999)))
+    def test_pacing_is_within_a_slot_of_packet_by_packet(self, gaps, speed, overshoots):
+        emitted, lateness, completed = paced_both_ways(gaps, speed, overshoots)
+        assert all(abs(a - b) < 1000 for a, b in zip(*emitted))
+        assert abs(lateness[0] - lateness[1]) < 1000
+        assert all(abs(a - b) < 1000 for a, b in zip(*completed))
+        if not overshoots:  # a clock that sleeps exactly emits every packet on target
+            assert emitted[0] == emitted[1] and completed[0] == completed[1]
+
+
+class OversleepingClock(ManualClock):
+    """A manual clock whose sleeps overrun by the given amounts in turn, then
+    by nothing."""
+
+    def __init__(self, overshoots, start_micros: int = 0):
+        super().__init__(start_micros)
+        self._overshoots = iter(overshoots)
+
+    def sleep_micros(self, duration_micros):
+        super().sleep_micros(duration_micros + next(self._overshoots, 0))
+
+
+def block_of_windows(log: SyncLog, windows, first_seq=0, T=SECOND) -> ReceivedBlock:
+    """Windows given as (start, packet timestamps), sent and received at time
+    0, as one block."""
+    seqs = np.arange(first_seq, first_seq + len(windows))
+    starts = np.array([start for start, _ in windows])
+    for seq, start in zip(seqs.tolist(), starts.tolist()):
+        log.record_sent(seq, start, start + T, 0)
+        log.record_received(seq, 0, start, start + T)
+    cuts = np.cumsum([0] + [len(ts) for _, ts in windows])
+    packets = batch_of([make_packet(ts) for _, timestamps in windows for ts in timestamps])
+    return ReceivedBlock(seqs, starts, np.zeros(len(windows), dtype=np.int64), cuts, packets)
+
+
+def paced_both_ways(gaps, speed, overshoots):
+    """Windows 10 s apart whose packets follow one another by ``gaps``,
+    replayed as one block by the engine and packet by packet by the
+    reference, each on an OversleepingClock. Returns (engine, reference)
+    pairs of the emitted times, the largest lateness and the completion
+    times."""
+    windows = [(k * 10 * SECOND, (k * 10 * SECOND + np.cumsum(window_gaps, dtype=np.int64)).tolist())
+               for k, window_gaps in enumerate(gaps)]
+    log = SyncLog()
+    block = block_of_windows(log, windows, T=10 * SECOND)
+    engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=speed), log,
+                          clock=OversleepingClock(overshoots, start_micros=SECOND))
+    ts = engine.replay_block(block).ts_micros.tolist()
+    emitted, lateness, completed = paced_per_packet(windows, speed, OversleepingClock(overshoots, SECOND))
+    return ((ts, [t for times in emitted for t in times]), (engine.max_lateness_micros, lateness),
+            (log.columns().t_replayed.tolist(), completed))

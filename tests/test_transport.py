@@ -33,7 +33,7 @@ from twinsync.pcap import (
     segment_stream,
     write_pcap,
 )
-from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan
+from twinsync.replay import ReplayEngine, ReplayPlan
 from twinsync.transport import (
     ChannelSpec,
     DirectoryExchangeChannel,
@@ -51,7 +51,7 @@ from twinsync.transport import (
 )
 
 from conftest import make_packet, packet_lists
-from reference import ManualClock, batch_of, out_of_order_seqs, records_of
+from reference import batch_of, out_of_order_seqs, records_of
 
 SECOND = 1_000_000
 
@@ -211,8 +211,8 @@ class TestPackUnpack:
             unpack_window(*pack_window(CaptureWindow(0, 0, 0, batch_of([]))))
         with pytest.raises(ValueError, match="outside window"):
             unpack_window(*pack_window(CaptureWindow(0, 0, 10, batch_of([make_packet(10)]))))
-        window = unpack_window(*pack_window(CaptureWindow(0, 0, 10, batch_of([make_packet(3)]))))
-        assert (window.start_ts_micros, window.end_ts_micros) == (0, 10)
+        packets = unpack_window(*pack_window(CaptureWindow(0, 0, 10, batch_of([make_packet(3)]))))
+        assert records_of(packets) == [make_packet(3)]
 
     @pytest.mark.parametrize("field, value", [
         ("seq", "7"),
@@ -249,7 +249,7 @@ class TestPackUnpack:
     def test_transferred_packets_are_byte_identical(self, packets):
         window = CaptureWindow(0, 0, 5 * SECOND, batch_of(packets))
         manifest, payload = pack_window(window)
-        assert records_of(unpack_window(manifest, payload).packets) == packets
+        assert records_of(unpack_window(manifest, payload)) == packets
 
 
 WINDOW = 250_000
@@ -346,14 +346,21 @@ def test_window_objects_are_immutable_tuples():
     window = CaptureWindow(0, 0, 10, batch_of([make_packet(3)]))
     manifest, payload = pack_window(window)
     receipt = InProcessChannel(ChannelSpec()).send(manifest, payload, now_micros=10)
-    engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME), _sent_log(window), clock=ManualClock())
-    trace = engine.replay_window(window)
+    block = WindowReceiver(_ended(manifest, payload), _sent_log(window)).receive_block()
     for value, field in ((window, "seq"), (manifest, "content_digest"), (receipt, "dropped"),
-                         (trace, "records")):
+                         (block, "packets")):
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):
             value.extra = 1
+
+
+def _ended(manifest: WindowManifest, payload: bytes) -> InProcessChannel:
+    """An in-process channel that holds one window and then ends."""
+    channel = InProcessChannel(ChannelSpec())
+    channel.send(manifest, payload, now_micros=0)
+    channel.close_send()
+    return channel
 
 
 def _sent_log(window: CaptureWindow) -> SyncLog:
@@ -378,7 +385,7 @@ class TestWindowReceiver:
         receiver = WindowReceiver(channel, log)
         seqs = []
         while (item := receiver.receive()) is not None:
-            seqs.append(item[0].seq)
+            seqs.append(item[1].seq)
         assert seqs == [0, 1, 2]
         assert not any(e.lost for e in log.entries())
         assert out_of_order_seqs(log.entries()) == []
@@ -390,7 +397,7 @@ class TestWindowReceiver:
         receiver = WindowReceiver(channel, log)
         seqs = []
         while (item := receiver.receive()) is not None:
-            seqs.append(item[0].seq)
+            seqs.append(item[1].seq)
         assert seqs == [0, 2]
         assert log.entries()[1].lost
         assert log.entries()[1].t_received is None
@@ -402,7 +409,7 @@ class TestWindowReceiver:
         receiver = WindowReceiver(channel, log)
         seqs = []
         while (item := receiver.receive()) is not None:
-            seqs.append(item[0].seq)
+            seqs.append(item[1].seq)
         assert seqs == [0, 1]
 
     def test_digest_mismatch_counts_as_lost(self):
@@ -523,12 +530,12 @@ class TestReceiveBlock:
         assert log.entries() == log_alone.entries()
         # Every delivery was ready at once: two or more make one block.
         assert len(blocks) == min(len(alone), 1)
-        assert [seq for block in blocks for seq in block.seqs.tolist()] == [window.seq for window, _, _ in alone]
+        assert [seq for block in blocks for seq in block.seqs.tolist()] == [manifest.seq for _, manifest, _ in alone]
         assert [t for block in blocks for t in block.t_received.tolist()] == [t for _, _, t in alone]
         assert all(block.cuts[-1] == len(block.packets) for block in blocks)
         parts = [block.packets[first:stop] for block in blocks
                  for first, stop in zip(block.cuts[:-1].tolist(), block.cuts[1:].tolist())]
-        assert [records_of(part) for part in parts] == [records_of(window.packets) for window, _, _ in alone]
+        assert [records_of(part) for part in parts] == [records_of(packets) for packets, _, _ in alone]
 
     def test_an_irregular_group_is_held_for_receive(self, monkeypatch):
         log, channel = SyncLog(), InProcessChannel(ChannelSpec())
@@ -568,7 +575,8 @@ class TestReceiveBlock:
         monkeypatch.setattr(transport_module, "unpack_windows", lone_only)
         receiver = WindowReceiver(channel, log)
         (block,) = iter(receiver.receive_block, None)
-        assert (block.seqs.tolist(), block.t_received.tolist(), block.cuts.tolist()) == ([0], [10 * SECOND], [0, 1])
+        assert (block.seqs.tolist(), block.starts.tolist(), block.t_received.tolist(), block.cuts.tolist()) == (
+            [0], [0], [10 * SECOND], [0, 1])
         assert records_of(block.packets) == records_of(window.packets)
 
 
@@ -704,9 +712,9 @@ class TestDirectoryExchange:
         receiver = WindowReceiver(receiver_channel, log)
         got = []
         while (item := receiver.receive()) is not None:
-            got.append(item[0])
-        assert [w.seq for w in got] == [0, 1, 2]
-        assert records_of(got[0].packets) == records_of(windows[0].packets)
+            got.append(item)
+        assert [manifest.seq for _, manifest, _ in got] == [0, 1, 2]
+        assert records_of(got[0][0]) == records_of(windows[0].packets)
 
     def test_manifest_file_is_valid_json_with_digest(self, tmp_path):
         log = SyncLog()
@@ -832,10 +840,10 @@ class TestTcpChannel:
         receiver = WindowReceiver(receiver_channel, log)
         got = []
         while (item := receiver.receive()) is not None:
-            got.append(item[0])
+            got.append(item[1])
         thread.join()
         receiver_channel.close()
-        assert [w.seq for w in got] == [0, 1, 2]
+        assert [manifest.seq for manifest in got] == [0, 1, 2]
 
     def test_dropped_window_becomes_a_recorded_hole(self):
         log = SyncLog()
@@ -856,7 +864,7 @@ class TestTcpChannel:
         receiver = WindowReceiver(receiver_channel, log)
         got = []
         while (item := receiver.receive()) is not None:
-            got.append(item[0].seq)
+            got.append(item[1].seq)
         thread.join()
         receiver_channel.close()
         assert got == [0, 2]
