@@ -207,8 +207,10 @@ def compare_series(npt: ThroughputSeries, ndt: ThroughputSeries, max_lag_bins: i
 
     The lag estimate is the integer bin shift (within +/-max_lag_bins)
     maximizing normalized cross-correlation; rmse, nrmse and pearson_r
-    are computed on the lag-corrected overlap. Positive lag means the
-    twin series trails the physical one.
+    are computed on the lag-corrected overlap. Only lags whose overlap
+    covers at least half the shorter series, and 2 bins, are scored: a
+    few bins at the series' ends can correlate perfectly by chance.
+    Positive lag means the twin series trails the physical one.
     """
     if npt.bin_width_micros != ndt.bin_width_micros:
         raise MetricsError(
@@ -218,12 +220,13 @@ def compare_series(npt: ThroughputSeries, ndt: ThroughputSeries, max_lag_bins: i
     y = np.asarray(ndt.bins, dtype=float)
 
     scored: list[tuple[float, int]] = []
-    # Lags past these bounds overlap by under 2 bins, so a huge bound costs
-    # no more than the series' own lengths.
-    for s in range(max(-max_lag_bins, 2 - len(x)), min(max_lag_bins, len(y) - 2) + 1):
+    need = max(2, -(-min(len(x), len(y)) // 2))
+    # Lags past these bounds overlap by under ``need`` bins, so a huge
+    # bound costs no more than the series' own lengths.
+    for s in range(max(-max_lag_bins, need - len(x)), min(max_lag_bins, len(y) - need) + 1):
         i0 = max(0, -s)
         i1 = min(len(x), len(y) - s)
-        if i1 - i0 < 2:
+        if i1 - i0 < need:
             continue
         xs = x[i0:i1]
         ys = y[i0 + s:i1 + s]

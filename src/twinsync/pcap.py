@@ -17,12 +17,14 @@ long runs go one by one. A capture of one length is the one-run case.
 Windows of fewer than VECTOR_MIN_PACKETS packets would pay the fixed
 cost of each numpy call on a handful of records, so segment_stream
 groups runs of them into PackBlocks of about PACK_BLOCK_BYTES; any
-other window is a block of one. The sender writes a block with one
-write_pcap call and slices it into windows (transport.pack_window); the
-virtual-clock receiver reads the windows it receives together back with
-one read_pcap call (transport.WindowReceiver.receive_block). A window
-holding a packet write_pcap refuses is always a block of one, so a
-block of several windows cannot fail to write.
+other window is a block of one. A CaptureWindow is its block and its
+index there; its packets are sliced from the block's only when asked.
+The sender writes a block with one write_pcap call and slices it into
+windows (transport.pack_window); the virtual-clock receiver reads the
+windows it receives together back with one read_pcap call
+(transport.WindowReceiver.receive_block). A window holding a packet
+write_pcap refuses is always a block of one, so a block of several
+windows cannot fail to write.
 
 Every path produces the same bytes, packets and errors.
 """
@@ -87,7 +89,7 @@ class PacketBatch:
     this one's arrays and buffer. Batches are never modified in place.
     """
 
-    __slots__ = ("ts_micros", "captured_len", "original_len", "payload", "offsets", "_ordered")
+    __slots__ = ("ts_micros", "captured_len", "original_len", "payload", "offsets")
 
     def __init__(self, ts_micros, captured_len, original_len, payload, offsets):
         ts = np.asarray(ts_micros)
@@ -118,32 +120,29 @@ class PacketBatch:
         if offs[0] < 0 or offs[-1] > len(buf):
             raise ValueError("payload offsets outside the payload buffer")
         self._set(ts.astype(np.int64, copy=False), cap.astype(np.uint32, copy=False),
-                  orig.astype(np.uint32, copy=False), buf, offs.astype(np.int64, copy=False), None)
+                  orig.astype(np.uint32, copy=False), buf, offs.astype(np.int64, copy=False))
 
-    def _set(self, ts, cap, orig, buf, offs, ordered):
+    def _set(self, ts, cap, orig, buf, offs):
         self.ts_micros = ts
         self.captured_len = cap
         self.original_len = orig
         self.payload = buf
         self.offsets = offs
-        self._ordered = ordered
 
     @classmethod
-    def trusted(cls, ts_micros, captured_len, original_len, payload, offsets,
-                ordered: bool | None = None) -> "PacketBatch":
+    def trusted(cls, ts_micros, captured_len, original_len, payload, offsets) -> "PacketBatch":
         """A batch from columns that already have the right dtypes and obey
         every rule __init__ checks; for producers that guarantee them by
-        construction. ``ordered`` is whether timestamps are non-decreasing,
-        None when not known."""
+        construction."""
         batch = cls.__new__(cls)
-        batch._set(ts_micros, captured_len, original_len, payload, offsets, ordered)
+        batch._set(ts_micros, captured_len, original_len, payload, offsets)
         return batch
 
     @classmethod
     def empty(cls) -> "PacketBatch":
         zero = np.zeros(0, dtype=np.int64)
         return cls.trusted(zero, zero.astype(np.uint32), zero.astype(np.uint32), zero.astype(np.uint8),
-                           np.zeros(1, dtype=np.int64), True)
+                           np.zeros(1, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.ts_micros)
@@ -155,54 +154,30 @@ class PacketBatch:
             raise ValueError("a packet batch slices with step 1 only")
         stop = max(start, stop)
         return PacketBatch.trusted(self.ts_micros[start:stop], self.captured_len[start:stop],
-                                   self.original_len[start:stop], self.payload, self.offsets[start:stop + 1],
-                                   self._ordered or None)
+                                   self.original_len[start:stop], self.payload, self.offsets[start:stop + 1])
 
     def __repr__(self) -> str:
         return f"PacketBatch(<{len(self)} packets>)"
 
     def first_regression(self) -> int | None:
         """Index of the first packet whose timestamp is below its predecessor's,
-        or None when timestamps never decrease. Whether they do is cached,
-        and slices of an ordered batch inherit it."""
+        or None when timestamps never decrease."""
         ts = self.ts_micros
-        if self._ordered is None:
-            self._ordered = bool((ts[1:] >= ts[:-1]).all())
-        if self._ordered:
-            return None
-        return int((ts[1:] < ts[:-1]).argmax()) + 1
+        index = first_index(ts[1:] < ts[:-1])
+        return None if index is None else index + 1
 
-    def with_ts(self, ts_micros: np.ndarray, ordered: bool | None = None) -> "PacketBatch":
+    def with_ts(self, ts_micros: np.ndarray) -> "PacketBatch":
         """The same packets with new timestamps (int64, one per packet)."""
         index = first_index(ts_micros < 0)
         if index is not None:
             raise ValueError(f"packet {index}: ts_micros must be non-negative")
-        return PacketBatch.trusted(ts_micros, self.captured_len, self.original_len, self.payload, self.offsets,
-                                   ordered)
+        return PacketBatch.trusted(ts_micros, self.captured_len, self.original_len, self.payload, self.offsets)
 
     def shifted(self, offset_micros: int) -> "PacketBatch":
         """The same packets, every timestamp moved by ``offset_micros``."""
         if offset_micros == 0:
             return self
-        return self.with_ts(self.ts_micros + offset_micros, self._ordered)
-
-
-class CaptureWindow(NamedTuple):
-    """One T-second segment of the capture stream, the unit of sync.
-
-    Windows abut without gaps; ``seq`` counts from 0 with no holes on the
-    sending side (holes appear downstream only through loss). A window is
-    an immutable tuple, safe to hand between threads. It is not checked
-    here: segment_stream cuts only windows whose packets lie in order
-    inside their bounds, and transport.unpack_window checks every window
-    where its bytes arrive.
-    """
-
-    seq: int
-    start_ts_micros: int
-    end_ts_micros: int
-    packets: PacketBatch
-    source_interface: str = "tun2"
+        return self.with_ts(self.ts_micros + offset_micros)
 
 
 class PackBlock:
@@ -210,12 +185,14 @@ class PackBlock:
     written with one write_pcap call.
 
     ``packets`` holds the packets of all of them and ``cuts`` the
-    block-local index where each window starts, plus the block's end.
-    Each window's packets are a BlockSlice naming its block. The sender
-    writes the block on its first window (see transport.pack_window) and
-    hands the pcap to ``set_pcap``; each window's pcap is then the global
-    header plus its range of the block's records, and the pcap of a block
-    of one window is the block's pcap itself.
+    block-local index where each window starts, plus the block's end. A
+    window names its block and its index there (see CaptureWindow). The
+    sender writes the block on its first window (see
+    transport.pack_window) and hands the pcap to ``set_pcap``; each
+    window's pcap is then the global header plus its range of the block's
+    records, and the pcap of a block of one window is the block's pcap
+    itself. A window built by hand is a block of one:
+    ``PackBlock(packets, [0, len(packets)])``.
     """
 
     __slots__ = ("packets", "cuts", "pcap", "_record_at")
@@ -242,26 +219,42 @@ class PackBlock:
         return pcap[:_GLOBAL_HEADER_LEN] + pcap[record_at[index]:record_at[index + 1]]
 
 
-class BlockSlice(PacketBatch):
-    """The packets of the ``index``-th window of a PackBlock."""
+class CaptureWindow(NamedTuple):
+    """One T-second segment of the capture stream, the unit of sync.
 
-    __slots__ = ("block", "index")
+    Windows abut without gaps; ``seq`` counts from 0 with no holes on the
+    sending side (holes appear downstream only through loss). A window is
+    the ``index``-th window of its PackBlock ``block``; its packets are a
+    view of the block's, made when asked. A window is an immutable tuple,
+    safe to hand between threads. It is not checked here: segment_stream
+    cuts only windows whose packets lie in order inside their bounds, and
+    transport.unpack_window checks every window where its bytes arrive.
+    """
+
+    seq: int
+    start_ts_micros: int
+    end_ts_micros: int
+    block: PackBlock
+    index: int
+    source_interface: str = "tun2"
+
+    @property
+    def packets(self) -> PacketBatch:
+        """The window's packets, a slice of its block's."""
+        cuts = self.block.cuts
+        return self.block.packets[cuts[self.index]:cuts[self.index + 1]]
 
     @property
     def closes_block(self) -> bool:
-        """Whether this is the block's last window."""
+        """Whether this is its block's last window."""
         return self.index == len(self.block.cuts) - 2
 
 
 def _unwritable(batch: PacketBatch, snaplen: int) -> np.ndarray | None:
     """Which packets write_pcap refuses, those captured past ``snaplen`` or
-    stamped past 32-bit seconds; None when it takes them all. Ordered
-    timestamps peak at the last one, so a batch known to be ordered that
-    write_pcap takes costs one max()."""
-    ts, cap = batch.ts_micros, batch.captured_len
-    if not len(ts) or (cap.max() <= snaplen and (ts[-1] if batch._ordered else ts.max()) < _TS_LIMIT_MICROS):
-        return None
-    return (cap > snaplen) | (ts >= _TS_LIMIT_MICROS)
+    stamped past 32-bit seconds; None when it takes them all."""
+    unwritable = (batch.captured_len > snaplen) | (batch.ts_micros >= _TS_LIMIT_MICROS)
+    return unwritable if unwritable.any() else None
 
 
 def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN) -> bytes:
@@ -396,7 +389,7 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
     stepped = (np.array(ts, dtype=np.int64), np.array(incls, dtype=np.uint32), np.array(origs, dtype=np.uint32),
                np.array(starts, dtype=np.int64))
     if not runs:
-        return linktype, PacketBatch.trusted(*stepped[:3], buf, stepped[3], ts == sorted(ts))
+        return linktype, PacketBatch.trusted(*stepped[:3], buf, stepped[3])
     pieces, done = [], 0
     for at, run in runs:
         pieces += ([column[done:at] for column in stepped], run)
@@ -467,9 +460,9 @@ def segment_stream(
 
     A packet out of order, before the origin or past the span end raises
     TimestampRegressionError naming its index, once the windows closed
-    before it have been yielded. The windows are views of the packets'
-    batch; nothing is copied. Each window's packets are a BlockSlice of a
-    PackBlock. Runs of windows of fewer than VECTOR_MIN_PACKETS packets
+    before it have been yielded. Each window names its PackBlock and its
+    index there; a block's packets are a view of the batch, and nothing
+    is copied. Runs of windows of fewer than VECTOR_MIN_PACKETS packets
     are grouped into blocks of about PACK_BLOCK_BYTES, so the sender
     writes each run with one write_pcap call; a block never holds more
     than that budget plus one window. Any other window, and every window
@@ -504,22 +497,12 @@ def segment_stream(
     bounds = origin_ts_micros + window_micros * np.arange(1, n_windows + 1, dtype=np.int64)
     cuts = np.concatenate(([0], np.searchsorted(ts[:good], bounds, side="left")))
     span_end = span_end_micros if span_end_micros is not None else origin_ts_micros + n_windows * window_micros
-    cap, orig, offs = batch.captured_len, batch.original_len, batch.offsets
-    payload = batch.payload
-
-    def view(first: int, stop: int, kind=PacketBatch) -> PacketBatch:
-        # Packets before the first bad one are in order.
-        return kind.trusted(ts[first:stop], cap[first:stop], orig[first:stop], payload, offs[first:stop + 1], True)
-
-    def window(k: int, packets: PacketBatch) -> CaptureWindow:
-        start = origin_ts_micros + k * window_micros
-        return CaptureWindow(k, start, min(start + window_micros, span_end), packets, source_interface)
 
     # At least the pcap record bytes before each window: a payload slot
     # holds its packet's captured bytes and maybe a gap.
-    bytes_before = (offs[cuts] + _RECORD_HEADER_LEN * cuts).tolist()
+    bytes_before = (batch.offsets[cuts] + _RECORD_HEADER_LEN * cuts).tolist()
     # The windows holding a packet write_pcap refuses: each is a block of one.
-    unwritable = _unwritable(view(0, cuts[-1]), DEFAULT_SNAPLEN)
+    unwritable = _unwritable(batch[:cuts[-1]], DEFAULT_SNAPLEN)
     alone = set() if unwritable is None else set(
         (np.searchsorted(cuts, np.flatnonzero(unwritable), side="right") - 1).tolist())
     cuts = cuts.tolist()
@@ -535,10 +518,9 @@ def segment_stream(
                    and bytes_before[k] < limit):
                 k += 1
         base = cuts[first]
-        block = PackBlock(view(base, cuts[k]), [cut - base for cut in cuts[first:k + 1]])
+        block = PackBlock(batch[base:cuts[k]], [cut - base for cut in cuts[first:k + 1]])
         for index, seq in enumerate(range(first, k)):
-            packets = view(cuts[seq], cuts[seq + 1], BlockSlice)
-            packets.block, packets.index = block, index
-            yield window(seq, packets)
+            start = origin_ts_micros + seq * window_micros
+            yield CaptureWindow(seq, start, min(start + window_micros, span_end), block, index, source_interface)
     if error is not None:
         raise TimestampRegressionError(error[0], error[2])

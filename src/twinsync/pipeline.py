@@ -216,7 +216,7 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
             try:
                 for window in windows:
                     send(window, window.end_ts_micros)
-                    if window.packets.closes_block:
+                    if window.closes_block:
                         stage = "replay"
                         replay(wait=False)
                         stage = "capture"

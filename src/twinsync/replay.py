@@ -146,6 +146,7 @@ class ReplayEngine:
     def replay_window(self, window: CaptureWindow, t_received: int) -> PacketBatch:
         """One window, received at ``t_received``, replayed as a block of one.
         Nothing in the loop calls it; bench/tracing.py wraps this name."""
+        packets = window.packets
         return self.replay_block(ReceivedBlock(
             np.array([window.seq]), np.array([window.start_ts_micros]), np.array([t_received], dtype=np.int64),
-            np.array([0, len(window.packets)]), window.packets))
+            np.array([0, len(packets)]), packets))

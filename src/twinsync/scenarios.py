@@ -233,7 +233,7 @@ class _TraceBuilder:
         # Freed before the offsets exist, so they never add to the peak.
         del order, direction, ue, port
         offsets = np.arange(0, (n + 1) * row_len, row_len, dtype=np.int64)
-        return PacketBatch.trusted(ts, captured, total, noise[2 * n:], offsets, True)
+        return PacketBatch.trusted(ts, captured, total, noise[2 * n:], offsets)
 
     def _column(self, k: int, counts: list[int], dtype) -> np.ndarray:
         """Field k of every group as ``dtype``, one entry per packet: the

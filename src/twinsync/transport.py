@@ -18,17 +18,17 @@ never reordered. Three interchangeable channels implement it:
 Lost windows are never retransmitted: the twin always wants the most
 recent trace, and the gap stays visible to the metrics.
 
-pack_window serializes each window; the windows of a pcap.PackBlock
-share one write_pcap call, so the per-window cost of a short T is a
-slice, a digest and a manifest. On the other side, unpack_windows holds
-the rules every received window must pass, whether it arrives alone
-(unpack_window, through WindowReceiver.receive) or in a group of two or
-more that WindowReceiver.receive_block reads with one read_pcap call. A
-group that fails any check goes through receive one window at a time,
-which raises the precise error. Either way the replay gets a
-ReceivedBlock. Manifests, receipts and received blocks are immutable
-named tuples, built at the cost of a tuple and safe to pass between the
-real-time threads.
+pack_window serializes each window from the pcap.PackBlock it names:
+the windows of a block share one write_pcap call, so the per-window
+cost of a short T is a slice, a digest and a manifest. On the other
+side, unpack_windows holds the rules every received window must pass,
+whether it arrives alone (unpack_window, through WindowReceiver.receive)
+or in a group of two or more that WindowReceiver.receive_block reads
+with one read_pcap call. A group that fails any check goes through
+receive one window at a time, which raises the precise error. Either
+way the replay gets a ReceivedBlock. Manifests, receipts and received
+blocks are immutable named tuples, built at the cost of a tuple and
+safe to pass between the real-time threads.
 
 The SyncLog is columnar: int64 time columns and a lost mask indexed by
 seq. Each receive-side event is one call that takes one seq or an
@@ -62,8 +62,8 @@ from .model import _require, parse_json_object
 from .pcap import (
     _GLOBAL_HEADER_LEN,
     _RECORD_HEADER_LEN,
+    _TS_LIMIT_MICROS,
     LINKTYPE_RAW_IP,
-    BlockSlice,
     CaptureWindow,
     PacketBatch,
     first_index,
@@ -110,19 +110,14 @@ class WindowManifest(NamedTuple):
 def pack_window(window: CaptureWindow) -> tuple[WindowManifest, bytes]:
     """Serialize a window for transfer: raw-IP pcap payload plus its manifest.
 
-    A window segment_stream cut is a range of its PackBlock's records
-    behind the global header: the block's first window writes the whole
-    block with one write_pcap call, and the others slice it. A window
-    built by hand around a plain batch is written alone.
+    A window's pcap is its range of its PackBlock's records behind the
+    global header: the block's first window packed writes the whole block
+    with one write_pcap call, and the others slice it.
     """
-    packets = window.packets
-    if isinstance(packets, BlockSlice):
-        block = packets.block
-        if block.pcap is None:
-            block.set_pcap(write_pcap(LINKTYPE_RAW_IP, block.packets))
-        payload = block.window_pcap(packets.index)
-    else:
-        payload = write_pcap(LINKTYPE_RAW_IP, packets)
+    block = window.block
+    if block.pcap is None:
+        block.set_pcap(write_pcap(LINKTYPE_RAW_IP, block.packets))
+    payload = block.window_pcap(window.index)
     manifest = WindowManifest(window.seq, window.start_ts_micros, window.end_ts_micros, len(payload),
                               _digest(payload), DIGEST_ALGORITHM, window.source_interface)
     return manifest, payload
@@ -209,6 +204,8 @@ class ChannelSpec:
             raise ValueError("loss_probability must lie in [0, 1]")
         if self.latency_us < 0 or self.bandwidth_bps < 0:
             raise ValueError("latency and bandwidth must be non-negative")
+        if self.latency_us > _TS_LIMIT_MICROS:
+            raise ValueError(f"latency of {self.latency_us} us exceeds 2**32 seconds, the span of a pcap timestamp")
 
 
 class SendReceipt(NamedTuple):

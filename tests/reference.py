@@ -31,7 +31,7 @@ from twinsync.emit import (
     TOPOLOGY_FILE,
     DeploymentBundle,
 )
-from twinsync.pcap import PacketBatch
+from twinsync.pcap import CaptureWindow, PackBlock, PacketBatch
 from twinsync.transport import SyncLogEntry
 
 SERVER_IP = bytes([203, 0, 113, 1])
@@ -73,6 +73,11 @@ def batch_of(records) -> PacketBatch:
         np.frombuffer(b"".join(r.payload for r in records), dtype=np.uint8),
         offsets,
     )
+
+
+def lone_window(seq: int, start: int, end: int, packets: PacketBatch) -> CaptureWindow:
+    """A window built by hand: a block of one holding ``packets``."""
+    return CaptureWindow(seq, start, end, PackBlock(packets, [0, len(packets)]), 0)
 
 
 def records_of(batch: PacketBatch) -> list[PacketRecord]:
@@ -245,11 +250,13 @@ def _pearson(x: list[float], y: list[float]) -> float:
 def reference_lag_scores(x: list[float], y: list[float], max_lag: int) -> dict[int, float]:
     """The correlation score of every candidate lag, as the lag search
     ranks them: constant overlaps score 1 when equal and are skipped
-    otherwise, as are overlaps under two bins."""
+    otherwise, as are overlaps under half the shorter series or under two
+    bins."""
     scores = {}
+    need = max(2, math.ceil(min(len(x), len(y)) / 2))
     for s in range(-max_lag, max_lag + 1):
         i0, i1 = max(0, -s), min(len(x), len(y) - s)
-        if i1 - i0 < 2:
+        if i1 - i0 < need:
             continue
         xs, ys = x[i0:i1], y[i0 + s:i1 + s]
         if _std(xs) == 0.0 or _std(ys) == 0.0:

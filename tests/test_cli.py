@@ -243,6 +243,7 @@ class TestRunCommand:
         ("loss-probability", "nan"),
         ("channel-latency", "-1"),
         ("channel-latency", "nan"),
+        ("channel-latency", "1e15"),
         ("channel-bandwidth", "-3"),
         ("speed-factor", "0"),
         ("speed-factor", "nan"),

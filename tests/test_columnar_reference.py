@@ -33,7 +33,7 @@ from twinsync.pcap import (
 )
 from twinsync.transport import pack_window, unpack_window
 
-from reference import PacketRecord, batch_of, records_of
+from reference import PacketRecord, batch_of, lone_window, records_of
 
 SECOND = MICROS_PER_SECOND
 
@@ -410,9 +410,9 @@ def test_errors_in_a_large_capture_name_the_first_bad_record():
 def test_unpack_window_rejects_out_of_window_and_disordered_batches():
     packets = _uniform_packets(3)
     with pytest.raises(ValueError, match="outside window"):
-        unpack_window(*pack_window(CaptureWindow(0, 1, 10_000, batch_of(packets))))
+        unpack_window(*pack_window(lone_window(0, 1, 10_000, batch_of(packets))))
     with pytest.raises(ValueError, match="non-decreasing"):
-        unpack_window(*pack_window(CaptureWindow(0, 0, 10_000, batch_of(packets[::-1]))))
+        unpack_window(*pack_window(lone_window(0, 0, 10_000, batch_of(packets[::-1]))))
 
 
 def _alternating_batch(n: int, run: int) -> PacketBatch:

@@ -100,7 +100,7 @@ class TestThroughputSeries:
         n = 1_000_000
         ts = np.arange(n, dtype=np.int64) * 997
         batch = PacketBatch.trusted(ts, np.zeros(n, dtype=np.uint32), np.full(n, 1200, dtype=np.uint32),
-                                    np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64), True)
+                                    np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64))
         tracemalloc.start()
         try:
             s = throughput_series(batch, SECOND, 0, 1000 * SECOND)
@@ -357,8 +357,9 @@ class TestCompareSeries:
         ([1, 9, 4, 6, 2, 8, 5, 7, 3], [4, 6, 2]),
     ])
     def test_a_huge_lag_bound_scores_the_same_lags(self, npt, ndt):
-        """Only lags with 2 bins of overlap are scored, so a bound past the
-        series' lengths finishes at once and changes nothing."""
+        """Only lags whose overlap covers half the shorter series, and 2
+        bins, are scored, so a bound past the series' lengths finishes at
+        once and changes nothing."""
         npt, ndt = series(npt), series(ndt)
 
         def expire(signum, frame):
@@ -372,6 +373,15 @@ class TestCompareSeries:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert result == compare_series(npt, ndt, max(len(npt.bins), len(ndt.bins)))
+
+    def test_a_few_bins_at_the_ends_do_not_score_as_perfect_fidelity(self):
+        """At lag -17 these series overlap by 3 bins that correlate
+        perfectly; an overlap that short is not scored."""
+        npt = series([10e6, 10e6, 0, 0] * 5)
+        ndt = series([20e6, 0, 0, 0] * 5)
+        result = compare_series(npt, ndt, max_lag_bins=30)
+        assert abs(result.estimated_lag_bins) <= 10
+        assert result.pearson_r < 1
 
     @settings(max_examples=60)
     @given(

@@ -51,13 +51,13 @@ from twinsync.transport import (
 )
 
 from conftest import make_packet, packet_lists
-from reference import batch_of, out_of_order_seqs, records_of
+from reference import batch_of, lone_window, out_of_order_seqs, records_of
 
 SECOND = 1_000_000
 
 
 def window_of(seq: int, packets=(), T: int = 10 * SECOND) -> CaptureWindow:
-    return CaptureWindow(seq, seq * T, (seq + 1) * T, batch_of(packets))
+    return lone_window(seq, seq * T, (seq + 1) * T, batch_of(packets))
 
 
 def manifest_for_payload(seq: int, payload: bytes) -> WindowManifest:
@@ -91,7 +91,7 @@ def _torn(seq: int):
 
 
 def _zero_duration(seq: int):
-    return pack_window(CaptureWindow(seq, seq * 10 * SECOND, seq * 10 * SECOND, batch_of([])))
+    return pack_window(lone_window(seq, seq * 10 * SECOND, seq * 10 * SECOND, batch_of([])))
 
 
 # Per rule a received window must pass: window seq's bad form, and the
@@ -206,12 +206,12 @@ class TestPackUnpack:
 
     def test_unpack_window_invariants(self):
         with pytest.raises(ValueError, match="non-negative"):
-            unpack_window(*pack_window(CaptureWindow(-1, 0, 10, batch_of([]))))
+            unpack_window(*pack_window(lone_window(-1, 0, 10, batch_of([]))))
         with pytest.raises(ValueError, match="positive duration"):
-            unpack_window(*pack_window(CaptureWindow(0, 0, 0, batch_of([]))))
+            unpack_window(*pack_window(lone_window(0, 0, 0, batch_of([]))))
         with pytest.raises(ValueError, match="outside window"):
-            unpack_window(*pack_window(CaptureWindow(0, 0, 10, batch_of([make_packet(10)]))))
-        packets = unpack_window(*pack_window(CaptureWindow(0, 0, 10, batch_of([make_packet(3)]))))
+            unpack_window(*pack_window(lone_window(0, 0, 10, batch_of([make_packet(10)]))))
+        packets = unpack_window(*pack_window(lone_window(0, 0, 10, batch_of([make_packet(3)]))))
         assert records_of(packets) == [make_packet(3)]
 
     @pytest.mark.parametrize("field, value", [
@@ -247,7 +247,7 @@ class TestPackUnpack:
 
     @given(packet_lists(max_len=8))
     def test_transferred_packets_are_byte_identical(self, packets):
-        window = CaptureWindow(0, 0, 5 * SECOND, batch_of(packets))
+        window = lone_window(0, 0, 5 * SECOND, batch_of(packets))
         manifest, payload = pack_window(window)
         assert records_of(unpack_window(manifest, payload)) == packets
 
@@ -289,9 +289,18 @@ class TestBlockPacking:
             assert manifest.byte_length == len(payload)
         blocks = {}
         for window in windows:
-            block = window.packets.block
+            block = window.block
             blocks.setdefault(id(block), (block, []))[1].append(window)
         for block, members in blocks.values():
+            # A window's packets are its range of its block's, and only the
+            # block's last window closes it.
+            assert [window.index for window in members] == list(range(len(block.cuts) - 1))
+            assert [window.closes_block for window in members] == [False] * (len(members) - 1) + [True]
+            for window in members:
+                own = block.packets[block.cuts[window.index]:block.cuts[window.index + 1]]
+                for column in ("ts_micros", "captured_len", "original_len", "offsets"):
+                    assert np.array_equal(getattr(window.packets, column), getattr(own, column))
+                assert window.packets.payload is block.packets.payload
             if len(members) == 1:
                 # A window alone is its block, and its payload is the block's pcap.
                 assert pack_window(members[0])[1] is block.pcap
@@ -324,7 +333,7 @@ class TestBlockPacking:
         with pytest.raises(PcapWriteError) as err:
             for window in windows:
                 send_window(window, channel, log, now_micros=window.end_ts_micros)
-                if window.packets.closes_block:
+                if window.closes_block:
                     while (block := receiver.receive_block()) is not None:
                         engine.replay_block(block)
                         replayed += block.seqs.tolist()
@@ -338,12 +347,12 @@ class TestBlockPacking:
         packets = [make_packet(k * SECOND + i, 70_000 if k in (3, 7) and i == 2 else 40)
                    for k in range(10) for i in range(3)]
         windows = list(segment_stream(batch_of(packets), SECOND, 0))
-        sizes = [len(w.packets.block.cuts) - 1 for w in windows if w.packets.closes_block]
+        sizes = [len(w.block.cuts) - 1 for w in windows if w.closes_block]
         assert sizes == [3, 1, 3, 1, 2]
 
 
 def test_window_objects_are_immutable_tuples():
-    window = CaptureWindow(0, 0, 10, batch_of([make_packet(3)]))
+    window = lone_window(0, 0, 10, batch_of([make_packet(3)]))
     manifest, payload = pack_window(window)
     receipt = InProcessChannel(ChannelSpec()).send(manifest, payload, now_micros=10)
     block = WindowReceiver(_ended(manifest, payload), _sent_log(window)).receive_block()
@@ -440,7 +449,7 @@ class TestWindowReceiver:
         assert time.monotonic() - start < 5.0
         assert [e.lost for e in log.entries()] == [False, True, False]
 
-    @pytest.mark.parametrize("foreign", [window_of(7), CaptureWindow(1, 5 * SECOND, 15 * SECOND, batch_of([]))],
+    @pytest.mark.parametrize("foreign", [window_of(7), lone_window(1, 5 * SECOND, 15 * SECOND, batch_of([]))],
                              ids=["unsent-seq", "sent-seq-other-bounds"])
     def test_foreign_window_raises_and_adds_no_entry(self, foreign):
         log = SyncLog()
