@@ -83,6 +83,11 @@ class RunConfig:
             raise ValueError(f"max_lag_bins must be non-negative, got {self.max_lag_bins}")
         if self.tcp_port is not None and not 0 <= self.tcp_port <= 65535:
             raise ValueError(f"tcp port must be within 0-65535, got {self.tcp_port}")
+        if self.plan.mode is ReplayMode.VIRTUAL and self.channel.kind != "in-process":
+            raise ValueError("virtual-clock runs use the in-process channel; pick real-time mode for "
+                             f"the {self.channel.kind} channel")
+        if self.channel.kind == "directory-exchange" and self.exchange_dir is None:
+            raise ValueError("directory-exchange channel needs an exchange directory")
 
 
 @dataclass(slots=True)
@@ -112,16 +117,12 @@ def _make_channels(cfg: RunConfig, clock) -> tuple[object, object]:
         ch = InProcessChannel(spec, clock=clock)
         return ch, ch
     if spec.kind == "directory-exchange":
-        if cfg.exchange_dir is None:
-            raise ValueError("directory-exchange channel needs an exchange directory")
         sender = DirectoryExchangeChannel(spec, cfg.exchange_dir)
         receiver = DirectoryExchangeChannel(spec, cfg.exchange_dir)
         return sender, receiver
-    if spec.kind == "tcp":
-        receiver = TcpReceiverChannel(cfg.tcp_host, cfg.tcp_port or 0)
-        sender = TcpSenderChannel(spec, cfg.tcp_host, receiver.port)
-        return sender, receiver
-    raise ValueError(f"unknown channel kind {spec.kind!r}")
+    receiver = TcpReceiverChannel(cfg.tcp_host, cfg.tcp_port or 0)
+    sender = TcpSenderChannel(spec, cfg.tcp_host, receiver.port)
+    return sender, receiver
 
 
 def run_pipeline(cfg: RunConfig) -> RunResult:
@@ -133,10 +134,6 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     virtual = cfg.plan.mode is ReplayMode.VIRTUAL
     log = SyncLog()
     try:
-        if virtual and cfg.channel.kind != "in-process":
-            raise StageError("transport", ValueError(
-                "virtual-clock runs use the in-process channel; pick real-time mode for "
-                f"the {cfg.channel.kind} channel"))
         return _run(cfg, log, virtual)
     except Exception:
         if cfg.out_dir is not None:

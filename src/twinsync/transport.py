@@ -7,8 +7,8 @@ never reordered. Three interchangeable channels implement it:
 * InProcessChannel - a queue with simulated latency, serialization delay
   and seeded loss; the deterministic backbone of tests and virtual runs.
 * DirectoryExchangeChannel - windows published as files in a shared
-  directory (``window_<seq>.pcap`` + ``window_<seq>.manifest.json``,
-  and ``latest.seq``), mirroring a fetch-the-latest-capture-folder
+  directory (``window_<n>.pcap`` + ``window_<n>.manifest.json`` for the
+  n-th window published), mirroring a fetch-the-latest-capture-folder
   deployment.
 * TCP sender/receiver - length-prefixed frames over a socket for
   two-process runs. The receiver refuses a manifest longer than
@@ -46,7 +46,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,9 +99,9 @@ class WindowManifest(NamedTuple):
         is missing, of the wrong type or out of range."""
         doc = parse_json_object(data)
         values = {name: _require(doc, name, kind, "") for name, kind in cls.__annotations__.items()}
-        for key in ("seq", "byte_length"):
-            if values[key] < 0:
-                raise SchemaError(key, f"must be non-negative, got {values[key]}")
+        for key in ("seq", "start_ts_micros", "end_ts_micros", "byte_length"):
+            if not 0 <= values[key] < 2**63:  # the int64 columns of the sync log
+                raise SchemaError(key, f"must lie in [0, 2**63), got {values[key]}")
         if values["digest_algorithm"] != DIGEST_ALGORITHM:
             raise SchemaError("digest_algorithm", f"expected {DIGEST_ALGORITHM!r}, got {values['digest_algorithm']!r}")
         return cls(**values)
@@ -193,13 +193,15 @@ class ChannelSpec:
     from ``seed``, so a run is reproducible down to which windows vanish.
     """
 
-    kind: str = "in-process"  # in-process | directory-exchange | tcp
+    kind: str = "in-process"
     latency_us: int = 0
     bandwidth_bps: int = 0
     loss_probability: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in ("in-process", "directory-exchange", "tcp"):
+            raise ValueError(f"unknown channel kind {self.kind!r}; expected in-process, directory-exchange or tcp")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError("loss_probability must lie in [0, 1]")
         if self.latency_us < 0 or self.bandwidth_bps < 0:
@@ -456,100 +458,59 @@ class InProcessChannel(_SendingChannel):
 class DirectoryExchangeChannel(_SendingChannel):
     """Windows exchanged as pcap+manifest file pairs in one directory.
 
-    The manifest is written last via rename, so its presence marks a
-    fully published window. After each window the sender rewrites
-    ``latest.seq``, by rename too, with the highest seq it has published,
-    so a receiver that has caught up finds out that nothing is new from
-    that one file. ``end.marker`` closes the stream. Loss is simulated on
-    the sending side; latency/bandwidth shaping is not (real file systems
-    provide their own delays). A directory that already holds window
-    files, a latest seq or an end marker is refused, not cleared: the
-    receiver would take an earlier run's windows for this one's.
+    Files are named by publication order, not by seq: the n-th window the
+    sender publishes is ``window_<n>.pcap`` plus ``window_<n>.manifest.json``,
+    and the manifest carries the window's seq. A dropped window leaves a
+    gap in the seqs, which WindowReceiver records as a loss, and none in
+    the names, so the receiver only ever looks up the next name and never
+    lists the directory. The manifest is written last via rename, so its
+    presence marks a fully published window. ``end.marker`` closes the
+    stream. Loss is simulated on the sending side; latency/bandwidth
+    shaping is not (real file systems provide their own delays). A
+    directory that already holds window files or an end marker is
+    refused, not cleared: the receiver would take an earlier run's
+    windows for this one's.
     """
 
     POLL_SECONDS = 0.02
-    LATEST = "latest.seq"
 
     def __init__(self, spec: ChannelSpec, directory: Path, clock: Clock | None = None):
         super().__init__(spec)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        for pattern in ("end.marker", self.LATEST + "*", "window_*"):
+        for pattern in ("end.marker", "window_*"):
             stale = next(self.directory.glob(pattern), None)
             if stale is not None:
                 raise TwinError(f"exchange directory {self.directory} is not empty: it holds {stale.name} "
                                 "from an earlier run")
         self._clock = clock or MonotonicClock()
-        self._expected = 0  # the seq after the last one received
-        self._listed: deque[int] = deque()  # seqs from the last listing, not yet passed
+        # Windows this endpoint has sent and received: the numbers in the
+        # names of the next window each way.
+        self._sent = self._received = 0
 
     def _deliver(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> None:
-        pcap_path = self.directory / f"window_{manifest.seq}.pcap"
-        manifest_path = self.directory / f"window_{manifest.seq}.manifest.json"
-        pcap_path.write_bytes(payload)
-        self._publish(manifest_path, manifest.to_json())
-        self._publish(self.directory / self.LATEST, str(manifest.seq).encode("ascii"))
-
-    @staticmethod
-    def _publish(path: Path, data: bytes) -> None:
-        """Write ``path`` so that a reader sees all of it or none of it."""
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(data)
-        tmp.replace(path)
+        name = f"window_{self._sent}"
+        (self.directory / f"{name}.pcap").write_bytes(payload)
+        tmp = self.directory / f"{name}.manifest.json.tmp"
+        tmp.write_bytes(manifest.to_json())
+        tmp.replace(self.directory / f"{name}.manifest.json")
+        self._sent += 1
 
     def close_send(self) -> None:
         self._send_closed = True
         (self.directory / "end.marker").write_bytes(b"")
-
-    def _latest(self) -> int:
-        """The highest seq the sender has published, -1 before the first."""
-        path = self.directory / self.LATEST
-        try:
-            text = path.read_bytes()
-        except FileNotFoundError:
-            return -1
-        if not text.isdigit():
-            raise TwinError(f"{path} holds {text[:20]!r}, not a window seq")
-        return int(text)
-
-    def _next_published(self) -> int | None:
-        """The lowest published seq at or after the expected one, or None.
-
-        The expected window is looked up directly. When it is missing,
-        ``latest.seq`` tells whether the sender has published anything
-        after it; only then is the directory listed, to find the later
-        windows past the hole. The seqs a listing finds serve the next
-        misses too, so receiving n published windows lists it at most once
-        per hole, and a poll that finds nothing new costs two lookups and
-        one small read, however many windows were published before.
-        """
-        expected = self._expected
-        if (self.directory / f"window_{expected}.manifest.json").exists():
-            return expected
-        listed = self._listed
-        while listed and listed[0] < expected:
-            listed.popleft()
-        if not listed and self._latest() > expected:
-            listed.extend(sorted(seq for seq in self._published() if seq >= expected))
-        return listed[0] if listed else None
-
-    def _published(self) -> Iterator[int]:
-        for path in self.directory.glob("window_*.manifest.json"):
-            try:
-                yield int(path.name.split("_")[1].split(".")[0])
-            except ValueError:
-                continue
 
     def receive(self, timeout: float | None = None) -> tuple[WindowManifest, bytes, int] | None:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             # Look for the marker first: once it is there, so is every window.
             ended = (self.directory / "end.marker").exists()
-            seq = self._next_published()
-            if seq is not None:
-                manifest = WindowManifest.from_json((self.directory / f"window_{seq}.manifest.json").read_bytes())
-                payload = (self.directory / f"window_{seq}.pcap").read_bytes()
-                self._expected = seq + 1
+            name = f"window_{self._received}"
+            manifest_path = self.directory / f"{name}.manifest.json"
+            if manifest_path.exists():
+                manifest = WindowManifest.from_json(manifest_path.read_bytes())
+                payload = (self.directory / f"{name}.pcap").read_bytes()
+                self._received += 1
                 return manifest, payload, self._clock.now_micros()
             if ended:
                 return None

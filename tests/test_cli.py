@@ -207,12 +207,20 @@ class TestRunCommand:
         monkeypatch.setenv("TWINSYNC_SEED", "not-a-number")
         assert cli.main(self.run_args(descriptor_file, tmp_path)) == 2
 
-    def test_virtual_mode_with_wall_channel_exits_5(self, tmp_path, descriptor_file, capsys):
-        args = self.run_args(descriptor_file, tmp_path, channel="directory-exchange",
-                             exchange_dir=tmp_path / "xchg")
-        code = cli.main(args)
-        assert code == 5
-        assert "transport" in capsys.readouterr().err
+    @pytest.mark.parametrize("extra", [
+        {"channel": "directory-exchange", "exchange_dir": "xchg"},
+        {"channel": "tcp"},
+        {"channel": "directory-exchange", "mode": "real-time"},
+    ], ids=["virtual-directory-exchange", "virtual-tcp", "real-time-without-exchange-dir"])
+    def test_a_channel_the_mode_cannot_use_exits_3_before_anything_is_written(self, tmp_path, descriptor_file,
+                                                                             capsys, extra):
+        extra = {key: tmp_path / value if key == "exchange_dir" else value for key, value in extra.items()}
+        code = cli.main(self.run_args(descriptor_file, tmp_path, **extra))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "channel" in err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "sync_log.csv").exists()
 
     def test_voice_needs_two_ues(self, tmp_path, descriptor):
         from dataclasses import replace

@@ -151,11 +151,17 @@ class TestVirtualRuns:
         }
         assert len(set(lost.values())) > 1
 
-    def test_virtual_mode_rejects_wall_clock_channels(self, descriptor):
-        cfg = run_config(descriptor, channel=ChannelSpec(kind="directory-exchange"))
-        with pytest.raises(StageError) as err:
-            run_pipeline(cfg)
-        assert err.value.stage == "transport"
+    def test_virtual_mode_rejects_wall_clock_channels(self, descriptor, tmp_path):
+        for kind in ("directory-exchange", "tcp"):
+            with pytest.raises(ValueError, match=f"pick real-time mode for the {kind} channel"):
+                run_config(descriptor, channel=ChannelSpec(kind=kind), exchange_dir=tmp_path)
+
+    def test_a_channel_the_run_cannot_make_is_refused_by_its_config(self, descriptor):
+        with pytest.raises(ValueError, match="directory-exchange channel needs an exchange directory"):
+            run_config(descriptor, channel=ChannelSpec(kind="directory-exchange"),
+                       plan=ReplayPlan(mode=ReplayMode.REAL_TIME))
+        with pytest.raises(ValueError, match="unknown channel kind 'udp'"):
+            ChannelSpec(kind="udp")
 
     def test_invalid_scenario_fails_in_the_simulate_stage(self, descriptor):
         cfg = run_config(descriptor)
@@ -175,8 +181,18 @@ class TestVirtualRuns:
         assert doc["metrics"]["twin_alignment_ratio"] == 1.0
         assert doc["config"]["seed"] == 0
 
+    @staticmethod
+    def _used_exchange_config(descriptor, tmp_path, out_dir):
+        """A real-time run whose transport stage fails: its exchange
+        directory holds an earlier run's end marker."""
+        exchange = tmp_path / "exchange"
+        exchange.mkdir()
+        (exchange / "end.marker").write_bytes(b"")
+        return run_config(descriptor, out_dir=out_dir, channel=ChannelSpec(kind="directory-exchange"),
+                          plan=ReplayPlan(mode=ReplayMode.REAL_TIME), exchange_dir=exchange)
+
     def test_sync_log_is_flushed_on_stage_failure(self, descriptor, tmp_path):
-        cfg = run_config(descriptor, out_dir=tmp_path, channel=ChannelSpec(kind="directory-exchange"))
+        cfg = self._used_exchange_config(descriptor, tmp_path, out_dir=tmp_path)
         with pytest.raises(StageError):
             run_pipeline(cfg)
         assert (tmp_path / "sync_log.csv").exists()
@@ -184,7 +200,7 @@ class TestVirtualRuns:
     def test_stage_failure_outlives_an_unwritable_out_dir(self, descriptor, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where a directory should go")
-        cfg = run_config(descriptor, out_dir=blocker / "out", channel=ChannelSpec(kind="directory-exchange"))
+        cfg = self._used_exchange_config(descriptor, tmp_path, out_dir=blocker / "out")
         with pytest.raises(StageError) as err:
             run_pipeline(cfg)
         assert err.value.stage == "transport"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import socket
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -222,6 +223,10 @@ class TestPackUnpack:
         ("end_ts_micros", None),
         ("byte_length", "10"),
         ("byte_length", -1),
+        ("seq", 2**70),
+        ("start_ts_micros", -1),
+        ("end_ts_micros", 2**63),
+        ("byte_length", 2**63),
         ("content_digest", 123),
         ("digest_algorithm", "md5"),
         ("source_interface", None),
@@ -753,19 +758,13 @@ class TestDirectoryExchange:
 
     @staticmethod
     def _counted(monkeypatch) -> dict:
-        """Counts of directory listings (DirectoryExchangeChannel._published)
-        and of file lookups (Path.exists and Path.read_bytes) from now on."""
+        """Counts of directory listings (Path.glob and Path.iterdir) and of
+        file lookups (Path.exists and Path.read_bytes) from now on."""
         calls = {"listings": 0, "lookups": 0}
-        published = DirectoryExchangeChannel._published
-
-        def counted_published(channel):
-            calls["listings"] += 1
-            return published(channel)
-
-        monkeypatch.setattr(DirectoryExchangeChannel, "_published", counted_published)
-        for name in ("exists", "read_bytes"):
-            def counted(path, *args, _method=getattr(Path, name), **kwargs):
-                calls["lookups"] += 1
+        for name, key in (("glob", "listings"), ("iterdir", "listings"),
+                          ("exists", "lookups"), ("read_bytes", "lookups")):
+            def counted(path, *args, _method=getattr(Path, name), _key=key, **kwargs):
+                calls[_key] += 1
                 return _method(path, *args, **kwargs)
 
             monkeypatch.setattr(Path, name, counted)
@@ -773,8 +772,8 @@ class TestDirectoryExchange:
 
     def test_receiving_a_run_costs_the_same_per_window_at_any_length(self, tmp_path, monkeypatch):
         """Every fifth window is dropped, so holes are skipped throughout:
-        the directory is listed at most once per hole, and the lookups per
-        window do not grow with the run."""
+        the directory is never listed, and the lookups per window do not
+        grow with the run."""
         manifest, payload = pack_window(window_of(0, [make_packet(5, 40)]))
         calls = self._counted(monkeypatch)
 
@@ -794,21 +793,53 @@ class TestDirectoryExchange:
             return {key: calls[key] - before[key] for key in calls}
 
         short, long = receive_calls(40), receive_calls(400)
-        assert short["listings"] <= 40 // 5 and long["listings"] <= 400 // 5
+        assert short["listings"] == long["listings"] == 0
         assert 0 < long["lookups"] <= 10 * short["lookups"]
 
-    @pytest.mark.parametrize("name", ["end.marker", "latest.seq", "window_3.pcap"])
+    @pytest.mark.parametrize("name", ["end.marker", "window_3.pcap"])
     def test_a_directory_holding_an_earlier_runs_file_is_refused(self, tmp_path, name):
         (tmp_path / name).write_bytes(b"3")
         with pytest.raises(TwinError, match=f"holds {name} from an earlier run"):
             DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path)
 
-    def test_a_latest_seq_that_is_not_a_seq_is_named(self, tmp_path):
-        spec = ChannelSpec(kind="directory-exchange")
-        receiver = DirectoryExchangeChannel(spec, tmp_path)
-        (tmp_path / "latest.seq").write_bytes(b"junk")
-        with pytest.raises(TwinError, match="latest.seq holds b'junk', not a window seq"):
-            receiver.receive(timeout=0)
+    def test_a_seq_past_int64_is_a_schema_error(self, tmp_path):
+        receiver = WindowReceiver(DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path),
+                                  SyncLog())
+        manifest, payload = pack_window(window_of(0))
+        (tmp_path / "window_0.pcap").write_bytes(payload)
+        (tmp_path / "window_0.manifest.json").write_bytes(manifest._replace(seq=2**70).to_json())
+        with pytest.raises(SchemaError) as err:
+            receiver.receive(block=False)
+        assert err.value.field == "seq"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sets(st.integers(0, 39)))
+    def test_the_files_are_named_by_publication_order(self, sent):
+        """Whatever seqs of 0-39 are sent, the receiver delivers exactly
+        those in order, the log marks the others before the last one lost,
+        the directory holds one dense pair of files per window sent, and
+        nothing lists it after the channels are made."""
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            directory, spec, log = Path(tmp), ChannelSpec(kind="directory-exchange"), SyncLog()
+            sender, receiver_channel = DirectoryExchangeChannel(spec, directory), DirectoryExchangeChannel(spec, directory)
+            calls = self._counted(patch)
+            for seq in range(40):
+                manifest, payload = _packed(seq)
+                log.record_sent(seq, manifest.start_ts_micros, manifest.end_ts_micros, manifest.end_ts_micros)
+                if seq in sent:
+                    sender.send(manifest, payload, now_micros=manifest.end_ts_micros)
+            sender.close_send()
+            receiver = WindowReceiver(receiver_channel, log)
+            got = []
+            while (item := receiver.receive()) is not None:
+                got.append(item[1].seq)
+            assert calls["listings"] == 0
+            names = sorted(path.name for path in directory.iterdir())
+        assert got == sorted(sent)
+        # Windows after the last one delivered are the sender's to mark.
+        assert log.columns().lost.tolist() == [seq not in sent and seq < max(sent, default=-1) for seq in range(40)]
+        pairs = [f"window_{n}{suffix}" for n in range(len(sent)) for suffix in (".manifest.json", ".pcap")]
+        assert names == sorted(["end.marker", *pairs])
 
     def test_an_idle_poll_costs_the_same_at_any_length(self, tmp_path, monkeypatch):
         """A receiver that has caught up learns that nothing is new without
