@@ -14,6 +14,9 @@ payload slots of one size). A run of at least VECTOR_MIN_PACKETS records
 is one array operation, a strided view of its headers when reading and
 one copy into rows of header + payload when writing; the records between
 long runs go one by one. A capture of one length is the one-run case.
+The writer takes a batch a piece of packets at a time, each piece with
+its own payload bytes, so a generated trace's rows are filled a piece at
+a time; a run ends where a piece does.
 Windows of fewer than VECTOR_MIN_PACKETS packets would pay the fixed
 cost of each numpy call on a handful of records, so segment_stream
 groups runs of them into PackBlocks of about PACK_BLOCK_BYTES; any
@@ -62,6 +65,12 @@ VECTOR_MIN_PACKETS = 32
 # small windows, small enough that no more than this is ever held at once.
 PACK_BLOCK_BYTES = 256 * 1024
 
+# Packets whose records write_pcap writes per pass, each pass with its own
+# payload bytes: a generated trace's rows are filled a piece at a time, so
+# they never exist for a whole block, and a piece's buffers stay small
+# enough to be reused from one pass to the next.
+_WRITE_PIECE_PACKETS = 4096
+
 
 _U32_MAX = 0xFFFFFFFF
 
@@ -82,7 +91,11 @@ class PacketBatch:
     ``payload[offsets[i]:offsets[i + 1]]`` and its captured bytes are the
     first ``captured_len[i]`` bytes of that slot. A batch read from pcap
     bytes keeps them where they lie, record headers in between, without a
-    copy.
+    copy. A generated trace carries its columns only: its ``payload`` is
+    an object whose ``fill(start, end)`` makes bytes ``[start, end)`` of
+    the buffer it stands for, for any range of whole slots, and ``filled``
+    turns a batch into one with real bytes. write_pcap calls it, so a
+    trace's payload rows are made when they are written.
 
     ``PacketBatch(...)`` checks columns that come from outside;
     ``trusted`` takes them as they are. A step-1 slice is a batch sharing
@@ -158,6 +171,16 @@ class PacketBatch:
 
     def __repr__(self) -> str:
         return f"PacketBatch(<{len(self)} packets>)"
+
+    def filled(self) -> "PacketBatch":
+        """The same packets with their payload bytes in a buffer: this batch
+        when its payload is one, else its range of slots filled, with the
+        offsets counted from the start of that range."""
+        if isinstance(self.payload, np.ndarray):
+            return self
+        start, end = int(self.offsets[0]), int(self.offsets[-1])
+        return PacketBatch.trusted(self.ts_micros, self.captured_len, self.original_len,
+                                   self.payload.fill(start, end), self.offsets - start)
 
     def first_regression(self) -> int | None:
         """Index of the first packet whose timestamp is below its predecessor's,
@@ -272,8 +295,23 @@ def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN
     header = _GLOBAL_HEADER.pack(PCAP_MAGIC_MICROS, 2, 4, 0, 0, snaplen, linktype)
     n = len(batch)
     if n < VECTOR_MIN_PACKETS:
-        return _write_records(header, batch)
+        return _write_records(header, batch.filled())
+    record_at = np.empty(n + 1, dtype=np.int64)
+    record_at[0] = _GLOBAL_HEADER_LEN
+    np.cumsum(cap + np.int64(_RECORD_HEADER_LEN), out=record_at[1:])
+    record_at[1:] += _GLOBAL_HEADER_LEN
+    out = np.empty(int(record_at[-1]), dtype=np.uint8)
+    out[:_GLOBAL_HEADER_LEN] = np.frombuffer(header, dtype=np.uint8)
+    for first in range(0, n, _WRITE_PIECE_PACKETS):
+        stop = min(first + _WRITE_PIECE_PACKETS, n)
+        _write_piece(out[int(record_at[first]):int(record_at[stop])], record_at[first:stop + 1] - record_at[first],
+                     batch[first:stop].filled())
+    return out.tobytes()
 
+
+def _write_piece(out: np.ndarray, record_at: np.ndarray, batch: PacketBatch) -> None:
+    """Write the records of ``batch`` into ``out``, record i at ``record_at[i]``."""
+    n, cap = len(batch), batch.captured_len
     sec, usec = np.divmod(batch.ts_micros, MICROS_PER_SECOND)
     headers = np.empty((n, 4), dtype="<u4")
     headers[:, 0] = sec
@@ -281,12 +319,6 @@ def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN
     headers[:, 2] = cap
     headers[:, 3] = batch.original_len
     header_bytes = headers.view(np.uint8)
-    record_at = np.empty(n + 1, dtype=np.int64)
-    record_at[0] = _GLOBAL_HEADER_LEN
-    np.cumsum(cap + np.int64(_RECORD_HEADER_LEN), out=record_at[1:])
-    record_at[1:] += _GLOBAL_HEADER_LEN
-    out = np.empty(int(record_at[-1]), dtype=np.uint8)
-    out[:_GLOBAL_HEADER_LEN] = np.frombuffer(header, dtype=np.uint8)
 
     # A run: consecutive packets with one captured length in equal payload
     # slots. A long run is one copy into rows of header + payload.
@@ -310,7 +342,6 @@ def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN
         dest, payload = memoryview(out), memoryview(batch.payload)
         for to, start, length in zip((at + _RECORD_HEADER_LEN).tolist(), offsets[rest].tolist(), cap[rest].tolist()):
             dest[to:to + length] = payload[start:start + length]
-    return out.tobytes()
 
 
 def _write_records(header: bytes, batch: PacketBatch) -> bytes:

@@ -13,10 +13,13 @@ and fidelity metrics depend only on sizes and times, which are exact.
 Identical (spec, seed) pairs generate byte-identical traces.
 
 A trace is built in one pass over its columns: the generators add groups
-of packets, the builder sorts them by time, fills the payload rows with
-SplitMix64 noise and then writes the headers into the rows a block of
-packets at a time. Beyond the trace it returns, it holds only the sort
-order, three narrow header columns and block-sized scratch.
+of packets and the builder sorts them by time. The trace carries columns
+only. Its payload is the seed and the narrow header columns each row is
+made from (_TraceRows): a row is the packet's IPv4/UDP header, then
+SplitMix64 fill, and a range of rows is filled only when it is written
+(pcap.write_pcap, through PacketBatch.filled), a block of headers at a
+time. Building holds the sort order and at most one int64 column beyond
+the groups and the trace.
 """
 
 import math
@@ -113,12 +116,17 @@ class GeneratedTrace:
     records: PacketBatch
 
 
-# Synthetic IPv4 + UDP header, big-endian on the wire.
-_HEADER = np.dtype([
-    ("version_ihl", "u1"), ("tos", "u1"), ("total_len", ">u2"), ("ip_id", ">u2"), ("fragment", ">u2"),
-    ("ttl", "u1"), ("protocol", "u1"), ("checksum", ">u2"), ("src", "u1", (4,)), ("dst", "u1", (4,)),
-    ("sport", ">u2"), ("dport", ">u2"), ("udp_len", ">u2"), ("udp_checksum", ">u2"),
-])
+# Synthetic IPv4 + UDP header, seven big-endian 32-bit words on the wire:
+# version/IHL 0x45, TOS 0, total length | IP id, fragment 0 | TTL 64,
+# protocol 17, checksum 0 | source | destination | source port, destination
+# port | UDP length, checksum 0.
+_HEADER_WORDS = _IP_UDP_HEADER_LEN // 4
+_VERSION_IHL_WORD = np.uint32(0x45 << 24)
+_TTL_PROTOCOL_WORD = (64 << 24) | (17 << 16)
+_SERVER_WORD = np.uint32(int.from_bytes(_SERVER_IP, "big"))
+# Phone k's address, 10.45.(1 + k // 250).(2 + k % 250), as a word: this
+# plus (k // 250 << 8) + k % 250.
+_PHONE_NET_WORD = np.uint32(int.from_bytes(bytes([10, 45, 1, 2]), "big"))
 
 # Which way a group of packets goes: it decides which end of the IP/UDP
 # header is the phone and which the server.
@@ -134,16 +142,18 @@ _NOISE_BLOCK_WORDS = 1 << 15
 _HEADER_BLOCK_ROWS = 1 << 14
 
 
-def _noise_bytes(seed: int, count: int) -> np.ndarray:
-    """``count`` pseudo-random bytes: the SplitMix64 sequence started at ``seed``.
+def _noise_bytes(seed: int, count: int, start: int) -> np.ndarray:
+    """Bytes ``[start, start + count)`` of the SplitMix64 sequence started at ``seed``.
 
-    A counter hash, so it takes array arithmetic only: faster than drawing
-    the bytes from Python's or numpy's generators. It runs block by block
-    in its output array, with one block of scratch.
+    A counter hash, so any range is computed alone, with array arithmetic
+    only: faster than drawing the bytes from Python's or numpy's
+    generators. It runs block by block in its output array, with one
+    block of scratch.
     """
-    words = -(-count // 8)
+    first_word, skip = divmod(start, 8)
+    words = -(-(skip + count) // 8)
     out = np.empty(words, dtype=np.uint64)
-    counter = np.arange(1, min(words, _NOISE_BLOCK_WORDS) + 1, dtype=np.uint64)
+    counter = np.arange(first_word + 1, first_word + min(words, _NOISE_BLOCK_WORDS) + 1, dtype=np.uint64)
     scratch = np.empty_like(counter)
     offset = np.uint64(seed % (1 << 64))
     for first in range(0, words, _NOISE_BLOCK_WORDS):
@@ -156,7 +166,7 @@ def _noise_bytes(seed: int, count: int) -> np.ndarray:
             z ^= np.right_shift(z, np.uint64(shift), out=shifted)
             z *= np.uint64(factor)
         z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    return out.astype("<u8", copy=False).view(np.uint8)[:count]
+    return out.astype("<u8", copy=False).view(np.uint8)[skip:skip + count]
 
 
 def _offsets(count: int, gap: float) -> np.ndarray:
@@ -164,12 +174,62 @@ def _offsets(count: int, gap: float) -> np.ndarray:
     return (np.arange(count, dtype=np.float64) * gap).astype(np.int64)
 
 
+class _TraceRows:
+    """The payload buffer of a generated trace, as the columns that make it.
+
+    Packet i owns row i, ``row_len`` bytes: its IPv4/UDP header, then
+    SplitMix64 fill. Its bytes are the first captured_len of the row; the
+    rest of a short packet's row is a gap. For a trace of n packets the
+    rows are bytes ``2n`` on of the SplitMix64 sequence of ``seed``, and
+    packet i's IP id is bytes ``[2i, 2i + 2)``. That sequence is a counter
+    hash, so ``fill`` makes any range of rows alone, with the bytes the
+    whole buffer would hold there. The header columns are in time order:
+    ``original_len`` is the trace's own column, ``ue`` and ``port`` are
+    uint16 and ``uplink`` says which end is the phone.
+    """
+
+    __slots__ = ("seed", "row_len", "original_len", "ue", "port", "uplink")
+
+    def __init__(self, seed: int, row_len: int, original_len, ue, port, uplink):
+        self.seed, self.row_len = seed, row_len
+        self.original_len, self.ue, self.port, self.uplink = original_len, ue, port, uplink
+
+    def fill(self, start: int, end: int) -> np.ndarray:
+        """Bytes ``[start, end)`` of the buffer, both multiples of ``row_len``,
+        in a new array. The headers go in a block of rows at a time."""
+        row_len = self.row_len
+        first, stop = start // row_len, end // row_len
+        rows = _noise_bytes(self.seed, end - start, 2 * len(self.ue) + start).reshape(stop - first, row_len)
+        ip_id = _noise_bytes(self.seed, 2 * (stop - first), 2 * first).view(">u2")
+        scratch = np.empty((min(stop - first, _HEADER_BLOCK_ROWS), _HEADER_WORDS), dtype=">u4")
+        for at in range(0, stop - first, _HEADER_BLOCK_ROWS):
+            picked = slice(first + at, min(first + at + _HEADER_BLOCK_ROWS, stop))
+            total = self.original_len[picked]
+            # Widened before the arithmetic, so every numpy casts it alike.
+            ue = self.ue[picked].astype(np.uint32)
+            port = self.port[picked].astype(np.uint32)
+            uplink = self.uplink[picked]
+            phone = (ue // 250 << 8) + ue % 250 + _PHONE_NET_WORD
+            phone_port = ue + np.uint32(_UE_PORT_BASE)
+            header = scratch[:len(total)]
+            header[:, 0] = total | _VERSION_IHL_WORD
+            header[:, 1] = ip_id[at:at + len(total)].astype(np.uint32) << 16
+            header[:, 2] = _TTL_PROTOCOL_WORD
+            header[:, 3] = np.where(uplink, phone, _SERVER_WORD)
+            header[:, 4] = np.where(uplink, _SERVER_WORD, phone)
+            header[:, 5] = np.where(uplink, phone_port << 16 | port, port << 16 | phone_port)
+            header[:, 6] = (total - np.uint32(20)) << 16
+            rows[at:at + len(total), :_IP_UDP_HEADER_LEN] = header.view(np.uint8).reshape(-1, _IP_UDP_HEADER_LEN)
+        return rows.reshape(-1)
+
+
 class _TraceBuilder:
     """Packets of a trace as groups of columns, in build order.
 
     Generators add groups (timestamps plus a length, direction, phone and
     port per packet, each a scalar or an array); ``build`` sorts them by
-    time, ties in build order, and writes headers and payloads.
+    time, ties in build order, into the columns of a trace whose payload
+    rows are filled when they are written (see _TraceRows).
     """
 
     def __init__(self):
@@ -184,56 +244,31 @@ class _TraceBuilder:
         if not self._groups:
             return PacketBatch.empty()
         counts = [len(group[0]) for group in self._groups]
-        ts = np.concatenate([group[0] for group in self._groups])
         total = self._column(1, counts, np.int64)
         np.maximum(total, _IP_UDP_HEADER_LEN, out=total)
         too_long = np.flatnonzero(total > _MAX_IPV4_LEN)
         if len(too_long):
             raise ValueError(f"packet of {int(total[too_long[0]])} bytes exceeds the IPv4 limit")
         total = total.astype(np.uint32)
-        # The header fields stay in build order, narrow; each header block
-        # gathers its own rows of them through ``order``.
-        direction, ue, port = (self._column(k, counts, np.int32) for k in range(2, 5))
+        direction = self._column(2, counts, np.int8)
+        ue, port = (self._column(k, counts, np.uint16) for k in (3, 4))
+        # The timestamps are joined last, once the lengths are narrowed: at
+        # most one int64 column exists next to the groups at any time.
+        ts = np.concatenate([group[0] for group in self._groups])
         self._groups = []
         order = np.argsort(ts, kind="stable")
-        ts, total = ts[order], total[order]
-        n = len(ts)
+        # One column at a time: no two sorted copies exist at once.
+        ts = ts[order]
+        total = total[order]
+        ue = ue[order]
+        port = port[order]
+        uplink = direction[order] == _UPLINK
+        del order, direction
         captured = np.minimum(total, min(snap, _MAX_IPV4_LEN))
         row_len = max(int(captured.max()), _IP_UDP_HEADER_LEN)
-        noise = _noise_bytes(seed, n * (2 + row_len))
-
-        # Each row is one payload slot: the header, then random fill. A
-        # packet's bytes are the first captured_len of its row; the rest of
-        # a short packet's row stays as a gap in the buffer.
-        rows = noise[2 * n:].reshape(n, row_len)
-        ip_id = noise[:2 * n].view(">u2")
-        scratch = np.zeros(min(n, _HEADER_BLOCK_ROWS), dtype=_HEADER)
-        scratch["version_ihl"] = 0x45
-        scratch["ttl"] = 64
-        scratch["protocol"] = 17
-        server_ip = np.frombuffer(_SERVER_IP, dtype=np.uint8)
-        for first in range(0, n, _HEADER_BLOCK_ROWS):
-            stop = min(first + _HEADER_BLOCK_ROWS, n)
-            header = scratch[:stop - first]
-            picked = order[first:stop]
-            block_ue = ue[picked]
-            uplink = direction[picked] == _UPLINK
-            header["total_len"] = total[first:stop]
-            header["ip_id"] = ip_id[first:stop]
-            ue_ip = np.empty((len(header), 4), dtype=np.uint8)
-            ue_ip[:, 0], ue_ip[:, 1], ue_ip[:, 2], ue_ip[:, 3] = 10, 45, 1 + block_ue // 250, 2 + block_ue % 250
-            header["src"] = np.where(uplink[:, None], ue_ip, server_ip)
-            header["dst"] = np.where(uplink[:, None], server_ip, ue_ip)
-            ue_port = _UE_PORT_BASE + block_ue
-            block_port = port[picked]
-            header["sport"] = np.where(uplink, ue_port, block_port)
-            header["dport"] = np.where(uplink, block_port, ue_port)
-            header["udp_len"] = total[first:stop] - 20
-            rows[first:stop, :_IP_UDP_HEADER_LEN] = header.view(np.uint8).reshape(-1, _IP_UDP_HEADER_LEN)
-        # Freed before the offsets exist, so they never add to the peak.
-        del order, direction, ue, port
-        offsets = np.arange(0, (n + 1) * row_len, row_len, dtype=np.int64)
-        return PacketBatch.trusted(ts, captured, total, noise[2 * n:], offsets)
+        offsets = np.arange(0, (len(ts) + 1) * row_len, row_len, dtype=np.int64)
+        rows = _TraceRows(seed, row_len, total, ue, port, uplink)
+        return PacketBatch.trusted(ts, captured, total, rows, offsets)
 
     def _column(self, k: int, counts: list[int], dtype) -> np.ndarray:
         """Field k of every group as ``dtype``, one entry per packet: the
@@ -330,7 +365,8 @@ def generate(spec: ScenarioSpec) -> GeneratedTrace:
     """Produce the full trace for a scenario. Pure: no global state.
 
     Timing draws come from ``random.Random(seed)``; IP IDs and payload
-    fill from a separate SplitMix64 stream started at the same seed.
+    fill from a separate SplitMix64 stream started at the same seed, made
+    when the payload rows are written.
     """
     spec.validate()
     out = _TraceBuilder()

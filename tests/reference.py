@@ -82,6 +82,7 @@ def lone_window(seq: int, start: int, end: int, packets: PacketBatch) -> Capture
 
 def records_of(batch: PacketBatch) -> list[PacketRecord]:
     """Every packet of a batch as a record, in order."""
+    batch = batch.filled()
     payload = batch.payload
     return [PacketRecord(ts, cap, orig, payload[start:start + cap].tobytes())
             for ts, cap, orig, start in zip(batch.ts_micros.tolist(), batch.captured_len.tolist(),
@@ -133,6 +134,7 @@ def downlink_mask(batch: PacketBatch) -> np.ndarray:
     source address (bytes 12-15 of the generated header) is the server's."""
     if len(batch) and int(batch.captured_len.min()) < 20:
         raise ValueError("a packet captured too short to hold its IP addresses")
+    batch = batch.filled()
     src = batch.payload[batch.offsets[:-1, None] + np.arange(12, 16)]
     return (src == np.frombuffer(SERVER_IP, dtype=np.uint8)).all(axis=1)
 

@@ -10,12 +10,14 @@ output, or an identical exception (type, message and offset or index).
 import random
 import struct
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinsync import pcap
 from twinsync.errors import BadMagicError, PcapError, PcapWriteError, TimestampRegressionError, TruncatedRecordError
 from twinsync.metrics import ThroughputSeries, throughput_series
 from twinsync.model import MICROS_PER_SECOND
@@ -300,20 +302,26 @@ def pcap_inputs(draw, traces=None):
 # --- properties ------------------------------------------------------------
 
 
+# Packets write_pcap writes per pass: a run may cross a pass boundary.
+write_pieces = st.sampled_from([1, 5, VECTOR_MIN_PACKETS + 3, pcap._WRITE_PIECE_PACKETS])
+
+
 @settings(deadline=None)
-@given(any_traces(), st.sampled_from([40, 96, DEFAULT_SNAPLEN]))
-def test_write_pcap_matches_the_reference(packets, snaplen):
+@given(any_traces(), st.sampled_from([40, 96, DEFAULT_SNAPLEN]), write_pieces)
+def test_write_pcap_matches_the_reference(packets, snaplen, piece):
     expected = _outcome(ref_write_pcap, LINKTYPE_RAW_IP, packets, snaplen)
-    assert _outcome(write_pcap, LINKTYPE_RAW_IP, batch_of(packets), snaplen) == expected
+    with mock.patch.object(pcap, "_WRITE_PIECE_PACKETS", piece):
+        assert _outcome(write_pcap, LINKTYPE_RAW_IP, batch_of(packets), snaplen) == expected
 
 
 @settings(deadline=None)
-@given(gapped_batches(), st.sampled_from([40, DEFAULT_SNAPLEN]))
-def test_write_pcap_of_gapped_slots_matches_the_reference(packets_and_batch, snaplen):
+@given(gapped_batches(), st.sampled_from([40, DEFAULT_SNAPLEN]), write_pieces)
+def test_write_pcap_of_gapped_slots_matches_the_reference(packets_and_batch, snaplen, piece):
     packets, batch = packets_and_batch
     assert records_of(batch) == packets
-    assert _outcome(write_pcap, LINKTYPE_RAW_IP, batch, snaplen) == _outcome(ref_write_pcap, LINKTYPE_RAW_IP,
-                                                                             packets, snaplen)
+    with mock.patch.object(pcap, "_WRITE_PIECE_PACKETS", piece):
+        written = _outcome(write_pcap, LINKTYPE_RAW_IP, batch, snaplen)
+    assert written == _outcome(ref_write_pcap, LINKTYPE_RAW_IP, packets, snaplen)
 
 
 @settings(deadline=None)

@@ -6,6 +6,7 @@ import signal
 import struct
 import tempfile
 import threading
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
@@ -96,6 +97,25 @@ class TestVirtualRuns:
         assert len(payloads) == (3 if block else result.windows_replayed)
         assert sum(packets_read) == result.packets_replayed
         assert alive_when_scored == [0]
+
+    def test_a_run_holds_less_than_its_trace_payload(self, descriptor):
+        """A trace carries its columns and the sender fills one block's
+        payload rows at a time, so a whole run of the benchmark's
+        browse-lossy shape peaks below the bytes of its trace's rows.
+        numpy reports its buffers to tracemalloc, so the peak is exact."""
+        scenario = ScenarioSpec(kind="attach-and-browse", duration_micros=60 * SECOND, ue_count=12,
+                                page_mean_interval_micros=2 * SECOND, page_mean_bytes=375_000)
+        channel = ChannelSpec(latency_us=900_000, bandwidth_bps=20_000_000, loss_probability=0.2)
+        cfg = RunConfig(replace(descriptor, window_seconds=2.0), scenario, channel, ReplayPlan())
+        tracemalloc.start()
+        try:
+            result = run_pipeline(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trace = generate(scenario).records
+        assert len(trace) > 100_000 and result.windows_replayed > 0
+        assert peak < int(trace.offsets[-1])
 
     def test_lossless_run_reproduces_the_series_exactly(self, descriptor):
         result = run_pipeline(run_config(descriptor, seed=3))
@@ -324,6 +344,7 @@ def _voice_trace(scenario):
 def _with_unwritable_packet(records, index):
     """``records`` with packet ``index`` captured at 70,000 bytes, in a
     70,000-byte payload slot: past the snap length write_pcap keeps to."""
+    records = records.filled()
     offsets = records.offsets.copy()
     start, stop = int(offsets[index]), int(offsets[index + 1])
     payload = np.concatenate((records.payload[:start], np.full(70_000, 0xAB, dtype=np.uint8),

@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from twinsync import scenarios
-from twinsync.pcap import LINKTYPE_RAW_IP, write_pcap
+from twinsync import pcap, scenarios
+from twinsync.pcap import LINKTYPE_RAW_IP, PacketBatch, write_pcap
 from twinsync.scenarios import (
     SCENARIO_KINDS,
     GeneratedTrace,
@@ -210,7 +212,18 @@ def test_payloads_start_with_a_matching_ip_udp_header(kind, snap):
 @pytest.mark.parametrize("seed", [0, 1, -3, 2**70 + 5])
 def test_payload_noise_is_the_splitmix64_sequence(seed):
     for count in (0, 1, 13, 800):
-        assert _noise_bytes(seed, count).tobytes() == splitmix64_bytes(seed, count)
+        assert _noise_bytes(seed, count, 0).tobytes() == splitmix64_bytes(seed, count)
+
+
+@pytest.mark.parametrize("block_words", [1, 3])
+def test_any_range_of_the_noise_is_the_splitmix64_sequence(monkeypatch, block_words):
+    # Ranges that start and end inside a word and cross block boundaries:
+    # counts a step of 9 apart end at every offset within a word.
+    monkeypatch.setattr(scenarios, "_NOISE_BLOCK_WORDS", block_words)
+    sequence = splitmix64_bytes(5, 813)
+    for start in (0, 1, 7, 8, 13):
+        for count in (*range(0, 800, 9), 800):
+            assert _noise_bytes(5, count, start).tobytes() == sequence[start:start + count]
 
 
 class TestSpecValidation:
@@ -227,7 +240,7 @@ class TestSpecValidation:
         # gets port 65534, the next one would wrap to 0.
         spec = ScenarioSpec(kind="attach-and-browse", duration_micros=SECOND, ue_count=25_535, attach_packets=2)
         batch = generate(spec).records
-        source_ports = batch.payload.reshape(len(batch), -1)[:, 20:22].copy().view(">u2")
+        source_ports = batch.filled().payload.reshape(len(batch), -1)[:, 20:22].copy().view(">u2")
         assert int(source_ports.max()) == 65_534
         with pytest.raises(ValueError, match="^ue_count must be at most 25535, got 25536$"):
             generate(replace(spec, ue_count=25_536))
@@ -323,7 +336,7 @@ def assert_matches_the_reference(groups, snap: int, seed: int) -> None:
     assert batch.offsets.tolist() == list(range(0, (len(columns) + 1) * slot, slot))
     # Every byte of every slot: header fields, addresses and ports by
     # direction, then the fill, also past a short packet's captured bytes.
-    assert batch.payload.tobytes() == payload
+    assert batch.filled().payload.tobytes() == payload
 
 
 @pytest.mark.parametrize("snap", [20, 96])
@@ -331,6 +344,27 @@ def assert_matches_the_reference(groups, snap: int, seed: int) -> None:
 def test_trace_bytes_match_the_per_packet_reference(monkeypatch, snap, block_rows):
     monkeypatch.setattr(scenarios, "_HEADER_BLOCK_ROWS", block_rows)
     assert_matches_the_reference(HAND_BUILT_GROUPS, snap, seed=7)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_slice_of_a_trace_is_filled_and_written_as_the_reference(monkeypatch, block_rows, data):
+    # Rows a..b are filled alone with the bytes the whole buffer holds
+    # there, so where a trace is cut into blocks changes no byte written.
+    monkeypatch.setattr(scenarios, "_HEADER_BLOCK_ROWS", block_rows)
+    snap = data.draw(st.sampled_from([20, 96]), label="snap")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    trace = built(HAND_BUILT_GROUPS, snap, seed)
+    a = data.draw(st.integers(0, len(trace)), label="a")
+    b = data.draw(st.integers(a, len(trace)), label="b")
+    columns, slot, payload = reference_trace(HAND_BUILT_GROUPS, snap, seed)
+    part = trace[a:b].filled()
+    assert part.payload.tobytes() == payload[a * slot:b * slot]
+    assert part.offsets.tolist() == list(range(0, (b - a + 1) * slot, slot))
+    ts, captured, original = zip(*columns)
+    reference = PacketBatch(ts, captured, original, payload, np.arange(0, (len(ts) + 1) * slot, slot))
+    assert write_pcap(LINKTYPE_RAW_IP, trace[a:b]) == write_pcap(LINKTYPE_RAW_IP, reference[a:b])
 
 
 def test_a_trace_longer_than_one_header_block_matches_the_reference():
@@ -360,15 +394,19 @@ GOLDEN_TRACE_SHA256 = {
 
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
-def test_generated_trace_bytes_are_the_golden_ones(kind):
+def test_generated_trace_bytes_are_the_golden_ones(monkeypatch, kind):
     batch = generate(ScenarioSpec(kind=kind, duration_micros=6 * SECOND, seed=3, ue_count=3)).records
-    assert hashlib.sha256(write_pcap(LINKTYPE_RAW_IP, batch)).hexdigest() == GOLDEN_TRACE_SHA256[kind]
+    # Written a piece of packets at a time, each piece's rows filled alone.
+    for piece in (251, pcap._WRITE_PIECE_PACKETS):
+        monkeypatch.setattr(pcap, "_WRITE_PIECE_PACKETS", piece)
+        assert hashlib.sha256(write_pcap(LINKTYPE_RAW_IP, batch)).hexdigest() == GOLDEN_TRACE_SHA256[kind]
 
 
 def test_generation_holds_little_beyond_the_trace():
     # numpy reports its buffers to tracemalloc, so the peak is exact. The
-    # trace is its columns and payload buffer; anything above it is a
-    # temporary, which generation keeps narrow and block sized.
+    # trace is every array it holds: its columns and the header columns its
+    # payload rows are filled from. Anything above it is a temporary, which
+    # generation keeps narrow.
     spec = ScenarioSpec(kind="attach-and-browse", duration_micros=60 * SECOND, ue_count=12,
                         page_mean_interval_micros=2 * SECOND, page_mean_bytes=375_000)
     tracemalloc.start()
@@ -377,7 +415,9 @@ def test_generation_holds_little_beyond_the_trace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    trace_bytes = sum(column.nbytes for column in
-                      (batch.ts_micros, batch.captured_len, batch.original_len, batch.offsets, batch.payload))
+    held = [getattr(batch, name) for name in PacketBatch.__slots__]
+    held += [getattr(batch.payload, name) for name in type(batch.payload).__slots__]
+    arrays = {id(value): value for value in held if isinstance(value, np.ndarray)}
+    trace_bytes = sum(array.nbytes for array in arrays.values())
     assert len(batch) > 100_000
     assert peak <= 1.3 * trace_bytes
