@@ -1,5 +1,6 @@
 """Clock sources, injectable so time-dependent code stays testable."""
 
+import threading
 import time
 from typing import Protocol
 
@@ -11,11 +12,30 @@ class Clock(Protocol):
 
 
 class MonotonicClock:
-    """Wall clock backed by time.monotonic_ns."""
+    """Run clock backed by time.monotonic_ns: it reads ``origin_micros``
+    when built and then advances ``speed_factor`` microseconds per wall
+    microsecond, so a real-time run keeps capture time and only its sleeps
+    are wall time. With no arguments it reads monotonic microseconds."""
+
+    def __init__(self, origin_micros: int | None = None, speed_factor: float = 1.0):
+        self._start = time.monotonic_ns() // 1000
+        self._origin = self._start if origin_micros is None else origin_micros
+        self._speed = speed_factor
 
     def now_micros(self) -> int:
-        return time.monotonic_ns() // 1000
+        return self._origin + int((time.monotonic_ns() // 1000 - self._start) * self._speed)
+
+    def _wall_seconds(self, duration_micros: int) -> float:
+        return duration_micros / self._speed / 1_000_000
 
     def sleep_micros(self, duration_micros: int) -> None:
         if duration_micros > 0:
-            time.sleep(duration_micros / 1_000_000)
+            time.sleep(self._wall_seconds(duration_micros))
+
+    def wait_until(self, t_micros: int, stop: threading.Event) -> bool:
+        """Wait until the clock reads ``t_micros`` or ``stop`` is set;
+        returns whether ``stop`` is set."""
+        while (wait := t_micros - self.now_micros()) > 0:
+            if stop.wait(self._wall_seconds(wait)):
+                return True
+        return stop.is_set()

@@ -48,7 +48,6 @@ LINKTYPE_RAW_IP = 101
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _GLOBAL_HEADER_LEN = 24
-_RECORD_HEADER = struct.Struct("<IIII")
 _RECORD_HEADERS = {order: struct.Struct(order + "IIII") for order in "<>"}
 _RECORD_HEADER_LEN = 16
 # The first timestamp whose seconds do not fit a record header.
@@ -294,8 +293,6 @@ def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN
         raise PcapWriteError(bad, "timestamp beyond 32-bit seconds")
     header = _GLOBAL_HEADER.pack(PCAP_MAGIC_MICROS, 2, 4, 0, 0, snaplen, linktype)
     n = len(batch)
-    if n < VECTOR_MIN_PACKETS:
-        return _write_records(header, batch.filled())
     record_at = np.empty(n + 1, dtype=np.int64)
     record_at[0] = _GLOBAL_HEADER_LEN
     np.cumsum(cap + np.int64(_RECORD_HEADER_LEN), out=record_at[1:])
@@ -342,17 +339,6 @@ def _write_piece(out: np.ndarray, record_at: np.ndarray, batch: PacketBatch) -> 
         dest, payload = memoryview(out), memoryview(batch.payload)
         for to, start, length in zip((at + _RECORD_HEADER_LEN).tolist(), offsets[rest].tolist(), cap[rest].tolist()):
             dest[to:to + length] = payload[start:start + length]
-
-
-def _write_records(header: bytes, batch: PacketBatch) -> bytes:
-    parts = [header]
-    pack = _RECORD_HEADER.pack
-    payload = batch.payload
-    for ts, cap, orig, start in zip(batch.ts_micros.tolist(), batch.captured_len.tolist(),
-                                    batch.original_len.tolist(), batch.offsets.tolist()):
-        parts.append(pack(*divmod(ts, MICROS_PER_SECOND), cap, orig))
-        parts.append(payload[start:start + cap])
-    return b"".join(parts)
 
 
 def read_pcap(data: bytes) -> tuple[int, PacketBatch]:

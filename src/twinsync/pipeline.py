@@ -9,8 +9,10 @@ calling thread and every timestamp is computed from the data, so a run
 is deterministic down to the report bytes. Windows are sent one at a
 time, and once the last window of a pcap.PackBlock is sent, what the
 receiver has ready is received and replayed a block at a time.
-Real-time mode paces windows against a monotonic clock for live
-demonstrations: a producer thread sends while a consumer thread waits
+Real-time mode, for live demonstrations, cuts the same windows and runs
+on one clock, clocks.MonotonicClock, that reads capture time and
+advances speed_factor times as fast as the wall: a producer thread sends
+each window once the clock passes its end, while a consumer thread waits
 for each window and replays it. The producer always closes the channel,
 even on failure, so the consumer drains and terminates; a failed
 consumer stops the producer and closes the receive side. Its timing is
@@ -117,10 +119,10 @@ def _make_channels(cfg: RunConfig, clock) -> tuple[object, object]:
         ch = InProcessChannel(spec, clock=clock)
         return ch, ch
     if spec.kind == "directory-exchange":
-        sender = DirectoryExchangeChannel(spec, cfg.exchange_dir)
-        receiver = DirectoryExchangeChannel(spec, cfg.exchange_dir)
+        sender = DirectoryExchangeChannel(spec, cfg.exchange_dir, clock)
+        receiver = DirectoryExchangeChannel(spec, cfg.exchange_dir, clock)
         return sender, receiver
-    receiver = TcpReceiverChannel(cfg.tcp_host, cfg.tcp_port or 0)
+    receiver = TcpReceiverChannel(cfg.tcp_host, cfg.tcp_port or 0, clock)
     sender = TcpSenderChannel(spec, cfg.tcp_host, receiver.port)
     return sender, receiver
 
@@ -155,18 +157,10 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
     except Exception as exc:
         raise StageError("simulate", exc) from exc
 
-    clock = None if virtual else MonotonicClock()
-    if virtual:
-        origin = scenario.origin_ts_micros
-        records = trace.records
-    else:
-        # Shift the whole trace onto the wall-clock timeline so windows,
-        # replay and series all share one time base.
-        wall0 = clock.now_micros()
-        shift = wall0 - scenario.origin_ts_micros
-        records = trace.records.shifted(shift)
-        origin = wall0
+    origin = scenario.origin_ts_micros
     span_end = origin + scenario.duration_micros
+    # Real time runs on the capture timescale: the clock reads the origin now.
+    clock = None if virtual else MonotonicClock(origin, cfg.plan.speed_factor)
 
     try:
         send_channel, recv_channel = _make_channels(cfg, clock)
@@ -181,7 +175,7 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
     engine = ReplayEngine(cfg.plan, log, clock=clock)
     receiver = WindowReceiver(recv_channel, log)
     windows = segment_stream(
-        records, window_micros, origin, span_end_micros=span_end,
+        trace.records, window_micros, origin, span_end_micros=span_end,
         source_interface=cfg.descriptor.capture_interface,
     )
 
@@ -226,7 +220,7 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         close_receive()
 
     try:
-        return _evaluate(cfg, log, replayed, engine, records, origin, scenario.duration_micros, window_micros)
+        return _evaluate(cfg, log, replayed, engine, trace.records, origin, scenario.duration_micros, window_micros)
     except Exception as exc:
         raise StageError("metrics", exc) from exc
 
@@ -244,8 +238,7 @@ def _run_threads(windows, send, replay, send_channel, close_receive, clock) -> N
     def producer():
         try:
             for window in windows:
-                wait = window.end_ts_micros - clock.now_micros()
-                if stop.wait(max(wait, 0) / MICROS_PER_SECOND):
+                if clock.wait_until(window.end_ts_micros, stop):
                     break
                 send(window, clock.now_micros())
         except BaseException as exc:

@@ -7,13 +7,13 @@ mode:
 * virtual-clock: the packets are emitted at once, every timestamp
   shifted by the alignment offset. Exact, fast, fully deterministic;
   this is what CI and fidelity runs use.
-* real-time: each packet's target wall time is its capture time scaled
-  by 1/speed_factor from the anchor, tcpreplay style. The engine sleeps
-  against an injected clock once per REPLAY_RESOLUTION_MICROS slot of
-  targets, not once per packet, and a packet counts as emitted at its
-  target or at the clock reading when its slot began, whichever is
-  later. The largest lateness is kept, never folded silently into
-  timestamps.
+* real-time: the same shifted timestamps are targets on the run's clock,
+  which reads capture time and converts its sleeps to wall time by the
+  speed factor, tcpreplay style. The engine sleeps once per slot of
+  REPLAY_RESOLUTION_MICROS wall microseconds of targets, not once per
+  packet, and a packet counts as emitted at its target or at the clock
+  reading when its slot began, whichever is later. The largest lateness
+  is kept, never folded silently into timestamps.
 
 Either way a window completes when it is ready (received, and in real
 time its last packet emitted) or when the one before it completed,
@@ -31,8 +31,8 @@ from .clocks import Clock
 from .pcap import CaptureWindow, PacketBatch
 from .transport import ReceivedBlock, SyncLog
 
-# Real time sleeps at most once per slot of this many microseconds of
-# targets, so the interpreter's cost per packet never paces the replay.
+# Real time sleeps at most once per slot of this many wall microseconds
+# of targets, so the interpreter's cost per packet never paces the replay.
 REPLAY_RESOLUTION_MICROS = 1000
 
 
@@ -76,10 +76,10 @@ def compute_alignment(plan: ReplayPlan, window_start_micros: int, replay_start_m
 class ReplayEngine:
     """Replays ReceivedBlocks in seq order (replay_block).
 
-    The first block sets the anchor: the replay start (the clock in real
-    time, the first arrival on the virtual clock) and the first window's
-    start. The alignment offset is frozen there, so consecutive windows
-    replay back-to-back with zero drift.
+    The first block fixes the alignment offset from the replay start (the
+    clock in real time, the first arrival on the virtual clock) and the
+    first window's start, so consecutive windows replay back-to-back with
+    zero drift.
     """
 
     def __init__(self, plan: ReplayPlan, log: SyncLog, clock: Clock | None = None):
@@ -89,7 +89,6 @@ class ReplayEngine:
         self.log = log
         self.clock = clock
         self.max_lateness_micros = 0
-        self._anchor: tuple[int, int] | None = None
         self._offset: int | None = None
         self._last_completed: int | None = None
         self._last_seq: int | None = None
@@ -106,27 +105,26 @@ class ReplayEngine:
         if self._last_seq is not None and seq <= self._last_seq:
             raise ValueError(f"window {seq} arrived after window {self._last_seq}")
         real_time = self.plan.mode is ReplayMode.REAL_TIME
-        if self._anchor is None:
-            wall = self.clock.now_micros() if real_time else int(block.t_received[0])
-            self._anchor = wall, int(block.starts[0])
-            self._offset = compute_alignment(self.plan, int(block.starts[0]), wall)
-            self._last_completed = wall
+        if self._offset is None:
+            start = self.clock.now_micros() if real_time else int(block.t_received[0])
+            self._offset = compute_alignment(self.plan, int(block.starts[0]), start)
+            self._last_completed = start
+        packets, ready = block.packets.shifted(self._offset), block.t_received
         if real_time:
-            packets, ready = self._pace(block)
-        else:
-            packets, ready = block.packets.shifted(self._offset), block.t_received
+            packets, ready = self._pace(block, packets)
         t_done = np.maximum.accumulate(np.maximum(ready, self._last_completed))
         self.log.record_replayed(block.seqs, t_done)
         self._last_seq, self._last_completed = int(block.seqs[-1]), int(t_done[-1])
         return packets
 
-    def _pace(self, block: ReceivedBlock) -> tuple[PacketBatch, np.ndarray]:
-        """Real time: emit the block's packets against the clock. Returns
-        them stamped with their emission times, and when each window is
-        ready: its arrival, or its last packet's emission if later."""
-        wall, start = self._anchor
-        targets = wall + ((block.packets.ts_micros - start) / self.plan.speed_factor).astype(np.int64)
-        slots = (targets - wall) // REPLAY_RESOLUTION_MICROS
+    def _pace(self, block: ReceivedBlock, packets: PacketBatch) -> tuple[PacketBatch, np.ndarray]:
+        """Real time: emit the block's packets, whose timestamps are their
+        targets, against the clock. Returns them stamped with their emission
+        times, and when each window is ready: its arrival, or its last
+        packet's emission if later."""
+        targets = packets.ts_micros
+        slot_micros = max(1, int(REPLAY_RESOLUTION_MICROS * self.plan.speed_factor))
+        slots = targets // slot_micros
         firsts = np.flatnonzero(np.diff(slots, prepend=slots[:1] - 1))
         began = np.empty(len(firsts), dtype=np.int64)
         for slot, target in enumerate(targets[firsts].tolist()):
@@ -141,7 +139,7 @@ class ReplayEngine:
         ends = block.cuts[1:]
         filled = ends > block.cuts[:-1]
         ready[filled] = np.maximum(ready[filled], emitted[ends[filled] - 1])
-        return block.packets.with_ts(emitted), ready
+        return packets.with_ts(emitted), ready
 
     def replay_window(self, window: CaptureWindow, t_received: int) -> PacketBatch:
         """One window, received at ``t_received``, replayed as a block of one.

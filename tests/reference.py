@@ -390,22 +390,22 @@ def sequential_age_of_information(entries: list[SyncLogEntry], origin: int, hori
     return (area / span if span > 0 else float(age_prev)), peak
 
 
-def paced_per_packet(windows: list[tuple[int, list[int]]], speed_factor: float,
-                     clock) -> tuple[list[list[int]], int, list[int]]:
+def paced_per_packet(windows: list[tuple[int, list[int]]], clock) -> tuple[list[list[int]], int, list[int]]:
     """Real-time replay paced one packet at a time, as ReplayEngine did
     before it slept once per slot of targets. ``windows`` holds each
-    window's (start, packet timestamps) in seq order. The first window's
-    start is anchored to the clock when replay begins; each packet sleeps
+    window's (start, packet timestamps) in seq order. The offset is the
+    clock when replay begins minus the first window's start, and a
+    packet's target is its timestamp plus the offset. Each packet sleeps
     until its target and counts as emitted at its target or at the clock
     after that sleep, whichever is later, and a window completes at the
     clock after its last packet. Returns the emitted times per window, the
     largest lateness and each window's completion time."""
-    anchor_wall, first_start = clock.now_micros(), windows[0][0]
+    offset = clock.now_micros() - windows[0][0]
     emitted, max_lateness, completed = [], 0, []
     for _, timestamps in windows:
         times = []
         for ts in timestamps:
-            target = anchor_wall + int((ts - first_start) / speed_factor)
+            target = ts + offset
             wait = target - clock.now_micros()
             if wait > 0:
                 clock.sleep_micros(wait)

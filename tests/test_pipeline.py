@@ -6,6 +6,7 @@ import signal
 import struct
 import tempfile
 import threading
+import time
 import tracemalloc
 import weakref
 from contextlib import contextmanager
@@ -24,7 +25,14 @@ from twinsync.pcap import LINKTYPE_RAW_IP, PacketBatch, read_pcap, segment_strea
 from twinsync.pipeline import RunConfig, build_report_document, run_pipeline, write_run_artifacts
 from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan
 from twinsync.scenarios import ScenarioSpec, generate
-from twinsync.transport import ChannelSpec, InProcessChannel, SyncLog, TcpSenderChannel, WindowReceiver
+from twinsync.transport import (
+    ChannelSpec,
+    InProcessChannel,
+    SyncLog,
+    TcpSenderChannel,
+    WindowReceiver,
+    pack_window,
+)
 
 from reference import batch_of, out_of_order_seqs, records_of
 
@@ -661,6 +669,50 @@ class TestRealTimeRuns:
         assert result.report.twin_alignment_ratio == 1.0
         assert (tmp_path / "exchange" / "window_0.pcap").exists()
         assert (tmp_path / "exchange" / "window_0.manifest.json").exists()
+
+    def test_speed_reaches_every_stage(self, descriptor):
+        # 4 s of capture at speed 20 take 0.2 s of wall time: the producer
+        # waits, the link delivers and the twin replays on the one run clock.
+        # A shared 2-core host stalled such a run by up to 47 ms of wall,
+        # which at speed 20 is far past T/2 of capture time on its own, so
+        # the lateness bound holds on one of three runs. On the cadence of
+        # speed 1 every run was over 3 s late.
+        cfg = run_config(replace(descriptor, window_seconds=0.5), kind="voice-call", seconds=4,
+                         plan=ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=20.0))
+        lateness = []
+        with deadline(10):
+            for _ in range(3):
+                began = time.monotonic()
+                result = run_pipeline(cfg)
+                assert time.monotonic() - began < 2.0
+                assert result.windows_replayed == result.windows_sent == 8
+                sync = result.log.columns()
+                assert (sync.t_sent >= sync.t_window_end).all()
+                lateness.append(result.max_lateness_micros)
+                if lateness[-1] < 250_000:  # half a window
+                    break
+        assert lateness[-1] < 250_000, lateness
+
+    def test_real_time_windows_are_the_virtual_windows(self, descriptor, tmp_path):
+        # Both modes cut and pack the same trace from the scenario's origin,
+        # so each file published is the virtual clock's pack_window output.
+        exchange = tmp_path / "exchange"
+        cfg = run_config(replace(descriptor, window_seconds=0.5), kind="voice-call", seconds=4, seed=3,
+                         channel=ChannelSpec(kind="directory-exchange"),
+                         plan=ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=20.0), exchange_dir=exchange)
+        with deadline(10):
+            run_pipeline(cfg)
+        scenario = replace(cfg.scenario, seed=cfg.seed)
+        origin = scenario.origin_ts_micros
+        windows = list(segment_stream(generate(scenario).records, cfg.descriptor.window_micros, origin,
+                                      span_end_micros=origin + scenario.duration_micros,
+                                      source_interface=cfg.descriptor.capture_interface))
+        assert len(windows) == 8
+        for window in windows:
+            manifest, payload = pack_window(window)
+            assert (exchange / f"window_{window.seq}.pcap").read_bytes() == payload
+            assert (exchange / f"window_{window.seq}.manifest.json").read_bytes() == manifest.to_json()
+        assert len(list(exchange.iterdir())) == 2 * len(windows) + 1  # and end.marker
 
     def test_second_run_refuses_a_used_exchange_directory(self, descriptor, tmp_path):
         exchange = tmp_path / "exchange"

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinsync.replay import ReplayEngine, ReplayMode, ReplayPlan, compute_alignment
+from twinsync import clocks
+from twinsync.clocks import MonotonicClock
+from twinsync.replay import REPLAY_RESOLUTION_MICROS, ReplayEngine, ReplayMode, ReplayPlan, compute_alignment
 from twinsync.transport import ReceivedBlock, SyncLog
 
 from conftest import make_packet, packet_lists
 from reference import ManualClock, batch_of, paced_per_packet, records_of
 
 SECOND = 1_000_000
+# Speeds the pacing properties hold at, slower and faster than the wall.
+SPEEDS = [0.3, 1.0, 2.5, 7.0, 20.0]
 
 
 def received_block(log: SyncLog, seq=0, start=0, T=10 * SECOND, delay=0, packets=()) -> ReceivedBlock:
@@ -102,15 +106,21 @@ class TestVirtualReplay:
 
 
 class TestRealTimeReplay:
-    def test_speed_factor_halves_the_gaps(self):
-        # Gaps 10 ms and 20 ms at speed 2 -> wall deltas 5 ms and 10 ms.
+    def test_speed_factor_halves_the_gaps(self, monkeypatch):
+        # Gaps of 10 ms and 20 ms of capture time at speed 2 -> the run
+        # clock sleeps 5 ms and 10 ms of wall time; the replayed packets
+        # keep their capture gaps.
+        wall = FakeWallTime()
+        monkeypatch.setattr(clocks, "time", wall)
         log = SyncLog()
         block = received_block(log, T=SECOND, packets=[make_packet(0), make_packet(10_000), make_packet(30_000)])
-        clock = ManualClock(start_micros=7 * SECOND)
+        clock = MonotonicClock(7 * SECOND, speed_factor=2.0)
         engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=2.0), log, clock=clock)
         ts = engine.replay_block(block).ts_micros.tolist()
-        assert [b - a for a, b in zip(ts, ts[1:])] == [5_000, 10_000]
-        assert engine.max_lateness_micros == 0  # manual clock sleeps exactly
+        assert wall.sleeps == pytest.approx([0.005, 0.010])
+        assert ts == [7 * SECOND, 7 * SECOND + 10_000, 7 * SECOND + 30_000]
+        assert clock.now_micros() == 7 * SECOND + 30_000
+        assert engine.max_lateness_micros == 0  # the fake wall clock sleeps exactly
 
     def test_max_lateness_is_the_largest_oversleep(self):
         # The second and third packets are emitted 700 and 300 us late.
@@ -155,23 +165,40 @@ class TestRealTimeReplay:
 
     @settings(deadline=None)
     @given(st.lists(st.lists(st.integers(1000, 4000), max_size=6), min_size=1, max_size=3),
-           st.lists(st.integers(0, 999)))
-    def test_targets_a_slot_apart_pace_as_packet_by_packet(self, gaps, overshoots):
-        emitted, lateness, completed = paced_both_ways(gaps, 1.0, overshoots)
+           st.sampled_from(SPEEDS), st.lists(st.integers(0, 999)))
+    def test_targets_a_slot_apart_pace_as_packet_by_packet(self, gaps, speed, overshoots):
+        emitted, lateness, completed = paced_both_ways(gaps, speed, overshoots)
         assert emitted[0] == emitted[1]
         assert lateness[0] == lateness[1]
         assert completed[0] == completed[1]
 
     @settings(deadline=None)
     @given(st.lists(st.lists(st.integers(0, 4000), max_size=8), min_size=1, max_size=3),
-           st.sampled_from([0.3, 1.0, 2.5, 7.0]), st.lists(st.integers(0, 999)))
+           st.sampled_from(SPEEDS), st.lists(st.integers(0, 999)))
     def test_pacing_is_within_a_slot_of_packet_by_packet(self, gaps, speed, overshoots):
         emitted, lateness, completed = paced_both_ways(gaps, speed, overshoots)
-        assert all(abs(a - b) < 1000 for a, b in zip(*emitted))
-        assert abs(lateness[0] - lateness[1]) < 1000
-        assert all(abs(a - b) < 1000 for a, b in zip(*completed))
+        slot = REPLAY_RESOLUTION_MICROS * speed
+        assert all(abs(a - b) < slot for a, b in zip(*emitted))
+        assert abs(lateness[0] - lateness[1]) < slot
+        assert all(abs(a - b) < slot for a, b in zip(*completed))
         if not overshoots:  # a clock that sleeps exactly emits every packet on target
             assert emitted[0] == emitted[1] and completed[0] == completed[1]
+
+
+class FakeWallTime:
+    """Stands in for the time module of twinsync.clocks: monotonic_ns reads
+    a counter that sleep advances, and every sleep is recorded."""
+
+    def __init__(self, start_ns: int = 10**12):
+        self.ns = start_ns
+        self.sleeps: list[float] = []
+
+    def monotonic_ns(self) -> int:
+        return self.ns
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.ns += round(seconds * 1e9)
 
 
 class OversleepingClock(ManualClock):
@@ -200,18 +227,22 @@ def block_of_windows(log: SyncLog, windows, first_seq=0, T=SECOND) -> ReceivedBl
 
 
 def paced_both_ways(gaps, speed, overshoots):
-    """Windows 10 s apart whose packets follow one another by ``gaps``,
-    replayed as one block by the engine and packet by packet by the
-    reference, each on an OversleepingClock. Returns (engine, reference)
-    pairs of the emitted times, the largest lateness and the completion
-    times."""
-    windows = [(k * 10 * SECOND, (k * 10 * SECOND + np.cumsum(window_gaps, dtype=np.int64)).tolist())
+    """Windows 10 s apart whose packets follow one another by ``gaps`` wall
+    microseconds, replayed at ``speed`` as one block by the engine and
+    packet by packet by the reference, each on an OversleepingClock that
+    reads capture time. Gaps and overshoots are given in wall time, so
+    they count ``speed`` times on that clock, as the engine's slot does.
+    Returns (engine, reference) pairs of the emitted times, the largest
+    lateness and the completion times."""
+    windows = [(k * 10 * SECOND, (k * 10 * SECOND + np.cumsum([int(gap * speed) for gap in window_gaps],
+                                                                dtype=np.int64)).tolist())
                for k, window_gaps in enumerate(gaps)]
+    overshoots = [int(overshoot * speed) for overshoot in overshoots]
     log = SyncLog()
     block = block_of_windows(log, windows, T=10 * SECOND)
     engine = ReplayEngine(ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=speed), log,
                           clock=OversleepingClock(overshoots, start_micros=SECOND))
     ts = engine.replay_block(block).ts_micros.tolist()
-    emitted, lateness, completed = paced_per_packet(windows, speed, OversleepingClock(overshoots, SECOND))
+    emitted, lateness, completed = paced_per_packet(windows, OversleepingClock(overshoots, SECOND))
     return ((ts, [t for times in emitted for t in times]), (engine.max_lateness_micros, lateness),
             (log.columns().t_replayed.tolist(), completed))
