@@ -186,31 +186,33 @@ class SeriesComparison:
     estimated_lag_micros: int
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson r.
+def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Pearson r, or None where it is undefined: a side of zero variance
+    that differs from the other.
 
-    Identical arrays short-circuit to exactly 1.0 (no float noise). A
-    zero-variance side otherwise makes r undefined and is reported as 0.0.
+    Identical arrays short-circuit to exactly 1.0 (no float noise).
     """
     if np.array_equal(x, y):
         return 1.0
     sx = float(np.std(x))
     sy = float(np.std(y))
     if sx == 0.0 or sy == 0.0:
-        return 0.0
+        return None
     r = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
     return max(-1.0, min(1.0, r))
 
 
-def compare_series(npt: ThroughputSeries, ndt: ThroughputSeries, max_lag_bins: int) -> SeriesComparison:
+def compare_series(npt: ThroughputSeries, ndt: ThroughputSeries, max_lag_bins: int,
+                   min_lag_bins: int | None = None) -> SeriesComparison:
     """Similarity of the physical-side and twin-side throughput series.
 
-    The lag estimate is the integer bin shift (within +/-max_lag_bins)
-    maximizing normalized cross-correlation; rmse, nrmse and pearson_r
-    are computed on the lag-corrected overlap. Only lags whose overlap
-    covers at least half the shorter series, and 2 bins, are scored: a
-    few bins at the series' ends can correlate perfectly by chance.
-    Positive lag means the twin series trails the physical one.
+    The lag estimate is the integer bin shift within [min_lag_bins,
+    max_lag_bins] (min_lag_bins defaults to -max_lag_bins) maximizing
+    normalized cross-correlation; rmse, nrmse and pearson_r are computed
+    on the lag-corrected overlap. Only lags whose overlap covers at least
+    half the shorter series, and 2 bins, and where pearson_r is defined
+    are scored: a few bins at the series' ends can correlate perfectly by
+    chance. Positive lag means the twin series trails the physical one.
     """
     if npt.bin_width_micros != ndt.bin_width_micros:
         raise MetricsError(
@@ -218,28 +220,26 @@ def compare_series(npt: ThroughputSeries, ndt: ThroughputSeries, max_lag_bins: i
         )
     x = np.asarray(npt.bins, dtype=float)
     y = np.asarray(ndt.bins, dtype=float)
+    if min_lag_bins is None:
+        min_lag_bins = -max_lag_bins
 
     scored: list[tuple[float, int]] = []
     need = max(2, -(-min(len(x), len(y)) // 2))
     # Lags past these bounds overlap by under ``need`` bins, so a huge
     # bound costs no more than the series' own lengths.
-    for s in range(max(-max_lag_bins, need - len(x)), min(max_lag_bins, len(y) - need) + 1):
+    for s in range(max(min_lag_bins, need - len(x)), min(max_lag_bins, len(y) - need) + 1):
         i0 = max(0, -s)
         i1 = min(len(x), len(y) - s)
         if i1 - i0 < need:
             continue
-        xs = x[i0:i1]
-        ys = y[i0 + s:i1 + s]
-        if np.std(xs) == 0.0 or np.std(ys) == 0.0:
-            if np.array_equal(xs, ys):
-                scored.append((1.0, s))
-            continue
-        scored.append((_pearson(xs, ys), s))
+        r = _pearson(x[i0:i1], y[i0 + s:i1 + s])
+        if r is not None:
+            scored.append((r, s))
     if not scored:
         raise MetricsError("series overlap is under 2 bins at every candidate lag")
 
     scored.sort(key=lambda item: (-item[0], abs(item[1]), item[1]))
-    lag = scored[0][1]
+    r, lag = scored[0]
 
     i0 = max(0, -lag)
     i1 = min(len(x), len(y) - lag)
@@ -250,7 +250,7 @@ def compare_series(npt: ThroughputSeries, ndt: ThroughputSeries, max_lag_bins: i
     return SeriesComparison(
         rmse_bps=rmse,
         nrmse=None if spread == 0.0 else rmse / spread,
-        pearson_r=_pearson(xs, ys),
+        pearson_r=r,
         estimated_lag_bins=lag,
         estimated_lag_micros=lag * npt.bin_width_micros,
     )

@@ -209,6 +209,12 @@ def _require(obj: Mapping[str, Any], key: str, kind, path: str):
     return value
 
 
+def _fields(cls, obj: Mapping[str, Any], path: str) -> dict:
+    """Every annotated field of ``cls`` read from ``obj`` with _require, in
+    declaration order."""
+    return {name: _require(obj, name, kind, path) for name, kind in cls.__annotations__.items()}
+
+
 def parse_json_object(data: bytes | str) -> dict:
     """A JSON object from UTF-8 bytes or text. Raises JsonParseError with
     line/column on bytes that are not UTF-8 or text that is not JSON, and
@@ -239,28 +245,13 @@ def descriptor_from_json(data: bytes | str) -> TwinDescriptor:
     SchemaError naming the missing or ill-typed field otherwise.
     """
     doc = parse_json_object(data)
-    lp_doc = _require(doc, "link_profile", dict, "")
-    link_profile = LinkProfile(
-        bandwidth_bps=_require(lp_doc, "bandwidth_bps", int, "link_profile."),
-        latency_us=_require(lp_doc, "latency_us", int, "link_profile."),
-        jitter_us=_require(lp_doc, "jitter_us", int, "link_profile."),
-    )
-    raw_slices = _require(doc, "slices", list, "")
+    link_profile = LinkProfile(**_fields(LinkProfile, _require(doc, "link_profile", dict, ""), "link_profile."))
     slices = []
-    for i, item in enumerate(raw_slices):
+    for i, item in enumerate(_require(doc, "slices", list, "")):
         path = f"slices[{i}]"
         if not isinstance(item, dict):
             raise SchemaError(path, "expected an object")
-        slices.append(
-            SliceSpec(
-                dnn=_require(item, "dnn", str, path + "."),
-                subnet=_require(item, "subnet", str, path + "."),
-                gateway_ip=_require(item, "gateway_ip", str, path + "."),
-                dl_bandwidth_bps=_require(item, "dl_bandwidth_bps", int, path + "."),
-                ul_bandwidth_bps=_require(item, "ul_bandwidth_bps", int, path + "."),
-                qci=_require(item, "qci", int, path + "."),
-            )
-        )
+        slices.append(SliceSpec(**_fields(SliceSpec, item, path + ".")))
     return TwinDescriptor(
         network_name=_require(doc, "network_name", str, ""),
         plmn=_require(doc, "plmn", str, ""),

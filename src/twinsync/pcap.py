@@ -346,6 +346,9 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
 
     Accepts both byte orders and both the microsecond and nanosecond
     magics. The packets' payload buffer is ``data`` itself, not a copy.
+    Records are walked, then checked in one pass: the first bad record in
+    file order raises PcapError, and a torn tail raises
+    TruncatedRecordError only when no record before it is bad.
     """
     size = len(data)
     if size < _GLOBAL_HEADER_LEN:
@@ -364,30 +367,25 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
         else:
             raise BadMagicError(magic_raw)
     _, _, _, _, _, linktype = struct.unpack_from(order + "HHiIII", data, 4)
-    frac_limit = 1_000_000_000 if nanos else MICROS_PER_SECOND
-    # Records are stepped one by one and checked as they come, so the first
-    # bad record raises. After VECTOR_MIN_PACKETS records in a row of one
-    # captured length, the rest of that run is read as one strided view.
+    # The walk only finds records: it steps them one by one and, after
+    # VECTOR_MIN_PACKETS in a row of one captured length, takes the rest of
+    # that run as one strided view of its headers. It stops at the first
+    # record the input does not hold.
     unpack = _RECORD_HEADERS[order].unpack_from
-    ts, incls, origs, starts = [], [], [], []
-    add_ts, add_incl, add_orig, add_start = ts.append, incls.append, origs.append, starts.append
-    runs = []  # (records stepped before the run, the run's columns), in file order
+    fields, stepped_at = [], []  # the stepped records' header fields, flat, and their offsets
+    add_fields, add_at = fields.extend, stepped_at.append
+    runs = []  # (records stepped before the run, its headers, its record offsets), in file order
     offset = _GLOBAL_HEADER_LEN
     same, last = 0, -1
     while size - offset >= _RECORD_HEADER_LEN:
-        sec, frac, incl, orig = unpack(data, offset)
-        start = offset + _RECORD_HEADER_LEN
-        if start + incl > size or incl > orig or frac >= frac_limit:
-            if start + incl > size:
-                raise TruncatedRecordError(offset)
-            if incl > orig:
-                raise PcapError(f"incl_len {incl} exceeds orig_len {orig} at byte offset {offset}")
-            raise PcapError(f"sub-second field {frac} out of range at byte offset {offset}")
-        add_ts(sec * MICROS_PER_SECOND + (frac // _NANOS_PER_MICRO if nanos else frac))
-        add_incl(incl)
-        add_orig(orig)
-        add_start(start)
-        offset = start + incl
+        header = unpack(data, offset)
+        incl = header[2]
+        end = offset + _RECORD_HEADER_LEN + incl
+        if end > size:
+            break
+        add_fields(header)
+        add_at(offset)
+        offset = end
         if incl != last:
             same, last = 1, incl
             continue
@@ -396,24 +394,37 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
             same = 0
             k = _run_length(data, order, offset, incl)
             if k:
-                runs.append((len(ts), _run_columns(data, order, offset, k, incl, nanos, frac_limit)))
-                offset += k * (_RECORD_HEADER_LEN + incl)
+                stride = _RECORD_HEADER_LEN + incl
+                run = np.ndarray((k, 4), dtype=order + "u4", buffer=data, offset=offset, strides=(stride, 4))
+                runs.append((len(stepped_at), run, offset + stride * np.arange(k, dtype=np.int64)))
+                offset += k * stride
+
+    # For one record, incl_len past orig_len is reported before the sub-second field.
+    headers = np.array(fields, dtype=order + "u4").reshape(-1, 4)
+    record_at = np.array(stepped_at, dtype=np.int64)
+    if runs:
+        pieces, done = [], 0
+        for first, run, run_at in runs:
+            pieces += ((headers[done:first], record_at[done:first]), (run, run_at))
+            done = first
+        pieces.append((headers[done:], record_at[done:]))
+        headers, record_at = (np.concatenate(column) for column in zip(*pieces))
+    sec, frac, incl, orig = (headers[:, j] for j in range(4))
+    bad_len = incl > orig
+    bad = first_index(bad_len | (frac >= (1_000_000_000 if nanos else MICROS_PER_SECOND)))
+    if bad is not None:
+        at = record_at[bad]
+        if bad_len[bad]:
+            raise PcapError(f"incl_len {incl[bad]} exceeds orig_len {orig[bad]} at byte offset {at}")
+        raise PcapError(f"sub-second field {frac[bad]} out of range at byte offset {at}")
     if offset < size:
         raise TruncatedRecordError(offset)
-
-    buf = np.frombuffer(data, dtype=np.uint8)
-    add_start(size)
-    stepped = (np.array(ts, dtype=np.int64), np.array(incls, dtype=np.uint32), np.array(origs, dtype=np.uint32),
-               np.array(starts, dtype=np.int64))
-    if not runs:
-        return linktype, PacketBatch.trusted(*stepped[:3], buf, stepped[3])
-    pieces, done = [], 0
-    for at, run in runs:
-        pieces += ([column[done:at] for column in stepped], run)
-        done = at
-    pieces.append([column[done:] for column in stepped])
-    ts, incl, orig, offsets = (np.concatenate(column) for column in zip(*pieces))
-    return linktype, PacketBatch.trusted(ts, incl, orig, buf, offsets)
+    if nanos:
+        frac = frac // _NANOS_PER_MICRO
+    ts = sec.astype(np.int64) * MICROS_PER_SECOND + frac
+    offsets = np.append(record_at + _RECORD_HEADER_LEN, size)
+    return linktype, PacketBatch.trusted(ts, incl.astype(np.uint32), orig.astype(np.uint32),
+                                         np.frombuffer(data, dtype=np.uint8), offsets)
 
 
 def _run_length(data: bytes, order: str, offset: int, incl: int) -> int:
@@ -436,27 +447,6 @@ def _run_length(data: bytes, order: str, offset: int, incl: int) -> int:
         count += k
         chunk *= 2
     return count
-
-
-def _run_columns(data: bytes, order: str, offset: int, k: int, incl: int, nanos: bool,
-                 frac_limit: int) -> tuple[np.ndarray, ...]:
-    """Columns of k records of captured length ``incl`` from ``offset`` on,
-    checked as the stepped ones are."""
-    stride = _RECORD_HEADER_LEN + incl
-    headers = np.ndarray((k, 4), dtype=order + "u4", buffer=data, offset=offset, strides=(stride, 4))
-    sec, frac, _, orig = (headers[:, j] for j in range(4))
-    bad_len = orig < incl
-    bad = first_index(bad_len | (frac >= frac_limit))
-    if bad is not None:
-        at = offset + bad * stride
-        if bad_len[bad]:
-            raise PcapError(f"incl_len {incl} exceeds orig_len {int(orig[bad])} at byte offset {at}")
-        raise PcapError(f"sub-second field {int(frac[bad])} out of range at byte offset {at}")
-    if nanos:
-        frac = frac // _NANOS_PER_MICRO
-    ts = sec.astype(np.int64) * MICROS_PER_SECOND + frac
-    starts = offset + _RECORD_HEADER_LEN + stride * np.arange(k, dtype=np.int64)
-    return ts, np.full(k, incl, dtype=np.uint32), orig.astype(np.uint32), starts
 
 
 def segment_stream(

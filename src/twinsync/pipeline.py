@@ -274,8 +274,10 @@ def _evaluate(cfg, log, replayed_sizes, engine, records, origin, duration_micros
                         default=origin)
     ndt_span = max(duration_micros + max(0, align_offset), last_replayed - origin + 1)
     ndt_series = throughput_series(replayed_sizes, cfg.bin_width_micros, origin, ndt_span)
+    # A twin that replays what it received in real time cannot lead.
+    min_lag = 0 if cfg.plan.mode is ReplayMode.REAL_TIME else None
     try:
-        comparison = compare_series(npt_series, ndt_series, cfg.max_lag_bins)
+        comparison = compare_series(npt_series, ndt_series, cfg.max_lag_bins, min_lag)
     except MetricsError:
         comparison = None
 

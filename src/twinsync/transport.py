@@ -58,7 +58,7 @@ from .errors import (
     SchemaError,
     TwinError,
 )
-from .model import _require, parse_json_object
+from .model import _fields, parse_json_object
 from .pcap import (
     _GLOBAL_HEADER_LEN,
     _RECORD_HEADER_LEN,
@@ -97,8 +97,7 @@ class WindowManifest(NamedTuple):
         """Parse a manifest as it arrives over a channel. Raises JsonParseError
         for input that is not UTF-8 JSON, and SchemaError naming a field that
         is missing, of the wrong type or out of range."""
-        doc = parse_json_object(data)
-        values = {name: _require(doc, name, kind, "") for name, kind in cls.__annotations__.items()}
+        values = _fields(cls, parse_json_object(data), "")
         for key in ("seq", "start_ts_micros", "end_ts_micros", "byte_length"):
             if not 0 <= values[key] < 2**63:  # the int64 columns of the sync log
                 raise SchemaError(key, f"must lie in [0, 2**63), got {values[key]}")
@@ -268,9 +267,10 @@ class SyncLog:
     """Per-window timeline: the sender opens each entry, the twin side fills it in.
 
     The log is columnar: int64 time columns and a lost mask indexed by
-    seq, grown by doubling (the sender's seqs are dense from 0).
-    ``record_sent`` is the only call that opens an entry. Receiving,
-    replaying or losing a window this run never sent raises
+    seq, grown by doubling. ``record_sent`` is the only call that opens an
+    entry, and it opens them in seq order from 0, so the log is the prefix
+    of windows sent so far: a seq was sent iff 0 <= seq < the count sent.
+    Receiving, replaying or losing a window this run never sent raises
     ForeignWindowError, and so does receiving one whose bounds differ
     from those sent. ``record_received`` and ``record_replayed`` take one
     seq or an array of them and record all of a call or none of it. A
@@ -281,27 +281,17 @@ class SyncLog:
     def __init__(self):
         # Never empty, so that row 0 can stand in for a seq outside the log.
         self._times = {name: np.full(64, NOT_RECORDED, dtype=np.int64) for name in _TIME_COLUMNS}
-        self._opened = np.zeros(64, dtype=bool)
         self._lost = np.zeros(64, dtype=bool)
+        self._sent = 0
         self._lock = threading.Lock()
-
-    def _grow(self, size: int) -> None:
-        """Make room for seqs below ``size``; call with the lock held."""
-        old = len(self._opened)
-        size = max(size, 2 * old)
-        for name, column in self._times.items():
-            self._times[name] = np.concatenate((column, np.full(size - old, NOT_RECORDED, dtype=np.int64)))
-        self._opened = np.concatenate((self._opened, np.zeros(size - old, dtype=bool)))
-        self._lost = np.concatenate((self._lost, np.zeros(size - old, dtype=bool)))
 
     def _check_sent(self, seqs, starts=None, ends=None) -> None:
         """Raise ForeignWindowError for the first of ``seqs`` (one seq or an
         array) that was not sent, or was sent with bounds other than
         ``starts`` and ``ends`` when those are given; call with the lock held."""
         seqs = np.atleast_1d(seqs)
-        inside = (seqs >= 0) & (seqs < len(self._opened))
-        rows = np.where(inside, seqs, 0)
-        sent = inside & self._opened[rows]
+        sent = (seqs >= 0) & (seqs < self._sent)
+        rows = np.where(sent, seqs, 0)
         foreign = ~sent
         if starts is not None:
             sent_starts, sent_ends = self._times["t_window_start"][rows], self._times["t_window_end"][rows]
@@ -317,19 +307,20 @@ class SyncLog:
                                       f"sent as [{sent_starts[bad]}, {sent_ends[bad]})")
 
     def record_sent(self, seq: int, t_window_start: int, t_window_end: int, t_sent: int) -> None:
-        if seq < 0:
-            raise ValueError(f"seq must be non-negative, got {seq}")
+        """Open the entry of the next window in seq order; any other seq
+        raises ValueError."""
         with self._lock:
-            if seq >= len(self._opened):
-                self._grow(seq + 1)
+            if seq != self._sent:
+                raise ValueError(f"window {seq} sent out of order: the next seq to send is {self._sent}")
+            if seq == len(self._lost):
+                for name, column in self._times.items():
+                    self._times[name] = np.concatenate((column, np.full(seq, NOT_RECORDED, dtype=np.int64)))
+                self._lost = np.concatenate((self._lost, np.zeros(seq, dtype=bool)))
             times = self._times
-            if self._opened[seq]:  # sent again: the entry starts over
-                times["t_received"][seq] = times["t_replayed"][seq] = NOT_RECORDED
-                self._lost[seq] = False
             times["t_window_start"][seq] = t_window_start
             times["t_window_end"][seq] = t_window_end
             times["t_sent"][seq] = t_sent
-            self._opened[seq] = True
+            self._sent = seq + 1
 
     def record_received(self, seqs, t_received, t_window_start, t_window_end, holes_from: int | None = None) -> None:
         """Record windows received, one seq or an array in seq order, with
@@ -339,12 +330,10 @@ class SyncLog:
         with self._lock:
             self._check_sent(seqs, t_window_start, t_window_end)
             if holes_from is not None and holes_from < seqs[-1]:
-                # seqs[-1] was sent, so the span is bounded by the log's size;
-                # each of its seqs is below seqs[-1], so searchsorted stays in seqs.
+                # Every seq below seqs[-1] was sent; each of the span's is
+                # below seqs[-1], so searchsorted stays in seqs.
                 span = np.arange(holes_from, seqs[-1], dtype=np.int64)
-                holes = span[seqs[np.searchsorted(seqs, span)] != span]
-                self._check_sent(holes)
-                self._lost[holes] = True
+                self._lost[span[seqs[np.searchsorted(seqs, span)] != span]] = True
             self._times["t_received"][seqs] = t_received
 
     def record_replayed(self, seqs, t_replayed) -> None:
@@ -360,8 +349,10 @@ class SyncLog:
 
     def columns(self) -> SyncLogColumns:
         with self._lock:
-            seq = np.flatnonzero(self._opened)
-            return SyncLogColumns(seq, *(self._times[name][seq] for name in _TIME_COLUMNS), self._lost[seq])
+            n = self._sent
+            return SyncLogColumns(np.arange(n, dtype=np.int64),
+                                  *(self._times[name][:n].copy() for name in _TIME_COLUMNS),
+                                  self._lost[:n].copy())
 
     def entries(self) -> list[SyncLogEntry]:
         """The log one entry per sent window, in seq order; built on demand."""
@@ -472,7 +463,9 @@ class DirectoryExchangeChannel(_SendingChannel):
     windows for this one's.
     """
 
-    POLL_SECONDS = 0.02
+    # Capture time between two looks for the next window, slept on the run
+    # clock: a speed-s run polls s times as often in wall time.
+    POLL_MICROS = 20_000
 
     def __init__(self, spec: ChannelSpec, directory: Path, clock: Clock | None = None):
         super().__init__(spec)
@@ -516,7 +509,7 @@ class DirectoryExchangeChannel(_SendingChannel):
                 return None
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError("no window within timeout")
-            time.sleep(self.POLL_SECONDS)
+            self._clock.sleep_micros(self.POLL_MICROS)
 
 
 # A manifest is a few hundred bytes of JSON; a longer length prefix is
@@ -678,21 +671,23 @@ class WindowReceiver:
         self._held: deque = deque()  # deliveries taken from the channel, not yet accepted
         self.digest_failures = 0
 
+    def _pull(self, block: bool) -> tuple[WindowManifest, bytes, int] | None:
+        """The channel's next delivery; None at the end of the stream or,
+        with ``block`` false, when nothing is ready."""
+        if self._eos:
+            return None
+        try:
+            delivery = self.channel.receive(timeout=None if block else 0)
+        except TimeoutError:
+            return None
+        self._eos = delivery is None
+        return delivery
+
     def receive(self, block: bool = True) -> tuple[PacketBatch, WindowManifest, int] | None:
         """Next (packets, manifest, arrival time), or None at end of stream.
         With ``block`` false the channel is only polled, and None also
         means that nothing is ready."""
-        while self._held or not self._eos:
-            if self._held:
-                delivery = self._held.popleft()
-            else:
-                try:
-                    delivery = self.channel.receive(timeout=None if block else 0)
-                except TimeoutError:
-                    return None  # polled, nothing ready
-                if delivery is None:
-                    self._eos = True
-                    break
+        while (delivery := self._held.popleft() if self._held else self._pull(block)) is not None:
             manifest, payload, arrival = delivery
             seq = manifest.seq
             if seq < self._expected:
@@ -740,14 +735,7 @@ class WindowReceiver:
         A check that fails raises TwinError or ValueError, and then the
         group stays held for ``receive``; any other error propagates."""
         held = self._held
-        while not self._eos:
-            try:
-                delivery = self.channel.receive(timeout=0)
-            except TimeoutError:
-                break
-            if delivery is None:
-                self._eos = True
-                break
+        while (delivery := self._pull(block=False)) is not None:
             held.append(delivery)
         accepted, expected = [], self._expected
         for delivery in held:

@@ -344,6 +344,14 @@ class TestCompareSeries:
         assert result.nrmse is None
         assert result.pearson_r == 1.0  # identical, degenerate case
 
+    def test_min_lag_bins_bounds_the_search_from_below(self):
+        """On/off series with a 4-bin period score alike at lags 2 and -2;
+        the tie goes to -2 unless the search starts at lag 0."""
+        npt = [10e6, 10e6, 0, 0] * 5
+        ndt = [0, 0] + npt[:-2]
+        assert compare_series(series(npt), series(ndt), max_lag_bins=30).estimated_lag_bins == -2
+        assert compare_series(series(npt), series(ndt), max_lag_bins=30, min_lag_bins=0).estimated_lag_bins == 2
+
     def test_bin_width_mismatch(self):
         with pytest.raises(MetricsError):
             compare_series(series([1, 2]), series([1, 2], bin_width=2 * SECOND), 1)

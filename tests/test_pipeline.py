@@ -693,6 +693,18 @@ class TestRealTimeRuns:
                     break
         assert lateness[-1] < 250_000, lateness
 
+    def test_a_real_time_lag_is_the_alignment_offset_in_bins(self, descriptor):
+        # The stream is on/off with a 4 s period, so lags a whole period
+        # apart score alike. A twin that replays what it received cannot
+        # lead, so real time searches only lags >= 0, and the lag is the
+        # offset rounded to 1 s bins; searching both ways gave -10 s.
+        cfg = run_config(replace(descriptor, window_seconds=2.0), kind="video-streaming", seconds=20,
+                         plan=ReplayPlan(mode=ReplayMode.REAL_TIME, speed_factor=10.0))
+        with deadline(20):
+            result = run_pipeline(cfg)
+        offset = result.align_offset_micros
+        assert result.report.estimated_lag_us == round(offset / SECOND) * SECOND, offset
+
     def test_real_time_windows_are_the_virtual_windows(self, descriptor, tmp_path):
         # Both modes cut and pack the same trace from the scenario's origin,
         # so each file published is the virtual clock's pack_window output.

@@ -52,7 +52,7 @@ from twinsync.transport import (
 )
 
 from conftest import make_packet, packet_lists
-from reference import batch_of, lone_window, out_of_order_seqs, records_of
+from reference import ManualClock, batch_of, lone_window, out_of_order_seqs, records_of
 
 SECOND = 1_000_000
 
@@ -653,15 +653,17 @@ class TestSyncLogArrayForms:
             log.record_replayed(np.array([0, 9]), np.array([5, 6]))
         assert log.entries() == before
 
-    def test_a_hole_never_sent_records_nothing_of_its_call(self):
-        log = SyncLog()
-        for seq in (0, 2):
-            log.record_sent(seq, seq * SECOND, (seq + 1) * SECOND, (seq + 1) * SECOND)
-        with pytest.raises(ForeignWindowError) as err:
-            log.record_received(np.array([0, 2]), np.array([5, 6]), np.array([0, 2 * SECOND]),
-                                np.array([SECOND, 3 * SECOND]), holes_from=0)
-        assert err.value.seq == 1
-        assert all(e.t_received is None and not e.lost for e in log.entries())
+    @pytest.mark.parametrize("seq", [5, 9, 3, 0, -1], ids=["skipped", "far-ahead", "resent", "resent-first",
+                                                           "negative"])
+    def test_windows_are_sent_in_seq_order_from_0(self, seq):
+        log = self._log()
+        log.record_received(1, 5 * SECOND, SECOND, 2 * SECOND, holes_from=0)
+        before = log.entries()
+        with pytest.raises(ValueError, match=f"window {seq} sent out of order: the next seq to send is 4"):
+            log.record_sent(seq, 9 * SECOND, 10 * SECOND, 10 * SECOND)
+        assert log.entries() == before
+        log.record_sent(4, 4 * SECOND, 5 * SECOND, 5 * SECOND)
+        assert [e.seq for e in log.entries()] == [0, 1, 2, 3, 4]
 
     def test_one_array_call_records_what_one_call_per_seq_records(self):
         arrays, alone = self._log(), self._log()
@@ -741,6 +743,36 @@ class TestDirectoryExchange:
         assert doc["content_digest"] == hashlib.sha256(payload).hexdigest()
         assert doc["byte_length"] == len(payload)
 
+    def test_an_empty_exchange_is_polled_on_the_run_clock(self, tmp_path, monkeypatch):
+        """Each poll that finds no window sleeps POLL_MICROS on the channel's
+        clock, which a real-time run reads in capture time, and none sleeps
+        on the wall clock: at speed s a poll costs 1/s of its wall time."""
+        spec = ChannelSpec(kind="directory-exchange")
+        sender = DirectoryExchangeChannel(spec, tmp_path)
+        sleeps = []
+
+        class PublishingClock(ManualClock):
+            """Records each sleep; the sender publishes one window and ends
+            the stream during the third."""
+
+            def sleep_micros(self, duration_micros):
+                super().sleep_micros(duration_micros)
+                sleeps.append(duration_micros)
+                if len(sleeps) == 3:
+                    sender.send(*pack_window(window_of(0)), now_micros=0)
+                    sender.close_send()
+
+        def wall_sleep(seconds):
+            raise AssertionError(f"the exchange slept {seconds} s of wall time")
+
+        clock = PublishingClock(start_micros=SECOND)
+        receiver = DirectoryExchangeChannel(spec, tmp_path, clock)
+        monkeypatch.setattr(transport_module.time, "sleep", wall_sleep)
+        manifest, _, arrival = receiver.receive()
+        assert receiver.receive() is None
+        poll = DirectoryExchangeChannel.POLL_MICROS
+        assert sleeps == [poll] * 3
+        assert (manifest.seq, arrival) == (0, SECOND + 3 * poll)
 
     def test_holes_are_skipped_in_order(self, tmp_path):
         sender = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path)
