@@ -1,14 +1,16 @@
 """Twin-fidelity metrics.
 
-Everything here is a pure function over immutable inputs: throughput
-binning, the alignment ratio, update latency, age-of-information, the
-series comparison (lag search + error measures) and the configuration
-consistency audit. Packets come as a PacketBatch, or as the parts of
-one, and the sync log as the columns SyncLog.columns() returns, so each
-metric is a few array passes. Throughput is binned a slice of packets at
-a time into one accumulator, so its temporaries stay small whatever the
-trace length. Bins use half-open intervals with boundary points in the
-later bin, the same convention the capture segmentation uses.
+Everything here but the throughput accumulator is a pure function over
+immutable inputs: throughput binning, the alignment ratio, update
+latency, age-of-information, the series comparison (lag search + error
+measures) and the configuration consistency audit. Packets come as a
+PacketBatch, or as the parts of one, and the sync log as the columns
+SyncLog.columns() returns, so each metric is a few array passes.
+Throughput is binned as packets pass: ThroughputBins takes them a part
+and a slice at a time, so a run bins each chunk of its trace and each
+replayed block and keeps neither, and throughput_series is its one-shot
+use. Bins use half-open intervals with boundary points in the later
+bin, the same convention the capture segmentation uses.
 """
 
 from dataclasses import dataclass, fields
@@ -44,48 +46,94 @@ class ThroughputSeries:
 _BIN_SLICE_PACKETS = 1 << 16
 
 
+def _bin_count(span_micros: int, bin_width_micros: int) -> int:
+    return -(-span_micros // bin_width_micros) if span_micros > 0 else 0
+
+
+class ThroughputBins:
+    """Packet volume per fixed-width time bin, added as packets pass.
+
+    Bin k collects original_len bytes of packets with ts in
+    [origin + k*w, origin + (k+1)*w). Packets before the origin, or past
+    ``span_micros`` when one is given, are counted but not binned; without
+    a span the bins grow to the last packet. ``packets`` counts every
+    packet added and ``last_ts_micros`` is the latest timestamp, None
+    before any. Float sums of integer byte counts are exact below 2**53
+    bytes per bin, so the bins hold the same bits whatever parts and
+    slices the packets came in.
+    """
+
+    def __init__(self, origin_ts_micros: int, bin_width_micros: int, span_micros: int | None = None):
+        if bin_width_micros <= 0:
+            raise ValueError("bin_width_micros must be positive")
+        self.origin_ts_micros = origin_ts_micros
+        self.bin_width_micros = bin_width_micros
+        self._limit = None if span_micros is None else _bin_count(span_micros, bin_width_micros)
+        self._bytes = np.zeros(self._limit or 0)
+        self.packets = 0
+        self.last_ts_micros: int | None = None
+
+    def add(self, packets) -> None:
+        """Bin ``packets``, anything with ``ts_micros`` and ``original_len`` columns."""
+        ts_all, sizes = packets.ts_micros, packets.original_len
+        if not len(ts_all):
+            return
+        self.packets += len(ts_all)
+        last = int(ts_all.max())
+        self.last_ts_micros = last if self.last_ts_micros is None else max(self.last_ts_micros, last)
+        origin, width = self.origin_ts_micros, self.bin_width_micros
+        for first in range(0, len(ts_all), _BIN_SLICE_PACKETS):
+            ts = ts_all[first:first + _BIN_SLICE_PACKETS]
+            index = (ts - origin) // width
+            inside = ts >= origin
+            if self._limit is not None:
+                inside &= index < self._limit
+            index = index[inside]
+            if not len(index):
+                continue
+            low = int(index.min())
+            index -= low
+            sums = np.bincount(index, weights=sizes[first:first + _BIN_SLICE_PACKETS][inside])
+            if low + len(sums) > len(self._bytes):
+                grown = np.zeros(max(low + len(sums), 2 * len(self._bytes)))
+                grown[:len(self._bytes)] = self._bytes
+                self._bytes = grown
+            self._bytes[low:low + len(sums)] += sums
+
+    def series(self, span_micros: int | None = None) -> ThroughputSeries:
+        """Bits/s per bin over ``span_micros`` from the origin; without a
+        span, up to the last packet added."""
+        if span_micros is None:
+            span_micros = 0 if self.last_ts_micros is None else self.last_ts_micros - self.origin_ts_micros + 1
+        n_bins = _bin_count(span_micros, self.bin_width_micros)
+        byte_bins = np.zeros(n_bins)
+        kept = self._bytes[:n_bins]
+        byte_bins[:len(kept)] = kept
+        scale = 8 * MICROS_PER_SECOND / self.bin_width_micros
+        return ThroughputSeries(
+            origin_ts_micros=self.origin_ts_micros,
+            bin_width_micros=self.bin_width_micros,
+            bins=tuple((byte_bins * scale).tolist()),
+        )
+
+
 def throughput_series(
     packets: PacketBatch | Sequence,
     bin_width_micros: int = MICROS_PER_SECOND,
     origin_ts_micros: int = 0,
     span_micros: int | None = None,
 ) -> ThroughputSeries:
-    """Bin packet volume into a bits/s series.
+    """Bin packet volume into a bits/s series: ThroughputBins, at once.
 
     ``packets`` is one PacketBatch, or a sequence of parts that each have
     ``ts_micros`` and ``original_len`` columns, binned as their
-    concatenation would be. Bin k collects original_len bytes of packets
-    with ts in [origin + k*w, origin + (k+1)*w). Packets outside the span
-    are not an error; they are skipped.
+    concatenation would be. Packets outside the span are not an error;
+    they are skipped. Without a span, the series reaches the last packet.
     """
-    if bin_width_micros <= 0:
-        raise ValueError("bin_width_micros must be positive")
-    parts = [packets] if isinstance(packets, PacketBatch) else list(packets)
-    if span_micros is None:
-        last = max((int(part.ts_micros.max()) for part in parts if len(part.ts_micros)), default=None)
-        span_micros = 0 if last is None else last - origin_ts_micros + 1
-    n_bins = -(-span_micros // bin_width_micros) if span_micros > 0 else 0
-    # Float sums of integer byte counts are exact below 2**53 bytes per bin,
-    # so adding the slices' sums in any order gives the same bits.
-    byte_bins = np.zeros(n_bins)
-    for part in parts:
-        for first in range(0, len(part.ts_micros), _BIN_SLICE_PACKETS):
-            ts = part.ts_micros[first:first + _BIN_SLICE_PACKETS]
-            index = (ts - origin_ts_micros) // bin_width_micros
-            inside = (ts >= origin_ts_micros) & (index < n_bins)
-            index = index[inside]
-            if not len(index):
-                continue
-            low = int(index.min())
-            index -= low
-            sums = np.bincount(index, weights=part.original_len[first:first + _BIN_SLICE_PACKETS][inside])
-            byte_bins[low:low + len(sums)] += sums
-    scale = 8 * MICROS_PER_SECOND / bin_width_micros
-    return ThroughputSeries(
-        origin_ts_micros=origin_ts_micros,
-        bin_width_micros=bin_width_micros,
-        bins=tuple((byte_bins * scale).tolist()),
-    )
+    bins = ThroughputBins(origin_ts_micros, bin_width_micros, span_micros)
+    for part in [packets] if isinstance(packets, PacketBatch) else packets:
+        bins.add(part)
+    return bins.series(span_micros)
 
 
 def delivered_in_observation(log: SyncLogColumns, observation: tuple[int, int]) -> int:

@@ -455,15 +455,19 @@ def segment_stream(
     origin_ts_micros: int,
     span_end_micros: int | None = None,
     source_interface: str = "tun2",
+    first_seq: int = 0,
 ) -> Iterator[CaptureWindow]:
     """Split a time-ordered packet stream into gapless capture windows.
 
-    Window k covers [origin + k*T, origin + (k+1)*T); a packet exactly on
-    a boundary lands in the later window. Empty windows are emitted too,
-    so the sync cadence is independent of traffic presence. When
-    ``span_end_micros`` is given, windows are produced until the whole
-    span is covered and the final window may be shorter than T; without
-    it, segmentation stops at the (full) window holding the last packet.
+    Window k covers [origin + k*T, origin + (k+1)*T) and has seq
+    ``first_seq + k``: a stream cut into spans of whole windows is
+    segmented a span at a time with the seqs and bounds it would get at
+    once. A packet exactly on a boundary lands in the later window. Empty
+    windows are emitted too, so the sync cadence is independent of
+    traffic presence. When ``span_end_micros`` is given, windows are
+    produced until the whole span is covered and the final window may be
+    shorter than T; without it, segmentation stops at the (full) window
+    holding the last packet.
 
     A packet out of order, before the origin or past the span end raises
     TimestampRegressionError naming its index, once the windows closed
@@ -528,6 +532,7 @@ def segment_stream(
         block = PackBlock(batch[base:cuts[k]], [cut - base for cut in cuts[first:k + 1]])
         for index, seq in enumerate(range(first, k)):
             start = origin_ts_micros + seq * window_micros
-            yield CaptureWindow(seq, start, min(start + window_micros, span_end), block, index, source_interface)
+            yield CaptureWindow(first_seq + seq, start, min(start + window_micros, span_end), block, index,
+                                source_interface)
     if error is not None:
         raise TimestampRegressionError(error[0], error[2])

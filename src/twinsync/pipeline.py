@@ -2,8 +2,15 @@
 
 Simulated traffic is cut into windows; each window is packed and sent
 over the transfer channel, received in order and replayed, and the
-replayed traces are scored. Either mode replays what the receiver
-delivers (transport.WindowReceiver.receive_block) with
+replayed traces are scored. The loop pulls the trace a chunk of whole
+windows at a time, each chunk of at most about _CHUNK_PACKETS packets
+(or one window), and bins both throughput series as packets pass: the
+physical series a chunk at a time, the twin's a replayed block at a
+time. Only the per-window sync log grows with the length of a run, and
+how windows fall into chunks changes no window, log or report byte.
+
+Either mode replays what the receiver delivers
+(transport.WindowReceiver.receive_block) with
 ReplayEngine.replay_block. Under the virtual clock this runs in the
 calling thread and every timestamp is computed from the data, so a run
 is deterministic down to the report bytes. Windows are sent one at a
@@ -11,27 +18,27 @@ time, and once the last window of a pcap.PackBlock is sent, what the
 receiver has ready is received and replayed a block at a time.
 Real-time mode, for live demonstrations, cuts the same windows and runs
 on one clock, clocks.MonotonicClock, that reads capture time and
-advances speed_factor times as fast as the wall: a producer thread sends
-each window once the clock passes its end, while a consumer thread waits
-for each window and replays it. The producer always closes the channel,
-even on failure, so the consumer drains and terminates; a failed
-consumer stops the producer and closes the receive side. Its timing is
-measured, not asserted.
+advances speed_factor times as fast as the wall: a producer thread makes
+each chunk and sends each window once the clock passes its end, while a
+consumer thread waits for each window and replays it. The producer
+always closes the channel, even on failure, so the consumer drains and
+terminates; a failed consumer stops the producer and closes the receive
+side. Its timing is measured, not asserted.
 """
 
 import json
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
 
 from .clocks import MonotonicClock
 from .emit import emit_bundle
 from .errors import MetricsError, StageError
-from .metrics import (
+# The loop bins through ThroughputBins; throughput_series stays imported
+# because bench/tracing.py wraps, by name, each metric this module names.
+from .metrics import (  # noqa: F401
     FidelityReport,
+    ThroughputBins,
     ThroughputSeries,
     age_of_information,
     compare_series,
@@ -61,6 +68,12 @@ from .transport import (
 _CHANNEL_SEED_SALT = 0x7F4A7C15
 
 REPORT_SCHEMA_VERSION = 2
+
+# Packets the loop takes from the trace at a time: a chunk is the most
+# windows, doubling from one, whose packets fit, or one window. Its
+# columns and temporaries are a few MiB, and the sender's and receiver's
+# block budgets are far smaller.
+_CHUNK_PACKETS = 1 << 16
 
 
 @dataclass(slots=True)
@@ -103,13 +116,6 @@ class RunResult:
     windows_sent: int
     windows_replayed: int
     packets_replayed: int
-
-
-class _ReplayedSizes(NamedTuple):
-    """What the evaluation reads of one replayed block: no payload bytes."""
-
-    ts_micros: np.ndarray
-    original_len: np.ndarray
 
 
 def _make_channels(cfg: RunConfig, clock) -> tuple[object, object]:
@@ -171,13 +177,11 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
     if cfg.save_replayed_pcaps and cfg.out_dir is not None:
         replayed_dir = Path(cfg.out_dir) / "replayed"
         replayed_dir.mkdir(parents=True, exist_ok=True)
-    replayed: list[_ReplayedSizes] = []
+    physical = ThroughputBins(origin, cfg.bin_width_micros, scenario.duration_micros)
+    twin = ThroughputBins(origin, cfg.bin_width_micros)
     engine = ReplayEngine(cfg.plan, log, clock=clock)
     receiver = WindowReceiver(recv_channel, log)
-    windows = segment_stream(
-        trace.records, window_micros, origin, span_end_micros=span_end,
-        source_interface=cfg.descriptor.capture_interface,
-    )
+    windows = _windows(trace, origin, span_end, window_micros, cfg.descriptor.capture_interface, physical)
 
     def send(window, now_micros: int) -> None:
         send_window(window, send_channel, log, now_micros)
@@ -185,14 +189,14 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
     def replay(wait: bool) -> None:
         """Replay every block the receiver delivers: polling, what is ready
         now; waiting (real time), each window until the end of the stream.
-        A block's payload bytes are released once it is replayed."""
+        A block's payload bytes are released once it is replayed and binned."""
         while (block := receiver.receive_block(wait)) is not None:
             packets = engine.replay_block(block)
             if replayed_dir is not None:
                 for seq, first, stop in zip(block.seqs.tolist(), block.cuts[:-1].tolist(), block.cuts[1:].tolist()):
                     pcap = write_pcap(LINKTYPE_RAW_IP, packets[first:stop])
                     (replayed_dir / f"replayed_{seq}.pcap").write_bytes(pcap)
-            replayed.append(_ReplayedSizes(packets.ts_micros, packets.original_len))
+            twin.add(packets)
 
     def close_receive() -> None:
         if hasattr(recv_channel, "close"):
@@ -220,9 +224,37 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
         close_receive()
 
     try:
-        return _evaluate(cfg, log, replayed, engine, trace.records, origin, scenario.duration_micros, window_micros)
+        return _evaluate(cfg, log, physical, twin, engine, origin, scenario.duration_micros, window_micros)
     except Exception as exc:
         raise StageError("metrics", exc) from exc
+
+
+def _windows(trace, origin: int, span_end: int, window_micros: int, interface: str, physical: ThroughputBins):
+    """Every window of [origin, span_end), cut from the trace a chunk of
+    whole windows at a time; each chunk is binned into ``physical`` as it
+    is made. Real time makes each chunk in the producer thread, after the
+    last window of the one before is sent.
+
+    The trace is a packet source: ``packets(start, end)`` makes the
+    packets stamped in [start, end) in time order, and ``count_before(ts)``
+    counts those stamped before ts (see scenarios.GeneratedTrace).
+    """
+    n_windows = -(-(span_end - origin) // window_micros)
+    first, before = 0, trace.count_before(origin)
+    while first < n_windows:
+        stop = first + 1
+        while stop < n_windows:
+            wider = min(first + 2 * (stop - first), n_windows)
+            if trace.count_before(origin + wider * window_micros) - before > _CHUNK_PACKETS:
+                break
+            stop = wider
+        start, end = origin + first * window_micros, min(origin + stop * window_micros, span_end)
+        chunk = trace.packets(start, end)
+        physical.add(chunk)
+        before += len(chunk)
+        yield from segment_stream(chunk, window_micros, start, span_end_micros=end, source_interface=interface,
+                                  first_seq=first)
+        first = stop
 
 
 def _run_threads(windows, send, replay, send_channel, close_receive, clock) -> None:
@@ -265,15 +297,14 @@ def _run_threads(windows, send, replay, send_channel, close_receive, clock) -> N
         raise StageError(stage, exc, tuple(later)) from exc
 
 
-def _evaluate(cfg, log, replayed_sizes, engine, records, origin, duration_micros, window_micros) -> RunResult:
+def _evaluate(cfg, log, physical, twin, engine, origin, duration_micros, window_micros) -> RunResult:
     align_offset = engine.align_offset_micros or 0
-    npt_series = throughput_series(records, cfg.bin_width_micros, origin, duration_micros)
+    npt_series = physical.series(duration_micros)
     # The twin's span reaches its last replayed packet: real-time packets
     # carry their emission times, which trail capture by the actual delay.
-    last_replayed = max((int(part.ts_micros.max()) for part in replayed_sizes if len(part.ts_micros)),
-                        default=origin)
+    last_replayed = origin if twin.last_ts_micros is None else twin.last_ts_micros
     ndt_span = max(duration_micros + max(0, align_offset), last_replayed - origin + 1)
-    ndt_series = throughput_series(replayed_sizes, cfg.bin_width_micros, origin, ndt_span)
+    ndt_series = twin.series(ndt_span)
     # A twin that replays what it received in real time cannot lead.
     min_lag = 0 if cfg.plan.mode is ReplayMode.REAL_TIME else None
     try:
@@ -323,7 +354,7 @@ def _evaluate(cfg, log, replayed_sizes, engine, records, origin, duration_micros
         max_lateness_micros=engine.max_lateness_micros,
         windows_sent=len(sync.seq),
         windows_replayed=len(replayed_at),
-        packets_replayed=sum(len(part.ts_micros) for part in replayed_sizes),
+        packets_replayed=twin.packets,
     )
 
 

@@ -262,6 +262,9 @@ class SyncLogColumns(NamedTuple):
 
 _TIME_COLUMNS = ("t_window_start", "t_window_end", "t_sent", "t_received", "t_replayed")
 
+# Windows SyncLog.to_csv_bytes formats per pass.
+_CSV_SLICE_ROWS = 4096
+
 
 class SyncLog:
     """Per-window timeline: the sender opens each entry, the twin side fills it in.
@@ -363,14 +366,18 @@ class SyncLog:
         ]
 
     def to_csv_bytes(self) -> bytes:
+        """The log as CSV, formatted _CSV_SLICE_ROWS windows at a time, so
+        the Python objects of one slice exist at once, not of the whole log."""
         log = self.columns()
-        columns = [column.tolist() for column in (*log[:-1], log.lost.astype(np.int8))]
-        for i in (4, 5):  # t_received and t_replayed, empty where not recorded
-            if NOT_RECORDED in columns[i]:
-                columns[i] = ["" if t == NOT_RECORDED else t for t in columns[i]]
-        lines = ["seq,t_window_start,t_window_end,t_sent,t_received,t_replayed,lost"]
-        lines += map("{},{},{},{},{},{},{}".format, *columns)
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        fields = (*log[:-1], log.lost.astype(np.int8))
+        parts = [b"seq,t_window_start,t_window_end,t_sent,t_received,t_replayed,lost\n"]
+        for first in range(0, len(log.seq), _CSV_SLICE_ROWS):
+            columns = [column[first:first + _CSV_SLICE_ROWS].tolist() for column in fields]
+            for i in (4, 5):  # t_received and t_replayed, empty where not recorded
+                if NOT_RECORDED in columns[i]:
+                    columns[i] = ["" if t == NOT_RECORDED else t for t in columns[i]]
+            parts.append(("\n".join(map("{},{},{},{},{},{},{}".format, *columns)) + "\n").encode("utf-8"))
+        return b"".join(parts)
 
 
 def _optional(t: int) -> int | None:

@@ -158,20 +158,20 @@ def splitmix64_bytes(seed: int, count: int) -> bytes:
 
 
 def reference_trace(groups: list[tuple], snap: int, seed: int) -> tuple[list[tuple[int, int, int]], int, bytes]:
-    """What the trace builder makes of ``groups``, one packet at a time.
+    """What a generated trace made of ``groups`` holds, one packet at a time.
 
-    Each group is (timestamps, length, direction, ue, port) as given to
-    ``_TraceBuilder.add``; every field but the timestamps is a scalar or a
-    sequence with one entry per packet, and direction 0 is uplink. Returns
-    (ts, captured_len, original_len) per packet in time order (ties in
-    build order), the slot length, and the payload buffer: slot i is the
-    packet's IPv4/UDP header, then SplitMix64 fill.
+    Each group is (base, count, gap, length, direction, ue, port) as
+    ``scenarios.GeneratedTrace`` takes them: packet i of a group is
+    stamped base + int(i * gap), and direction 0 is uplink, 1 downlink
+    and 2 alternating, uplink first. Returns (ts, captured_len,
+    original_len) per packet in time order (ties in build order), the
+    slot length, and the payload buffer: slot i is the packet's IPv4/UDP
+    header, then SplitMix64 fill.
     """
     packets = []
-    for ts, *fields in groups:
-        for i, t in enumerate(ts):
-            length, direction, ue, port = (f if np.isscalar(f) else f[i] for f in fields)
-            packets.append((int(t), max(int(length), 28), int(direction), int(ue), int(port)))
+    for base, count, gap, length, direction, ue, port in groups:
+        for i in range(count):
+            packets.append((base + int(i * gap), max(length, 28), i % 2 if direction == 2 else direction, ue, port))
     packets.sort(key=lambda p: p[0])  # stable: ties keep build order
     n = len(packets)
     slot = max([28] + [min(p[1], snap) for p in packets])

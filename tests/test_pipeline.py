@@ -125,6 +125,58 @@ class TestVirtualRuns:
         assert len(trace) > 100_000 and result.windows_replayed > 0
         assert peak < int(trace.offsets[-1])
 
+    @staticmethod
+    def _browse_lossy(descriptor, seconds: int) -> RunConfig:
+        """The benchmark's browse-lossy shape, ``seconds`` long."""
+        scenario = ScenarioSpec(kind="attach-and-browse", duration_micros=seconds * SECOND, ue_count=12,
+                                page_mean_interval_micros=2 * SECOND, page_mean_bytes=375_000)
+        channel = ChannelSpec(latency_us=900_000, bandwidth_bps=20_000_000, loss_probability=0.2)
+        return RunConfig(replace(descriptor, window_seconds=2.0), scenario, channel, ReplayPlan())
+
+    def test_a_longer_run_needs_no_more_memory(self, descriptor):
+        """The loop holds a chunk of the trace at a time and bins both series
+        as packets pass, so a run four times as long, of four times the
+        packets, peaks no higher: only the sync log, a row per window, grows."""
+        peaks = []
+        for seconds in (60, 240):
+            tracemalloc.start()
+            try:
+                result = run_pipeline(self._browse_lossy(descriptor, seconds))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.packets_replayed > seconds * 1000
+        assert peaks[1] < 1.2 * peaks[0], peaks
+
+    @pytest.mark.parametrize("lossy", [True, False], ids=["browse-lossy", "voice-blocks"])
+    def test_a_run_does_not_depend_on_the_chunk_budget(self, descriptor, monkeypatch, tmp_path, lossy):
+        """Chunks of one window, of a few, and of the default budget give the
+        same report, sync log and throughput CSVs, and the channel carries
+        the same windows. Voice windows are 5 packets: at 1,500 packets a
+        chunk is 256 windows, so its PackBlocks, 469 windows at most, end
+        where chunks do, not where the block budget would end them."""
+        cfg = self._browse_lossy(descriptor, 30) if lossy else block_config(descriptor)
+        budgets = (1, 10_000 if lossy else 1_500, pipeline._CHUNK_PACKETS)
+        send = InProcessChannel.send
+        runs = []
+        for budget in budgets:
+            carried = []
+
+            def kept(channel, manifest, payload, now_micros):
+                carried.append((manifest, payload))
+                return send(channel, manifest, payload, now_micros)
+
+            monkeypatch.setattr(InProcessChannel, "send", kept)
+            monkeypatch.setattr(pipeline, "_CHUNK_PACKETS", budget)
+            out = tmp_path / str(budget)
+            run_cfg = replace(cfg, out_dir=out)
+            write_run_artifacts(run_cfg, run_pipeline(run_cfg), out / "report.json")
+            names = ("report.json", "sync_log.csv", "npt_throughput.csv", "ndt_throughput.csv")
+            runs.append(({name: (out / name).read_bytes() for name in names}, carried))
+        assert len(runs[0][1]) == cfg.scenario.duration_micros // cfg.descriptor.window_micros
+        assert (json.loads(runs[0][0]["report.json"])["metrics"]["windows_lost"] > 0) == lossy
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_lossless_run_reproduces_the_series_exactly(self, descriptor):
         result = run_pipeline(run_config(descriptor, seed=3))
         r = result.report
@@ -292,10 +344,9 @@ class TestVirtualLoop:
 
     def test_segmentation_failure_names_the_capture_stage(self, descriptor, monkeypatch):
         def out_of_order(spec):
-            trace = generate(spec)
-            records = records_of(trace.records)
+            records = records_of(generate(spec).records)
             records[3], records[-3] = records[-3], records[3]
-            return replace(trace, records=batch_of(records))
+            return BatchSource(batch_of(records))
 
         monkeypatch.setattr(pipeline, "generate", out_of_order)
         with deadline(), pytest.raises(StageError) as err:
@@ -342,6 +393,21 @@ class TestVirtualLoop:
         assert (result.windows_sent, result.windows_replayed) == (6, 5)
         entry = result.log.entries()[2]
         assert entry.lost and entry.t_received is not None and entry.t_replayed is None
+
+
+class BatchSource:
+    """A packet source over one batch, in place of a generated trace: the
+    loop runs on packets changed by hand. A chunk is the packets whose
+    count of earlier timestamps puts them in its range."""
+
+    def __init__(self, batch: PacketBatch):
+        self.batch = batch
+
+    def count_before(self, ts_micros: int) -> int:
+        return int(np.count_nonzero(self.batch.ts_micros < ts_micros))
+
+    def packets(self, start_micros: int, end_micros: int) -> PacketBatch:
+        return self.batch[self.count_before(start_micros):self.count_before(end_micros)]
 
 
 @functools.lru_cache(maxsize=2)
@@ -538,7 +604,7 @@ class TestBlockFaults:
 
         logs = []
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline, "generate", lambda spec: replace(trace, records=records))
+            patch.setattr(pipeline, "generate", lambda spec: BatchSource(records))
             for run in ("block", "per-window"):
                 if run == "per-window":
                     _refuse_groups(patch)
@@ -561,8 +627,8 @@ class TestBlockFaults:
         window_start = cfg.scenario.origin_ts_micros + (self.K + 5) * cfg.descriptor.window_micros
         index = int(np.searchsorted(trace.records.ts_micros, window_start))
         assert trace.records.ts_micros[index] < window_start + cfg.descriptor.window_micros
-        monkeypatch.setattr(pipeline, "generate",
-                            lambda spec: replace(trace, records=_with_unwritable_packet(trace.records, index)))
+        records = _with_unwritable_packet(trace.records, index)
+        monkeypatch.setattr(pipeline, "generate", lambda spec: BatchSource(records))
         self._replace_window_k(monkeypatch, _at_end)
         with deadline(), pytest.raises(StageError) as err:
             run_pipeline(cfg)

@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 
 from twinsync import pcap, scenarios
 from twinsync.pcap import LINKTYPE_RAW_IP, PacketBatch, write_pcap
-from twinsync.scenarios import (
-    SCENARIO_KINDS,
-    GeneratedTrace,
-    ScenarioSpec,
-    _noise_bytes,
-    _TraceBuilder,
-    generate,
-)
+from twinsync.scenarios import SCENARIO_KINDS, GeneratedTrace, ScenarioSpec, _noise_bytes, generate
 
 from reference import SERVER_IP, downlink_mask, records_of, reference_trace, splitmix64_bytes, volume_bytes
 
@@ -307,28 +300,30 @@ class TestSpecValidation:
         assert trace.scenario == spec
 
 
-# (timestamps, length, direction, ue, port) per group, each field a scalar
-# or one entry per packet. Timestamp 3 is in every group, and unsorted in
-# the first, so the stable sort shows; lengths run from below the header
-# to the IPv4 limit, and phones from 0 to the last one a spec may have.
+# (base, count, gap, length, direction, ue, port) per group; group packet
+# i is stamped base + int(i * gap), and direction 2 alternates, uplink
+# first. Timestamp 3 is in every group but the empty one, so the stable
+# sort shows; gaps are zero, fractional and whole, lengths run from below
+# the header to the IPv4 limit, and phones from 0 to the last one a spec
+# may have.
 HAND_BUILT_GROUPS = [
-    ([5, 3, 3, 9], 120, np.array([0, 1, 0, 1]), 251, 3868),
-    ([3, 5, 7], np.array([10, 1500, 65_535]), 1, 0, 443),
-    ([], 50, 0, 7, 7),
-    ([3, 3, 8], 400, 0, np.array([249, 500, 25_534]), np.array([1, 65_535, 0])),
-    ([9, 3], np.array([28, 27]), np.array([1, 1]), 250, 5060),
+    (3, 4, 2.0, 120, 2, 251, 3868),
+    (3, 3, 0.0, 65_535, 1, 0, 443),
+    (5, 0, 1.0, 50, 0, 7, 7),
+    (3, 3, 2.5, 10, 0, 25_534, 65_535),
+    (0, 5, 0.75, 27, 1, 249, 0),
+    (2, 4, 0.4, 1500, 2, 500, 1),
+    (9, 1, 0.0, 28, 1, 250, 5060),
 ]
 
 
-def built(groups, snap: int, seed: int):
-    builder = _TraceBuilder()
-    for group in groups:
-        builder.add(*group)
-    return builder.build(snap, seed)
+def hand_built(groups, snap: int, seed: int) -> GeneratedTrace:
+    """A trace of ``groups``, all of them inside its span."""
+    return GeneratedTrace(ScenarioSpec(kind="voice-call", duration_micros=10**9, seed=seed, snap_bytes=snap), groups)
 
 
 def assert_matches_the_reference(groups, snap: int, seed: int) -> None:
-    batch = built(groups, snap, seed)
+    batch = hand_built(groups, snap, seed).records
     columns, slot, payload = reference_trace(groups, snap, seed)
     assert (batch.ts_micros.dtype, batch.captured_len.dtype, batch.original_len.dtype, batch.offsets.dtype) == \
         (np.int64, np.uint32, np.uint32, np.int64)
@@ -355,7 +350,7 @@ def test_any_slice_of_a_trace_is_filled_and_written_as_the_reference(monkeypatch
     monkeypatch.setattr(scenarios, "_HEADER_BLOCK_ROWS", block_rows)
     snap = data.draw(st.sampled_from([20, 96]), label="snap")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-    trace = built(HAND_BUILT_GROUPS, snap, seed)
+    trace = hand_built(HAND_BUILT_GROUPS, snap, seed).records
     a = data.draw(st.integers(0, len(trace)), label="a")
     b = data.draw(st.integers(a, len(trace)), label="b")
     columns, slot, payload = reference_trace(HAND_BUILT_GROUPS, snap, seed)
@@ -367,19 +362,49 @@ def test_any_slice_of_a_trace_is_filled_and_written_as_the_reference(monkeypatch
     assert write_pcap(LINKTYPE_RAW_IP, trace[a:b]) == write_pcap(LINKTYPE_RAW_IP, reference[a:b])
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_time_range_of_a_trace_is_that_range_of_its_records(data):
+    # A range's packets are made alone, each group only for its part of
+    # the range; they are the records stamped in it, with the same bytes.
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    trace = hand_built(HAND_BUILT_GROUPS, 96, seed)
+    records = trace.records
+    ts = records.ts_micros
+    start = data.draw(st.integers(-2, 13), label="start")
+    end = data.draw(st.integers(start, 14), label="end")
+    a, b = int(np.searchsorted(ts, start)), int(np.searchsorted(ts, end))
+    assert (trace.count_before(start), trace.count_before(end)) == (a, b)
+    part = trace.packets(start, end)
+    for name in ("ts_micros", "captured_len", "original_len"):
+        assert getattr(part, name).tolist() == getattr(records, name)[a:b].tolist()
+    assert write_pcap(LINKTYPE_RAW_IP, part) == write_pcap(LINKTYPE_RAW_IP, records[a:b])
+
+
 def test_a_trace_longer_than_one_header_block_matches_the_reference():
-    n = scenarios._HEADER_BLOCK_ROWS + 37
     rng = np.random.default_rng(5)
-    groups = [
-        (rng.integers(0, 1000, n), rng.integers(1, 1600, n), rng.integers(0, 2, n), 300, 443),
-        (np.arange(0, 1000, 7), 172, 1, rng.integers(0, 600, 143), 5060),
-    ]
+    groups = [(int(rng.integers(0, 1000)), int(rng.integers(0, 300)), float(rng.choice([0.0, 0.37, 3.0, 11.5])),
+               int(rng.integers(1, 1600)), int(rng.integers(0, 3)), int(rng.integers(0, 600)), 443)
+              for _ in range(150)]
+    assert sum(group[1] for group in groups) > scenarios._HEADER_BLOCK_ROWS
     assert_matches_the_reference(groups, 96, seed=2**64 - 1)
 
 
 def test_a_packet_past_the_ipv4_limit_is_refused():
     with pytest.raises(ValueError, match="^packet of 65536 bytes exceeds the IPv4 limit$"):
-        built([([1, 2], np.array([65_535, 65_536]), 0, 0, 443)], 96, 0)
+        hand_built([(1, 1, 0.0, 65_535, 0, 0, 443), (2, 2, 1.0, 65_536, 0, 0, 443)], 96, 0)
+    # By the event pass, before any packet is made.
+    with pytest.raises(ValueError, match="^packet of 70000 bytes exceeds the IPv4 limit$"):
+        generate(spec_for("attach-and-browse", attach_packet_bytes=70_000))
+
+
+def test_packets_past_the_span_are_dropped_before_they_are_checked():
+    # The end truncates every group, so a packet that would be too long but
+    # lies past the span is not refused, as when the builder filtered it.
+    trace = GeneratedTrace(ScenarioSpec(kind="voice-call", duration_micros=10),
+                           [(0, 3, 4.0, 100, 0, 0, 443), (10, 1, 0.0, 70_000, 0, 0, 443)])
+    assert trace.packet_count == len(trace.records) == 3
+    assert trace.records.ts_micros.tolist() == [0, 4, 8]
 
 
 # sha256 of write_pcap(LINKTYPE_RAW_IP, trace) for a 6 s run of each kind
@@ -402,22 +427,75 @@ def test_generated_trace_bytes_are_the_golden_ones(monkeypatch, kind):
         assert hashlib.sha256(write_pcap(LINKTYPE_RAW_IP, batch)).hexdigest() == GOLDEN_TRACE_SHA256[kind]
 
 
-def test_generation_holds_little_beyond_the_trace():
-    # numpy reports its buffers to tracemalloc, so the peak is exact. The
-    # trace is every array it holds: its columns and the header columns its
-    # payload rows are filled from. Anything above it is a temporary, which
-    # generation keeps narrow.
-    spec = ScenarioSpec(kind="attach-and-browse", duration_micros=60 * SECOND, ue_count=12,
-                        page_mean_interval_micros=2 * SECOND, page_mean_bytes=375_000)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_chunks_of_whole_windows_add_up_to_the_trace(data):
+    # The loop pulls a trace a chunk of whole windows at a time: the chunks'
+    # columns, joined, are the trace's, and each chunk's pcap records are
+    # the same bytes of the whole trace's pcap.
+    kind = data.draw(st.sampled_from(SCENARIO_KINDS), label="kind")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    duration = data.draw(st.integers(1, 8 * SECOND), label="duration")
+    window = data.draw(st.integers(SECOND // 20, 2 * SECOND), label="window")
+    origin = data.draw(st.sampled_from([0, 777]), label="origin")
+    spec = ScenarioSpec(kind=kind, duration_micros=duration, seed=seed, ue_count=3, origin_ts_micros=origin)
+    trace = generate(spec)
+    records = trace.records
+    n_windows = -(-duration // window)
+    cuts = sorted(data.draw(st.sets(st.integers(1, n_windows - 1), max_size=6), label="cuts")) if n_windows > 1 else []
+    bounds = [origin + k * window for k in (0, *cuts)] + [origin + duration]
+    chunks = [trace.packets(start, end) for start, end in zip(bounds, bounds[1:])]
+    assert trace.packet_count == len(records) == sum(len(chunk) for chunk in chunks)
+    for name in ("ts_micros", "captured_len", "original_len"):
+        joined = np.concatenate([getattr(chunk, name) for chunk in chunks])
+        assert joined.dtype == getattr(records, name).dtype
+        assert joined.tolist() == getattr(records, name).tolist()
+    whole = write_pcap(LINKTYPE_RAW_IP, records)
+    at = 24
+    for chunk in chunks:
+        piece = write_pcap(LINKTYPE_RAW_IP, chunk)[24:]
+        assert piece == whole[at:at + len(piece)]
+        at += len(piece)
+    assert at == len(whole)
+
+
+def browse_spec(page_mean_bytes: int) -> ScenarioSpec:
+    return ScenarioSpec(kind="attach-and-browse", duration_micros=60 * SECOND, ue_count=12,
+                        page_mean_interval_micros=2 * SECOND, page_mean_bytes=page_mean_bytes)
+
+
+def traced_peak(make):
+    """What ``make()`` returns and the peak of the memory it traced;
+    numpy reports its buffers to tracemalloc, so the peak is exact."""
     tracemalloc.start()
     try:
-        batch = generate(spec).records
-        peak = tracemalloc.get_traced_memory()[1]
+        made = make()
+        return made, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_the_event_pass_holds_its_events_not_its_packets():
+    # Pages four times as large are the same draws and the same events with
+    # four times the packets: the event pass holds no more for them, and
+    # under 3 bytes a packet, against the 29 bytes of columns a packet takes.
+    generate(browse_spec(375_000))  # imports and caches
+    small, small_peak = traced_peak(lambda: generate(browse_spec(375_000)))
+    large, large_peak = traced_peak(lambda: generate(browse_spec(1_500_000)))
+    assert large.packet_count > 3.5 * small.packet_count > 350_000
+    assert large_peak < 1.1 * small_peak
+    assert small_peak < 3 * small.packet_count
+
+
+def test_building_the_records_holds_little_beyond_them():
+    # The records are every array they hold: their columns and the header
+    # columns their payload rows are filled from. Anything above it is a
+    # temporary, which building keeps narrow.
+    trace = generate(browse_spec(375_000))
+    batch, peak = traced_peak(lambda: trace.records)
     held = [getattr(batch, name) for name in PacketBatch.__slots__]
     held += [getattr(batch.payload, name) for name in type(batch.payload).__slots__]
     arrays = {id(value): value for value in held if isinstance(value, np.ndarray)}
     trace_bytes = sum(array.nbytes for array in arrays.values())
     assert len(batch) > 100_000
-    assert peak <= 1.3 * trace_bytes
+    assert peak <= 1.2 * trace_bytes

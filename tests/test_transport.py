@@ -682,7 +682,10 @@ class TestSyncLogArrayForms:
 
 
 class TestSyncLogCsv:
-    def test_csv_is_the_entries_row_by_row(self):
+    @pytest.mark.parametrize("slice_rows", [1, 3, 4096])
+    def test_csv_is_the_entries_row_by_row(self, monkeypatch, slice_rows):
+        # Formatted a slice of rows at a time, in any slices, to the same bytes.
+        monkeypatch.setattr(transport_module, "_CSV_SLICE_ROWS", slice_rows)
         log = SyncLog()
         for seq in range(4):
             log.record_sent(seq, seq * SECOND, (seq + 1) * SECOND, (seq + 1) * SECOND)
