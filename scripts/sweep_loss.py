@@ -5,7 +5,9 @@ freshness and series similarity degrade. Output is one CSV row per
 
 Usage:
     python scripts/sweep_loss.py [--out sweep.csv] [--seeds 5]
-        [--duration 200] [--window 10]
+        [--duration 200] [--window 10] [--scenario voice-call]
+
+--scenario takes a scenario kind, not one of the twinsync CLI's aliases.
 """
 
 import argparse
@@ -17,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from twinsync.model import SliceSpec, TwinDescriptor, seconds_to_micros
 from twinsync.pipeline import RunConfig, run_pipeline
 from twinsync.replay import ReplayPlan
-from twinsync.scenarios import ScenarioSpec
+from twinsync.scenarios import SCENARIO_KINDS, ScenarioSpec
 from twinsync.transport import ChannelSpec
 
 LOSS_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
@@ -29,7 +31,7 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--duration", type=float, default=200.0)
     parser.add_argument("--window", type=float, default=10.0)
-    parser.add_argument("--scenario", default="voice-call")
+    parser.add_argument("--scenario", choices=SCENARIO_KINDS, default="voice-call")
     args = parser.parse_args()
 
     descriptor = TwinDescriptor(

@@ -12,14 +12,14 @@ class Clock(Protocol):
 
 
 class MonotonicClock:
-    """Run clock backed by time.monotonic_ns: it reads ``origin_micros``
-    when built and then advances ``speed_factor`` microseconds per wall
-    microsecond, so a real-time run keeps capture time and only its sleeps
-    are wall time. With no arguments it reads monotonic microseconds."""
+    """A run's one clock, backed by time.monotonic_ns: it reads
+    ``origin_micros`` when built and then advances ``speed_factor``
+    microseconds per wall microsecond, so a real-time run keeps capture
+    time and only its sleeps are wall time."""
 
-    def __init__(self, origin_micros: int | None = None, speed_factor: float = 1.0):
+    def __init__(self, origin_micros: int, speed_factor: float = 1.0):
         self._start = time.monotonic_ns() // 1000
-        self._origin = self._start if origin_micros is None else origin_micros
+        self._origin = origin_micros
         self._speed = speed_factor
 
     def now_micros(self) -> int:

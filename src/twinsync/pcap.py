@@ -453,21 +453,19 @@ def segment_stream(
     batch: PacketBatch,
     window_micros: int,
     origin_ts_micros: int,
-    span_end_micros: int | None = None,
+    span_end_micros: int,
     source_interface: str = "tun2",
     first_seq: int = 0,
 ) -> Iterator[CaptureWindow]:
-    """Split a time-ordered packet stream into gapless capture windows.
+    """Split a time-ordered packet stream into gapless capture windows
+    covering [origin, span_end).
 
-    Window k covers [origin + k*T, origin + (k+1)*T) and has seq
-    ``first_seq + k``: a stream cut into spans of whole windows is
-    segmented a span at a time with the seqs and bounds it would get at
-    once. A packet exactly on a boundary lands in the later window. Empty
-    windows are emitted too, so the sync cadence is independent of
-    traffic presence. When ``span_end_micros`` is given, windows are
-    produced until the whole span is covered and the final window may be
-    shorter than T; without it, segmentation stops at the (full) window
-    holding the last packet.
+    Window k covers [origin + k*T, origin + (k+1)*T), the last one cut
+    at the span end, and has seq ``first_seq + k``: a stream cut into
+    spans of whole windows is segmented a span at a time with the seqs
+    and bounds it would get at once. A packet exactly on a boundary lands
+    in the later window. Empty windows are emitted too, so the sync
+    cadence is independent of traffic presence.
 
     A packet out of order, before the origin or past the span end raises
     TimestampRegressionError naming its index, once the windows closed
@@ -481,33 +479,26 @@ def segment_stream(
     """
     if window_micros <= 0:
         raise ValueError("window_micros must be positive")
-    if span_end_micros is not None and span_end_micros <= origin_ts_micros:
+    if span_end_micros <= origin_ts_micros:
         raise ValueError("span_end_micros must lie after the origin")
 
     ts = batch.ts_micros
     # The first bad packet wins; for one packet, the checks rank in this order.
-    errors = [
+    error = min((e for e in (
         (batch.first_regression(), 0, "timestamp regression"),
         (first_index(ts < origin_ts_micros), 1, "timestamp before stream origin"),
-    ]
-    if span_end_micros is not None:
-        errors.append((first_index(ts >= span_end_micros), 2, "timestamp beyond span end"))
-    errors = sorted(e for e in errors if e[0] is not None)
-    error = errors[0] if errors else None
+        (first_index(ts >= span_end_micros), 2, "timestamp beyond span end"),
+    ) if e[0] is not None), default=None)
 
     if error is not None:
         good = error[0]
         n_windows = 0 if good == 0 else int(ts[good - 1] - origin_ts_micros) // window_micros
     else:
         good = len(batch)
-        if span_end_micros is not None:
-            n_windows = -(-(span_end_micros - origin_ts_micros) // window_micros)
-        else:
-            n_windows = int(ts[-1] - origin_ts_micros) // window_micros + 1 if good else 0
+        n_windows = -(-(span_end_micros - origin_ts_micros) // window_micros)
 
     bounds = origin_ts_micros + window_micros * np.arange(1, n_windows + 1, dtype=np.int64)
     cuts = np.concatenate(([0], np.searchsorted(ts[:good], bounds, side="left")))
-    span_end = span_end_micros if span_end_micros is not None else origin_ts_micros + n_windows * window_micros
 
     # At least the pcap record bytes before each window: a payload slot
     # holds its packet's captured bytes and maybe a gap.
@@ -532,7 +523,7 @@ def segment_stream(
         block = PackBlock(batch[base:cuts[k]], [cut - base for cut in cuts[first:k + 1]])
         for index, seq in enumerate(range(first, k)):
             start = origin_ts_micros + seq * window_micros
-            yield CaptureWindow(first_seq + seq, start, min(start + window_micros, span_end), block, index,
+            yield CaptureWindow(first_seq + seq, start, min(start + window_micros, span_end_micros), block, index,
                                 source_interface)
     if error is not None:
         raise TimestampRegressionError(error[0], error[2])

@@ -103,6 +103,10 @@ class RunConfig:
                              f"the {self.channel.kind} channel")
         if self.channel.kind == "directory-exchange" and self.exchange_dir is None:
             raise ValueError("directory-exchange channel needs an exchange directory")
+        offset = self.plan.align_offset_micros
+        if offset is not None and offset < -self.scenario.origin_ts_micros:
+            raise ValueError(f"align offset must be at least {-self.scenario.origin_ts_micros} us, so that no "
+                             f"replayed timestamp is negative; got {offset} us")
 
 
 @dataclass(slots=True)

@@ -5,7 +5,10 @@ attaching then browsing, video streaming, a voice call between two
 phones, and a live video upload. The shapes are first-order models
 (attach burst, Poisson page events with paced download bursts, on/off
 chunk fetching, constant-rate RTP-like voice, jittered constant-rate
-upload) whose parameters are all ScenarioSpec fields.
+upload) of one lab's traffic. Their sizes, rates and intervals are the
+module constants below; a ScenarioSpec picks the kind, the span, the
+seed, the phone count and the browse pages' mean interval and size, the
+settings a run varies.
 
 Packets carry synthetic IPv4/UDP headers with correct length fields and
 pseudo-random fill; there is no protocol stack behind them. Throughput
@@ -42,9 +45,32 @@ from .pcap import PacketBatch
 
 SCENARIO_KINDS = ("attach-and-browse", "video-streaming", "voice-call", "live-upload")
 
+# attach-and-browse: per phone, a burst of control packets, then pages of
+# lognormal size paced at a fixed rate.
+ATTACH_PACKETS = 40
+ATTACH_SPAN_MICROS = 2 * MICROS_PER_SECOND
+ATTACH_PACKET_BYTES = 120
+PAGE_SIGMA = 0.5
+BROWSE_PACING_BPS = 10_000_000
+# video-streaming: on/off chunk fetching.
+STREAM_ON_MICROS = 2 * MICROS_PER_SECOND
+STREAM_OFF_MICROS = 2 * MICROS_PER_SECOND
+STREAM_RATE_BPS = 5_000_000
+# voice-call: one packet per period each way.
+VOICE_PACKET_BYTES = 172
+VOICE_PPS = 50
+# live-upload: a jittered rate each second, and acks back.
+UPLOAD_RATE_BPS = 3_000_000
+UPLOAD_JITTER = 0.2
+ACK_INTERVAL_MICROS = 50_000
+ACK_BYTES = 60
+# Every kind's full data packet, and the bytes of a packet captured. No
+# generator makes a longer packet: a page's last one is the rest of it.
+DATA_PACKET_BYTES = 1200
+SNAP_BYTES = 96
+
 _SERVER_IP = bytes([203, 0, 113, 1])
 _IP_UDP_HEADER_LEN = 28
-_MAX_IPV4_LEN = 65535
 # Phone k sends from UDP port _UE_PORT_BASE + k and from 10.45.(1 + k // 250).(2 + k % 250).
 _UE_PORT_BASE = 40_000
 _MAX_UES = 65535 - _UE_PORT_BASE
@@ -52,36 +78,17 @@ _MAX_UES = 65535 - _UE_PORT_BASE
 
 @dataclass(frozen=True, slots=True)
 class ScenarioSpec:
-    """One workload to simulate; per-kind knobs have sensible defaults."""
+    """One workload to simulate: its kind, span, seed and phones, and for
+    attach-and-browse the pages' mean interval and size. The rest of each
+    model is the module's constants."""
 
     kind: str
     duration_micros: int
     seed: int = 0
     ue_count: int = 2
     origin_ts_micros: int = 0
-    # attach-and-browse
-    attach_packets: int = 40
-    attach_span_micros: int = 2 * MICROS_PER_SECOND
-    attach_packet_bytes: int = 120
     page_mean_interval_micros: int = 8 * MICROS_PER_SECOND
     page_mean_bytes: int = 1_500_000
-    page_sigma: float = 0.5
-    browse_pacing_bps: int = 10_000_000
-    # video-streaming
-    stream_on_micros: int = 2 * MICROS_PER_SECOND
-    stream_off_micros: int = 2 * MICROS_PER_SECOND
-    stream_rate_bps: int = 5_000_000
-    # voice-call
-    voice_packet_bytes: int = 172
-    voice_pps: int = 50
-    # live-upload
-    upload_rate_bps: int = 3_000_000
-    upload_jitter: float = 0.2
-    ack_interval_micros: int = 50_000
-    ack_bytes: int = 60
-    # shared
-    data_packet_bytes: int = 1200
-    snap_bytes: int = 96
 
     def validate(self) -> None:
         if self.kind not in SCENARIO_KINDS:
@@ -93,29 +100,12 @@ class ScenarioSpec:
             raise ValueError(f"{self.kind} needs at least {minimum} UEs, got {self.ue_count}")
         if self.ue_count > _MAX_UES:
             raise ValueError(f"ue_count must be at most {_MAX_UES}, got {self.ue_count}")
-        for name in _POSITIVE_FIELDS:
+        # Pages come a mean interval apart, and the log of their mean size is taken.
+        for name in ("page_mean_interval_micros", "page_mean_bytes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in _NON_NEGATIVE_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
-        if self.voice_pps > MICROS_PER_SECOND:
-            raise ValueError(f"voice_pps must be at most {MICROS_PER_SECOND}, got {self.voice_pps}")
-        # Written so that NaN fails too.
-        if not 0.0 <= self.upload_jitter <= 1.0:
-            raise ValueError(f"upload_jitter must lie in [0, 1], got {self.upload_jitter}")
-        if not 0.0 <= self.page_sigma < math.inf:
-            raise ValueError(f"page_sigma must be finite and non-negative, got {self.page_sigma}")
-
-
-# Sizes, rates, intervals and counts the generators divide by or take the
-# logarithm of; and the fields that may be zero but not negative.
-_POSITIVE_FIELDS = (
-    "attach_packets", "attach_packet_bytes", "page_mean_interval_micros", "page_mean_bytes",
-    "browse_pacing_bps", "stream_on_micros", "stream_rate_bps", "voice_packet_bytes", "voice_pps",
-    "upload_rate_bps", "ack_interval_micros", "ack_bytes", "data_packet_bytes",
-)
-_NON_NEGATIVE_FIELDS = ("origin_ts_micros", "attach_span_micros", "stream_off_micros", "snap_bytes")
+        if self.origin_ts_micros < 0:
+            raise ValueError(f"origin_ts_micros must not be negative, got {self.origin_ts_micros}")
 
 
 # Synthetic IPv4 + UDP header, seven big-endian 32-bit words on the wire:
@@ -260,8 +250,7 @@ class GeneratedTrace:
     ``groups`` are (base, count, gap, length, direction, phone, port) in
     build order: group packet i is stamped ``base + int(i * gap)``, and
     packets at or past the end of the scenario's span are dropped here.
-    A length below the IPv4/UDP header is raised to it, and one above the
-    IPv4 limit is refused here, before any packet is made.
+    A length below the IPv4/UDP header is raised to it.
 
     ``packets(start, end)`` makes the packets stamped in ``[start, end)``;
     ``count_before(ts)`` counts those stamped before ``ts``. Every packet
@@ -270,7 +259,7 @@ class GeneratedTrace:
     """
 
     __slots__ = ("scenario", "seed", "packet_count", "_base", "_count", "_gap", "_last", "_total", "_direction",
-                 "_ue", "_port", "_row_len", "_snap")
+                 "_ue", "_port", "_row_len")
 
     def __init__(self, scenario: ScenarioSpec, groups: list[tuple]):
         self.scenario, self.seed = scenario, scenario.seed
@@ -282,11 +271,7 @@ class GeneratedTrace:
         kept = count > 0
         base, count, gap, length = base[kept], count[kept], gap[kept], length[kept]
         total = np.maximum(length, _IP_UDP_HEADER_LEN)
-        too_long = np.flatnonzero(total > _MAX_IPV4_LEN)
-        if len(too_long):
-            raise ValueError(f"packet of {int(total[too_long[0]])} bytes exceeds the IPv4 limit")
-        self._snap = min(scenario.snap_bytes, _MAX_IPV4_LEN)
-        self._row_len = max(min(int(total.max()), self._snap), _IP_UDP_HEADER_LEN) if len(total) else 0
+        self._row_len = min(int(total.max()), SNAP_BYTES) if len(total) else 0
         self._base, self._count, self._gap, self._total = base, count, gap, total.astype(np.uint32)
         self._last = base + _offsets_at(count - 1, gap)
         self._direction, self._ue, self._port = direction[kept], ue[kept], port[kept]
@@ -343,7 +328,7 @@ class GeneratedTrace:
         del rank
         total, ue, port = self._total[group], self._ue[group], self._port[group]
         del group
-        captured = np.minimum(total, self._snap)
+        captured = np.minimum(total, SNAP_BYTES)
         row_len = self._row_len
         offsets = np.arange(0, (n + 1) * row_len, row_len, dtype=np.int64)
         rows = _TraceRows(self.seed, row_len, self.packet_count, int(low.sum()), total, ue, port, uplink)
@@ -357,42 +342,40 @@ class GeneratedTrace:
 def _gen_attach_and_browse(spec: ScenarioSpec, rng: random.Random, add) -> None:
     origin = spec.origin_ts_micros
     end = origin + spec.duration_micros
-    spacing = spec.attach_span_micros / spec.attach_packets
-    mu = math.log(spec.page_mean_bytes) - spec.page_sigma ** 2 / 2
+    spacing = ATTACH_SPAN_MICROS / ATTACH_PACKETS
+    mu = math.log(spec.page_mean_bytes) - PAGE_SIGMA ** 2 / 2
     for ue in range(spec.ue_count):
         stagger = int(spacing * ue / spec.ue_count)
-        add(origin + stagger, spec.attach_packets, spacing, spec.attach_packet_bytes, _ALTERNATING, ue, 3868)
+        add(origin + stagger, ATTACH_PACKETS, spacing, ATTACH_PACKET_BYTES, _ALTERNATING, ue, 3868)
         # Page fetches only start once the control-plane burst is over.
-        t = origin + spec.attach_span_micros
+        t = origin + ATTACH_SPAN_MICROS
         while True:
             t += int(rng.expovariate(1.0) * spec.page_mean_interval_micros) + 1
             if t >= end:
                 break
             add(t, 1, 0.0, 400, _UPLINK, ue, 443)
-            size = int(rng.lognormvariate(mu, spec.page_sigma))
+            size = int(rng.lognormvariate(mu, PAGE_SIGMA))
             size = min(max(size, 10_000), 20_000_000)
-            n = -(-size // spec.data_packet_bytes)
-            burst_micros = size * 8 * MICROS_PER_SECOND / spec.browse_pacing_bps
+            n = -(-size // DATA_PACKET_BYTES)
+            burst_micros = size * 8 * MICROS_PER_SECOND / BROWSE_PACING_BPS
             gap = burst_micros / n
             # Full packets, then the rest of the page.
-            add(t + 200, n - 1, gap, spec.data_packet_bytes, _DOWNLINK, ue, 443)
-            add(t + 200 + int((n - 1) * gap), 1, 0.0, size - (n - 1) * spec.data_packet_bytes, _DOWNLINK, ue, 443)
+            add(t + 200, n - 1, gap, DATA_PACKET_BYTES, _DOWNLINK, ue, 443)
+            add(t + 200 + int((n - 1) * gap), 1, 0.0, size - (n - 1) * DATA_PACKET_BYTES, _DOWNLINK, ue, 443)
 
 
 def _gen_video_streaming(spec: ScenarioSpec, rng: random.Random, add) -> None:
     origin = spec.origin_ts_micros
     end = origin + spec.duration_micros
-    period = spec.stream_on_micros + spec.stream_off_micros
-    chunk_bytes = spec.stream_rate_bps * spec.stream_on_micros // (8 * MICROS_PER_SECOND)
-    n = -(-chunk_bytes // spec.data_packet_bytes)
-    gap = spec.stream_on_micros / n
-    # A chunk's packets are those that start within the on phase: a prefix,
-    # since the offsets never decrease.
-    data_packets = int(np.count_nonzero(100 + _offsets_at(np.arange(n), gap) < spec.stream_on_micros))
+    chunk_bytes = STREAM_RATE_BPS * STREAM_ON_MICROS // (8 * MICROS_PER_SECOND)
+    n = -(-chunk_bytes // DATA_PACKET_BYTES)
+    # Spread over the on phase: the last of a chunk's 1,042 packets starts
+    # 1.998 s into its 2 s.
+    gap = STREAM_ON_MICROS / n
     for ue in range(spec.ue_count):
-        for start in range(origin, end, period):
+        for start in range(origin, end, STREAM_ON_MICROS + STREAM_OFF_MICROS):
             add(start, 1, 0.0, 200, _UPLINK, ue, 443)
-            add(start + 100, data_packets, gap, spec.data_packet_bytes, _DOWNLINK, ue, 443)
+            add(start + 100, n, gap, DATA_PACKET_BYTES, _DOWNLINK, ue, 443)
 
 
 def _gen_voice_call(spec: ScenarioSpec, rng: random.Random, add) -> None:
@@ -400,9 +383,9 @@ def _gen_voice_call(spec: ScenarioSpec, rng: random.Random, add) -> None:
     # way, half a period out of phase.
     origin = spec.origin_ts_micros
     end = origin + spec.duration_micros
-    period = MICROS_PER_SECOND // spec.voice_pps
+    period = MICROS_PER_SECOND // VOICE_PPS
     for offset, direction, ue in ((0, _UPLINK, 0), (period // 2, _DOWNLINK, 1)):
-        _add_every(add, origin + offset, end, period, spec.voice_packet_bytes, direction, ue, 5060)
+        _add_every(add, origin + offset, end, period, VOICE_PACKET_BYTES, direction, ue, 5060)
 
 
 def _gen_live_upload(spec: ScenarioSpec, rng: random.Random, add) -> None:
@@ -410,11 +393,11 @@ def _gen_live_upload(spec: ScenarioSpec, rng: random.Random, add) -> None:
     end = origin + spec.duration_micros
     for sec_start in range(origin, end, MICROS_PER_SECOND):
         sec_len = min(MICROS_PER_SECOND, end - sec_start)
-        rate = spec.upload_rate_bps * (1.0 + rng.uniform(-spec.upload_jitter, spec.upload_jitter))
+        rate = UPLOAD_RATE_BPS * (1.0 + rng.uniform(-UPLOAD_JITTER, UPLOAD_JITTER))
         sec_bytes = rate * sec_len / (8 * MICROS_PER_SECOND)
-        n = max(1, int(sec_bytes // spec.data_packet_bytes))
-        add(sec_start, n, sec_len / n, spec.data_packet_bytes, _UPLINK, 0, 1935)
-    _add_every(add, origin, end, spec.ack_interval_micros, spec.ack_bytes, _DOWNLINK, 0, 1935)
+        n = max(1, int(sec_bytes // DATA_PACKET_BYTES))
+        add(sec_start, n, sec_len / n, DATA_PACKET_BYTES, _UPLINK, 0, 1935)
+    _add_every(add, origin, end, ACK_INTERVAL_MICROS, ACK_BYTES, _DOWNLINK, 0, 1935)
 
 
 def _add_every(add, start: int, end: int, period: int, length: int, direction: int, ue: int, port: int) -> None:

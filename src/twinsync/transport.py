@@ -50,7 +50,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .clocks import Clock, MonotonicClock
+from .clocks import Clock
 from .errors import (
     ChannelClosedError,
     DigestMismatchError,
@@ -467,14 +467,15 @@ class DirectoryExchangeChannel(_SendingChannel):
     shaping is not (real file systems provide their own delays). A
     directory that already holds window files or an end marker is
     refused, not cleared: the receiver would take an earlier run's
-    windows for this one's.
+    windows for this one's. The receiver stamps and paces its polls on
+    ``clock``, the run's clock.
     """
 
     # Capture time between two looks for the next window, slept on the run
     # clock: a speed-s run polls s times as often in wall time.
     POLL_MICROS = 20_000
 
-    def __init__(self, spec: ChannelSpec, directory: Path, clock: Clock | None = None):
+    def __init__(self, spec: ChannelSpec, directory: Path, clock: Clock):
         super().__init__(spec)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -483,7 +484,7 @@ class DirectoryExchangeChannel(_SendingChannel):
             if stale is not None:
                 raise TwinError(f"exchange directory {self.directory} is not empty: it holds {stale.name} "
                                 "from an earlier run")
-        self._clock = clock or MonotonicClock()
+        self._clock = clock
         # Windows this endpoint has sent and received: the numbers in the
         # names of the next window each way.
         self._sent = self._received = 0
@@ -556,17 +557,18 @@ class TcpReceiverChannel:
 
     Bytes received stay in a buffer until they make up a whole frame, so a
     receive that times out mid-frame loses nothing: the next one goes on
-    from where it stopped.
+    from where it stopped. A window is stamped on ``clock``, the run's
+    clock, as it is taken.
     """
 
-    def __init__(self, bind_host: str = "127.0.0.1", port: int = 0, clock: Clock | None = None):
+    def __init__(self, bind_host: str, port: int, clock: Clock):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((bind_host, port))
         self._listener.listen(1)
         self._conn: socket.socket | None = None
         self._buffer = bytearray()
-        self._clock = clock or MonotonicClock()
+        self._clock = clock
 
     @property
     def port(self) -> int:

@@ -157,7 +157,7 @@ def splitmix64_bytes(seed: int, count: int) -> bytes:
     return bytes(out[:count])
 
 
-def reference_trace(groups: list[tuple], snap: int, seed: int) -> tuple[list[tuple[int, int, int]], int, bytes]:
+def reference_trace(groups: list[tuple], seed: int) -> tuple[list[tuple[int, int, int]], int, bytes]:
     """What a generated trace made of ``groups`` holds, one packet at a time.
 
     Each group is (base, count, gap, length, direction, ue, port) as
@@ -166,8 +166,9 @@ def reference_trace(groups: list[tuple], snap: int, seed: int) -> tuple[list[tup
     and 2 alternating, uplink first. Returns (ts, captured_len,
     original_len) per packet in time order (ties in build order), the
     slot length, and the payload buffer: slot i is the packet's IPv4/UDP
-    header, then SplitMix64 fill.
+    header, then SplitMix64 fill. A packet is captured to 96 bytes.
     """
+    snap = 96
     packets = []
     for base, count, gap, length, direction, ue, port in groups:
         for i in range(count):

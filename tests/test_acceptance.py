@@ -18,7 +18,14 @@ from twinsync.model import SliceSpec, TwinDescriptor, descriptor_to_json
 from twinsync.pcap import LINKTYPE_RAW_IP, read_pcap, segment_stream, write_pcap
 from twinsync.pipeline import RunConfig, run_pipeline
 from twinsync.replay import ReplayPlan
-from twinsync.scenarios import SCENARIO_KINDS, ScenarioSpec, generate
+from twinsync.scenarios import (
+    ATTACH_PACKET_BYTES,
+    SCENARIO_KINDS,
+    STREAM_OFF_MICROS,
+    STREAM_ON_MICROS,
+    ScenarioSpec,
+    generate,
+)
 from twinsync.transport import ChannelSpec
 
 from conftest import FIXTURES
@@ -212,7 +219,7 @@ def test_criterion_7_segmentation_conservation():
     # Boundary packets land in the later window.
     T = 2 * SECOND
     boundary = [PacketRecord(k * T, 1, 1, b"x") for k in range(4)]
-    windows = list(segment_stream(batch_of(boundary), T, 0))
+    windows = list(segment_stream(batch_of(boundary), T, 0, span_end_micros=4 * T))
     boundary_ok = all(w.packets.ts_micros.tolist() == [w.seq * T] for w in windows)
     verdict(7, ok and boundary_ok, "50 random traces + boundary rule")
 
@@ -230,22 +237,20 @@ def test_criterion_8_scenario_shapes_across_seeds():
         upload = generate(ScenarioSpec(kind="live-upload", duration_micros=20 * SECOND, seed=seed, ue_count=1))
         upload_ok &= volume_bytes(upload.records, downlink=False) > 5 * volume_bytes(upload.records, downlink=True)
 
-        spec = ScenarioSpec(kind="video-streaming", duration_micros=32 * SECOND, seed=seed, ue_count=2)
-        stream = generate(spec)
+        stream = generate(ScenarioSpec(kind="video-streaming", duration_micros=32 * SECOND, seed=seed, ue_count=2))
         bins = np.zeros(32)
         for r, downlink in zip(records_of(stream.records), downlink_mask(stream.records)):
             if downlink:
                 bins[r.ts_micros // SECOND] += r.original_len
         x = bins - bins.mean()
-        period = (spec.stream_on_micros + spec.stream_off_micros) // SECOND
+        period = (STREAM_ON_MICROS + STREAM_OFF_MICROS) // SECOND
         autocorr = lambda lag: float((x[:-lag] * x[lag:]).sum() / (x * x).sum())
         stream_ok &= autocorr(period) > 0.5 and autocorr(period) > autocorr(period // 2)
 
-        browse_spec = ScenarioSpec(kind="attach-and-browse", duration_micros=30 * SECOND, seed=seed, ue_count=2)
-        browse = generate(browse_spec)
+        browse = generate(ScenarioSpec(kind="attach-and-browse", duration_micros=30 * SECOND, seed=seed, ue_count=2))
         browse_records = records_of(browse.records)
-        control = [r.ts_micros for r in browse_records if r.original_len == browse_spec.attach_packet_bytes]
-        data = [r.ts_micros for r in browse_records if r.original_len != browse_spec.attach_packet_bytes]
+        control = [r.ts_micros for r in browse_records if r.original_len == ATTACH_PACKET_BYTES]
+        data = [r.ts_micros for r in browse_records if r.original_len != ATTACH_PACKET_BYTES]
         browse_ok &= bool(control) and bool(data) and max(control) < min(data)
     verdict(8, voice_ok and upload_ok and stream_ok and browse_ok,
             f"voice={voice_ok} upload={upload_ok} stream={stream_ok} browse={browse_ok}")

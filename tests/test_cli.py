@@ -222,6 +222,19 @@ class TestRunCommand:
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "sync_log.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["virtual-clock", "real-time"])
+    def test_a_negative_align_offset_exits_3_before_anything_is_written(self, tmp_path, descriptor_file, capsys,
+                                                                        mode):
+        # Every trace starts at time 0, so a negative offset would replay
+        # its first packets before it.
+        code = cli.main(self.run_args(descriptor_file, tmp_path, scenario="voice", duration=2, window_seconds=0.5,
+                                      mode=mode, align_offset=-0.5))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "align offset" in err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "sync_log.csv").exists()
+
     def test_voice_needs_two_ues(self, tmp_path, descriptor):
         from dataclasses import replace
 

@@ -93,10 +93,10 @@ def ref_read_pcap(data):
     return linktype, records
 
 
-def ref_segment_stream(packets, window_micros, origin_ts_micros, span_end_micros=None, source_interface="tun2"):
+def ref_segment_stream(packets, window_micros, origin_ts_micros, span_end_micros, source_interface="tun2"):
     if window_micros <= 0:
         raise ValueError("window_micros must be positive")
-    if span_end_micros is not None and span_end_micros <= origin_ts_micros:
+    if span_end_micros <= origin_ts_micros:
         raise ValueError("span_end_micros must lie after the origin")
     seq = 0
     cur_start = origin_ts_micros
@@ -116,19 +116,15 @@ def ref_segment_stream(packets, window_micros, origin_ts_micros, span_end_micros
             raise TimestampRegressionError(index)
         if p.ts_micros < origin_ts_micros:
             raise TimestampRegressionError(index, "timestamp before stream origin")
-        if span_end_micros is not None and p.ts_micros >= span_end_micros:
+        if p.ts_micros >= span_end_micros:
             raise TimestampRegressionError(index, "timestamp beyond span end")
         prev_ts = p.ts_micros
         while p.ts_micros >= cur_start + window_micros:
             yield close(cur_start + window_micros)
         cur_packets.append(p)
 
-    if span_end_micros is None:
-        if cur_packets:
-            yield close(cur_start + window_micros)
-    else:
-        while cur_start < span_end_micros:
-            yield close(min(cur_start + window_micros, span_end_micros))
+    while cur_start < span_end_micros:
+        yield close(min(cur_start + window_micros, span_end_micros))
 
 
 def ref_throughput_series(packets, bin_width_micros=SECOND, origin_ts_micros=0, span_micros=None):
@@ -347,7 +343,7 @@ def test_small_windows_of_one_length_read_and_rewrite_as_the_reference(data):
 
 @settings(deadline=None)
 @given(packet_traces(), st.sampled_from([WINDOW // 3, WINDOW, 3 * WINDOW]), st.sampled_from([0, 1, WINDOW]),
-       st.sampled_from([None, 8 * WINDOW, 8 * WINDOW + 1, 5 * WINDOW]), st.integers(0, 3))
+       st.sampled_from([8 * WINDOW, 8 * WINDOW + 1, 5 * WINDOW]), st.integers(0, 3))
 def test_segment_stream_matches_the_reference(packets, window, origin, span_end, disorder):
     if disorder and len(packets) > 1:
         i = disorder % (len(packets) - 1)

@@ -125,7 +125,7 @@ class TestSegmentation:
         T = 120 * SECOND
         for p in packets:
             assert p.ts_micros // T in (0, 1)
-        windows = list(segment_stream(batch_of(packets), T, 0))
+        windows = list(segment_stream(batch_of(packets), T, 0, span_end_micros=2 * T))
         assert [w.seq for w in windows] == [0, 1]
         assert windows[0].packets.ts_micros.tolist() == [1 * SECOND, 119 * SECOND]
         assert windows[1].packets.ts_micros.tolist() == [121 * SECOND]
@@ -138,7 +138,7 @@ class TestSegmentation:
 
     def test_boundary_packet_goes_to_the_later_window(self):
         packets = [make_packet(0), make_packet(2 * SECOND)]
-        windows = list(segment_stream(batch_of(packets), 2 * SECOND, 0))
+        windows = list(segment_stream(batch_of(packets), 2 * SECOND, 0, span_end_micros=4 * SECOND))
         assert len(windows[0].packets) == 1
         assert len(windows[1].packets) == 1
         assert windows[1].packets.ts_micros.tolist() == [2 * SECOND]
@@ -146,12 +146,12 @@ class TestSegmentation:
     def test_timestamp_regression_reports_index(self):
         packets = [make_packet(10), make_packet(5)]
         with pytest.raises(TimestampRegressionError) as err:
-            list(segment_stream(batch_of(packets), SECOND, 0))
+            list(segment_stream(batch_of(packets), SECOND, 0, span_end_micros=SECOND))
         assert err.value.index == 1
 
     def test_packet_before_origin_rejected(self):
         with pytest.raises(TimestampRegressionError):
-            list(segment_stream(batch_of([make_packet(1)]), SECOND, 10))
+            list(segment_stream(batch_of([make_packet(1)]), SECOND, 10, span_end_micros=SECOND))
 
     def test_final_window_may_be_short(self):
         windows = list(segment_stream(batch_of([make_packet(0)]), 2 * SECOND, 0, span_end_micros=3 * SECOND))
@@ -163,7 +163,8 @@ class TestSegmentation:
 
     @given(packet_lists(), st.integers(min_value=SECOND // 20, max_value=3 * SECOND))
     def test_conservation_and_gapless_seqs(self, packets, window):
-        windows = list(segment_stream(batch_of(packets), window, 0))
+        # Every drawn timestamp is at most 4 s.
+        windows = list(segment_stream(batch_of(packets), window, 0, span_end_micros=4 * SECOND + 1))
         assert sum(len(w.packets) for w in windows) == len(packets)
         assert [w.seq for w in windows] == list(range(len(windows)))
         for w in windows:

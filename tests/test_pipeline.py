@@ -243,6 +243,20 @@ class TestVirtualRuns:
         with pytest.raises(ValueError, match="unknown channel kind 'udp'"):
             ChannelSpec(kind="udp")
 
+    @pytest.mark.parametrize("mode", list(ReplayMode))
+    def test_an_align_offset_before_time_zero_is_refused_by_its_config(self, descriptor, mode):
+        # An offset may take the trace back to time 0, and no further.
+        scenario = ScenarioSpec(kind="voice-call", duration_micros=SECOND, origin_ts_micros=5 * SECOND)
+
+        def config(offset):
+            return RunConfig(descriptor, scenario, ChannelSpec(), ReplayPlan(mode=mode, align_offset_micros=offset))
+
+        for offset in (-5 * SECOND, 0, None):
+            config(offset)
+        with pytest.raises(ValueError, match="^align offset must be at least -5000000 us, so that no replayed "
+                                             "timestamp is negative; got -5000001 us$"):
+            config(-5 * SECOND - 1)
+
     def test_invalid_scenario_fails_in_the_simulate_stage(self, descriptor):
         cfg = run_config(descriptor)
         cfg.scenario = ScenarioSpec(kind="voice-call", duration_micros=SECOND, ue_count=1)

@@ -1,6 +1,4 @@
 import hashlib
-import math
-import re
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +9,22 @@ from hypothesis import strategies as st
 
 from twinsync import pcap, scenarios
 from twinsync.pcap import LINKTYPE_RAW_IP, PacketBatch, write_pcap
-from twinsync.scenarios import SCENARIO_KINDS, GeneratedTrace, ScenarioSpec, _noise_bytes, generate
+from twinsync.scenarios import (
+    ATTACH_PACKET_BYTES,
+    DATA_PACKET_BYTES,
+    SCENARIO_KINDS,
+    SNAP_BYTES,
+    STREAM_OFF_MICROS,
+    STREAM_ON_MICROS,
+    STREAM_RATE_BPS,
+    UPLOAD_RATE_BPS,
+    VOICE_PACKET_BYTES,
+    VOICE_PPS,
+    GeneratedTrace,
+    ScenarioSpec,
+    _noise_bytes,
+    generate,
+)
 
 from reference import SERVER_IP, downlink_mask, records_of, reference_trace, splitmix64_bytes, volume_bytes
 
@@ -61,26 +74,23 @@ class TestLiveUpload:
         assert up > 5 * down
 
     def test_rate_stays_near_the_configured_mean(self):
-        spec = spec_for("live-upload", seconds=30, seed=3)
-        trace = generate(spec)
+        trace = generate(spec_for("live-upload", seconds=30, seed=3))
         up_bits = volume_bytes(trace.records, UPLINK) * 8
         mean_rate = up_bits / 30
-        assert 0.7 * spec.upload_rate_bps < mean_rate < 1.1 * spec.upload_rate_bps
+        assert 0.7 * UPLOAD_RATE_BPS < mean_rate < 1.1 * UPLOAD_RATE_BPS
 
 
 class TestAttachAndBrowse:
     def test_short_run_contains_only_the_attach_burst(self):
         # Duration inside the attach phase: control packets only.
-        spec = spec_for("attach-and-browse", seconds=1.5)
-        trace = generate(spec)
+        trace = generate(spec_for("attach-and-browse", seconds=1.5))
         assert len(trace.records)
-        assert set(trace.records.original_len.tolist()) == {spec.attach_packet_bytes}
+        assert set(trace.records.original_len.tolist()) == {ATTACH_PACKET_BYTES}
 
     def test_control_burst_precedes_all_page_traffic(self):
-        spec = spec_for("attach-and-browse", seconds=30, seed=5)
-        trace = generate(spec)
-        control = [r.ts_micros for r in records_of(trace.records) if r.original_len == spec.attach_packet_bytes]
-        data = [r.ts_micros for r in records_of(trace.records) if r.original_len != spec.attach_packet_bytes]
+        trace = generate(spec_for("attach-and-browse", seconds=30, seed=5))
+        control = [r.ts_micros for r in records_of(trace.records) if r.original_len == ATTACH_PACKET_BYTES]
+        data = [r.ts_micros for r in records_of(trace.records) if r.original_len != ATTACH_PACKET_BYTES]
         assert control and data
         assert max(control) < min(data)
 
@@ -96,8 +106,7 @@ class TestVideoStreaming:
         # Autocorrelation oracle over 1 s downlink-rate bins: a 2 s on /
         # 2 s off square wave correlates positively at its 4 s period and
         # negatively at the half period.
-        spec = spec_for("video-streaming", seconds=32, seed=1)
-        trace = generate(spec)
+        trace = generate(spec_for("video-streaming", seconds=32, seed=1))
         bins = np.zeros(32)
         for r, downlink in zip(records_of(trace.records), downlink_mask(trace.records)):
             if downlink:
@@ -107,7 +116,7 @@ class TestVideoStreaming:
         def autocorr(lag):
             return float((x[:-lag] * x[lag:]).sum() / (x * x).sum())
 
-        period_s = (spec.stream_on_micros + spec.stream_off_micros) // SECOND
+        period_s = (STREAM_ON_MICROS + STREAM_OFF_MICROS) // SECOND
         assert autocorr(period_s) > 0.5
         assert autocorr(period_s) > autocorr(period_s // 2)
 
@@ -115,9 +124,9 @@ class TestVideoStreaming:
         spec = spec_for("video-streaming", seconds=32, seed=2)
         trace = generate(spec)
         down_bits = volume_bytes(trace.records, DOWNLINK) * 8
-        duty_cycle = spec.stream_on_micros / (spec.stream_on_micros + spec.stream_off_micros)
+        duty_cycle = STREAM_ON_MICROS / (STREAM_ON_MICROS + STREAM_OFF_MICROS)
         mean_rate = down_bits / 32 / spec.ue_count
-        assert abs(mean_rate - spec.stream_rate_bps * duty_cycle) < 0.05 * spec.stream_rate_bps
+        assert abs(mean_rate - STREAM_RATE_BPS * duty_cycle) < 0.05 * STREAM_RATE_BPS
 
 
 class TestDeterminism:
@@ -147,36 +156,35 @@ def reference_timing(spec: ScenarioSpec) -> list[tuple[int, int, bool]]:
     origin, end = spec.origin_ts_micros, spec.origin_ts_micros + spec.duration_micros
     out = []
     if spec.kind == "video-streaming":
-        period = spec.stream_on_micros + spec.stream_off_micros
-        chunk_bytes = spec.stream_rate_bps * spec.stream_on_micros // (8 * SECOND)
-        n = -(-chunk_bytes // spec.data_packet_bytes)
-        gap = spec.stream_on_micros / n
+        period = STREAM_ON_MICROS + STREAM_OFF_MICROS
+        chunk_bytes = STREAM_RATE_BPS * STREAM_ON_MICROS // (8 * SECOND)
+        n = -(-chunk_bytes // DATA_PACKET_BYTES)
+        gap = STREAM_ON_MICROS / n
         for ue in range(spec.ue_count):
             chunk = 0
             while (start := origin + chunk * period) < end:
                 out.append((start, 200, UPLINK))
                 for i in range(n):
                     ts = start + 100 + int(i * gap)
-                    if ts >= min(start + spec.stream_on_micros, end):
+                    if ts >= min(start + STREAM_ON_MICROS, end):
                         break
-                    out.append((ts, spec.data_packet_bytes, DOWNLINK))
+                    out.append((ts, DATA_PACKET_BYTES, DOWNLINK))
                 chunk += 1
     else:
-        period = SECOND // spec.voice_pps
+        period = SECOND // VOICE_PPS
         for offset, direction in ((0, UPLINK), (period // 2, DOWNLINK)):
             k = 0
             while (ts := origin + offset + k * period) < end:
-                out.append((ts, spec.voice_packet_bytes, direction))
+                out.append((ts, VOICE_PACKET_BYTES, direction))
                 k += 1
     return sorted(out, key=lambda p: p[0])
 
 
 @pytest.mark.parametrize("spec", [
     spec_for("video-streaming", seconds=21.3, seed=4),
-    ScenarioSpec(kind="video-streaming", duration_micros=13_000_000, ue_count=3, origin_ts_micros=777,
-                 stream_rate_bps=3_333_333, data_packet_bytes=1000),
+    ScenarioSpec(kind="video-streaming", duration_micros=13_000_001, ue_count=3, origin_ts_micros=777),
     spec_for("voice-call", seconds=7.01),
-    ScenarioSpec(kind="voice-call", duration_micros=3_000_000, ue_count=2, voice_pps=33, origin_ts_micros=5),
+    ScenarioSpec(kind="voice-call", duration_micros=3_009_999, ue_count=2, origin_ts_micros=5),
 ])
 def test_deterministic_timing_matches_the_per_packet_reference(spec):
     batch = generate(spec).records
@@ -185,21 +193,35 @@ def test_deterministic_timing_matches_the_per_packet_reference(spec):
 
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
-@pytest.mark.parametrize("snap", [20, 96])
-def test_payloads_start_with_a_matching_ip_udp_header(kind, snap):
-    batch = generate(spec_for(kind, seconds=12, seed=3, snap_bytes=snap)).records
+def test_payloads_start_with_a_matching_ip_udp_header(kind):
+    batch = generate(spec_for(kind, seconds=12, seed=3)).records
     assert len(batch)
     for r, downlink in zip(records_of(batch), downlink_mask(batch)):
-        assert r.captured_len == min(r.original_len, snap) == len(r.payload)
-        header = r.payload.ljust(28, b"\0")
+        assert r.captured_len == min(r.original_len, SNAP_BYTES) == len(r.payload)
+        header = r.payload
         version, total_len, proto = header[0], int.from_bytes(header[2:4], "big"), header[9]
         assert (version, total_len, proto) == (0x45, r.original_len, 17)
         ue_side, server_side = (header[12:16], header[16:20])
         if downlink:
             ue_side, server_side = server_side, ue_side
         assert server_side == SERVER_IP and ue_side[:2] == bytes([10, 45])
-        if snap >= 28:
-            assert int.from_bytes(header[24:26], "big") == r.original_len - 20
+        assert int.from_bytes(header[24:26], "big") == r.original_len - 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(SCENARIO_KINDS), seed=st.integers(0, 2**64 - 1),
+       duration=st.integers(1, 20 * SECOND), ue_count=st.integers(2, 6),
+       page_mean_bytes=st.sampled_from([1, 375_000, 1_500_000, 10**9]))
+def test_every_generated_packet_fits_a_data_packet(kind, seed, duration, ue_count, page_mean_bytes):
+    # The sizes are the model's constants, so no packet outgrows a full
+    # data packet, however large the pages: a page's last packet is the
+    # rest of it. Every packet holds its IPv4/UDP header and is captured
+    # to the snap length.
+    batch = generate(ScenarioSpec(kind=kind, duration_micros=duration, seed=seed, ue_count=ue_count,
+                                  page_mean_bytes=page_mean_bytes)).records
+    original, captured = batch.original_len, batch.captured_len
+    assert ((28 <= original) & (original <= DATA_PACKET_BYTES)).all()
+    assert (captured == np.minimum(original, SNAP_BYTES)).all()
 
 
 @pytest.mark.parametrize("seed", [0, 1, -3, 2**70 + 5])
@@ -230,8 +252,9 @@ class TestSpecValidation:
 
     def test_every_phone_has_a_port_of_its_own(self):
         # Phone k sends from port 40000 + k: the last phone a spec may have
-        # gets port 65534, the next one would wrap to 0.
-        spec = ScenarioSpec(kind="attach-and-browse", duration_micros=SECOND, ue_count=25_535, attach_packets=2)
+        # gets port 65534, the next one would wrap to 0. In 50 ms each phone
+        # sends the first packet of its attach burst, uplink.
+        spec = ScenarioSpec(kind="attach-and-browse", duration_micros=50_000, ue_count=25_535)
         batch = generate(spec).records
         source_ports = batch.filled().payload.reshape(len(batch), -1)[:, 20:22].copy().view(">u2")
         assert int(source_ports.max()) == 65_534
@@ -241,56 +264,16 @@ class TestSpecValidation:
             generate(replace(spec, ue_count=63_750))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("data_packet_bytes", 0, "must be positive"),
-        ("attach_packet_bytes", -1, "must be positive"),
-        ("attach_packets", 0, "must be positive"),
         ("page_mean_bytes", 0, "must be positive"),
         ("page_mean_interval_micros", 0, "must be positive"),
-        ("browse_pacing_bps", 0, "must be positive"),
-        ("stream_on_micros", 0, "must be positive"),
-        ("stream_rate_bps", -5, "must be positive"),
-        ("voice_packet_bytes", 0, "must be positive"),
-        ("voice_pps", 0, "must be positive"),
-        ("voice_pps", 2_000_000, "must be at most 1000000"),
-        ("upload_rate_bps", 0, "must be positive"),
-        ("ack_interval_micros", 0, "must be positive"),
-        ("ack_bytes", 0, "must be positive"),
-        ("snap_bytes", -1, "must not be negative"),
-        ("stream_off_micros", -1, "must not be negative"),
-        ("attach_span_micros", -1, "must not be negative"),
         ("origin_ts_micros", -1, "must not be negative"),
     ])
     def test_a_field_out_of_range_is_named(self, field, value, message):
-        # Refused whatever the kind, before any packet is made: each of
-        # these used to divide by zero, take log(0) or wrap a length.
+        # Refused whatever the kind, before any packet is made: a page size
+        # of 0 would take log(0), and an interval of 0 fetch a page every
+        # microsecond.
         with pytest.raises(ValueError, match=f"^{field} {message}, got {value}$"):
             generate(ScenarioSpec(kind="live-upload", duration_micros=SECOND, **{field: value}))
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("upload_jitter", 3.0, "must lie in [0, 1]"),
-        ("upload_jitter", -0.1, "must lie in [0, 1]"),
-        ("upload_jitter", math.inf, "must lie in [0, 1]"),
-        ("upload_jitter", math.nan, "must lie in [0, 1]"),
-        ("page_sigma", -0.5, "must be finite and non-negative"),
-        ("page_sigma", math.inf, "must be finite and non-negative"),
-        ("page_sigma", math.nan, "must be finite and non-negative"),
-    ])
-    def test_a_float_knob_out_of_range_is_named(self, field, value, message):
-        for kind in ("live-upload", "attach-and-browse"):
-            with pytest.raises(ValueError, match=f"^{field} {re.escape(message)}, got {value}$"):
-                generate(ScenarioSpec(kind=kind, duration_micros=SECOND, **{field: value}))
-
-    def test_the_float_knobs_at_their_bounds_still_generate(self):
-        for field, value in (("upload_jitter", 0.0), ("upload_jitter", 1.0), ("page_sigma", 0.0)):
-            for kind in ("live-upload", "attach-and-browse"):
-                assert len(generate(ScenarioSpec(kind=kind, duration_micros=5 * SECOND, **{field: value})).records)
-
-    def test_the_smallest_values_still_generate(self):
-        # One packet per microsecond, zero-length captures and no off phase.
-        for kind in SCENARIO_KINDS:
-            batch = generate(ScenarioSpec(kind=kind, duration_micros=3000, ue_count=2, voice_pps=1_000_000,
-                                          snap_bytes=0, stream_off_micros=0, attach_span_micros=0)).records
-            assert len(batch) and int(batch.captured_len.max()) == 0
 
     def test_trace_echoes_spec_and_seed(self):
         spec = spec_for("live-upload", seconds=1, seed=42)
@@ -317,14 +300,14 @@ HAND_BUILT_GROUPS = [
 ]
 
 
-def hand_built(groups, snap: int, seed: int) -> GeneratedTrace:
+def hand_built(groups, seed: int) -> GeneratedTrace:
     """A trace of ``groups``, all of them inside its span."""
-    return GeneratedTrace(ScenarioSpec(kind="voice-call", duration_micros=10**9, seed=seed, snap_bytes=snap), groups)
+    return GeneratedTrace(ScenarioSpec(kind="voice-call", duration_micros=10**9, seed=seed), groups)
 
 
-def assert_matches_the_reference(groups, snap: int, seed: int) -> None:
-    batch = hand_built(groups, snap, seed).records
-    columns, slot, payload = reference_trace(groups, snap, seed)
+def assert_matches_the_reference(groups, seed: int) -> None:
+    batch = hand_built(groups, seed).records
+    columns, slot, payload = reference_trace(groups, seed)
     assert (batch.ts_micros.dtype, batch.captured_len.dtype, batch.original_len.dtype, batch.offsets.dtype) == \
         (np.int64, np.uint32, np.uint32, np.int64)
     assert list(zip(batch.ts_micros.tolist(), batch.captured_len.tolist(), batch.original_len.tolist())) == columns
@@ -334,11 +317,10 @@ def assert_matches_the_reference(groups, snap: int, seed: int) -> None:
     assert batch.filled().payload.tobytes() == payload
 
 
-@pytest.mark.parametrize("snap", [20, 96])
 @pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
-def test_trace_bytes_match_the_per_packet_reference(monkeypatch, snap, block_rows):
+def test_trace_bytes_match_the_per_packet_reference(monkeypatch, block_rows):
     monkeypatch.setattr(scenarios, "_HEADER_BLOCK_ROWS", block_rows)
-    assert_matches_the_reference(HAND_BUILT_GROUPS, snap, seed=7)
+    assert_matches_the_reference(HAND_BUILT_GROUPS, seed=7)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
@@ -348,12 +330,11 @@ def test_any_slice_of_a_trace_is_filled_and_written_as_the_reference(monkeypatch
     # Rows a..b are filled alone with the bytes the whole buffer holds
     # there, so where a trace is cut into blocks changes no byte written.
     monkeypatch.setattr(scenarios, "_HEADER_BLOCK_ROWS", block_rows)
-    snap = data.draw(st.sampled_from([20, 96]), label="snap")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-    trace = hand_built(HAND_BUILT_GROUPS, snap, seed).records
+    trace = hand_built(HAND_BUILT_GROUPS, seed).records
     a = data.draw(st.integers(0, len(trace)), label="a")
     b = data.draw(st.integers(a, len(trace)), label="b")
-    columns, slot, payload = reference_trace(HAND_BUILT_GROUPS, snap, seed)
+    columns, slot, payload = reference_trace(HAND_BUILT_GROUPS, seed)
     part = trace[a:b].filled()
     assert part.payload.tobytes() == payload[a * slot:b * slot]
     assert part.offsets.tolist() == list(range(0, (b - a + 1) * slot, slot))
@@ -368,7 +349,7 @@ def test_any_time_range_of_a_trace_is_that_range_of_its_records(data):
     # A range's packets are made alone, each group only for its part of
     # the range; they are the records stamped in it, with the same bytes.
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-    trace = hand_built(HAND_BUILT_GROUPS, 96, seed)
+    trace = hand_built(HAND_BUILT_GROUPS, seed)
     records = trace.records
     ts = records.ts_micros
     start = data.draw(st.integers(-2, 13), label="start")
@@ -387,24 +368,17 @@ def test_a_trace_longer_than_one_header_block_matches_the_reference():
                int(rng.integers(1, 1600)), int(rng.integers(0, 3)), int(rng.integers(0, 600)), 443)
               for _ in range(150)]
     assert sum(group[1] for group in groups) > scenarios._HEADER_BLOCK_ROWS
-    assert_matches_the_reference(groups, 96, seed=2**64 - 1)
+    assert_matches_the_reference(groups, seed=2**64 - 1)
 
 
-def test_a_packet_past_the_ipv4_limit_is_refused():
-    with pytest.raises(ValueError, match="^packet of 65536 bytes exceeds the IPv4 limit$"):
-        hand_built([(1, 1, 0.0, 65_535, 0, 0, 443), (2, 2, 1.0, 65_536, 0, 0, 443)], 96, 0)
-    # By the event pass, before any packet is made.
-    with pytest.raises(ValueError, match="^packet of 70000 bytes exceeds the IPv4 limit$"):
-        generate(spec_for("attach-and-browse", attach_packet_bytes=70_000))
-
-
-def test_packets_past_the_span_are_dropped_before_they_are_checked():
-    # The end truncates every group, so a packet that would be too long but
-    # lies past the span is not refused, as when the builder filtered it.
+def test_packets_past_the_span_are_dropped():
+    # The end truncates every group: a group may end inside the span, cross
+    # its end or start past it.
     trace = GeneratedTrace(ScenarioSpec(kind="voice-call", duration_micros=10),
-                           [(0, 3, 4.0, 100, 0, 0, 443), (10, 1, 0.0, 70_000, 0, 0, 443)])
-    assert trace.packet_count == len(trace.records) == 3
-    assert trace.records.ts_micros.tolist() == [0, 4, 8]
+                           [(0, 3, 4.0, 100, 0, 0, 443), (6, 3, 4.0, 200, 1, 0, 443), (10, 1, 0.0, 300, 0, 0, 443)])
+    assert trace.packet_count == len(trace.records) == 4
+    assert list(zip(trace.records.ts_micros.tolist(), trace.records.original_len.tolist())) == \
+        [(0, 100), (4, 100), (6, 200), (8, 100)]
 
 
 # sha256 of write_pcap(LINKTYPE_RAW_IP, trace) for a 6 s run of each kind

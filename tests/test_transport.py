@@ -333,7 +333,7 @@ class TestBlockPacking:
                    for k in range(4) for i in range(3)]
         log, channel = SyncLog(), InProcessChannel(ChannelSpec())
         receiver, engine = WindowReceiver(channel, log), ReplayEngine(ReplayPlan(), log)
-        windows = segment_stream(batch_of(packets), SECOND, origin)
+        windows = segment_stream(batch_of(packets), SECOND, origin, span_end_micros=origin + 4 * SECOND)
         replayed = []
         with pytest.raises(PcapWriteError) as err:
             for window in windows:
@@ -351,7 +351,7 @@ class TestBlockPacking:
         its block, and the windows around it still group."""
         packets = [make_packet(k * SECOND + i, 70_000 if k in (3, 7) and i == 2 else 40)
                    for k in range(10) for i in range(3)]
-        windows = list(segment_stream(batch_of(packets), SECOND, 0))
+        windows = list(segment_stream(batch_of(packets), SECOND, 0, span_end_micros=10 * SECOND))
         sizes = [len(w.block.cuts) - 1 for w in windows if w.closes_block]
         assert sizes == [3, 1, 3, 1, 2]
 
@@ -719,8 +719,8 @@ class TestDirectoryExchange:
     def test_files_and_ordering(self, tmp_path):
         log = SyncLog()
         spec = ChannelSpec(kind="directory-exchange")
-        sender = DirectoryExchangeChannel(spec, tmp_path)
-        receiver_channel = DirectoryExchangeChannel(spec, tmp_path)
+        sender = DirectoryExchangeChannel(spec, tmp_path, ManualClock())
+        receiver_channel = DirectoryExchangeChannel(spec, tmp_path, ManualClock())
         windows = [window_of(s, [make_packet(s * 10 * SECOND + 5, 33)]) for s in range(3)]
         for w in windows:
             send_window(w, sender, log, now_micros=w.end_ts_micros)
@@ -737,7 +737,7 @@ class TestDirectoryExchange:
 
     def test_manifest_file_is_valid_json_with_digest(self, tmp_path):
         log = SyncLog()
-        sender = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path)
+        sender = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path, ManualClock())
         send_window(window_of(0, [make_packet(4, 10)]), sender, log, now_micros=10 * SECOND)
         doc = json.loads((tmp_path / "window_0.manifest.json").read_text())
         payload = (tmp_path / "window_0.pcap").read_bytes()
@@ -751,7 +751,7 @@ class TestDirectoryExchange:
         clock, which a real-time run reads in capture time, and none sleeps
         on the wall clock: at speed s a poll costs 1/s of its wall time."""
         spec = ChannelSpec(kind="directory-exchange")
-        sender = DirectoryExchangeChannel(spec, tmp_path)
+        sender = DirectoryExchangeChannel(spec, tmp_path, ManualClock())
         sleeps = []
 
         class PublishingClock(ManualClock):
@@ -778,8 +778,8 @@ class TestDirectoryExchange:
         assert (manifest.seq, arrival) == (0, SECOND + 3 * poll)
 
     def test_holes_are_skipped_in_order(self, tmp_path):
-        sender = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path)
-        receiver = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path)
+        sender = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path, ManualClock())
+        receiver = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path, ManualClock())
         for seq in (0, 3, 4, 9):
             sender.send(*pack_window(window_of(seq)), now_micros=0)
         got = [receiver.receive(timeout=0)[0].seq for _ in range(4)]
@@ -814,8 +814,8 @@ class TestDirectoryExchange:
 
         def receive_calls(n: int) -> dict:
             spec, directory = ChannelSpec(kind="directory-exchange"), tmp_path / str(n)
-            sender = DirectoryExchangeChannel(spec, directory)
-            receiver = DirectoryExchangeChannel(spec, directory)
+            sender = DirectoryExchangeChannel(spec, directory, ManualClock())
+            receiver = DirectoryExchangeChannel(spec, directory, ManualClock())
             for seq in range(n):
                 if seq % 5 != 2:
                     sender.send(manifest._replace(seq=seq), payload, now_micros=0)
@@ -835,11 +835,11 @@ class TestDirectoryExchange:
     def test_a_directory_holding_an_earlier_runs_file_is_refused(self, tmp_path, name):
         (tmp_path / name).write_bytes(b"3")
         with pytest.raises(TwinError, match=f"holds {name} from an earlier run"):
-            DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path)
+            DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path, ManualClock())
 
     def test_a_seq_past_int64_is_a_schema_error(self, tmp_path):
-        receiver = WindowReceiver(DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path),
-                                  SyncLog())
+        channel = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path, ManualClock())
+        receiver = WindowReceiver(channel, SyncLog())
         manifest, payload = pack_window(window_of(0))
         (tmp_path / "window_0.pcap").write_bytes(payload)
         (tmp_path / "window_0.manifest.json").write_bytes(manifest._replace(seq=2**70).to_json())
@@ -856,7 +856,8 @@ class TestDirectoryExchange:
         nothing lists it after the channels are made."""
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             directory, spec, log = Path(tmp), ChannelSpec(kind="directory-exchange"), SyncLog()
-            sender, receiver_channel = DirectoryExchangeChannel(spec, directory), DirectoryExchangeChannel(spec, directory)
+            sender = DirectoryExchangeChannel(spec, directory, ManualClock())
+            receiver_channel = DirectoryExchangeChannel(spec, directory, ManualClock())
             calls = self._counted(patch)
             for seq in range(40):
                 manifest, payload = _packed(seq)
@@ -884,8 +885,8 @@ class TestDirectoryExchange:
 
         def idle_poll_calls(n: int) -> dict:
             spec, directory = ChannelSpec(kind="directory-exchange"), tmp_path / str(n)
-            sender = DirectoryExchangeChannel(spec, directory)
-            receiver = DirectoryExchangeChannel(spec, directory)
+            sender = DirectoryExchangeChannel(spec, directory, ManualClock())
+            receiver = DirectoryExchangeChannel(spec, directory, ManualClock())
             for seq in range(n):
                 sender.send(manifest._replace(seq=seq), payload, now_micros=0)
                 receiver.receive(timeout=0)
@@ -901,7 +902,7 @@ class TestDirectoryExchange:
 class TestTcpChannel:
     def test_round_trip_over_localhost(self):
         log = SyncLog()
-        receiver_channel = TcpReceiverChannel("127.0.0.1", 0)
+        receiver_channel = TcpReceiverChannel("127.0.0.1", 0, ManualClock())
         windows = [window_of(s, [make_packet(s * 10 * SECOND + 1, 25)]) for s in range(3)]
 
         def send_all():
@@ -922,7 +923,7 @@ class TestTcpChannel:
 
     def test_dropped_window_becomes_a_recorded_hole(self):
         log = SyncLog()
-        receiver_channel = TcpReceiverChannel("127.0.0.1", 0)
+        receiver_channel = TcpReceiverChannel("127.0.0.1", 0, ManualClock())
         windows = [window_of(s) for s in range(3)]
 
         def send_with_gap():
@@ -949,7 +950,7 @@ class TestTcpChannel:
     def _receive_after_sending(data: bytes) -> TwinError:
         """The error a receiver raises on a peer that sends ``data`` and
         closes; a receive that waits 5 s for more fails the test instead."""
-        receiver = TcpReceiverChannel("127.0.0.1", 0)
+        receiver = TcpReceiverChannel("127.0.0.1", 0, ManualClock())
         try:
             with socket.create_connection(("127.0.0.1", receiver.port), timeout=5) as sock:
                 sock.sendall(data)
@@ -983,7 +984,7 @@ class TestTcpChannel:
             manifest, payload = pack_window(window_of(seq, [make_packet(seq * 10 * SECOND + 2, 40)]))
             blob = manifest.to_json()
             frames.append(len(blob).to_bytes(4, "big") + blob + len(payload).to_bytes(4, "big") + payload)
-        receiver = TcpReceiverChannel("127.0.0.1", 0)
+        receiver = TcpReceiverChannel("127.0.0.1", 0, ManualClock())
         try:
             with socket.create_connection(("127.0.0.1", receiver.port), timeout=5) as sock:
                 sock.sendall(frames[0][:10])
