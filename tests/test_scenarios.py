@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from twinsync import pcap, scenarios
 from twinsync.pcap import LINKTYPE_RAW_IP, PacketBatch, write_pcap
 from twinsync.scenarios import (
+    ACK_BYTES,
     ATTACH_PACKET_BYTES,
     DATA_PACKET_BYTES,
     SCENARIO_KINDS,
@@ -222,6 +224,68 @@ def test_every_generated_packet_fits_a_data_packet(kind, seed, duration, ue_coun
     original, captured = batch.original_len, batch.captured_len
     assert ((28 <= original) & (original <= DATA_PACKET_BYTES)).all()
     assert (captured == np.minimum(original, SNAP_BYTES)).all()
+
+
+# Each kind's packet sizes per direction: its constants, and the fixed
+# sizes of a page request (400) and a chunk request (200). A page's last
+# packet, the rest of it, is the one size not listed.
+KIND_SIZES = {
+    "attach-and-browse": ({ATTACH_PACKET_BYTES, 400}, {ATTACH_PACKET_BYTES, DATA_PACKET_BYTES}),
+    "video-streaming": ({200}, {DATA_PACKET_BYTES}),
+    "voice-call": ({VOICE_PACKET_BYTES}, {VOICE_PACKET_BYTES}),
+    "live-upload": ({DATA_PACKET_BYTES}, {ACK_BYTES}),
+}
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_each_kind_sends_the_sizes_of_its_constants(kind):
+    uplink, downlink = KIND_SIZES[kind]
+    batch = generate(spec_for(kind, seconds=30, seed=6)).records
+    sizes, down = batch.original_len, downlink_mask(batch)
+    assert set(sizes[~down].tolist()) == uplink
+    if kind == "attach-and-browse":
+        rests = sizes[down & ~np.isin(sizes, list(downlink))]
+        assert len(rests) and ((28 <= rests) & (rests < DATA_PACKET_BYTES)).all()
+        down &= np.isin(sizes, list(downlink))
+    assert set(sizes[down].tolist()) == downlink
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_a_one_microsecond_span_still_generates(kind):
+    # Every kind starts sending at the origin, so even the shortest span
+    # holds packets, and only those stamped at it.
+    batch = generate(ScenarioSpec(kind=kind, duration_micros=1, origin_ts_micros=9)).records
+    assert len(batch) and set(batch.ts_micros.tolist()) == {9}
+    assert len(write_pcap(LINKTYPE_RAW_IP, batch)) == 24 + sum(16 + n for n in batch.captured_len.tolist())
+
+
+# The model's constants with the bound each needs, the range checks a spec
+# once ran on them, kept where the values now live. A chunk under one byte
+# made no packets and divided by zero, and a snap length under the IPv4/UDP
+# header leaves no room in a row for the header it is filled with.
+MODEL_CONSTANT_RANGES = {
+    "ATTACH_PACKETS": lambda v: v >= 1,
+    "ATTACH_SPAN_MICROS": lambda v: v >= 0,
+    "ATTACH_PACKET_BYTES": lambda v: 1 <= v <= scenarios.DATA_PACKET_BYTES,
+    "PAGE_SIGMA": lambda v: 0.0 <= v < math.inf,
+    "BROWSE_PACING_BPS": lambda v: v >= 1,
+    "STREAM_ON_MICROS": lambda v: v >= 1,
+    "STREAM_OFF_MICROS": lambda v: v >= 0,
+    "STREAM_RATE_BPS": lambda v: v * scenarios.STREAM_ON_MICROS >= 8 * SECOND,
+    "VOICE_PACKET_BYTES": lambda v: 1 <= v <= scenarios.DATA_PACKET_BYTES,
+    "VOICE_PPS": lambda v: 1 <= v <= SECOND,
+    "UPLOAD_RATE_BPS": lambda v: v >= 1,
+    "UPLOAD_JITTER": lambda v: 0.0 <= v <= 1.0,
+    "ACK_INTERVAL_MICROS": lambda v: v >= 1,
+    "ACK_BYTES": lambda v: 1 <= v <= scenarios.DATA_PACKET_BYTES,
+    "DATA_PACKET_BYTES": lambda v: 28 <= v <= 65_535,
+    "SNAP_BYTES": lambda v: v >= 28,
+}
+
+
+@pytest.mark.parametrize("name", MODEL_CONSTANT_RANGES)
+def test_a_model_constant_is_in_its_range(name):
+    assert MODEL_CONSTANT_RANGES[name](getattr(scenarios, name))
 
 
 @pytest.mark.parametrize("seed", [0, 1, -3, 2**70 + 5])
