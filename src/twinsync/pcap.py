@@ -16,7 +16,8 @@ one copy into rows of header + payload when writing; the records between
 long runs go one by one. A capture of one length is the one-run case.
 The writer takes a batch a piece of packets at a time, each piece with
 its own payload bytes, so a generated trace's rows are filled a piece at
-a time; a run ends where a piece does.
+a time; a run ends where a piece does. It writes each record once,
+straight into the bytes object it returns.
 Windows of fewer than VECTOR_MIN_PACKETS packets would pay the fixed
 cost of each numpy call on a handful of records, so segment_stream
 groups runs of them into PackBlocks of about PACK_BLOCK_BYTES; any
@@ -32,6 +33,7 @@ windows cannot fail to write.
 Every path produces the same bytes, packets and errors.
 """
 
+import io
 import struct
 from typing import Iterator, NamedTuple
 
@@ -282,7 +284,9 @@ def _unwritable(batch: PacketBatch, snaplen: int) -> np.ndarray | None:
 def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN) -> bytes:
     """Serialize packets into a classic pcap byte string.
 
-    Output is deterministic: same packets, same bytes.
+    Output is deterministic: same packets, same bytes. Each record is
+    written once, into the buffer of the bytes returned: no full-size
+    scratch array exists, and nothing is copied at the end.
     """
     cap = batch.captured_len
     unwritable = _unwritable(batch, snaplen)
@@ -291,19 +295,29 @@ def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN
         if cap[bad] > snaplen:
             raise PcapWriteError(bad, f"captured_len {int(cap[bad])} exceeds snaplen {snaplen}")
         raise PcapWriteError(bad, "timestamp beyond 32-bit seconds")
-    header = _GLOBAL_HEADER.pack(PCAP_MAGIC_MICROS, 2, 4, 0, 0, snaplen, linktype)
     n = len(batch)
     record_at = np.empty(n + 1, dtype=np.int64)
     record_at[0] = _GLOBAL_HEADER_LEN
     np.cumsum(cap + np.int64(_RECORD_HEADER_LEN), out=record_at[1:])
     record_at[1:] += _GLOBAL_HEADER_LEN
-    out = np.empty(int(record_at[-1]), dtype=np.uint8)
-    out[:_GLOBAL_HEADER_LEN] = np.frombuffer(header, dtype=np.uint8)
+    # The records go straight into the buffer of the bytes returned: a
+    # BytesIO grown to the size, written through its buffer, hands that
+    # buffer over as bytes once no view of it is left (getvalue would copy
+    # it while one is). It is grown before the header goes in: the byte
+    # that grows it is the header's last when the capture is empty.
+    data = io.BytesIO()
+    data.seek(int(record_at[-1]) - 1)
+    data.write(b"\0")
+    view = data.getbuffer()
+    _GLOBAL_HEADER.pack_into(view, 0, PCAP_MAGIC_MICROS, 2, 4, 0, 0, snaplen, linktype)
+    out = np.frombuffer(view, dtype=np.uint8)
     for first in range(0, n, _WRITE_PIECE_PACKETS):
         stop = min(first + _WRITE_PIECE_PACKETS, n)
         _write_piece(out[int(record_at[first]):int(record_at[stop])], record_at[first:stop + 1] - record_at[first],
                      batch[first:stop].filled())
-    return out.tobytes()
+    del out
+    view.release()  # raises BufferError if a view of it were still alive
+    return data.getvalue()
 
 
 def _write_piece(out: np.ndarray, record_at: np.ndarray, batch: PacketBatch) -> None:

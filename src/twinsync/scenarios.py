@@ -130,6 +130,11 @@ _UPLINK, _DOWNLINK, _ALTERNATING = 0, 1, 2
 # and its scratch stay in cache while the rounds run over it.
 _NOISE_BLOCK_WORDS = 1 << 15
 
+# SplitMix64's increment, and k times it (mod 2^64) for k = 1 ... the block
+# size: a block's states are one scalar plus this table.
+_NOISE_GAMMA = 0x9E3779B97F4A7C15
+_NOISE_STEPS = np.arange(1, _NOISE_BLOCK_WORDS + 1, dtype=np.uint64) * np.uint64(_NOISE_GAMMA)
+
 # Packets whose IP/UDP headers are filled per pass: the fields of a block
 # and its header scratch stay small next to the payload rows they go into.
 _HEADER_BLOCK_ROWS = 1 << 14
@@ -146,15 +151,13 @@ def _noise_bytes(seed: int, count: int, start: int) -> np.ndarray:
     first_word, skip = divmod(start, 8)
     words = -(-(skip + count) // 8)
     out = np.empty(words, dtype=np.uint64)
-    counter = np.arange(first_word + 1, first_word + min(words, _NOISE_BLOCK_WORDS) + 1, dtype=np.uint64)
-    scratch = np.empty_like(counter)
-    offset = np.uint64(seed % (1 << 64))
+    steps = _NOISE_STEPS[:min(words, _NOISE_BLOCK_WORDS)]
+    scratch = np.empty_like(steps)
     for first in range(0, words, _NOISE_BLOCK_WORDS):
         z = out[first:first + _NOISE_BLOCK_WORDS]
         shifted = scratch[:len(z)]
-        np.add(counter[:len(z)], np.uint64(first), out=z)
-        z *= np.uint64(0x9E3779B97F4A7C15)
-        z += offset
+        # Word w's state is seed + (w + 1)·gamma: the block's base plus k·gamma.
+        np.add(steps[:len(z)], np.uint64((seed + (first_word + first) * _NOISE_GAMMA) % (1 << 64)), out=z)
         for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
             z ^= np.right_shift(z, np.uint64(shift), out=shifted)
             z *= np.uint64(factor)

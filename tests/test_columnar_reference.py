@@ -318,6 +318,7 @@ def test_write_pcap_of_gapped_slots_matches_the_reference(packets_and_batch, sna
     with mock.patch.object(pcap, "_WRITE_PIECE_PACKETS", piece):
         written = _outcome(write_pcap, LINKTYPE_RAW_IP, batch, snaplen)
     assert written == _outcome(ref_write_pcap, LINKTYPE_RAW_IP, packets, snaplen)
+    assert written[0] == "raised" or type(written[1]) is bytes
 
 
 @settings(deadline=None)

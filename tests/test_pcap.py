@@ -19,10 +19,11 @@ SECOND = 1_000_000
 
 
 class TestWrite:
-    def test_empty_capture_is_24_bytes_with_linktype(self):
-        data = write_pcap(LINKTYPE_RAW_IP, batch_of([]))
-        assert len(data) == 24
-        assert data[20:24] == struct.pack("<I", 101)
+    @pytest.mark.parametrize("linktype", [LINKTYPE_RAW_IP, 0x7F000065])
+    def test_empty_capture_is_24_bytes_with_linktype(self, linktype):
+        # The high byte of the linktype is the capture's last byte.
+        data = write_pcap(linktype, batch_of([]))
+        assert data == struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, linktype)
 
     def test_single_packet_record_header(self):
         packet = make_packet(1 * SECOND, size=60)

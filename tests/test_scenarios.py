@@ -294,15 +294,24 @@ def test_payload_noise_is_the_splitmix64_sequence(seed):
         assert _noise_bytes(seed, count, 0).tobytes() == splitmix64_bytes(seed, count)
 
 
+@pytest.mark.parametrize("seed", [5, -3, 2**64 - 1, 2**70 + 5])
 @pytest.mark.parametrize("block_words", [1, 3])
-def test_any_range_of_the_noise_is_the_splitmix64_sequence(monkeypatch, block_words):
+def test_any_range_of_the_noise_is_the_splitmix64_sequence(monkeypatch, block_words, seed):
     # Ranges that start and end inside a word and cross block boundaries:
     # counts a step of 9 apart end at every offset within a word.
     monkeypatch.setattr(scenarios, "_NOISE_BLOCK_WORDS", block_words)
-    sequence = splitmix64_bytes(5, 813)
+    sequence = splitmix64_bytes(seed, 813)
     for start in (0, 1, 7, 8, 13):
         for count in (*range(0, 800, 9), 800):
-            assert _noise_bytes(5, count, start).tobytes() == sequence[start:start + count]
+            assert _noise_bytes(seed, count, start).tobytes() == sequence[start:start + count]
+
+
+def test_a_range_across_a_real_noise_block_boundary_is_the_splitmix64_sequence():
+    # With the module's own block size: a range that starts inside a word
+    # other than 0 and runs on into the call's second block.
+    start = 8 * scenarios._NOISE_BLOCK_WORDS - 5
+    count = 8 * scenarios._NOISE_BLOCK_WORDS + 19
+    assert _noise_bytes(7, count, start).tobytes() == splitmix64_bytes(7, start + count)[start:]
 
 
 class TestSpecValidation:

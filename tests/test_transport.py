@@ -641,11 +641,13 @@ class TestSyncLogArrayForms:
     @pytest.mark.parametrize("seqs, starts, message", [
         ([0, 1, 7], [0, SECOND, 7 * SECOND], "window 7: was never sent in this run"),
         ([0, 2], [0, 2 * SECOND + 1], "window 2: arrived as [2000001, 3000001), sent as [2000000, 3000000)"),
-    ], ids=["unsent", "other-bounds"])
+        (2, 2 * SECOND + 1, "window 2: arrived as [2000001, 3000001), sent as [2000000, 3000000)"),
+    ], ids=["unsent", "other-bounds", "one-seq"])
     def test_a_foreign_window_records_nothing_of_its_call(self, seqs, starts, message):
         log = self._log()
         before = log.entries()
-        seqs, starts = np.array(seqs), np.array(starts)
+        if isinstance(seqs, list):
+            seqs, starts = np.array(seqs), np.array(starts)
         with pytest.raises(ForeignWindowError) as err:
             log.record_received(seqs, starts + 2 * SECOND, starts, starts + SECOND, holes_from=0)
         assert str(err.value) == message
