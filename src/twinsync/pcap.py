@@ -302,9 +302,9 @@ def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN
     record_at[1:] += _GLOBAL_HEADER_LEN
     # The records go straight into the buffer of the bytes returned: a
     # BytesIO grown to the size, written through its buffer, hands that
-    # buffer over as bytes once no view of it is left (getvalue would copy
-    # it while one is). It is grown before the header goes in: the byte
-    # that grows it is the header's last when the capture is empty.
+    # buffer over as bytes once no view of it is left; getvalue copies it
+    # while one is. It is grown before the header goes in: the byte that
+    # grows it is the header's last when the capture is empty.
     data = io.BytesIO()
     data.seek(int(record_at[-1]) - 1)
     data.write(b"\0")
@@ -315,8 +315,10 @@ def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN
         stop = min(first + _WRITE_PIECE_PACKETS, n)
         _write_piece(out[int(record_at[first]):int(record_at[stop])], record_at[first:stop + 1] - record_at[first],
                      batch[first:stop].filled())
+    # `out` holds a view of the buffer of its own, which view.release()
+    # neither sees nor ends: deleting it is what spares getvalue a copy.
     del out
-    view.release()  # raises BufferError if a view of it were still alive
+    view.release()
     return data.getvalue()
 
 

@@ -291,34 +291,23 @@ class SyncLog:
     def _check_sent(self, seqs, starts=None, ends=None) -> None:
         """Raise ForeignWindowError for the first of ``seqs`` (one seq or an
         array) that was not sent, or was sent with bounds other than
-        ``starts`` and ``ends`` when those are given; call with the lock held.
-        One seq is checked with integer compares, an array in one pass."""
-        times = self._times
-        if isinstance(seqs, np.ndarray):
-            sent = (seqs >= 0) & (seqs < self._sent)
-            rows = np.where(sent, seqs, 0)
-            foreign = ~sent
-            if starts is not None:
-                sent_starts, sent_ends = times["t_window_start"][rows], times["t_window_end"][rows]
-                foreign |= (sent_starts != starts) | (sent_ends != ends)
-            bad = first_index(foreign)
-            if bad is None:
-                return
-            seq, sent = int(seqs[bad]), sent[bad]
-            if sent:
-                arrived, was = (starts[bad], ends[bad]), (sent_starts[bad], sent_ends[bad])
-        else:
-            seq = seqs
-            sent = 0 <= seq < self._sent
-            if sent:
-                if starts is None:
-                    return
-                arrived, was = (starts, ends), (times["t_window_start"][seq], times["t_window_end"][seq])
-                if arrived == was:
-                    return
-        if not sent:
+        ``starts`` and ``ends`` when those are given; call with the lock held."""
+        seqs = np.atleast_1d(seqs)
+        sent = (seqs >= 0) & (seqs < self._sent)
+        rows = np.where(sent, seqs, 0)
+        foreign = ~sent
+        if starts is not None:
+            sent_starts, sent_ends = self._times["t_window_start"][rows], self._times["t_window_end"][rows]
+            foreign |= (sent_starts != starts) | (sent_ends != ends)
+        bad = first_index(foreign)
+        if bad is None:
+            return
+        seq = int(seqs[bad])
+        if not sent[bad]:
             raise ForeignWindowError(seq)
-        raise ForeignWindowError(seq, f"arrived as [{arrived[0]}, {arrived[1]}), sent as [{was[0]}, {was[1]})")
+        arrived = np.atleast_1d(starts)[bad], np.atleast_1d(ends)[bad]
+        raise ForeignWindowError(seq, f"arrived as [{arrived[0]}, {arrived[1]}), "
+                                      f"sent as [{sent_starts[bad]}, {sent_ends[bad]})")
 
     def record_sent(self, seq: int, t_window_start: int, t_window_end: int, t_sent: int) -> None:
         """Open the entry of the next window in seq order; any other seq
@@ -340,22 +329,18 @@ class SyncLog:
         """Record windows received, one seq or an array in seq order, with
         the bounds they arrived with. With ``holes_from``, also mark lost
         the seqs from ``holes_from`` on that they skip."""
-        seqs, t_received, t_window_start, t_window_end = _lone(seqs, t_received, t_window_start, t_window_end)
+        seqs = np.atleast_1d(seqs)
         with self._lock:
             self._check_sent(seqs, t_window_start, t_window_end)
-            if isinstance(seqs, np.ndarray):
-                if holes_from is not None and holes_from < seqs[-1]:
-                    # Every seq below seqs[-1] was sent; each of the span's is
-                    # below seqs[-1], so searchsorted stays in seqs.
-                    span = np.arange(holes_from, seqs[-1], dtype=np.int64)
-                    self._lost[span[seqs[np.searchsorted(seqs, span)] != span]] = True
-            elif holes_from is not None and holes_from < seqs:
-                self._lost[holes_from:seqs] = True
+            if holes_from is not None and holes_from < seqs[-1]:
+                # Every seq below seqs[-1] was sent; each of the span's is
+                # below seqs[-1], so searchsorted stays in seqs.
+                span = np.arange(holes_from, seqs[-1], dtype=np.int64)
+                self._lost[span[seqs[np.searchsorted(seqs, span)] != span]] = True
             self._times["t_received"][seqs] = t_received
 
     def record_replayed(self, seqs, t_replayed) -> None:
         """Record windows replayed, one seq or an array."""
-        seqs, t_replayed = _lone(seqs, t_replayed)
         with self._lock:
             self._check_sent(seqs)
             self._times["t_replayed"][seqs] = t_replayed
@@ -393,14 +378,6 @@ class SyncLog:
                     columns[i] = ["" if t == NOT_RECORDED else t for t in columns[i]]
             parts.append(("\n".join(map("{},{},{},{},{},{},{}".format, *columns)) + "\n").encode("utf-8"))
         return b"".join(parts)
-
-
-def _lone(seqs, *values) -> tuple:
-    """``seqs`` and its values, as Python ints when ``seqs`` is an array of
-    one seq (a lone window), else as given."""
-    if isinstance(seqs, np.ndarray) and seqs.size == 1:
-        return (seqs.item(), *(value.item() for value in values))
-    return (seqs, *values)
 
 
 def _optional(t: int) -> int | None:

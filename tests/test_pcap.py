@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -40,6 +41,20 @@ class TestWrite:
     def test_writer_is_deterministic(self):
         packets = batch_of([make_packet(5, size=9), make_packet(11, size=44)])
         assert write_pcap(1, packets) == write_pcap(1, packets)
+
+    def test_records_are_written_once_into_the_bytes_returned(self):
+        """A capture of a few MB peaks at about its own size: no scratch copy
+        of the capture and no copy at the end. numpy and bytes both report
+        their buffers to tracemalloc, so the peak is exact."""
+        packets = batch_of([make_packet(i, size=1000) for i in range(4000)])
+        tracemalloc.start()
+        try:
+            data = write_pcap(LINKTYPE_RAW_IP, packets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(data) is bytes and len(data) > 4_000_000
+        assert peak < 1.25 * len(data), (peak, len(data))
 
 
 class TestRead:
