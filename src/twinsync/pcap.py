@@ -1,10 +1,11 @@
 """Bit-exact classic pcap reading/writing and windowed segmentation.
 
 The writer always emits little-endian, microsecond-resolution pcap
-(magic 0xa1b2c3d4, version 2.4) so output is byte-deterministic. The
-reader additionally accepts the opposite byte order and the
-nanosecond-resolution magic 0xa1b23c4d, truncating nanoseconds to
-microseconds (truncation is monotone, so packet order is preserved).
+(magic 0xa1b2c3d4, version 2.4) with one snap length, DEFAULT_SNAPLEN,
+so output is byte-deterministic. The reader additionally accepts the
+opposite byte order and the nanosecond-resolution magic 0xa1b23c4d,
+truncating nanoseconds to microseconds (truncation is monotone, so
+packet order is preserved).
 
 PacketBatch, defined here, is the one form packets take from generation
 to binning: columns of record-header fields plus one payload buffer.
@@ -73,9 +74,6 @@ PACK_BLOCK_BYTES = 256 * 1024
 _WRITE_PIECE_PACKETS = 4096
 
 
-_U32_MAX = 0xFFFFFFFF
-
-
 def first_index(mask: np.ndarray) -> int | None:
     """Index of the first True in a boolean array, or None."""
     if not mask.any():
@@ -88,9 +86,10 @@ class PacketBatch:
 
     ``ts_micros`` (int64), ``captured_len`` and ``original_len`` (uint32)
     hold one entry per packet, the fields of a pcap record header.
-    Payloads live in one uint8 buffer: packet i owns the slot
-    ``payload[offsets[i]:offsets[i + 1]]`` and its captured bytes are the
-    first ``captured_len[i]`` bytes of that slot. A batch read from pcap
+    Payloads live in one 1-D uint8 array: packet i owns the slot
+    ``payload[offsets[i]:offsets[i + 1]]`` (int64 ``offsets``, one more
+    than the packets) and its captured bytes are the first
+    ``captured_len[i]`` bytes of that slot. A batch read from pcap
     bytes keeps them where they lie, record headers in between, without a
     copy. A generated trace carries its columns only: its ``payload`` is
     an object whose ``fill(start, end)`` makes bytes ``[start, end)`` of
@@ -98,65 +97,29 @@ class PacketBatch:
     turns a batch into one with real bytes. write_pcap calls it, so a
     trace's payload rows are made when they are written.
 
-    ``PacketBatch(...)`` checks columns that come from outside;
-    ``trusted`` takes them as they are. A step-1 slice is a batch sharing
-    this one's arrays and buffer. Batches are never modified in place.
+    ``PacketBatch(...)`` takes its columns as they are. Every timestamp is
+    non-negative, no packet is captured past its original length and
+    every slot holds its captured bytes: each producer makes its columns
+    so, and the checks run where values enter the program (read_pcap on
+    outside bytes, ScenarioSpec and GeneratedTrace on a scenario,
+    ``with_ts`` on new timestamps). A step-1 slice is a batch sharing this
+    one's arrays and buffer. Batches are never modified in place.
     """
 
     __slots__ = ("ts_micros", "captured_len", "original_len", "payload", "offsets")
 
     def __init__(self, ts_micros, captured_len, original_len, payload, offsets):
-        ts = np.asarray(ts_micros)
-        cap = np.asarray(captured_len)
-        orig = np.asarray(original_len)
-        offs = np.asarray(offsets)
-        buf = payload if isinstance(payload, np.ndarray) else np.frombuffer(payload, dtype=np.uint8)
-        if buf.dtype != np.uint8 or buf.ndim != 1:
-            raise ValueError("payload must be a 1-D buffer of bytes")
-        n = len(ts)
-        for name, col, size in (("captured_len", cap, n), ("original_len", orig, n), ("offsets", offs, n + 1)):
-            if col.ndim != 1 or len(col) != size:
-                raise ValueError(f"{name} must be a 1-D array of {size} entries")
-        for col in (ts, cap, orig, offs):
-            if n and col.dtype.kind not in "iu":
-                raise ValueError("packet columns must hold integers")
-        checks = (
-            (ts < 0, "ts_micros must be non-negative"),
-            ((cap < 0) | (cap > _U32_MAX), "captured_len out of 32-bit range"),
-            ((orig < 0) | (orig > _U32_MAX), "original_len out of 32-bit range"),
-            (cap > orig, "captured_len exceeds original_len"),
-            (offs[1:] - offs[:-1] < cap, "payload slot shorter than captured_len"),
-        )
-        for mask, message in checks:
-            index = first_index(mask)
-            if index is not None:
-                raise ValueError(f"packet {index}: {message}")
-        if offs[0] < 0 or offs[-1] > len(buf):
-            raise ValueError("payload offsets outside the payload buffer")
-        self._set(ts.astype(np.int64, copy=False), cap.astype(np.uint32, copy=False),
-                  orig.astype(np.uint32, copy=False), buf, offs.astype(np.int64, copy=False))
-
-    def _set(self, ts, cap, orig, buf, offs):
-        self.ts_micros = ts
-        self.captured_len = cap
-        self.original_len = orig
-        self.payload = buf
-        self.offsets = offs
-
-    @classmethod
-    def trusted(cls, ts_micros, captured_len, original_len, payload, offsets) -> "PacketBatch":
-        """A batch from columns that already have the right dtypes and obey
-        every rule __init__ checks; for producers that guarantee them by
-        construction."""
-        batch = cls.__new__(cls)
-        batch._set(ts_micros, captured_len, original_len, payload, offsets)
-        return batch
+        self.ts_micros = ts_micros
+        self.captured_len = captured_len
+        self.original_len = original_len
+        self.payload = payload
+        self.offsets = offsets
 
     @classmethod
     def empty(cls) -> "PacketBatch":
         zero = np.zeros(0, dtype=np.int64)
-        return cls.trusted(zero, zero.astype(np.uint32), zero.astype(np.uint32), zero.astype(np.uint8),
-                           np.zeros(1, dtype=np.int64))
+        return cls(zero, zero.astype(np.uint32), zero.astype(np.uint32), zero.astype(np.uint8),
+                   np.zeros(1, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.ts_micros)
@@ -167,8 +130,8 @@ class PacketBatch:
         if step != 1:
             raise ValueError("a packet batch slices with step 1 only")
         stop = max(start, stop)
-        return PacketBatch.trusted(self.ts_micros[start:stop], self.captured_len[start:stop],
-                                   self.original_len[start:stop], self.payload, self.offsets[start:stop + 1])
+        return PacketBatch(self.ts_micros[start:stop], self.captured_len[start:stop],
+                           self.original_len[start:stop], self.payload, self.offsets[start:stop + 1])
 
     def __repr__(self) -> str:
         return f"PacketBatch(<{len(self)} packets>)"
@@ -180,8 +143,8 @@ class PacketBatch:
         if isinstance(self.payload, np.ndarray):
             return self
         start, end = int(self.offsets[0]), int(self.offsets[-1])
-        return PacketBatch.trusted(self.ts_micros, self.captured_len, self.original_len,
-                                   self.payload.fill(start, end), self.offsets - start)
+        return PacketBatch(self.ts_micros, self.captured_len, self.original_len,
+                           self.payload.fill(start, end), self.offsets - start)
 
     def first_regression(self) -> int | None:
         """Index of the first packet whose timestamp is below its predecessor's,
@@ -195,7 +158,7 @@ class PacketBatch:
         index = first_index(ts_micros < 0)
         if index is not None:
             raise ValueError(f"packet {index}: ts_micros must be non-negative")
-        return PacketBatch.trusted(ts_micros, self.captured_len, self.original_len, self.payload, self.offsets)
+        return PacketBatch(ts_micros, self.captured_len, self.original_len, self.payload, self.offsets)
 
     def shifted(self, offset_micros: int) -> "PacketBatch":
         """The same packets, every timestamp moved by ``offset_micros``."""
@@ -274,26 +237,28 @@ class CaptureWindow(NamedTuple):
         return self.index == len(self.block.cuts) - 2
 
 
-def _unwritable(batch: PacketBatch, snaplen: int) -> np.ndarray | None:
-    """Which packets write_pcap refuses, those captured past ``snaplen`` or
-    stamped past 32-bit seconds; None when it takes them all."""
-    unwritable = (batch.captured_len > snaplen) | (batch.ts_micros >= _TS_LIMIT_MICROS)
+def _unwritable(batch: PacketBatch) -> np.ndarray | None:
+    """Which packets write_pcap refuses, those captured past DEFAULT_SNAPLEN
+    or stamped past 32-bit seconds; None when it takes them all."""
+    unwritable = (batch.captured_len > DEFAULT_SNAPLEN) | (batch.ts_micros >= _TS_LIMIT_MICROS)
     return unwritable if unwritable.any() else None
 
 
-def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN) -> bytes:
+def write_pcap(linktype: int, batch: PacketBatch) -> bytes:
     """Serialize packets into a classic pcap byte string.
 
-    Output is deterministic: same packets, same bytes. Each record is
+    Output is deterministic: same packets, same bytes. A packet captured
+    past DEFAULT_SNAPLEN or stamped past 32-bit seconds raises
+    PcapWriteError naming the first such packet. Each record is
     written once, into the buffer of the bytes returned: no full-size
     scratch array exists, and nothing is copied at the end.
     """
     cap = batch.captured_len
-    unwritable = _unwritable(batch, snaplen)
+    unwritable = _unwritable(batch)
     if unwritable is not None:
         bad = first_index(unwritable)
-        if cap[bad] > snaplen:
-            raise PcapWriteError(bad, f"captured_len {int(cap[bad])} exceeds snaplen {snaplen}")
+        if cap[bad] > DEFAULT_SNAPLEN:
+            raise PcapWriteError(bad, f"captured_len {int(cap[bad])} exceeds snaplen {DEFAULT_SNAPLEN}")
         raise PcapWriteError(bad, "timestamp beyond 32-bit seconds")
     n = len(batch)
     record_at = np.empty(n + 1, dtype=np.int64)
@@ -309,7 +274,7 @@ def write_pcap(linktype: int, batch: PacketBatch, snaplen: int = DEFAULT_SNAPLEN
     data.seek(int(record_at[-1]) - 1)
     data.write(b"\0")
     view = data.getbuffer()
-    _GLOBAL_HEADER.pack_into(view, 0, PCAP_MAGIC_MICROS, 2, 4, 0, 0, snaplen, linktype)
+    _GLOBAL_HEADER.pack_into(view, 0, PCAP_MAGIC_MICROS, 2, 4, 0, 0, DEFAULT_SNAPLEN, linktype)
     out = np.frombuffer(view, dtype=np.uint8)
     for first in range(0, n, _WRITE_PIECE_PACKETS):
         stop = min(first + _WRITE_PIECE_PACKETS, n)
@@ -439,8 +404,8 @@ def read_pcap(data: bytes) -> tuple[int, PacketBatch]:
         frac = frac // _NANOS_PER_MICRO
     ts = sec.astype(np.int64) * MICROS_PER_SECOND + frac
     offsets = np.append(record_at + _RECORD_HEADER_LEN, size)
-    return linktype, PacketBatch.trusted(ts, incl.astype(np.uint32), orig.astype(np.uint32),
-                                         np.frombuffer(data, dtype=np.uint8), offsets)
+    return linktype, PacketBatch(ts, incl.astype(np.uint32), orig.astype(np.uint32),
+                                 np.frombuffer(data, dtype=np.uint8), offsets)
 
 
 def _run_length(data: bytes, order: str, offset: int, incl: int) -> int:
@@ -520,7 +485,7 @@ def segment_stream(
     # holds its packet's captured bytes and maybe a gap.
     bytes_before = (batch.offsets[cuts] + _RECORD_HEADER_LEN * cuts).tolist()
     # The windows holding a packet write_pcap refuses: each is a block of one.
-    unwritable = _unwritable(batch[:cuts[-1]], DEFAULT_SNAPLEN)
+    unwritable = _unwritable(batch[:cuts[-1]])
     alone = set() if unwritable is None else set(
         (np.searchsorted(cuts, np.flatnonzero(unwritable), side="right") - 1).tolist())
     cuts = cuts.tolist()

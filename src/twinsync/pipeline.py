@@ -127,14 +127,12 @@ def _make_channels(cfg: RunConfig, clock) -> tuple[object, object]:
     spec = replace(cfg.channel, seed=cfg.seed ^ _CHANNEL_SEED_SALT)
     if spec.kind == "in-process":
         ch = InProcessChannel(spec, clock=clock)
-        return ch, ch
-    if spec.kind == "directory-exchange":
-        sender = DirectoryExchangeChannel(spec, cfg.exchange_dir, clock)
-        receiver = DirectoryExchangeChannel(spec, cfg.exchange_dir, clock)
-        return sender, receiver
-    receiver = TcpReceiverChannel(cfg.tcp_host, cfg.tcp_port or 0, clock)
-    sender = TcpSenderChannel(spec, cfg.tcp_host, receiver.port)
-    return sender, receiver
+    elif spec.kind == "directory-exchange":
+        ch = DirectoryExchangeChannel(spec, cfg.exchange_dir, clock)
+    else:
+        receiver = TcpReceiverChannel(cfg.tcp_host, cfg.tcp_port or 0, clock)
+        return TcpSenderChannel(spec, cfg.tcp_host, receiver.port), receiver
+    return ch, ch
 
 
 def run_pipeline(cfg: RunConfig) -> RunResult:

@@ -31,7 +31,7 @@ A trace's packets carry columns only. Their payload is the seed and the
 narrow header columns each row is made from (_TraceRows): a row is the
 packet's IPv4/UDP header, then SplitMix64 fill, and a range of rows is
 filled only when it is written (pcap.write_pcap, through
-PacketBatch.filled), a block of headers at a time.
+PacketBatch.filled), a write piece of rows at a time.
 """
 
 import math
@@ -135,10 +135,6 @@ _NOISE_BLOCK_WORDS = 1 << 15
 _NOISE_GAMMA = 0x9E3779B97F4A7C15
 _NOISE_STEPS = np.arange(1, _NOISE_BLOCK_WORDS + 1, dtype=np.uint64) * np.uint64(_NOISE_GAMMA)
 
-# Packets whose IP/UDP headers are filled per pass: the fields of a block
-# and its header scratch stay small next to the payload rows they go into.
-_HEADER_BLOCK_ROWS = 1 << 14
-
 
 def _noise_bytes(seed: int, count: int, start: int) -> np.ndarray:
     """Bytes ``[start, start + count)`` of the SplitMix64 sequence started at ``seed``.
@@ -218,31 +214,29 @@ class _TraceRows:
 
     def fill(self, start: int, end: int) -> np.ndarray:
         """Bytes ``[start, end)`` of the buffer, both multiples of ``row_len``,
-        in a new array. The headers go in a block of rows at a time."""
+        in a new array. The caller bounds the rows filled at once
+        (pcap.write_pcap fills a piece of packets at a time)."""
         row_len = self.row_len
         first, stop = start // row_len, end // row_len
         rows = _noise_bytes(self.seed, end - start, 2 * self.count + self.first * row_len + start)
         rows = rows.reshape(stop - first, row_len)
         ip_id = _noise_bytes(self.seed, 2 * (stop - first), 2 * (self.first + first)).view(">u2")
-        scratch = np.empty((min(stop - first, _HEADER_BLOCK_ROWS), _HEADER_WORDS), dtype=">u4")
-        for at in range(0, stop - first, _HEADER_BLOCK_ROWS):
-            picked = slice(first + at, min(first + at + _HEADER_BLOCK_ROWS, stop))
-            total = self.original_len[picked]
-            # Widened before the arithmetic, so every numpy casts it alike.
-            ue = self.ue[picked].astype(np.uint32)
-            port = self.port[picked].astype(np.uint32)
-            uplink = self.uplink[picked]
-            phone = (ue // 250 << 8) + ue % 250 + _PHONE_NET_WORD
-            phone_port = ue + np.uint32(_UE_PORT_BASE)
-            header = scratch[:len(total)]
-            header[:, 0] = total | _VERSION_IHL_WORD
-            header[:, 1] = ip_id[at:at + len(total)].astype(np.uint32) << 16
-            header[:, 2] = _TTL_PROTOCOL_WORD
-            header[:, 3] = np.where(uplink, phone, _SERVER_WORD)
-            header[:, 4] = np.where(uplink, _SERVER_WORD, phone)
-            header[:, 5] = np.where(uplink, phone_port << 16 | port, port << 16 | phone_port)
-            header[:, 6] = (total - np.uint32(20)) << 16
-            rows[at:at + len(total), :_IP_UDP_HEADER_LEN] = header.view(np.uint8).reshape(-1, _IP_UDP_HEADER_LEN)
+        total = self.original_len[first:stop]
+        # Widened before the arithmetic, so every numpy casts it alike.
+        ue = self.ue[first:stop].astype(np.uint32)
+        port = self.port[first:stop].astype(np.uint32)
+        uplink = self.uplink[first:stop]
+        phone = (ue // 250 << 8) + ue % 250 + _PHONE_NET_WORD
+        phone_port = ue + np.uint32(_UE_PORT_BASE)
+        header = np.empty((stop - first, _HEADER_WORDS), dtype=">u4")
+        header[:, 0] = total | _VERSION_IHL_WORD
+        header[:, 1] = ip_id.astype(np.uint32) << 16
+        header[:, 2] = _TTL_PROTOCOL_WORD
+        header[:, 3] = np.where(uplink, phone, _SERVER_WORD)
+        header[:, 4] = np.where(uplink, _SERVER_WORD, phone)
+        header[:, 5] = np.where(uplink, phone_port << 16 | port, port << 16 | phone_port)
+        header[:, 6] = (total - np.uint32(20)) << 16
+        rows[:, :_IP_UDP_HEADER_LEN] = header.view(np.uint8).reshape(-1, _IP_UDP_HEADER_LEN)
         return rows.reshape(-1)
 
 
@@ -335,7 +329,7 @@ class GeneratedTrace:
         row_len = self._row_len
         offsets = np.arange(0, (n + 1) * row_len, row_len, dtype=np.int64)
         rows = _TraceRows(self.seed, row_len, self.packet_count, int(low.sum()), total, ue, port, uplink)
-        return PacketBatch.trusted(ts, captured, total, rows, offsets)
+        return PacketBatch(ts, captured, total, rows, offsets)
 
 
 # Each generator draws its events in order and hands each group to ``add``

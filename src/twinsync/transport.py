@@ -468,7 +468,9 @@ class DirectoryExchangeChannel(_SendingChannel):
     directory that already holds window files or an end marker is
     refused, not cleared: the receiver would take an earlier run's
     windows for this one's. The receiver stamps and paces its polls on
-    ``clock``, the run's clock.
+    ``clock``, the run's clock. One object serves both ends of a run, as
+    an InProcessChannel does: its send and receive sides change no state
+    in common.
     """
 
     # Capture time between two looks for the next window, slept on the run
@@ -485,8 +487,8 @@ class DirectoryExchangeChannel(_SendingChannel):
                 raise TwinError(f"exchange directory {self.directory} is not empty: it holds {stale.name} "
                                 "from an earlier run")
         self._clock = clock
-        # Windows this endpoint has sent and received: the numbers in the
-        # names of the next window each way.
+        # Windows sent and received: the numbers in the names of the next
+        # window each way.
         self._sent = self._received = 0
 
     def _deliver(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> None:

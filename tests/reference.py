@@ -3,8 +3,9 @@ does not need.
 
 twinsync moves packets only as PacketBatch columns. The tests also build
 packets one at a time and compare them field by field, so PacketRecord,
-with the same checks the batch constructor makes, lives here, together
-with the conversions to and from batches, a manual clock, a bundle
+which checks the rules every batch keeps, lives here, together with the
+conversions to and from batches, a check that a batch keeps those rules
+(assert_well_formed), a manual clock, a bundle
 loader, an age-of-information sampler, a check of the sync log's time
 order and a classifier of packet direction read from the generated IP
 headers. Last come the loop references the array code is held to: the
@@ -60,19 +61,41 @@ class PacketRecord:
 
 
 def batch_of(records) -> PacketBatch:
-    """The batch of a sequence of records, payloads back to back, built
-    through the checked constructor."""
+    """The batch of a sequence of records, payloads back to back. Each
+    record checked itself, so the columns obey every rule of a batch."""
     records = list(records)
-    cap = np.array([r.captured_len for r in records], dtype=np.int64)
+    cap = np.array([r.captured_len for r in records], dtype=np.uint32)
     offsets = np.zeros(len(records) + 1, dtype=np.int64)
     np.cumsum(cap, out=offsets[1:])
     return PacketBatch(
         np.array([r.ts_micros for r in records], dtype=np.int64),
         cap,
-        np.array([r.original_len for r in records], dtype=np.int64),
+        np.array([r.original_len for r in records], dtype=np.uint32),
         np.frombuffer(b"".join(r.payload for r in records), dtype=np.uint8),
         offsets,
     )
+
+
+def assert_well_formed(batch: PacketBatch) -> None:
+    """Check the rules every producer of a batch keeps: the column dtypes,
+    non-negative timestamps, no packet captured past its original length,
+    and every payload slot inside the buffer and holding its captured
+    bytes. A generated trace's lazy payload (rows of ``row_len`` bytes,
+    one per packet of the buffer) must cover the last slot."""
+    ts, cap, orig, offsets = batch.ts_micros, batch.captured_len, batch.original_len, batch.offsets
+    assert (ts.dtype, cap.dtype, orig.dtype, offsets.dtype) == (np.int64, np.uint32, np.uint32, np.int64)
+    assert ts.ndim == cap.ndim == orig.ndim == offsets.ndim == 1
+    assert len(cap) == len(orig) == len(ts) and len(offsets) == len(ts) + 1
+    assert (ts >= 0).all()
+    assert (cap <= orig).all()
+    assert (offsets[1:] - offsets[:-1] >= cap).all()
+    assert offsets[0] >= 0
+    if isinstance(batch.payload, np.ndarray):
+        assert batch.payload.dtype == np.uint8 and batch.payload.ndim == 1
+        assert offsets[-1] <= len(batch.payload)
+    else:
+        rows = batch.payload
+        assert offsets[-1] <= rows.row_len * len(rows.original_len)
 
 
 def lone_window(seq: int, start: int, end: int, packets: PacketBatch) -> CaptureWindow:

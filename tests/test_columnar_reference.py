@@ -10,6 +10,7 @@ output, or an identical exception (type, message and offset or index).
 import random
 import struct
 import time
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,7 @@ from twinsync.pcap import (
 )
 from twinsync.transport import pack_window, unpack_window
 
-from reference import PacketRecord, batch_of, lone_window, records_of
+from reference import PacketRecord, assert_well_formed, batch_of, lone_window, records_of
 
 SECOND = MICROS_PER_SECOND
 
@@ -43,11 +44,11 @@ SECOND = MICROS_PER_SECOND
 # --- per-record references -------------------------------------------------
 
 
-def ref_write_pcap(linktype, packets, snaplen=DEFAULT_SNAPLEN) -> bytes:
-    parts = [struct.pack("<IHHiIII", PCAP_MAGIC_MICROS, 2, 4, 0, 0, snaplen, linktype)]
+def ref_write_pcap(linktype, packets) -> bytes:
+    parts = [struct.pack("<IHHiIII", PCAP_MAGIC_MICROS, 2, 4, 0, 0, DEFAULT_SNAPLEN, linktype)]
     for i, p in enumerate(packets):
-        if p.captured_len > snaplen:
-            raise PcapWriteError(i, f"captured_len {p.captured_len} exceeds snaplen {snaplen}")
+        if p.captured_len > DEFAULT_SNAPLEN:
+            raise PcapWriteError(i, f"captured_len {p.captured_len} exceeds snaplen {DEFAULT_SNAPLEN}")
         sec, usec = divmod(p.ts_micros, 1_000_000)
         if sec > 0xFFFFFFFF:
             raise PcapWriteError(i, "timestamp beyond 32-bit seconds")
@@ -199,11 +200,27 @@ def any_traces():
 
 
 @st.composite
+def unwritable_traces(draw):
+    """Traces in which up to three packets are ones write_pcap refuses:
+    captured past the snap length, or stamped past 32-bit seconds."""
+    packets = draw(any_traces())
+    if packets:
+        for at in draw(st.lists(st.integers(0, len(packets) - 1), max_size=3)):
+            p = packets[at]
+            if draw(st.booleans()):
+                size = DEFAULT_SNAPLEN + 1
+                packets[at] = PacketRecord(p.ts_micros, size, size, bytes(size))
+            else:
+                packets[at] = replace(p, ts_micros=2**32 * SECOND + p.ts_micros)
+    return packets
+
+
+@st.composite
 def gapped_batches(draw):
     """Packets whose payload slots are longer than their captured bytes, as
     generate builds them: one slot size for all, or a gap of its own each.
     The gaps hold junk that must never reach the output."""
-    packets = draw(any_traces())
+    packets = draw(unwritable_traces())
     if draw(st.booleans()):
         size = max((p.captured_len for p in packets), default=0) + draw(st.integers(0, 4))
         slots = [size] * len(packets)
@@ -212,14 +229,18 @@ def gapped_batches(draw):
     payload = b"".join(p.payload + b"\xee" * (slot - p.captured_len) for p, slot in zip(packets, slots))
     offsets = np.zeros(len(packets) + 1, dtype=np.int64)
     np.cumsum(slots, out=offsets[1:])
-    batch = PacketBatch([p.ts_micros for p in packets], [p.captured_len for p in packets],
-                        [p.original_len for p in packets], np.frombuffer(payload, dtype=np.uint8), offsets)
+    batch = PacketBatch(np.array([p.ts_micros for p in packets], dtype=np.int64),
+                        np.array([p.captured_len for p in packets], dtype=np.uint32),
+                        np.array([p.original_len for p in packets], dtype=np.uint32),
+                        np.frombuffer(payload, dtype=np.uint8), offsets)
     return packets, batch
 
 
 def read_records(data):
-    """read_pcap with its packets as records, to compare with ref_read_pcap."""
+    """read_pcap with its packets as records, to compare with ref_read_pcap;
+    a batch it accepts keeps every rule of a batch."""
     linktype, batch = read_pcap(data)
+    assert_well_formed(batch)
     return linktype, records_of(batch)
 
 
@@ -303,21 +324,21 @@ write_pieces = st.sampled_from([1, 5, VECTOR_MIN_PACKETS + 3, pcap._WRITE_PIECE_
 
 
 @settings(deadline=None)
-@given(any_traces(), st.sampled_from([40, 96, DEFAULT_SNAPLEN]), write_pieces)
-def test_write_pcap_matches_the_reference(packets, snaplen, piece):
-    expected = _outcome(ref_write_pcap, LINKTYPE_RAW_IP, packets, snaplen)
+@given(unwritable_traces(), write_pieces)
+def test_write_pcap_matches_the_reference(packets, piece):
+    expected = _outcome(ref_write_pcap, LINKTYPE_RAW_IP, packets)
     with mock.patch.object(pcap, "_WRITE_PIECE_PACKETS", piece):
-        assert _outcome(write_pcap, LINKTYPE_RAW_IP, batch_of(packets), snaplen) == expected
+        assert _outcome(write_pcap, LINKTYPE_RAW_IP, batch_of(packets)) == expected
 
 
 @settings(deadline=None)
-@given(gapped_batches(), st.sampled_from([40, DEFAULT_SNAPLEN]), write_pieces)
-def test_write_pcap_of_gapped_slots_matches_the_reference(packets_and_batch, snaplen, piece):
+@given(gapped_batches(), write_pieces)
+def test_write_pcap_of_gapped_slots_matches_the_reference(packets_and_batch, piece):
     packets, batch = packets_and_batch
     assert records_of(batch) == packets
     with mock.patch.object(pcap, "_WRITE_PIECE_PACKETS", piece):
-        written = _outcome(write_pcap, LINKTYPE_RAW_IP, batch, snaplen)
-    assert written == _outcome(ref_write_pcap, LINKTYPE_RAW_IP, packets, snaplen)
+        written = _outcome(write_pcap, LINKTYPE_RAW_IP, batch)
+    assert written == _outcome(ref_write_pcap, LINKTYPE_RAW_IP, packets)
     assert written[0] == "raised" or type(written[1]) is bytes
 
 
@@ -423,11 +444,11 @@ def test_unpack_window_rejects_out_of_window_and_disordered_batches():
 def _alternating_batch(n: int, run: int) -> PacketBatch:
     """n packets whose captured length switches between 60 and 61 bytes
     after every ``run`` packets."""
-    cap = np.where(np.arange(n) // run % 2 == 0, 60, 61)
+    cap = np.where(np.arange(n) // run % 2 == 0, 60, 61).astype(np.uint32)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(cap, out=offsets[1:])
     payload = np.random.default_rng(n).integers(0, 256, int(offsets[-1]), dtype=np.uint8)
-    return PacketBatch(np.arange(n) * 1000, cap, cap + 10, payload, offsets)
+    return PacketBatch(np.arange(n, dtype=np.int64) * 1000, cap, cap + np.uint32(10), payload, offsets)
 
 
 @pytest.mark.parametrize("run", [1, VECTOR_MIN_PACKETS], ids=["every-record", "every-run-threshold"])

@@ -99,8 +99,8 @@ class TestThroughputSeries:
         # binned at once, 10^6 packets take about 28 MiB of index and mask.
         n = 1_000_000
         ts = np.arange(n, dtype=np.int64) * 997
-        batch = PacketBatch.trusted(ts, np.zeros(n, dtype=np.uint32), np.full(n, 1200, dtype=np.uint32),
-                                    np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64))
+        batch = PacketBatch(ts, np.zeros(n, dtype=np.uint32), np.full(n, 1200, dtype=np.uint32),
+                            np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64))
         tracemalloc.start()
         try:
             s = throughput_series(batch, SECOND, 0, 1000 * SECOND)
@@ -146,8 +146,8 @@ def sized_batch(ts, lengths) -> PacketBatch:
     """Times and original lengths only, as the pipeline keeps of replayed windows."""
     ts = np.asarray(ts, dtype=np.int64)
     n = len(ts)
-    return PacketBatch.trusted(ts, np.zeros(n, dtype=np.uint32), np.asarray(lengths, dtype=np.uint32),
-                               np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64))
+    return PacketBatch(ts, np.zeros(n, dtype=np.uint32), np.asarray(lengths, dtype=np.uint32),
+                       np.zeros(0, dtype=np.uint8), np.zeros(n + 1, dtype=np.int64))
 
 
 def alignment(log: SyncLog, planned_period: int, observation: tuple[int, int]) -> float:

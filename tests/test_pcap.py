@@ -33,9 +33,9 @@ class TestWrite:
         assert data[40:100] == packet.payload
 
     def test_snaplen_violation_names_the_packet(self):
-        packets = [make_packet(0, size=10), make_packet(1, size=300)]
-        with pytest.raises(PcapWriteError) as err:
-            write_pcap(LINKTYPE_RAW_IP, batch_of(packets), snaplen=100)
+        packets = [make_packet(0, size=10), make_packet(1, size=65_536)]
+        with pytest.raises(PcapWriteError, match="captured_len 65536 exceeds snaplen 65535") as err:
+            write_pcap(LINKTYPE_RAW_IP, batch_of(packets))
         assert err.value.index == 1
 
     def test_writer_is_deterministic(self):

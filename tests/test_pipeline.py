@@ -34,7 +34,7 @@ from twinsync.transport import (
     pack_window,
 )
 
-from reference import batch_of, out_of_order_seqs, records_of
+from reference import ManualClock, batch_of, out_of_order_seqs, records_of
 
 SECOND = 1_000_000
 
@@ -826,6 +826,14 @@ class TestRealTimeRuns:
         assert str(exchange) in str(err.value)
         assert any(path.name in str(err.value) for path in first_run_files)
         assert sorted(exchange.iterdir()) == first_run_files
+
+    def test_one_exchange_channel_serves_both_ends(self, descriptor, tmp_path):
+        # As in-process, one object is the sender and the receiver, so the
+        # exchange directory is checked for an earlier run's files once.
+        cfg = run_config(descriptor, channel=ChannelSpec(kind="directory-exchange"),
+                         plan=ReplayPlan(mode=ReplayMode.REAL_TIME), exchange_dir=tmp_path / "exchange")
+        sender, receiver = pipeline._make_channels(cfg, ManualClock())
+        assert isinstance(sender, transport.DirectoryExchangeChannel) and sender is receiver
 
     def test_tcp_real_time_smoke(self, descriptor):
         from dataclasses import replace

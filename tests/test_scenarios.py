@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsync import pcap, scenarios
@@ -28,7 +28,15 @@ from twinsync.scenarios import (
     generate,
 )
 
-from reference import SERVER_IP, downlink_mask, records_of, reference_trace, splitmix64_bytes, volume_bytes
+from reference import (
+    SERVER_IP,
+    assert_well_formed,
+    downlink_mask,
+    records_of,
+    reference_trace,
+    splitmix64_bytes,
+    volume_bytes,
+)
 
 # Which way each packet goes is read from its IP header: a downlink
 # packet comes from the server, an uplink one goes to it.
@@ -378,41 +386,46 @@ def hand_built(groups, seed: int) -> GeneratedTrace:
     return GeneratedTrace(ScenarioSpec(kind="voice-call", duration_micros=10**9, seed=seed), groups)
 
 
+def reference_batch(groups, seed: int) -> PacketBatch:
+    """The batch of reference_trace, its payload bytes made one packet at a time."""
+    columns, slot, payload = reference_trace(groups, seed)
+    ts, captured, original = zip(*columns)
+    return PacketBatch(np.array(ts, dtype=np.int64), np.array(captured, dtype=np.uint32),
+                       np.array(original, dtype=np.uint32), np.frombuffer(payload, dtype=np.uint8),
+                       np.arange(0, (len(ts) + 1) * slot, slot, dtype=np.int64))
+
+
 def assert_matches_the_reference(groups, seed: int) -> None:
     batch = hand_built(groups, seed).records
-    columns, slot, payload = reference_trace(groups, seed)
-    assert (batch.ts_micros.dtype, batch.captured_len.dtype, batch.original_len.dtype, batch.offsets.dtype) == \
-        (np.int64, np.uint32, np.uint32, np.int64)
-    assert list(zip(batch.ts_micros.tolist(), batch.captured_len.tolist(), batch.original_len.tolist())) == columns
-    assert batch.offsets.tolist() == list(range(0, (len(columns) + 1) * slot, slot))
+    reference = reference_batch(groups, seed)
+    assert_well_formed(batch)
+    for name in ("ts_micros", "captured_len", "original_len", "offsets"):
+        assert getattr(batch, name).tolist() == getattr(reference, name).tolist()
     # Every byte of every slot: header fields, addresses and ports by
     # direction, then the fill, also past a short packet's captured bytes.
-    assert batch.filled().payload.tobytes() == payload
+    assert batch.filled().payload.tobytes() == reference.payload.tobytes()
+    # Written a piece of packets at a time, each piece's rows filled alone.
+    assert write_pcap(LINKTYPE_RAW_IP, batch) == write_pcap(LINKTYPE_RAW_IP, reference)
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
-def test_trace_bytes_match_the_per_packet_reference(monkeypatch, block_rows):
-    monkeypatch.setattr(scenarios, "_HEADER_BLOCK_ROWS", block_rows)
+def test_trace_bytes_match_the_per_packet_reference():
     assert_matches_the_reference(HAND_BUILT_GROUPS, seed=7)
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_any_slice_of_a_trace_is_filled_and_written_as_the_reference(monkeypatch, block_rows, data):
+def test_any_slice_of_a_trace_is_filled_and_written_as_the_reference(data):
     # Rows a..b are filled alone with the bytes the whole buffer holds
-    # there, so where a trace is cut into blocks changes no byte written.
-    monkeypatch.setattr(scenarios, "_HEADER_BLOCK_ROWS", block_rows)
+    # there, so where a trace is cut into write pieces changes no byte written.
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     trace = hand_built(HAND_BUILT_GROUPS, seed).records
     a = data.draw(st.integers(0, len(trace)), label="a")
     b = data.draw(st.integers(a, len(trace)), label="b")
-    columns, slot, payload = reference_trace(HAND_BUILT_GROUPS, seed)
+    reference = reference_batch(HAND_BUILT_GROUPS, seed)
+    start, end = int(reference.offsets[a]), int(reference.offsets[b])
     part = trace[a:b].filled()
-    assert part.payload.tobytes() == payload[a * slot:b * slot]
-    assert part.offsets.tolist() == list(range(0, (b - a + 1) * slot, slot))
-    ts, captured, original = zip(*columns)
-    reference = PacketBatch(ts, captured, original, payload, np.arange(0, (len(ts) + 1) * slot, slot))
+    assert part.payload.tobytes() == reference.payload[start:end].tobytes()
+    assert part.offsets.tolist() == (reference.offsets[a:b + 1] - start).tolist()
     assert write_pcap(LINKTYPE_RAW_IP, trace[a:b]) == write_pcap(LINKTYPE_RAW_IP, reference[a:b])
 
 
@@ -430,17 +443,18 @@ def test_any_time_range_of_a_trace_is_that_range_of_its_records(data):
     a, b = int(np.searchsorted(ts, start)), int(np.searchsorted(ts, end))
     assert (trace.count_before(start), trace.count_before(end)) == (a, b)
     part = trace.packets(start, end)
+    assert_well_formed(part)
     for name in ("ts_micros", "captured_len", "original_len"):
         assert getattr(part, name).tolist() == getattr(records, name)[a:b].tolist()
     assert write_pcap(LINKTYPE_RAW_IP, part) == write_pcap(LINKTYPE_RAW_IP, records[a:b])
 
 
-def test_a_trace_longer_than_one_header_block_matches_the_reference():
+def test_a_trace_longer_than_one_write_piece_matches_the_reference():
     rng = np.random.default_rng(5)
     groups = [(int(rng.integers(0, 1000)), int(rng.integers(0, 300)), float(rng.choice([0.0, 0.37, 3.0, 11.5])),
                int(rng.integers(1, 1600)), int(rng.integers(0, 3)), int(rng.integers(0, 600)), 443)
               for _ in range(150)]
-    assert sum(group[1] for group in groups) > scenarios._HEADER_BLOCK_ROWS
+    assert sum(group[1] for group in groups) > 4 * pcap._WRITE_PIECE_PACKETS
     assert_matches_the_reference(groups, seed=2**64 - 1)
 
 
@@ -492,6 +506,8 @@ def test_chunks_of_whole_windows_add_up_to_the_trace(data):
     cuts = sorted(data.draw(st.sets(st.integers(1, n_windows - 1), max_size=6), label="cuts")) if n_windows > 1 else []
     bounds = [origin + k * window for k in (0, *cuts)] + [origin + duration]
     chunks = [trace.packets(start, end) for start, end in zip(bounds, bounds[1:])]
+    for chunk in chunks:
+        assert_well_formed(chunk)
     assert trace.packet_count == len(records) == sum(len(chunk) for chunk in chunks)
     for name in ("ts_micros", "captured_len", "original_len"):
         joined = np.concatenate([getattr(chunk, name) for chunk in chunks])

@@ -274,8 +274,10 @@ def block_traces(draw):
     slots = [r.captured_len + draw(st.sampled_from([0, 3])) for r in records]
     payload = b"".join(r.payload + b"\xee" * (slot - r.captured_len) for r, slot in zip(records, slots))
     offsets = np.concatenate(([0], np.cumsum(slots, dtype=np.int64)))
-    batch = PacketBatch([r.ts_micros for r in records], [r.captured_len for r in records],
-                        [r.original_len for r in records], np.frombuffer(payload, dtype=np.uint8), offsets)
+    batch = PacketBatch(np.array([r.ts_micros for r in records], dtype=np.int64),
+                        np.array([r.captured_len for r in records], dtype=np.uint32),
+                        np.array([r.original_len for r in records], dtype=np.uint32),
+                        np.frombuffer(payload, dtype=np.uint8), offsets)
     return batch, counts
 
 
