@@ -181,10 +181,15 @@ class TestPacketBatch:
         PacketRecord(9, 2, 2, b"xy"),
     ]
 
+    def columns(self, **overrides):
+        cols = dict(ts_micros=np.array([5, 5, 9], dtype=np.int64), captured_len=np.array([3, 0, 2], dtype=np.uint32),
+                    original_len=np.array([10, 0, 2], dtype=np.uint32),
+                    payload=np.frombuffer(b"abcxy", dtype=np.uint8), offsets=np.array([0, 3, 3, 5], dtype=np.int64))
+        cols.update(overrides)
+        return cols
+
     def test_columns_and_records_describe_the_same_packets(self):
-        batch = PacketBatch(np.array([5, 5, 9], dtype=np.int64), np.array([3, 0, 2], dtype=np.uint32),
-                            np.array([10, 0, 2], dtype=np.uint32), np.frombuffer(b"abcxy", dtype=np.uint8),
-                            np.array([0, 3, 3, 5], dtype=np.int64))
+        batch = PacketBatch(**self.columns())
         assert records_of(batch) == self.RECORDS
         assert records_of(batch_of(self.RECORDS)) == self.RECORDS
         assert_well_formed(batch_of(self.RECORDS))
@@ -199,6 +204,25 @@ class TestPacketBatch:
         for stepped in (slice(None, None, -1), slice(0, 3, 2)):
             with pytest.raises(ValueError, match="step 1 only"):
                 batch[stepped]
+
+    # The batch takes its columns as its producers made them; the tests hold
+    # every producer to the rules of a batch with assert_well_formed, so
+    # each broken rule must fail it.
+    @pytest.mark.parametrize("field, value", [
+        ("ts_micros", np.array([5, -1, 9], dtype=np.int64)),
+        ("original_len", np.array([10, 0, 1], dtype=np.uint32)),
+        ("original_len", np.array([10, 0, 2**32], dtype=np.int64)),
+        ("captured_len", np.array([-1, 0, 2], dtype=np.int64)),
+        ("ts_micros", np.array([5.0, 5.0, 9.0])),
+        ("offsets", np.array([0, 2, 3, 5], dtype=np.int64)),
+        ("offsets", np.array([0, 3, 3, 6], dtype=np.int64)),
+        ("offsets", np.array([0, 3, 5], dtype=np.int64)),
+    ], ids=["negative-ts", "captured-past-original", "original-past-32-bit", "negative-captured",
+            "float-ts", "slot-short-of-captured", "slot-past-buffer", "offsets-short"])
+    def test_a_batch_breaking_a_rule_is_not_well_formed(self, field, value):
+        assert_well_formed(PacketBatch(**self.columns()))
+        with pytest.raises(AssertionError):
+            assert_well_formed(PacketBatch(**self.columns(**{field: value})))
 
     def test_shift_moves_every_timestamp_and_keeps_payloads(self):
         batch = batch_of(self.RECORDS)

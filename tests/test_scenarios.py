@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -408,13 +409,21 @@ def assert_matches_the_reference(groups, seed: int) -> None:
     assert write_pcap(LINKTYPE_RAW_IP, batch) == write_pcap(LINKTYPE_RAW_IP, reference)
 
 
-def test_trace_bytes_match_the_per_packet_reference():
-    assert_matches_the_reference(HAND_BUILT_GROUPS, seed=7)
+# Pieces of one row, of a few rows and of the product's size: write_pcap
+# fills one piece's rows at a time, so the piece bounds the rows filled at once.
+write_pieces = pytest.mark.parametrize("piece", [1, 3, pcap._WRITE_PIECE_PACKETS])
 
 
+@write_pieces
+def test_trace_bytes_match_the_per_packet_reference(piece):
+    with mock.patch.object(pcap, "_WRITE_PIECE_PACKETS", piece):
+        assert_matches_the_reference(HAND_BUILT_GROUPS, seed=7)
+
+
+@write_pieces
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_any_slice_of_a_trace_is_filled_and_written_as_the_reference(data):
+def test_any_slice_of_a_trace_is_filled_and_written_as_the_reference(piece, data):
     # Rows a..b are filled alone with the bytes the whole buffer holds
     # there, so where a trace is cut into write pieces changes no byte written.
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
@@ -426,7 +435,8 @@ def test_any_slice_of_a_trace_is_filled_and_written_as_the_reference(data):
     part = trace[a:b].filled()
     assert part.payload.tobytes() == reference.payload[start:end].tobytes()
     assert part.offsets.tolist() == (reference.offsets[a:b + 1] - start).tolist()
-    assert write_pcap(LINKTYPE_RAW_IP, trace[a:b]) == write_pcap(LINKTYPE_RAW_IP, reference[a:b])
+    with mock.patch.object(pcap, "_WRITE_PIECE_PACKETS", piece):
+        assert write_pcap(LINKTYPE_RAW_IP, trace[a:b]) == write_pcap(LINKTYPE_RAW_IP, reference[a:b])
 
 
 @settings(max_examples=80, deadline=None)
