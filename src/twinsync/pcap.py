@@ -25,8 +25,9 @@ groups runs of them into PackBlocks of about PACK_BLOCK_BYTES; any
 other window is a block of one. A CaptureWindow is its block and its
 index there; its packets are sliced from the block's only when asked.
 The sender writes a block with one write_pcap call and slices it into
-windows (transport.pack_window); the virtual-clock receiver reads the
-windows it receives together back with one read_pcap call
+windows (transport.pack_window), sent together in the virtual clock
+(transport.send_windows); the receiver reads the windows it receives
+together back with one read_pcap call
 (transport.WindowReceiver.receive_block). A window holding a packet
 write_pcap refuses is always a block of one, so a block of several
 windows cannot fail to write.
@@ -173,8 +174,9 @@ class PackBlock:
 
     ``packets`` holds the packets of all of them and ``cuts`` the
     block-local index where each window starts, plus the block's end. A
-    window names its block and its index there (see CaptureWindow). The
-    sender writes the block on its first window (see
+    window names its block and its index there (see CaptureWindow), and
+    segment_stream yields the ``len(cuts) - 1`` windows of a block one
+    after another. The sender writes the block on its first window (see
     transport.pack_window) and hands the pcap to ``set_pcap``; each
     window's pcap is then the global header plus its range of the block's
     records, and the pcap of a block of one window is the block's pcap
@@ -215,7 +217,7 @@ class CaptureWindow(NamedTuple):
     view of the block's, made when asked. A window is an immutable tuple,
     safe to hand between threads. It is not checked here: segment_stream
     cuts only windows whose packets lie in order inside their bounds, and
-    transport.unpack_window checks every window where its bytes arrive.
+    transport.unpack_windows checks every window where its bytes arrive.
     """
 
     seq: int
@@ -230,11 +232,6 @@ class CaptureWindow(NamedTuple):
         """The window's packets, a slice of its block's."""
         cuts = self.block.cuts
         return self.block.packets[cuts[self.index]:cuts[self.index + 1]]
-
-    @property
-    def closes_block(self) -> bool:
-        """Whether this is its block's last window."""
-        return self.index == len(self.block.cuts) - 2
 
 
 def _unwritable(batch: PacketBatch) -> np.ndarray | None:

@@ -13,22 +13,23 @@ Either mode replays what the receiver delivers
 (transport.WindowReceiver.receive_block) with
 ReplayEngine.replay_block. Under the virtual clock this runs in the
 calling thread and every timestamp is computed from the data, so a run
-is deterministic down to the report bytes. Windows are sent one at a
-time, and once the last window of a pcap.PackBlock is sent, what the
-receiver has ready is received and replayed a block at a time.
-Real-time mode, for live demonstrations, cuts the same windows and runs
-on one clock, clocks.MonotonicClock, that reads capture time and
-advances speed_factor times as fast as the wall: a producer thread makes
-each chunk and sends each window once the clock passes its end, while a
-consumer thread waits for each window and replays it. The producer
-always closes the channel, even on failure, so the consumer drains and
-terminates; a failed consumer stops the producer and closes the receive
-side. Its timing is measured, not asserted.
+is deterministic down to the report bytes. A pcap.PackBlock's windows
+are sent with one transport.send_windows call, each at its end, and
+then what the receiver has ready is received and replayed a block at a
+time. Real-time mode, for live demonstrations, cuts the same windows
+and runs on one clock, clocks.MonotonicClock, that reads capture time
+and advances speed_factor times as fast as the wall: a producer thread
+makes each chunk and sends each window alone once the clock passes its
+end, while a consumer thread waits for each window and replays it. The
+producer always closes the channel, even on failure, so the consumer
+drains and terminates; a failed consumer stops the producer and closes
+the receive side. Its timing is measured, not asserted.
 """
 
 import json
 import threading
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 from .clocks import MonotonicClock
@@ -60,7 +61,7 @@ from .transport import (
     TcpReceiverChannel,
     TcpSenderChannel,
     WindowReceiver,
-    send_window,
+    send_windows,
 )
 
 # Decorrelates the channel's loss draws from the traffic generator while
@@ -185,9 +186,6 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
     receiver = WindowReceiver(recv_channel, log)
     windows = _windows(trace, origin, span_end, window_micros, cfg.descriptor.capture_interface, physical)
 
-    def send(window, now_micros: int) -> None:
-        send_window(window, send_channel, log, now_micros)
-
     def replay(wait: bool) -> None:
         """Replay every block the receiver delivers: polling, what is ready
         now; waiting (real time), each window until the end of the stream.
@@ -206,22 +204,23 @@ def _run(cfg: RunConfig, log: SyncLog, virtual: bool) -> RunResult:
 
     try:
         if virtual:
-            # Every window is in a PackBlock. A window sent on the in-process
-            # channel is already queued, so once a block's last window is
-            # sent, one poll finds every window of it that was not dropped.
+            # A PackBlock's windows come one after another. The rest of a
+            # block is taken by its count, not by looking a window past it,
+            # so a segmentation error comes after the windows before it are
+            # replayed. One poll then finds every window of it not dropped.
             stage = "capture"
             try:
                 for window in windows:
-                    send(window, window.end_ts_micros)
-                    if window.closes_block:
-                        stage = "replay"
-                        replay(wait=False)
-                        stage = "capture"
+                    block = [window, *islice(windows, len(window.block.cuts) - 2)]
+                    send_windows(block, send_channel, log, [w.end_ts_micros for w in block])
+                    stage = "replay"
+                    replay(wait=False)
+                    stage = "capture"
                 send_channel.close_send()
             except Exception as exc:
                 raise StageError(stage, exc) from exc
         else:
-            _run_threads(windows, send, lambda: replay(wait=True), send_channel, close_receive, clock)
+            _run_threads(windows, log, lambda: replay(wait=True), send_channel, close_receive, clock)
     finally:
         close_receive()
 
@@ -259,7 +258,7 @@ def _windows(trace, origin: int, span_end: int, window_micros: int, interface: s
         first = stop
 
 
-def _run_threads(windows, send, replay, send_channel, close_receive, clock) -> None:
+def _run_threads(windows, log, replay, send_channel, close_receive, clock) -> None:
     """Real time: a producer sends each window once it has closed, a consumer replays.
 
     Failures are kept in the order they happen and the first one is
@@ -274,7 +273,7 @@ def _run_threads(windows, send, replay, send_channel, close_receive, clock) -> N
             for window in windows:
                 if clock.wait_until(window.end_ts_micros, stop):
                     break
-                send(window, clock.now_micros())
+                send_windows([window], send_channel, log, clock.now_micros())
         except BaseException as exc:
             failures.append(("capture", exc))
         finally:

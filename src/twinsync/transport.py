@@ -18,22 +18,22 @@ never reordered. Three interchangeable channels implement it:
 Lost windows are never retransmitted: the twin always wants the most
 recent trace, and the gap stays visible to the metrics.
 
-pack_window serializes each window from the pcap.PackBlock it names:
+send_windows sends a pcap.PackBlock's windows in the virtual loop, one
+window in real time. pack_window serializes each window from its block:
 the windows of a block share one write_pcap call, so the per-window
 cost of a short T is a slice, a digest and a manifest. On the other
 side, unpack_windows holds the rules every received window must pass,
-whether it arrives alone (unpack_window, through WindowReceiver.receive)
-or in a group of two or more that WindowReceiver.receive_block reads
-with one read_pcap call. A group that fails any check goes through
-receive one window at a time, which raises the precise error. Either
-way the replay gets a ReceivedBlock. Manifests, receipts and received
-blocks are immutable named tuples, built at the cost of a tuple and
-safe to pass between the real-time threads.
+and reads with one read_pcap call a lone window (unpack_window, through
+WindowReceiver.receive) or a group that WindowReceiver.receive_block
+takes at once. A group that fails any check goes through receive one
+window at a time, which raises the precise error. Either way the replay
+gets a ReceivedBlock. Manifests, receipts and received blocks are
+immutable named tuples, safe to pass between the real-time threads.
 
 The SyncLog is columnar: int64 time columns and a lost mask indexed by
-seq. Each receive-side event is one call that takes one seq or an
-array of them, the metrics read the log as SyncLogColumns, and
-SyncLog.entries() builds one SyncLogEntry per window only when asked.
+seq. Each event is one call that takes one seq or an array of them,
+the metrics read the log as SyncLogColumns, and SyncLog.entries()
+builds one SyncLogEntry per window only when asked.
 """
 
 import hashlib
@@ -131,12 +131,12 @@ def unpack_windows(manifests: Sequence[WindowManifest],
     In this order, each window must match its manifest's length and digest
     (else DigestMismatchError), have a non-negative seq and a positive
     duration (ValueError), read as pcap (PcapError), and hold packets
-    inside [start, end) in time order (ValueError). A lone window is read
-    from its own bytes. Two or more are read with one read_pcap call, their
-    records joined behind their common global header, which reads each as
-    it would be read alone only when the global headers are identical, the
-    bounds follow one another and each window's bytes start on a record
-    boundary (else ValueError).
+    inside [start, end) in time order (ValueError). The windows are read
+    with one read_pcap call: a lone window from its own bytes, two or more
+    from their records joined behind their common global header, which
+    reads each as it would be read alone only when the global headers are
+    identical, the bounds follow one another and each window's bytes
+    start on a record boundary (else ValueError).
     """
     for manifest, payload in zip(manifests, payloads):
         if len(payload) != manifest.byte_length or _digest(payload) != manifest.content_digest:
@@ -145,28 +145,25 @@ def unpack_windows(manifests: Sequence[WindowManifest],
             raise ValueError("seq must be non-negative")
         if manifest.end_ts_micros <= manifest.start_ts_micros:
             raise ValueError("window must have positive duration")
-    if len(payloads) == 1:
-        _, packets = read_pcap(payloads[0])
-        cuts = np.array([0, len(packets)])
-        low, high = manifests[0].start_ts_micros, manifests[0].end_ts_micros
-    else:
-        header = payloads[0][:_GLOBAL_HEADER_LEN]
+    starts = np.array([manifest.start_ts_micros for manifest in manifests], dtype=np.int64)
+    ends = np.array([manifest.end_ts_micros for manifest in manifests], dtype=np.int64)
+    joined = payloads[0]
+    if len(payloads) > 1:
+        header = joined[:_GLOBAL_HEADER_LEN]
         if len(header) < _GLOBAL_HEADER_LEN or not all(payload.startswith(header) for payload in payloads):
             raise ValueError("windows with different global headers are not read joined")
-        starts = np.array([manifest.start_ts_micros for manifest in manifests], dtype=np.int64)
-        ends = np.array([manifest.end_ts_micros for manifest in manifests], dtype=np.int64)
         if (starts[1:] < ends[:-1]).any():
             raise ValueError("windows whose bounds overlap are not read joined")
         joined = header + b"".join([memoryview(payload)[_GLOBAL_HEADER_LEN:] for payload in payloads])
-        _, packets = read_pcap(joined)
-        window_at = np.cumsum([_GLOBAL_HEADER_LEN] + [len(payload) - _GLOBAL_HEADER_LEN for payload in payloads])
-        record_at = packets.offsets - _RECORD_HEADER_LEN
-        record_at[-1] = len(joined)
-        cuts = np.searchsorted(record_at, window_at)
-        if not (record_at[cuts] == window_at).all():
-            raise ValueError("a window's bytes do not start on a record boundary of the joined windows")
-        counts = np.diff(cuts)
-        low, high = np.repeat(starts, counts), np.repeat(ends, counts)
+    _, packets = read_pcap(joined)
+    window_at = np.cumsum([_GLOBAL_HEADER_LEN] + [len(payload) - _GLOBAL_HEADER_LEN for payload in payloads])
+    record_at = packets.offsets - _RECORD_HEADER_LEN
+    record_at[-1] = len(joined)
+    cuts = np.searchsorted(record_at, window_at)
+    if not (record_at[cuts] == window_at).all():
+        raise ValueError("a window's bytes do not start on a record boundary of the joined windows")
+    counts = np.diff(cuts)
+    low, high = np.repeat(starts, counts), np.repeat(ends, counts)
     ts = packets.ts_micros
     outside = first_index((ts < low) | (ts >= high))
     regression = packets.first_regression()
@@ -275,10 +272,10 @@ class SyncLog:
     of windows sent so far: a seq was sent iff 0 <= seq < the count sent.
     Receiving, replaying or losing a window this run never sent raises
     ForeignWindowError, and so does receiving one whose bounds differ
-    from those sent. ``record_received`` and ``record_replayed`` take one
-    seq or an array of them and record all of a call or none of it. A
-    single lock serializes writers; reads return copies, so the metrics
-    can run while a live pipeline keeps appending.
+    from those sent. Every call takes one seq or an array of them and
+    records all of the call or none of it. A single lock serializes
+    writers; reads return copies, so the metrics can run while a live
+    pipeline keeps appending.
     """
 
     def __init__(self):
@@ -309,21 +306,24 @@ class SyncLog:
         raise ForeignWindowError(seq, f"arrived as [{arrived[0]}, {arrived[1]}), "
                                       f"sent as [{sent_starts[bad]}, {sent_ends[bad]})")
 
-    def record_sent(self, seq: int, t_window_start: int, t_window_end: int, t_sent: int) -> None:
-        """Open the entry of the next window in seq order; any other seq
-        raises ValueError."""
+    def record_sent(self, seqs, t_window_start, t_window_end, t_sent) -> None:
+        """Open the entries of the next windows, one seq or an array of the
+        next seqs in order; any other seq raises ValueError and opens none."""
+        seqs = np.atleast_1d(seqs)
         with self._lock:
-            if seq != self._sent:
-                raise ValueError(f"window {seq} sent out of order: the next seq to send is {self._sent}")
-            if seq == len(self._lost):
+            first, stop = self._sent, self._sent + len(seqs)
+            bad = first_index(seqs != np.arange(first, stop))
+            if bad is not None:
+                raise ValueError(f"window {int(seqs[bad])} sent out of order: the next seq to send is {first + bad}")
+            while stop > (size := len(self._lost)):
                 for name, column in self._times.items():
-                    self._times[name] = np.concatenate((column, np.full(seq, NOT_RECORDED, dtype=np.int64)))
-                self._lost = np.concatenate((self._lost, np.zeros(seq, dtype=bool)))
+                    self._times[name] = np.concatenate((column, np.full(size, NOT_RECORDED, dtype=np.int64)))
+                self._lost = np.concatenate((self._lost, np.zeros(size, dtype=bool)))
             times = self._times
-            times["t_window_start"][seq] = t_window_start
-            times["t_window_end"][seq] = t_window_end
-            times["t_sent"][seq] = t_sent
-            self._sent = seq + 1
+            times["t_window_start"][first:stop] = t_window_start
+            times["t_window_end"][first:stop] = t_window_end
+            times["t_sent"][first:stop] = t_sent
+            self._sent = stop
 
     def record_received(self, seqs, t_received, t_window_start, t_window_end, holes_from: int | None = None) -> None:
         """Record windows received, one seq or an array in seq order, with
@@ -345,10 +345,10 @@ class SyncLog:
             self._check_sent(seqs)
             self._times["t_replayed"][seqs] = t_replayed
 
-    def mark_lost(self, seq: int) -> None:
+    def mark_lost(self, seqs) -> None:
         with self._lock:
-            self._check_sent(seq)
-            self._lost[seq] = True
+            self._check_sent(seqs)
+            self._lost[seqs] = True
 
     def columns(self) -> SyncLogColumns:
         with self._lock:
@@ -633,15 +633,18 @@ class TcpReceiverChannel:
         self._listener.close()
 
 
-def send_window(window: CaptureWindow, channel, log: SyncLog, now_micros: int) -> SendReceipt:
-    """Pack and send one window: open its sync-log entry, send, and mark it
-    lost if the channel dropped it."""
-    manifest, payload = pack_window(window)
-    log.record_sent(window.seq, window.start_ts_micros, window.end_ts_micros, now_micros)
-    receipt = channel.send(manifest, payload, now_micros)
-    if receipt.dropped:
-        log.mark_lost(window.seq)
-    return receipt
+def send_windows(windows: Sequence[CaptureWindow], channel, log: SyncLog, now_micros) -> None:
+    """Pack and send the next windows in seq order, at ``now_micros``, one
+    time for all or one per window: open their sync-log entries with one
+    call, send each, and mark those the channel dropped lost with one call."""
+    packed = [pack_window(window) for window in windows]
+    now_micros = np.broadcast_to(now_micros, len(windows))
+    log.record_sent([w.seq for w in windows], [w.start_ts_micros for w in windows],
+                    [w.end_ts_micros for w in windows], now_micros)
+    dropped = [manifest.seq for (manifest, payload), now in zip(packed, now_micros.tolist())
+               if channel.send(manifest, payload, now).dropped]
+    if dropped:
+        log.mark_lost(dropped)
 
 
 class ReceivedBlock(NamedTuple):

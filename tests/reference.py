@@ -295,7 +295,10 @@ def reference_lag_scores(x: list[float], y: list[float], max_lag: int) -> dict[i
 
 def reference_report(cfg, lag_bins: int | None = None) -> dict:
     """The "metrics" and "replay" sections of the report of ``cfg``, a
-    virtual-clock run over the in-process channel, from per-record code.
+    virtual-clock run over the in-process channel, from per-record code,
+    and its sync log as "sync_log", one SyncLogEntry per window in seq
+    order: each sent at its end, and a window the channel drops lost, with
+    no receipt or replay.
 
     The lag search picks the best-scoring lag, the smallest in magnitude
     and then the lowest among equal scores; ``lag_bins`` overrides it (to
@@ -379,7 +382,8 @@ def reference_report(cfg, lag_bins: int | None = None) -> dict:
         "windows_replayed": len(delivered),
         "packets_replayed": len(replayed_points),
     }
-    return {"metrics": metrics, "replay": replay, "lag_scores": scores, "bins_max": max(npt + ndt, default=0.0)}
+    return {"metrics": metrics, "replay": replay, "sync_log": rows, "lag_scores": scores,
+            "bins_max": max(npt + ndt, default=0.0)}
 
 
 def sequential_age_of_information(entries: list[SyncLogEntry], origin: int, horizon: int) -> tuple[float, int]:

@@ -368,6 +368,23 @@ class TestVirtualLoop:
         assert err.value.stage == "capture"
         assert isinstance(err.value.cause, TimestampRegressionError)
 
+    def test_a_segmentation_failure_comes_after_every_window_before_it(self, descriptor, monkeypatch, tmp_path):
+        """Packet 3,001 of a voice trace, in window 600 of the second
+        PackBlock, goes back in time: windows 0-599 are sent and replayed,
+        blocks of many windows included, before the capture stage fails."""
+        def out_of_order(spec):
+            records = records_of(generate(spec).records)
+            records[3000], records[3001] = records[3001], records[3000]
+            return BatchSource(batch_of(records))
+
+        monkeypatch.setattr(pipeline, "generate", out_of_order)
+        with deadline(), pytest.raises(StageError) as err:
+            run_pipeline(block_config(descriptor, out_dir=tmp_path))
+        assert (err.value.stage, str(err.value.cause)) == ("capture", "packet 3001: timestamp regression")
+        rows = [row.split(",") for row in (tmp_path / "sync_log.csv").read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(600))
+        assert all(row[5] != "" for row in rows)
+
     # A window alone is unpacked by unpack_window, a block's windows by
     # one read_pcap of their joined bytes.
     @pytest.mark.parametrize("name, stage, block", [
@@ -407,6 +424,48 @@ class TestVirtualLoop:
         assert (result.windows_sent, result.windows_replayed) == (6, 5)
         entry = result.log.entries()[2]
         assert entry.lost and entry.t_received is not None and entry.t_replayed is None
+
+
+class TestTracedCalls:
+    """The per-window calls bench/tracing.py counts: CI's traced gate reads
+    pack_useful_ratio from transport.pack_window calls, and browse-lossy's
+    holes == dropped from InProcessChannel.send and WindowReceiver.receive
+    calls. Until the product times itself (ROADMAP item 1), a change that
+    stops making them once per window fails here before it fails CI."""
+
+    GATE = "bench/tracing.py counts this call per window for CI's traced gate: see ROADMAP item 1"
+
+    @staticmethod
+    def _calls(monkeypatch, owner, name) -> list:
+        """What each call of ``owner.name`` returned, in call order."""
+        results, call = [], getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            results.append(call(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(owner, name, counted)
+        return results
+
+    def test_a_block_is_packed_and_sent_a_window_at_a_time(self, descriptor, monkeypatch):
+        packed = self._calls(monkeypatch, transport, "pack_window")
+        sent = self._calls(monkeypatch, InProcessChannel, "send")
+        opened = self._calls(monkeypatch, SyncLog, "record_sent")
+        with deadline():
+            result = run_pipeline(block_config(descriptor))
+        assert result.windows_sent == 1200
+        assert len(packed) == 1200, self.GATE
+        assert len(sent) == 1200, self.GATE
+        assert len(opened) == 3, "one sync-log call per PackBlock"
+
+    def test_a_lone_window_is_received_alone(self, descriptor, monkeypatch):
+        received = self._calls(monkeypatch, WindowReceiver, "receive")
+        with deadline():
+            result = run_pipeline(TestVirtualRuns._browse_lossy(descriptor, 60))
+        delivered = [delivery[1].seq for delivery in received if delivery is not None]
+        entries = result.log.entries()
+        assert 0 < result.report.windows_lost < result.windows_sent
+        assert delivered == [e.seq for e in entries if not e.lost], self.GATE
 
 
 class BatchSource:

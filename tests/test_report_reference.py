@@ -3,9 +3,10 @@
 reference.reference_report rebuilds the report from per-record code:
 segmentation, the in-process channel's loss draws and serialized link,
 replay times, throughput binning, the lag search and age of information
-sampled at its breakpoints. Window lengths from 10 ms to 10 s put windows
-on both sides of the 32-packet edge and of PackBlock edges, so the
-block receive path, the per-window path and their mix all meet it.
+sampled at its breakpoints, and the sync log row by row. Window lengths
+from 10 ms to 10 s put windows on both sides of the 32-packet edge and of
+PackBlock edges, so the block send and receive paths, the per-window
+paths and their mix all meet it.
 """
 
 import json
@@ -57,8 +58,10 @@ def _close(a: float, b: float, scale: float) -> bool:
 @given(data=st.data())
 def test_report_matches_the_reference(descriptor, data):
     cfg = data.draw(run_configs(descriptor))
-    got = json.loads(build_report_document(cfg, run_pipeline(cfg)))
+    result = run_pipeline(cfg)
+    got = json.loads(build_report_document(cfg, result))
     want = reference_report(cfg)
+    assert result.log.entries() == want["sync_log"]
 
     # A lag whose correlation ties the best one within float error may win
     # on either side; the reference then scores the pipeline's choice.

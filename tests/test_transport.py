@@ -5,6 +5,8 @@ import socket
 import tempfile
 import threading
 import time
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,7 @@ from twinsync.transport import (
     WindowReceiver,
     MAX_MANIFEST_BYTES,
     pack_window,
-    send_window,
+    send_windows,
     unpack_window,
     unpack_windows,
 )
@@ -294,15 +296,12 @@ class TestBlockPacking:
             manifest, payload = pack_window(window)
             assert payload == write_pcap(LINKTYPE_RAW_IP, window.packets)
             assert manifest.byte_length == len(payload)
-        blocks = {}
-        for window in windows:
-            block = window.block
-            blocks.setdefault(id(block), (block, []))[1].append(window)
-        for block, members in blocks.values():
-            # A window's packets are its range of its block's, and only the
-            # block's last window closes it.
+        blocks = [(block, list(members)) for block, members in groupby(windows, attrgetter("block"))]
+        # A block's windows come one after another, all of them.
+        assert len({id(block) for block, _ in blocks}) == len(blocks)
+        for block, members in blocks:
+            # A window's packets are its range of its block's.
             assert [window.index for window in members] == list(range(len(block.cuts) - 1))
-            assert [window.closes_block for window in members] == [False] * (len(members) - 1) + [True]
             for window in members:
                 own = block.packets[block.cuts[window.index]:block.cuts[window.index + 1]]
                 for column in ("ts_micros", "captured_len", "original_len", "offsets"):
@@ -316,7 +315,7 @@ class TestBlockPacking:
             # The block was below its budget before its last window joined.
             assert len(block.pcap) - len(pack_window(members[-1])[1]) < budget
         # Only a block's budget, or a window of VECTOR_MIN_PACKETS or more, ends a block.
-        for (before, _), (after, _) in zip(list(blocks.values()), list(blocks.values())[1:]):
+        for (before, _), (after, _) in zip(blocks, blocks[1:]):
             if len(before.cuts) - 1 == 1 == len(after.cuts) - 1:
                 continue
             assert (len(after.packets) >= VECTOR_MIN_PACKETS or len(before.packets) >= VECTOR_MIN_PACKETS
@@ -338,12 +337,12 @@ class TestBlockPacking:
         windows = segment_stream(batch_of(packets), SECOND, origin, span_end_micros=origin + 4 * SECOND)
         replayed = []
         with pytest.raises(PcapWriteError) as err:
-            for window in windows:
-                send_window(window, channel, log, now_micros=window.end_ts_micros)
-                if window.closes_block:
-                    while (block := receiver.receive_block()) is not None:
-                        engine.replay_block(block)
-                        replayed += block.seqs.tolist()
+            for _, members in groupby(windows, attrgetter("block")):
+                members = list(members)
+                send_windows(members, channel, log, [w.end_ts_micros for w in members])
+                while (block := receiver.receive_block()) is not None:
+                    engine.replay_block(block)
+                    replayed += block.seqs.tolist()
         assert replayed == [0, 1]
         assert (err.value.index, str(err.value)) == (index, str(PcapWriteError(index, message)))
         assert [e.seq for e in log.entries()] == [0, 1]
@@ -354,7 +353,7 @@ class TestBlockPacking:
         packets = [make_packet(k * SECOND + i, 70_000 if k in (3, 7) and i == 2 else 40)
                    for k in range(10) for i in range(3)]
         windows = list(segment_stream(batch_of(packets), SECOND, 0, span_end_micros=10 * SECOND))
-        sizes = [len(w.block.cuts) - 1 for w in windows if w.closes_block]
+        sizes = [len(block.cuts) - 1 for block, _ in groupby(windows, attrgetter("block"))]
         assert sizes == [3, 1, 3, 1, 2]
 
 
@@ -391,7 +390,7 @@ class TestWindowReceiver:
             if w.seq in skip:
                 log.record_sent(w.seq, w.start_ts_micros, w.end_ts_micros, w.end_ts_micros)
                 continue
-            send_window(w, channel, log, now_micros=w.end_ts_micros)
+            send_windows([w], channel, log, now_micros=w.end_ts_micros)
         channel.close_send()
 
     def test_in_order_delivery(self):
@@ -448,9 +447,9 @@ class TestWindowReceiver:
         receiver = WindowReceiver(channel, log)
         start = time.monotonic()
         assert receiver.receive(block=False) is None
-        send_window(window_of(0), channel, log, now_micros=10 * SECOND)
+        send_windows([window_of(0)], channel, log, now_micros=10 * SECOND)
         log.record_sent(1, 10 * SECOND, 20 * SECOND, 20 * SECOND)  # dropped before the channel
-        send_window(window_of(2), channel, log, now_micros=30 * SECOND)
+        send_windows([window_of(2)], channel, log, now_micros=30 * SECOND)
         assert [receiver.receive(block=False)[1].seq for _ in range(2)] == [0, 2]
         assert receiver.receive(block=False) is None
         assert time.monotonic() - start < 5.0
@@ -461,7 +460,7 @@ class TestWindowReceiver:
     def test_foreign_window_raises_and_adds_no_entry(self, foreign):
         log = SyncLog()
         channel = InProcessChannel(ChannelSpec())
-        send_window(window_of(0), channel, log, now_micros=10 * SECOND)
+        send_windows([window_of(0)], channel, log, now_micros=10 * SECOND)
         log.record_sent(1, 10 * SECOND, 20 * SECOND, 20 * SECOND)  # dropped before the channel
         channel.send(*pack_window(foreign), now_micros=20 * SECOND)
         receiver = WindowReceiver(channel, log)
@@ -533,7 +532,7 @@ class TestReceiveBlock:
                 if w.seq in dropped:
                     log.record_sent(w.seq, w.start_ts_micros, w.end_ts_micros, w.end_ts_micros)
                 else:
-                    send_window(w, channel, log, now_micros=w.end_ts_micros)
+                    send_windows([w], channel, log, now_micros=w.end_ts_micros)
             return channel
 
         log = SyncLog()
@@ -581,7 +580,7 @@ class TestReceiveBlock:
     def test_a_lone_delivery_goes_through_receive(self, monkeypatch):
         log, channel = SyncLog(), InProcessChannel(ChannelSpec())
         window = window_of(0, [make_packet(5, 40)])
-        send_window(window, channel, log, now_micros=window.end_ts_micros)
+        send_windows([window], channel, log, now_micros=window.end_ts_micros)
         unpack = transport_module.unpack_windows
 
         def lone_only(manifests, payloads):
@@ -603,7 +602,7 @@ class TestTwinLag:
     def _lag(self, T: int, latency: int) -> int:
         log, channel = SyncLog(), InProcessChannel(ChannelSpec(latency_us=latency))
         window = window_of(0, [make_packet(T // 2)], T=T)
-        send_window(window, channel, log, now_micros=window.end_ts_micros)
+        send_windows([window], channel, log, now_micros=window.end_ts_micros)
         ReplayEngine(ReplayPlan(), log).replay_block(WindowReceiver(channel, log).receive_block())
         (entry,) = log.entries()
         return entry.t_replayed - entry.t_window_start
@@ -627,7 +626,8 @@ class TestSyncLog:
                                                     np.array([SECOND])),
                         lambda: log.record_replayed(0, SECOND),
                         lambda: log.record_replayed(np.array([0]), np.array([SECOND])),
-                        lambda: log.mark_lost(0)):
+                        lambda: log.mark_lost(0),
+                        lambda: log.mark_lost(np.array([0]))):
             with pytest.raises(ForeignWindowError):
                 fill_in()
         assert log.entries() == []
@@ -657,17 +657,50 @@ class TestSyncLogArrayForms:
             log.record_replayed(np.array([0, 9]), np.array([5, 6]))
         assert log.entries() == before
 
-    @pytest.mark.parametrize("seq", [5, 9, 3, 0, -1], ids=["skipped", "far-ahead", "resent", "resent-first",
-                                                           "negative"])
-    def test_windows_are_sent_in_seq_order_from_0(self, seq):
+    @pytest.mark.parametrize("seqs, message", [
+        (5, "window 5 sent out of order: the next seq to send is 4"),
+        (9, "window 9 sent out of order: the next seq to send is 4"),
+        (3, "window 3 sent out of order: the next seq to send is 4"),
+        (0, "window 0 sent out of order: the next seq to send is 4"),
+        (-1, "window -1 sent out of order: the next seq to send is 4"),
+        ([4, 5, 7], "window 7 sent out of order: the next seq to send is 6"),
+        ([4, 5, 5, 6], "window 5 sent out of order: the next seq to send is 6"),
+        ([5, 6], "window 5 sent out of order: the next seq to send is 4"),
+    ], ids=["skipped", "far-ahead", "resent", "resent-first", "negative", "gap", "repeat", "wrong-first"])
+    def test_windows_are_sent_in_seq_order_from_0(self, seqs, message):
         log = self._log()
         log.record_received(1, 5 * SECOND, SECOND, 2 * SECOND, holes_from=0)
         before = log.entries()
-        with pytest.raises(ValueError, match=f"window {seq} sent out of order: the next seq to send is 4"):
-            log.record_sent(seq, 9 * SECOND, 10 * SECOND, 10 * SECOND)
+        seqs = np.array(seqs) if isinstance(seqs, list) else seqs
+        with pytest.raises(ValueError) as err:
+            log.record_sent(seqs, seqs * SECOND, (seqs + 1) * SECOND, (seqs + 1) * SECOND)
+        assert str(err.value) == message
         assert log.entries() == before
         log.record_sent(4, 4 * SECOND, 5 * SECOND, 5 * SECOND)
         assert [e.seq for e in log.entries()] == [0, 1, 2, 3, 4]
+
+    def test_a_run_of_seqs_past_the_first_rows_is_sent_at_once(self):
+        """One call opens seqs 4-199, across the log's first 64 rows and
+        two doublings, as one call per seq does."""
+        log = self._log()
+        seqs = np.arange(4, 200)
+        log.record_sent(seqs, seqs * SECOND, (seqs + 1) * SECOND, 300 * SECOND)
+        assert [(e.seq, e.t_window_start, e.t_window_end, e.t_sent, e.lost) for e in log.entries()] == [
+            (seq, seq * SECOND, (seq + 1) * SECOND, (seq + 1 if seq < 4 else 300) * SECOND, False)
+            for seq in range(200)]
+
+    def test_one_array_call_per_event_records_what_one_call_per_seq_records(self):
+        arrays, alone = SyncLog(), SyncLog()
+        seqs, lost = np.arange(150), np.array([0, 63, 64, 65, 149])
+        arrays.record_sent(seqs, seqs * SECOND, (seqs + 1) * SECOND, (seqs + 2) * SECOND)
+        arrays.mark_lost(lost)
+        for seq in seqs.tolist():
+            alone.record_sent(seq, seq * SECOND, (seq + 1) * SECOND, (seq + 2) * SECOND)
+        for seq in lost.tolist():
+            alone.mark_lost(seq)
+        assert [e.seq for e in alone.entries() if e.lost] == lost.tolist()
+        assert arrays.entries() == alone.entries()
+        assert arrays.to_csv_bytes() == alone.to_csv_bytes()
 
     def test_one_array_call_records_what_one_call_per_seq_records(self):
         arrays, alone = self._log(), self._log()
@@ -727,7 +760,7 @@ class TestDirectoryExchange:
         receiver_channel = DirectoryExchangeChannel(spec, tmp_path, ManualClock())
         windows = [window_of(s, [make_packet(s * 10 * SECOND + 5, 33)]) for s in range(3)]
         for w in windows:
-            send_window(w, sender, log, now_micros=w.end_ts_micros)
+            send_windows([w], sender, log, now_micros=w.end_ts_micros)
         sender.close_send()
         assert (tmp_path / "window_0.pcap").exists()
         assert (tmp_path / "window_2.manifest.json").exists()
@@ -742,7 +775,7 @@ class TestDirectoryExchange:
     def test_manifest_file_is_valid_json_with_digest(self, tmp_path):
         log = SyncLog()
         sender = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path, ManualClock())
-        send_window(window_of(0, [make_packet(4, 10)]), sender, log, now_micros=10 * SECOND)
+        send_windows([window_of(0, [make_packet(4, 10)])], sender, log, now_micros=10 * SECOND)
         doc = json.loads((tmp_path / "window_0.manifest.json").read_text())
         payload = (tmp_path / "window_0.pcap").read_bytes()
         import hashlib
@@ -912,7 +945,7 @@ class TestTcpChannel:
         def send_all():
             sender = TcpSenderChannel(ChannelSpec(kind="tcp"), "127.0.0.1", receiver_channel.port)
             for w in windows:
-                send_window(w, sender, log, now_micros=w.end_ts_micros)
+                send_windows([w], sender, log, now_micros=w.end_ts_micros)
             sender.close_send()
 
         thread = threading.Thread(target=send_all)
@@ -936,7 +969,7 @@ class TestTcpChannel:
                 if w.seq == 1:
                     log.record_sent(w.seq, w.start_ts_micros, w.end_ts_micros, w.end_ts_micros)
                     continue  # simulated sender-side drop
-                send_window(w, sender, log, now_micros=w.end_ts_micros)
+                send_windows([w], sender, log, now_micros=w.end_ts_micros)
             sender.close_send()
 
         thread = threading.Thread(target=send_with_gap)
