@@ -24,13 +24,16 @@ cost of each numpy call on a handful of records, so segment_stream
 groups runs of them into PackBlocks of about PACK_BLOCK_BYTES; any
 other window is a block of one. A CaptureWindow is its block and its
 index there; its packets are sliced from the block's only when asked.
-The sender writes a block with one write_pcap call and slices it into
-windows (transport.pack_window), sent together in the virtual clock
-(transport.send_windows); the receiver reads the windows it receives
-together back with one read_pcap call
+The sender sends a block's windows together in the virtual clock
+(transport.send_windows) and writes the block with one write_pcap call
+on its first kept window, the first the channel does not drop; the
+other kept windows slice it (transport.pack_window), and a block whose
+windows all drop is never written. The receiver reads the windows it
+receives together back with one read_pcap call
 (transport.WindowReceiver.receive_block). A window holding a packet
 write_pcap refuses is always a block of one, so a block of several
-windows cannot fail to write.
+windows cannot fail to write; check_writable, write_pcap's refusal on
+its own, lets the sender refuse such a window before it sends it.
 
 Every path produces the same bytes, packets and errors.
 """
@@ -176,11 +179,12 @@ class PackBlock:
     block-local index where each window starts, plus the block's end. A
     window names its block and its index there (see CaptureWindow), and
     segment_stream yields the ``len(cuts) - 1`` windows of a block one
-    after another. The sender writes the block on its first window (see
-    transport.pack_window) and hands the pcap to ``set_pcap``; each
-    window's pcap is then the global header plus its range of the block's
-    records, and the pcap of a block of one window is the block's pcap
-    itself. A window built by hand is a block of one:
+    after another. The block is written on its first kept window, the
+    first the channel does not drop (see transport.pack_window), which
+    hands the pcap to ``set_pcap``; each window's pcap is then the global
+    header plus its range of the block's records, and the pcap of a block
+    of one window is the block's pcap itself. A block whose windows all
+    drop keeps ``pcap`` None. A window built by hand is a block of one:
     ``PackBlock(packets, [0, len(packets)])``.
     """
 
@@ -241,22 +245,29 @@ def _unwritable(batch: PacketBatch) -> np.ndarray | None:
     return unwritable if unwritable.any() else None
 
 
+def check_writable(batch: PacketBatch) -> None:
+    """Raise the PcapWriteError write_pcap raises for ``batch``, naming its
+    first packet captured past DEFAULT_SNAPLEN or stamped past 32-bit
+    seconds; return when write_pcap takes every packet."""
+    unwritable = _unwritable(batch)
+    if unwritable is None:
+        return
+    bad, cap = first_index(unwritable), batch.captured_len
+    if cap[bad] > DEFAULT_SNAPLEN:
+        raise PcapWriteError(bad, f"captured_len {int(cap[bad])} exceeds snaplen {DEFAULT_SNAPLEN}")
+    raise PcapWriteError(bad, "timestamp beyond 32-bit seconds")
+
+
 def write_pcap(linktype: int, batch: PacketBatch) -> bytes:
     """Serialize packets into a classic pcap byte string.
 
-    Output is deterministic: same packets, same bytes. A packet captured
-    past DEFAULT_SNAPLEN or stamped past 32-bit seconds raises
-    PcapWriteError naming the first such packet. Each record is
+    Output is deterministic: same packets, same bytes. A batch that
+    check_writable refuses raises its PcapWriteError. Each record is
     written once, into the buffer of the bytes returned: no full-size
     scratch array exists, and nothing is copied at the end.
     """
+    check_writable(batch)
     cap = batch.captured_len
-    unwritable = _unwritable(batch)
-    if unwritable is not None:
-        bad = first_index(unwritable)
-        if cap[bad] > DEFAULT_SNAPLEN:
-            raise PcapWriteError(bad, f"captured_len {int(cap[bad])} exceeds snaplen {DEFAULT_SNAPLEN}")
-        raise PcapWriteError(bad, "timestamp beyond 32-bit seconds")
     n = len(batch)
     record_at = np.empty(n + 1, dtype=np.int64)
     record_at[0] = _GLOBAL_HEADER_LEN

@@ -19,9 +19,11 @@ Lost windows are never retransmitted: the twin always wants the most
 recent trace, and the gap stays visible to the metrics.
 
 send_windows sends a pcap.PackBlock's windows in the virtual loop, one
-window in real time. pack_window serializes each window from its block:
-the windows of a block share one write_pcap call, so the per-window
-cost of a short T is a slice, a digest and a manifest. On the other
+window in real time. The channel draws a window's loss before the
+window is serialized, and pack_window serializes only a window the
+channel keeps, from its block: the kept windows of a block share one
+write_pcap call, so the per-window cost of a short T is a slice, a
+digest and a manifest, and a dropped window costs one draw. On the other
 side, unpack_windows holds the rules every received window must pass,
 and reads with one read_pcap call a lone window (unpack_window, through
 WindowReceiver.receive) or a group that WindowReceiver.receive_block
@@ -66,6 +68,7 @@ from .pcap import (
     LINKTYPE_RAW_IP,
     CaptureWindow,
     PacketBatch,
+    check_writable,
     first_index,
     read_pcap,
     write_pcap,
@@ -111,7 +114,8 @@ def pack_window(window: CaptureWindow) -> tuple[WindowManifest, bytes]:
 
     A window's pcap is its range of its PackBlock's records behind the
     global header: the block's first window packed writes the whole block
-    with one write_pcap call, and the others slice it.
+    with one write_pcap call, and the others slice it. A channel packs
+    only the windows it keeps (see _SendingChannel.send).
     """
     block = window.block
     if block.pcap is None:
@@ -387,21 +391,24 @@ def _optional(t: int) -> int | None:
 class _SendingChannel:
     """The send side every channel shares: ``send`` refuses after
     ``close_send``, draws the seeded loss (one draw per send, so a run
-    drops the same windows on every channel) and returns the receipt; a
-    window that survives the draw goes to the subclass's ``_deliver``."""
+    drops the same windows on every channel) and returns the receipt. A
+    window that survives the draw, and only such a window, is packed
+    (pack_window) and goes to the subclass's ``_deliver``, the one step
+    that puts a packed window on the wire."""
 
     def __init__(self, spec: ChannelSpec):
         self.spec = spec
         self._rng = random.Random(spec.seed)
         self._send_closed = False
 
-    def send(self, manifest: WindowManifest, payload: bytes, now_micros: int) -> SendReceipt:
+    def send(self, window: CaptureWindow, now_micros: int) -> SendReceipt:
         if self._send_closed:
             raise ChannelClosedError("send on closed channel")
         dropped = self._rng.random() < self.spec.loss_probability
         if not dropped:
+            manifest, payload = pack_window(window)
             self._deliver(manifest, payload, now_micros)
-        return SendReceipt(manifest.seq, dropped)
+        return SendReceipt(window.seq, dropped)
 
 
 _END_OF_STREAM = object()
@@ -634,15 +641,23 @@ class TcpReceiverChannel:
 
 
 def send_windows(windows: Sequence[CaptureWindow], channel, log: SyncLog, now_micros) -> None:
-    """Pack and send the next windows in seq order, at ``now_micros``, one
-    time for all or one per window: open their sync-log entries with one
-    call, send each, and mark those the channel dropped lost with one call."""
-    packed = [pack_window(window) for window in windows]
+    """Send the next windows in seq order, at ``now_micros``, one time for
+    all or one per window: open their sync-log entries with one call, send
+    each, and mark those the channel dropped lost with one call. The
+    channel packs only the windows it keeps, so a block that write_pcap
+    refuses is refused first, with write_pcap's error, before any entry
+    opens, whether or not the channel would have kept its windows."""
+    block = None
+    for window in windows:
+        if window.block is not block:  # a block's windows come one after another
+            block = window.block
+            if block.pcap is None:
+                check_writable(block.packets)
     now_micros = np.broadcast_to(now_micros, len(windows))
     log.record_sent([w.seq for w in windows], [w.start_ts_micros for w in windows],
                     [w.end_ts_micros for w in windows], now_micros)
-    dropped = [manifest.seq for (manifest, payload), now in zip(packed, now_micros.tolist())
-               if channel.send(manifest, payload, now).dropped]
+    dropped = [window.seq for window, now in zip(windows, now_micros.tolist())
+               if channel.send(window, now).dropped]
     if dropped:
         log.mark_lost(dropped)
 

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,27 @@ from twinsync.model import LinkProfile, SliceSpec, TwinDescriptor
 from reference import PacketRecord
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class DeadlineExpired(BaseException):
+    """Raised by deadline(); a BaseException, so no handler in the loop takes it."""
+
+
+@contextmanager
+def deadline(seconds: int = 30):
+    """Fail the test instead of letting a stuck loop hang: a blocking queue
+    get, lock acquire (thread.join) or socket recv in the main thread is
+    interrupted once ``seconds`` have passed. Also a test decorator."""
+    def expire(signum, frame):
+        raise DeadlineExpired(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

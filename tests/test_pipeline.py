@@ -2,14 +2,12 @@ import functools
 import gc
 import hashlib
 import json
-import signal
 import struct
 import tempfile
 import threading
 import time
 import tracemalloc
 import weakref
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +32,7 @@ from twinsync.transport import (
     pack_window,
 )
 
+from conftest import deadline
 from reference import ManualClock, batch_of, out_of_order_seqs, records_of
 
 SECOND = 1_000_000
@@ -54,25 +53,6 @@ def block_config(descriptor, **kw):
     """1,200 windows of 5 packets, in three PackBlocks: seqs 0-468, 469-937
     and 938-1199."""
     return run_config(replace(descriptor, window_seconds=0.05), kind="voice-call", **kw)
-
-
-class DeadlineExpired(BaseException):
-    """Raised by deadline(); a BaseException, so no handler in the loop takes it."""
-
-
-@contextmanager
-def deadline(seconds: int = 30):
-    """Fail the test instead of letting a stuck loop hang."""
-    def expire(signum, frame):
-        raise DeadlineExpired(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestVirtualRuns:
@@ -152,29 +132,32 @@ class TestVirtualRuns:
     def test_a_run_does_not_depend_on_the_chunk_budget(self, descriptor, monkeypatch, tmp_path, lossy):
         """Chunks of one window, of a few, and of the default budget give the
         same report, sync log and throughput CSVs, and the channel carries
-        the same windows. Voice windows are 5 packets: at 1,500 packets a
-        chunk is 256 windows, so its PackBlocks, 469 windows at most, end
-        where chunks do, not where the block budget would end them."""
+        the same windows, every window it keeps. Voice windows are 5
+        packets: at 1,500 packets a chunk is 256 windows, so its PackBlocks,
+        469 windows at most, end where chunks do, not where the block budget
+        would end them."""
         cfg = self._browse_lossy(descriptor, 30) if lossy else block_config(descriptor)
         budgets = (1, 10_000 if lossy else 1_500, pipeline._CHUNK_PACKETS)
-        send = InProcessChannel.send
+        deliver = InProcessChannel._deliver
         runs = []
         for budget in budgets:
             carried = []
 
             def kept(channel, manifest, payload, now_micros):
                 carried.append((manifest, payload))
-                return send(channel, manifest, payload, now_micros)
+                return deliver(channel, manifest, payload, now_micros)
 
-            monkeypatch.setattr(InProcessChannel, "send", kept)
+            monkeypatch.setattr(InProcessChannel, "_deliver", kept)
             monkeypatch.setattr(pipeline, "_CHUNK_PACKETS", budget)
             out = tmp_path / str(budget)
             run_cfg = replace(cfg, out_dir=out)
             write_run_artifacts(run_cfg, run_pipeline(run_cfg), out / "report.json")
             names = ("report.json", "sync_log.csv", "npt_throughput.csv", "ndt_throughput.csv")
             runs.append(({name: (out / name).read_bytes() for name in names}, carried))
-        assert len(runs[0][1]) == cfg.scenario.duration_micros // cfg.descriptor.window_micros
-        assert (json.loads(runs[0][0]["report.json"])["metrics"]["windows_lost"] > 0) == lossy
+        doc = json.loads(runs[0][0]["report.json"])
+        assert doc["replay"]["windows_sent"] == cfg.scenario.duration_micros // cfg.descriptor.window_micros
+        assert len(runs[0][1]) == doc["replay"]["windows_sent"] - doc["metrics"]["windows_lost"]
+        assert (doc["metrics"]["windows_lost"] > 0) == lossy
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_lossless_run_reproduces_the_series_exactly(self, descriptor):
@@ -402,20 +385,20 @@ class TestVirtualLoop:
         assert str(err.value.cause) == f"{name} failed"
 
     def test_corrupted_payload_is_a_digest_failure_and_a_lost_window(self, descriptor, monkeypatch):
-        send = InProcessChannel.send
+        deliver = InProcessChannel._deliver
         receivers = []
 
         def corrupt_window_2(channel, manifest, payload, now_micros):
             if manifest.seq == 2:
                 payload = bytes([payload[0] ^ 0xFF]) + payload[1:]
-            return send(channel, manifest, payload, now_micros)
+            return deliver(channel, manifest, payload, now_micros)
 
         class KeptReceiver(WindowReceiver):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 receivers.append(self)
 
-        monkeypatch.setattr(InProcessChannel, "send", corrupt_window_2)
+        monkeypatch.setattr(InProcessChannel, "_deliver", corrupt_window_2)
         monkeypatch.setattr(pipeline, "WindowReceiver", KeptReceiver)
         with deadline():
             result = run_pipeline(run_config(descriptor, seed=3))
@@ -457,6 +440,38 @@ class TestTracedCalls:
         assert len(packed) == 1200, self.GATE
         assert len(sent) == 1200, self.GATE
         assert len(opened) == 3, "one sync-log call per PackBlock"
+
+    @pytest.mark.parametrize("config", [
+        lambda descriptor: TestVirtualRuns._browse_lossy(descriptor, 60),
+        lambda descriptor: block_config(descriptor, channel=ChannelSpec(loss_probability=0.3), seed=2),
+        lambda descriptor: block_config(descriptor, channel=ChannelSpec(loss_probability=1.0)),
+    ], ids=["browse-lossy", "drops-inside-blocks", "all-dropped"])
+    def test_a_lossy_run_packs_exactly_what_it_delivers(self, descriptor, monkeypatch, config):
+        """The channel draws a window's loss before it is packed: a dropped
+        window is never packed, and a PackBlock whose windows all drop is
+        never written."""
+        packed = self._calls(monkeypatch, transport, "pack_window")
+        written = self._calls(monkeypatch, transport, "write_pcap")
+        sent, send = [], InProcessChannel.send  # (window's block, receipt) per send
+
+        def watched(channel, window, now_micros):
+            sent.append((window.block, send(channel, window, now_micros)))
+            return sent[-1][1]
+
+        monkeypatch.setattr(InProcessChannel, "send", watched)
+        cfg = config(descriptor)
+        with deadline():
+            result = run_pipeline(cfg)
+        kept = [(block, receipt) for block, receipt in sent if not receipt.dropped]
+        assert len(sent) == result.windows_sent, self.GATE
+        assert len(packed) == len(kept), ("CI's traced gate reads pack_useful_ratio == 1 on browse-lossy: "
+                                          "only a window the channel keeps is packed")
+        assert len(written) == len({id(block) for block, _ in kept}), "a block is written on its first kept window"
+        if cfg.channel.loss_probability == 1.0:
+            assert packed == written == [] and result.report.windows_lost == result.windows_sent
+        else:
+            assert 0 < result.report.windows_lost < result.windows_sent
+            assert result.windows_replayed == len(kept)
 
     def test_a_lone_window_is_received_alone(self, descriptor, monkeypatch):
         received = self._calls(monkeypatch, WindowReceiver, "receive")
@@ -557,7 +572,7 @@ def _torn(tail: int = 10):
     return tear
 
 
-_UNPATCHED_SEND = InProcessChannel.send
+_UNPATCHED_DELIVER = InProcessChannel._deliver
 
 
 def _refuse_groups(monkeypatch):
@@ -580,15 +595,15 @@ class TestBlockFaults:
     K = 600  # in the second block, seqs 469-937
 
     def _replace_window_k(self, monkeypatch, tamper, windows=1):
-        """Send ``windows`` windows from k on through ``tamper``."""
-        send = InProcessChannel.send
+        """Deliver ``windows`` windows from k on through ``tamper``."""
+        deliver = InProcessChannel._deliver
 
         def tampered(channel, manifest, payload, now_micros):
             if self.K <= manifest.seq < self.K + windows:
                 manifest, payload = tamper(manifest, payload)
-            return send(channel, manifest, payload, now_micros)
+            return deliver(channel, manifest, payload, now_micros)
 
-        monkeypatch.setattr(InProcessChannel, "send", tampered)
+        monkeypatch.setattr(InProcessChannel, "_deliver", tampered)
 
     def _receivers(self, monkeypatch):
         receivers = []
@@ -619,7 +634,7 @@ class TestBlockFaults:
         log, channel = SyncLog(), InProcessChannel(ChannelSpec())
         for seq in range(TestBlockFaults.K + 1):
             log.record_sent(seq, seq * 50_000, (seq + 1) * 50_000, (seq + 1) * 50_000)
-        _UNPATCHED_SEND(channel, manifest, payload, 0)
+        _UNPATCHED_DELIVER(channel, manifest, payload, 0)
         with pytest.raises(Exception) as err:
             WindowReceiver(channel, log).receive()
         return err.value
@@ -656,14 +671,18 @@ class TestBlockFaults:
         assert all(row[5] == "" for row in rows[self.K:])
         assert logs[0][:self.K] == logs[1][:self.K]
 
+    @pytest.mark.parametrize("loss", [0.0, 1.0])
     @settings(deadline=None, max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_an_unwritable_packet_fails_capture_after_the_windows_before_it(self, descriptor, data):
+    def test_an_unwritable_packet_fails_capture_after_the_windows_before_it(self, descriptor, data, loss):
         """A packet write_pcap refuses, anywhere in a trace of small windows:
-        its window fails to pack with the error it raises written alone,
-        after every window before it has been replayed, as one window at a
-        time would have done."""
-        cfg = block_config(descriptor, seconds=30)
+        its window fails with the error write_pcap raises for it alone,
+        after every window before it has been replayed (or, when the
+        channel drops every window, marked lost), as one window at a time
+        would have done, and before its own sync-log entry opens. With
+        every window dropped nothing is ever packed, so the send path
+        refuses the window before the channel draws its loss."""
+        cfg = block_config(descriptor, seconds=30, channel=ChannelSpec(loss_probability=loss))
         trace = _voice_trace(cfg.scenario)
         index = data.draw(st.integers(0, len(trace.records) - 1), label="index")
         records = _with_unwritable_packet(trace.records, index)
@@ -688,7 +707,8 @@ class TestBlockFaults:
                 assert err.value.cause.index == alone.value.index
                 logs.append((Path(tmp) / run / "sync_log.csv").read_text().splitlines()[1:])
         rows = [row.split(",") for row in logs[0]]
-        assert len(rows) == k and all(row[5] != "" for row in rows)
+        assert len(rows) == k
+        assert all((row[5] != "", row[6]) == ((True, "0") if loss == 0 else (False, "1")) for row in rows)
         assert logs[0] == logs[1]
 
     def test_a_replay_failure_before_an_unwritable_window_wins(self, descriptor, monkeypatch, tmp_path):
@@ -912,7 +932,7 @@ class TestRealTimeRuns:
     def test_tcp_replay_failure_is_raised_first_and_unblocks_the_sender(self, descriptor, monkeypatch):
         # Window 2's send blocks until the receiving side closes, as a send
         # on full socket buffers does; meanwhile the twin fails on window 1.
-        send, replay_block = TcpSenderChannel.send, ReplayEngine.replay_block
+        deliver, replay_block = TcpSenderChannel._deliver, ReplayEngine.replay_block
         blocked = threading.Event()
 
         def send_blocking_from_2(channel, manifest, payload, now_micros):
@@ -920,7 +940,7 @@ class TestRealTimeRuns:
                 blocked.set()
                 if not channel._sock.recv(1):
                     raise ConnectionResetError("receiver closed")
-            return send(channel, manifest, payload, now_micros)
+            return deliver(channel, manifest, payload, now_micros)
 
         def crash_on_second(engine, block):
             if block.seqs[0] == 1:
@@ -928,7 +948,7 @@ class TestRealTimeRuns:
                 raise RuntimeError("twin crashed")
             return replay_block(engine, block)
 
-        monkeypatch.setattr(TcpSenderChannel, "send", send_blocking_from_2)
+        monkeypatch.setattr(TcpSenderChannel, "_deliver", send_blocking_from_2)
         monkeypatch.setattr(ReplayEngine, "replay_block", crash_on_second)
         cfg = run_config(
             replace(descriptor, window_seconds=0.4),

@@ -53,7 +53,7 @@ from twinsync.transport import (
     unpack_windows,
 )
 
-from conftest import make_packet, packet_lists
+from conftest import deadline, make_packet, packet_lists
 from reference import ManualClock, batch_of, lone_window, out_of_order_seqs, records_of
 
 SECOND = 1_000_000
@@ -127,51 +127,54 @@ class TestUnpackWindows:
 
 
 class TestInProcessChannel:
+    @deadline()
     def test_delivery_delay_matches_latency_plus_serialization(self):
         # Oracle: delay = latency + bytes*8/bandwidth
         #       = 100 ms + 8e6 bits / 10 Mbps = 0.1 s + 0.8 s = 0.9 s.
         spec = ChannelSpec(latency_us=100_000, bandwidth_bps=10_000_000)
         channel = InProcessChannel(spec)
         payload = b"\x00" * 1_000_000
-        channel.send(manifest_for_payload(0, payload), payload, now_micros=0)
+        channel._deliver(manifest_for_payload(0, payload), payload, now_micros=0)
         _, _, arrival = channel.receive()
         assert arrival == 900_000
 
+    @deadline()
     def test_back_to_back_sends_queue_on_the_link(self):
         spec = ChannelSpec(latency_us=100_000, bandwidth_bps=10_000_000)
         channel = InProcessChannel(spec)
         payload = b"\x00" * 1_000_000  # 0.8 s of serialization each
-        channel.send(manifest_for_payload(0, payload), payload, now_micros=0)
-        channel.send(manifest_for_payload(1, payload), payload, now_micros=0)
+        channel._deliver(manifest_for_payload(0, payload), payload, now_micros=0)
+        channel._deliver(manifest_for_payload(1, payload), payload, now_micros=0)
         arrivals = [channel.receive()[2] for _ in range(2)]
         # Second transmission starts only when the first leaves the link.
         assert arrivals == [900_000, 800_000 + 800_000 + 100_000]
 
+    @deadline()
     def test_lossless_channel_delivers_everything_once(self):
         channel = InProcessChannel(ChannelSpec(loss_probability=0.0))
         for seq in range(5):
-            payload = bytes([seq])
-            channel.send(manifest_for_payload(seq, payload), payload, now_micros=seq)
+            channel.send(window_of(seq), now_micros=seq)
         channel.close_send()
         seqs = []
         while (item := channel.receive()) is not None:
             seqs.append(item[0].seq)
         assert seqs == [0, 1, 2, 3, 4]
 
+    @deadline()
     def test_total_loss_still_produces_receipts(self):
         channel = InProcessChannel(ChannelSpec(loss_probability=1.0))
-        receipts = [
-            channel.send(manifest_for_payload(seq, b"x"), b"x", now_micros=seq)
-            for seq in range(4)
-        ]
+        windows = [window_of(seq, [make_packet(seq * 10 * SECOND + 1, 40)]) for seq in range(4)]
+        receipts = [channel.send(window, now_micros=window.seq) for window in windows]
         channel.close_send()
-        assert all(r.dropped for r in receipts)
+        assert [(r.seq, r.dropped) for r in receipts] == [(seq, True) for seq in range(4)]
         assert channel.receive() is None
+        # A window the channel drops is never written.
+        assert all(window.block.pcap is None for window in windows)
 
     def test_seeded_loss_is_reproducible(self):
         def drop_pattern(seed):
             channel = InProcessChannel(ChannelSpec(loss_probability=0.5, seed=seed))
-            return [channel.send(manifest_for_payload(s, b"x"), b"x", s).dropped for s in range(32)]
+            return [channel.send(window_of(s), s).dropped for s in range(32)]
 
         assert drop_pattern(7) == drop_pattern(7)
         assert drop_pattern(7) != drop_pattern(8)
@@ -180,7 +183,7 @@ class TestInProcessChannel:
         channel = InProcessChannel(ChannelSpec())
         channel.close_send()
         with pytest.raises(ChannelClosedError):
-            channel.send(manifest_for_payload(0, b"x"), b"x", 0)
+            channel.send(window_of(0), 0)
 
 
 class TestPackUnpack:
@@ -360,7 +363,7 @@ class TestBlockPacking:
 def test_window_objects_are_immutable_tuples():
     window = lone_window(0, 0, 10, batch_of([make_packet(3)]))
     manifest, payload = pack_window(window)
-    receipt = InProcessChannel(ChannelSpec()).send(manifest, payload, now_micros=10)
+    receipt = InProcessChannel(ChannelSpec()).send(window, now_micros=10)
     block = WindowReceiver(_ended(manifest, payload), _sent_log(window)).receive_block()
     for value, field in ((window, "seq"), (manifest, "content_digest"), (receipt, "dropped"),
                          (block, "packets")):
@@ -373,7 +376,7 @@ def test_window_objects_are_immutable_tuples():
 def _ended(manifest: WindowManifest, payload: bytes) -> InProcessChannel:
     """An in-process channel that holds one window and then ends."""
     channel = InProcessChannel(ChannelSpec())
-    channel.send(manifest, payload, now_micros=0)
+    channel._deliver(manifest, payload, now_micros=0)
     channel.close_send()
     return channel
 
@@ -393,6 +396,7 @@ class TestWindowReceiver:
             send_windows([w], channel, log, now_micros=w.end_ts_micros)
         channel.close_send()
 
+    @deadline()
     def test_in_order_delivery(self):
         log = SyncLog()
         channel = InProcessChannel(ChannelSpec())
@@ -405,6 +409,7 @@ class TestWindowReceiver:
         assert not any(e.lost for e in log.entries())
         assert out_of_order_seqs(log.entries()) == []
 
+    @deadline()
     def test_hole_is_declared_lost_and_delivery_continues(self):
         log = SyncLog()
         channel = InProcessChannel(ChannelSpec())
@@ -417,6 +422,7 @@ class TestWindowReceiver:
         assert log.entries()[1].lost
         assert log.entries()[1].t_received is None
 
+    @deadline()
     def test_trailing_hole_not_seen_by_receiver(self):
         log = SyncLog()
         channel = InProcessChannel(ChannelSpec())
@@ -427,13 +433,14 @@ class TestWindowReceiver:
             seqs.append(item[1].seq)
         assert seqs == [0, 1]
 
+    @deadline()
     def test_digest_mismatch_counts_as_lost(self):
         log = SyncLog()
         channel = InProcessChannel(ChannelSpec())
         window = window_of(0, [make_packet(SECOND, 20)])
         manifest, payload = pack_window(window)
         log.record_sent(0, window.start_ts_micros, window.end_ts_micros, window.end_ts_micros)
-        channel.send(manifest, payload[:-1] + bytes([payload[-1] ^ 0xFF]), window.end_ts_micros)
+        channel._deliver(manifest, payload[:-1] + bytes([payload[-1] ^ 0xFF]), window.end_ts_micros)
         channel.close_send()
         receiver = WindowReceiver(channel, log)
         assert receiver.receive() is None
@@ -457,12 +464,13 @@ class TestWindowReceiver:
 
     @pytest.mark.parametrize("foreign", [window_of(7), lone_window(1, 5 * SECOND, 15 * SECOND, batch_of([]))],
                              ids=["unsent-seq", "sent-seq-other-bounds"])
+    @deadline()
     def test_foreign_window_raises_and_adds_no_entry(self, foreign):
         log = SyncLog()
         channel = InProcessChannel(ChannelSpec())
         send_windows([window_of(0)], channel, log, now_micros=10 * SECOND)
         log.record_sent(1, 10 * SECOND, 20 * SECOND, 20 * SECOND)  # dropped before the channel
-        channel.send(*pack_window(foreign), now_micros=20 * SECOND)
+        channel.send(foreign, now_micros=20 * SECOND)
         receiver = WindowReceiver(channel, log)
         assert receiver.receive()[1].seq == 0
         before = log.entries()
@@ -560,7 +568,7 @@ class TestReceiveBlock:
             if window.seq == 1:
                 payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
             log.record_sent(window.seq, window.start_ts_micros, window.end_ts_micros, window.end_ts_micros)
-            channel.send(manifest, payload, window.end_ts_micros)
+            channel._deliver(manifest, payload, window.end_ts_micros)
         joined_tries = []
         unpack = transport_module.unpack_windows
 
@@ -753,6 +761,7 @@ class TestSyncLogCsv:
 
 
 class TestDirectoryExchange:
+    @deadline()
     def test_files_and_ordering(self, tmp_path):
         log = SyncLog()
         spec = ChannelSpec(kind="directory-exchange")
@@ -783,6 +792,7 @@ class TestDirectoryExchange:
         assert doc["content_digest"] == hashlib.sha256(payload).hexdigest()
         assert doc["byte_length"] == len(payload)
 
+    @deadline()
     def test_an_empty_exchange_is_polled_on_the_run_clock(self, tmp_path, monkeypatch):
         """Each poll that finds no window sleeps POLL_MICROS on the channel's
         clock, which a real-time run reads in capture time, and none sleeps
@@ -799,7 +809,7 @@ class TestDirectoryExchange:
                 super().sleep_micros(duration_micros)
                 sleeps.append(duration_micros)
                 if len(sleeps) == 3:
-                    sender.send(*pack_window(window_of(0)), now_micros=0)
+                    sender.send(window_of(0), now_micros=0)
                     sender.close_send()
 
         def wall_sleep(seconds):
@@ -818,11 +828,11 @@ class TestDirectoryExchange:
         sender = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path, ManualClock())
         receiver = DirectoryExchangeChannel(ChannelSpec(kind="directory-exchange"), tmp_path, ManualClock())
         for seq in (0, 3, 4, 9):
-            sender.send(*pack_window(window_of(seq)), now_micros=0)
+            sender.send(window_of(seq), now_micros=0)
         got = [receiver.receive(timeout=0)[0].seq for _ in range(4)]
         with pytest.raises(TimeoutError):
             receiver.receive(timeout=0)
-        sender.send(*pack_window(window_of(12)), now_micros=0)
+        sender.send(window_of(12), now_micros=0)
         sender.close_send()
         got.append(receiver.receive(timeout=0)[0].seq)
         assert got == [0, 3, 4, 9, 12]
@@ -855,7 +865,7 @@ class TestDirectoryExchange:
             receiver = DirectoryExchangeChannel(spec, directory, ManualClock())
             for seq in range(n):
                 if seq % 5 != 2:
-                    sender.send(manifest._replace(seq=seq), payload, now_micros=0)
+                    sender._deliver(manifest._replace(seq=seq), payload, now_micros=0)
             sender.close_send()
             before = dict(calls)
             received = 0
@@ -891,7 +901,7 @@ class TestDirectoryExchange:
         those in order, the log marks the others before the last one lost,
         the directory holds one dense pair of files per window sent, and
         nothing lists it after the channels are made."""
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch, deadline():
             directory, spec, log = Path(tmp), ChannelSpec(kind="directory-exchange"), SyncLog()
             sender = DirectoryExchangeChannel(spec, directory, ManualClock())
             receiver_channel = DirectoryExchangeChannel(spec, directory, ManualClock())
@@ -900,7 +910,7 @@ class TestDirectoryExchange:
                 manifest, payload = _packed(seq)
                 log.record_sent(seq, manifest.start_ts_micros, manifest.end_ts_micros, manifest.end_ts_micros)
                 if seq in sent:
-                    sender.send(manifest, payload, now_micros=manifest.end_ts_micros)
+                    sender._deliver(manifest, payload, now_micros=manifest.end_ts_micros)
             sender.close_send()
             receiver = WindowReceiver(receiver_channel, log)
             got = []
@@ -925,7 +935,7 @@ class TestDirectoryExchange:
             sender = DirectoryExchangeChannel(spec, directory, ManualClock())
             receiver = DirectoryExchangeChannel(spec, directory, ManualClock())
             for seq in range(n):
-                sender.send(manifest._replace(seq=seq), payload, now_micros=0)
+                sender._deliver(manifest._replace(seq=seq), payload, now_micros=0)
                 receiver.receive(timeout=0)
             before = dict(calls)
             with pytest.raises(TimeoutError):
@@ -937,6 +947,7 @@ class TestDirectoryExchange:
 
 
 class TestTcpChannel:
+    @deadline()
     def test_round_trip_over_localhost(self):
         log = SyncLog()
         receiver_channel = TcpReceiverChannel("127.0.0.1", 0, ManualClock())
@@ -958,6 +969,7 @@ class TestTcpChannel:
         receiver_channel.close()
         assert [manifest.seq for manifest in got] == [0, 1, 2]
 
+    @deadline()
     def test_dropped_window_becomes_a_recorded_hole(self):
         log = SyncLog()
         receiver_channel = TcpReceiverChannel("127.0.0.1", 0, ManualClock())
@@ -1038,6 +1050,7 @@ class TestTcpChannel:
         error = self._receive_after_sending(length.to_bytes(4, "big") + b"{")
         assert str(error) == f"manifest length {length} exceeds the {MAX_MANIFEST_BYTES}-byte bound"
 
+    @deadline()
     def test_wire_framing_is_length_prefixed(self):
         # Decode the raw frames with a bare socket to pin the wire format:
         # 4-byte big-endian manifest length, manifest JSON, 4-byte
@@ -1050,9 +1063,12 @@ class TestTcpChannel:
         manifest, payload = pack_window(window)
 
         def send_one():
+            # Closed whatever happens, so the main thread's recv sees the end.
             sender = TcpSenderChannel(ChannelSpec(kind="tcp"), "127.0.0.1", port)
-            sender.send(manifest, payload, 0)
-            sender.close_send()
+            try:
+                sender.send(window, 0)
+            finally:
+                sender.close_send()
 
         thread = threading.Thread(target=send_one)
         thread.start()
